@@ -8,6 +8,8 @@ blocked LU decomposition, an Ocean-style stencil relaxation, and a parallel
 radix sort.
 """
 
-from .kernels import lu_workers, ocean_workers, radix_workers, spawn_kernel
+from .kernels import (KERNELS, lu_workers, ocean_workers, radix_workers,
+                      spawn_kernel)
 
-__all__ = ["lu_workers", "ocean_workers", "radix_workers", "spawn_kernel"]
+__all__ = ["KERNELS", "lu_workers", "ocean_workers", "radix_workers",
+           "spawn_kernel"]

@@ -147,13 +147,15 @@ def radix_workers(nproc: int, nkeys: int = 4096, radix_bits: int = 8):
     return [make(p) for p in range(nproc)]
 
 
+#: kernel name -> worker-factory maker
+KERNELS = {"lu": lu_workers, "ocean": ocean_workers, "radix": radix_workers}
+
+
 def spawn_kernel(engine: Engine, kind: str, nproc: int,
                  **kw) -> List[SimProcess]:
-    """Spawn one of the kernels: kind in {"lu", "ocean", "radix"}."""
-    makers = {"lu": lu_workers, "ocean": ocean_workers,
-              "radix": radix_workers}
-    if kind not in makers:
+    """Spawn one of the ``KERNELS``."""
+    if kind not in KERNELS:
         raise ValueError(f"unknown kernel {kind!r}")
-    bodies = makers[kind](nproc, **kw)
+    bodies = KERNELS[kind](nproc, **kw)
     return [engine.spawn(f"{kind}-{p}", body)
             for p, body in enumerate(bodies)]

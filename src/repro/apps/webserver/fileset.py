@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
-from ...osim.filesystem import FileSystem
+from ...osim.filesystem import FileSystem, RepeatedBytes
 from ...traces.http import HttpRequest
 
 #: SPECWeb96 class access weights
@@ -40,13 +40,6 @@ class FileSet:
         return sum(self.sizes.values())
 
 
-def _content(path: str, size: int) -> bytes:
-    """Deterministic file content derived from the path."""
-    seed = path.encode()
-    reps = size // len(seed) + 1
-    return (seed * reps)[:size]
-
-
 def generate_fileset(fs: FileSystem, ndirs: int = 2, root: str = "/htdocs",
                      size_scale: float = 1.0) -> FileSet:
     """Populate the simulated file system (the SPECWeb file set generator
@@ -59,7 +52,8 @@ def generate_fileset(fs: FileSystem, ndirs: int = 2, root: str = "/htdocs",
             for i in range(1, FILES_PER_CLASS + 1):
                 size = max(64, int(i * CLASS_BASE[cls] * size_scale))
                 path = f"{root}/dir{d}/class{cls}_{i}"
-                fs.create(path, _content(path, size))
+                # deterministic content derived from the path
+                fs.create(path, RepeatedBytes(path.encode(), size))
                 out.paths.append(path)
                 out.sizes[path] = size
                 out.by_class[cls].append(path)

@@ -667,7 +667,10 @@ class Engine:
         (slow paths, faults and all — everything there is globally first
         and commits unconditionally). If references remain, phase 2 takes
         a micro-checkpoint of the issuing CPU's private slice and drains
-        on into ``[horizon, ext)`` *without* asking the rivals first.
+        on into ``[horizon, ext)`` *without* asking the rivals first — but
+        only when the first reference there probes invisible, so every
+        window counted in ``sp_windows`` consumed something and ends in
+        exactly one commit or rollback.
         ``access_run`` confines that window to the L1 fast path by
         construction (the first slow reference at or past the horizon is
         cut unconsumed), so phase 2 can only have touched exactly the
@@ -693,6 +696,11 @@ class Engine:
         t0 = t + pends[i]
         if t0 >= ext:
             return c1, i, t, a1, None, 0
+        if ms.ref_invisible_latency(proc.pid, cpu, batch.kinds[i],
+                                    batch.addrs[i], batch.sizes[i]) < 0:
+            # the first window reference would take the slow path, so the
+            # window would be cut before consuming anything: no snapshot
+            return c1, i, t, a1, None, 0
         bs = self.batch_stats
         bs["sp_windows"] += 1
         mck = self._micro_ckpt(ms, cpu, gsched)
@@ -700,12 +708,6 @@ class Engine:
             proc.pid, cpu, batch.kinds, batch.addrs, batch.sizes, pends,
             i, batch.n, t0, limit - c1, horizon, ext,
             clock=gsched, serial=batch.serial, uhint=batch.uhint)
-        if c2 == 0:
-            # first window reference would take the slow path: nothing was
-            # speculated, but the scalar loop already published its issue
-            # time on the global clock — take that back
-            gsched.now = mck._now
-            return c1, i, t, a1, None, 0
         v = self.comm.speculation_bound(proc, horizon, t2,
                                         self._frontier_bound)
         if v >= t2:

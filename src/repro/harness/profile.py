@@ -92,8 +92,10 @@ def vec_summary(engine) -> dict:
 
     Reports how many batch runs classified and retired through the numpy
     mirror state vs fell back to the scalar loop, the mirror rebuild count,
-    and the per-reason decline counters from the vec classifier (see
-    DESIGN.md "Vectorized mirror state").
+    and the per-reason decline counters from the vec classifier —
+    ``short`` (run below ``MIN_RUN``), ``stale`` (mirror out of date and a
+    rebuild not yet worth its pass) and ``first_miss`` (first reference
+    not an L1 fast hit); see DESIGN.md "Vectorized mirror state".
     """
     ms = engine.memsys
     out = {

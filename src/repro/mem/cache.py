@@ -26,6 +26,7 @@ class LineState(IntEnum):
 # use, which shows up in the fill/flush paths (values are interchangeable
 # with LineState members — it is an IntEnum)
 _SHARED = 1
+_EXCLUSIVE = 2
 _MODIFIED = 3
 
 

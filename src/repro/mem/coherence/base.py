@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ...core.stats import Counter
-from ..cache import Cache, LineState
+from ..cache import Cache, _SHARED
 
 
 class CoherenceProtocol:
@@ -35,19 +35,20 @@ class CoherenceProtocol:
         self.l1s: Sequence[Optional[Cache]] = ()
         #: cpu -> NUMA node
         self.cpu_node: Sequence[int] = ()
-        #: paddr -> home node (installed by MemorySystem)
-        self.home_of: Callable[[int], int] = lambda paddr: 0
+        #: line address -> home node (installed by MemorySystem; line
+        #: granular because every protocol asks once per outer-level miss)
+        self.home_of_line: Callable[[int], int] = lambda line: 0
         self.line_size = 32
         self.counters: Dict[str, int] = {}
 
     def attach(self, caches: Sequence[Cache], l1s: Sequence[Optional[Cache]],
-               cpu_node: Sequence[int], home_of: Callable[[int], int],
-               line_size: int) -> None:
+               cpu_node: Sequence[int],
+               home_of_line: Callable[[int], int], line_size: int) -> None:
         """Wire the protocol to the hierarchy (called by MemorySystem)."""
         self.caches = caches
         self.l1s = l1s
         self.cpu_node = cpu_node
-        self.home_of = home_of
+        self.home_of_line = home_of_line
         self.line_size = line_size
 
     # -- helpers ------------------------------------------------------------
@@ -89,10 +90,10 @@ class CoherenceProtocol:
 
     def _downgrade_peer(self, cpu: int, line: int) -> None:
         """Demote ``line`` to SHARED in peer ``cpu``'s caches."""
-        self.caches[cpu].set_state(line, LineState.SHARED)
+        self.caches[cpu].set_state(line, _SHARED)
         l1 = self.l1s[cpu]
         if l1 is not None:
-            l1.set_state(line, LineState.SHARED)
+            l1.set_state(line, _SHARED)
 
     def line_paddr(self, line: int) -> int:
         return line * self.line_size

@@ -62,7 +62,7 @@ class ComaProtocol(CoherenceProtocol):
             e = _ComaEntry()
             self._map[line] = e
             # cold line: initially resident where its frame was allocated
-            node = self.home_of(self.line_paddr(line))
+            node = self.home_of_line(line)
             e.holders.add(node)
             self._am_load[node] += 1
         return e

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, List, Set, Tuple
 
 from ..bus import OccupancyResource
-from ..cache import LineState
+from ..cache import _EXCLUSIVE, _MODIFIED, _SHARED
 from ..network import MeshNetwork
 from .base import CoherenceProtocol
 
@@ -42,16 +42,6 @@ class DirectoryProtocol(CoherenceProtocol):
         self.data_flits = data_flits
         self._dir: Dict[int, _DirEntry] = {}
 
-    def _entry(self, line: int) -> _DirEntry:
-        e = self._dir.get(line)
-        if e is None:
-            e = _DirEntry()
-            self._dir[line] = e
-        return e
-
-    def _home(self, line: int) -> int:
-        return self.home_of(self.line_paddr(line))
-
     def min_remote_latency(self) -> int:
         """Cheapest cross-CPU effect: a one-hop invalidation through a
         directory controller (request hop + directory occupancy)."""
@@ -80,53 +70,73 @@ class DirectoryProtocol(CoherenceProtocol):
         self.network.load_state(state["network"])
 
     # -- contract ---------------------------------------------------------
+    # The handlers run once per outer-level miss, so they read their entry,
+    # home node and counters in place; a message between a node and itself
+    # costs nothing and is not sent (MeshNetwork.transfer would return 0).
 
     def read_miss(self, cpu: int, line: int, now: int) -> Tuple[int, int]:
-        node = self.cpu_node[cpu]
-        home = self._home(line)
-        e = self._entry(line)
-        lat = self.network.transfer(node, home, now)          # request
+        cpu_node = self.cpu_node
+        node = cpu_node[cpu]
+        home = self.home_of_line(line)
+        e = self._dir.get(line)
+        if e is None:
+            e = self._dir[line] = _DirEntry()
+        transfer = self.network.transfer
+        lat = transfer(node, home, now) if home != node else 0   # request
         lat += self.dirctl[home].occupy(now + lat)            # dir lookup
-        if e.owner >= 0 and e.owner != cpu:
-            onode = self.cpu_node[e.owner]
-            self.count("remote_dirty_3hop" if onode not in (node, home)
-                       else "remote_dirty")
-            lat += self.network.transfer(home, onode, now + lat)
-            self._downgrade_peer(e.owner, line)               # owner -> S
-            lat += self.network.transfer(onode, node, now + lat,
-                                         self.data_flits)
-            e.sharers.add(e.owner)
+        counters = self.counters
+        owner = e.owner
+        if owner >= 0 and owner != cpu:
+            onode = cpu_node[owner]
+            key = ("remote_dirty_3hop" if onode not in (node, home)
+                   else "remote_dirty")
+            counters[key] = counters.get(key, 0) + 1
+            lat += transfer(home, onode, now + lat)
+            self._downgrade_peer(owner, line)                 # owner -> S
+            lat += transfer(onode, node, now + lat, self.data_flits)
+            e.sharers.add(owner)
             e.owner = -1
             e.sharers.add(cpu)
-            return lat, LineState.SHARED
-        self.count("local_read" if home == node else "remote_read_2hop")
+            return lat, _SHARED
         lat += self.dram_latency
-        lat += self.network.transfer(home, node, now + lat, self.data_flits)
-        if not e.sharers:
-            e.sharers.add(cpu)
-            return lat, LineState.EXCLUSIVE
+        if home == node:
+            counters["local_read"] = counters.get("local_read", 0) + 1
+        else:
+            counters["remote_read_2hop"] = \
+                counters.get("remote_read_2hop", 0) + 1
+            lat += transfer(home, node, now + lat, self.data_flits)
+        sharers = e.sharers
+        if not sharers:
+            sharers.add(cpu)
+            return lat, _EXCLUSIVE
         # existing sharers may hold EXCLUSIVE: the directory downgrades them
         # so no silent E->M upgrade can bypass it
-        for s_ in e.sharers:
+        for s_ in sharers:
             if s_ != cpu:
                 self._downgrade_peer(s_, line)
-        e.sharers.add(cpu)
-        return lat, LineState.SHARED
+        sharers.add(cpu)
+        return lat, _SHARED
 
     def write_miss(self, cpu: int, line: int, now: int) -> Tuple[int, int]:
-        node = self.cpu_node[cpu]
-        home = self._home(line)
-        e = self._entry(line)
-        lat = self.network.transfer(node, home, now)
+        cpu_node = self.cpu_node
+        node = cpu_node[cpu]
+        home = self.home_of_line(line)
+        e = self._dir.get(line)
+        if e is None:
+            e = self._dir[line] = _DirEntry()
+        transfer = self.network.transfer
+        lat = transfer(node, home, now) if home != node else 0
         lat += self.dirctl[home].occupy(now + lat)
+        counters = self.counters
         inval_lat = 0
-        if e.owner >= 0 and e.owner != cpu:
-            onode = self.cpu_node[e.owner]
-            self.count("ownership_transfer")
-            inval_lat = (self.network.transfer(home, onode, now + lat)
-                         + self.network.transfer(onode, node, now + lat,
-                                                 self.data_flits))
-            self._drop_peer(e.owner, line)
+        owner = e.owner
+        if owner >= 0 and owner != cpu:
+            onode = cpu_node[owner]
+            counters["ownership_transfer"] = \
+                counters.get("ownership_transfer", 0) + 1
+            inval_lat = (transfer(home, onode, now + lat)
+                         + transfer(onode, node, now + lat, self.data_flits))
+            self._drop_peer(owner, line)
         else:
             # invalidate every sharer; acks gathered in parallel — pay the
             # max distance, plus a constant per extra sharer for ack fan-in
@@ -135,29 +145,31 @@ class DirectoryProtocol(CoherenceProtocol):
             for s in list(e.sharers):
                 if s == cpu:
                     continue
-                snode = self.cpu_node[s]
-                d = (self.network.transfer(home, snode, now + lat)
-                     + self.network.transfer(snode, node, now + lat))
+                snode = cpu_node[s]
+                d = (transfer(home, snode, now + lat)
+                     + transfer(snode, node, now + lat))
                 worst = max(worst, d)
                 extras += 1
                 self._drop_peer(s, line)
-                self.count("invalidation")
+                counters["invalidation"] = counters.get("invalidation", 0) + 1
             inval_lat = worst + 2 * max(0, extras - 1)
-            if self.caches[cpu].probe(line) is None:
+            if line not in self.caches[cpu]._states:
                 lat += self.dram_latency
-                lat += self.network.transfer(home, node, now + lat,
-                                             self.data_flits)
+                if home != node:
+                    lat += transfer(home, node, now + lat, self.data_flits)
         e.sharers = {cpu}
         e.owner = cpu
-        self.count("write_miss")
-        return lat + inval_lat, LineState.MODIFIED
+        counters["write_miss"] = counters.get("write_miss", 0) + 1
+        return lat + inval_lat, _MODIFIED
 
     def writeback(self, cpu: int, line: int, now: int) -> int:
         node = self.cpu_node[cpu]
-        home = self._home(line)
-        self.count("writeback")
+        home = self.home_of_line(line)
+        counters = self.counters
+        counters["writeback"] = counters.get("writeback", 0) + 1
         # buffered: network + home DRAM occupied, requester not stalled
-        self.network.transfer(node, home, now, self.data_flits)
+        if home != node:
+            self.network.transfer(node, home, now, self.data_flits)
         self.dirctl[home].occupy(now)
         e = self._dir.get(line)
         if e is not None and e.owner == cpu:

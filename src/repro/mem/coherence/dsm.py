@@ -90,7 +90,8 @@ class DsmProtocol(CoherenceProtocol):
     def _entry(self, page: int) -> _PageEntry:
         e = self._pages.get(page)
         if e is None:
-            e = _PageEntry(self.home_of(page * self.page_size))
+            e = _PageEntry(
+                self.home_of_line(page * (self.page_size // self.line_size)))
             self._pages[page] = e
         return e
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Tuple
 
 from ..bus import OccupancyResource
-from ..cache import LineState
+from ..cache import _EXCLUSIVE, _MODIFIED, _SHARED
 from .base import CoherenceProtocol
 
 
@@ -45,6 +45,9 @@ class MesiBusProtocol(CoherenceProtocol):
         self.bus.load_state(state["bus"])
 
     # -- snoop helpers ------------------------------------------------------
+    # The handlers run once per outer-level miss (and ``_snoop`` scans every
+    # peer each time), so they probe the peers' state dicts and bump their
+    # counters in place.
 
     def _snoop(self, requester: int, line: int):
         """Peers holding ``line``: returns (dirty_holder, sharers)."""
@@ -53,10 +56,10 @@ class MesiBusProtocol(CoherenceProtocol):
         for c, cache in enumerate(self.caches):
             if c == requester:
                 continue
-            st = cache.probe(line)
+            st = cache._states.get(line)
             if st is None:
                 continue
-            if st == 3:   # LineState.MODIFIED — int compare keeps the snoop scan cheap
+            if st == _MODIFIED:
                 dirty = c
             sharers.append(c)
         return dirty, sharers
@@ -64,50 +67,47 @@ class MesiBusProtocol(CoherenceProtocol):
     # -- contract -----------------------------------------------------------
 
     def read_miss(self, cpu: int, line: int, now: int) -> Tuple[int, int]:
-        self.count("bus_read")
+        counters = self.counters
+        counters["bus_read"] = counters.get("bus_read", 0) + 1
         lat = self.bus.occupy(now)
         dirty, sharers = self._snoop(cpu, line)
         if dirty >= 0:
             # intervention: dirty peer supplies the data and both end SHARED;
             # memory is updated in the background
-            self.count("c2c_transfer")
+            counters["c2c_transfer"] = counters.get("c2c_transfer", 0) + 1
             self._downgrade_peer(dirty, line)
-            return lat + self.c2c_latency, LineState.SHARED
+            return lat + self.c2c_latency, _SHARED
         if sharers:
             for s in sharers:
                 self._downgrade_peer(s, line)
-            return lat + self.dram_latency, LineState.SHARED
-        return lat + self.dram_latency, LineState.EXCLUSIVE
+            return lat + self.dram_latency, _SHARED
+        return lat + self.dram_latency, _EXCLUSIVE
 
     def write_miss(self, cpu: int, line: int, now: int) -> Tuple[int, int]:
+        counters = self.counters
         dirty, sharers = self._snoop(cpu, line)
-        had_line = self.caches[cpu].probe(line) is not None
+        had_line = line in self.caches[cpu]._states
         lat = self.bus.occupy(now)
         if had_line and dirty < 0:
             # S -> M upgrade: address-only bus transaction
-            self.count("bus_upgrade")
-            for s in sharers:
-                self._drop_peer(s, line)
-                self.count("invalidation")
-            return lat, LineState.MODIFIED
-        self.count("bus_read_exclusive")
-        extra = 0
-        if dirty >= 0:
-            self.count("c2c_transfer")
-            extra = self.c2c_latency
-            self._drop_peer(dirty, line)
-            self.count("invalidation")
-            for s in sharers:
-                if s != dirty:
-                    self._drop_peer(s, line)
-                    self.count("invalidation")
-            return lat + extra, LineState.MODIFIED
+            counters["bus_upgrade"] = counters.get("bus_upgrade", 0) + 1
+        else:
+            counters["bus_read_exclusive"] = \
+                counters.get("bus_read_exclusive", 0) + 1
+            if dirty >= 0:
+                counters["c2c_transfer"] = counters.get("c2c_transfer", 0) + 1
+                lat += self.c2c_latency
+            else:
+                lat += self.dram_latency
         for s in sharers:
             self._drop_peer(s, line)
-            self.count("invalidation")
-        return lat + self.dram_latency, LineState.MODIFIED
+        if sharers:
+            counters["invalidation"] = \
+                counters.get("invalidation", 0) + len(sharers)
+        return lat, _MODIFIED
 
     def writeback(self, cpu: int, line: int, now: int) -> int:
-        self.count("writeback")
+        counters = self.counters
+        counters["writeback"] = counters.get("writeback", 0) + 1
         self.bus.occupy(now)   # buffered: occupies the bus, no CPU stall
         return 0

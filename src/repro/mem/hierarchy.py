@@ -1,11 +1,14 @@
 """The backend memory system: translation + cache hierarchy + coherence.
 
-``MemorySystem.access`` is the single entry point the engine calls for every
-memory-reference event. It translates the virtual address through the
-issuing process's page table (or the kernel space for OS-server references),
-walks the private cache hierarchy, and lets the coherence protocol service
-misses and upgrades. The returned latency is what the backend replies to the
-frontend's event port.
+``MemorySystem.access`` services one memory-reference event and
+``MemorySystem.access_run`` a run of batched ones. Both probe the issuing
+CPU's L1 first (page already translated, every line present with enough
+rights: raw dict probes, nothing else consulted); whatever the probe
+declines goes to the one miss kernel, ``MemorySystem._miss``, which takes
+the caller's translation (or walks the page table itself when there is
+none), walks the private cache hierarchy and lets the coherence protocol
+service misses and upgrades. The returned latency is what the backend
+replies to the frontend's event port.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from typing import List, Optional, Tuple
 
 from ..core.config import SimConfig
 from ..core.stats import StatsRegistry
-from .cache import Cache
+from .cache import Cache, _EXCLUSIVE, _MODIFIED, _SHARED
 from .coherence import make_protocol
 from .pagetable import KERNEL_BASE, MajorFault, Vmm
 
@@ -22,13 +25,6 @@ try:
     import numpy as _np
 except ImportError:          # pragma: no cover - numpy is a soft dependency
     _np = None
-
-# hot-path int constants: IntEnum member access and comparisons carry enum
-# dispatch overhead, so the access paths below compare against plain ints
-# (LineState is an IntEnum, so stored values interoperate either way)
-_SHARED = 1
-_EXCLUSIVE = 2
-_MODIFIED = 3
 
 
 class MemorySystem:
@@ -66,7 +62,8 @@ class MemorySystem:
             page_size=mem.page_size,
         )
         self.protocol.attach(outer, inner, self.vmm.cpu_node,
-                             self.vmm.home_of_paddr, be.l1.line_size)
+                             self.vmm.line_home_fn(be.l1.line_size),
+                             be.l1.line_size)
         self._outer = outer
         self._line_size = be.l1.line_size
         self._line_shift = be.l1.line_size.bit_length() - 1
@@ -137,9 +134,11 @@ class MemorySystem:
         """
         if self.ff_active:
             return self._ff_access(pid, vaddr, size, write, cpu, atomic)
+        paddr = -1
         if self._fast_on:
             # fast path: page already translated + all lines hit L1 with
-            # sufficient rights (bit-identical to the full path below)
+            # sufficient rights (bit-identical to the miss kernel, which
+            # services whatever this probe declines)
             if vaddr >= KERNEL_BASE:
                 ppn = self._kernel_table.get(vaddr >> self._page_shift)
             else:
@@ -211,25 +210,7 @@ class MemorySystem:
                             lat += 4
                         return lat, None
             self.fast_fallbacks += 1
-        paddr, major, minor = self.vmm.translate(pid, vaddr, write, cpu)
-        if major is not None:
-            return 0, major
-        self.accesses += 1
-        latency = self.minor_fault_cycles if minor else 0
-        if atomic:
-            latency += 4   # bus-locked RMW pipeline cost
-
-        first = paddr >> self._line_shift
-        last = (paddr + max(size, 1) - 1) >> self._line_shift
-        line = first
-        while line <= last:
-            latency += self._access_line(line, write, cpu, now + latency)
-            line += 1
-        fe = self.fault_extra
-        if fe is not None:
-            latency += fe()
-        self.lat_slow += latency
-        return latency, None
+        return self._miss(pid, vaddr, size, write, atomic, cpu, now, paddr)
 
     # ------------------------------------------------------------------
     # conservative lookahead support (see DESIGN.md)
@@ -530,10 +511,9 @@ class MemorySystem:
                            n: int, t: int, limit: int, horizon: int,
                            ext: int = 0, clock=None):
         """The untapped scalar hot loop: locals bound once, fast path
-        inlined; any reference the filter declines goes through the normal
-        access() (which re-probes, counts the fallback, and walks the full
-        path)."""
-        access = self.access
+        inlined; any reference the filter declines goes straight to the
+        miss kernel with the translation this loop's probe already made."""
+        miss = self._miss
         consumed = 0
         added = 0
         if ext < horizon:
@@ -633,8 +613,9 @@ class MemorySystem:
                     # the engine re-parks the batch at the right time)
                     return (consumed, i, t - pends[i], added, None,
                             ext_refs)
-                lat, major = access(pid, vaddr, sizes[i], k != 0, cpu, t,
-                                    atomic=(k == 2))
+                self.fast_fallbacks += 1
+                lat, major = miss(pid, vaddr, sizes[i], k != 0, k == 2, cpu,
+                                  t, paddr if ppn is not None else -1)
                 if major is not None:
                     return consumed + 1, i, t, added, major, ext_refs
             if t >= horizon:
@@ -985,87 +966,165 @@ class MemorySystem:
 
     # ------------------------------------------------------------------
 
-    def _access_line(self, line: int, write: bool, cpu: int, now: int) -> int:
-        l1 = self.l1s[cpu]
-        proto = self.protocol
-        lat = l1.cfg.latency
-        st = l1.lookup(line)
-        if st is not None:
-            if not write or st >= _EXCLUSIVE:
-                if write and st == _EXCLUSIVE:
-                    l1.set_state(line, _MODIFIED)
-                    if self.l2s is not None:
-                        self.l2s[cpu].set_state(line, _MODIFIED)
-                return lat
-            # write hit on SHARED: upgrade through the protocol
-            up, newst = proto.write_miss(cpu, line, now)
-            l1.set_state(line, newst)
-            if self.l2s is not None:
-                self.l2s[cpu].set_state(line, newst)
-            return lat + up
+    def _miss(self, pid: int, vaddr: int, size: int, write: bool,
+              atomic: bool, cpu: int, now: int,
+              paddr: int) -> Tuple[int, Optional[MajorFault]]:
+        """The miss kernel: service one reference the L1 probe declined.
 
+        Every slow reference of every caller ends here — ``access`` and the
+        batched run loop after their own probe, or ``access`` directly when
+        the filter is off. ``paddr`` is the translation the caller's probe
+        made, or -1 when it found none; only then is the VMM walked, which
+        may allocate (minor fault, charged here) or report a major fault
+        (no timing progress; the engine traps and retries).
+
+        Each line of the reference is serviced in order — L1 probe, L2
+        probe, protocol call, L2 fill with its inclusion victim, L1 fill —
+        as in-place operations on the caches' own dicts and set lists. The
+        effects are exactly those of composing ``Cache.lookup`` /
+        ``insert`` / ``set_state`` / ``invalidate`` (counters, LRU order
+        and ``Cache.version`` bumps included); ``tests/test_miss_kernel.py``
+        holds that composition and compares the two.
+        """
+        latency = 4 if atomic else 0   # bus-locked RMW pipeline cost
+        if paddr < 0:
+            paddr, major, minor = self.vmm.translate(pid, vaddr, write, cpu)
+            if major is not None:
+                return 0, major
+            if minor:
+                latency += self.minor_fault_cycles
+        self.accesses += 1
+        shift = self._line_shift
+        line = paddr >> shift
+        last = (paddr + (size or 1) - 1) >> shift
+        proto = self.protocol
+        l1 = self.l1s[cpu]
+        states = l1._states
+        sets = l1._sets
+        mask = self._l1_set_mask
+        nsets = self._l1_nsets
+        l1_lat = self._l1_latency
         if self.l2s is not None:
             l2 = self.l2s[cpu]
-            lat += l2.cfg.latency
-            st2 = l2.lookup(line)
-            if st2 is not None:
-                if write and st2 < _EXCLUSIVE:
-                    up, st2 = proto.write_miss(cpu, line, now + lat)
-                    lat += up
-                    l2.set_state(line, st2)
-                elif write and st2 == _EXCLUSIVE:
-                    st2 = _MODIFIED
-                    l2.set_state(line, st2)
-                self._fill_l1(cpu, line, st2)
-                return lat
-            # miss everywhere: coherence action
-            if write:
-                miss_lat, newst = proto.write_miss(cpu, line, now + lat)
-            else:
-                miss_lat, newst = proto.read_miss(cpu, line, now + lat)
-            lat += miss_lat
-            victim = l2.insert(line, newst)
-            if victim is not None:
-                self._handle_outer_victim(cpu, victim, now + lat)
-            self._fill_l1(cpu, line, newst)
-            return lat
-
-        # simple hierarchy: L1 is the coherence point
-        if write:
-            miss_lat, newst = proto.write_miss(cpu, line, now + lat)
+            l2states = l2._states
+            l2sets = l2._sets
+            l2mask = l2.set_mask
+            l2nsets = l2.n_sets
+            fill_lat = l1_lat + l2.cfg.latency
         else:
-            miss_lat, newst = proto.read_miss(cpu, line, now + lat)
-        lat += miss_lat
-        victim = l1.insert(line, newst)
-        if victim is not None:
-            vline, vstate = victim
-            if vstate == _MODIFIED:
-                proto.writeback(cpu, vline, now + lat)
+            # simple hierarchy: L1 is the coherence point
+            l2 = l2states = None
+            fill_lat = l1_lat
+        while line <= last:
+            st = states.get(line)
+            if st is not None:
+                # present, but the reference as a whole did not qualify for
+                # the fast path: a write to SHARED, or a sibling line missed
+                l1.hits += 1
+                s = sets[line & mask if mask >= 0 else line % nsets]
+                if s[0] != line:
+                    s.remove(line)
+                    s.insert(0, line)
+                if write and st < _MODIFIED:
+                    if st == _SHARED:
+                        up, st = proto.write_miss(cpu, line, now + latency)
+                        latency += up
+                    else:
+                        st = _MODIFIED
+                    if line in states:
+                        states[line] = st
+                        l1.version += 1
+                    if l2 is not None and line in l2states:
+                        l2states[line] = st
+                        l2.version += 1
+                latency += l1_lat
+                line += 1
+                continue
+            l1.misses += 1
+            t = now + latency + fill_lat
+            st = l2states.get(line) if l2 is not None else None
+            if st is not None:
+                l2.hits += 1
+                s = l2sets[line & l2mask if l2mask >= 0 else line % l2nsets]
+                if s[0] != line:
+                    s.remove(line)
+                    s.insert(0, line)
+                if write and st < _MODIFIED:
+                    if st == _SHARED:
+                        up, st = proto.write_miss(cpu, line, t)
+                        latency += up
+                    else:
+                        st = _MODIFIED
+                    if line in l2states:
+                        l2states[line] = st
+                        l2.version += 1
             else:
-                proto.forget(cpu, vline)
-        return lat
-
-    def _fill_l1(self, cpu: int, line: int, state: int) -> None:
-        l1 = self.l1s[cpu]
-        victim = l1.insert(line, state)
-        if victim is not None:
-            vline, vstate = victim
-            # L1 victim folds into L2 (inclusive hierarchy)
-            if vstate == _MODIFIED and self.l2s is not None:
-                self.l2s[cpu].set_state(vline, _MODIFIED)
-
-    def _handle_outer_victim(self, cpu: int, victim: Tuple[int, int],
-                             now: int) -> None:
-        vline, vstate = victim
-        l1 = self.l1s[cpu]
-        # inclusion: the L1 copy must go too, merging dirtiness
-        l1st = l1.invalidate(vline)
-        if l1st == _MODIFIED:
-            vstate = _MODIFIED
-        if vstate == _MODIFIED:
-            self.protocol.writeback(cpu, vline, now)
-        else:
-            self.protocol.forget(cpu, vline)
+                # miss at the coherence point
+                if write:
+                    miss_lat, st = proto.write_miss(cpu, line, t)
+                else:
+                    miss_lat, st = proto.read_miss(cpu, line, t)
+                latency += miss_lat
+                t += miss_lat
+                if l2 is not None:
+                    l2.misses += 1
+                    l2.version += 1
+                    s = l2sets[line & l2mask if l2mask >= 0
+                               else line % l2nsets]
+                    if len(s) >= l2.assoc:
+                        v = s.pop()
+                        vst = l2states.pop(v)
+                        l2.evictions += 1
+                        if vst == _MODIFIED:
+                            l2.writebacks += 1
+                        s.insert(0, line)
+                        l2states[line] = st
+                        # inclusion: the L1 copy of the victim goes too,
+                        # merging dirtiness
+                        l1st = states.pop(v, None)
+                        if l1st is not None:
+                            sets[v & mask if mask >= 0
+                                 else v % nsets].remove(v)
+                            l1.invalidations += 1
+                            l1.version += 1
+                            if l1st == _MODIFIED:
+                                vst = _MODIFIED
+                        if vst == _MODIFIED:
+                            proto.writeback(cpu, v, t)
+                        else:
+                            proto.forget(cpu, v)
+                    else:
+                        s.insert(0, line)
+                        l2states[line] = st
+            # L1 fill; its victim folds into the inclusive L2, or leaves
+            # the hierarchy when L1 is the coherence point
+            l1.version += 1
+            s = sets[line & mask if mask >= 0 else line % nsets]
+            if len(s) >= l1.assoc:
+                v = s.pop()
+                vst = states.pop(v)
+                l1.evictions += 1
+                s.insert(0, line)
+                states[line] = st
+                if vst == _MODIFIED:
+                    l1.writebacks += 1
+                    if l2 is None:
+                        proto.writeback(cpu, v, t)
+                    elif v in l2states:
+                        l2states[v] = _MODIFIED
+                        l2.version += 1
+                elif l2 is None:
+                    proto.forget(cpu, v)
+            else:
+                s.insert(0, line)
+                states[line] = st
+            latency += fill_lat
+            line += 1
+        fe = self.fault_extra
+        if fe is not None:
+            latency += fe()
+        self.lat_slow += latency
+        return latency, None
 
     # -- checkpoint/restore ----------------------------------------------------
 

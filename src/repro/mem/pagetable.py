@@ -373,6 +373,14 @@ class Vmm:
         """NUMA home node of a physical address."""
         return self.phys.home_node(paddr // self.page_size)
 
+    def line_home_fn(self, line_size: int):
+        """``line address -> NUMA home node`` as one flat function (frames
+        come from per-node pools, so a node's lines are contiguous): what
+        the coherence protocols call once per outer-level miss."""
+        lines_per_node = (self.phys.frames_per_node
+                          * (self.page_size // line_size))
+        return lambda line: line // lines_per_node
+
     # -- checkpoint/restore ----------------------------------------------------
 
     def state_dict(self) -> dict:

@@ -34,14 +34,17 @@ the cache; in-place E->M flips only widen acceptance and pend zeroing on the
 fault path only affects the retried reference's own lead-in, which the
 issue-time chain never reads.
 
-Resync rebuilds the affected arrays from the dicts whenever the versions
-move; a rebuild immediately followed by an accepted run pays for itself.
-What must not thrash is the *unproductive* case — classify (and possibly
-rebuild) work on runs whose first reference is not an L1 fast hit. Each
-consecutive unproductive entry backs the mirror off exponentially
-(``run()`` goes straight to the scalar loop for ``2^failures`` entries,
-capped); one accepted run resets the backoff. The schedule depends only on
-the simulated reference stream, keeping runs deterministic.
+Resync is amortised, not eager. Rebuilding a CPU's mirror costs one pass
+over its resident lines, and a fill bumps ``Cache.version``, so a CPU that
+is missing would otherwise pay a rebuild per entry to retire a handful of
+hits. ``run()`` therefore declines a stale mirror for free (the scalar loop
+takes the run) until two things it already observes hold: the issuing CPU's
+L1 version stood still from one entry to the next, and since then the CPU
+retired at least as many L1 hits as the rebuild has lines to visit — a hit
+streak that pays for the pass. A missing CPU never rebuilds; a CPU that
+turned warm rebuilds once and keeps the mirror until its next fill. The
+rule reads only simulated state (``Cache.version``, ``Cache.hits``, the
+resident-line count), keeping runs deterministic.
 """
 
 from __future__ import annotations
@@ -51,13 +54,6 @@ import numpy as np
 #: runs shorter than this go scalar: the fixed cost of the array classify
 #: only amortises over a reasonable prefix
 MIN_RUN = 8
-
-#: consecutive unproductive entries (classified but declined) tolerated
-#: before backing off
-FAIL_TOLERANCE = 2
-
-#: cooldown cap (entries skipped) for the exponential backoff
-COOL_CAP = 256
 
 _SENTINEL = np.iinfo(np.int64).max
 
@@ -89,10 +85,12 @@ class VecState:
         self._cdm: dict = {}
         #: reusable arange for rebuilding hinted address streams
         self._ar = None
-        self._fail = 0
-        self._cool = 0
+        #: amortised resync (see run()): per CPU, the L1 version at its
+        #: last entry that found the mirror stale, and its L1 hit count then
+        self._stale_versions = [-1] * n_cpus
+        self._stale_hits = [0] * n_cpus
         #: decline reasons (observability only; see harness vec_summary)
-        self.declines = {"short": 0, "cool": 0, "first_miss": 0}
+        self.declines = {"short": 0, "stale": 0, "first_miss": 0}
 
     # -- resync ------------------------------------------------------------
 
@@ -282,8 +280,9 @@ class VecState:
             limit, horizon, ext, clock, serial=None, uhint=None):
         """Vectorized prefix of one access_run; returns the final
         ``(consumed, i, t, added, major, ext_refs)`` tuple, or None to
-        decline the whole run (cooldown / too short / first ref not an
-        L1 fast hit) — the caller then runs the scalar loop unchanged."""
+        decline the whole run (too short / mirror stale and not yet worth
+        a rebuild / first ref not an L1 fast hit) — the caller then runs
+        the scalar loop unchanged."""
         ms = self.ms
         m = n - i
         if limit < m:
@@ -291,19 +290,25 @@ class VecState:
         if m < MIN_RUN:
             self.declines["short"] += 1
             return None
-        if self._cool > 0:
-            self._cool -= 1
-            self.declines["cool"] += 1
-            return None
 
-        # resync whatever moved: the issuer's L1 mirror and the pid's
-        # merged translation snapshot are keyed on version counters
+        # a stale L1 mirror is resynced only when the rebuild will pay: the
+        # version held still across an entry, and the CPU has since retired
+        # as many hits as the rebuild has resident lines to visit
         l1 = ms.l1s[cpu]
+        if l1.version != self._cache_versions[cpu]:
+            if l1.version != self._stale_versions[cpu]:
+                self._stale_versions[cpu] = l1.version
+                self._stale_hits[cpu] = l1.hits
+                self.declines["stale"] += 1
+                return None
+            if l1.hits - self._stale_hits[cpu] < len(l1._states):
+                self.declines["stale"] += 1
+                return None
+            self._rebuild_cache(cpu)
+        # the pid's merged translation snapshot is keyed on version counters
         ker = ms.vmm._kernel
         sp = ms._spaces.get(pid)
         uver = sp.version if sp is not None else -1
-        if l1.version != self._cache_versions[cpu]:
-            self._rebuild_cache(cpu)
         snap = self._snaps.get(pid)
         if snap is None or snap[0] != ker.version or snap[1] != uver:
             snap = self._snap_tables(pid, ker, sp, uver)
@@ -338,9 +343,6 @@ class VecState:
             j_stop = m          # no False anywhere: whole run is a hit
         elif j_stop == 0:
             self.declines["first_miss"] += 1
-            self._fail += 1
-            if self._fail > FAIL_TOLERANCE:
-                self._cool = min(1 << self._fail, COOL_CAP)
             return None
 
         if ext < horizon:
@@ -390,7 +392,6 @@ class VecState:
         ms.fast_hits += c
         ms.vec_batches += 1
         ms.vec_refs += c
-        self._fail = 0
 
         line0 = cd["line0"]
         # E->M upgrades (the only state change the fast path makes): flip

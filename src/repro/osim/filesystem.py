@@ -1,7 +1,9 @@
 """Simulated file system: inodes, a directory tree, extents on the disk.
 
 Functional file contents are real bytes (the web server serves actual file
-data; the database reads back the tuples it wrote). Each file gets a
+data; the database reads back the tuples it wrote) — held in a bytearray,
+or, for generated read-mostly content, produced on demand from a repeated
+seed (:class:`RepeatedBytes`) until first written. Each file gets a
 contiguous extent of simulated-disk blocks at creation so the disk model sees
 realistic offsets (sequential scans stay sequential).
 """
@@ -14,6 +16,35 @@ from ..core import events as ev
 from ..core.errors import OSError_
 
 BLOCK_SIZE = 4096
+
+
+class RepeatedBytes:
+    """Read-only file content: ``seed`` repeated out to ``size`` bytes,
+    produced slice by slice on demand. Generated read-mostly content (the
+    web server's file set) then costs neither memory nor set-up time; the
+    file system swaps in a real ``bytearray`` on the first write."""
+
+    __slots__ = ("seed", "size")
+
+    def __init__(self, seed: bytes, size: int) -> None:
+        if not seed:
+            raise ValueError("seed must not be empty")
+        self.seed = seed
+        self.size = size
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __getitem__(self, sl: slice) -> bytes:
+        start, stop, _ = sl.indices(self.size)
+        if stop <= start:
+            return b""
+        skip = start % len(self.seed)
+        end = skip + stop - start
+        return (self.seed * (end // len(self.seed) + 1))[skip:end]
+
+    def __bytes__(self) -> bytes:
+        return self[:]
 
 
 class Inode:
@@ -55,15 +86,16 @@ class FileSystem:
 
     # -- namespace ------------------------------------------------------------
 
-    def create(self, path: str, data: bytes = b"",
-               reserve: int = 0) -> Inode:
-        """Create ``path`` (error if it exists); ``reserve`` bytes of extent
-        are set aside beyond the initial data."""
+    def create(self, path: str, data=b"", reserve: int = 0) -> Inode:
+        """Create ``path`` (error if it exists) holding ``data`` — bytes,
+        copied, or a :class:`RepeatedBytes`, kept as is until written;
+        ``reserve`` bytes of extent are set aside beyond the initial data."""
         if path in self._by_path:
             raise OSError_(f"create: {path} exists")
         ino = Inode(self._next_ino, path, self._disk_cursor)
         self._next_ino += 1
-        ino.data = bytearray(data)
+        ino.data = (data if isinstance(data, RepeatedBytes)
+                    else bytearray(data))
         extent = max(len(data), reserve) + self._gap
         extent = (extent + BLOCK_SIZE - 1) // BLOCK_SIZE * BLOCK_SIZE
         self._disk_cursor += extent
@@ -100,8 +132,14 @@ class FileSystem:
             return b""
         return bytes(node.data[offset:offset + nbytes])
 
-    def write(self, ino: int, offset: int, data: bytes) -> int:
+    def _writable(self, ino: int) -> Inode:
         node = self.inode(ino)
+        if not isinstance(node.data, bytearray):
+            node.data = bytearray(bytes(node.data))
+        return node
+
+    def write(self, ino: int, offset: int, data: bytes) -> int:
+        node = self._writable(ino)
         end = offset + len(data)
         if end > len(node.data):
             node.data.extend(b"\0" * (end - len(node.data)))
@@ -109,7 +147,7 @@ class FileSystem:
         return len(data)
 
     def truncate(self, ino: int, size: int) -> None:
-        node = self.inode(ino)
+        node = self._writable(ino)
         if size < len(node.data):
             del node.data[size:]
         else:

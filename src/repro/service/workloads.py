@@ -19,6 +19,7 @@ snooping) — those win over factory-level defaults.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Dict
 
 from ..core.engine import Engine
@@ -73,11 +74,21 @@ def build_web(cfg: ConfigFactory, *, nrequests=6, nworkers=2, nclients=2,
     return eng
 
 
+def _splash_size_kwargs(kernel: str, nkeys: int) -> dict:
+    """The registry's one size knob — elements to work on — in the terms
+    of each ``apps/splash`` kernel: radix sorts ``nkeys`` keys; lu and
+    ocean work an ``n`` x ``n`` matrix of about that many elements, ``n``
+    a multiple of lu's default block of 8."""
+    if kernel == "radix":
+        return {"nkeys": nkeys}
+    return {"n": max(8, math.isqrt(nkeys) // 8 * 8)}
+
+
 def build_splash(cfg: ConfigFactory, *, kernel="radix", nprocs=4,
                  nkeys=512) -> Engine:
     """SPLASH-2 style scientific kernel (radix sort by default)."""
     eng = Engine(cfg(num_cpus=4))
-    spawn_kernel(eng, kernel, nprocs, nkeys=nkeys)
+    spawn_kernel(eng, kernel, nprocs, **_splash_size_kwargs(kernel, nkeys))
     return eng
 
 

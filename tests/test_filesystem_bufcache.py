@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.errors import OSError_
 from repro.osim.buffercache import BufferCache
-from repro.osim.filesystem import BLOCK_SIZE, FileSystem
+from repro.osim.filesystem import BLOCK_SIZE, FileSystem, RepeatedBytes
 
 
 class TestFileSystem:
@@ -14,6 +14,25 @@ class TestFileSystem:
         node = fs.create("/a/b", b"hello world")
         assert fs.read(node.ino, 0, 5) == b"hello"
         assert fs.read(node.ino, 6, 100) == b"world"
+
+    @given(seed=st.binary(min_size=1, max_size=9), size=st.integers(0, 200),
+           offset=st.integers(0, 220), nbytes=st.integers(0, 220),
+           patch=st.binary(max_size=12))
+    @settings(max_examples=60, deadline=None)
+    def test_repeated_bytes_reads_like_real_bytes(self, seed, size, offset,
+                                                  nbytes, patch):
+        """Generated content stays unmaterialised for reads and becomes an
+        ordinary file on the first write."""
+        real = (seed * (size // len(seed) + 1))[:size]
+        fs = FileSystem()
+        node = fs.create("/gen", RepeatedBytes(seed, size))
+        assert node.size == size and node.nblocks() == -(-size // BLOCK_SIZE)
+        assert fs.read(node.ino, offset, nbytes) == real[offset:offset + nbytes]
+        assert isinstance(node.data, RepeatedBytes)
+        fs.write(node.ino, offset, patch)
+        want = bytearray(real.ljust(offset + len(patch), b"\0"))
+        want[offset:offset + len(patch)] = patch
+        assert bytes(node.data) == bytes(want)
 
     def test_create_duplicate_rejected(self):
         fs = FileSystem()

@@ -1,0 +1,340 @@
+"""Differential test of the flat miss kernel (``MemorySystem._miss``).
+
+The kernel services a reference as in-place dict/list operations on the
+caches it touches. The ``Cache`` methods (``lookup`` / ``insert`` /
+``set_state`` / ``invalidate``) stay the reference implementation of those
+operations, and ``reference_access`` below composes them the way the memory
+system did before the kernel existed. Random reference streams — reads,
+writes and atomics, single- and multi-line, page-straddling, over caches
+small enough that evictions and inclusion victims are routine — are driven
+through both, on simple and complex hierarchies under every sharing
+protocol, and everything observable must agree: per-reference latency,
+every cache's sets / states / counters, the protocol's and the VMM's whole
+state. ``Cache.version`` must agree exactly when the kernel is driven
+directly, and never run backwards when it sits behind the L1 probe (whose
+hits legitimately skip the bump).
+"""
+
+from __future__ import annotations
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.core.config import (BackendConfig, CacheConfig, MemoryConfig,
+                               SimConfig)
+from repro.core.stats import StatsRegistry
+from repro.mem.hierarchy import MemorySystem
+from repro.mem.pagetable import KERNEL_BASE
+
+PID = 1
+NCPUS = 4
+USER_BASE = 0x10_0000
+FILE_BASE = 0x80_0000
+FILE_KEY = "tbl"
+NPAGES = 6
+PAGE = 4096
+#: region name -> base virtual address
+REGIONS = {"user": USER_BASE, "kernel": KERNEL_BASE + 0x4000,
+           "file": FILE_BASE}
+
+_E, _M = 2, 3
+
+
+# ---------------------------------------------------------------------------
+# the reference: the slow path as a composition of Cache methods
+# ---------------------------------------------------------------------------
+
+def _ref_fill_l1(ms, cpu, line, state):
+    victim = ms.l1s[cpu].insert(line, state)
+    if victim is not None and victim[1] == _M and ms.l2s is not None:
+        # L1 victim folds into L2 (inclusive hierarchy)
+        ms.l2s[cpu].set_state(victim[0], _M)
+
+
+def _ref_line(ms, line, write, cpu, now):
+    l1 = ms.l1s[cpu]
+    proto = ms.protocol
+    lat = l1.cfg.latency
+    st_ = l1.lookup(line)
+    if st_ is not None:
+        if not write or st_ >= _E:
+            if write and st_ == _E:
+                l1.set_state(line, _M)
+                if ms.l2s is not None:
+                    ms.l2s[cpu].set_state(line, _M)
+            return lat
+        up, newst = proto.write_miss(cpu, line, now)
+        l1.set_state(line, newst)
+        if ms.l2s is not None:
+            ms.l2s[cpu].set_state(line, newst)
+        return lat + up
+    if ms.l2s is not None:
+        l2 = ms.l2s[cpu]
+        lat += l2.cfg.latency
+        st2 = l2.lookup(line)
+        if st2 is not None:
+            if write and st2 < _E:
+                up, st2 = proto.write_miss(cpu, line, now + lat)
+                lat += up
+                l2.set_state(line, st2)
+            elif write and st2 == _E:
+                st2 = _M
+                l2.set_state(line, st2)
+            _ref_fill_l1(ms, cpu, line, st2)
+            return lat
+        if write:
+            miss_lat, newst = proto.write_miss(cpu, line, now + lat)
+        else:
+            miss_lat, newst = proto.read_miss(cpu, line, now + lat)
+        lat += miss_lat
+        victim = l2.insert(line, newst)
+        if victim is not None:
+            vline, vstate = victim
+            # inclusion: the L1 copy must go too, merging dirtiness
+            if l1.invalidate(vline) == _M:
+                vstate = _M
+            if vstate == _M:
+                proto.writeback(cpu, vline, now + lat)
+            else:
+                proto.forget(cpu, vline)
+        _ref_fill_l1(ms, cpu, line, newst)
+        return lat
+    # simple hierarchy: L1 is the coherence point
+    if write:
+        miss_lat, newst = proto.write_miss(cpu, line, now + lat)
+    else:
+        miss_lat, newst = proto.read_miss(cpu, line, now + lat)
+    lat += miss_lat
+    victim = l1.insert(line, newst)
+    if victim is not None:
+        if victim[1] == _M:
+            proto.writeback(cpu, victim[0], now + lat)
+        else:
+            proto.forget(cpu, victim[0])
+    return lat
+
+
+def reference_access(ms, vaddr, size, write, atomic, cpu, now,
+                     behind_probe=False):
+    """One reference through translation + the Cache-method composition.
+    ``behind_probe``: account ``lat_slow`` as a system whose L1 probe runs
+    first does — the probe's hits are not slow-path latency."""
+    fast = behind_probe and ms.ref_invisible_latency(
+        PID, cpu, 2 if atomic else int(write), vaddr, size) >= 0
+    paddr, major, minor = ms.vmm.translate(PID, vaddr, write, cpu)
+    if major is not None:
+        return 0, major
+    ms.accesses += 1
+    latency = ms.minor_fault_cycles if minor else 0
+    if atomic:
+        latency += 4
+    line = paddr >> ms._line_shift
+    last = (paddr + max(size, 1) - 1) >> ms._line_shift
+    while line <= last:
+        latency += _ref_line(ms, line, write, cpu, now + latency)
+        line += 1
+    if ms.fault_extra is not None:
+        latency += ms.fault_extra()
+    if not fast:
+        ms.lat_slow += latency
+    return latency, None
+
+
+# ---------------------------------------------------------------------------
+# the systems under comparison
+# ---------------------------------------------------------------------------
+
+def make_system(detail, coherence, fault_extra):
+    """Caches of 8 (L1) and 32 (L2) lines: a few dozen references already
+    evict, and an L1-hot line routinely becomes the L2's LRU victim."""
+    be = BackendConfig(
+        detail=detail,
+        l1=CacheConfig(size=256, line_size=32, assoc=2, latency=1),
+        l2=(CacheConfig(size=1024, line_size=32, assoc=2, latency=8)
+            if detail == "complex" else None),
+        coherence=coherence,
+        memory=MemoryConfig(num_nodes=1 if coherence == "mesi" else 2))
+    cfg = SimConfig(num_cpus=NCPUS, backend=be).validate()
+    ms = MemorySystem(cfg, StatsRegistry(NCPUS))
+    ms.vmm.new_space(PID)
+    ms.vmm.map_anon(PID, USER_BASE, NPAGES * PAGE)
+    ms.vmm.map_file(PID, FILE_BASE, NPAGES * PAGE, FILE_KEY)
+    if fault_extra:
+        ms.fault_extra = lambda: fault_extra
+    return ms
+
+
+def observable(ms):
+    caches = ms.l1s + (ms.l2s or [])
+    return {
+        "caches": [(c.name, c._sets, c._states, c.hits, c.misses,
+                    c.evictions, c.writebacks, c.invalidations)
+                   for c in caches],
+        "protocol": ms.protocol.state_dict(),
+        "vmm": ms.vmm.state_dict(),
+        "accesses": ms.accesses,
+        "lat_slow": ms.lat_slow,
+    }
+
+
+def versions(ms):
+    return [c.version for c in ms.l1s + (ms.l2s or [])]
+
+
+def page_in(ms, fault):
+    """What the engine's VM trap path ends with: make the page resident."""
+    ms.vmm.install_file_page(fault.vma.file_key, fault.page_index, 0)
+
+
+#: one reference: cpu, kind (0 read / 1 write / 2 atomic), region, page,
+#: line within the page (multiples of 16 collide in both caches' sets),
+#: byte within the line, size (up to three lines; the last lines of a page
+#: straddle it), idle cycles before it
+reference = st.tuples(
+    st.integers(0, NCPUS - 1),
+    st.sampled_from([0, 0, 1, 1, 2]),
+    st.sampled_from(["user", "user", "kernel", "file"]),
+    st.integers(0, NPAGES - 1),
+    st.one_of(st.sampled_from([0, 16, 32, 48, 64, 80, 96, 112, 126, 127]),
+              st.integers(0, 127)),
+    st.integers(0, 31),
+    st.sampled_from([0, 1, 4, 8, 32, 40, 64, 72]),
+    st.integers(0, 40),
+)
+
+
+def vaddr_of(ref):
+    _cpu, _kind, region, page, line, byte, _size, _gap = ref
+    return REGIONS[region] + page * PAGE + line * 32 + byte
+
+
+HIERARCHIES = ["simple", "complex"]
+PROTOCOLS = ["mesi", "directory", "coma", "dsm"]
+
+
+@pytest.mark.parametrize("coherence", PROTOCOLS)
+@pytest.mark.parametrize("detail", HIERARCHIES)
+@settings(max_examples=30, deadline=None)
+@given(refs=st.lists(reference, min_size=1, max_size=90),
+       hand_translation=st.booleans(),
+       fault_extra=st.sampled_from([0, 0, 7]))
+def test_kernel_matches_cache_method_composition(detail, coherence, refs,
+                                                 hand_translation,
+                                                 fault_extra):
+    """The kernel driven directly, with or without the caller's
+    translation: latency, state and ``Cache.version`` all exact."""
+    flat = make_system(detail, coherence, fault_extra)
+    ref = make_system(detail, coherence, fault_extra)
+    now = 0
+    for r in refs:
+        cpu, kind, _region, _page, _line, _byte, size, gap = r
+        vaddr = vaddr_of(r)
+        now += gap
+        while True:
+            paddr = -1
+            if hand_translation:
+                table = (flat.vmm._kernel.table if vaddr >= KERNEL_BASE
+                         else flat.vmm._spaces[PID].table)
+                ppn = table.get(vaddr >> 12)
+                if ppn is not None:
+                    paddr = (ppn << 12) | (vaddr & 0xFFF)
+            got = flat._miss(PID, vaddr, size, kind != 0, kind == 2, cpu,
+                             now, paddr)
+            want = reference_access(ref, vaddr, size, kind != 0, kind == 2,
+                                    cpu, now)
+            assert got[0] == want[0]
+            assert (got[1] is None) == (want[1] is None)
+            assert versions(flat) == versions(ref)
+            if got[1] is None:
+                break
+            # major fault: no progress on either side; page in and retry
+            assert got[1].page_index == want[1].page_index
+            page_in(flat, got[1])
+            page_in(ref, want[1])
+        now += got[0]
+    assert observable(flat) == observable(ref)
+
+
+@pytest.mark.parametrize("coherence", PROTOCOLS)
+@pytest.mark.parametrize("detail", HIERARCHIES)
+@settings(max_examples=30, deadline=None)
+@given(refs=st.lists(reference, min_size=1, max_size=90))
+def test_access_matches_cache_method_composition(detail, coherence, refs):
+    """``access()`` — probe, else kernel — against the composition. (No
+    degraded-DIMM hook here: by design the probe's hits never pay it.)"""
+    flat = make_system(detail, coherence, 0)
+    ref = make_system(detail, coherence, 0)
+    now = 0
+    for r in refs:
+        cpu, kind, _region, _page, _line, _byte, size, gap = r
+        vaddr = vaddr_of(r)
+        now += gap
+        while True:
+            before = versions(flat)
+            got = flat.access(PID, vaddr, size, kind != 0, cpu, now,
+                              atomic=(kind == 2))
+            want = reference_access(ref, vaddr, size, kind != 0, kind == 2,
+                                    cpu, now, behind_probe=True)
+            assert got[0] == want[0]
+            assert all(b <= a for b, a in zip(before, versions(flat)))
+            if got[1] is None:
+                assert want[1] is None
+                break
+            page_in(flat, got[1])
+            page_in(ref, want[1])
+        now += got[0]
+    assert observable(flat) == observable(ref)
+    assert flat.fast_hits + flat.fast_fallbacks >= len(refs)
+
+
+@pytest.mark.parametrize("coherence", PROTOCOLS)
+@pytest.mark.parametrize("detail", HIERARCHIES)
+@settings(max_examples=30, deadline=None)
+@given(runs=st.lists(st.lists(reference, min_size=1, max_size=24),
+                     min_size=1, max_size=6))
+def test_access_run_matches_cache_method_composition(detail, coherence,
+                                                     runs):
+    """The batched run loop hands the kernel the translation its own probe
+    made; each run is one CPU's batch, chained on issue times."""
+    flat = make_system(detail, coherence, 0)
+    ref = make_system(detail, coherence, 0)
+    t = 0
+    for run in runs:
+        cpu = run[0][0]
+        kinds = [r[1] for r in run]
+        addrs = [vaddr_of(r) for r in run]
+        sizes = [r[6] for r in run]
+        pends = [r[7] for r in run]
+        n = len(run)
+        # the reference: one reference_access per batch entry, issue times
+        # chained the way access_run documents (faulting entries page in
+        # and re-issue with their lead-in already paid)
+        rt = t
+        want_added = 0
+        for j in range(n):
+            if j:
+                rt += pends[j]
+            while True:
+                lat, major = reference_access(
+                    ref, addrs[j], sizes[j], kinds[j] != 0, kinds[j] == 2,
+                    cpu, rt, behind_probe=True)
+                if major is None:
+                    break
+                page_in(ref, major)
+            want_added += lat
+            rt += lat
+        i = 0
+        got_added = 0
+        before = versions(flat)
+        while i < n:
+            consumed, i, t, added, major, ext_refs = flat.access_run(
+                PID, cpu, kinds, addrs, sizes, pends, i, n, t, n - i,
+                1 << 60)
+            got_added += added
+            assert ext_refs == 0
+            if major is not None:
+                page_in(flat, major)
+                pends[i] = 0
+        assert (t, got_added) == (rt, want_added)
+        assert all(b <= a for b, a in zip(before, versions(flat)))
+    assert observable(flat) == observable(ref)

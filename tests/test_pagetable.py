@@ -69,6 +69,13 @@ class TestTranslation:
         v.map_anon(1, 0x10000, 1 << 20)
         paddr, _, _ = v.translate(1, 0x10000, False, 3)   # cpu3 -> node 1
         assert v.home_of_paddr(paddr) == 1
+        # the protocols' line-granular home function agrees, up to the
+        # last line of the frame
+        home_of_line = v.line_home_fn(32)
+        assert home_of_line(paddr // 32) == 1
+        assert home_of_line((paddr + 4095) // 32) == 1
+        paddr0, _, _ = v.translate(1, 0x20000, False, 0)   # cpu0 -> node 0
+        assert home_of_line(paddr0 // 32) == v.home_of_paddr(paddr0) == 0
 
     def test_segfault_outside_vma(self):
         v = make_vmm()

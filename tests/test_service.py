@@ -9,6 +9,7 @@ import os
 import pytest
 
 from repro import FaultPlan, FaultRule, checkpoint_exists, complex_backend
+from repro.apps.splash import KERNELS
 from repro.service import (JobRunner, JobSpec, JobState, SimulatorAdapter,
                            run_matrix)
 from repro.service.workloads import WORKLOADS, full_fingerprint
@@ -75,6 +76,18 @@ class TestSimulatorAdapter:
         via_obj = _direct_fingerprint(
             "oltp", {"faults": TIMING_PLAN, "speculate": False})
         assert via_dict == via_obj
+
+    @pytest.mark.parametrize("kernel", sorted(KERNELS))
+    def test_every_splash_kernel_runs_at_smoke_size(self, kernel):
+        """The registry's size knob reaches each kernel in its own terms."""
+        a = SimulatorAdapter()
+        a.prepare(workload="splash",
+                  workload_kwargs={"kernel": kernel, "nkeys": 256})
+        a.run()
+        assert not a.running
+        assert a.engine.events_processed > 0
+        assert all(p.exit_status == 0
+                   for p in a.engine.comm.processes.values())
 
     def test_unknown_workload_refused(self):
         from repro.core.errors import ConfigError

@@ -16,6 +16,7 @@ from __future__ import annotations
 import pytest
 
 from repro import Engine, complex_backend
+from repro.apps.minidb import MiniDb, TpcdDriver, tpcd_catalog
 from repro.core.frontend import SimProcess
 from repro.host import ParallelEngine, WorkerSpec
 
@@ -26,10 +27,37 @@ from tests.test_lookahead_equivalence import (HOT_PROG, _private_heavy,
 from tests.test_lookahead_equivalence import _snapshot as _la_snapshot
 
 
-#: batching workloads whose steady state is hit-dominated enough for the
-#: accept-based backoff to admit vec runs; OLTP's small-pool miss stream
-#: stays in cooldown (by design — misses are scalar-path work)
-VEC_ENGAGING_WORKLOADS = frozenset({"dss", "webserver"})
+#: a CPU pays one rebuild when it turns warm and one more per fill that
+#: interrupts its hit streak; the warm scenarios below fill once, up front
+WARM_REBUILDS_PER_CPU = 2
+
+
+def _watch_resyncs(eng):
+    """Watch the mirror of ``eng`` (before it runs) for thrash: returns a
+    list that collects ``(cpu, version at its previous entry, version
+    now)`` for every rebuild made by a CPU whose L1 version moved since
+    its previous entry into the vec path."""
+    vec = eng.memsys._vec
+    l1s = eng.memsys.l1s
+    prev = {}
+    thrash = []
+    run, rebuild = vec.run, vec._rebuild_cache
+
+    def watched_rebuild(cpu):
+        if prev.get(cpu) != l1s[cpu].version:
+            thrash.append((cpu, prev.get(cpu), l1s[cpu].version))
+        rebuild(cpu)
+
+    def watched_run(pid, cpu, *args, **kwargs):
+        at_entry = l1s[cpu].version
+        try:
+            return run(pid, cpu, *args, **kwargs)
+        finally:
+            prev[cpu] = at_entry
+
+    vec.run = watched_run
+    vec._rebuild_cache = watched_rebuild
+    return thrash
 
 
 # ---------------------------------------------------------------------------
@@ -52,30 +80,56 @@ def test_vec_tapped_bit_identical(name):
 # untapped runs: the inlined hot loop, where the vec path actually engages
 # ---------------------------------------------------------------------------
 
-def _run_untapped(build, **cfg):
+def _run_untapped(build, watch=False, **cfg):
     SimProcess._next_pid[0] = 1
     eng, finish = build(**cfg)
+    thrash = _watch_resyncs(eng) if watch else None
     stats = finish()
     snap = _snapshot(eng, stats, rec=None)
     del snap["trace"]
+    if watch:
+        assert thrash == []
     return snap, eng
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_vec_untapped_bit_identical(name):
     build = WORKLOADS[name]
-    snap_on, eng_on = _run_untapped(build, fastpath=True, vectorized=True)
+    snap_on, eng_on = _run_untapped(build, watch=True, fastpath=True,
+                                    vectorized=True)
     snap_off, eng_off = _run_untapped(build, fastpath=True, vectorized=False)
     assert snap_on == snap_off
     assert eng_off.memsys.vec_refs == 0
-    if name in VEC_ENGAGING_WORKLOADS:
-        # the vec arm must have retired real work through the mirror
-        assert eng_on.memsys.vec_refs > 0
-        assert eng_on.memsys.vec_batches > 0
-    elif name in BATCHING_WORKLOADS:
-        # miss-heavy tiny runs keep the classifier in accept-based
-        # backoff; the vec arm must still have *considered* the batches
-        assert eng_on.memsys._vec.declines["cool"] > 0
+    ms = eng_on.memsys
+    if name in BATCHING_WORKLOADS:
+        # cold, miss-heavy runs: the vec arm considers the batches and must
+        # not thrash — a stale mirror is declined, not rebuilt, until the
+        # CPU turns warm, so no rebuild goes without a run it retired
+        assert ms.vec_fallbacks > 0
+        assert ms.vec_rebuilds <= ms.vec_batches
+
+
+def build_warm_scan(**cfg):
+    """A TPC-D Q1 scan re-executed over an L1-resident table fragment: the
+    first pass fills, every later pass is all hits."""
+    eng = Engine(complex_backend(num_cpus=1, num_nodes=1, **cfg))
+    db = MiniDb(eng, tpcd_catalog(scale=0.00004), pool_frames=128)
+    db.setup()
+    drv = TpcdDriver(db, nagents=1, io="read", scan_stride=8, passes=12)
+    drv.spawn_q1(eng)
+    return eng, eng.run
+
+
+def test_vec_engages_on_warm_scan():
+    """Where the mirror should pay it must engage: the warm passes retire
+    through it, after a bounded number of rebuilds."""
+    snap_on, eng_on = _run_untapped(build_warm_scan, watch=True,
+                                    vectorized=True)
+    snap_off, _ = _run_untapped(build_warm_scan, vectorized=False)
+    assert snap_on == snap_off
+    ms = eng_on.memsys
+    assert ms.vec_refs > ms.accesses // 2
+    assert 0 < ms.vec_rebuilds <= WARM_REBUILDS_PER_CPU
 
 
 def test_vec_off_in_config_disables_mirror():
@@ -97,8 +151,10 @@ def test_vec_under_lookahead_bit_identical():
     snap_off, eng_off = _run_inline(_private_heavy, lookahead=True,
                                     vectorized=False)
     assert snap_on == snap_off
-    # both mechanisms engaged in the vec arm
+    # both mechanisms engaged in the vec arm, each CPU's mirror resynced
+    # a bounded number of times
     assert eng_on.memsys.vec_refs > 0
+    assert 0 < eng_on.memsys.vec_rebuilds <= 4 * WARM_REBUILDS_PER_CPU
     assert eng_on.batch_stats["la_refs"] > 0
 
 
