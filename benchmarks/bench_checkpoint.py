@@ -7,7 +7,9 @@ fails unless the resumed run reproduces the uninterrupted run exactly
 fast-forward — which answers every historical memory access from the
 reply log instead of re-simulating the cache hierarchy — against
 re-running the simulation to the same event count: the fast-forward must
-win, or checkpointing buys nothing over rerunning.
+win, or checkpointing buys nothing over rerunning. The price of the
+autosaves themselves is reported next to it (``ms_per_save``,
+``bytes_per_save``, from ``harness.checkpoint_summary``).
 
 The ``--baseline`` / ``--crash`` / ``--resume`` modes split the gate
 across *separate interpreter processes* (CI runs them under different
@@ -43,6 +45,7 @@ if str(REPO_ROOT / "src") not in sys.path:
 from repro import (Engine, FaultPlan, FaultRule, SimulatedCrash,   # noqa: E402
                    complex_backend, load_checkpoint, resume)
 from repro.core.frontend import SimProcess                          # noqa: E402
+from repro.harness import checkpoint_summary                        # noqa: E402
 
 QUICK = bool(os.environ.get("COMPASS_BENCH_QUICK"))
 
@@ -105,6 +108,11 @@ def smoke() -> dict:
             pass
         ckpt_events = load_checkpoint(path)["events_processed"]
         report["events_at_checkpoint"] = ckpt_events
+        cost = checkpoint_summary(eng1)
+        report["saves"] = cost["saves"]
+        report["ms_per_save"] = round(
+            1e3 * cost["host_seconds"] / cost["saves"], 3)
+        report["bytes_per_save"] = cost["bytes"] // cost["saves"]
 
         # 3. restore (timed: log-replay fast-forward, no backend work),
         #    then finish and compare against the uninterrupted run
@@ -211,7 +219,9 @@ def main(argv=None) -> int:
             print(" -", f, file=sys.stderr)
         return 1
     print(f"checkpoint smoke ok: resume bit-identical, fast-forward "
-          f"{report['speedup']}x faster than re-simulating")
+          f"{report['speedup']}x faster than re-simulating; autosaves cost "
+          f"{report['ms_per_save']} ms and {report['bytes_per_save']} bytes "
+          f"each")
     return 0
 
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import os
 import pickle
+import time
 import zlib
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -30,11 +31,13 @@ from .log import RecordingMemory, ReplayMemory
 from .snapshot import collect_snapshot, install_snapshot, verify_snapshot
 
 #: checkpoint file format version (bump on incompatible layout changes);
-#: v2 is the framed format: magic + CRC32-framed JSON header + CRC32-
-#: framed pickle payload, written fsync-before-rename
-FORMAT_VERSION = 2
+#: v2 introduced the framing: magic + CRC32-framed JSON header + CRC32-
+#: framed pickle payload, written fsync-before-rename. v3 keeps the framing
+#: and changes the payload: the directory/COMA/DSM protocols snapshot their
+#: global line state as ``line -> int`` dicts (sharer bitmasks, owners)
+FORMAT_VERSION = 3
 
-#: 4-byte file magic opening every v2 checkpoint
+#: 4-byte file magic opening every framed (v2+) checkpoint
 MAGIC = b"CMPK"
 
 #: autosave generations rotated under the default path (`.g0`/`.g1`)
@@ -73,6 +76,11 @@ class CheckpointManager:
         #: lifetime autosaves (survives resume); this-process autosaves
         self.saves = 0
         self.session_saves = 0
+        #: host cost of this process's autosaves: wall seconds inside
+        #: save() and bytes written. Measurements, so never part of a
+        #: snapshot or fingerprint (see harness.checkpoint_summary)
+        self.save_seconds = 0.0
+        self.save_bytes = 0
         #: testing/CI knob: raise SimulatedCrash after the Nth autosave of
         #: this process — a deterministic stand-in for kill -9
         self.crash_after_saves: Optional[int] = None
@@ -131,6 +139,7 @@ class CheckpointManager:
         is fsynced after, so the rename is itself durable. Crash points
         ``ckpt:pre-rename`` / ``ckpt:post-rename`` / ``ckpt:post-fsync``
         bracket those steps for the recovery test harness."""
+        t0 = time.perf_counter()
         engine = self.engine
         segments = [dict(s) for s in self.segments]
         if not segments:
@@ -153,9 +162,10 @@ class CheckpointManager:
             target = path
         else:
             target = f"{self.path}.g{self.saves % GENERATIONS}"
-        write_checkpoint_file(target, ckpt)
+        self.save_bytes += write_checkpoint_file(target, ckpt)
         self.saves += 1
         self.session_saves += 1
+        self.save_seconds += time.perf_counter() - t0
         if (self.crash_after_saves is not None
                 and self.session_saves >= self.crash_after_saves):
             raise SimulatedCrash(
@@ -169,10 +179,7 @@ class CheckpointManager:
     def restore(self, ckpt: Dict[str, Any]) -> None:
         """Fast-forward this (freshly built) engine to the checkpoint."""
         engine = self.engine
-        if ckpt.get("version") != FORMAT_VERSION:
-            raise CheckpointError(
-                f"checkpoint format {ckpt.get('version')!r} != "
-                f"{FORMAT_VERSION}")
+        _require_current_format(ckpt.get("version"), self.path)
         if ckpt["config_fp"] != repr(engine.cfg):
             raise CheckpointError(
                 "configuration fingerprint mismatch: the engine was built "
@@ -243,8 +250,17 @@ class CheckpointManager:
         return engine.run(seg["until"], remaining)
 
 
-def write_checkpoint_file(target: str, ckpt: Dict[str, Any]) -> str:
-    """Atomically write one framed checkpoint file (v2 format).
+def _require_current_format(found, path: str) -> None:
+    """Refuse a checkpoint written in another format version. It is intact,
+    just not ours to read: not corruption, so nothing is quarantined."""
+    if found != FORMAT_VERSION:
+        raise CheckpointError(
+            f"{path}: checkpoint format {found!r} != {FORMAT_VERSION} "
+            f"(written by an incompatible build; delete it to start over)")
+
+
+def write_checkpoint_file(target: str, ckpt: Dict[str, Any]) -> int:
+    """Atomically write one framed checkpoint file; returns its size.
 
     Layout: ``MAGIC`` + CRC32-framed JSON header (format version + save
     counter, readable without unpickling) + CRC32-framed pickle payload.
@@ -258,13 +274,14 @@ def write_checkpoint_file(target: str, ckpt: Dict[str, Any]) -> str:
         f.write(MAGIC)
         write_frame(f, header)
         write_frame(f, payload)
+        size = f.tell()
         fsync_file(f)
     crashpoints.hit("ckpt:pre-rename")
     os.replace(tmp, target)
     crashpoints.hit("ckpt:post-rename")
     fsync_dir(os.path.dirname(target) or ".")
     crashpoints.hit("ckpt:post-fsync")
-    return target
+    return size
 
 
 def _read_checkpoint_file(path: str) -> Dict[str, Any]:
@@ -272,14 +289,16 @@ def _read_checkpoint_file(path: str) -> Dict[str, Any]:
 
     Every corruption mode — bad magic, torn/flipped frames, garbage
     pickle — raises :class:`CheckpointCorruptError` with the byte
-    offset; a raw ``EOFError``/``UnpicklingError`` never escapes.
+    offset; a raw ``EOFError``/``UnpicklingError`` never escapes. An
+    intact file of another format version is refused from its header,
+    before anything is unpickled, with a plain :class:`CheckpointError`.
     """
     with open(path, "rb") as f:
         magic = f.read(len(MAGIC))
         if magic != MAGIC:
             raise CheckpointCorruptError(
                 path, 0, f"bad magic {magic!r} (want {MAGIC!r}): not a "
-                f"v{FORMAT_VERSION} checkpoint file")
+                f"framed checkpoint file")
         header_raw = read_frame(f, path, CheckpointCorruptError)
         if header_raw is None:
             raise CheckpointCorruptError(path, len(MAGIC),
@@ -289,6 +308,7 @@ def _read_checkpoint_file(path: str) -> Dict[str, Any]:
         except ValueError as exc:
             raise CheckpointCorruptError(
                 path, len(MAGIC), f"unreadable header frame: {exc}")
+        _require_current_format(header.get("format"), path)
         offset = f.tell()
         payload = read_frame(f, path, CheckpointCorruptError)
         if payload is None:

@@ -7,6 +7,14 @@ sync managers, devices, OS server, stats) must match exactly; the memory
 hierarchy and the fault injector are *not* compared — replay answers from
 the log without touching them — and are instead installed authoritatively
 by ``install_snapshot``.
+
+Collecting runs on every autosave, so its cost is part of the run: state
+owners hold plain ints and containers and their ``state_dict()`` is
+container copies, never a Python-level loop over entries (DESIGN.md,
+"Checkpoint/restore"; ``tests/test_checkpoint_cost.py`` guards the
+coherence protocols). Host-side measurements of the saving itself
+(``CheckpointManager.save_seconds`` / ``save_bytes``) are not state and
+are never collected.
 """
 
 from __future__ import annotations

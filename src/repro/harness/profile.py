@@ -126,6 +126,31 @@ def sampling_summary(engine) -> dict:
     return out
 
 
+def checkpoint_summary(engine) -> dict:
+    """Observability row for checkpoint autosaves: what durability cost.
+
+    ``saves`` / ``bytes`` / ``host_seconds`` are this process's autosaves
+    (``CheckpointManager.session_saves`` / ``save_bytes`` /
+    ``save_seconds``), ``share_of_run`` is ``host_seconds`` over
+    ``stats.host_seconds`` (the wall time spent inside ``run()``, which
+    includes the saves). Host measurements only: none of this is in a
+    snapshot or a fingerprint. ``enabled: False`` (and no other keys)
+    when the engine has no checkpoint manager.
+    """
+    mgr = getattr(engine, "_ckpt", None)
+    if mgr is None:
+        return {"enabled": False}
+    run_seconds = engine.stats.host_seconds
+    return {
+        "enabled": True,
+        "saves": mgr.session_saves,
+        "bytes": mgr.save_bytes,
+        "host_seconds": mgr.save_seconds,
+        "share_of_run": (mgr.save_seconds / run_seconds
+                         if run_seconds else 0.0),
+    }
+
+
 def translate_summary(engine) -> dict:
     """Observability row for the basic-block translation cache.
 

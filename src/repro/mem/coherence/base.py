@@ -23,6 +23,18 @@ from ...core.stats import Counter
 from ..cache import Cache, _SHARED
 
 
+def bits_of(mask: int) -> List[int]:
+    """Positions of the set bits of ``mask``, ascending. Sharer and holder
+    sets are stored as bitmasks (bit *i* = cpu / node *i*) so a checkpoint
+    captures them with a dict copy; this is their one iteration order."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 class CoherenceProtocol:
     """Base class; subclasses implement the four-message contract."""
 
@@ -72,7 +84,9 @@ class CoherenceProtocol:
 
     def state_dict(self) -> Dict[str, object]:
         """Plain-data snapshot; subclasses extend with their global line
-        state and shared-resource occupancies."""
+        state and shared-resource occupancies. Global line state is held
+        as ``line -> int`` dicts, so capturing it is ``dict(...)``: a
+        checkpoint must never cost a Python-level step per tracked line."""
         return {"counters": dict(self.counters)}
 
     def load_state(self, state: Dict[str, object]) -> None:

@@ -17,20 +17,12 @@ a relocation counter records it.
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from ..bus import OccupancyResource
 from ..cache import LineState
 from ..network import MeshNetwork
-from .base import CoherenceProtocol
-
-
-class _ComaEntry:
-    __slots__ = ("holders", "owner")
-
-    def __init__(self) -> None:
-        self.holders: Set[int] = set()   # node ids with a replica
-        self.owner = -1                  # node with the master (dirty) copy
+from .base import CoherenceProtocol, bits_of
 
 
 class ComaProtocol(CoherenceProtocol):
@@ -52,20 +44,23 @@ class ComaProtocol(CoherenceProtocol):
                       for n in range(num_nodes)]
         self.data_flits = data_flits
         self.am_lines = am_lines
-        self._map: Dict[int, _ComaEntry] = {}
+        #: line -> bitmask of the node ids with a replica (never 0: data
+        #: lives only in attraction memories)
+        self._holders: Dict[int, int] = {}
+        #: line -> node with the master (dirty) copy; no key when clean
+        self._owner: Dict[int, int] = {}
         self._am_load = [0] * num_nodes
         self.relocations = 0
 
-    def _entry(self, line: int) -> _ComaEntry:
-        e = self._map.get(line)
-        if e is None:
-            e = _ComaEntry()
-            self._map[line] = e
+    def _touch(self, line: int) -> int:
+        """The line's holder mask, creating the entry on first touch."""
+        mask = self._holders.get(line)
+        if mask is None:
             # cold line: initially resident where its frame was allocated
             node = self.home_of_line(line)
-            e.holders.add(node)
+            mask = self._holders[line] = 1 << node
             self._am_load[node] += 1
-        return e
+        return mask
 
     # -- checkpoint/restore -------------------------------------------------
 
@@ -76,8 +71,8 @@ class ComaProtocol(CoherenceProtocol):
 
     def state_dict(self):
         st = super().state_dict()
-        st["map"] = {line: (sorted(e.holders), e.owner)
-                     for line, e in self._map.items()}
+        st["holders"] = dict(self._holders)
+        st["owner"] = dict(self._owner)
         st["amctl"] = [r.state_dict() for r in self.amctl]
         st["am_load"] = list(self._am_load)
         st["relocations"] = self.relocations
@@ -86,51 +81,57 @@ class ComaProtocol(CoherenceProtocol):
 
     def load_state(self, state) -> None:
         super().load_state(state)
-        self._map.clear()
-        for line, (holders, owner) in state["map"].items():
-            e = _ComaEntry()
-            e.holders = set(holders)
-            e.owner = owner
-            self._map[line] = e
+        self._holders.clear()
+        self._holders.update(state["holders"])
+        self._owner.clear()
+        self._owner.update(state["owner"])
         for r, rs in zip(self.amctl, state["amctl"]):
             r.load_state(rs)
         self._am_load[:] = state["am_load"]
         self.relocations = state["relocations"]
         self.network.load_state(state["network"])
 
-    def _nearest_holder(self, node: int, e: _ComaEntry) -> int:
-        if node in e.holders:
+    def _source(self, node: int, line: int, mask: int) -> int:
+        """Where a miss from ``node`` fetches ``line``: the master copy if
+        there is one, else the nearest replica (lowest node id on ties)."""
+        owner = self._owner.get(line, -1)
+        if owner >= 0:
+            return owner
+        if mask >> node & 1:
             return node
-        return min(e.holders, key=lambda h: (self.network.hops(node, h), h))
+        return min(bits_of(mask),
+                   key=lambda h: (self.network.hops(node, h), h))
 
-    def _replicate(self, node: int, line: int, e: _ComaEntry) -> None:
-        if node in e.holders:
+    def _replicate(self, node: int, line: int) -> None:
+        mask = self._holders[line]
+        if mask >> node & 1:
             return
-        e.holders.add(node)
+        self._holders[line] = mask | 1 << node
         self._am_load[node] += 1
         if self._am_load[node] > self.am_lines:
             self._displace(node)
 
     def _displace(self, node: int) -> None:
         """AM overflow: drop one replica; a last copy relocates elsewhere."""
-        for line, e in self._map.items():
-            if node in e.holders and e.owner != node:
-                e.holders.discard(node)
+        bit = 1 << node
+        for line, mask in self._holders.items():
+            if mask & bit and self._owner.get(line, -1) != node:
+                mask &= ~bit
                 self._am_load[node] -= 1
-                if not e.holders:
+                if not mask:
                     dest = min(range(self.num_nodes),
                                key=lambda n: self._am_load[n])
-                    e.holders.add(dest)
+                    mask = 1 << dest
                     self._am_load[dest] += 1
                     self.relocations += 1
+                self._holders[line] = mask
                 return
 
     # -- contract -----------------------------------------------------------
 
     def read_miss(self, cpu: int, line: int, now: int) -> Tuple[int, int]:
         node = self.cpu_node[cpu]
-        e = self._entry(line)
-        src = e.owner if e.owner >= 0 else self._nearest_holder(node, e)
+        src = self._source(node, line, self._touch(line))
         lat = self.amctl[node].occupy(now)          # local AM tag check
         if src == node:
             self.count("am_local_hit")
@@ -141,10 +142,10 @@ class ComaProtocol(CoherenceProtocol):
             lat += self.amctl[src].occupy(now + lat) + self.dram_latency
             lat += self.network.transfer(src, node, now + lat,
                                          self.data_flits)
-            self._replicate(node, line, e)
-        if e.owner >= 0:
-            e.owner = -1   # master copy demoted to a plain replica
-        if len(e.holders) == 1 and node in e.holders:
+            self._replicate(node, line)
+        # master copy demoted to a plain replica
+        self._owner.pop(line, None)
+        if self._holders[line] == 1 << node:
             # sole holder node: exclusive only if no peer CPU caches it
             if not any(self.caches[c].probe(line) is not None
                        for c in range(len(self.caches)) if c != cpu):
@@ -157,32 +158,30 @@ class ComaProtocol(CoherenceProtocol):
 
     def write_miss(self, cpu: int, line: int, now: int) -> Tuple[int, int]:
         node = self.cpu_node[cpu]
-        e = self._entry(line)
+        mask = self._touch(line)
         lat = self.amctl[node].occupy(now)
         # fetch if not local
-        if node not in e.holders:
-            src = e.owner if e.owner >= 0 else self._nearest_holder(node, e)
+        if not mask >> node & 1:
+            src = self._source(node, line, mask)
             lat += self.network.transfer(node, src, now + lat)
             lat += self.amctl[src].occupy(now + lat) + self.dram_latency
             lat += self.network.transfer(src, node, now + lat,
                                          self.data_flits)
-            self._replicate(node, line, e)
+            self._replicate(node, line)
         else:
             lat += self.dram_latency
         # invalidate all other replicas (and any peer CPU caches)
         worst = 0
-        for h in list(e.holders):
-            if h == node:
-                continue
+        for h in bits_of(self._holders[line] & ~(1 << node)):
             worst = max(worst, 2 * self.network.hops(node, h)
                         * self.network.hop_latency)
-            e.holders.discard(h)
             self._am_load[h] -= 1
             self.count("replica_invalidation")
+        self._holders[line] &= 1 << node
         for c, cn in enumerate(self.cpu_node):
             if c != cpu:
                 self._drop_peer(c, line)
-        e.owner = node
+        self._owner[line] = node
         self.count("write_miss")
         return lat + worst, LineState.MODIFIED
 
@@ -191,13 +190,11 @@ class ComaProtocol(CoherenceProtocol):
         self.count("writeback")
         node = self.cpu_node[cpu]
         self.amctl[node].occupy(now)
-        e = self._map.get(line)
-        if e is not None and e.owner == node:
-            e.owner = -1
+        if self._owner.get(line, -1) == node:
+            del self._owner[line]
         return 0
 
     # -- introspection ------------------------------------------------------
 
     def holders_of(self, line: int) -> Set[int]:
-        e = self._map.get(line)
-        return set(e.holders) if e else set()
+        return set(bits_of(self._holders.get(line, 0)))

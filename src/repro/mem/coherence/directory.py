@@ -9,20 +9,12 @@ is the backend used for the paper's TPC-D NUMA studies ([14] in the paper).
 
 from __future__ import annotations
 
-from typing import Dict, List, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from ..bus import OccupancyResource
 from ..cache import _EXCLUSIVE, _MODIFIED, _SHARED
 from ..network import MeshNetwork
-from .base import CoherenceProtocol
-
-
-class _DirEntry:
-    __slots__ = ("sharers", "owner")
-
-    def __init__(self) -> None:
-        self.sharers: Set[int] = set()   # cpu ids holding the line
-        self.owner = -1                  # cpu id with a MODIFIED copy
+from .base import CoherenceProtocol, bits_of
 
 
 class DirectoryProtocol(CoherenceProtocol):
@@ -40,7 +32,11 @@ class DirectoryProtocol(CoherenceProtocol):
         self.dirctl = [OccupancyResource(f"dir{n}", dir_latency)
                        for n in range(num_nodes)]
         self.data_flits = data_flits
-        self._dir: Dict[int, _DirEntry] = {}
+        #: line -> bitmask of the cpu ids holding it (bit c = cpu c); a line
+        #: nobody holds has no key
+        self._sharers: Dict[int, int] = {}
+        #: line -> cpu id with a MODIFIED copy; clean lines have no key
+        self._owner: Dict[int, int] = {}
 
     def min_remote_latency(self) -> int:
         """Cheapest cross-CPU effect: a one-hop invalidation through a
@@ -51,41 +47,40 @@ class DirectoryProtocol(CoherenceProtocol):
 
     def state_dict(self):
         st = super().state_dict()
-        st["dir"] = {line: (sorted(e.sharers), e.owner)
-                     for line, e in self._dir.items()}
+        st["sharers"] = dict(self._sharers)
+        st["owner"] = dict(self._owner)
         st["dirctl"] = [r.state_dict() for r in self.dirctl]
         st["network"] = self.network.state_dict()
         return st
 
     def load_state(self, state) -> None:
         super().load_state(state)
-        self._dir.clear()
-        for line, (sharers, owner) in state["dir"].items():
-            e = _DirEntry()
-            e.sharers = set(sharers)
-            e.owner = owner
-            self._dir[line] = e
+        self._sharers.clear()
+        self._sharers.update(state["sharers"])
+        self._owner.clear()
+        self._owner.update(state["owner"])
         for r, rs in zip(self.dirctl, state["dirctl"]):
             r.load_state(rs)
         self.network.load_state(state["network"])
 
     # -- contract ---------------------------------------------------------
-    # The handlers run once per outer-level miss, so they read their entry,
+    # The handlers run once per outer-level miss, so they read their masks,
     # home node and counters in place; a message between a node and itself
     # costs nothing and is not sent (MeshNetwork.transfer would return 0).
+    # Sharers are visited in ascending cpu id: invalidations occupy mesh
+    # links, so the visiting order is part of the simulated timing.
 
     def read_miss(self, cpu: int, line: int, now: int) -> Tuple[int, int]:
         cpu_node = self.cpu_node
         node = cpu_node[cpu]
         home = self.home_of_line(line)
-        e = self._dir.get(line)
-        if e is None:
-            e = self._dir[line] = _DirEntry()
         transfer = self.network.transfer
         lat = transfer(node, home, now) if home != node else 0   # request
         lat += self.dirctl[home].occupy(now + lat)            # dir lookup
         counters = self.counters
-        owner = e.owner
+        sharers = self._sharers
+        bit = 1 << cpu
+        owner = self._owner.get(line, -1)
         if owner >= 0 and owner != cpu:
             onode = cpu_node[owner]
             key = ("remote_dirty_3hop" if onode not in (node, home)
@@ -94,9 +89,8 @@ class DirectoryProtocol(CoherenceProtocol):
             lat += transfer(home, onode, now + lat)
             self._downgrade_peer(owner, line)                 # owner -> S
             lat += transfer(onode, node, now + lat, self.data_flits)
-            e.sharers.add(owner)
-            e.owner = -1
-            e.sharers.add(cpu)
+            del self._owner[line]
+            sharers[line] = sharers.get(line, 0) | 1 << owner | bit
             return lat, _SHARED
         lat += self.dram_latency
         if home == node:
@@ -105,31 +99,26 @@ class DirectoryProtocol(CoherenceProtocol):
             counters["remote_read_2hop"] = \
                 counters.get("remote_read_2hop", 0) + 1
             lat += transfer(home, node, now + lat, self.data_flits)
-        sharers = e.sharers
-        if not sharers:
-            sharers.add(cpu)
+        mask = sharers.get(line, 0)
+        sharers[line] = mask | bit
+        if not mask:
             return lat, _EXCLUSIVE
         # existing sharers may hold EXCLUSIVE: the directory downgrades them
         # so no silent E->M upgrade can bypass it
-        for s_ in sharers:
-            if s_ != cpu:
-                self._downgrade_peer(s_, line)
-        sharers.add(cpu)
+        for s in bits_of(mask & ~bit):
+            self._downgrade_peer(s, line)
         return lat, _SHARED
 
     def write_miss(self, cpu: int, line: int, now: int) -> Tuple[int, int]:
         cpu_node = self.cpu_node
         node = cpu_node[cpu]
         home = self.home_of_line(line)
-        e = self._dir.get(line)
-        if e is None:
-            e = self._dir[line] = _DirEntry()
         transfer = self.network.transfer
         lat = transfer(node, home, now) if home != node else 0
         lat += self.dirctl[home].occupy(now + lat)
         counters = self.counters
         inval_lat = 0
-        owner = e.owner
+        owner = self._owner.get(line, -1)
         if owner >= 0 and owner != cpu:
             onode = cpu_node[owner]
             counters["ownership_transfer"] = \
@@ -142,9 +131,7 @@ class DirectoryProtocol(CoherenceProtocol):
             # max distance, plus a constant per extra sharer for ack fan-in
             worst = 0
             extras = 0
-            for s in list(e.sharers):
-                if s == cpu:
-                    continue
+            for s in bits_of(self._sharers.get(line, 0) & ~(1 << cpu)):
                 snode = cpu_node[s]
                 d = (transfer(home, snode, now + lat)
                      + transfer(snode, node, now + lat))
@@ -157,8 +144,8 @@ class DirectoryProtocol(CoherenceProtocol):
                 lat += self.dram_latency
                 if home != node:
                     lat += transfer(home, node, now + lat, self.data_flits)
-        e.sharers = {cpu}
-        e.owner = cpu
+        self._sharers[line] = 1 << cpu
+        self._owner[line] = cpu
         counters["write_miss"] = counters.get("write_miss", 0) + 1
         return lat + inval_lat, _MODIFIED
 
@@ -171,25 +158,25 @@ class DirectoryProtocol(CoherenceProtocol):
         if home != node:
             self.network.transfer(node, home, now, self.data_flits)
         self.dirctl[home].occupy(now)
-        e = self._dir.get(line)
-        if e is not None and e.owner == cpu:
-            e.owner = -1
-            e.sharers.discard(cpu)
+        if self._owner.get(line, -1) == cpu:
+            self.forget(cpu, line)
         return 0
 
     def forget(self, cpu: int, line: int) -> None:
-        e = self._dir.get(line)
-        if e is not None:
-            e.sharers.discard(cpu)
-            if e.owner == cpu:
-                e.owner = -1
+        mask = self._sharers.get(line, 0)
+        if mask:
+            mask &= ~(1 << cpu)
+            if mask:
+                self._sharers[line] = mask
+            else:
+                del self._sharers[line]     # nobody left: reclaim the entry
+        if self._owner.get(line, -1) == cpu:
+            del self._owner[line]
 
     # -- introspection ------------------------------------------------------
 
     def sharers_of(self, line: int) -> Set[int]:
-        e = self._dir.get(line)
-        return set(e.sharers) if e else set()
+        return set(bits_of(self._sharers.get(line, 0)))
 
     def owner_of(self, line: int) -> int:
-        e = self._dir.get(line)
-        return e.owner if e else -1
+        return self._owner.get(line, -1)

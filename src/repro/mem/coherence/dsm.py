@@ -20,15 +20,7 @@ from typing import Dict, Set, Tuple
 from ..bus import OccupancyResource
 from ..cache import LineState
 from ..network import MeshNetwork
-from .base import CoherenceProtocol
-
-
-class _PageEntry:
-    __slots__ = ("holders", "owner")
-
-    def __init__(self, home: int) -> None:
-        self.holders: Set[int] = {home}
-        self.owner = home
+from .base import CoherenceProtocol, bits_of
 
 
 class DsmProtocol(CoherenceProtocol):
@@ -47,11 +39,15 @@ class DsmProtocol(CoherenceProtocol):
         self.handler_cycles = handler_cycles
         self.page_flits = data_flits_per_page
         self.network = MeshNetwork(num_nodes, hop_latency)
-        self._pages: Dict[int, _PageEntry] = {}
+        #: page -> bitmask of the node ids holding a copy (never 0) and
+        #: page -> owning node; both gain their key on the first touch
+        self._holders: Dict[int, int] = {}
+        self._owner: Dict[int, int] = {}
         self.memctl = [OccupancyResource(f"mem{n}", 8)
                        for n in range(num_nodes)]
-        #: (node, page) pairs writable locally — avoids re-faulting per line
-        self._write_ok: Set[Tuple[int, int]] = set()
+        #: page -> bitmask of the nodes it is writable on locally (avoids
+        #: re-faulting per line); no key when no node may write
+        self._write_ok: Dict[int, int] = {}
 
     def _page_of_line(self, line: int) -> int:
         return self.line_paddr(line) // self.page_size
@@ -66,70 +62,69 @@ class DsmProtocol(CoherenceProtocol):
 
     def state_dict(self):
         st = super().state_dict()
-        st["pages"] = {page: (sorted(e.holders), e.owner)
-                       for page, e in self._pages.items()}
+        st["holders"] = dict(self._holders)
+        st["owner"] = dict(self._owner)
         st["memctl"] = [r.state_dict() for r in self.memctl]
-        st["write_ok"] = sorted(self._write_ok)
+        st["write_ok"] = dict(self._write_ok)
         st["network"] = self.network.state_dict()
         return st
 
     def load_state(self, state) -> None:
         super().load_state(state)
-        self._pages.clear()
-        for page, (holders, owner) in state["pages"].items():
-            e = _PageEntry(owner if owner >= 0 else 0)
-            e.holders = set(holders)
-            e.owner = owner
-            self._pages[page] = e
+        for mine, key in ((self._holders, "holders"), (self._owner, "owner"),
+                          (self._write_ok, "write_ok")):
+            mine.clear()
+            mine.update(state[key])
         for r, rs in zip(self.memctl, state["memctl"]):
             r.load_state(rs)
-        self._write_ok.clear()
-        self._write_ok.update(tuple(k) for k in state["write_ok"])
         self.network.load_state(state["network"])
 
-    def _entry(self, page: int) -> _PageEntry:
-        e = self._pages.get(page)
-        if e is None:
-            e = _PageEntry(
-                self.home_of_line(page * (self.page_size // self.line_size)))
-            self._pages[page] = e
-        return e
+    def _touch(self, page: int) -> None:
+        """First touch: the page starts held and owned by its home node."""
+        if page not in self._owner:
+            home = self.home_of_line(page * (self.page_size // self.line_size))
+            self._holders[page] = 1 << home
+            self._owner[page] = home
 
-    def _page_fetch(self, node: int, e: _PageEntry, now: int,
-                    page: int) -> int:
+    def _revoke_write(self, node: int, page: int) -> None:
+        mask = self._write_ok.get(page, 0) & ~(1 << node)
+        if mask:
+            self._write_ok[page] = mask
+        else:
+            self._write_ok.pop(page, None)
+
+    def _page_fetch(self, node: int, page: int, now: int) -> int:
         """Software read-fault: pull the page from its owner. The owner's
         write permission is revoked (invalidate-based SWMR: it must re-own
         the page before writing again)."""
         self.count("page_fetch")
         lat = self.handler_cycles
-        src = e.owner if e.owner >= 0 else next(iter(e.holders))
+        src = self._owner[page]
         lat += self.network.transfer(node, src, now + lat)
         lat += self.network.transfer(src, node, now + lat, self.page_flits)
-        e.holders.add(node)
-        self._write_ok.discard((src, page))
+        self._holders[page] |= 1 << node
+        self._revoke_write(src, page)
         return lat
 
-    def _page_own(self, node: int, e: _PageEntry, page: int, now: int) -> int:
+    def _page_own(self, node: int, page: int, now: int) -> int:
         """Software write-fault: become the single writer."""
         self.count("page_ownership")
         lat = self.handler_cycles
         worst = 0
-        for h in list(e.holders):
-            if h == node:
-                continue
+        bit = 1 << node
+        held = self._holders[page] & bit
+        for h in bits_of(self._holders[page] & ~bit):
             worst = max(worst, 2 * self.network.hops(node, h)
                         * self.network.hop_latency + self.handler_cycles // 2)
-            e.holders.discard(h)
-            self._write_ok.discard((h, page))
             self.count("page_invalidation")
-        if node not in e.holders:
-            src = e.owner
+        if not held:
+            src = self._owner[page]
             lat += self.network.transfer(node, src, now + lat)
             lat += self.network.transfer(src, node, now + lat,
                                          self.page_flits)
-            e.holders.add(node)
-        e.owner = node
-        self._write_ok.add((node, page))
+        self._holders[page] = bit
+        self._owner[page] = node
+        self._write_ok[page] = bit
         return lat + worst
 
     # -- contract ---------------------------------------------------------
@@ -137,10 +132,10 @@ class DsmProtocol(CoherenceProtocol):
     def read_miss(self, cpu: int, line: int, now: int) -> Tuple[int, int]:
         node = self.cpu_node[cpu]
         page = self._page_of_line(line)
-        e = self._entry(page)
+        self._touch(page)
         lat = 0
-        if node not in e.holders:
-            lat += self._page_fetch(node, e, now, page)
+        if not self._holders[page] >> node & 1:
+            lat += self._page_fetch(node, page, now)
         # peer CPUs may cache the line EXCLUSIVE/MODIFIED; demote them so a
         # later write must take the write_miss path (line-level SWMR)
         for c in range(len(self.caches)):
@@ -153,10 +148,11 @@ class DsmProtocol(CoherenceProtocol):
     def write_miss(self, cpu: int, line: int, now: int) -> Tuple[int, int]:
         node = self.cpu_node[cpu]
         page = self._page_of_line(line)
-        e = self._entry(page)
+        self._touch(page)
         lat = 0
-        if (node, page) not in self._write_ok or e.owner != node:
-            lat += self._page_own(node, e, page, now)
+        if (not self._write_ok.get(page, 0) >> node & 1
+                or self._owner[page] != node):
+            lat += self._page_own(node, page, now)
         # peer CPUs on other nodes lost the page; peers on this node just
         # lose the line
         for c, cn in enumerate(self.cpu_node):
@@ -175,9 +171,7 @@ class DsmProtocol(CoherenceProtocol):
     # -- introspection ------------------------------------------------------
 
     def holders_of_page(self, page: int) -> Set[int]:
-        e = self._pages.get(page)
-        return set(e.holders) if e else set()
+        return set(bits_of(self._holders.get(page, 0)))
 
     def owner_of_page(self, page: int) -> int:
-        e = self._pages.get(page)
-        return e.owner if e else -1
+        return self._owner.get(page, -1)

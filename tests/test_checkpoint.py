@@ -213,7 +213,7 @@ class TestFingerprints:
         assert not any(f.endswith(".tmp") for f in os.listdir(path.rsplit(
             "/", 1)[0]))
         ck = load_checkpoint(path)
-        assert ck["version"] == 2
+        assert ck["version"] == 3
         assert ck["events_processed"] > 0
         # both generations exist after >= 2 autosaves and load_checkpoint
         # picks the newer one
@@ -221,6 +221,30 @@ class TestFingerprints:
         gens = [g for g in generation_paths(path) if os.path.exists(g)]
         assert len(gens) == 2
         assert ck["saves"] == eng._ckpt.saves
+
+    def test_checkpoint_summary_reports_the_cost_of_saving(self, tmp_path):
+        from repro.checkpoint import generation_paths
+        from repro.harness import checkpoint_summary
+        path = str(tmp_path / "ck.pkl")
+        SimProcess._next_pid[0] = 1
+        eng = FAULT_OFF_WORKLOADS["oltp"](
+            _cfg_factory(path, 1_500, TIMING_PLAN))
+        eng.run()
+        s = checkpoint_summary(eng)
+        assert s["enabled"] and s["saves"] == eng._ckpt.session_saves >= 2
+        # every save is counted, though only two generations stay on disk
+        newest = max(os.path.getsize(g) for g in generation_paths(path))
+        assert newest * 2 <= s["bytes"] <= newest * s["saves"]
+        assert 0 < s["host_seconds"] <= eng.stats.host_seconds
+        assert s["share_of_run"] == pytest.approx(
+            s["host_seconds"] / eng.stats.host_seconds)
+        # host measurements: never saved
+        ck = load_checkpoint(path)
+        assert not {"save_seconds", "save_bytes"} & (set(ck)
+                                                     | set(ck["snapshot"]))
+        SimProcess._next_pid[0] = 1
+        off = FAULT_OFF_WORKLOADS["oltp"](_cfg_factory(None, 0, TIMING_PLAN))
+        assert checkpoint_summary(off) == {"enabled": False}
 
 
 class TestReplayMemory:

@@ -4,7 +4,8 @@ cross-protocol invariants checked with hypothesis-generated traces."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.config import complex_backend, simple_backend
+from repro.core.config import (BackendConfig, CacheConfig, MemoryConfig,
+                               SimConfig, complex_backend, simple_backend)
 from repro.core.stats import StatsRegistry
 from repro.mem.cache import LineState
 from repro.mem.hierarchy import MemorySystem
@@ -140,6 +141,43 @@ class TestDirectory:
             n += 1
         assert not ms.l2s[0].contains(line), "flood failed to evict"
         assert 0 not in ms.protocol.sharers_of(line)
+
+
+    def test_fill_evict_cycle_leaves_directory_empty(self):
+        """Entries are reclaimed: the directory tracks the lines resident
+        in some L2, not every line ever touched, so a checkpoint of it is
+        bounded by cache capacity."""
+        be = BackendConfig(
+            detail="complex", coherence="directory",
+            l1=CacheConfig(size=256, line_size=32, assoc=2, latency=1),
+            l2=CacheConfig(size=1024, line_size=32, assoc=2, latency=8),
+            memory=MemoryConfig(num_nodes=2))
+        ms = MemorySystem(SimConfig(num_cpus=4, backend=be).validate(),
+                          StatsRegistry(4), minor_fault_cycles=0)
+        ms.vmm.new_space(1)
+        ms.vmm.map_anon(1, 0x10000, 1 << 20)
+        proto = ms.protocol
+        for n in range(256):                  # 8x one L2's capacity
+            for cpu in range(4):              # shared read fills
+                acc(ms, 0x20000 + n * 32, cpu=cpu, now=1000 * n + cpu)
+            # first-touch write fills (never a silent E->M upgrade, which
+            # the directory cannot see and so cannot reclaim)
+            acc(ms, 0x40000 + n * 32, write=True, cpu=n % 4, now=1000 * n + 9)
+        assert min(c.evictions for c in ms.l2s) > 100, "no capacity pressure"
+        resident = set().union(*(c._states for c in ms.l2s))
+        snap = proto.state_dict()
+        assert set(snap["sharers"]) == resident
+        assert set(snap["owner"]) <= resident
+        # evict what is left, the way the hierarchy retires a victim
+        for cpu, l2 in enumerate(ms.l2s):
+            for line in list(l2._states):
+                if LineState.MODIFIED in (ms.l1s[cpu].invalidate(line),
+                                          l2.invalidate(line)):
+                    proto.writeback(cpu, line, 10**6)
+                else:
+                    proto.forget(cpu, line)
+        snap = proto.state_dict()
+        assert snap["sharers"] == {} and snap["owner"] == {}
 
 
 class TestComa:

@@ -15,16 +15,20 @@ three seeds per site.
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 
 import pytest
 
-from repro import (CheckpointCorruptError, CrashPointPlan, CrashRule,
-                   SimulatedCrash, load_checkpoint)
+from repro import (CheckpointCorruptError, CheckpointError, CrashPointPlan,
+                   CrashRule, Engine, SimulatedCrash, complex_backend,
+                   load_checkpoint)
 from repro.checkpoint import generation_paths, write_checkpoint_file
+from repro.checkpoint.manager import FORMAT_VERSION
 from repro.checkpoint.manager import MAGIC as CKPT_MAGIC
 from repro.core.errors import ConfigError
+from repro.core.framing import write_frame
 from repro.faults import crashpoints
 from repro.service import (JobSpec, crash_recovery_loop, final_fingerprints,
                            run_matrix)
@@ -38,7 +42,7 @@ SPEC = dict(workload="oltp", budget=4_500, checkpoint_interval=1_000,
 
 
 def _ckpt(saves, events=100):
-    return {"version": 2, "saves": saves, "events_processed": events,
+    return {"version": FORMAT_VERSION, "saves": saves, "events_processed": events,
             "payload": list(range(events % 7))}
 
 
@@ -108,6 +112,62 @@ class TestGenerationFallback:
         open(p, "r+b").write(b"ZZZZ")
         with pytest.raises(CheckpointCorruptError):
             load_checkpoint(p)
+
+
+def _write_v2_autosave(path):
+    """A well-formed format-2 autosave, byte for byte as the previous
+    build wrote it: the protocol sub-dict still has the per-line
+    ``"dir"`` table the current ``load_state`` no longer understands."""
+    ckpt = {"version": 2, "saves": 1, "events_processed": 100,
+            "snapshot": {"memsys": {"protocol": {
+                "counters": {}, "dir": {7: ([0, 1], -1)}}}}}
+    header = json.dumps({"format": 2, "saves": 1, "events": 100}).encode()
+    with open(path, "wb") as f:
+        f.write(CKPT_MAGIC)
+        write_frame(f, header)
+        write_frame(f, pickle.dumps(ckpt))
+    return ckpt
+
+
+class TestStaleFormat:
+    """A checkpoint of another format version is refused by name — both
+    versions in the message — never by a ``KeyError`` out of some
+    ``load_state``, and never quarantined (it is intact)."""
+
+    def test_load_checkpoint_refuses_v2(self, tmp_path):
+        base = str(tmp_path / "ck.pkl")
+        g0, _ = generation_paths(base)
+        _write_v2_autosave(g0)
+        with pytest.raises(CheckpointError) as ei:
+            load_checkpoint(base)
+        assert not isinstance(ei.value, CheckpointCorruptError)
+        assert "format 2" in str(ei.value)
+        assert f"!= {FORMAT_VERSION}" in str(ei.value)
+        assert os.path.exists(g0) and not os.path.exists(g0 + ".corrupt")
+
+    def test_restore_refuses_v2(self, tmp_path):
+        path = str(tmp_path / "ck.pkl")
+        ckpt = _write_v2_autosave(path)
+        eng = Engine(complex_backend(num_cpus=2, checkpoint_path=path,
+                                     checkpoint_interval=1_000))
+        with pytest.raises(CheckpointError,
+                           match=f"format 2 != {FORMAT_VERSION}"):
+            eng._ckpt.restore(ckpt)
+
+    def test_job_with_stale_autosave_fails_structured(self, tmp_path):
+        work = tmp_path / "work"
+        work.mkdir()
+        _write_v2_autosave(generation_paths(str(work / "j.ckpt"))[0])
+        spec = dict(SPEC, max_retries=0)
+        records = run_matrix(
+            [JobSpec(name="j", safe_mode_fallback=False, **spec)],
+            max_workers=1, poll=0.02, workdir=str(work))
+        rec = records["j"]
+        assert rec.state == "FAILED"
+        assert [a.outcome for a in rec.attempts] == ["error"]
+        assert rec.error["last_error"]["type"] == "CheckpointError"
+        assert f"format 2 != {FORMAT_VERSION}" in rec.error["detail"]
+        json.loads(rec.to_json())             # structured all the way out
 
 
 class TestCrashPointMachinery:
