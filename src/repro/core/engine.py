@@ -294,6 +294,14 @@ class Engine:
         budget = max_events if max_events is not None else (1 << 62)
         wd_rounds = 0
         wd_time = -1
+        gsched = self.gsched
+        heap = gsched._heap
+        # bound once per run; an instance-level override (the interleaving
+        # ablation's selector, a test's _handle_event spy — both installed
+        # before run is called) is what gets bound
+        select = self.comm.select
+        handle_event = self._handle_event
+        max_cycles = self._max_cycles
         while budget > 0:
             if self._live <= 0:
                 break
@@ -304,7 +312,7 @@ class Engine:
                 return self.stats
             if sam is not None:
                 sam.on_loop_top(self)
-            now = self.gsched.now
+            now = gsched.now
             if now != wd_time:
                 wd_time = now
                 wd_rounds = 0
@@ -316,17 +324,22 @@ class Engine:
                         reason=(f"watchdog: global time stuck at cycle {now} "
                                 f"for {wd_rounds} scheduler rounds "
                                 "(livelock)"))
-            t_task = self.gsched.next_time()
-            cand = self.comm.select()
+            # a live heap head is the next task; next_time() only has to
+            # run when cancelled tasks need dropping first
+            if heap and not heap[0].cancelled:
+                t_task = heap[0].when
+            else:
+                t_task = gsched.next_time()
+            cand = select()
             if cand is None:
                 if t_task is None:
                     self._report_deadlock(self.comm.live_processes())
                 if until is not None and t_task > until:
                     break
-                task = self.gsched.pop_due(t_task)
-                self.gsched.run_task(task)
+                task = gsched.pop_due(t_task)
+                gsched.run_task(task)
                 if (self.comm.next_event_time() is None
-                        and self.gsched.now - self._last_progress
+                        and gsched.now - self._last_progress
                         > self._deadlock_window):
                     # long silence is only a deadlock when nobody is waiting
                     # for a device completion: BLOCKED processes have wakers
@@ -335,22 +348,23 @@ class Engine:
                     live = self.comm.live_processes()
                     if not any(p.state == ProcState.BLOCKED for p in live):
                         self._report_deadlock(live)
-                    self._last_progress = self.gsched.now
+                    self._last_progress = gsched.now
                 continue
-            et = cand.port_event.time
+            event = cand.port_event
+            et = event.time
             if t_task is not None and t_task <= et:
-                task = self.gsched.pop_due(t_task)
-                self.gsched.run_task(task)
+                task = gsched.pop_due(t_task)
+                gsched.run_task(task)
                 continue
             if until is not None and et > until:
                 break
-            if et > self._max_cycles:
+            if et > max_cycles:
                 raise DeadlockError(
-                    f"simulation exceeded max_cycles={self._max_cycles}"
+                    f"simulation exceeded max_cycles={max_cycles}"
                 )
-            event = cand.port_event
             cand.port_event = None
-            self.gsched.advance_to(et)
+            if et > gsched.now:
+                gsched.now = et
             self._last_progress = et
             if event.kind == 9:     # EvKind.BATCH
                 # consume references while this frontend is guaranteed to
@@ -386,10 +400,10 @@ class Engine:
                         horizon = until + 1
                     if until + 1 < ext:
                         ext = until + 1
-                if self._max_cycles + 1 < horizon:
-                    horizon = self._max_cycles + 1
-                if self._max_cycles + 1 < ext:
-                    ext = self._max_cycles + 1
+                if max_cycles + 1 < horizon:
+                    horizon = max_cycles + 1
+                if max_cycles + 1 < ext:
+                    ext = max_cycles + 1
                 if ext > horizon and not spec:
                     ext = self.comm.lookahead_horizon(
                         cand, horizon, ext, self._invisible_bound)
@@ -400,9 +414,9 @@ class Engine:
                 continue
             self.events_processed += 1
             budget -= 1
-            self._handle_event(cand, event)
+            handle_event(cand, event)
         self.timer.stop()
-        self.stats.end_cycle = self.gsched.now
+        self.stats.end_cycle = gsched.now
         self.stats.host_seconds += _wallclock.perf_counter() - t0
         self._account_trailing_idle()
         return self.stats
@@ -501,16 +515,30 @@ class Engine:
         self._recent_events.append((now, proc.pid, kind))
         resume = True
 
-        if kind <= ev.EvKind.RMW:   # READ / WRITE / RMW
+        if kind <= 2:   # READ / WRITE / RMW: one pass, no shared tail
             lat, major = self.memsys.access(
-                proc.pid, event.addr, event.size,
-                kind != ev.EvKind.READ, proc.cpu, now,
-                atomic=(kind == ev.EvKind.RMW))
-            if major is not None:
-                self._push_fault_handler(proc, event, major)
-            else:
-                proc.vtime += lat
+                proc.pid, event.addr, event.size, kind != 0, proc.cpu, now,
+                atomic=(kind == 2))
+            if major is None:
+                proc.vtime = vt = proc.vtime + lat
                 proc.reply = lat
+                cpu_state = self.comm.cpus[proc.cpu]
+                if event.mode == "user":
+                    # _charge's user arm, in place
+                    if vt > proc.acct_mark:
+                        self.stats.cpu[proc.cpu].user += vt - proc.acct_mark
+                        proc.acct_mark = vt
+                        if vt > cpu_state.time:
+                            cpu_state.time = vt
+                else:
+                    self._charge(proc, event.mode)
+                if (proc.state == ProcState.RUNNING
+                        and not self._delivery_due(proc, cpu_state)):
+                    self._step(proc)
+                else:
+                    self._after_event(proc)
+                return
+            self._push_fault_handler(proc, event, major)
         elif kind == ev.EvKind.ADVANCE:
             proc.reply = 0
         elif kind == ev.EvKind.LOCK:
@@ -556,12 +584,7 @@ class Engine:
         of references consumed.
         """
         cpu = proc.cpu
-        cpu_state = self.comm.cpus[cpu]
-        deliver = ((cpu_state.irq_pending and cpu_state.irq_enabled
-                    and proc.intr_enabled and proc.mode != "interrupt")
-                   or (not proc.kernel_mode
-                       and self.signals.has_pending(proc.pid))
-                   or proc.preempt_pending)
+        deliver = self._delivery_due(proc, self.comm.cpus[cpu])
         limit = batch.n - batch.cursor
         if budget < limit:
             limit = budget
@@ -630,32 +653,22 @@ class Engine:
 
         Used by the lookahead scan: another frontend may safely consume
         invisible references up to this cycle without being reordered
-        against anything ``proc`` can observe. When ``proc`` has a pending
-        interrupt/signal/preemption, servicing its event pushes handler
-        frames whose references cannot be bounded here, so no extension
-        past its event time is granted. A parked batch is qualified
-        reference-by-reference (read-only) up to ``cap``; a single memory
-        event is qualified with one probe — after it, the rival's next
-        event can be no earlier than its completion. Every other event
-        kind (locks, syscalls, exit…) is non-invisible at its own time.
+        against anything ``proc`` can observe. Only a parked batch extends
+        past its own time: it is qualified reference-by-reference
+        (read-only) up to ``cap``. Every single event bounds the window at
+        its own time — locks, syscalls and exits act there, and a single
+        memory event, even one that would hit L1, is followed by host code
+        of the rival (a syscall body arming a timed wake-up, a block or
+        dispatch taking ``gsched.now``) that reads the global clock, which
+        a window reaching past the event would have advanced. Likewise
+        when ``proc`` has a pending interrupt/signal/preemption: servicing
+        its event pushes handler frames whose references cannot be bounded
+        here.
         """
-        cpu_state = self.comm.cpus[proc.cpu]
-        if ((cpu_state.irq_pending and cpu_state.irq_enabled
-                and proc.intr_enabled and proc.mode != "interrupt")
-                or (not proc.kernel_mode
-                    and self.signals.has_pending(proc.pid))
-                or proc.preempt_pending):
+        if event.kind != 9 or self._delivery_due(proc,
+                                                 self.comm.cpus[proc.cpu]):
             return event.time
-        kind = event.kind
-        if kind == 9:
-            return self.memsys.invisible_until(event.pid, proc.cpu, event,
-                                               cap)
-        if kind <= 2:
-            lat = self.memsys.ref_invisible_latency(
-                event.pid, proc.cpu, kind, event.addr, event.size)
-            if lat >= 0:
-                return event.time + lat
-        return event.time
+        return self.memsys.invisible_until(event.pid, proc.cpu, event, cap)
 
     # -- optimistic speculation (Time Warp-style; see DESIGN.md) -----------
 
@@ -747,24 +760,11 @@ class Engine:
         """:meth:`_invisible_bound` with the memoized resumable walk —
         the validation-side qualifier. Delivery flags are checked fresh
         on every call; only the pure invisibility walk is memoised."""
-        cpu_state = self.comm.cpus[proc.cpu]
-        if ((cpu_state.irq_pending and cpu_state.irq_enabled
-                and proc.intr_enabled and proc.mode != "interrupt")
-                or (not proc.kernel_mode
-                    and self.signals.has_pending(proc.pid))
-                or proc.preempt_pending):
+        if event.kind != 9 or self._delivery_due(proc,
+                                                 self.comm.cpus[proc.cpu]):
             return event.time
-        kind = event.kind
-        if kind == 9:
-            return self.memsys.invisible_frontier(event.pid, proc.cpu,
-                                                  event, cap,
-                                                  self._spec_memo)
-        if kind <= 2:
-            lat = self.memsys.ref_invisible_latency(
-                event.pid, proc.cpu, kind, event.addr, event.size)
-            if lat >= 0:
-                return event.time + lat
-        return event.time
+        return self.memsys.invisible_frontier(event.pid, proc.cpu, event,
+                                              cap, self._spec_memo)
 
     # -- memory faults -----------------------------------------------------
 
@@ -882,6 +882,17 @@ class Engine:
     # ------------------------------------------------------------------
     # stepping, interrupts, preemption
     # ------------------------------------------------------------------
+
+    def _delivery_due(self, proc: SimProcess, cpu_state) -> bool:
+        """True when ``proc``'s next event boundary has something to
+        deliver — a pending enabled interrupt, a signal (user mode only) or
+        a pre-emption — i.e. when :meth:`_after_event` would do more than
+        step the frontend."""
+        return ((cpu_state.irq_pending and cpu_state.irq_enabled
+                 and proc.intr_enabled and proc.mode != "interrupt")
+                or (not proc.kernel_mode
+                    and self.signals.has_pending(proc.pid))
+                or proc.preempt_pending)
 
     def _after_event(self, proc: SimProcess) -> None:
         """Post-processing at an event boundary: interrupt poll, preemption,
@@ -1128,9 +1139,9 @@ class Engine:
                 proc.port_event = out
                 return
             # an Event: stamp it and park it at the event port
-            out.time = proc.vtime + proc.clock.pending
-            proc.clock.pending = 0
-            proc.vtime = out.time
+            clock = proc.clock
+            out.time = proc.vtime = proc.vtime + clock.pending
+            clock.pending = 0
             out.pid = proc.pid
             out.mode = proc.mode
             out.kernel = proc.kernel_mode

@@ -128,6 +128,12 @@ class SimProcess:
         self.wait: Optional[WaitToken] = None
         #: charge-mode stack entries: "user"|"kernel"|"interrupt"
         self.mode_stack: List[str] = ["user"]
+        #: current charge mode (top of ``mode_stack``) and whether OS-server
+        #: or handler code is executing (any frame above the base); plain
+        #: fields kept by push_frame/pop_frame — the engine reads both on
+        #: every event
+        self.mode = "user"
+        self.kernel_mode = False
         #: per-frame pop directives, parallel to ``frames``:
         #: ("exit", None) | ("syscall", None) | ("interrupt", saved_reply)
         #: | ("retry", original_event)
@@ -153,27 +159,22 @@ class SimProcess:
 
     # -- frame management (engine use) ------------------------------------
 
-    @property
-    def mode(self) -> str:
-        """Current charge mode: user / kernel / interrupt."""
-        return self.mode_stack[-1]
-
-    @property
-    def kernel_mode(self) -> bool:
-        """True when executing OS-server or handler code."""
-        return len(self.mode_stack) > 1
-
     def push_frame(self, frame: Coroutine, mode: str,
                    meta: tuple = ("syscall", None)) -> None:
         """Enter kernel-mode code (OS service or interrupt handler)."""
         self.frames.append(frame)
         self.mode_stack.append(mode)
+        self.mode = mode
+        self.kernel_mode = True
         self.frame_meta.append(meta)
 
     def pop_frame(self) -> tuple:
         """Leave kernel-mode code; returns the frame's pop directive."""
         self.frames.pop()
-        self.mode_stack.pop()
+        stack = self.mode_stack
+        stack.pop()
+        self.mode = stack[-1]
+        self.kernel_mode = len(stack) > 1
         return self.frame_meta.pop()
 
     def base_frame(self, frame: Coroutine) -> None:

@@ -800,11 +800,7 @@ class ParallelEngine(Engine):
                 or p.pending_batches):
             self.batch_stats["lease_denied"] += 1
             return ("ld",)
-        cpu_state = self.comm.cpus[p.cpu]
-        if ((cpu_state.irq_pending and cpu_state.irq_enabled
-                and p.intr_enabled and p.mode != "interrupt")
-                or (not p.kernel_mode and self.signals.has_pending(p.pid))
-                or p.preempt_pending):
+        if self._delivery_due(p, self.comm.cpus[p.cpu]):
             self.batch_stats["lease_denied"] += 1
             return ("ld",)
         t0 = p.vtime + p.clock.pending
@@ -1040,13 +1036,16 @@ class ParallelEngine(Engine):
         """Earliest cycle at which rival ``q`` could act *non-invisibly*,
         walking its parked event and then its queued stream.
 
-        The walk mirrors ``Engine._invisible_bound`` per reference
-        (pending deliveries stop it; loads/stores are qualified with a
-        read-only fast-path probe; ADVANCE poll points are pure time —
-        the caller has already bounded every flag-setting channel) and
-        additionally consumes the rival's already-delivered-but-unfolded
-        message queue, clamped at ``cap``. Every stop case returns a
-        cycle the strict engine could not order before.
+        Pending deliveries stop the walk, as in
+        ``Engine._invisible_bound``; unlike there, a *user-mode* proxy's
+        single references can be walked through (loads/stores qualified
+        with a read-only fast-path probe, ADVANCE poll points pure time —
+        the caller has already bounded every flag-setting channel),
+        because the code that follows them runs in the worker process and
+        cannot read this process's clock. The walk goes on through the
+        rival's already-delivered-but-unfolded message queue, clamped at
+        ``cap``. Every stop case returns a cycle the strict engine could
+        not order before.
         """
         t = q.vtime + q.clock.pending
         e = q.port_event
@@ -1054,14 +1053,14 @@ class ParallelEngine(Engine):
             t = e.time
         if q.cpu < 0:
             return t
-        cs = self.comm.cpus[q.cpu]
-        if ((cs.irq_pending and cs.irq_enabled and q.intr_enabled
-                and q.mode != "interrupt")
-                or (not q.kernel_mode and self.signals.has_pending(q.pid))
-                or q.preempt_pending):
+        if self._delivery_due(q, self.comm.cpus[q.cpu]):
             return t
         ms = self.memsys
         if e is not None:
+            if q.kernel_mode:
+                # OS-server code runs in this process: what follows the
+                # event reads the global clock (Engine._invisible_bound)
+                return t
             kind = e.kind
             if kind == 9:
                 return ms.invisible_until(e.pid, q.cpu, e, cap)

@@ -167,6 +167,12 @@ class ComaProtocol(CoherenceProtocol):
             lat += self.amctl[src].occupy(now + lat) + self.dram_latency
             lat += self.network.transfer(src, node, now + lat,
                                          self.data_flits)
+            # the arriving copy is the master from here on, which is what
+            # keeps an overflowing AM from displacing it on its own
+            # insertion (_displace never picks a node's master): every
+            # other replica is invalidated below, so dropping this one
+            # would leave the line with no holder at all
+            self._owner[line] = node
             self._replicate(node, line)
         else:
             lat += self.dram_latency

@@ -265,8 +265,11 @@ class MemorySystem:
         promotion, no counters) and chains the same issue-time arithmetic
         as :meth:`access_run`. Returns ``cap`` when the whole prefix up to
         ``cap`` qualifies, else the issue time of the first reference that
-        might take the slow path (or the batch-completion time when the
-        batch ends first — the frontend's next event can be no earlier).
+        might take the slow path — or of the *last* reference when the
+        batch ends first: the frontend's next event can be no earlier than
+        the batch's completion, but the host code it runs on completion
+        reads the global clock, which must not have passed the cycle the
+        strict schedule completes the batch at.
         """
         t = batch.time
         if not self._fast_on or self.ff_active or "access" in self.__dict__:
@@ -310,11 +313,10 @@ class MemorySystem:
             lat = l1_lat * nlines
             if k == 2:
                 lat += 4
-            t += lat
             i += 1
             if i >= n:
                 return t
-            nt = t + pends[i]
+            nt = t + lat + pends[i]
             if nt >= cap:
                 return cap
             t = nt
@@ -335,7 +337,7 @@ class MemorySystem:
         unnecessary rollback, never a wrong commit. Pending-delivery flags
         are the caller's job (checked fresh on every validation, never
         memoised). ``final`` is the filling's walk-independent stopping
-        bound (first slow reference's issue time, or batch completion) —
+        bound (issue time of the first slow reference, or of the last) —
         once known, later validations are O(1) until a version moves.
         """
         t = batch.time
@@ -403,12 +405,12 @@ class MemorySystem:
             lat = l1_lat * nlines
             if k == 2:
                 lat += 4
-            t += lat
             i += 1
             if i >= n:
+                # the last reference's issue time, as in invisible_until
                 ent[6] = t
                 return t
-            nt = t + pends[i]
+            nt = t + lat + pends[i]
             if nt >= cap:
                 ent[4] = i
                 ent[5] = nt

@@ -27,6 +27,8 @@ class MeshNetwork:
         #: per-directed-link occupancy resources, created lazily
         self._links: Dict[Tuple[int, int], OccupancyResource] = {}
         self._link_occ = link_occupancy
+        #: (src, dst) -> the route's link resources, in route() order
+        self._paths: Dict[Tuple[int, int], List[OccupancyResource]] = {}
         self.messages = 0
         self.total_hops = 0
         #: fault injection: callable(now) -> extra occupancy cycles applied
@@ -72,20 +74,29 @@ class MeshNetwork:
         if src == dst:
             return 0
         self.messages += 1
+        path = self._paths.get((src, dst))
+        if path is None:
+            path = self._paths[(src, dst)] = [
+                self._link(link) for link in self.route(src, dst)]
+        self.total_hops += len(path)
         latency = 0
         t = now
-        route = self.route(src, dst)
-        self.total_hops += len(route)
-        for link in route:
-            r = self._links.get(link)
-            if r is None:
-                r = OccupancyResource(f"link{link}", self._link_occ)
-                r.fault_hook = self.fault_hook
-                self._links[link] = r
-            d = self.hop_latency + r.occupy(t, self._link_occ * flits)
+        hop = self.hop_latency
+        occ = self._link_occ * flits
+        for r in path:
+            d = hop + r.occupy(t, occ)
             latency += d
             t += d
         return latency
+
+    def _link(self, link: Tuple[int, int]) -> OccupancyResource:
+        """The directed link's resource, created on first use."""
+        r = self._links.get(link)
+        if r is None:
+            r = OccupancyResource(f"link{link}", self._link_occ)
+            r.fault_hook = self.fault_hook
+            self._links[link] = r
+        return r
 
     def state_dict(self) -> dict:
         """Plain-data snapshot: message counters + every lazy link's state."""
@@ -101,11 +112,9 @@ class MeshNetwork:
         self.messages = state["messages"]
         self.total_hops = state["total_hops"]
         self._links.clear()
+        self._paths.clear()
         for key, lstate in state["links"].items():
-            r = OccupancyResource(f"link{key}", self._link_occ)
-            r.fault_hook = self.fault_hook
-            r.load_state(lstate)
-            self._links[key] = r
+            self._link(key).load_state(lstate)
 
     def link_stats(self) -> Dict[Tuple[int, int], int]:
         """Directed link -> transactions carried."""

@@ -1,6 +1,7 @@
 """Communicator / CPU-states tests: registration and min-time selection."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core import events as ev
 from repro.core.communicator import Communicator, CpuState
@@ -172,3 +173,67 @@ def test_cpu_of_requires_binding():
         c.cpu_of(p)
     p.cpu = 0
     assert c.cpu_of(p).index == 0
+
+
+# -- select: the (time, pid) rule, and instance-level overrides --------------
+
+def _select_by_tuple(c):
+    """The selection rule as the definition states it: smallest
+    ``(event time, pid)`` among running processes with a parked event."""
+    ports = [(p.port_event.time, p.pid, p) for p in c.running()
+             if p.port_event is not None]
+    return min(ports, key=lambda k: k[:2])[2] if ports else None
+
+
+@given(st.lists(st.one_of(st.none(), st.integers(0, 6)), max_size=8),
+       st.randoms(use_true_random=False))
+def test_select_matches_tuple_rule(times, rng):
+    c = Communicator(4)
+    procs = [SimProcess(f"p{i}") for i in range(len(times))]
+    rng.shuffle(procs)     # scan order is independent of pid order
+    for p, t in zip(procs, times):
+        p.state = ProcState.RUNNING
+        if t is not None:
+            p.port_event = ev.advance()
+            p.port_event.time = t
+        c.register(p)
+        c.mark_running(p)
+    assert c.select() is _select_by_tuple(c)
+
+
+def _load_interleave_ablation():
+    import importlib.util
+    from pathlib import Path
+    path = (Path(__file__).resolve().parent.parent / "benchmarks"
+            / "bench_ablation_interleave.py")
+    spec = importlib.util.spec_from_file_location("_interleave_abl", path)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_instance_level_select_override_is_honoured_and_restored():
+    """``Engine.run`` binds ``comm.select`` once per run, from the
+    instance: the interleaving ablation's sticky selector must decide the
+    order for that run, and the communicator's own rule must be back
+    afterwards."""
+    from repro import complex_backend
+    abl = _load_interleave_ablation()
+
+    def run(engine_cls, *args):
+        SimProcess.set_pid_counter(1)
+        eng = engine_cls(complex_backend(num_cpus=4, fastpath=False), *args)
+        for i in range(4):
+            eng.spawn(f"w{i}", abl.contended_app(20))
+        order = []
+        inner = eng._handle_event
+        eng._handle_event = lambda p, e: (order.append(p.pid), inner(p, e))[1]
+        stats = eng.run()
+        return eng, order, stats.end_cycle
+
+    _, exact_order, exact_end = run(abl.Engine)
+    eng, sticky_order, sticky_end = run(abl.RelaxedEngine, 8)
+    assert sorted(sticky_order) == sorted(exact_order)   # same events...
+    assert sticky_order != exact_order                   # ...other order
+    assert sticky_end != exact_end
+    assert eng.comm.select.__func__ is Communicator.select

@@ -136,8 +136,10 @@ def test_golden(scenario):
 
 def test_no_stale_goldens():
     """Every committed golden file belongs to a live scenario (or to
-    ``tests/test_protocol_ops.py``, which keeps its one file here)."""
-    live = {_golden_path(s).name for s in SCENARIOS} | {"protocol_ops.json"}
+    ``tests/test_protocol_ops.py`` / ``tests/test_event_path.py``, which
+    each keep their one file here)."""
+    live = {_golden_path(s).name for s in SCENARIOS} | {
+        "protocol_ops.json", "event_path.json"}
     on_disk = {p.name for p in GOLDEN_DIR.glob("*.json")}
     assert on_disk <= live, f"stale goldens: {sorted(on_disk - live)}"
 

@@ -23,12 +23,13 @@ import time
 
 import pytest
 
-from repro import (Engine, FaultPlan, FaultRule, SimulatedCrash,
+from repro import (Engine, FaultPlan, FaultRule, SimulatedCrash, WaitToken,
                    checkpoint_exists,
                    complex_backend, resume)
 from repro.core.frontend import SimProcess
 from repro.host import ParallelEngine, WorkerSpec
 from repro.mem.hierarchy import MemorySystem
+from repro.osim import kmem
 
 from tests.test_determinism_harness import FAULT_OFF_WORKLOADS, _fingerprint
 
@@ -137,6 +138,86 @@ def test_lookahead_drains_past_horizon():
     assert bs_on["la_windows"] > 0
     assert bs_on["la_refs"] > 0
     assert bs_on["batches"] < eng_off.batch_stats["batches"]
+
+
+def _tpcc_checkpoint_bench(cfg):
+    """``benchmarks/bench_checkpoint.py``'s TPC-C: 2 CPUs, a 16-frame
+    buffer pool, 4 agents x 8 transactions — small enough that single
+    kernel references, disk waits and batch windows interleave tightly."""
+    from repro.apps.minidb import MiniDb, TpccDriver, tpcc_catalog
+    eng = Engine(cfg(num_cpus=2))
+    db = MiniDb(eng, tpcc_catalog(1, 0.005), pool_frames=16, seed=3)
+    db.setup()
+    TpccDriver(db, nagents=4, tx_per_agent=8, seed=3, think_cycles=5_000,
+               user_work=20_000).spawn_agents(eng)
+    return eng
+
+
+def _hit_then_block(cfg, nrefs=1):
+    """Two processes on two CPUs. ``w`` streams a private L1-resident
+    buffer in batches (every reference invisible, so its windows reach as
+    far as the rival bound lets them). ``r`` sits in a syscall body whose
+    L1-hit single reference (``nrefs`` > 1: whole batch of L1 hits) is
+    immediately followed by host code that reads the global clock (arming
+    a timed wake-up) and blocks: if a window of ``w`` has pushed the clock
+    past the cycle the strict schedule services that last reference at,
+    the wake-up — and everything after it — lands late."""
+    eng = Engine(cfg(num_cpus=2, coherence="mesi", num_nodes=1))
+
+    def knap(sys, delay):
+        sys.entry()     # kernel work first, so ``w`` runs up to the load
+        if nrefs == 1:
+            yield from sys.k.load(kmem.file_entry_addr(1))
+        else:
+            yield from sys.k.touch(kmem.file_entry_addr(1), 32 * nrefs,
+                                   stride=32)
+        token = WaitToken("knap")
+        eng.gsched.schedule_after(delay, token.wake, 0)
+        yield token
+        return sys.result(0)
+
+    eng.os_server.register("knap", 1, knap)
+
+    def w(p):
+        yield from p.touch(0x1_0000, 8192, write=True, stride=32)
+        for _ in range(60):
+            yield from p.touch(0x1_0000, 8192, write=True, stride=32)
+        yield from p.exit(0)
+
+    def r(p):
+        for i in range(40):
+            p.compute(1_001 + 37 * i)
+            yield from p.call("knap", 700 + i)
+        yield from p.exit(0)
+
+    eng.spawn("w", w)
+    eng.spawn("r", r)
+    return eng
+
+
+def _batch_then_block(cfg):
+    return _hit_then_block(cfg, nrefs=3)
+
+
+#: builders whose rivals run clock-reading host code right after an
+#: invisible reference (shared with test_speculation_equivalence.py)
+CLOCK_READERS = {"tpcc-checkpoint-bench": _tpcc_checkpoint_bench,
+                 "hit-then-block": _hit_then_block,
+                 "batch-then-block": _batch_then_block}
+
+
+@pytest.mark.parametrize("name", sorted(CLOCK_READERS))
+@pytest.mark.parametrize("faults", [None, TIMING_PLAN],
+                         ids=["plain", "faults"])
+def test_window_never_outruns_a_rivals_invisible_reference(name, faults):
+    """A rival's parked single memory event bounds a window at its *own*
+    time, and an all-invisible batch at its last reference's issue time —
+    not at the completion: the references are invisible, but the host code
+    the rival runs right after them reads the global clock."""
+    build = CLOCK_READERS[name]
+    snap_on, _ = _run_inline(build, faults=faults, lookahead=True)
+    snap_off, _ = _run_inline(build, faults=faults, lookahead=False)
+    assert snap_on == snap_off
 
 
 def test_lookahead_cycles_auto_derivation():

@@ -17,7 +17,11 @@ is simulated timing there (each invalidation occupies mesh links), and a
 ``set`` of small ints iterates ascending only until an element has been
 discarded and re-added, so the unedited parent is not reproducible by any
 fixed order; it produced 59 of the 60 recorded streams (all but
-``directory/8/0``) unchanged. Regenerate deliberately with::
+``directory/8/0``) unchanged. The ``coma-overflow-rw`` streams were added
+later, with the fix that lets them run at all (a write's arriving copy is
+the master before it is inserted, so an overflowing attraction memory never
+displaces it); every older entry was left as recorded. Regenerate
+deliberately with::
 
     COMPASS_UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_protocol_ops.py
 """
@@ -39,10 +43,11 @@ GOLDEN = Path(__file__).resolve().parent / "golden" / "protocol_ops.json"
 UPDATE = os.environ.get("COMPASS_UPDATE_GOLDEN") == "1"
 
 #: ``coma-overflow`` is COMA with attraction memories small enough to
-#: displace replicas, driven read-only: a write to a line whose replica was
-#: just displaced trips a latent empty-holder-set bug (ROADMAP item 4 note)
-#: that predates this file and is unreachable at the default ``am_lines``
-PROTOCOLS = ("directory", "coma", "dsm", "coma-overflow")
+#: displace replicas, driven read-only (all that could be driven while a
+#: write's own arriving replica could be the displacement victim, which
+#: left the line with no holder); ``coma-overflow-rw`` is the same machine
+#: under the read+write mix of the other protocols
+PROTOCOLS = ("directory", "coma", "dsm", "coma-overflow", "coma-overflow-rw")
 NODE_COUNTS = (2, 4, 8)
 SEEDS = range(5)
 NCPUS = 8
@@ -146,7 +151,7 @@ def _split(key):
 def _run(proto, nodes, seed):
     p, caches = build(proto, nodes)
     return drive(p, caches, random.Random(seed),
-                 writes=not proto.endswith("-overflow"))
+                 writes=proto != "coma-overflow")
 
 
 def test_update_golden():
@@ -170,6 +175,27 @@ def test_ops_match_recorded_behaviour(proto, nodes):
         f"{proto} on {nodes} nodes no longer behaves as recorded: a "
         f"representation change altered latencies, states, counters or "
         f"sharer sets (regenerate only if that was the intent)")
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_overflowing_write_keeps_its_own_replica(seed):
+    """An AM overflow caused by a write's arriving copy must displace some
+    *other* line: the write invalidates every other replica, so after it
+    the writer's node is the one holder — never nobody (the next miss
+    used to die in ``min()`` over an empty holder set)."""
+    # two nodes: the only count at which this mix fills a 100-line AM
+    p, caches = build("coma-overflow-rw", 2)
+    displaced = []
+    inner = p._displace
+    p._displace = lambda node: (displaced.append(node), inner(node))[1]
+    recs = []
+    drive(p, caches, random.Random(seed), sink=recs)
+    assert displaced, "the stream never overflowed an attraction memory"
+    writes = [r for r in recs if r[0] == "write"]
+    assert writes
+    for rec in writes:
+        cpu, holders = rec[-5], rec[-3]
+        assert holders == [p.cpu_node[cpu]]
 
 
 # ---------------------------------------------------------------------------

@@ -27,8 +27,9 @@ from repro.host import ParallelEngine, WorkerSpec
 from repro.traces.memtrace import MemTraceRecorder
 
 from tests.test_determinism_harness import FAULT_OFF_WORKLOADS
-from tests.test_lookahead_equivalence import (HOT_PROG, TIMING_PLAN,
-                                              _private_heavy, _snapshot)
+from tests.test_lookahead_equivalence import (CLOCK_READERS, HOT_PROG,
+                                              TIMING_PLAN, _private_heavy,
+                                              _snapshot)
 
 
 def _run(build, faults=None, **cfg_kw):
@@ -70,6 +71,20 @@ def test_speculation_bit_identical_under_faults(name):
     snap_off, _ = _run(build, faults=TIMING_PLAN, **STRICT)
     assert snap_on == snap_off
     assert eng_on.faults.stats.draws > 0
+
+
+@pytest.mark.parametrize("name", sorted(CLOCK_READERS))
+@pytest.mark.parametrize("faults", [None, TIMING_PLAN],
+                         ids=["plain", "faults"])
+def test_all_knob_arms_land_one_fingerprint(name, faults):
+    """Default knobs, each extension layer alone, and the strict schedule
+    agree — on the checkpoint bench's TPC-C (where default and strict used
+    to end one cycle apart) and on the hand-built rivals whose L1-hit
+    reference or batch is followed by a clock-reading block."""
+    build = CLOCK_READERS[name]
+    arms = [{}, {"speculate": False}, {"lookahead": False}, STRICT]
+    snaps = [_run(build, faults=faults, **arm)[0] for arm in arms]
+    assert snaps[0] == snaps[1] == snaps[2] == snaps[3]
 
 
 def test_speculation_denied_under_memory_tap():
