@@ -20,7 +20,9 @@ Also runs standalone for CI::
     python benchmarks/bench_lookahead.py --smoke
 
 Smoke mode does a single small round, hard-fails if lookahead on/off are
-not bit-identical, and does not overwrite the JSON artifact.
+not bit-identical or if the windows qualified from the vec mirror differ
+from those the scalar walk qualifies (``vectorized`` on/off), and does not
+overwrite the JSON artifact.
 """
 
 from __future__ import annotations
@@ -68,15 +70,12 @@ loop:
 """
 
 
-def _run_once(lookahead, passes=PASSES):
+def _run_once(lookahead, passes=PASSES, vectorized=True):
     """One 4-CPU private-heavy run; returns (host seconds, engine, stats)."""
     SimProcess._next_pid[0] = 1
-    # speculate=False: this bench isolates the *conservative* lookahead
-    # layer; the optimistic layer (on by default) would shadow both arms
-    # — it is measured against this one in bench_speculation.py
     eng = Engine(complex_backend(num_cpus=NCPUS, coherence="mesi",
                                  num_nodes=1, lookahead=lookahead,
-                                 speculate=False))
+                                 vectorized=vectorized))
 
     def make_app(base):
         def app(p):
@@ -128,6 +127,8 @@ def _sweep_worker_batch(passes):
     end_cycles = set()
     for wb in SWEEP_BATCHES:
         SimProcess._next_pid[0] = 1
+        # speculate=False: conservative leases only (a speculative
+        # tail's commit/rollback split depends on the wall clock)
         eng = ParallelEngine(complex_backend(num_cpus=2, worker_lease=4,
                                              worker_batch=wb,
                                              speculate=False))
@@ -216,9 +217,19 @@ def main(argv=None) -> int:
     if args.smoke:
         on, off = _measure(rounds=1, passes=20)
         speedup, _ = _report(on, off, write=False)
-        # smoke gates correctness (the _report identity assert), not perf —
-        # CI machines are too noisy for a hard speedup floor on a tiny run
-        print(f"smoke ok: bit-identical, {speedup:.2f}x")
+        # the two qualifiers of a window — the vec mirror's classification
+        # of each rival batch, the scalar walk — must grant the same ones
+        _, walk_eng, walk_stats = _run_once(True, passes=20,
+                                            vectorized=False)
+        _, on_eng, on_stats = on
+        assert (_fingerprint(walk_eng, walk_stats), walk_eng.batch_stats) \
+            == (_fingerprint(on_eng, on_stats), on_eng.batch_stats), \
+            ("vectorized changed the qualified windows:\n"
+             f"  on : {on_eng.batch_stats}\n  off: {walk_eng.batch_stats}")
+        # smoke gates correctness (the identity asserts), not perf — CI
+        # machines are too noisy for a hard speedup floor on a tiny run
+        print(f"smoke ok: bit-identical, same windows from either "
+              f"qualifier, {speedup:.2f}x")
         return 0
     on, off = _measure(rounds=3)
     sweep = _sweep_worker_batch(passes=40)

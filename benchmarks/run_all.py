@@ -5,7 +5,7 @@ Each ``bench_*.py`` runs in its own pytest subprocess (pytest-benchmark
 prints its tables; benches that write ``BENCH_*.json`` refresh the copies
 at the repo root). A unified ``BENCH_summary.json`` is written at the repo
 root after the run: per-benchmark pass/fail, wall time, and the headline
-numbers (events/sec, speedup, rollback rate) pulled from each artifact.
+numbers (events/sec, speedup) pulled from each artifact.
 Any artifact reporting ``bit_identical: false`` — an optimisation that
 changed simulated results — fails the whole run, independent of the
 per-bench exit codes. Usage::

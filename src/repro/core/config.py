@@ -284,22 +284,20 @@ class SimConfig:
     #: windows with functional fast-forward. None = full detail (default);
     #: sampled runs are approximate — see SamplingConfig.
     sampling: Optional[SamplingConfig] = None
-    #: optimistic (Time Warp-style) speculative execution: instead of
-    #: qualifying a lookahead window against every rival up front, the
-    #: engine consumes provably-invisible references straight through to
-    #: ``horizon + speculate_quantum`` after taking a micro-checkpoint of
-    #: the issuing CPU's private state, validates the window afterwards,
-    #: and rolls only that CPU back when a rival could have intervened
-    #: (bit-identical either way — see DESIGN.md "Speculative execution").
-    #: Automatically stands down wherever leases are denied today:
-    #: checkpoint record/replay, memory taps, sampled fast-forward.
+    #: speculative worker-lease tails (ParallelEngine only — the inline
+    #: engine never reads the three ``speculate*`` fields: it extends the
+    #: horizon one way, by the up-front qualified window that ``lookahead``
+    #: gates). A leased worker keeps pre-timing past its granted window
+    #: into ``[T, T + speculate_quantum)``; the fold validates that tail
+    #: against what the rivals streamed meanwhile and commits it or has it
+    #: re-streamed as ordinary events (bit-identical either way — see
+    #: DESIGN.md "Worker leases"). Needs ``lookahead`` and ``worker_lease``.
     speculate: bool = True
-    #: speculation window length in cycles past the strict rival horizon.
-    #: 0 = auto: start from the lookahead scale and adapt — shrink on
-    #: rollback, grow on commit (the vec-path accept-based backoff shape).
+    #: tail length in cycles past the lease window. 0 = auto: start from
+    #: the lookahead scale and adapt — halve on rollback, double on commit.
     speculate_quantum: int = 0
-    #: consecutive rollbacks tolerated before speculation disables itself
-    #: for the rest of the run (a thrash guard; 0 = never disable)
+    #: consecutive tail rollbacks tolerated before tails are turned off for
+    #: the rest of the run (a thrash guard; 0 = never)
     speculate_max_rollbacks: int = 64
 
     def validate(self) -> "SimConfig":

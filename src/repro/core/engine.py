@@ -99,7 +99,8 @@ class Engine:
         #: batched-pipeline observability: batches consumed, references
         #: consumed, and why each consume loop stopped; ``la_windows`` /
         #: ``la_refs`` count granted lookahead windows and references
-        #: consumed beyond the strict rival horizon
+        #: consumed beyond the strict rival horizon. The ``sp_*`` keys are
+        #: ParallelEngine's speculative lease tails (0 on inline runs)
         self.batch_stats: Dict[str, int] = {
             "batches": 0, "refs": 0, "completed": 0,
             "cut_horizon": 0, "cut_budget": 0, "cut_intr": 0,
@@ -122,39 +123,6 @@ class Engine:
             # from per-reference invisibility, not from the bound itself)
             _la_cycles = max(64 * self.memsys.min_remote_latency(), 4096)
         self._lookahead_cycles = _la_cycles
-        #: optimistic speculation past the rival horizon (Time Warp-style,
-        #: see DESIGN.md "Speculative execution"): consume invisible
-        #: references to ``horizon + quantum`` first, validate the window
-        #: against every rival's memoized invisibility frontier afterwards,
-        #: roll the issuing CPU back to a micro-checkpoint on violation.
-        #: Gated like lookahead; stands down at runtime wherever leases are
-        #: denied today (checkpoint wrappers, taps, sampled fast-forward).
-        self._speculate = (bool(getattr(cfg, "speculate", True))
-                           and self._frontend_batching
-                           and self.memsys._fast_on)
-        _q = getattr(cfg, "speculate_quantum", 0)
-        if not _q:
-            _q = _la_cycles
-        #: adaptive quantum: halve on rollback, double on commit (the
-        #: vec-path accept-based backoff shape), clamped to [base/16, 64*base]
-        self._spec_quantum = _q
-        self._spec_quantum_min = max(64, _q >> 4)
-        self._spec_quantum_max = _q << 6
-        #: consecutive rollbacks without an intervening commit; at
-        #: ``speculate_max_rollbacks`` speculation disables for the run
-        self._spec_row = 0
-        self._spec_max_rollbacks = getattr(cfg, "speculate_max_rollbacks",
-                                           64)
-        self._spec_on = self._speculate
-        #: rival pid -> resumable invisibility-walk state
-        #: (see MemorySystem.invisible_frontier)
-        self._spec_memo: Dict[int, list] = {}
-        if self._speculate:
-            # deferred import: the checkpoint package imports core modules
-            from ..checkpoint.micro import MicroCheckpoint
-            self._micro_ckpt = MicroCheckpoint
-        else:
-            self._micro_ckpt = None
         self._max_cycles = cfg.max_cycles
         self._timer_started = False
         #: count of not-yet-exited processes (kept in step with spawns/exits)
@@ -375,21 +343,11 @@ class Engine:
                     horizon = 1 << 62
                 # lookahead: extend past the rival cut (never past tasks or
                 # run bounds — tasks can mutate anything) up to the window
-                # cap, then shrink to the rivals' qualified-invisible bound.
-                # Speculation skips the up-front shrink: it consumes the
-                # whole extension optimistically behind a micro-checkpoint
-                # and validates afterwards (see _handle_batch).
+                # cap, then shrink to the rivals' qualified-invisible bound
                 ext = 0
-                spec = False
-                if (horizon < (1 << 61)
+                if (self._lookahead and horizon < (1 << 61)
                         and self.memsys.__class__ is MemorySystem):
-                    ms = self.memsys
-                    if (self._spec_on and not ms.ff_active
-                            and "access" not in ms.__dict__):
-                        spec = True
-                        ext = horizon + self._spec_quantum
-                    elif self._lookahead:
-                        ext = horizon + self._lookahead_cycles
+                    ext = horizon + self._lookahead_cycles
                 if t_task is not None:
                     if t_task < horizon:
                         horizon = t_task
@@ -404,11 +362,10 @@ class Engine:
                     horizon = max_cycles + 1
                 if max_cycles + 1 < ext:
                     ext = max_cycles + 1
-                if ext > horizon and not spec:
+                if ext > horizon:
                     ext = self.comm.lookahead_horizon(
                         cand, horizon, ext, self._invisible_bound)
-                n = self._handle_batch(cand, event, horizon, ext, budget,
-                                       speculate=spec)
+                n = self._handle_batch(cand, event, horizon, ext, budget)
                 self.events_processed += n
                 budget -= n
                 continue
@@ -562,8 +519,7 @@ class Engine:
     # -- the batched hot loop ----------------------------------------------
 
     def _handle_batch(self, proc: SimProcess, batch: ev.EventBatch,
-                      horizon: int, ext: int, budget: int,
-                      speculate: bool = False) -> int:
+                      horizon: int, ext: int, budget: int) -> int:
         """Consume references from ``batch`` in one tight loop.
 
         Bit-identity contract: each reference is serviced at exactly the
@@ -574,9 +530,6 @@ class Engine:
         window was granted, in which case references past ``horizon`` must
         resolve invisibly (L1 fast-path full hits commute with everything
         the qualified rivals can do before ``ext``; see DESIGN.md).
-        With ``speculate`` the extension is *not* pre-qualified: references
-        past the horizon are consumed optimistically behind a
-        micro-checkpoint and validated afterwards (see _speculative_run).
         Interrupt/signal/preemption flags only change when backend tasks
         run — never inside this loop — so they are evaluated once on entry:
         when delivery is due, exactly one reference is consumed (the
@@ -591,15 +544,10 @@ class Engine:
         if deliver:
             limit = 1
         pends = batch.pendings
-        if speculate and ext > horizon and not deliver:
-            consumed, i, t, added, fault, ext_refs = self._speculative_run(
-                proc, batch, horizon, ext, limit)
-        else:
-            consumed, i, t, added, fault, ext_refs = self.memsys.access_run(
-                proc.pid, cpu, batch.kinds, batch.addrs, batch.sizes, pends,
-                batch.cursor, batch.n, batch.time, limit, horizon,
-                horizon if speculate else ext,
-                clock=self.gsched, serial=batch.serial, uhint=batch.uhint)
+        consumed, i, t, added, fault, ext_refs = self.memsys.access_run(
+            proc.pid, cpu, batch.kinds, batch.addrs, batch.sizes, pends,
+            batch.cursor, batch.n, batch.time, limit, horizon, ext,
+            clock=self.gsched, serial=batch.serial, uhint=batch.uhint)
         n = batch.n
         batch.cursor = i
         batch.total = total = batch.total + added
@@ -607,7 +555,7 @@ class Engine:
         bs = self.batch_stats
         bs["batches"] += 1
         bs["refs"] += consumed
-        if ext > horizon and not speculate:
+        if ext > horizon:
             bs["la_windows"] += 1
             bs["la_refs"] += ext_refs
         self._recent_events.append((self.gsched.now, proc.pid, 9))
@@ -669,102 +617,6 @@ class Engine:
                                                  self.comm.cpus[proc.cpu]):
             return event.time
         return self.memsys.invisible_until(event.pid, proc.cpu, event, cap)
-
-    # -- optimistic speculation (Time Warp-style; see DESIGN.md) -----------
-
-    def _speculative_run(self, proc: SimProcess, batch: ev.EventBatch,
-                         horizon: int, ext: int, limit: int):
-        """Two-phase optimistic consume of one batch window.
-
-        Phase 1 runs strictly conservatively below the rival horizon
-        (slow paths, faults and all — everything there is globally first
-        and commits unconditionally). If references remain, phase 2 takes
-        a micro-checkpoint of the issuing CPU's private slice and drains
-        on into ``[horizon, ext)`` *without* asking the rivals first — but
-        only when the first reference there probes invisible, so every
-        window counted in ``sp_windows`` consumed something and ends in
-        exactly one commit or rollback.
-        ``access_run`` confines that window to the L1 fast path by
-        construction (the first slow reference at or past the horizon is
-        cut unconsumed), so phase 2 can only have touched exactly the
-        slice the micro-checkpoint captured — no faults, no protocol or
-        page-table mutations, no task scheduling. Validation then asks
-        the communicator for every rival's invisibility frontier: commit
-        if all of them clear the window's end, else roll back and — when
-        part of the window was proven safe — re-consume up to that bound.
-        Either way the consumed reference stream, its timing, and every
-        gated statistic are bit-identical to the conservative schedule;
-        commit/rollback only decides how much progress survives.
-        """
-        ms = self.memsys
-        gsched = self.gsched
-        cpu = proc.cpu
-        pends = batch.pendings
-        c1, i, t, a1, fault, _ = ms.access_run(
-            proc.pid, cpu, batch.kinds, batch.addrs, batch.sizes, pends,
-            batch.cursor, batch.n, batch.time, limit, horizon, horizon,
-            clock=gsched, serial=batch.serial, uhint=batch.uhint)
-        if fault is not None or i >= batch.n or c1 >= limit:
-            return c1, i, t, a1, fault, 0
-        t0 = t + pends[i]
-        if t0 >= ext:
-            return c1, i, t, a1, None, 0
-        if ms.ref_invisible_latency(proc.pid, cpu, batch.kinds[i],
-                                    batch.addrs[i], batch.sizes[i]) < 0:
-            # the first window reference would take the slow path, so the
-            # window would be cut before consuming anything: no snapshot
-            return c1, i, t, a1, None, 0
-        bs = self.batch_stats
-        bs["sp_windows"] += 1
-        mck = self._micro_ckpt(ms, cpu, gsched)
-        c2, i2, t2, a2, _f2, er2 = ms.access_run(
-            proc.pid, cpu, batch.kinds, batch.addrs, batch.sizes, pends,
-            i, batch.n, t0, limit - c1, horizon, ext,
-            clock=gsched, serial=batch.serial, uhint=batch.uhint)
-        v = self.comm.speculation_bound(proc, horizon, t2,
-                                        self._frontier_bound)
-        if v >= t2:
-            bs["sp_commits"] += 1
-            bs["sp_refs"] += c2
-            self._spec_row = 0
-            q = self._spec_quantum << 1
-            if q <= self._spec_quantum_max:
-                self._spec_quantum = q
-            return c1 + c2, i2, t2, a1 + a2, None, er2
-        # violation: a rival could act inside [v, t2) — roll back, shrink
-        # the quantum, and re-consume up to the proven-safe bound (the
-        # re-run is a qualified conservative extension: no revalidation)
-        mck.rollback()
-        bs["sp_rollbacks"] += 1
-        q = self._spec_quantum >> 1
-        if q >= self._spec_quantum_min:
-            self._spec_quantum = q
-        self._spec_row += 1
-        if (self._spec_max_rollbacks
-                and self._spec_row >= self._spec_max_rollbacks):
-            # thrashing: fall back to conservative lookahead for the rest
-            # of the run (results are identical either way)
-            self._spec_on = False
-        if v <= t0:
-            return c1, i, t, a1, None, 0
-        c3, i3, t3, a3, _f3, er3 = ms.access_run(
-            proc.pid, cpu, batch.kinds, batch.addrs, batch.sizes, pends,
-            i, batch.n, t0, limit - c1, horizon, v,
-            clock=gsched, serial=batch.serial, uhint=batch.uhint)
-        bs["sp_refs"] += c3
-        if c3 == 0:
-            return c1, i, t, a1, None, 0
-        return c1 + c3, i3, t3, a1 + a3, None, er3
-
-    def _frontier_bound(self, proc: SimProcess, event, cap: int) -> int:
-        """:meth:`_invisible_bound` with the memoized resumable walk —
-        the validation-side qualifier. Delivery flags are checked fresh
-        on every call; only the pure invisibility walk is memoised."""
-        if event.kind != 9 or self._delivery_due(proc,
-                                                 self.comm.cpus[proc.cpu]):
-            return event.time
-        return self.memsys.invisible_frontier(event.pid, proc.cpu, event,
-                                              cap, self._spec_memo)
 
     # -- memory faults -----------------------------------------------------
 

@@ -519,6 +519,22 @@ class ParallelEngine(Engine):
                               if self._lease_on else 0)
         #: a granted window shorter than this is not worth the snapshot
         self.lease_min_window = 64
+        #: speculative lease tails (``SimConfig.speculate*``): a worker
+        #: keeps pre-timing past its window into ``[T, T + quantum)`` and
+        #: the fold commits or rolls that tail back (see _lease_decision /
+        #: _apply_pretimed). The quantum adapts — doubles on a commit,
+        #: halves on a rollback, clamped to [base/16, 64*base] — and
+        #: ``speculate_max_rollbacks`` consecutive rollbacks turn tails off
+        #: for the rest of the run.
+        self._spec_on = bool(getattr(cfg, "speculate", True)
+                             and self.memsys._fast_on)
+        _q = getattr(cfg, "speculate_quantum", 0) or self._lookahead_cycles
+        self._spec_quantum = _q
+        self._spec_quantum_min = max(64, _q >> 4)
+        self._spec_quantum_max = _q << 6
+        self._spec_row = 0
+        self._spec_max_rollbacks = getattr(cfg, "speculate_max_rollbacks",
+                                           64)
         #: pre-timed events to drain from the run loop's event budget
         self._pretimed = 0
         #: run-bound caps for lease windows, stashed by run()

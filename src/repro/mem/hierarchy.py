@@ -270,10 +270,28 @@ class MemorySystem:
         the batch's completion, but the host code it runs on completion
         reads the global clock, which must not have passed the cycle the
         strict schedule completes the batch at.
+
+        There are two qualifiers. With the vec mirror of ``cpu`` fresh the
+        bound is read from the batch's array classification
+        (:meth:`VecState.frontier` — the one the owner's own run will use),
+        after a single probe of the first reference so that a rival about
+        to miss costs no classification. Otherwise (``vectorized`` off,
+        mirror stale, a handful of references left) the scalar walk below
+        answers; it is the reference the array bound is tested against.
         """
         t = batch.time
         if not self._fast_on or self.ff_active or "access" in self.__dict__:
             return t
+        i = batch.cursor
+        vec = self._vec
+        if vec is not None:
+            if self.ref_invisible_latency(pid, cpu, batch.kinds[i],
+                                          batch.addrs[i],
+                                          batch.sizes[i]) < 0:
+                return t
+            bound = vec.frontier(pid, cpu, batch, cap)
+            if bound is not None:
+                return bound
         kbase = KERNEL_BASE
         ktable_get = self._kernel_table.get
         sp = self._spaces.get(pid)
@@ -287,7 +305,6 @@ class MemorySystem:
         addrs = batch.addrs
         sizes = batch.sizes
         pends = batch.pendings
-        i = batch.cursor
         n = batch.n
         while True:
             vaddr = addrs[i]
@@ -318,102 +335,6 @@ class MemorySystem:
                 return t
             nt = t + lat + pends[i]
             if nt >= cap:
-                return cap
-            t = nt
-
-    def invisible_frontier(self, pid: int, cpu: int, batch, cap: int,
-                           memo: dict) -> int:
-        """Memoized :meth:`invisible_until`: resume the walk per filling.
-
-        Speculative validation re-qualifies the same rival batches window
-        after window with growing caps, so the O(refs) walk is amortised by
-        resuming from where the previous one stopped. A memo entry
-        ``memo[pid] = [serial, l1_version, kernel_version, space_version,
-        i, t, final]`` is sound to resume because every mutation that can
-        *revoke* an invisibility right bumps one of the versions
-        (``Cache.version`` on fills/invalidations/state changes/restores,
-        ``_Space.version`` on map/unmap) — mutations that only *add* rights
-        merely leave the memoised bound too small, which can only cause an
-        unnecessary rollback, never a wrong commit. Pending-delivery flags
-        are the caller's job (checked fresh on every validation, never
-        memoised). ``final`` is the filling's walk-independent stopping
-        bound (issue time of the first slow reference, or of the last) —
-        once known, later validations are O(1) until a version moves.
-        """
-        t = batch.time
-        if not self._fast_on or self.ff_active or "access" in self.__dict__:
-            return t
-        l1v = self.l1s[cpu].version
-        kv = self.vmm._kernel.version
-        sp = self._spaces.get(pid)
-        spv = sp.version if sp is not None else -1
-        serial = batch.serial
-        i = batch.cursor
-        ent = memo.get(pid)
-        if (ent is not None and ent[0] == serial and ent[1] == l1v
-                and ent[2] == kv and ent[3] == spv and ent[4] >= i):
-            final = ent[6]
-            if final is not None:
-                return final
-            if ent[5] >= cap:
-                return cap
-            i = ent[4]
-            t = ent[5]
-        else:
-            ent = [serial, l1v, kv, spv, i, t, None]
-            memo[pid] = ent
-        kbase = KERNEL_BASE
-        ktable_get = self._kernel_table.get
-        utable_get = sp.table.get if sp is not None else None
-        pshift = self._page_shift
-        pmask = self._page_mask
-        shift = self._line_shift
-        states_get = self._l1_states[cpu].get
-        l1_lat = self._l1_latency
-        kinds = batch.kinds
-        addrs = batch.addrs
-        sizes = batch.sizes
-        pends = batch.pendings
-        n = batch.n
-        while True:
-            vaddr = addrs[i]
-            k = kinds[i]
-            if vaddr >= kbase:
-                ppn = ktable_get(vaddr >> pshift)
-            elif utable_get is not None:
-                ppn = utable_get(vaddr >> pshift)
-            else:
-                ppn = None
-            if ppn is None:
-                ent[6] = t
-                return t
-            paddr = (ppn << pshift) | (vaddr & pmask)
-            line = paddr >> shift
-            last = (paddr + (sizes[i] or 1) - 1) >> shift
-            nlines = 0
-            ok = True
-            while line <= last:
-                st = states_get(line)
-                if st is None or (k != 0 and st < _EXCLUSIVE):
-                    ok = False
-                    break
-                line += 1
-                nlines += 1
-            if not ok:
-                ent[6] = t
-                return t
-            lat = l1_lat * nlines
-            if k == 2:
-                lat += 4
-            i += 1
-            if i >= n:
-                # the last reference's issue time, as in invisible_until
-                ent[6] = t
-                return t
-            nt = t + lat + pends[i]
-            if nt >= cap:
-                ent[4] = i
-                ent[5] = nt
                 return cap
             t = nt
 

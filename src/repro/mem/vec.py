@@ -24,15 +24,17 @@ Mirror-state invariants (see DESIGN.md, "Vectorized mirror state"):
 * A stale mirror therefore only ever causes false *declines*, which fall
   back to the scalar path — never false accepts.
 
-Classification is cached per batch filling (``EventBatch.serial``) together
-with the version triple it was computed under: a batch cut at the horizon
-re-enters ``run()`` once per continuation, and as long as no version moved
-the continuation reuses the cached verdicts, so the array work is paid once
-per batch instead of once per cut. Anything that could change a verdict
-(fill, invalidation, downgrade, unmap, restore) bumps a version and misses
-the cache; in-place E->M flips only widen acceptance and pend zeroing on the
-fault path only affects the retried reference's own lead-in, which the
-issue-time chain never reads.
+Classification is cached per batch filling (``EventBatch.serial``, or the
+stream anchor of a hinted filling) together with the version triple it was
+computed under: a batch cut at the horizon re-enters ``run()`` once per
+continuation, and every rival that wins a turn in between asks
+``frontier()`` how far the parked batch stays invisible. As long as no
+version moved they all read the same cached verdicts, so the array work is
+paid once per filling instead of once per cut or query. Anything that could
+change a verdict (fill, invalidation, downgrade, unmap, restore) bumps a
+version and misses the cache; in-place E->M flips only widen acceptance and
+pend zeroing on the fault path only affects the retried reference's own
+lead-in, which the issue-time chain never reads.
 
 Resync is amortised, not eager. Rebuilding a CPU's mirror costs one pass
 over its resident lines, and a fill bumps ``Cache.version``, so a CPU that
@@ -55,6 +57,10 @@ import numpy as np
 #: only amortises over a reasonable prefix
 MIN_RUN = 8
 
+#: classifications kept before the cache is dropped whole (entries keyed
+#: against a dead version or a consumed filling are never hit again)
+CACHE_CAP = 64
+
 _SENTINEL = np.iinfo(np.int64).max
 
 
@@ -74,23 +80,24 @@ class VecState:
         #: kernel vpns — USER_LIMIT — so concatenation stays sorted), with a
         #: +inf sentinel so lookups need no bounds clipping
         self._snaps: dict = {}
-        #: classification cache: key + per-batch arrays (see _classify)
-        self._ck = None
-        self._cd = None
-        #: hinted-stream classification cache: normalized-anchor key ->
-        #: cache-data dict. Hinted fillings are fully described by
-        #: (kind, stride, lead-in, anchor, length), so a warm re-scan of
-        #: the same buffer reuses its classification across batch serials
-        #: as long as no version moved (versions are part of the key).
-        self._cdm: dict = {}
+        #: classification cache: key -> per-filling arrays (see
+        #: _classified), bounded by CACHE_CAP. An unhinted filling is keyed
+        #: on its batch serial; a hinted one is fully described by (kind,
+        #: stride, lead-in, anchor, length), so a warm re-scan of the same
+        #: buffer reuses its classification across serials. The version
+        #: triple is part of either key.
+        self._cache: dict = {}
         #: reusable arange for rebuilding hinted address streams
         self._ar = None
         #: amortised resync (see run()): per CPU, the L1 version at its
         #: last entry that found the mirror stale, and its L1 hit count then
         self._stale_versions = [-1] * n_cpus
         self._stale_hits = [0] * n_cpus
-        #: decline reasons (observability only; see harness vec_summary)
-        self.declines = {"short": 0, "stale": 0, "first_miss": 0}
+        #: decline reasons (observability only; see harness vec_summary):
+        #: why run() left a run to the scalar loop, and why frontier() left
+        #: a rival's window to the scalar walk
+        self.declines = {"short": 0, "stale": 0, "first_miss": 0,
+                         "frontier_short": 0, "frontier_stale": 0}
 
     # -- resync ------------------------------------------------------------
 
@@ -112,23 +119,6 @@ class VecState:
         self._lsts[cpu] = lsts
         self._cache_versions[cpu] = l1.version
         ms.vec_rebuilds += 1
-
-    def on_rollback(self, cpu: int) -> None:
-        """Invalidate the mirror for ``cpu`` after a speculative rollback.
-
-        The caller restored the authoritative L1 dicts in place and bumped
-        ``Cache.version``; the bump alone forces a lazy resync, but the
-        rolled-back window may have flipped states inside ``_lsts[cpu]``
-        *in place*, so drop the mirror eagerly rather than keep a stale
-        array alive, and drop classification entries keyed against the
-        dead version so the bounded caches are not wasted on them.
-        """
-        self._cache_versions[cpu] = -1
-        self._lines[cpu] = None
-        self._lsts[cpu] = None
-        self._ck = None
-        self._cd = None
-        self._cdm.clear()
 
     def _snap_tables(self, pid, ker, sp, uver):
         """(Re)build the merged translation snapshot for ``pid``."""
@@ -161,10 +151,10 @@ class VecState:
             self._ar = ar
         return ar[:m]
 
-    def _classify(self, pid, cpu, kinds, addrs, sizes, pends, base, n,
-                  snap, key, uhint=None):
-        """Classify references [base, n) against the mirror; cache under
-        ``key``. Returns the cache-data dict (see field comments).
+    def _classify(self, cpu, kinds, addrs, sizes, pends, base, n, snap,
+                  uhint):
+        """Classify references [base, n) against the mirror; returns the
+        cache-data dict (see field comments).
 
         ``uhint`` is the producer's ``(kind, stride, work_per_ref)`` claim
         that the whole filling is one arithmetic reference stream (see
@@ -261,7 +251,7 @@ class VecState:
                     np.cumsum(lat[:-1] + np.array(pends[base + 1:n],
                                                   dtype=np.int64),
                               out=prefix[1:])
-        cd = {
+        return {
             "base": base, "end": n, "ok": ok, "line0": line0,
             "two_any": two_any, "all_read": all_read,
             "all_write": all_write, "uniform": uniform,
@@ -270,9 +260,78 @@ class VecState:
             "pos0": pos0, "pos1": pos1, "line1": line1,
             "lat": lat, "prefix": prefix,
         }
-        self._ck = key
-        self._cd = cd
+
+    def _classified(self, pid, cpu, l1_version, kinds, addrs, sizes, pends,
+                    i, n, serial, uhint):
+        """The classification covering references [i, n) of one filling,
+        from the cache or computed now. The caller has checked that
+        ``cpu``'s mirror is fresh (``l1_version`` is its version)."""
+        ms = self.ms
+        # the pid's merged translation snapshot is keyed on version counters
+        ker = ms.vmm._kernel
+        sp = ms._spaces.get(pid)
+        uver = sp.version if sp is not None else -1
+        snap = self._snaps.get(pid)
+        if snap is None or snap[0] != ker.version or snap[1] != uver:
+            snap = self._snap_tables(pid, ker, sp, uver)
+        if uhint is not None:
+            # hinted fillings are position-independent: key on the stream's
+            # virtual index-0 address so identical re-fillings (warm passes
+            # over the same buffer) hit across batch serials
+            key = (pid, cpu, l1_version, ker.version, uver, uhint,
+                   addrs[i] - uhint[1] * i, n)
+        else:
+            key = (serial, pid, cpu, l1_version, ker.version, uver)
+        cache = self._cache
+        cd = cache.get(key)
+        if cd is None or not (cd["base"] <= i and cd["end"] == n):
+            cd = self._classify(cpu, kinds, addrs, sizes, pends, i, n, snap,
+                                uhint)
+            if uhint is not None or serial is not None:
+                if len(cache) >= CACHE_CAP:
+                    cache.clear()
+                cache[key] = cd
         return cd
+
+    def frontier(self, pid, cpu, batch, cap):
+        """``MemorySystem.invisible_until`` answered from the arrays: how
+        far the batch parked by ``pid`` on ``cpu`` provably stays invisible,
+        or None when only the scalar walk can tell (mirror stale, or too
+        few references left to be worth classifying).
+
+        The classification is the one the owner's own ``run()`` hits when
+        its turn comes, so it is paid once and read from both sides. The
+        bound is the issue time of the first reference the mirror declines,
+        else of the last, clamped to ``cap`` — never above the scalar walk,
+        and equal to it unless a reference spans more than two lines (the
+        mirror declines those; the walk probes every line). The caller has
+        already probed the reference at the cursor — the one decline the
+        walk answers uncapped, with the batch's own time."""
+        i = batch.cursor
+        n = batch.n
+        if n - i < MIN_RUN:
+            self.declines["frontier_short"] += 1
+            return None
+        l1_version = self.ms.l1s[cpu].version
+        if l1_version != self._cache_versions[cpu]:
+            # resync is run()'s call: it knows whether a rebuild will pay
+            self.declines["frontier_stale"] += 1
+            return None
+        cd = self._classified(pid, cpu, l1_version, batch.kinds, batch.addrs,
+                              batch.sizes, batch.pendings, i, n,
+                              batch.serial, batch.uhint)
+        o = i - cd["base"]
+        seg = cd["ok"][o:]
+        stop = int(seg.argmin())
+        if seg[stop]:
+            stop = n - 1 - i    # no False anywhere: bounded by the last
+        t = batch.time
+        if cd["uniform"]:
+            t += cd["step"] * stop
+        else:
+            prefix = cd["prefix"]
+            t += int(prefix[o + stop] - prefix[o])
+        return t if t < cap else cap
 
     # -- the vectorized run ------------------------------------------------
 
@@ -305,35 +364,8 @@ class VecState:
                 self.declines["stale"] += 1
                 return None
             self._rebuild_cache(cpu)
-        # the pid's merged translation snapshot is keyed on version counters
-        ker = ms.vmm._kernel
-        sp = ms._spaces.get(pid)
-        uver = sp.version if sp is not None else -1
-        snap = self._snaps.get(pid)
-        if snap is None or snap[0] != ker.version or snap[1] != uver:
-            snap = self._snap_tables(pid, ker, sp, uver)
-
-        if uhint is not None:
-            # hinted fillings are position-independent: key on the stream's
-            # virtual index-0 address so identical re-fillings (warm passes
-            # over the same buffer) hit across batch serials
-            key = (pid, cpu, l1.version, ker.version, uver, uhint,
-                   addrs[i] - uhint[1] * i, n)
-            cd = self._cdm.get(key)
-            if cd is None or not (cd["base"] <= i < cd["end"]):
-                if len(self._cdm) > 64:
-                    self._cdm.clear()
-                cd = self._classify(pid, cpu, kinds, addrs, sizes, pends,
-                                    i, n, snap, key, uhint)
-                self._cdm[key] = cd
-        else:
-            key = (serial, pid, cpu, l1.version, ker.version, uver)
-            cd = self._cd
-            if (serial is None or key != self._ck or cd is None
-                    or not (cd["base"] <= i < cd["end"])
-                    or cd["end"] != n):
-                cd = self._classify(pid, cpu, kinds, addrs, sizes, pends,
-                                    i, n, snap, key, uhint)
+        cd = self._classified(pid, cpu, l1.version, kinds, addrs, sizes,
+                              pends, i, n, serial, uhint)
         o = i - cd["base"]
 
         ok = cd["ok"]

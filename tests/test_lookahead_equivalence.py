@@ -3,7 +3,11 @@
 Layer 1 (inline engine): the batched hot loop may drain references past the
 strict rival horizon, but only references satisfying the L1 fast-path
 full-hit predicate — which touch nothing outside the issuer's private
-state, so any interleaving of them commutes with the strict order.
+state, so any interleaving of them commutes with the strict order. How far
+each rival stays invisible is read from the vec mirror's classification of
+its parked batch, or walked reference by reference when there is no fresh
+mirror (``vectorized=False`` forces the walk); both qualifiers must grant
+the same windows (``test_frontier.py`` compares them bound by bound).
 
 Layer 2 (ParallelEngine): a worker in steady fire-and-forget state may be
 granted a lease to time its own references against a snapshot of its L1
@@ -74,10 +78,6 @@ def _snapshot(eng, stats):
 
 
 def _run_inline(build, faults=None, **cfg_kw):
-    # this suite isolates the *conservative* lookahead layers; the
-    # optimistic speculation layer (on by default, tested in
-    # test_speculation_equivalence.py) would shadow them
-    cfg_kw.setdefault("speculate", False)
     SimProcess._next_pid[0] = 1
     eng = build(lambda **kw: complex_backend(faults=faults, **cfg_kw, **kw))
     stats = eng.run()
@@ -130,7 +130,8 @@ def _private_heavy(cfg):
 def test_lookahead_drains_past_horizon():
     """On a private-heavy workload the windows must actually engage —
     references are consumed beyond the strict rival cut — while staying
-    bit-identical and using far fewer batch dispatches."""
+    bit-identical and using far fewer batch dispatches; and the windows
+    are the same whichever qualifier bounded them."""
     snap_on, eng_on = _run_inline(_private_heavy, lookahead=True)
     snap_off, eng_off = _run_inline(_private_heavy, lookahead=False)
     assert snap_on == snap_off
@@ -138,6 +139,13 @@ def test_lookahead_drains_past_horizon():
     assert bs_on["la_windows"] > 0
     assert bs_on["la_refs"] > 0
     assert bs_on["batches"] < eng_off.batch_stats["batches"]
+    # the array qualifier did the work: past warm-up no rival query fell
+    # back to the walk for want of a fresh mirror (three queries a window)
+    declines = eng_on.memsys._vec.declines
+    assert declines["frontier_stale"] < bs_on["la_windows"] // 2
+    snap_walk, eng_walk = _run_inline(_private_heavy, vectorized=False)
+    assert snap_walk == snap_on
+    assert eng_walk.batch_stats == bs_on
 
 
 def _tpcc_checkpoint_bench(cfg):
@@ -200,7 +208,8 @@ def _batch_then_block(cfg):
 
 
 #: builders whose rivals run clock-reading host code right after an
-#: invisible reference (shared with test_speculation_equivalence.py)
+#: invisible reference (shared with test_speculation_equivalence.py's
+#: knob-arm check)
 CLOCK_READERS = {"tpcc-checkpoint-bench": _tpcc_checkpoint_bench,
                  "hit-then-block": _hit_then_block,
                  "batch-then-block": _batch_then_block}
@@ -216,8 +225,9 @@ def test_window_never_outruns_a_rivals_invisible_reference(name, faults):
     the rival runs right after them reads the global clock."""
     build = CLOCK_READERS[name]
     snap_on, _ = _run_inline(build, faults=faults, lookahead=True)
+    snap_walk, _ = _run_inline(build, faults=faults, vectorized=False)
     snap_off, _ = _run_inline(build, faults=faults, lookahead=False)
-    assert snap_on == snap_off
+    assert snap_on == snap_walk == snap_off
 
 
 def test_lookahead_cycles_auto_derivation():
@@ -299,6 +309,8 @@ def test_checkpoint_resume_with_lookahead_on(tmp_path):
 # ---------------------------------------------------------------------------
 
 def _run_parallel(nworkers=1, prog=HOT_PROG, **cfg_kw):
+    # conservative leases only: the speculative tails ``speculate`` adds
+    # on top of them are test_speculation_equivalence.py's subject
     cfg_kw.setdefault("speculate", False)
     SimProcess._next_pid[0] = 1
     eng = ParallelEngine(complex_backend(num_cpus=max(nworkers, 1),
@@ -313,7 +325,6 @@ def _run_parallel(nworkers=1, prog=HOT_PROG, **cfg_kw):
 def _run_inline_isa(nworkers=1, prog=HOT_PROG, **cfg_kw):
     from repro.isa import Interpreter, Machine, assemble
     from repro.isa.memory import DataMemory
-    cfg_kw.setdefault("speculate", False)
     SimProcess._next_pid[0] = 1
     eng = Engine(complex_backend(num_cpus=max(nworkers, 1), **cfg_kw))
     for i in range(nworkers):

@@ -1,15 +1,18 @@
-"""Bit-identity of the optimistic (Time Warp-style) speculation layer.
+"""``SimConfig.speculate*`` govern ParallelEngine's lease tails — only.
 
-``SimConfig.speculate`` lets the engine consume references *past* the
-conservative rival horizon behind a micro-checkpoint, validating after the
-fact and rolling back on a horizon violation; ``ParallelEngine`` workers
-likewise pre-time an optimistic tail past their lease window and the
-backend commits or rolls it back at fold time. Both layers must produce
-*exactly* the simulated cycle counts, cache statistics, CPU time buckets
-and fault-fire counts of the strict conservative schedule — with and
-without fault plans, under memory taps, composed with checkpoint
-crash/resume, across worker SIGKILLs mid-speculation, and under bounded
+A leased ``ParallelEngine`` worker pre-times an optimistic tail past its
+window and the backend commits or rolls it back at fold time; either way the
+run must produce *exactly* the simulated cycle counts, cache statistics, CPU
+time buckets and fault-fire counts of the strict conservative schedule —
+across worker SIGKILLs mid-tail, under checkpointing and under bounded
 max_events stepping.
+
+The inline engine extends the horizon one way, by the qualified window that
+``lookahead`` gates (``test_lookahead_equivalence.py``), and never reads the
+three fields. The inline tests here pin that half of the contract: flipping
+``speculate`` moves nothing — not the results, not a window count — on every
+workload class, under fault plans, memory taps, checkpoint recording and
+crash/resume.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ import signal
 
 import pytest
 
-from repro import (Engine, SimulatedCrash, checkpoint_exists,
-                   complex_backend, resume)
+from repro import (SimulatedCrash, checkpoint_exists, complex_backend,
+                   resume)
 from repro.core.config import ConfigError, SimConfig
 from repro.core.frontend import SimProcess
 from repro.host import ParallelEngine, WorkerSpec
@@ -28,8 +31,7 @@ from repro.traces.memtrace import MemTraceRecorder
 
 from tests.test_determinism_harness import FAULT_OFF_WORKLOADS
 from tests.test_lookahead_equivalence import (CLOCK_READERS, HOT_PROG,
-                                              TIMING_PLAN, _private_heavy,
-                                              _snapshot)
+                                              TIMING_PLAN, _snapshot)
 
 
 def _run(build, faults=None, **cfg_kw):
@@ -39,37 +41,38 @@ def _run(build, faults=None, **cfg_kw):
     return _snapshot(eng, stats), eng
 
 
-#: the strict oracle: no speculation, no lookahead — the paper's
+#: the strict oracle: no horizon extension of any kind — the paper's
 #: conservative basic-block-granular schedule
 STRICT = dict(speculate=False, lookahead=False)
 
 
+def _assert_knob_inert(eng_on, eng_off):
+    """Same windows, same cuts, and no ``sp_*`` activity on either side."""
+    assert eng_on.batch_stats == eng_off.batch_stats
+    assert not any(v for k, v in eng_on.batch_stats.items()
+                   if k.startswith("sp_"))
+
+
 # ---------------------------------------------------------------------------
-# inline engine: speculation on == strict, on every workload class
+# inline engine: the knob is inert, on every workload class
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", sorted(FAULT_OFF_WORKLOADS))
 def test_speculation_bit_identical(name):
     build = FAULT_OFF_WORKLOADS[name]
     snap_on, eng_on = _run(build, speculate=True)
-    snap_off, eng_off = _run(build, **STRICT)
+    snap_off, eng_off = _run(build, speculate=False)
     assert snap_on == snap_off
-    # the strict run must never open a window
-    assert eng_off.batch_stats["sp_windows"] == 0
-    assert eng_off.batch_stats["sp_refs"] == 0
-    # a window is only opened (and its snapshot taken) when its first
-    # reference probes invisible, so each one consumed something and ended
-    # in a commit or a rollback — on the miss-heavy workloads too
-    bs = eng_on.batch_stats
-    assert bs["sp_commits"] + bs["sp_rollbacks"] == bs["sp_windows"]
+    _assert_knob_inert(eng_on, eng_off)
 
 
 @pytest.mark.parametrize("name", sorted(FAULT_OFF_WORKLOADS))
 def test_speculation_bit_identical_under_faults(name):
     build = FAULT_OFF_WORKLOADS[name]
     snap_on, eng_on = _run(build, faults=TIMING_PLAN, speculate=True)
-    snap_off, _ = _run(build, faults=TIMING_PLAN, **STRICT)
+    snap_off, eng_off = _run(build, faults=TIMING_PLAN, speculate=False)
     assert snap_on == snap_off
+    _assert_knob_inert(eng_on, eng_off)
     assert eng_on.faults.stats.draws > 0
 
 
@@ -77,20 +80,21 @@ def test_speculation_bit_identical_under_faults(name):
 @pytest.mark.parametrize("faults", [None, TIMING_PLAN],
                          ids=["plain", "faults"])
 def test_all_knob_arms_land_one_fingerprint(name, faults):
-    """Default knobs, each extension layer alone, and the strict schedule
-    agree — on the checkpoint bench's TPC-C (where default and strict used
-    to end one cycle apart) and on the hand-built rivals whose L1-hit
-    reference or batch is followed by a clock-reading block."""
+    """Default knobs (windows qualified from the vec mirror), the scalar
+    qualifier, ``speculate`` off and the strict schedule agree — on the
+    checkpoint bench's TPC-C (where default and strict used to end one
+    cycle apart) and on the hand-built rivals whose L1-hit reference or
+    batch is followed by a clock-reading block."""
     build = CLOCK_READERS[name]
-    arms = [{}, {"speculate": False}, {"lookahead": False}, STRICT]
+    arms = [{}, {"vectorized": False}, {"speculate": False}, STRICT]
     snaps = [_run(build, faults=faults, **arm)[0] for arm in arms]
     assert snaps[0] == snaps[1] == snaps[2] == snaps[3]
 
 
 def test_speculation_denied_under_memory_tap():
-    """A memtrace tap needs the strict per-reference stream; speculation
-    must stand down — and the tapped runs (including the traces) must
-    still match."""
+    """A memtrace tap needs the strict per-reference stream; horizon
+    extension must stand down — and the tapped runs (including the
+    traces) must still match."""
     build = FAULT_OFF_WORKLOADS["oltp"]
 
     def run(**cfg_kw):
@@ -105,77 +109,7 @@ def test_speculation_denied_under_memory_tap():
     snap_off, _ = run(**STRICT)
     assert snap_on == snap_off
     assert eng_on.batch_stats["sp_windows"] == 0
-
-
-def test_speculation_engages_and_commits():
-    """On the private-heavy workload the windows must actually open and
-    commit past the rival horizon — while staying bit-identical and using
-    no more batch dispatches than conservative lookahead."""
-    snap_on, eng_on = _run(_private_heavy, speculate=True)
-    snap_off, eng_off = _run(_private_heavy, **STRICT)
-    snap_la, eng_la = _run(_private_heavy, speculate=False, lookahead=True)
-    assert snap_on == snap_off == snap_la
-    bs = eng_on.batch_stats
-    assert bs["sp_windows"] > 0
-    assert bs["sp_commits"] > 0
-    assert bs["sp_refs"] > 0
-    assert bs["batches"] < eng_off.batch_stats["batches"]
-    assert bs["batches"] <= eng_la.batch_stats["batches"]
-    # speculation supersedes the conservative scan when both are on
-    assert bs["la_windows"] == 0
-
-
-def test_speculation_rollback_restores_bit_identity():
-    """Force every validation to fail: all windows roll back, and the
-    results still match the strict schedule exactly (rollback must be a
-    perfect undo)."""
-    from repro.core.communicator import Communicator
-
-    SimProcess._next_pid[0] = 1
-    eng = _private_heavy(lambda **kw: complex_backend(speculate=True, **kw))
-    orig = Communicator.speculation_bound
-
-    def always_violate(self, winner, strict, cap, bound_fn):
-        orig(self, winner, strict, cap, bound_fn)   # exercise the walk
-        return strict
-    eng.comm.speculation_bound = always_violate.__get__(eng.comm)
-    # keep speculating even after consecutive rollbacks
-    eng._spec_max_rollbacks = 0
-    stats = eng.run()
-    snap = _snapshot(eng, stats)
-    snap_off, _ = _run(_private_heavy, **STRICT)
-    assert snap == snap_off
-    bs = eng.batch_stats
-    assert bs["sp_rollbacks"] > 0
-    assert bs["sp_commits"] == 0
-
-
-def test_adaptive_quantum_and_stand_down():
-    """The quantum stays within its adaptive bounds, and a run capped at
-    one consecutive rollback stands down permanently — without affecting
-    the simulated results."""
-    snap_on, eng_on = _run(_private_heavy, speculate=True)
-    assert (eng_on._spec_quantum_min <= eng_on._spec_quantum
-            <= eng_on._spec_quantum_max)
-    bs = eng_on.batch_stats
-    assert bs["sp_commits"] + bs["sp_rollbacks"] == bs["sp_windows"]
-
-    snap_capped, eng_capped = _run(_private_heavy, speculate=True,
-                                   speculate_max_rollbacks=1)
-    assert snap_capped == snap_on
-    if eng_capped.batch_stats["sp_rollbacks"]:
-        assert not eng_capped._spec_on
-
-
-def test_speculate_quantum_knob():
-    """An explicit quantum is honoured as the starting window size."""
-    SimProcess._next_pid[0] = 1
-    eng = Engine(complex_backend(num_cpus=2, speculate=True,
-                                 speculate_quantum=512))
-    assert eng._spec_quantum == 512
-    snap_q, _ = _run(_private_heavy, speculate=True, speculate_quantum=512)
-    snap_off, _ = _run(_private_heavy, **STRICT)
-    assert snap_q == snap_off
+    assert eng_on.batch_stats["la_refs"] == 0
 
 
 def test_config_validation():
@@ -191,8 +125,8 @@ def test_config_validation():
 
 def test_speculation_denied_while_recording(tmp_path):
     """An active checkpoint recorder wraps the memory system; the reply
-    log needs the strict per-reference stream, so no windows may open —
-    and the checkpointed result matches both the speculate-off
+    log needs the strict per-reference stream, so nothing extends the
+    horizon — and the checkpointed result matches both the speculate-off
     checkpointed run and the plain speculate-on run."""
     build = FAULT_OFF_WORKLOADS["oltp"]
     path = str(tmp_path / "ck.pkl")
@@ -215,9 +149,9 @@ def test_speculation_denied_while_recording(tmp_path):
 
 
 def test_checkpoint_resume_with_speculation_on(tmp_path):
-    """Crash + resume with speculation enabled reproduces the
-    uninterrupted strict run: replayed and recorded stretches deny
-    windows, and speculation is timing-neutral anyway."""
+    """Crash + resume at default knobs reproduces the uninterrupted
+    strict run: replayed and recorded stretches deny windows, and the
+    knob is timing-neutral anyway."""
     build = FAULT_OFF_WORKLOADS["dss"]
     baseline, _ = _run(build, **STRICT)
     path = str(tmp_path / "ck.pkl")
@@ -271,6 +205,36 @@ def test_worker_speculation_multi_worker_identity():
     snap_spec, _ = _run_parallel(3, worker_lease=2, speculate=True)
     snap_none, _ = _run_parallel(3, worker_lease=0, speculate=False)
     assert snap_spec == snap_none
+
+
+def test_adaptive_quantum_and_stand_down():
+    """The tail quantum stays within its adaptive bounds, and a run capped
+    at one consecutive rollback stands down permanently — without
+    affecting the simulated results."""
+    snap_on, eng_on = _run_parallel(2, worker_lease=2, speculate=True)
+    assert (eng_on._spec_quantum_min <= eng_on._spec_quantum
+            <= eng_on._spec_quantum_max)
+    bs = eng_on.batch_stats
+    assert bs["sp_commits"] + bs["sp_rollbacks"] == bs["sp_windows"]
+
+    snap_capped, eng_capped = _run_parallel(2, worker_lease=2,
+                                            speculate=True,
+                                            speculate_max_rollbacks=1)
+    assert snap_capped == snap_on
+    if eng_capped.batch_stats["sp_rollbacks"]:
+        assert not eng_capped._spec_on
+
+
+def test_speculate_quantum_knob():
+    """An explicit quantum is honoured as the starting tail length."""
+    eng = ParallelEngine(complex_backend(num_cpus=2, speculate=True,
+                                         speculate_quantum=512))
+    with eng:
+        assert eng._spec_quantum == 512
+    snap_q, _ = _run_parallel(2, worker_lease=2, speculate=True,
+                              speculate_quantum=512)
+    snap_off, _ = _run_parallel(2, worker_lease=0, speculate=False)
+    assert snap_q == snap_off
 
 
 def test_worker_killed_mid_speculation(monkeypatch):
