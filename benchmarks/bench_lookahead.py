@@ -127,11 +127,8 @@ def _sweep_worker_batch(passes):
     end_cycles = set()
     for wb in SWEEP_BATCHES:
         SimProcess._next_pid[0] = 1
-        # speculate=False: conservative leases only (a speculative
-        # tail's commit/rollback split depends on the wall clock)
         eng = ParallelEngine(complex_backend(num_cpus=2, worker_lease=4,
-                                             worker_batch=wb,
-                                             speculate=False))
+                                             worker_batch=wb))
         with eng:
             for i, prog in enumerate(progs):
                 eng.spawn_worker(WorkerSpec(f"w{i}", prog))

@@ -25,7 +25,6 @@ from .log import RecordingMemory, ReplayMemory
 from .manager import (CheckpointManager, checkpoint_exists, generation_paths,
                       load_checkpoint, quarantine_checkpoint, resume,
                       write_checkpoint_file)
-from .micro import SpecOverlay
 from .snapshot import collect_snapshot, install_snapshot, verify_snapshot
 
 __all__ = [
@@ -34,7 +33,6 @@ __all__ = [
     "generation_paths",
     "quarantine_checkpoint",
     "write_checkpoint_file",
-    "SpecOverlay",
     "RecordingMemory",
     "ReplayMemory",
     "collect_snapshot",

@@ -284,21 +284,6 @@ class SimConfig:
     #: windows with functional fast-forward. None = full detail (default);
     #: sampled runs are approximate — see SamplingConfig.
     sampling: Optional[SamplingConfig] = None
-    #: speculative worker-lease tails (ParallelEngine only — the inline
-    #: engine never reads the three ``speculate*`` fields: it extends the
-    #: horizon one way, by the up-front qualified window that ``lookahead``
-    #: gates). A leased worker keeps pre-timing past its granted window
-    #: into ``[T, T + speculate_quantum)``; the fold validates that tail
-    #: against what the rivals streamed meanwhile and commits it or has it
-    #: re-streamed as ordinary events (bit-identical either way — see
-    #: DESIGN.md "Worker leases"). Needs ``lookahead`` and ``worker_lease``.
-    speculate: bool = True
-    #: tail length in cycles past the lease window. 0 = auto: start from
-    #: the lookahead scale and adapt — halve on rollback, double on commit.
-    speculate_quantum: int = 0
-    #: consecutive tail rollbacks tolerated before tails are turned off for
-    #: the rest of the run (a thrash guard; 0 = never)
-    speculate_max_rollbacks: int = 64
 
     def validate(self) -> "SimConfig":
         if self.num_cpus <= 0:
@@ -315,10 +300,6 @@ class SimConfig:
             raise ConfigError("worker_batch must be positive")
         if self.worker_lease < 0:
             raise ConfigError("worker_lease must be >= 0")
-        if self.speculate_quantum < 0:
-            raise ConfigError("speculate_quantum must be >= 0")
-        if self.speculate_max_rollbacks < 0:
-            raise ConfigError("speculate_max_rollbacks must be >= 0")
         if self.faults is not None:
             self.faults.validate()
         if self.checkpoint_interval < 0:

@@ -99,8 +99,9 @@ class Engine:
         #: batched-pipeline observability: batches consumed, references
         #: consumed, and why each consume loop stopped; ``la_windows`` /
         #: ``la_refs`` count granted lookahead windows and references
-        #: consumed beyond the strict rival horizon. The ``sp_*`` keys are
-        #: ParallelEngine's speculative lease tails (0 on inline runs)
+        #: consumed beyond the strict rival horizon. The last four keys
+        #: stay 0: nothing writes them, ``benchmarks/e2e/bench.py`` reads
+        #: them (the next ``benchmark`` PR drops both)
         self.batch_stats: Dict[str, int] = {
             "batches": 0, "refs": 0, "completed": 0,
             "cut_horizon": 0, "cut_budget": 0, "cut_intr": 0,

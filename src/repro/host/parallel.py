@@ -26,9 +26,13 @@ a private mirror — but only references that satisfy the L1 fast-path
 full-hit predicate, which touch nothing outside the issuer's private state
 (see DESIGN.md, "Conservative lookahead windows") — and reports the result
 as one pre-timed delta (``"pr"``) instead of dozens of event messages.
-``T`` is the earliest cycle at which any rival frontend or backend task
-could act at all, so the strict engine would have processed those
-references back-to-back anyway: the reported timing is bit-identical.
+``T`` is the earliest cycle at which a backend task could run or a rival
+frontend could act *visibly* — its parked event and already-harvested
+stream are walked through their own L1 hits (``_rival_stream_bound``), and
+L1 hits of different frontends commute — so the reported timing is
+bit-identical to the strict schedule's. Requests are denied while anything
+needs the strict per-reference stream: checkpointing, a memory tap, bounded
+stepping, an installed sampler.
 
 Conservative ordering
 ---------------------
@@ -54,7 +58,6 @@ from collections import deque
 from multiprocessing.connection import Connection, wait as conn_wait
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..checkpoint.micro import SpecOverlay
 from ..core import events as ev
 from ..core.engine import Engine
 from ..core.errors import HostError
@@ -64,7 +67,6 @@ from ..core.stats import StatsRegistry
 from ..isa.assembler import assemble
 from ..isa.interpreter import Interpreter, Machine
 from ..isa.memory import DataMemory
-from ..mem import hierarchy as _hier
 from ..mem.hierarchy import KERNEL_BASE, MemorySystem
 
 #: sentinel yielded by the proxy while its worker computes ahead
@@ -98,25 +100,6 @@ def _decode_reply(msg) -> object:
     return msg[1]
 
 
-def _finish_drain(conn: Connection, t0: int, n_mem: int, n_adv: int,
-                  n_lines: int, t1: int, li1: int, touched: dict,
-                  flips: list, ov, t: int) -> None:
-    """Send a drain result; when it carries a non-empty speculative tail,
-    block for the backend's commit/rollback verdict and re-stream the
-    buffered tail references as ordinary events on rollback (they get
-    authoritative backend timing, which — the mirror being exact — equals
-    the speculated timing, so either verdict yields identical results)."""
-    if ov is not None and (ov.n_mem or ov.n_adv):
-        conn.send(("pr", n_mem, n_adv, n_lines, t1 - t0, li1,
-                   touched, flips, ov.payload(t - t1)))
-        verdict = conn.recv()
-        if verdict[0] != "sc":
-            conn.send(("b", ov.refs))
-    else:
-        conn.send(("pr", n_mem, n_adv, n_lines, t1 - t0, li1,
-                   touched, flips, None))
-
-
 def _drain_lease(conn: Connection, gen, m, grant: tuple):
     """Consume fire-and-forget events worker-side under a granted lease.
 
@@ -130,24 +113,11 @@ def _drain_lease(conn: Connection, gen, m, grant: tuple):
     slow path — or would issue at or past the window end — stops the
     drain; it is returned *unconsumed* (its pending delta still in
     ``m.pending``) for normal streaming. The drain result goes back as
-    one ``"pr"`` message.
-
-    When the grant carries a speculation window ``[T, T_spec)`` the drain
-    keeps going optimistically past ``T``: tail mutations are redirected
-    into a :class:`SpecOverlay` (the committed ``touched`` dict aliases
-    the live mirror lists, so the tail must not write through them) and
-    every tail reference is buffered. The ``"pr"`` then carries the tail
-    as a second payload and the worker blocks for the backend's
-    commit/rollback verdict (see ``_finish_drain``).
-
-    ``cap`` bounds how many events the drain may consume (0 = unbounded);
-    fast-forward sampling grants use it to stop at the sampling-window
-    boundary. On program end (StopIteration) the ``"pr"`` — and any
-    verdict exchange — happens before the exception propagates, so the
-    exit message follows in stream order.
+    one ``"pr"`` message — on program end before the StopIteration
+    propagates, so the exit message follows in stream order.
     """
     (_, t0, T, states, sets, utable, pshift, pmask, lshift, smask,
-     nsets, l1_lat, T_spec, cap, _ff) = grant
+     nsets, l1_lat) = grant
     sget = states.get
     uget = utable.get
     t = t0
@@ -157,18 +127,14 @@ def _drain_lease(conn: Connection, gen, m, grant: tuple):
     n_mem = n_adv = n_lines = 0
     touched: dict = {}
     flips: list = []
-    left = cap if cap > 0 else (1 << 62)
-    ov = None
-    t1 = t0
-    li1 = t0
+    ended = None
     try:
         evt = gen.send(0)
-        while True:         # committed window [t0, T)
+        while True:
             k = evt.kind
-            if k > 3 or left <= 0:   # control event: stream it normally
+            if k > 3:           # control event: stream it normally
                 break
-            delta = m.pending
-            nt = t + delta
+            nt = t + m.pending
             if nt >= T:
                 break
             if k == 3:          # ADVANCE: a poll point, zero latency
@@ -176,7 +142,6 @@ def _drain_lease(conn: Connection, gen, m, grant: tuple):
                 t = nt
                 last_issue = nt
                 n_adv += 1
-                left -= 1
                 evt = gen.send(0)
                 continue
             vaddr = evt.addr
@@ -187,8 +152,7 @@ def _drain_lease(conn: Connection, gen, m, grant: tuple):
                 break
             paddr = (ppn << pshift) | (vaddr & pmask)
             line = paddr >> lshift
-            size = evt.size
-            last = (paddr + (size or 1) - 1) >> lshift
+            last = (paddr + (evt.size or 1) - 1) >> lshift
             ok = True
             sts = []
             l = line
@@ -219,161 +183,12 @@ def _drain_lease(conn: Connection, gen, m, grant: tuple):
             n_mem += 1
             n_lines += nlines
             evt = gen.send(0)
-        t1 = t
-        li1 = last_issue
-        if T_spec > T:
-            # speculative tail [T, T_spec): same qualification, same
-            # timing, but mutations go into the overlay and references
-            # are buffered for re-streaming on rollback. Qualifying
-            # against the committed mirror stays exact: overlay flips
-            # only ever raise 2 -> 3, which cannot change line presence
-            # or the write predicate, and LRU order never affects the
-            # fast path.
-            ov = SpecOverlay()
-            ov.last_issue = li1
-            while True:
-                k = evt.kind
-                if k > 3 or left <= 0:
-                    break
-                delta = m.pending
-                nt = t + delta
-                if nt >= T_spec:
-                    break
-                if k == 3:
-                    m.pending = 0
-                    t = nt
-                    ov.last_issue = nt
-                    ov.n_adv += 1
-                    ov.refs.append((k, evt.addr, evt.size, delta))
-                    left -= 1
-                    evt = gen.send(0)
-                    continue
-                vaddr = evt.addr
-                if vaddr >= KERNEL_BASE:
-                    break
-                ppn = uget(vaddr >> pshift)
-                if ppn is None:
-                    break
-                paddr = (ppn << pshift) | (vaddr & pmask)
-                line = paddr >> lshift
-                size = evt.size
-                last = (paddr + (size or 1) - 1) >> lshift
-                ok = True
-                sts = []
-                l = line
-                while l <= last:
-                    st = sget(l)
-                    if st is None or (k != 0 and st < 2):
-                        ok = False
-                        break
-                    sts.append(st)
-                    l += 1
-                if not ok:
-                    break
-                nlines = last - line + 1
-                for j in range(nlines):
-                    l = line + j
-                    idx = l & smask if smask >= 0 else l % nsets
-                    s = ov.set_list(idx, sets)
-                    if s[0] != l:
-                        s.remove(l)
-                        s.insert(0, l)
-                    if k != 0 and sts[j] == 2 and l not in ov.states:
-                        ov.states[l] = 3
-                m.pending = 0
-                t = nt + l1_lat * nlines + (4 if k == 2 else 0)
-                ov.last_issue = nt
-                ov.n_mem += 1
-                ov.n_lines += nlines
-                ov.refs.append((k, vaddr, size, delta))
-                left -= 1
-                evt = gen.send(0)
-    except StopIteration:
-        if ov is None:
-            t1, li1 = t, last_issue
-        _finish_drain(conn, t0, n_mem, n_adv, n_lines, t1, li1,
-                      touched, flips, ov, t)
-        raise
-    _finish_drain(conn, t0, n_mem, n_adv, n_lines, t1, li1,
-                  touched, flips, ov, t)
-    return evt
-
-
-def _drain_lease_ff(conn: Connection, gen, m, grant: tuple):
-    """Fast-forward-mode lease drain (sampling's functional warming).
-
-    Instead of an L1 mirror the grant carries the calibrated
-    constant-latency chain ``(base, frac, err0)``; the worker replicates
-    ``MemorySystem._ff_access`` exactly — translate, charge ``base``
-    cycles plus the fractional-error carry (+4 for atomics) — and buffers
-    the touched line runs so the backend can warm its caches in one bulk
-    ``_ff_warm`` fold. The first untranslated or kernel reference stops
-    the drain (those may allocate pages or fault — backend work). No
-    speculative tail: fast-forward timing has no rival-visible state to
-    speculate against, and the error accumulator makes drains singletons
-    anyway (the backend grants at most one at a time).
-    """
-    (_, t0, T, _states, _sets, utable, pshift, pmask, lshift, _smask,
-     _nsets, _l1_lat, _T_spec, cap, ff) = grant
-    base, frac, err = ff
-    uget = utable.get
-    t = t0
-    last_issue = t0
-    n_mem = n_adv = 0
-    left = cap if cap > 0 else (1 << 62)
-    line0s: list = []
-    nls: list = []
-    wrs: list = []
-    try:
-        evt = gen.send(0)
-        while True:
-            k = evt.kind
-            if k > 3 or left <= 0:
-                break
-            delta = m.pending
-            nt = t + delta
-            if nt >= T:
-                break
-            if k == 3:
-                m.pending = 0
-                t = nt
-                last_issue = nt
-                n_adv += 1
-                left -= 1
-                evt = gen.send(0)
-                continue
-            vaddr = evt.addr
-            if vaddr >= KERNEL_BASE:
-                break
-            ppn = uget(vaddr >> pshift)
-            if ppn is None:
-                break
-            paddr = (ppn << pshift) | (vaddr & pmask)
-            line = paddr >> lshift
-            size = evt.size
-            last = (paddr + (size or 1) - 1) >> lshift
-            lat = base
-            err += frac
-            if err >= 1.0:
-                err -= 1.0
-                lat += 1
-            if k == 2:
-                lat += 4
-            line0s.append(line)
-            nls.append(last - line + 1)
-            wrs.append(k != 0)
-            m.pending = 0
-            t = nt + lat
-            last_issue = nt
-            n_mem += 1
-            left -= 1
-            evt = gen.send(0)
-    except StopIteration:
-        conn.send(("pr", n_mem, n_adv, 0, t - t0, last_issue,
-                   ("ff", line0s, nls, wrs, err), [], None))
-        raise
-    conn.send(("pr", n_mem, n_adv, 0, t - t0, last_issue,
-               ("ff", line0s, nls, wrs, err), [], None))
+    except StopIteration as si:
+        ended = si
+    conn.send(("pr", n_mem, n_adv, n_lines, t - t0, last_issue,
+               touched, flips))
+    if ended is not None:
+        raise ended
     return evt
 
 
@@ -424,10 +239,7 @@ def _worker_main(conn: Connection, spec_name: str, program_text: str,
                         conn.send(("lr",))
                         grant = conn.recv()
                         if grant[0] == "lg":
-                            if grant[14] is not None:
-                                evt = _drain_lease_ff(conn, gen, m, grant)
-                            else:
-                                evt = _drain_lease(conn, gen, m, grant)
+                            evt = _drain_lease(conn, gen, m, grant)
                             continue
             else:
                 full_runs = 0
@@ -519,22 +331,6 @@ class ParallelEngine(Engine):
                               if self._lease_on else 0)
         #: a granted window shorter than this is not worth the snapshot
         self.lease_min_window = 64
-        #: speculative lease tails (``SimConfig.speculate*``): a worker
-        #: keeps pre-timing past its window into ``[T, T + quantum)`` and
-        #: the fold commits or rolls that tail back (see _lease_decision /
-        #: _apply_pretimed). The quantum adapts — doubles on a commit,
-        #: halves on a rollback, clamped to [base/16, 64*base] — and
-        #: ``speculate_max_rollbacks`` consecutive rollbacks turn tails off
-        #: for the rest of the run.
-        self._spec_on = bool(getattr(cfg, "speculate", True)
-                             and self.memsys._fast_on)
-        _q = getattr(cfg, "speculate_quantum", 0) or self._lookahead_cycles
-        self._spec_quantum = _q
-        self._spec_quantum_min = max(64, _q >> 4)
-        self._spec_quantum_max = _q << 6
-        self._spec_row = 0
-        self._spec_max_rollbacks = getattr(cfg, "speculate_max_rollbacks",
-                                           64)
         #: pre-timed events to drain from the run loop's event budget
         self._pretimed = 0
         #: run-bound caps for lease windows, stashed by run()
@@ -543,13 +339,6 @@ class ParallelEngine(Engine):
         self.batch_stats.setdefault("leases", 0)
         self.batch_stats.setdefault("lease_refs", 0)
         self.batch_stats.setdefault("lease_denied", 0)
-        self.batch_stats.setdefault("ff_leases", 0)
-        #: leases granted whose "pr" fold has not arrived yet.
-        #: Fast-forward grants must be singletons — the calibrated
-        #: latency chain threads one global fractional-error accumulator
-        #: through every reference, so only one drain may consume it at
-        #: a time — and are denied while any lease is outstanding.
-        self._lease_open = 0
         # -- worker supervision knobs ------------------------------------
         #: restarts allowed per worker before giving up with a HostError
         self.max_worker_restarts = 2
@@ -627,20 +416,7 @@ class ParallelEngine(Engine):
                 # simulation is exactly at the worker's position — decide
                 # and answer without yielding. Recorded like a control
                 # reply so crash replay re-answers it identically.
-                enc = self._lease_decision(w)
-                if w.restartable:
-                    w.control_replies.append(enc)
-                    if (len(w.control_replies) > self.replay_log_limit
-                            and w.streamed >= w.skip):
-                        w.restartable = False
-                        w.control_replies.clear()
-                        w.reply_cursor = 0
-                if w.streamed >= w.skip:
-                    try:
-                        w.conn.send(enc)
-                    except (BrokenPipeError, OSError):
-                        self._worker_failed(
-                            w, "pipe closed while answering a lease request")
+                self._answer(w, self._lease_decision(w), "a lease request")
             elif tag == "pr":
                 # pre-timed drain result: fold it into the proxy's clock
                 # and the backend caches, no yield (the engine never saw
@@ -651,28 +427,31 @@ class ParallelEngine(Engine):
                                                 msg[4], msg[5])
                 clock.pending += delta
                 reply = yield ev.Event(kind, addr, size, arg)
-                # record before sending: whether the send succeeds or the
-                # worker dies mid-flight, the reply is available for replay
-                enc = _encode_reply(reply)
-                if w.restartable:
-                    w.control_replies.append(enc)
-                    if (len(w.control_replies) > self.replay_log_limit
-                            and w.streamed >= w.skip):
-                        # log too large to keep replaying; not mid-replay,
-                        # so it is safe to drop it and give up restarts
-                        w.restartable = False
-                        w.control_replies.clear()
-                        w.reply_cursor = 0
-                if w.streamed >= w.skip:
-                    # the worker is past the replay frontier and blocked in
-                    # recv on the current pipe
-                    try:
-                        w.conn.send(enc)
-                    except (BrokenPipeError, OSError):
-                        self._worker_failed(
-                            w, "pipe closed while sending a control reply")
-                # else: a restarted worker has not re-reached this control
-                # yet; _ingest sends the recorded reply when it does
+                self._answer(w, _encode_reply(reply), "a control reply")
+
+    def _answer(self, w: _Worker, enc: tuple, what: str) -> None:
+        """Answer a blocked worker: a control reply or a lease decision.
+
+        Recorded before sending — whether the send succeeds or the worker
+        dies mid-flight, the answer is available for crash replay."""
+        if w.restartable:
+            w.control_replies.append(enc)
+            if (len(w.control_replies) > self.replay_log_limit
+                    and w.streamed >= w.skip):
+                # log too large to keep replaying; not mid-replay, so it
+                # is safe to drop it and give up restarts
+                w.restartable = False
+                w.control_replies.clear()
+                w.reply_cursor = 0
+        if w.streamed >= w.skip:
+            # the worker is past the replay frontier and blocked in recv
+            # on the current pipe
+            try:
+                w.conn.send(enc)
+            except (BrokenPipeError, OSError):
+                self._worker_failed(w, f"pipe closed while sending {what}")
+        # else: a restarted worker has not re-reached this request yet;
+        # _ingest sends the recorded answer when it does
 
     # -- harvest -------------------------------------------------------------
 
@@ -771,11 +550,9 @@ class ParallelEngine(Engine):
             # message was consumed before the crash — discard it, but
             # answer re-sent controls (and lease requests — the recorded
             # grant carries the original snapshot, so the re-run drain is
-            # deterministic — and speculation verdicts, on which the
-            # re-drained worker blocks again) from the recorded reply log
+            # deterministic) from the recorded reply log
             w.streamed += 1
-            if msg[0] in ("c", "lr") or (msg[0] == "pr"
-                                         and msg[8] is not None):
+            if msg[0] in ("c", "lr"):
                 if w.reply_cursor < len(w.control_replies):
                     enc = w.control_replies[w.reply_cursor]
                     w.reply_cursor += 1
@@ -800,23 +577,24 @@ class ParallelEngine(Engine):
         A grant is safe only when (a) every reference the worker will
         drain can be timed from its own private L1 state — enforced
         reference-by-reference worker-side via the fast-path predicate —
-        and (b) nothing else can act before the window's end ``T``: no
-        backend task, no rival frontend event (with the pid tie-break),
-        and no pending delivery for this frontend. Anything that needs
-        the strict per-reference stream (checkpoint recording/replay,
-        memory taps, bounded max_events stepping) denies outright.
+        and (b) nothing else can act *visibly* before the window's end
+        ``T``: no backend task, no rival frontend (``_rival_stream_bound``,
+        with the pid tie-break), and no pending delivery for this
+        frontend. Anything that needs the strict per-reference stream
+        (checkpoint recording/replay, memory taps, bounded max_events
+        stepping, a sampler switching timing modes by event count) denies
+        outright.
         """
         p = w.proc
         ms = self.memsys
         if (not self._lease_on or self._ckpt is not None
+                or self._sampler is not None
                 or ms.__class__ is not MemorySystem
                 or "access" in ms.__dict__ or not ms._fast_on
                 or self._run_budget_capped
                 or p is None or p.cpu < 0 or p.kernel_mode
-                or p.pending_batches):
-            self.batch_stats["lease_denied"] += 1
-            return ("ld",)
-        if self._delivery_due(p, self.comm.cpus[p.cpu]):
+                or p.pending_batches
+                or self._delivery_due(p, self.comm.cpus[p.cpu])):
             self.batch_stats["lease_denied"] += 1
             return ("ld",)
         t0 = p.vtime + p.clock.pending
@@ -828,68 +606,22 @@ class ParallelEngine(Engine):
         for q in self.comm.running():
             if q is p:
                 continue
-            e = q.port_event
-            # a computing rival's next event can be no earlier than its
-            # published virtual time plus accumulated pending cycles
-            b = e.time if e is not None else q.vtime + q.clock.pending
+            b = self._rival_stream_bound(q, T)
             if pid < q.pid:
                 b += 1
             if b < T:
                 T = b
-        cpu = p.cpu
-        sp = ms._spaces.get(p.pid)
-        utable = dict(sp.table) if sp is not None else {}
-        if ms.ff_active:
-            if T - t0 < self.lease_min_window:
-                self.batch_stats["lease_denied"] += 1
-                return ("ld",)
-            # fast-forward sampling mode: grant a calibrated-latency
-            # drain instead (see _drain_lease_ff). Deny without numpy
-            # (the fold needs the bulk _ff_warm path), while any other
-            # lease is outstanding (the error accumulator is global), or
-            # when the sampling window is about to switch; ``cap`` stops
-            # the drain exactly at the window's event-count boundary.
-            sam = self._sampler
-            cap = 0
-            if sam is not None:
-                cap = sam._next_switch - self.events_processed
-            if (_hier._np is None or self._lease_open
-                    or (sam is not None and cap <= 0)):
-                self.batch_stats["lease_denied"] += 1
-                return ("ld",)
-            self._lease_open += 1
-            return ("lg", t0, T, {}, [], utable,
-                    ms._page_shift, ms._page_mask, ms._line_shift,
-                    ms._l1_set_mask, ms._l1_nsets, ms._l1_latency,
-                    T, cap, (ms._ff_base, ms._ff_frac, ms._ff_err))
-        T_spec = T
-        if self._spec_on:
-            # optimistic tail: let the worker keep pre-timing past T into
-            # [T, T_spec); the fold validates post-hoc against what the
-            # rivals actually streamed in the meantime and rolls the tail
-            # back if one could have intervened. Capped by the next
-            # backend task and the run bound — crossing either would
-            # guarantee a rollback.
-            T_spec = T + self._spec_quantum
-            if t_task is not None and t_task < T_spec:
-                T_spec = t_task
-            if self._run_until < T_spec:
-                T_spec = self._run_until
-        if T_spec - t0 < self.lease_min_window:
-            # too small even with the optimistic tail: this is where the
-            # conservative-only leases stall on symmetric workloads —
-            # rival bounds sit a few dozen cycles out — and exactly what
-            # speculation exists to break through
+        if T - t0 < self.lease_min_window:
             self.batch_stats["lease_denied"] += 1
             return ("ld",)
-        self._lease_open += 1
+        cpu = p.cpu
+        sp = ms._spaces.get(pid)
         return ("lg", t0, T,
                 dict(ms._l1_states[cpu]),
                 [list(s) for s in ms._l1_sets[cpu]],
-                utable,
+                dict(sp.table) if sp is not None else {},
                 ms._page_shift, ms._page_mask, ms._line_shift,
-                ms._l1_set_mask, ms._l1_nsets, ms._l1_latency,
-                T_spec, 0, None)
+                ms._l1_set_mask, ms._l1_nsets, ms._l1_latency)
 
     def _apply_pretimed(self, w: _Worker, msg: tuple) -> None:
         """Fold a worker's ``"pr"`` drain result into the backend.
@@ -899,112 +631,26 @@ class ParallelEngine(Engine):
         EXCLUSIVE->MODIFIED flips (mirrored into the inclusive L2) and
         the commutative hit/access counters — exactly what the strict
         engine would have produced processing them one event at a time.
-        A fast-forward drain (``touched`` is a tagged tuple) folds
-        through the bulk ``_ff_warm`` path instead.
-
-        A speculative tail rides in ``spec``: it is validated *now* —
-        the Time Warp commit point — against everything the rivals have
-        streamed since the grant, and the commit/rollback verdict is
-        sent back to the worker blocked on it. Either verdict yields
-        bit-identical simulated results (a rolled-back tail is
-        re-streamed and re-timed to the same values), so the wall-clock
-        dependence of the verdict is observability-only.
         """
-        (_, n_mem, n_adv, n_lines, advance, last_issue, touched, flips,
-         spec) = msg
+        _, n_mem, n_adv, n_lines, advance, last_issue, touched, flips = msg
         p = w.proc
         ms = self.memsys
         cpu = p.cpu
-        bs = self.batch_stats
-        if self._lease_open:
-            self._lease_open -= 1
-        if isinstance(touched, tuple):      # fast-forward-mode drain
-            _tag, line0s, nls, wrs, err = touched
-            if n_mem:
-                np_ = _hier._np
-                ms._ff_warm(cpu, np_.array(line0s, dtype=np_.int64),
-                            np_.array(nls, dtype=np_.int64),
-                            np_.array(wrs, dtype=bool))
-                ms.accesses += n_mem
-                ms.ff_refs += n_mem
-                ms._ff_err = err
-            bs["ff_leases"] += 1
-        else:
-            sets = ms._l1_sets[cpu]
-            for idx, lst in touched.items():
-                sets[idx][:] = lst
-            states = ms._l1_states[cpu]
-            l2s = ms._l2_states[cpu] if ms._l2_states is not None else None
-            for line in flips:
-                states[line] = 3
-                if l2s is not None and line in l2s:
-                    l2s[line] = 3
-            ms.l1s[cpu].hits += n_lines
-            ms.accesses += n_mem
-            ms.fast_hits += n_mem
-            bs["leases"] += 1
-        bs["lease_refs"] += n_mem
+        sets = ms._l1_sets[cpu]
+        for idx, lst in touched.items():
+            sets[idx][:] = lst
+        states = ms._l1_states[cpu]
+        l2s = ms._l2_states[cpu] if ms._l2_states is not None else None
+        for line in flips:
+            states[line] = 3
+            if l2s is not None and line in l2s:
+                l2s[line] = 3
+        ms.l1s[cpu].hits += n_lines
+        ms.accesses += n_mem
+        ms.fast_hits += n_mem
+        self.batch_stats["leases"] += 1
+        self.batch_stats["lease_refs"] += n_mem
         n = n_mem + n_adv
-        if spec is not None:
-            (n2_mem, n2_adv, n2_lines, advance2, last_issue2, touched2,
-             flips2) = spec
-            bs["sp_windows"] += 1
-            end2 = p.vtime + p.clock.pending + advance + advance2
-            ok = self._spec_verdict(p, end2)
-            enc = ("sc",) if ok else ("sv",)
-            # record before sending, exactly like control replies: a
-            # restarted worker re-blocks on the replayed "pr" and must
-            # get the original verdict back
-            if w.restartable:
-                w.control_replies.append(enc)
-                if (len(w.control_replies) > self.replay_log_limit
-                        and w.streamed >= w.skip):
-                    w.restartable = False
-                    w.control_replies.clear()
-                    w.reply_cursor = 0
-            if w.streamed >= w.skip:
-                try:
-                    w.conn.send(enc)
-                except (BrokenPipeError, OSError):
-                    self._worker_failed(
-                        w, "pipe closed while sending a speculation "
-                           "verdict")
-            if ok:
-                sets = ms._l1_sets[cpu]
-                for idx, lst in touched2.items():
-                    sets[idx][:] = lst
-                states = ms._l1_states[cpu]
-                l2s = (ms._l2_states[cpu]
-                       if ms._l2_states is not None else None)
-                for line in flips2:
-                    states[line] = 3
-                    if l2s is not None and line in l2s:
-                        l2s[line] = 3
-                ms.l1s[cpu].hits += n2_lines
-                ms.accesses += n2_mem
-                ms.fast_hits += n2_mem
-                n += n2_mem + n2_adv
-                advance += advance2
-                last_issue = last_issue2
-                bs["sp_commits"] += 1
-                bs["sp_refs"] += n2_mem
-                bs["lease_refs"] += n2_mem
-                self._spec_row = 0
-                q2 = self._spec_quantum << 1
-                if q2 <= self._spec_quantum_max:
-                    self._spec_quantum = q2
-            else:
-                # the tail comes back as ordinary events ("b") right
-                # after the worker sees the verdict; shrink the window
-                # and stand down after too many consecutive misses
-                bs["sp_rollbacks"] += 1
-                q2 = self._spec_quantum >> 1
-                if q2 >= self._spec_quantum_min:
-                    self._spec_quantum = q2
-                self._spec_row += 1
-                if (self._spec_max_rollbacks
-                        and self._spec_row >= self._spec_max_rollbacks):
-                    self._spec_on = False
         if n:
             # materialise the drained span into virtual time directly (not
             # clock.pending): the program may exit before another event, and
@@ -1012,7 +658,7 @@ class ParallelEngine(Engine):
             # path drops trailing compute — but these cycles were *timed*
             # references. The global clock lands on the last issue time, as
             # advance_to would have per event; both are below the window
-            # end, hence below every rival event and backend task.
+            # end, hence below every visible rival action and backend task.
             p.vtime += p.clock.pending + advance
             p.clock.pending = 0
             self.gsched.advance_to(last_issue)
@@ -1020,66 +666,33 @@ class ParallelEngine(Engine):
         self.events_processed += n
         self._pretimed += n
 
-    def _spec_verdict(self, p: SimProcess, end2: int) -> bool:
-        """Validate a worker's speculative tail at fold time.
-
-        This is the Time Warp commit test: the tail holds iff no backend
-        task and no rival action can be ordered before its completion
-        ``end2`` (with the usual pid tie-break). Rival *parked* events
-        are frozen since the grant — the run loop blocks on the leased
-        worker, so nothing else has been processed — but rival pipes
-        kept delivering in wall-clock time; polling them first and
-        walking the queued streams is exactly the information gain that
-        lets optimistic windows commit where the conservative grant-time
-        bound had to stop.
-        """
-        t_task = self.gsched.next_time()
-        if t_task is not None and t_task < end2:
-            return False
-        self._poll_pipes()
-        pid = p.pid
-        for q in self.comm.running():
-            if q is p:
-                continue
-            b = self._rival_stream_bound(q, end2)
-            if pid < q.pid:
-                b += 1
-            if b < end2:
-                return False
-        return True
-
     def _rival_stream_bound(self, q: SimProcess, cap: int) -> int:
-        """Earliest cycle at which rival ``q`` could act *non-invisibly*,
-        walking its parked event and then its queued stream.
+        """Earliest cycle at which rival ``q`` could act *non-invisibly*:
+        the one rule that bounds a lease window.
 
-        Pending deliveries stop the walk, as in
-        ``Engine._invisible_bound``; unlike there, a *user-mode* proxy's
-        single references can be walked through (loads/stores qualified
-        with a read-only fast-path probe, ADVANCE poll points pure time —
-        the caller has already bounded every flag-setting channel),
-        because the code that follows them runs in the worker process and
-        cannot read this process's clock. The walk goes on through the
-        rival's already-delivered-but-unfolded message queue, clamped at
-        ``cap``. Every stop case returns a cycle the strict engine could
-        not order before.
+        A rival that is not a worker proxy, runs OS-server code or has a
+        delivery pending is bounded at its parked event (or, computing,
+        at its published virtual time): what follows runs in this process
+        and reads the global clock, as in ``Engine._invisible_bound``. A
+        *user-mode* proxy's single references can be walked through
+        (loads/stores qualified with a read-only fast-path probe, ADVANCE
+        poll points pure time), because the code that follows them runs
+        in the worker process and cannot read this process's clock. The
+        walk goes on through the rival's already-harvested message queue,
+        clamped at ``cap``. Every stop case returns a cycle the strict
+        engine could not order a visible action of ``q`` before.
         """
         t = q.vtime + q.clock.pending
         e = q.port_event
         if e is not None:
             t = e.time
-        if q.cpu < 0:
-            return t
-        if self._delivery_due(q, self.comm.cpus[q.cpu]):
+        w = self._workers.get(q.pid)
+        if (w is None or q.cpu < 0 or q.kernel_mode
+                or self._delivery_due(q, self.comm.cpus[q.cpu])):
             return t
         ms = self.memsys
         if e is not None:
-            if q.kernel_mode:
-                # OS-server code runs in this process: what follows the
-                # event reads the global clock (Engine._invisible_bound)
-                return t
             kind = e.kind
-            if kind == 9:
-                return ms.invisible_until(e.pid, q.cpu, e, cap)
             if kind > 3:
                 return t
             if kind != 3:
@@ -1090,9 +703,6 @@ class ParallelEngine(Engine):
                 t += lat
             if t >= cap:
                 return cap
-        w = self._workers.get(q.pid)
-        if w is None:
-            return t
         for msg in w.queue:
             tag = msg[0]
             if tag == "m":
@@ -1112,43 +722,13 @@ class ParallelEngine(Engine):
                 return t + msg[5]
             elif tag == "exit":
                 return t + msg[2]
-            elif tag == "pr" and msg[8] is None:
-                # a queued conservative drain result: all fast-path
-                # full hits (invisible), spanning ``advance`` cycles
+            elif tag == "pr":
+                # a queued drain result: all fast-path full hits
+                # (invisible), spanning ``advance`` cycles
                 t += msg[4]
             else:
                 return t
         return t
-
-    def _poll_pipes(self) -> None:
-        """Drain every ready worker pipe into its queue *without*
-        re-stepping any proxy (safe to call from inside a proxy step,
-        unlike ``_harvest``)."""
-        by_conn = {w.conn: w for w in self._workers.values()
-                   if w.alive and w.conn is not None}
-        if not by_conn:
-            return
-        ready = conn_wait(list(by_conn), timeout=0)
-        for c in ready:
-            w = by_conn.get(c)
-            if w is None or not w.alive or w.conn is not c:
-                continue
-            try:
-                while c.poll():
-                    msg = c.recv()
-                    if msg[0] == "b":
-                        ok = True
-                        for kind, addr, size, delta in msg[1]:
-                            if not self._ingest(w, ("m", kind, addr, size,
-                                                    delta)):
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    elif not self._ingest(w, msg):
-                        break
-            except (EOFError, OSError):
-                self._worker_failed(w, "worker pipe closed unexpectedly")
 
     # -- supervision ---------------------------------------------------------
 

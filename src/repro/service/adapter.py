@@ -13,9 +13,12 @@ or replayed by the golden regression fleet.
 
 from __future__ import annotations
 
+from dataclasses import fields
+from inspect import signature
 from typing import Any, Dict, Optional
 
-from ..core.config import SamplingConfig, complex_backend, simple_backend
+from ..core.config import (SamplingConfig, SimConfig, complex_backend,
+                           simple_backend)
 from ..core.errors import ConfigError
 from ..core.frontend import SimProcess
 from ..core.jsonable import to_jsonable
@@ -32,13 +35,24 @@ def make_config_factory(config: Optional[Dict[str, Any]] = None):
     dict forms (:meth:`FaultPlan.to_dict`, ``SamplingConfig`` kwargs) so
     job specs stay JSON-plain. Builder-supplied kwargs (``num_cpus``,
     ``coherence``…) win over the config dict: workloads pin their own
-    architecture where it is part of the workload's identity.
+    architecture where it is part of the workload's identity. Keys are
+    checked here, when the factory is built: a misspelt or removed knob
+    is a :class:`ConfigError` naming it, not a ``TypeError`` out of the
+    first workload that calls the factory.
     """
     config = dict(config or {})
     backend = config.pop("backend", "complex")
     if backend not in ("complex", "simple"):
         raise ConfigError(f"unknown backend constructor {backend!r}")
     base = complex_backend if backend == "complex" else simple_backend
+    known = {f.name for f in fields(SimConfig)}
+    known.update(name for name, prm in signature(base).parameters.items()
+                 if prm.kind is not prm.VAR_KEYWORD)
+    unknown = sorted(set(config) - known)
+    if unknown:
+        raise ConfigError(
+            f"unknown config key {unknown[0]!r} for the {backend} backend; "
+            f"known keys: {sorted(known)}")
     faults = config.get("faults")
     if isinstance(faults, dict):
         config["faults"] = FaultPlan.from_dict(faults)

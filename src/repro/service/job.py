@@ -68,7 +68,7 @@ class JobSpec:
     #: attempts restart from scratch instead of resuming
     checkpoint_interval: int = 2_000
     #: after the last retry, try once more serially with every optimistic
-    #: knob (speculate/lookahead/vectorized) off before giving up
+    #: knob (lookahead/vectorized) off before giving up
     safe_mode_fallback: bool = True
     #: deterministic failure injection for tests/CI: ``kill_at_events``
     #: (child SIGKILLs itself at that event count, on the attempts listed

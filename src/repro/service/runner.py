@@ -22,7 +22,7 @@ preempted, or externally SIGKILLed job *resumes from its last autosave*
 instead of restarting, and the checkpoint layer guarantees the resumed
 run is bit-identical to an undisturbed one. When the retry budget runs
 out, one last "safe mode" attempt runs with every optimistic knob
-(speculate / lookahead / vectorized) off and checkpointing disabled —
+(lookahead / vectorized) off and checkpointing disabled —
 those knobs are bit-identical by contract, so a safe-mode success still
 produces the canonical fingerprint, just slower; it terminates the job
 as ``DEGRADED`` rather than ``DONE`` so fleets can alert on it.
@@ -52,8 +52,7 @@ except ValueError:                             # non-POSIX host
     _ctx = mp.get_context()
 
 #: knobs forced off by a safe-mode attempt (all bit-identical on/off)
-SAFE_MODE_OVERRIDES = {"speculate": False, "lookahead": False,
-                       "vectorized": False}
+SAFE_MODE_OVERRIDES = {"lookahead": False, "vectorized": False}
 
 
 # ---------------------------------------------------------------------------

@@ -321,10 +321,9 @@ class TestParallelResume:
 
 
 class TestSamplingSpeculationResume:
-    """``sampling`` and ``speculate`` enabled *together* (previously only
-    covered separately): the sampled schedule must survive a crash and
-    resume even when the kill lands inside a fast-forward window, and the
-    speculate knob must not perturb a sampled run."""
+    """``sampling`` and ``lookahead`` enabled *together*: the sampled
+    schedule must survive a crash and resume even when the kill lands
+    inside a fast-forward window."""
 
     #: short detail windows, long ff windows: autosaves at an 800-event
     #: cadence land the second save (event 1600) inside the first ff
@@ -333,8 +332,8 @@ class TestSamplingSpeculationResume:
 
     def _factory(self, path, interval):
         def cfg(**kw):
-            return complex_backend(sampling=self.SC, speculate=True,
-                                   lookahead=True, checkpoint_path=path,
+            return complex_backend(sampling=self.SC, lookahead=True,
+                                   checkpoint_path=path,
                                    checkpoint_interval=interval, **kw)
         return cfg
 
@@ -357,19 +356,6 @@ class TestSamplingSpeculationResume:
         assert eng.memsys.ff_active
         eng2, stats2 = resume(path, lambda: build(self._factory(path, 800)))
         assert _full_fingerprint(eng2, stats2) == baseline
-
-    def test_speculate_knob_invisible_in_sampled_runs(self):
-        """Without checkpointing, speculation is live in detail windows
-        and stands down during ff — either way the sampled result must
-        be bit-identical to the speculate-off schedule."""
-        def run(speculate):
-            SimProcess._next_pid[0] = 1
-            eng = FAULT_OFF_WORKLOADS["splash"](
-                lambda **kw: complex_backend(sampling=self.SC,
-                                             speculate=speculate, **kw))
-            return _full_fingerprint(eng, eng.run())
-
-        assert run(True) == run(False)
 
 
 class TestComponentRoundTrips:

@@ -9,7 +9,7 @@ unless the goldens are deliberately regenerated::
     COMPASS_UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_golden.py
 
 Scenarios with a ``golden`` alias share another scenario's file: the
-strict-knob arms (speculation/lookahead/vectorized/fastpath off) must be
+strict-knob arms (lookahead/vectorized/fastpath off) must be
 *bit-identical* to the default arms, so pointing them at the same golden
 re-proves the equivalence contracts on every CI run.
 """
@@ -41,8 +41,7 @@ ERRNO_PLAN = FaultPlan(rules=(
 
 #: every optimistic/perf knob off — bit-identical to the defaults by
 #: contract, so these arms share the default arms' goldens
-STRICT = {"speculate": False, "lookahead": False, "vectorized": False,
-          "fastpath": False}
+STRICT = {"lookahead": False, "vectorized": False, "fastpath": False}
 
 #: the fleet: name, workload, config dict, optional golden alias
 SCENARIOS = [

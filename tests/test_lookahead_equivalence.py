@@ -30,8 +30,10 @@ import pytest
 from repro import (Engine, FaultPlan, FaultRule, SimulatedCrash, WaitToken,
                    checkpoint_exists,
                    complex_backend, resume)
+from repro.core.config import SamplingConfig
 from repro.core.frontend import SimProcess
 from repro.host import ParallelEngine, WorkerSpec
+from repro.host.parallel import _Worker
 from repro.mem.hierarchy import MemorySystem
 from repro.osim import kmem
 
@@ -208,8 +210,7 @@ def _batch_then_block(cfg):
 
 
 #: builders whose rivals run clock-reading host code right after an
-#: invisible reference (shared with test_speculation_equivalence.py's
-#: knob-arm check)
+#: invisible reference
 CLOCK_READERS = {"tpcc-checkpoint-bench": _tpcc_checkpoint_bench,
                  "hit-then-block": _hit_then_block,
                  "batch-then-block": _batch_then_block}
@@ -228,6 +229,23 @@ def test_window_never_outruns_a_rivals_invisible_reference(name, faults):
     snap_walk, _ = _run_inline(build, faults=faults, vectorized=False)
     snap_off, _ = _run_inline(build, faults=faults, lookahead=False)
     assert snap_on == snap_walk == snap_off
+
+
+@pytest.mark.parametrize("name", sorted(CLOCK_READERS))
+@pytest.mark.parametrize("faults", [None, TIMING_PLAN],
+                         ids=["plain", "faults"])
+def test_all_knob_arms_land_one_fingerprint(name, faults):
+    """Default knobs (windows qualified from the vec mirror), the scalar
+    qualifier, the strict schedule and both knobs off agree — on the
+    checkpoint bench's TPC-C (where default and strict used to end one
+    cycle apart) and on the hand-built rivals — and the two qualifiers
+    grant the same windows, not just the same result."""
+    build = CLOCK_READERS[name]
+    arms = [{}, {"vectorized": False}, {"lookahead": False},
+            {"vectorized": False, "lookahead": False}]
+    runs = [_run_inline(build, faults=faults, **arm) for arm in arms]
+    assert all(snap == runs[0][0] for snap, _ in runs)
+    assert runs[0][1].batch_stats == runs[1][1].batch_stats
 
 
 def test_lookahead_cycles_auto_derivation():
@@ -309,9 +327,6 @@ def test_checkpoint_resume_with_lookahead_on(tmp_path):
 # ---------------------------------------------------------------------------
 
 def _run_parallel(nworkers=1, prog=HOT_PROG, **cfg_kw):
-    # conservative leases only: the speculative tails ``speculate`` adds
-    # on top of them are test_speculation_equivalence.py's subject
-    cfg_kw.setdefault("speculate", False)
     SimProcess._next_pid[0] = 1
     eng = ParallelEngine(complex_backend(num_cpus=max(nworkers, 1),
                                          **cfg_kw))
@@ -463,3 +478,124 @@ def test_lease_denied_under_bounded_stepping():
     assert eng.batch_stats["leases"] == 0
     snap_strict, _ = _run_parallel(1, worker_lease=0)
     assert _snapshot(eng, stats) == snap_strict
+
+
+def test_sampler_denies_leases():
+    """A sampler switches timing modes by event count; a lease drains
+    through the switch with detail-mode timing (it used to move the
+    *simulated* result), so an installed sampler denies every request."""
+    sc = SamplingConfig(detail_events=2_000, ff_events=8_000)
+    snap_lease, eng_lease = _run_parallel(1, worker_lease=4, sampling=sc)
+    snap_strict, _ = _run_parallel(1, worker_lease=0, sampling=sc)
+    assert snap_lease == snap_strict
+    assert eng_lease.batch_stats["leases"] == 0
+    assert eng_lease.batch_stats["lease_denied"] > 0
+
+
+# ---------------------------------------------------------------------------
+# Layer 2: the grant rule (_rival_stream_bound), on hand-built state
+# ---------------------------------------------------------------------------
+
+HOT = 0x1_0000      # rival lines warmed into its L1 (MODIFIED)
+COLD = 0x5_0000     # mapped, never touched
+
+
+def _parked_pair():
+    """Lessee ``p`` (pid 1, CPU 0) and rival ``q`` (pid 2, CPU 1), each
+    parked on an L1-hit load past cycle 100 000; ``q`` is registered as a
+    worker proxy whose queue the test fills by hand."""
+    SimProcess._next_pid[0] = 1
+    eng = ParallelEngine(complex_backend(num_cpus=2, coherence="mesi",
+                                         num_nodes=1, worker_lease=4))
+
+    def app(base):
+        def run(proc):
+            yield from proc.store(base)
+            yield from proc.store(base + 32)
+            proc.compute(100_000)
+            yield from proc.load(base)
+            yield from proc.exit(0)
+        return run
+
+    p = eng.spawn("p", app(0x2_0000))
+    q = eng.spawn("q", app(HOT))
+    eng.run(until=50_000)
+    eng._run_until = eng._max_cycles + 1    # as an unbounded run() sets it
+    for proc in (p, q):
+        w = _Worker(WorkerSpec(proc.name, ""))
+        w.proc = proc
+        eng._workers[proc.pid] = w
+    return eng, p, q, eng._workers[q.pid]
+
+
+def test_rival_stream_bound_walks_hits_and_stops_at_visible_actions():
+    eng, p, q, wq = _parked_pair()
+    lat = eng.memsys._l1_latency
+    far = 1 << 40
+    t_e = q.port_event.time
+    bound = lambda cap=far: eng._rival_stream_bound(q, cap)
+
+    # the parked L1-hit load is walked through; nothing queued after it
+    assert bound() == t_e + lat
+    # L1-hit "m" messages and ADVANCE poll points are walked through ...
+    wq.queue.extend([("m", 0, HOT + 32, 4, 10),     # load hit
+                     ("m", 3, 0, 0, 5),             # ADVANCE
+                     ("m", 1, HOT, 4, 7)])          # store hit (MODIFIED)
+    t = t_e + lat + 10 + lat + 5 + 7 + lat
+    assert bound() == t
+    # ... a queued drain result spans its ``advance`` ...
+    wq.queue.append(("pr", 3, 0, 3, 40, t + 30, {}, []))
+    t += 40
+    assert bound() == t
+    # ... and the walk stops at the issue time of a reference that misses
+    wq.queue.append(("m", 0, COLD, 4, 3))
+    wq.queue.append(("m", 0, HOT, 4, 1_000))
+    assert bound() == t + 3
+    # a control or exit message bounds at its own issue time
+    del wq.queue[-1], wq.queue[-1]
+    wq.queue.append(("c", 4, 0, 0, None, 9))
+    assert bound() == t + 9
+    wq.queue[-1] = ("exit", 0, 11)
+    assert bound() == t + 11
+    # clamped at ``cap``: inside the queue walk, and at the parked event
+    assert bound(t_e + lat + 12) == t_e + lat + 12
+    assert bound(t_e) == t_e
+    # a miss on the parked event itself stops there
+    q.port_event.addr = COLD
+    assert bound() == t_e
+    q.port_event.addr = HOT
+
+    # a kernel-mode rival, one with a delivery due, and a rival that is
+    # not a worker proxy run host code that reads the global clock right
+    # after the reference: bounded at the parked event's own time
+    q.kernel_mode = True
+    assert bound() == t_e
+    q.kernel_mode = False
+    q.preempt_pending = True
+    assert bound() == t_e
+    q.preempt_pending = False
+    del eng._workers[q.pid]
+    assert bound() == t_e
+    eng.shutdown()
+
+
+def test_lease_window_reaches_past_a_rivals_parked_event():
+    """The grant is bounded by the first *visible* thing the rival can
+    do — here its queued control event — not by its parked L1 hit."""
+    eng, p, q, wq = _parked_pair()
+    wq.queue.extend([("m", 1, HOT + 32, 4, 500), ("c", 4, 0, 0, None, 500)])
+    grant = eng._lease_decision(eng._workers[p.pid])
+    assert grant[0] == "lg"
+    t0, T = grant[1], grant[2]
+    assert t0 == p.vtime + p.clock.pending
+    lat = eng.memsys._l1_latency
+    # pid 1 < pid 2: a tie at the bound goes to the lessee, hence the +1
+    assert T == q.port_event.time + lat + 500 + lat + 500 + 1
+    assert T > q.port_event.time
+    # with the rival's next reference a miss the window ends at the miss,
+    # too close to be worth a snapshot: denied
+    wq.queue.clear()
+    wq.queue.append(("m", 0, COLD, 4, 5))
+    assert eng._lease_decision(eng._workers[p.pid]) == ("ld",)
+    assert eng.batch_stats["lease_denied"] == 1
+    eng.shutdown()

@@ -10,8 +10,9 @@ import pytest
 
 from repro import FaultPlan, FaultRule, checkpoint_exists, complex_backend
 from repro.apps.splash import KERNELS
+from repro.core.errors import ConfigError
 from repro.service import (JobRunner, JobSpec, JobState, SimulatorAdapter,
-                           run_matrix)
+                           make_config_factory, run_matrix)
 from repro.service.workloads import WORKLOADS, full_fingerprint
 
 TIMING_PLAN = FaultPlan(rules=(
@@ -72,9 +73,9 @@ class TestSimulatorAdapter:
         """Plain-dict configs (with the FaultPlan dict form) build the
         same simulation as live objects."""
         via_dict = _direct_fingerprint(
-            "oltp", {"faults": TIMING_PLAN.to_dict(), "speculate": False})
+            "oltp", {"faults": TIMING_PLAN.to_dict(), "lookahead": False})
         via_obj = _direct_fingerprint(
-            "oltp", {"faults": TIMING_PLAN, "speculate": False})
+            "oltp", {"faults": TIMING_PLAN, "lookahead": False})
         assert via_dict == via_obj
 
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
@@ -90,9 +91,19 @@ class TestSimulatorAdapter:
                    for p in a.engine.comm.processes.values())
 
     def test_unknown_workload_refused(self):
-        from repro.core.errors import ConfigError
         with pytest.raises(ConfigError, match="unknown workload"):
             SimulatorAdapter().prepare(workload="nope")
+
+    def test_unknown_config_key_refused_when_factory_is_built(self):
+        """A misspelt knob is a ConfigError naming it — raised by
+        ``make_config_factory`` itself, not a ``TypeError`` out of the
+        first builder call — while builder kwargs stay accepted."""
+        with pytest.raises(ConfigError, match="'specluate'"):
+            make_config_factory({"specluate": False})
+        with pytest.raises(ConfigError, match="'num_nodes'"):
+            make_config_factory({"backend": "simple", "num_nodes": 2})
+        cfg = make_config_factory({"coherence": "mesi", "lookahead": False})
+        assert cfg(num_cpus=2).lookahead is False
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +206,26 @@ class TestChaos:
         assert rec.error["retries_used"] == 2
         assert rec.fingerprint is None
         assert json.loads(rec.to_json()) == rec.to_dict()
+
+    def test_removed_knob_in_spooled_spec_fails_structured(self, tmp_path):
+        """A journalled job spec that still carries a removed knob ends
+        FAILED with a ConfigError record naming the key — in the live
+        record and in the one recovered from the spool."""
+        spool_dir = str(tmp_path / "spool")
+        runner = JobRunner(spool_dir=spool_dir,
+                           workdir=str(tmp_path / "work"))
+        runner.submit(JobSpec(name="stale", workload="dss",
+                              config={"speculate": False}, max_retries=0,
+                              safe_mode_fallback=False))
+        rec = runner.run()["stale"]
+        runner._spool.close()
+        assert rec.state == JobState.FAILED
+        assert rec.error["last_error"]["type"] == "ConfigError"
+        assert "'speculate'" in rec.error["last_error"]["message"]
+        assert json.loads(rec.to_json()) == rec.to_dict()
+        recovered = JobRunner.recover(spool_dir)
+        assert recovered.queue.get("stale").to_dict() == rec.to_dict()
+        recovered._spool.close()
 
     def test_timeout_enforced(self, tmp_path):
         rec = run_matrix(
