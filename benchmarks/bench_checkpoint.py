@@ -8,8 +8,9 @@ fast-forward — which answers every historical memory access from the
 reply log instead of re-simulating the cache hierarchy — against
 re-running the simulation to the same event count: the fast-forward must
 win, or checkpointing buys nothing over rerunning. The price of the
-autosaves themselves is reported next to it (``ms_per_save``,
-``bytes_per_save``, from ``harness.checkpoint_summary``).
+autosaves themselves is reported next to it (``ms_per_save`` and its
+collect / pickle / write split, ``bytes_per_save`` — generation files plus
+reply-log frames — and ``log_bytes``, from ``harness.checkpoint_summary``).
 
 The ``--baseline`` / ``--crash`` / ``--resume`` modes split the gate
 across *separate interpreter processes* (CI runs them under different
@@ -112,7 +113,10 @@ def smoke() -> dict:
         report["saves"] = cost["saves"]
         report["ms_per_save"] = round(
             1e3 * cost["host_seconds"] / cost["saves"], 3)
+        report["ms_per_save_split"] = {k: round(v, 3) for k, v
+                                       in cost["ms_per_save"].items()}
         report["bytes_per_save"] = cost["bytes"] // cost["saves"]
+        report["log_bytes"] = cost["log_bytes"]
 
         # 3. restore (timed: log-replay fast-forward, no backend work),
         #    then finish and compare against the uninterrupted run

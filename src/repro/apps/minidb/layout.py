@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Sequence, Tuple, Union
 
 PAGE_SIZE = 4096
@@ -25,16 +26,30 @@ class Schema:
     name: str
     fields: Tuple[Tuple[str, int], ...]
 
-    @property
-    def record_size(self) -> int:
-        return sum(8 if w == 0 else w for _n, w in self.fields)
+    # derived once per schema (cached_property stores into the instance
+    # __dict__, which a frozen dataclass allows): these sit on the
+    # per-record path of every scan and loader
+    @cached_property
+    def codec(self) -> struct.Struct:
+        """The whole record as one little-endian struct: ``q`` per integer
+        field, ``<w>s`` (truncating, NUL-padding) per byte field."""
+        return struct.Struct(
+            "<" + "".join("q" if w == 0 else f"{w}s" for _n, w in self.fields))
 
-    @property
+    @cached_property
+    def record_size(self) -> int:
+        return self.codec.size
+
+    @cached_property
     def records_per_page(self) -> int:
         return PAGE_SIZE // self.record_size
 
+    @cached_property
+    def names(self) -> Tuple[str, ...]:
+        return tuple(n for n, _w in self.fields)
+
     def field_names(self) -> List[str]:
-        return [n for n, _w in self.fields]
+        return list(self.names)
 
 
 class Record:
@@ -42,28 +57,17 @@ class Record:
 
     @staticmethod
     def encode(schema: Schema, values: Dict[str, FieldValue]) -> bytes:
-        out = bytearray()
-        for name, width in schema.fields:
-            v = values.get(name, 0 if width == 0 else b"")
-            if width == 0:
-                out += struct.pack("<q", int(v))
-            else:
-                b = bytes(v)[:width]
-                out += b.ljust(width, b"\0")
-        return bytes(out)
+        get = values.get
+        return schema.codec.pack(*[
+            int(get(name, 0)) if width == 0 else bytes(get(name, b""))
+            for name, width in schema.fields])
 
     @staticmethod
-    def decode(schema: Schema, data: bytes) -> Dict[str, FieldValue]:
-        vals: Dict[str, FieldValue] = {}
-        off = 0
-        for name, width in schema.fields:
-            if width == 0:
-                vals[name] = struct.unpack_from("<q", data, off)[0]
-                off += 8
-            else:
-                vals[name] = bytes(data[off:off + width])
-                off += width
-        return vals
+    def decode(schema: Schema, data: bytes,
+               offset: int = 0) -> Dict[str, FieldValue]:
+        """The record at ``data[offset:offset + schema.record_size]``."""
+        return dict(zip(schema.names,
+                        schema.codec.unpack_from(data, offset)))
 
 
 class Page:
@@ -79,7 +83,7 @@ class Page:
         rs = self.schema.record_size
         if i < 0 or i >= self.schema.records_per_page:
             raise IndexError(f"record {i} out of page range")
-        return Record.decode(self.schema, self.data[i * rs:(i + 1) * rs])
+        return Record.decode(self.schema, self.data, i * rs)
 
     def put_record(self, i: int, values: Dict[str, FieldValue]) -> None:
         rs = self.schema.record_size

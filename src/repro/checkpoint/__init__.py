@@ -7,9 +7,11 @@ checkpoint cannot serialise the simulation directly. Instead it stores:
 * a versioned plain-data snapshot of every backend component
   (``state_dict()`` on caches, coherence protocol, page tables, devices,
   OS state, stats, fault injector),
-* the compact per-process **reply log**: the latency the backend answered
-  to every memory reference since cycle 0, plus the per-site outcomes of
-  every fault-injection check.
+* the per-site outcomes of every fault-injection check, and a pointer
+  (name + committed byte length) into the per-process **reply log**: the
+  latency the backend answered to every memory reference since cycle 0,
+  kept in one append-only framed file beside the checkpoints so each
+  reply is written once.
 
 Restore rebuilds the workload coroutines by re-running the builder, then
 **fast-forwards** by replaying the run segments with every memory access
@@ -21,7 +23,7 @@ recording resumes, so a resumed run continues exactly where the saved run
 left off.
 """
 
-from .log import RecordingMemory, ReplayMemory
+from .log import RecordingMemory, ReplayMemory, reply_log_path
 from .manager import (CheckpointManager, checkpoint_exists, generation_paths,
                       load_checkpoint, quarantine_checkpoint, resume,
                       write_checkpoint_file)
@@ -35,6 +37,7 @@ __all__ = [
     "write_checkpoint_file",
     "RecordingMemory",
     "ReplayMemory",
+    "reply_log_path",
     "collect_snapshot",
     "install_snapshot",
     "verify_snapshot",

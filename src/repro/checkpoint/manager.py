@@ -3,8 +3,9 @@
 One manager is attached per engine when ``SimConfig.checkpoint_interval``
 is set. In **record** mode it logs every backend reply (via
 :class:`~repro.checkpoint.log.RecordingMemory` and the fault injector's
-outcome FIFO), tracks the ``run()`` segments the caller issues, and
-autosaves an atomic pickle every ``interval`` processed events. In
+outcome FIFO), tracks the ``run()`` segments the caller issues, and every
+``interval`` processed events appends the new replies to the reply log
+and autosaves an atomic pickle of everything else. In
 **replay** mode (during :meth:`CheckpointManager.restore`) it re-drives
 the recorded segments against the reply log and stops each one exactly at
 its recorded event count — bypassing ``run()``'s finalisation so the
@@ -27,15 +28,18 @@ from ..core.framing import (fsync_dir, fsync_file, read_frame,
                             sweep_stale_tmp, write_frame)
 from ..core.frontend import SimProcess
 from ..faults import crashpoints
-from .log import RecordingMemory, ReplayMemory
+from .log import (RecordingMemory, ReplayMemory, append_replies,
+                  read_replies, reply_log_path)
 from .snapshot import collect_snapshot, install_snapshot, verify_snapshot
 
 #: checkpoint file format version (bump on incompatible layout changes);
 #: v2 introduced the framing: magic + CRC32-framed JSON header + CRC32-
 #: framed pickle payload, written fsync-before-rename. v3 keeps the framing
 #: and changes the payload: the directory/COMA/DSM protocols snapshot their
-#: global line state as ``line -> int`` dicts (sharer bitmasks, owners)
-FORMAT_VERSION = 3
+#: global line state as ``line -> int`` dicts (sharer bitmasks, owners).
+#: v4 moves the reply streams into the append-only reply log; header and
+#: payload record its name and committed length (``log`` / ``log_bytes``)
+FORMAT_VERSION = 4
 
 #: 4-byte file magic opening every framed (v2+) checkpoint
 MAGIC = b"CMPK"
@@ -63,8 +67,11 @@ class CheckpointManager:
         self.path = path
         self.interval = int(interval)
         self.mode = "record"
-        #: per-pid backend replies since cycle 0 (grows across resumes)
-        self.replies: Dict[int, List[int]] = {}
+        #: per-pid backend replies not yet in the reply log (``array('i')``
+        #: tails since the last save)
+        self.replies: Dict[int, Any] = {}
+        #: committed byte length of the reply log (0: not started)
+        self.log_bytes = 0
         #: per-site fault-injection outcomes since cycle 0
         self.fault_log: Dict[str, List[int]] = {}
         #: every run() call: bounds + event counter at entry; the copy
@@ -77,9 +84,12 @@ class CheckpointManager:
         self.saves = 0
         self.session_saves = 0
         #: host cost of this process's autosaves: wall seconds inside
-        #: save() and bytes written. Measurements, so never part of a
-        #: snapshot or fingerprint (see harness.checkpoint_summary)
+        #: save() (of which: collecting, pickling) and bytes written (files
+        #: + log frames). Measurements, so never part of a snapshot or
+        #: fingerprint (see harness.checkpoint_summary)
         self.save_seconds = 0.0
+        self.collect_seconds = 0.0
+        self.pickle_seconds = 0.0
         self.save_bytes = 0
         #: testing/CI knob: raise SimulatedCrash after the Nth autosave of
         #: this process — a deterministic stand-in for kill -9
@@ -126,25 +136,35 @@ class CheckpointManager:
     # -- saving ------------------------------------------------------------
 
     def save(self, path: str = None) -> str:
-        """Write an atomic, framed, generation-rotated checkpoint.
+        """Append the new replies to the reply log, then write an atomic,
+        framed, generation-rotated checkpoint that points at them.
 
         Default autosaves alternate between ``<path>.g0`` and
         ``<path>.g1`` so a save torn by a crash (or a later bit flip in
         the newest file) still leaves the previous generation loadable.
         An explicit ``path`` — the sampling controller's per-window
-        ``.w<N>`` snapshots — writes that single file, no rotation.
+        ``.w<N>`` snapshots — writes that single file, no rotation; it
+        points into the same log at its own offset.
 
-        Durability discipline: payload + header are CRC32-framed, the
-        tmp file is fsynced *before* ``os.replace``, and the directory
-        is fsynced after, so the rename is itself durable. Crash points
+        Durability discipline: the log frame is fsynced *before* the
+        checkpoint committing it is written; payload + header are
+        CRC32-framed, the tmp file is fsynced *before* ``os.replace``,
+        and the directory is fsynced after, so the rename is itself
+        durable. Crash points ``ckpt:log-append`` / ``ckpt:log-fsync`` /
         ``ckpt:pre-rename`` / ``ckpt:post-rename`` / ``ckpt:post-fsync``
-        bracket those steps for the recovery test harness."""
+        bracket those steps for the recovery test harness. The snapshot
+        borrows the owners' tables, so it is pickled before returning."""
         t0 = time.perf_counter()
         engine = self.engine
         segments = [dict(s) for s in self.segments]
         if not segments:
             raise CheckpointError("nothing to save: run() was never entered")
         segments[-1]["stop_events"] = engine.events_processed
+        log = reply_log_path(self.path)
+        committed = self.log_bytes
+        self.log_bytes = append_replies(log, committed, self.replies)
+        self.replies.clear()
+        t1 = time.perf_counter()
         ckpt = {
             "version": FORMAT_VERSION,
             "config_fp": repr(engine.cfg),
@@ -153,16 +173,23 @@ class CheckpointManager:
             "pid_base": self.pid_base,
             "events_processed": engine.events_processed,
             "saves": self.saves + 1,
-            "replies": self.replies,
+            "log": os.path.basename(log),
+            "log_bytes": self.log_bytes,
             "fault_log": self.fault_log,
             "segments": segments,
             "snapshot": collect_snapshot(engine),
         }
+        t2 = time.perf_counter()
+        payload = pickle.dumps(ckpt, protocol=pickle.HIGHEST_PROTOCOL)
+        t3 = time.perf_counter()
         if path is not None:
             target = path
         else:
             target = f"{self.path}.g{self.saves % GENERATIONS}"
-        self.save_bytes += write_checkpoint_file(target, ckpt)
+        self.save_bytes += (self.log_bytes - committed
+                            + write_checkpoint_file(target, ckpt, payload))
+        self.collect_seconds += t2 - t1
+        self.pickle_seconds += t3 - t2
         self.saves += 1
         self.session_saves += 1
         self.save_seconds += time.perf_counter() - t0
@@ -196,10 +223,12 @@ class CheckpointManager:
                 "from the checkpointed run")
         self.workload_fp = ckpt["workload_fp"]
         self.worker_fp = ckpt["worker_fp"]
-        # adopt the recorded history; these same containers keep growing
-        # once recording resumes, so later checkpoints stay complete
+        # adopt the recorded history: the fault log keeps growing once
+        # recording resumes; the reply streams read back from the log only
+        # feed the replay — they stay in the log, up to the checkpoint's
+        # offset, where the next save cuts it and appends
         self.replies.clear()
-        self.replies.update(ckpt["replies"])
+        self.log_bytes = ckpt["log_bytes"]
         self.fault_log.clear()
         self.fault_log.update(ckpt["fault_log"])
         self.segments = [dict(s) for s in ckpt["segments"]]
@@ -207,7 +236,7 @@ class CheckpointManager:
         self._next_save = ckpt["events_processed"] + self.interval
 
         real = engine.memsys.real
-        replay = ReplayMemory(real, self.replies)
+        replay = ReplayMemory(real, ckpt["replies"])
         engine.memsys = replay
         engine.faults.begin_replay(self.fault_log)
         self.mode = "replay"
@@ -231,7 +260,7 @@ class CheckpointManager:
         finally:
             self._replay_idx = -1
         install_snapshot(engine, ckpt["snapshot"])
-        # switch live: record onto the same history from here on
+        # switch live: record the tail from here on
         engine.memsys = RecordingMemory(real, self.replies)
         engine.faults.begin_recording(self.fault_log)
         self.mode = "record"
@@ -259,16 +288,22 @@ def _require_current_format(found, path: str) -> None:
             f"(written by an incompatible build; delete it to start over)")
 
 
-def write_checkpoint_file(target: str, ckpt: Dict[str, Any]) -> int:
+def write_checkpoint_file(target: str, ckpt: Dict[str, Any],
+                          payload: Optional[bytes] = None) -> int:
     """Atomically write one framed checkpoint file; returns its size.
 
-    Layout: ``MAGIC`` + CRC32-framed JSON header (format version + save
-    counter, readable without unpickling) + CRC32-framed pickle payload.
+    Layout: ``MAGIC`` + CRC32-framed JSON header (format version, save
+    counter, the reply log's name and committed length — readable without
+    unpickling) + CRC32-framed pickle payload (``payload``, when the caller
+    already pickled ``ckpt``).
     """
-    payload = pickle.dumps(ckpt, protocol=pickle.HIGHEST_PROTOCOL)
+    if payload is None:
+        payload = pickle.dumps(ckpt, protocol=pickle.HIGHEST_PROTOCOL)
     header = json.dumps({"format": FORMAT_VERSION,
                          "saves": ckpt.get("saves", 0),
-                         "events": ckpt.get("events_processed", 0)}).encode()
+                         "events": ckpt.get("events_processed", 0),
+                         "log": ckpt.get("log"),
+                         "log_bytes": ckpt.get("log_bytes", 0)}).encode()
     tmp = target + ".tmp"
     with open(tmp, "wb") as f:
         f.write(MAGIC)
@@ -294,20 +329,7 @@ def _read_checkpoint_file(path: str) -> Dict[str, Any]:
     before anything is unpickled, with a plain :class:`CheckpointError`.
     """
     with open(path, "rb") as f:
-        magic = f.read(len(MAGIC))
-        if magic != MAGIC:
-            raise CheckpointCorruptError(
-                path, 0, f"bad magic {magic!r} (want {MAGIC!r}): not a "
-                f"framed checkpoint file")
-        header_raw = read_frame(f, path, CheckpointCorruptError)
-        if header_raw is None:
-            raise CheckpointCorruptError(path, len(MAGIC),
-                                         "missing header frame")
-        try:
-            header = json.loads(header_raw)
-        except ValueError as exc:
-            raise CheckpointCorruptError(
-                path, len(MAGIC), f"unreadable header frame: {exc}")
+        header = _read_header(f, path)
         _require_current_format(header.get("format"), path)
         offset = f.tell()
         payload = read_frame(f, path, CheckpointCorruptError)
@@ -327,7 +349,28 @@ def _read_checkpoint_file(path: str) -> Dict[str, Any]:
             path, len(MAGIC),
             f"header format {header.get('format')!r} disagrees with "
             f"payload version {ckpt.get('version')!r}")
+    if header.get("log") is not None:
+        ckpt["replies"] = read_replies(
+            os.path.join(os.path.dirname(path), header["log"]),
+            header["log_bytes"])
     return ckpt
+
+
+def _read_header(f, path: str) -> Dict[str, Any]:
+    """Magic + the JSON header frame of the checkpoint open at ``f``."""
+    magic = f.read(len(MAGIC))
+    if magic != MAGIC:
+        raise CheckpointCorruptError(
+            path, 0, f"bad magic {magic!r} (want {MAGIC!r}): not a "
+            f"framed checkpoint file")
+    header_raw = read_frame(f, path, CheckpointCorruptError)
+    if header_raw is None:
+        raise CheckpointCorruptError(path, len(MAGIC), "missing header frame")
+    try:
+        return json.loads(header_raw)
+    except ValueError as exc:
+        raise CheckpointCorruptError(
+            path, len(MAGIC), f"unreadable header frame: {exc}")
 
 
 def _header_saves(path: str) -> int:
@@ -335,12 +378,7 @@ def _header_saves(path: str) -> int:
     (the file then sorts oldest and is tried last)."""
     try:
         with open(path, "rb") as f:
-            if f.read(len(MAGIC)) != MAGIC:
-                return -1
-            header_raw = read_frame(f, path, CheckpointCorruptError)
-            if header_raw is None:
-                return -1
-            return int(json.loads(header_raw).get("saves", -1))
+            return int(_read_header(f, path).get("saves", -1))
     except (OSError, ValueError, CheckpointCorruptError):
         return -1
 
@@ -352,7 +390,8 @@ def generation_paths(path: str) -> List[str]:
 
 def checkpoint_exists(path: str) -> bool:
     """True when ``path`` (explicit file) or any of its autosave
-    generations exists."""
+    generations exists. The reply log alone (``reply_log_path(path)``) is
+    not a checkpoint: nothing points into it."""
     return (os.path.exists(path)
             or any(os.path.exists(g) for g in generation_paths(path)))
 
@@ -389,6 +428,9 @@ def load_checkpoint(path: str) -> Dict[str, Any]:
     newest-first (by the save counter in the framed header): a corrupt
     newer generation is quarantined (:func:`quarantine_checkpoint`) and
     the previous one is used instead of restarting from cycle zero.
+    The result carries ``"replies"``, the reply streams read from the log
+    up to the length the file committed; a log short or damaged inside
+    that length is corruption of the generation that needs it.
     Raises :class:`CheckpointCorruptError` when every candidate is
     corrupt, ``FileNotFoundError`` when none exists.
     """

@@ -8,13 +8,14 @@ hierarchy and the fault injector are *not* compared — replay answers from
 the log without touching them — and are instead installed authoritatively
 by ``install_snapshot``.
 
-Collecting runs on every autosave, so its cost is part of the run: state
-owners hold plain ints and containers and their ``state_dict()`` is
-container copies, never a Python-level loop over entries (DESIGN.md,
-"Checkpoint/restore"; ``tests/test_checkpoint_cost.py`` guards the
-coherence protocols). Host-side measurements of the saving itself
-(``CheckpointManager.save_seconds`` / ``save_bytes``) are not state and
-are never collected.
+Collecting runs on every autosave, so its cost is part of the run. The
+state-owner rule is *borrow out, copy in*: ``state_dict()`` lends the
+owner's own footprint-sized tables (valid until the owner next runs; pickle
+or deep-copy to keep) and ``load_state()`` copies into them — so a snapshot
+is consumed at once, by ``CheckpointManager.save`` (pickled) or
+``verify_snapshot`` (compared), never held (DESIGN.md, "Checkpoint/restore";
+``tests/test_checkpoint_cost.py``). Host-side measurements of the saving
+itself (``CheckpointManager.save_seconds`` …) are not state, never collected.
 """
 
 from __future__ import annotations

@@ -223,6 +223,54 @@ def release_batch(batch: EventBatch) -> None:
         _batch_pool.append(batch)
 
 
+def strided_batches(kinds: list, bases: tuple, nbytes: int, stride: int,
+                    work: int, clock):
+    """Publish an arithmetic reference stream over ``nbytes`` as bulk-filled
+    batches (generator; returns the total latency): per ``stride`` bytes one
+    reference per lane — lane *j* has kind ``kinds[j]`` and starts at
+    ``bases[j]`` — each ``stride`` bytes wide except those of a ragged last
+    stride, with ``work`` cycles ahead of each stride's first reference.
+    ``clock.pending`` is folded into the head of *every* batch: handler
+    frames may leave cycles there while the previous batch is parked. Each
+    batch is a handful of C-level list operations, no per-reference step."""
+    w = len(kinds)
+    batch = acquire_batch()
+    total = off = 0
+    left = -(-nbytes // stride)
+    while left:
+        cnt = min(left, BATCH_CAP // w)
+        left -= cnt
+        span = cnt * stride
+        batch.kinds.extend(kinds * cnt)
+        if w == 1:
+            batch.addrs.extend(range(bases[0] + off, bases[0] + off + span,
+                                     stride))
+        else:
+            addrs = [0] * (cnt * w)
+            for j, base in enumerate(bases):
+                addrs[j::w] = range(base + off, base + off + span, stride)
+            batch.addrs.extend(addrs)
+        sizes = [stride] * (cnt * w)
+        ragged = not left and nbytes < off + span
+        if ragged:
+            sizes[-w:] = [nbytes - off - span + stride] * w
+        batch.sizes.extend(sizes)
+        if w == 1 and not ragged:
+            # one arithmetic stream: advertised so the vectorized consumer
+            # can skip the list conversions (see EventBatch.uhint)
+            batch.uhint = (kinds[0], stride, work)
+        pendings = ([work] + [0] * (w - 1)) * cnt
+        pendings[0] += clock.pending
+        clock.pending = 0
+        batch.pendings.extend(pendings)
+        batch.n = cnt * w
+        off += span
+        total += yield batch
+        batch.reset()
+    release_batch(batch)
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Constructors (cheap factory helpers used by Proc / the interpreter)
 # ---------------------------------------------------------------------------

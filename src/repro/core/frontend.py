@@ -276,62 +276,10 @@ class Proc:
         a = addr
         pend = self._clock
         if self.process.batching:
-            # batched pipeline: one EventBatch message per BATCH_CAP
-            # references instead of one generator suspension each. The
-            # parallel arrays are filled with bulk extends — the reference
-            # stream of a strided touch is fully determined up front, so
-            # each batch-sized chunk is materialised in C-level list ops
-            # (kind/pending constants, a range() of addresses); only the
-            # final ragged reference can be shorter than stride.
-            k = int(kind)
-            cap = ev.BATCH_CAP
-            batch = ev.acquire_batch()
-            # the whole filling is one arithmetic stream — advertise it so
-            # the vectorized consumer can skip the list conversions; a
-            # ragged final reference voids the claim for its filling
-            uhint = (k, stride, work_per_line)
-            batch.uhint = uhint
-            n = batch.n
-            pending = pend.pending
-            pend.pending = 0
-            last_full = end - stride
-            while a < end:
-                room = cap - n
-                left = -(-(end - a) // stride)
-                cnt = room if room < left else left
-                last = a + (cnt - 1) * stride
-                batch.kinds.extend([k] * cnt)
-                batch.addrs.extend(range(a, last + 1, stride))
-                szs = [stride] * cnt
-                if last > last_full:
-                    szs[-1] = end - last
-                    batch.uhint = None
-                batch.sizes.extend(szs)
-                if work_per_line:
-                    ps = [work_per_line] * cnt
-                    ps[0] += pending
-                else:
-                    ps = [0] * cnt
-                    ps[0] = pending
-                batch.pendings.extend(ps)
-                pending = 0
-                n += cnt
-                a = last + stride
-                if n >= cap:
-                    batch.n = n
-                    total += yield batch
-                    batch.reset()
-                    batch.uhint = uhint
-                    n = 0
-                    # handler frames that ran while the batch was parked
-                    # may have left pending cycles for the next reference
-                    pending = pend.pending
-                    pend.pending = 0
-            if n:
-                batch.n = n
-                total += yield batch
-            ev.release_batch(batch)
-            return total
+            # batched pipeline: one bulk-filled EventBatch per BATCH_CAP
+            # references instead of one generator suspension each
+            return (yield from ev.strided_batches(
+                [int(kind)], (addr,), nbytes, stride, work_per_line, pend))
         while a < end:
             if work_per_line:
                 pend.pending += work_per_line

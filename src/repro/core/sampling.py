@@ -92,10 +92,12 @@ class SamplingController:
                 "start_events": engine.events_processed,
                 "start_cycle": engine.gsched.now,
             })
-            if self.cfg.checkpoint_windows and ck is not None:
-                ck.save(path=f"{ck.path}.w{self._win_idx}")
             self._next_switch = (engine.events_processed
                                  + self.cfg.detail_events)
+            # saved last: the snapshot must carry the new window's schedule
+            # for a resume from this file to continue bit-identically
+            if self.cfg.checkpoint_windows and ck is not None:
+                ck.save(path=f"{ck.path}.w{self._win_idx}")
 
     # -- checkpoint/restore ------------------------------------------------
 

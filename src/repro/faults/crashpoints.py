@@ -12,6 +12,12 @@ consistency:
 ``spool:fsync``
     after the frame reached the OS but before fsync — models the
     classic torn-tail/power-cut window;
+``ckpt:log-append``
+    a save is about to append its frame of new replies to the reply log
+    — nothing of this save exists yet;
+``ckpt:log-fsync``
+    the frame reached the OS but is not fsynced, and no checkpoint
+    commits it — the log has a surplus tail the next append cuts off;
 ``ckpt:pre-rename``
     checkpoint tmp file written + fsynced, ``os.replace`` not yet
     issued — a stale ``*.tmp`` must be swept, the previous generation
@@ -60,6 +66,8 @@ from ..core.errors import ConfigError, SimulatedCrash
 KNOWN_CRASH_SITES = (
     "spool:append",
     "spool:fsync",
+    "ckpt:log-append",
+    "ckpt:log-fsync",
     "ckpt:pre-rename",
     "ckpt:post-rename",
     "ckpt:post-fsync",

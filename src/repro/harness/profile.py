@@ -131,21 +131,33 @@ def checkpoint_summary(engine) -> dict:
 
     ``saves`` / ``bytes`` / ``host_seconds`` are this process's autosaves
     (``CheckpointManager.session_saves`` / ``save_bytes`` /
-    ``save_seconds``), ``share_of_run`` is ``host_seconds`` over
-    ``stats.host_seconds`` (the wall time spent inside ``run()``, which
-    includes the saves). Host measurements only: none of this is in a
-    snapshot or a fingerprint. ``enabled: False`` (and no other keys)
-    when the engine has no checkpoint manager.
+    ``save_seconds``; ``bytes`` counts checkpoint files *and* reply-log
+    frames), ``log_bytes`` is the reply log's committed length (written
+    once, so it also covers saves made before a resume), ``ms_per_save``
+    splits the mean save into collecting the snapshot, pickling it, and
+    writing (log append, file, fsyncs), and ``share_of_run`` is
+    ``host_seconds`` over ``stats.host_seconds`` (the wall time spent
+    inside ``run()``, which includes the saves). Host measurements only:
+    none of this is in a snapshot or a fingerprint. ``enabled: False``
+    (and no other keys) when the engine has no checkpoint manager.
     """
     mgr = getattr(engine, "_ckpt", None)
     if mgr is None:
         return {"enabled": False}
     run_seconds = engine.stats.host_seconds
+    per_save = 1000.0 / max(mgr.session_saves, 1)
     return {
         "enabled": True,
         "saves": mgr.session_saves,
         "bytes": mgr.save_bytes,
+        "log_bytes": mgr.log_bytes,
         "host_seconds": mgr.save_seconds,
+        "ms_per_save": {
+            "collect": mgr.collect_seconds * per_save,
+            "pickle": mgr.pickle_seconds * per_save,
+            "write": (mgr.save_seconds - mgr.collect_seconds
+                      - mgr.pickle_seconds) * per_save,
+        },
         "share_of_run": (mgr.save_seconds / run_seconds
                          if run_seconds else 0.0),
     }

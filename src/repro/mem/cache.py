@@ -30,6 +30,15 @@ _EXCLUSIVE = 2
 _MODIFIED = 3
 
 
+def refill(dst: dict, src: dict) -> None:
+    """Copy ``src`` into ``dst`` in place — the *copy in* half of the state
+    owners' borrow-out / copy-in rule. ``src`` may be ``dst`` itself (an
+    owner loading its own borrowed ``state_dict()``)."""
+    if src is not dst:
+        dst.clear()
+        dst.update(src)
+
+
 class Cache:
     """One cache: maps line address → state, LRU within each set."""
 
@@ -158,10 +167,12 @@ class Cache:
     # -- checkpoint/restore ----------------------------------------------------
 
     def state_dict(self) -> dict:
-        """Plain-data snapshot: per-set MRU order, line states, counters."""
+        """Per-set MRU order, line states, counters. A *borrow*: ``sets`` and
+        ``states`` are this cache's own containers, valid until it next
+        runs; pickle or deep-copy to keep (``load_state`` copies in)."""
         return {
-            "sets": [list(s) for s in self._sets],
-            "states": dict(self._states),
+            "sets": self._sets,
+            "states": self._states,
             "hits": self.hits, "misses": self.misses,
             "evictions": self.evictions, "writebacks": self.writebacks,
             "invalidations": self.invalidations,
@@ -173,8 +184,7 @@ class Cache:
         references to them."""
         for dst, src in zip(self._sets, state["sets"]):
             dst[:] = src
-        self._states.clear()
-        self._states.update(state["states"])
+        refill(self._states, state["states"])
         self.version += 1
         self.hits = state["hits"]
         self.misses = state["misses"]

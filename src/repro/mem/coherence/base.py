@@ -85,8 +85,10 @@ class CoherenceProtocol:
     def state_dict(self) -> Dict[str, object]:
         """Plain-data snapshot; subclasses extend with their global line
         state and shared-resource occupancies. Global line state is held
-        as ``line -> int`` dicts, so capturing it is ``dict(...)``: a
-        checkpoint must never cost a Python-level step per tracked line."""
+        as ``line -> int`` dicts and *lent*, not copied: the tables in the
+        result are the protocol's own, valid until it next runs (pickle or
+        deep-copy to keep), so a checkpoint never costs a step per tracked
+        line. ``load_state`` copies in (:func:`~repro.mem.cache.refill`)."""
         return {"counters": dict(self.counters)}
 
     def load_state(self, state: Dict[str, object]) -> None:

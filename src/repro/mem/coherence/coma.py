@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Dict, Set, Tuple
 
 from ..bus import OccupancyResource
-from ..cache import LineState
+from ..cache import LineState, refill
 from ..network import MeshNetwork
 from .base import CoherenceProtocol, bits_of
 
@@ -71,8 +71,8 @@ class ComaProtocol(CoherenceProtocol):
 
     def state_dict(self):
         st = super().state_dict()
-        st["holders"] = dict(self._holders)
-        st["owner"] = dict(self._owner)
+        st["holders"] = self._holders
+        st["owner"] = self._owner
         st["amctl"] = [r.state_dict() for r in self.amctl]
         st["am_load"] = list(self._am_load)
         st["relocations"] = self.relocations
@@ -81,10 +81,8 @@ class ComaProtocol(CoherenceProtocol):
 
     def load_state(self, state) -> None:
         super().load_state(state)
-        self._holders.clear()
-        self._holders.update(state["holders"])
-        self._owner.clear()
-        self._owner.update(state["owner"])
+        refill(self._holders, state["holders"])
+        refill(self._owner, state["owner"])
         for r, rs in zip(self.amctl, state["amctl"]):
             r.load_state(rs)
         self._am_load[:] = state["am_load"]

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Dict, Set, Tuple
 
 from ..bus import OccupancyResource
-from ..cache import _EXCLUSIVE, _MODIFIED, _SHARED
+from ..cache import _EXCLUSIVE, _MODIFIED, _SHARED, refill
 from ..network import MeshNetwork
 from .base import CoherenceProtocol, bits_of
 
@@ -47,18 +47,16 @@ class DirectoryProtocol(CoherenceProtocol):
 
     def state_dict(self):
         st = super().state_dict()
-        st["sharers"] = dict(self._sharers)
-        st["owner"] = dict(self._owner)
+        st["sharers"] = self._sharers
+        st["owner"] = self._owner
         st["dirctl"] = [r.state_dict() for r in self.dirctl]
         st["network"] = self.network.state_dict()
         return st
 
     def load_state(self, state) -> None:
         super().load_state(state)
-        self._sharers.clear()
-        self._sharers.update(state["sharers"])
-        self._owner.clear()
-        self._owner.update(state["owner"])
+        refill(self._sharers, state["sharers"])
+        refill(self._owner, state["owner"])
         for r, rs in zip(self.dirctl, state["dirctl"]):
             r.load_state(rs)
         self.network.load_state(state["network"])

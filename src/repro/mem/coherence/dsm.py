@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Dict, Set, Tuple
 
 from ..bus import OccupancyResource
-from ..cache import LineState
+from ..cache import LineState, refill
 from ..network import MeshNetwork
 from .base import CoherenceProtocol, bits_of
 
@@ -62,19 +62,18 @@ class DsmProtocol(CoherenceProtocol):
 
     def state_dict(self):
         st = super().state_dict()
-        st["holders"] = dict(self._holders)
-        st["owner"] = dict(self._owner)
+        st["holders"] = self._holders
+        st["owner"] = self._owner
         st["memctl"] = [r.state_dict() for r in self.memctl]
-        st["write_ok"] = dict(self._write_ok)
+        st["write_ok"] = self._write_ok
         st["network"] = self.network.state_dict()
         return st
 
     def load_state(self, state) -> None:
         super().load_state(state)
-        for mine, key in ((self._holders, "holders"), (self._owner, "owner"),
-                          (self._write_ok, "write_ok")):
-            mine.clear()
-            mine.update(state[key])
+        refill(self._holders, state["holders"])
+        refill(self._owner, state["owner"])
+        refill(self._write_ok, state["write_ok"])
         for r, rs in zip(self.memctl, state["memctl"]):
             r.load_state(rs)
         self.network.load_state(state["network"])

@@ -22,7 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from ..core.errors import MemoryError_, ConfigError
+from ..core.errors import ConfigError, MemoryError_, ReplayDivergence
+from .cache import refill
 from .placement import PagePlacement
 
 KERNEL_BASE = 0xC000_0000
@@ -387,17 +388,17 @@ class Vmm:
         """Plain-data snapshot of translation state. VMAs are *not* here:
         they are rebuilt live by the replayed mmap/shmat calls; only the
         frame assignments (which depend on allocation order, not replayable
-        without the backend) need installing."""
+        without the backend) need installing. A *borrow*: the page tables,
+        segment page arrays and file-page map are the Vmm's own containers,
+        valid until it next runs; pickle or deep-copy to keep."""
         return {
-            "spaces": {pid: dict(sp.table)
-                       for pid, sp in self._spaces.items()},
-            "kernel_table": dict(self._kernel.table),
-            "segments": {shmid: {"pages": list(seg.pages),
-                                 "nattach": seg.nattach}
+            "spaces": {pid: sp.table for pid, sp in self._spaces.items()},
+            "kernel_table": self._kernel.table,
+            "segments": {shmid: {"pages": seg.pages, "nattach": seg.nattach}
                          for shmid, seg in self._segments.items()},
             "key_to_shmid": dict(self._key_to_shmid),
             "next_shmid": self._next_shmid,
-            "file_pages": list(self._file_pages.items()),
+            "file_pages": self._file_pages,
             "phys": self.phys.state_dict(),
             "minor_faults": self.minor_faults,
             "major_faults": self.major_faults,
@@ -411,31 +412,24 @@ class Vmm:
         snap_pids = set(state["spaces"])
         live_pids = set(self._spaces)
         if snap_pids != live_pids:
-            from ..core.errors import ReplayDivergence
             raise ReplayDivergence(
                 f"address spaces diverged: snapshot pids {sorted(snap_pids)}"
                 f" vs live {sorted(live_pids)}")
         for pid, table in state["spaces"].items():
             sp = self._spaces[pid]
-            sp.table.clear()
-            sp.table.update(table)
+            refill(sp.table, table)
             sp.version += 1
-        self._kernel.table.clear()
-        self._kernel.table.update(state["kernel_table"])
+        refill(self._kernel.table, state["kernel_table"])
         self._kernel.version += 1
         for shmid, seg_state in state["segments"].items():
             seg = self._segments.get(shmid)
             if seg is None:
-                from ..core.errors import ReplayDivergence
                 raise ReplayDivergence(f"shared segment {shmid} missing")
             seg.pages[:] = seg_state["pages"]
             seg.nattach = seg_state["nattach"]
-        self._key_to_shmid.clear()
-        self._key_to_shmid.update(state["key_to_shmid"])
+        refill(self._key_to_shmid, state["key_to_shmid"])
         self._next_shmid = state["next_shmid"]
-        self._file_pages.clear()
-        self._file_pages.update(
-            {tuple(k): v for k, v in state["file_pages"]})
+        refill(self._file_pages, state["file_pages"])
         self.phys.load_state(state["phys"])
         self.minor_faults = state["minor_faults"]
         self.major_faults = state["major_faults"]

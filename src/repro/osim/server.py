@@ -137,25 +137,12 @@ class Sys:
         total = 0
         off = 0
         if self.proc.batching:
-            # batched pipeline: same references and per-line compute cost,
-            # published as EventBatches instead of per-reference yields
-            clock = self.proc.clock
-            cap = ev.BATCH_CAP
-            batch = ev.acquire_batch()
-            while off < nbytes:
-                step = min(line, nbytes - off)
-                k.compute(COPY_WORK_PER_LINE)
-                batch.append(0, src + off, step, clock.pending)
-                clock.pending = 0
-                batch.append(1, dst + off, step, 0)
-                if batch.n >= cap:
-                    total += yield batch
-                    batch.reset()
-                off += line
-            if batch.n:
-                total += yield batch
-            ev.release_batch(batch)
-            return total
+            # batched pipeline: same read+write pair and compute cost per
+            # line (none while events are off, as k.compute), published as
+            # bulk-filled EventBatches instead of per-reference yields
+            work = COPY_WORK_PER_LINE if self.proc.events_enabled else 0
+            return (yield from ev.strided_batches(
+                [0, 1], (src, dst), nbytes, line, work, self.proc.clock))
         while off < nbytes:
             step = min(line, nbytes - off)
             k.compute(COPY_WORK_PER_LINE)

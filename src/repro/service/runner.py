@@ -38,7 +38,8 @@ import time
 from multiprocessing.connection import wait as conn_wait
 from typing import Dict, Iterable, Optional
 
-from ..checkpoint import checkpoint_exists, generation_paths
+from ..checkpoint import (checkpoint_exists, generation_paths,
+                          reply_log_path)
 from ..checkpoint import resume as ckpt_resume
 from ..core.framing import sweep_stale_tmp
 from ..core.jsonable import to_jsonable
@@ -334,7 +335,8 @@ class JobRunner:
           from its checkpoint autosave bit-identically;
         * sweeps stale ``*.tmp`` files (checkpoint writers that died
           mid-save) from the work directory;
-        * deletes autosave generations of jobs already terminal;
+        * deletes autosave generations and the reply log of jobs already
+          terminal;
         * compacts the spool, so recovery cost stays bounded no matter
           how many crashes preceded this one.
 
@@ -435,9 +437,9 @@ class JobRunner:
         for rec in queue:
             if rec.terminal:            # autosaves of finished jobs are
                 base = runner._ckpt_path(rec.spec.name)   # dead weight
-                for gen in generation_paths(base):
+                for dead in generation_paths(base) + [reply_log_path(base)]:
                     try:
-                        os.unlink(gen)
+                        os.unlink(dead)
                     except OSError:
                         pass
         spool.compact(runner._snapshot_records())

@@ -1,5 +1,6 @@
 """Deterministic checkpoint/restore: crash mid-run, resume bit-identically."""
 
+import copy
 import os
 import pickle
 
@@ -11,6 +12,7 @@ from repro import (CheckpointError, Engine, FaultPlan, FaultRule,
                    load_checkpoint, resume)
 from repro.checkpoint import RecordingMemory
 from repro.checkpoint.log import ReplayMemory
+from repro.checkpoint.manager import FORMAT_VERSION
 from repro.core.errors import ReplayDivergence
 from repro.core.frontend import SimProcess
 from repro.mem.hierarchy import MemorySystem
@@ -213,7 +215,7 @@ class TestFingerprints:
         assert not any(f.endswith(".tmp") for f in os.listdir(path.rsplit(
             "/", 1)[0]))
         ck = load_checkpoint(path)
-        assert ck["version"] == 3
+        assert ck["version"] == FORMAT_VERSION == 4
         assert ck["events_processed"] > 0
         # both generations exist after >= 2 autosaves and load_checkpoint
         # picks the newer one
@@ -359,7 +361,9 @@ class TestSamplingSpeculationResume:
 
 
 class TestComponentRoundTrips:
-    """state_dict()/load_state() are exact inverses on live engine state."""
+    """state_dict()/load_state() are exact inverses on live engine state.
+    ``state_dict()`` may lend the owner's live containers, so the value
+    held across ``load_state`` is a deep copy."""
 
     COMPONENTS = ("gsched", "locks", "barriers", "procsched",
                   "intctl", "timer", "disk", "nic", "os_server", "stats")
@@ -371,7 +375,7 @@ class TestComponentRoundTrips:
         needs_procs = {"locks", "barriers", "procsched"}
         for name in self.COMPONENTS:
             comp = getattr(eng, name)
-            before = comp.state_dict()
+            before = copy.deepcopy(comp.state_dict())
             frozen = pickle.loads(pickle.dumps(before))
             if name in needs_procs:
                 comp.load_state(frozen, procs=eng.comm.processes)
@@ -379,10 +383,13 @@ class TestComponentRoundTrips:
                 comp.load_state(frozen)
             assert comp.state_dict() == before, name
         for cpu in eng.comm.cpus:   # Communicator itself is verify-only
-            before = cpu.state_dict()
+            before = copy.deepcopy(cpu.state_dict())
             cpu.load_state(pickle.loads(pickle.dumps(before)))
             assert cpu.state_dict() == before
         ms = eng.memsys
-        before = ms.state_dict()
+        before = copy.deepcopy(ms.state_dict())
         ms.load_state(pickle.loads(pickle.dumps(before)))
+        assert ms.state_dict() == before
+        # the lent tables are the owners' own: loading them back is a no-op
+        ms.load_state(ms.state_dict())
         assert ms.state_dict() == before

@@ -1,18 +1,33 @@
-"""Cost guard: capturing a protocol's state is copies, not a per-line loop.
+"""Cost guard: an autosave costs what changed, not what exists.
 
 An autosave calls ``state_dict()`` on every state owner; the rule (DESIGN.md,
-"Checkpoint/restore") is that owners hold plain ints/containers so the
-capture is a handful of C-level container copies whose *count* does not
-depend on how much state there is. Counted here with ``sys.setprofile``
-(Python ``call`` + C ``c_call`` events): the same number of events with
-2 000 and with 20 000 tracked lines, for ``state_dict`` and ``load_state``
-of each NUMA protocol. A per-entry ``sorted()`` / constructor / method call
-shows up as tens of thousands of extra events.
+"Checkpoint/restore") is *borrow out, copy in*: owners hold plain
+ints/containers and lend their footprint-sized tables, so the capture makes
+a number of calls that does not depend on how much state there is. Counted
+here with ``sys.setprofile`` (Python ``call`` + C ``c_call`` events): the
+same number of events at 1x and 10x footprint for ``state_dict`` of every
+owner with a footprint-sized table — the NUMA protocols, ``Cache``, ``Vmm``
+and the whole ``MemorySystem`` under MESI / private / directory — and for
+``load_state`` of each NUMA protocol. A per-entry ``sorted()`` /
+constructor / method call, or a per-set ``list(s)``, shows up as thousands
+of extra events. The second half checks the other growth term: the reply
+streams are appended to the log once, so the checkpoint *files* stay flat
+in run length.
 """
 
+import os
 import sys
 
 import pytest
+
+from repro import Engine, complex_backend
+from repro.checkpoint import generation_paths, reply_log_path
+from repro.core.config import (BackendConfig, CacheConfig, MemoryConfig,
+                               SimConfig)
+from repro.core.frontend import SimProcess
+from repro.core.stats import StatsRegistry
+from repro.mem.cache import Cache
+from repro.mem.hierarchy import MemorySystem
 
 from tests.test_protocol_ops import LINE_SIZE, NCPUS, PAGE_SIZE, build
 
@@ -71,3 +86,105 @@ def test_load_state_cost_independent_of_tracked_lines(proto):
     assert (_events(lambda: fresh_small.load_state(snap_small))
             == _events(lambda: fresh_large.load_state(snap_large)))
     assert fresh_large.state_dict() == snap_large
+
+
+# ---------------------------------------------------------------------------
+# every other owner with a footprint-sized table
+# ---------------------------------------------------------------------------
+
+def _filled_cache(nlines):
+    c = Cache("L2", CacheConfig(size=nlines * LINE_SIZE, line_size=LINE_SIZE,
+                                assoc=4))
+    for line in range(nlines):
+        c.insert(line, 1 + line % 3)
+    assert c.occupancy() == nlines
+    return c
+
+
+def test_cache_state_dict_cost_independent_of_size():
+    small, large = _filled_cache(1_024), _filled_cache(10_240)
+    assert _events(small.state_dict) == _events(large.state_dict)
+    # and what it lends is the cache itself, not a copy of it
+    st = large.state_dict()
+    assert st["sets"] is large._sets and st["states"] is large._states
+
+
+def _memsys(coherence, npages):
+    """A 4-CPU memory system that has touched ``npages`` pages (every line
+    of each, spread over the CPUs, a quarter of them written)."""
+    be = BackendConfig(
+        detail="complex" if coherence != "none" else "simple",
+        l1=CacheConfig(size=4096, line_size=32, assoc=2, latency=1),
+        l2=(CacheConfig(size=65536, line_size=32, assoc=4, latency=8)
+            if coherence != "none" else None),
+        coherence=coherence,
+        memory=MemoryConfig(num_nodes=2 if coherence == "directory" else 1))
+    cfg = SimConfig(num_cpus=4, backend=be).validate()
+    ms = MemorySystem(cfg, StatsRegistry(4))
+    page = cfg.backend.memory.page_size
+    ms.vmm.new_space(1)
+    ms.vmm.map_anon(1, 0x100000, npages * page)
+    now = 0
+    for n in range(npages * page // 32):
+        lat, major = ms.access(1, 0x100000 + n * 32, 4, n % 4 == 0, n % 4,
+                               now)
+        assert major is None
+        now += lat + 1
+    return ms
+
+
+@pytest.mark.parametrize("coherence", ("mesi", "none", "directory"))
+def test_memsys_state_dict_cost_independent_of_footprint(coherence):
+    small, large = _memsys(coherence, 8), _memsys(coherence, 80)
+    assert (len(large.vmm.state_dict()["spaces"][1])
+            == 10 * len(small.vmm.state_dict()["spaces"][1]))
+    assert _events(small.vmm.state_dict) == _events(large.vmm.state_dict)
+    assert (_events(small.protocol.state_dict)
+            == _events(large.protocol.state_dict))
+    assert _events(small.state_dict) == _events(large.state_dict)
+
+
+# ---------------------------------------------------------------------------
+# checkpoint size is flat in run length; the log takes each reply once
+# ---------------------------------------------------------------------------
+
+def test_generation_size_flat_and_log_written_once(tmp_path):
+    """A steady reference stream over a fixed 16 KiB footprint: the file
+    of save k+10 is within 5 % of save k's, and each save grows the log by
+    about the interval's replies at 4 bytes each (nearly every event here
+    is one memory reference) plus a frame's fixed overhead."""
+    interval = 1_000
+    path = str(tmp_path / "ck.pkl")
+
+    def app(proc):
+        for i in range(20_000):
+            yield from proc.load(0x10_000 + i * 4 % 0x4000)
+        yield from proc.exit(0)
+
+    SimProcess._next_pid[0] = 1
+    eng = Engine(complex_backend(num_cpus=1, checkpoint_path=path,
+                                 checkpoint_interval=interval))
+    eng.spawn("steady", app)
+    mgr = eng._ckpt
+    sizes, logs = [], []
+    real_save = mgr.save
+
+    def save(path=None):
+        target = real_save(path)
+        sizes.append(os.path.getsize(target))
+        logs.append(os.path.getsize(reply_log_path(mgr.path)))
+        return target
+
+    mgr.save = save
+    eng.run()
+    assert len(sizes) >= 16
+    k = 4                                   # past the cold-start fills
+    assert abs(sizes[k + 10] - sizes[k]) <= 0.05 * sizes[k], sizes
+    growth = [b - a for a, b in zip(logs[k:], logs[k + 1:])]
+    assert all(0.9 * 4 * interval <= g <= 4 * interval + 512
+               for g in growth), growth
+    assert mgr.log_bytes == logs[-1] == os.path.getsize(reply_log_path(path))
+    assert mgr.save_bytes == sum(sizes) + logs[-1]
+    assert set(os.listdir(tmp_path)) == {
+        os.path.basename(f)
+        for f in generation_paths(path) + [reply_log_path(path)]}

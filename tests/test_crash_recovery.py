@@ -16,22 +16,27 @@ three seeds per site.
 import json
 import os
 import pickle
+import shutil
 import subprocess
 import sys
 
 import pytest
 
 from repro import (CheckpointCorruptError, CheckpointError, CrashPointPlan,
-                   CrashRule, Engine, SimulatedCrash, complex_backend,
-                   load_checkpoint)
-from repro.checkpoint import generation_paths, write_checkpoint_file
+                   CrashRule, Engine, SamplingConfig, SimulatedCrash,
+                   checkpoint_exists, complex_backend, load_checkpoint, resume)
+from repro.checkpoint import (generation_paths, reply_log_path,
+                              write_checkpoint_file)
+from repro.checkpoint.log import LOG_MAGIC, read_replies
 from repro.checkpoint.manager import FORMAT_VERSION
 from repro.checkpoint.manager import MAGIC as CKPT_MAGIC
 from repro.core.errors import ConfigError
-from repro.core.framing import write_frame
+from repro.core.framing import sweep_stale_tmp, write_frame
+from repro.core.frontend import SimProcess
 from repro.faults import crashpoints
-from repro.service import (JobSpec, crash_recovery_loop, final_fingerprints,
-                           run_matrix)
+from repro.service import (JobRunner, JobSpec, crash_recovery_loop,
+                           final_fingerprints, run_matrix)
+from repro.service.workloads import full_fingerprint
 
 SEEDS = (1, 2, 3) if os.environ.get("COMPASS_CRASH_FULL") else (1,)
 
@@ -129,6 +134,22 @@ def _write_v2_autosave(path):
     return ckpt
 
 
+def _write_v3_autosave(path):
+    """A well-formed format-3 autosave as the previous build wrote it: the
+    reply streams are still per-pid lists inside the payload and the
+    header names no reply log."""
+    ckpt = {"version": 3, "saves": 1, "events_processed": 100,
+            "replies": {1: [12, 1, -1, 40]}, "fault_log": {},
+            "snapshot": {"memsys": {"protocol": {
+                "counters": {}, "sharers": {7: 3}, "owner": {}}}}}
+    header = json.dumps({"format": 3, "saves": 1, "events": 100}).encode()
+    with open(path, "wb") as f:
+        f.write(CKPT_MAGIC)
+        write_frame(f, header)
+        write_frame(f, pickle.dumps(ckpt))
+    return ckpt
+
+
 class TestStaleFormat:
     """A checkpoint of another format version is refused by name — both
     versions in the message — never by a ``KeyError`` out of some
@@ -144,6 +165,21 @@ class TestStaleFormat:
         assert "format 2" in str(ei.value)
         assert f"!= {FORMAT_VERSION}" in str(ei.value)
         assert os.path.exists(g0) and not os.path.exists(g0 + ".corrupt")
+
+    def test_v3_refused_from_its_header_not_quarantined(self, tmp_path):
+        base = str(tmp_path / "ck.pkl")
+        g0, _ = generation_paths(base)
+        ckpt = _write_v3_autosave(g0)
+        with pytest.raises(CheckpointError) as ei:
+            load_checkpoint(base)
+        assert not isinstance(ei.value, CheckpointCorruptError)
+        assert f"format 3 != {FORMAT_VERSION}" in str(ei.value)
+        assert os.listdir(tmp_path) == [os.path.basename(g0)]
+        eng = Engine(complex_backend(num_cpus=2, checkpoint_path=base,
+                                     checkpoint_interval=1_000))
+        with pytest.raises(CheckpointError,
+                           match=f"format 3 != {FORMAT_VERSION}"):
+            eng._ckpt.restore(ckpt)
 
     def test_restore_refuses_v2(self, tmp_path):
         path = str(tmp_path / "ck.pkl")
@@ -168,6 +204,253 @@ class TestStaleFormat:
         assert rec.error["last_error"]["type"] == "CheckpointError"
         assert f"format 2 != {FORMAT_VERSION}" in rec.error["detail"]
         json.loads(rec.to_json())             # structured all the way out
+
+
+# ---------------------------------------------------------------------------
+# the reply log: one append-only file every checkpoint points into
+# ---------------------------------------------------------------------------
+
+def _tiny_build(path, interval=40):
+    """Two processes fighting over a few lines: frames of a few hundred
+    bytes, so a case can visit every byte of one."""
+    def app(n):
+        def run(proc):
+            for i in range(120):
+                proc.compute(3 + n)
+                yield from proc.load(0x10_000 + (i * 36 + n * 4) % 0x800)
+                if i % 3 == n:
+                    yield from proc.store(0x10_000 + i * 8 % 0x400)
+            yield from proc.exit(0)
+        return run
+
+    def build():
+        eng = Engine(complex_backend(num_cpus=2, checkpoint_path=path,
+                                     checkpoint_interval=interval))
+        for n in range(2):
+            eng.spawn(f"p{n}", app(n))
+        return eng
+    return build
+
+
+def _frame_ends(log):
+    """Byte offset after the magic and after every frame of ``log``."""
+    blob = open(log, "rb").read()
+    assert blob[:4] == LOG_MAGIC
+    ends, off = [4], 4
+    while off < len(blob):
+        off += 8 + int.from_bytes(blob[off:off + 4], "little")
+        ends.append(off)
+    assert off == len(blob)
+    return ends
+
+
+def _is_prefix(a, b):
+    """Per-pid reply streams of ``a`` are prefixes of ``b``'s."""
+    return all(list(s) == list(b[pid][:len(s)]) for pid, s in a.items())
+
+
+class TestReplyLog:
+    """Generations (and sampler windows) commit a byte length of one shared
+    log. Past that length nothing matters; inside it everything must."""
+
+    @pytest.fixture()
+    def crashed(self, tmp_path):
+        """A tiny run killed after its 4th autosave, its undisturbed
+        fingerprint, and the complete reply streams of the full run."""
+        ref_path = str(tmp_path / "ref" / "ck.pkl")
+        os.mkdir(tmp_path / "ref")
+        SimProcess._next_pid[0] = 1
+        ref = _tiny_build(ref_path)()
+        baseline = full_fingerprint(ref, ref.run())
+        ref._ckpt.save()                     # flush the tail: whole stream
+        streams = read_replies(reply_log_path(ref_path), ref._ckpt.log_bytes)
+
+        os.mkdir(tmp_path / "work")
+        path = str(tmp_path / "work" / "ck.pkl")
+        SimProcess._next_pid[0] = 1
+        eng = _tiny_build(path)()
+        eng._ckpt.crash_after_saves = 4
+        with pytest.raises(SimulatedCrash):
+            eng.run()
+        ends = _frame_ends(reply_log_path(path))
+        assert len(ends) == 5                 # magic + one frame per save
+        return path, baseline, streams, ends
+
+    def _finish(self, path, baseline, streams, saves):
+        """Resume, run out, and check the run and the log it leaves."""
+        ck = load_checkpoint(path)
+        assert ck["saves"] == saves
+        eng, stats = resume(path, _tiny_build(path))
+        assert full_fingerprint(eng, stats) == baseline
+        log = reply_log_path(path)
+        assert eng._ckpt.saves > saves        # it saved again after resuming
+        # the log is exactly the committed frames — no stale tail, nothing
+        # recorded twice — and holds the undisturbed run's replies
+        assert _frame_ends(log)[-1] == eng._ckpt.log_bytes
+        assert _is_prefix(read_replies(log, eng._ckpt.log_bytes), streams)
+        return eng
+
+    def test_newest_generation_and_header(self, crashed):
+        path, baseline, streams, ends = crashed
+        newest, older = sorted(generation_paths(path), key=os.path.getmtime,
+                               reverse=True)
+        for gen, end in ((newest, ends[4]), (older, ends[3])):
+            blob = open(gen, "rb").read()
+            size = int.from_bytes(blob[4:8], "little")
+            header = json.loads(blob[12:12 + size])
+            assert header["format"] == FORMAT_VERSION
+            assert header["log"] == "ck.pkl.log"
+            assert header["log_bytes"] == end
+            # the streams are in the log only, never in the payload again
+            assert "replies" not in pickle.loads(blob[12 + size + 8:])
+        self._finish(path, baseline, streams, saves=4)
+
+    @pytest.mark.parametrize("tail", ["garbage", "torn-frame", "future-frame"])
+    def test_surplus_tail_is_ignored_then_cut(self, crashed, tail):
+        path, baseline, streams, ends = crashed
+        with open(reply_log_path(path), "ab") as f:
+            if tail == "garbage":
+                f.write(b"\x07" * 37)
+            else:
+                n = write_frame(f, pickle.dumps({1: [9, 9, 9]}))
+                if tail == "torn-frame":
+                    f.truncate(ends[4] + n - 5)
+        self._finish(path, baseline, streams, saves=4)
+
+    def test_truncation_at_every_byte_of_the_last_frame(self, crashed):
+        """Every cut inside the newest generation's frame: the log is
+        shorter than its header says, so it is quarantined with a
+        structured error naming the log, and the older generation — which
+        commits only the intact prefix — loads."""
+        path, baseline, streams, ends = crashed
+        work = os.path.dirname(path)
+        keep = work + ".pristine"
+        shutil.copytree(work, keep)
+        log = reply_log_path(path)
+        newest = max(generation_paths(path), key=os.path.getmtime)
+        for cut in range(ends[3], ends[4]):
+            shutil.rmtree(work)
+            shutil.copytree(keep, work)
+            os.truncate(log, cut)
+            ck = load_checkpoint(path)
+            assert ck["saves"] == 3 and ck["log_bytes"] == ends[3]
+            rec = json.load(open(newest + ".quarantine.json"))["error"]
+            assert rec["type"] == "CheckpointCorruptError"
+            assert rec["path"] == log and ends[3] <= rec["offset"] <= cut
+        # and from such a state the run still finishes bit-identically
+        self._finish(path, baseline, streams, saves=3)
+
+    def test_bit_flip_inside_the_committed_prefix(self, crashed):
+        path, baseline, streams, ends = crashed
+        log = reply_log_path(path)
+        blob = bytearray(open(log, "rb").read())
+        # in the newest generation's own frame: the older one still loads
+        blob[(ends[3] + ends[4]) // 2] ^= 0x10
+        open(log, "wb").write(bytes(blob))
+        assert load_checkpoint(path)["saves"] == 3
+        # in a frame every generation commits: nothing is left to load, and
+        # what comes out is the structured error, offset at the bad frame
+        blob[(ends[0] + ends[1]) // 2] ^= 0x10
+        open(log, "wb").write(bytes(blob))
+        with pytest.raises(CheckpointCorruptError) as ei:
+            load_checkpoint(path)
+        assert ei.value.path == log and ei.value.offset == ends[0]
+        assert ei.value.to_record()["reason"] == "frame CRC32 mismatch"
+
+    @pytest.mark.parametrize("damage", ["missing", "bad-magic",
+                                        "ends-mid-prefix"])
+    def test_unusable_log_is_structured(self, crashed, damage):
+        path, _baseline, _streams, ends = crashed
+        log = reply_log_path(path)
+        if damage == "missing":
+            os.unlink(log)
+        elif damage == "bad-magic":
+            open(log, "r+b").write(b"XXXX")
+        else:
+            os.truncate(log, ends[1] + 3)
+        with pytest.raises(CheckpointCorruptError) as ei:
+            load_checkpoint(path)
+        assert ei.value.path == log
+        json.dumps(ei.value.to_record())
+
+    def test_fallback_cuts_the_log_at_the_older_offset(self, crashed):
+        """The newest generation *file* is corrupt, its frame is intact:
+        the older generation resumes and its first save must land at its
+        own offset, not after the orphaned frame."""
+        path, baseline, streams, ends = crashed
+        newest = max(generation_paths(path), key=os.path.getmtime)
+        blob = bytearray(open(newest, "rb").read())
+        blob[-1] ^= 0xFF
+        open(newest, "wb").write(bytes(blob))
+        eng = self._finish(path, baseline, streams, saves=3)
+        assert os.path.exists(newest + ".corrupt")
+        assert eng._ckpt.log_bytes > ends[3]
+
+    def test_second_crash_after_a_fallback_resume(self, crashed):
+        path, baseline, streams, ends = crashed
+        os.truncate(reply_log_path(path), ends[4] - 1)    # -> older gen
+
+        def rebuild():
+            eng = _tiny_build(path)()
+            eng._ckpt.crash_after_saves = 2
+            return eng
+
+        with pytest.raises(SimulatedCrash):
+            resume(path, rebuild)
+        self._finish(path, baseline, streams, saves=5)
+
+    def test_resume_from_a_sampler_window_file(self, tmp_path):
+        """``.w<N>`` files point into the same log at their own offsets;
+        resuming from one cuts the log there and carries on."""
+        sc = SamplingConfig(detail_events=1_000, ff_events=2_500,
+                            checkpoint_windows=True)
+        path = str(tmp_path / "run.ckpt")
+
+        def build():
+            eng = Engine(complex_backend(num_cpus=1, sampling=sc,
+                                         checkpoint_path=path,
+                                         checkpoint_interval=1_700))
+
+            def app(proc):
+                for p in range(8):
+                    yield from proc.touch(0x10_000, 1 << 16, write=p % 2 == 1,
+                                          stride=32)
+                return 0
+            eng.spawn("stream", app)
+            return eng
+
+        SimProcess._next_pid[0] = 1
+        eng0 = build()
+        baseline = full_fingerprint(eng0, eng0.run())
+        windows = sorted(f for f in os.listdir(tmp_path) if ".w" in f)
+        assert len(windows) >= 2
+        offsets = [load_checkpoint(str(tmp_path / w))["log_bytes"]
+                   for w in windows]
+        ends = _frame_ends(reply_log_path(path))
+        assert offsets == sorted(offsets) and set(offsets) < set(ends)
+        assert ends[-1] == eng0._ckpt.log_bytes > offsets[0]
+
+        eng, stats = resume(str(tmp_path / windows[0]), build)
+        assert full_fingerprint(eng, stats) == baseline
+        assert _frame_ends(reply_log_path(path))[-1] == eng._ckpt.log_bytes
+
+    def test_names_the_cleanup_code_must_know(self, tmp_path):
+        """A lone log is not a checkpoint, a temp sweep never takes it, and
+        recovery unlinks it together with a finished job's generations."""
+        base = str(tmp_path / "j.ckpt")
+        open(reply_log_path(base), "wb").write(LOG_MAGIC)
+        assert not checkpoint_exists(base)
+        assert sweep_stale_tmp(str(tmp_path), "j.ckpt") == []
+        os.unlink(reply_log_path(base))
+
+        spool, work = str(tmp_path / "spool"), str(tmp_path / "work")
+        runner = JobRunner(spool_dir=spool, workdir=work)
+        runner.submit(JobSpec(name="j", **SPEC))
+        runner.run()
+        left = set(os.listdir(work))
+        assert "j.ckpt.log" in left and len(left) == 3
+        JobRunner.recover(spool)
+        assert os.listdir(work) == []
 
 
 class TestCrashPointMachinery:

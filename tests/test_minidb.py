@@ -25,6 +25,67 @@ class TestLayout:
         s = Schema("t", (("b", 2),))
         assert Record.decode(s, Record.encode(s, {"b": b"abcdef"}))["b"] == b"ab"
 
+    @staticmethod
+    def _encode_by_field(schema, values):
+        """The per-field codec the ``struct.Struct`` path replaced, kept as
+        the reference."""
+        import struct
+        out = bytearray()
+        for name, width in schema.fields:
+            v = values.get(name, 0 if width == 0 else b"")
+            if width == 0:
+                out += struct.pack("<q", int(v))
+            else:
+                out += bytes(v)[:width].ljust(width, b"\0")
+        return bytes(out)
+
+    @staticmethod
+    def _decode_by_field(schema, data):
+        import struct
+        vals, off = {}, 0
+        for name, width in schema.fields:
+            if width == 0:
+                vals[name] = struct.unpack_from("<q", data, off)[0]
+                off += 8
+            else:
+                vals[name] = bytes(data[off:off + width])
+                off += width
+        return vals
+
+    def test_struct_codec_is_byte_identical_on_every_catalog_schema(self):
+        import random
+        schemas = {t.schema for cat in (tpcc_catalog(1, 0.005), tpcd_catalog())
+                   for t in cat.tables.values()}
+        assert len(schemas) >= 9
+        rng = random.Random(17)
+        ints = [0, 1, -1, -(1 << 63), (1 << 63) - 1, 1 << 62, True]
+        for schema in sorted(schemas, key=lambda s: s.name):
+            assert schema.record_size == sum(8 if w == 0 else w
+                                             for _n, w in schema.fields)
+            assert schema.records_per_page == PAGE_SIZE // schema.record_size
+            for trial in range(40):
+                vals = {}
+                for name, width in schema.fields:
+                    if rng.random() < 0.15:
+                        continue                    # absent: the default
+                    if width == 0:
+                        vals[name] = rng.choice(ints + [rng.randrange(-999, 10**12)])
+                    else:                           # short, exact, over-long
+                        n = rng.choice([0, 1, width - 1, width, width + 1,
+                                        3 * width])
+                        vals[name] = rng.choice([bytes, bytearray])(
+                            rng.randrange(256) for _ in range(max(n, 0)))
+                data = Record.encode(schema, vals)
+                assert data == self._encode_by_field(schema, vals)
+                assert type(data) is bytes and len(data) == schema.record_size
+                back = Record.decode(schema, data)
+                assert back == self._decode_by_field(schema, data)
+                assert list(back) == schema.field_names()
+                assert all(type(v) in (int, bytes) for v in back.values())
+                # at an offset inside a page image, as Page.record reads it
+                page = bytearray(b"\xAA" * 7) + data + b"\xBB" * 5
+                assert Record.decode(schema, page, 7) == back
+
     def test_page_record_slots(self):
         p = Page(CUSTOMER)
         p.put_record(0, {"c_id": 7, "c_balance": 100})

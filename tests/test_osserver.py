@@ -1,13 +1,17 @@
 """OS-server registry, extensibility (§3.1) and Sys helper tests."""
 
+from types import SimpleNamespace
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro import Engine, complex_backend
 from repro.core import events as ev
 from repro.core.errors import OSError_
+from repro.core.frontend import Proc, SimProcess
 from repro.osim import kmem
-from repro.osim.server import (FdEntry, OSServer, Sys, SYSCALL_ENTRY_CYCLES,
-                               syscall_handler)
+from repro.osim.server import (COPY_WORK_PER_LINE, FdEntry, OSServer, Sys,
+                               SYSCALL_ENTRY_CYCLES, syscall_handler)
 
 
 class TestRegistry:
@@ -153,3 +157,120 @@ class TestSysContext:
         line = engine2.cfg.backend.l1.line_size
         assert engine2.stats.counters == engine2.stats.counters  # smoke
         assert 1024 // line * 2 <= engine2.events_processed
+
+
+# ---------------------------------------------------------------------------
+# copy_block: the bulk-filled batched arm == the per-event arm
+# ---------------------------------------------------------------------------
+
+LINE = 32
+_COPY_SERVER = SimpleNamespace(engine=SimpleNamespace(cfg=SimpleNamespace(
+    backend=SimpleNamespace(l1=SimpleNamespace(line_size=LINE)))))
+
+
+def _stream(make_gen, batching, entry_pending, parked, enabled):
+    """Drive a reference producer the way the engine does and return the
+    ``(kind, addr, size, issue time)`` of every reference, the generator's
+    result and the cycles left in the clock. ``parked[j]`` cycles are left
+    in the process clock by handler frames that run once
+    ``(j + 1) * BATCH_CAP`` references have completed — for a batched
+    producer, exactly while its batch ``j`` is parked."""
+    pid0 = SimProcess._next_pid[0]
+    proc = SimProcess("producer")
+    SimProcess._next_pid[0] = pid0
+    proc.batching = batching
+    proc.events_enabled = enabled
+    proc.clock.pending = entry_pending
+    gen = make_gen(proc)
+    out, t, reply = [], 0, None
+
+    def retire(kind, addr, size, pending):
+        nonlocal t
+        t += pending
+        out.append((int(kind), addr, size, t))
+        lat = 3 + (addr >> 5) % 5           # any deterministic latency
+        t += lat
+        if len(out) % ev.BATCH_CAP == 0:
+            proc.clock.pending += parked.get(len(out) // ev.BATCH_CAP - 1, 0)
+        return lat
+
+    try:
+        while True:
+            e = gen.send(reply)
+            if isinstance(e, ev.EventBatch):
+                assert proc.clock.pending == 0 and 0 < e.n <= ev.BATCH_CAP
+                assert e.n == len(e.kinds) == len(e.addrs) == len(e.sizes) \
+                    == len(e.pendings)
+                if e.uhint is not None:     # the claim must be true
+                    kind, stride, work = e.uhint
+                    assert set(e.kinds) == {kind} and set(e.sizes) == {stride}
+                    assert set(e.pendings[1:]) <= {work}
+                reply = sum(retire(e.kinds[i], e.addrs[i], e.sizes[i],
+                                   e.pendings[i]) for i in range(e.n))
+            else:
+                pending, proc.clock.pending = proc.clock.pending, 0
+                reply = retire(e.kind, e.addr, e.size, pending)
+    except StopIteration as stop:
+        return out, stop.value, proc.clock.pending
+
+
+def _copy_stream(batching, src, dst, nbytes, entry_pending, parked, enabled):
+    return _stream(
+        lambda proc: Sys(_COPY_SERVER, proc).copy_block(src, dst, nbytes),
+        batching, entry_pending, parked, enabled)
+
+
+@settings(max_examples=60, deadline=None)
+@given(nbytes=st.one_of(
+           st.sampled_from([1, LINE - 1, LINE, LINE + 1, 512 * LINE,
+                            513 * LINE, 1024 * LINE, 1024 * LINE + 5]),
+           st.integers(1, 1100 * LINE)),
+       src=st.integers(0x1000, 0x1000 + 2 * LINE),
+       dst=st.integers(0x80000, 0x80000 + 2 * LINE),
+       entry_pending=st.sampled_from([0, 1, 180]),
+       parked=st.dictionaries(st.integers(0, 2), st.integers(1, 900)),
+       enabled=st.booleans())
+def test_copy_block_batched_equals_per_event(nbytes, src, dst, entry_pending,
+                                             parked, enabled):
+    args = (src, dst, nbytes, entry_pending, parked, enabled)
+    per_event = _copy_stream(False, *args)
+    assert _copy_stream(True, *args) == per_event
+    stream, total, _left = per_event
+    lines = -(-nbytes // LINE)
+    assert len(stream) == 2 * lines
+    assert stream[-1][2] == stream[-2][2] == nbytes - (lines - 1) * LINE
+    work = COPY_WORK_PER_LINE if enabled else 0
+    assert stream[0][3] == entry_pending + work
+    assert total == sum(3 + (a >> 5) % 5 for _k, a, _s, _t in stream)
+
+
+@settings(max_examples=40, deadline=None)
+@given(nbytes=st.one_of(
+           st.sampled_from([1, 63, 64, 65, 1024 * 64, 1025 * 64]),
+           st.integers(1, 2100 * 64)),
+       addr=st.integers(0x1000, 0x1040), write=st.booleans(),
+       stride=st.sampled_from([32, 64]), work=st.sampled_from([0, 3]),
+       entry_pending=st.sampled_from([0, 17]),
+       parked=st.dictionaries(st.integers(0, 3), st.integers(1, 900)))
+@example(nbytes=1024 * 64, addr=0x1000, write=False, stride=64, work=0,
+         entry_pending=0, parked={0: 55})   # cycles parked behind the last
+def test_touch_batched_equals_per_event(nbytes, addr, write, stride, work,
+                                        entry_pending, parked):
+    """``Proc.touch`` shares ``events.strided_batches`` with copy_block
+    (one lane instead of two): same differential, same parked cycles —
+    including cycles left behind a touch that ends exactly on a full batch,
+    which stay in the clock for whatever the process does next."""
+    def run(batching):
+        return _stream(
+            lambda proc: Proc(proc).touch(addr, nbytes, write, stride, work),
+            batching, entry_pending, parked, True)
+
+    per_event = run(False)
+    assert run(True) == per_event
+    assert len(per_event[0]) == -(-nbytes // stride)
+
+
+def test_copy_block_of_nothing_emits_nothing():
+    proc = SimProcess("copier")
+    proc.batching = True
+    assert list(Sys(_COPY_SERVER, proc).copy_block(0x1000, 0x2000, 0)) == []

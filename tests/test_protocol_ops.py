@@ -26,6 +26,7 @@ deliberately with::
     COMPASS_UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_protocol_ops.py
 """
 
+import copy
 import json
 import os
 import random
@@ -210,15 +211,22 @@ def test_state_dict_round_trip(proto, nodes, seed, nops, other_seed,
                                other_ops):
     src, src_caches = build(proto, nodes)
     drive(src, src_caches, random.Random(seed), nops)
-    snap = src.state_dict()
+    # state_dict() lends the protocol's own tables (valid until it next
+    # runs), so a snapshot held across further driving is a deep copy
+    snap = copy.deepcopy(src.state_dict())
+    src.load_state(src.state_dict())           # own borrow: nothing is lost
+    assert src.state_dict() == snap
 
     # the receiver already tracks other lines: load_state must replace,
-    # not merge
+    # not merge — and copy in: it never adopts the lender's containers
     dst, dst_caches = build(proto, nodes)
     drive(dst, dst_caches, random.Random(other_seed), other_ops)
-    dst.load_state(snap)
+    dst.load_state(src.state_dict())
     assert dst.state_dict() == snap
     assert src.state_dict() == snap            # capturing did not disturb
+    for mine, theirs in zip(dst.state_dict().values(),
+                            src.state_dict().values()):
+        assert mine is not theirs or not isinstance(mine, dict)
     for line in range(NLINES):
         assert view(dst, line) == view(src, line)
 
