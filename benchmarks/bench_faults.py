@@ -5,8 +5,10 @@ Runs the OLTP and webserver workloads twice under the same seeded
 ``FaultPlan`` and fails on *any* divergence between the two runs — the
 acceptance bar for the fault subsystem is that a faulty run is exactly as
 reproducible as a clean one. Also checks the off-switch (``faults=None``
-vs an empty plan must be bit-identical) and that the smoke plan actually
-exercises at least three distinct fault sites.
+vs an empty plan must be bit-identical), that the smoke plan actually
+exercises at least three distinct fault sites, and that the host switches
+(``lookahead`` off; ``fastpath``, ``lookahead`` and ``vectorized`` all off)
+land the default run under the plan, fault draws included.
 
 Usage::
 
@@ -39,6 +41,7 @@ def _fingerprint(eng, stats):
               for c in stats.cpu),
         tuple(sorted(stats.syscall_cycles.items())),
         tuple(sorted(stats.syscall_counts.items())),
+        eng.faults.stats.draws,
     )
 
 
@@ -101,17 +104,26 @@ def smoke() -> dict:
         }
         for site, n in fired1.items():
             all_fired[site] = all_fired.get(site, 0) + n
-    # lookahead x faults cross-check: the conservative windows (on by
-    # default) must not move fault draws or outcomes relative to the
-    # strict scheduler
-    la_fp, la_fired = run_oltp(plan, lookahead=True)
-    strict_fp, strict_fired = run_oltp(plan, lookahead=False)
-    report["lookahead_identical"] = (la_fp == strict_fp
-                                     and la_fired == strict_fired)
-    if not report["lookahead_identical"]:
-        report["failures"].append(
-            "oltp: lookahead on/off diverged under the fault plan "
-            f"(fired {la_fired} vs {strict_fired})")
+    # host switches x faults cross-check: windows off, and every switch off
+    # (per-reference events, no windows, no mirror), must not move fault
+    # draws or outcomes relative to the defaults — the L1 probe is the
+    # model, so no arm reaches ``mem:degraded`` more often than another
+    arms = {"lookahead_on": {"lookahead": True},
+            "lookahead_off": {"lookahead": False},
+            "all_off": {"fastpath": False, "lookahead": False,
+                        "vectorized": False}}
+    runs = {name: run_oltp(plan, **kw) for name, kw in arms.items()}
+    report["knob_arms"] = {
+        name: {"bit_identical": run == runs["lookahead_on"]}
+        for name, run in runs.items()}
+    report["bit_identical"] = all(a["bit_identical"]
+                                  for a in report["knob_arms"].values())
+    for name, arm in report["knob_arms"].items():
+        if not arm["bit_identical"]:
+            report["failures"].append(
+                f"oltp: the {name} arm diverged from the defaults under "
+                f"the fault plan (fired {runs[name][1]} vs "
+                f"{runs['lookahead_on'][1]})")
     report["fired_total"] = dict(sorted(all_fired.items()))
     report["distinct_sites"] = len(all_fired)
     if len(all_fired) < 3:

@@ -1,10 +1,11 @@
-"""Memory-system wrappers: record backend replies, or replay them.
+"""Memory-system taps: record backend replies, or replay them.
 
-The engine reaches the memory system only through ``engine.memsys``, so a
-delegating wrapper captures (or substitutes) the full reply stream without
-touching the hierarchy itself. Both wrappers run the *tapped* per-reference
-loop for batched runs — already proven bit-identical to the inlined hot
-loop by the fast-path equivalence tests — so recording changes no timing.
+Every reference reaches the memory system through ``MemorySystem.access``
+(batched runs too, once it is rebound on the instance: the tapped arm of
+``access_run`` — proven bit-identical to the inlined hot loop by the
+fast-path equivalence tests), so an ``access`` interposer the manager binds
+on the live instance, exactly as ``MemTraceRecorder.attach`` binds its own,
+captures (or substitutes) the full reply stream and changes no timing.
 
 The reply streams themselves live in one append-only framed file beside
 the checkpoint generations (``<path>.log``): every save appends the replies
@@ -92,57 +93,20 @@ def read_replies(log: str, committed: int) -> Dict[int, array]:
     return replies
 
 
-class _MemoryWrapper:
-    """Delegates everything to the real MemorySystem except the two access
-    entry points, which subclasses intercept."""
+class RecordingMemory:
+    """``access`` interposer: pass every access through and append its
+    reply to the per-pid tail (``array('i')``; the manager moves it to the
+    reply log at each save). The class's ``access`` is looked up per call:
+    a function patched onto ``MemorySystem`` later sees every reference."""
 
-    def __init__(self, real, replies: Dict[int, Sequence[int]]) -> None:
-        self.real = real
+    def __init__(self, ms, replies: Dict[int, Sequence[int]]) -> None:
+        self.ms = ms
         self.replies = replies
 
-    def __getattr__(self, name):
-        return getattr(self.real, name)
-
-    def access_run(self, pid: int, cpu: int, kinds: list, addrs: list,
-                   sizes: list, pends: list, i: int, n: int, t: int,
-                   limit: int, horizon: int, ext: int = 0, clock=None,
-                   serial=None, uhint=None):
-        # mirror of MemorySystem.access_run's tapped branch: identical
-        # issue-time arithmetic and cut conditions, one access() per
-        # reference so the wrapper sees the full stream. The lookahead
-        # extension (``ext``) is deliberately ignored, exactly like the
-        # tapped branch: record and replay must both observe the strict
-        # interleaving so the reply log lines up deterministically.
-        access = self.access
-        consumed = 0
-        added = 0
-        while True:
-            k = kinds[i]
-            if clock is not None and t > clock.now:
-                clock.now = t
-            lat, major = access(pid, addrs[i], sizes[i], k != 0, cpu,
-                                t, atomic=(k == 2))
-            consumed += 1
-            if major is not None:
-                return consumed, i, t, added, major, 0
-            added += lat
-            t += lat
-            i += 1
-            if i >= n or consumed >= limit:
-                return consumed, i, t, added, None, 0
-            nt = t + pends[i]
-            if nt >= horizon:
-                return consumed, i, t, added, None, 0
-            t = nt
-
-
-class RecordingMemory(_MemoryWrapper):
-    """Pass every access through and append its reply to the per-pid tail
-    (``array('i')``; the manager moves it to the reply log at each save)."""
-
     def access(self, pid, vaddr, size, write, cpu, now, atomic=False):
-        lat, major = self.real.access(pid, vaddr, size, write, cpu, now,
-                                      atomic=atomic)
+        ms = self.ms
+        lat, major = type(ms).access(ms, pid, vaddr, size, write, cpu, now,
+                                     atomic=atomic)
         log = self.replies.get(pid)
         if log is None:
             log = self.replies[pid] = array("i")
@@ -150,8 +114,9 @@ class RecordingMemory(_MemoryWrapper):
         return lat, major
 
 
-class ReplayMemory(_MemoryWrapper):
-    """Answer every access from the log; the hierarchy is never touched.
+class ReplayMemory:
+    """``access`` interposer: answer every access from the log; the
+    hierarchy is never touched.
 
     A :data:`MAJOR_FAULT` entry reconstructs the fault by asking the live
     VMM to translate the access's own address — valid because ``access``
@@ -160,8 +125,9 @@ class ReplayMemory(_MemoryWrapper):
     mmap/page-install path.
     """
 
-    def __init__(self, real, replies: Dict[int, Sequence[int]]) -> None:
-        super().__init__(real, replies)
+    def __init__(self, ms, replies: Dict[int, Sequence[int]]) -> None:
+        self.ms = ms
+        self.replies = replies
         self.cursors: Dict[int, int] = {}
 
     def access(self, pid, vaddr, size, write, cpu, now, atomic=False):
@@ -174,7 +140,7 @@ class ReplayMemory(_MemoryWrapper):
         self.cursors[pid] = c + 1
         lat = log[c]
         if lat == MAJOR_FAULT:
-            _, major, _ = self.real.vmm.translate(pid, vaddr, write, cpu)
+            _, major, _ = self.ms.vmm.translate(pid, vaddr, write, cpu)
             if major is None:
                 raise ReplayDivergence(
                     f"recorded major fault for pid {pid} at {vaddr:#x} "

@@ -101,7 +101,8 @@ class CheckpointManager:
         # a writer that died mid-save leaves <target>.tmp behind; sweep
         # our own base name so stale temps never accumulate
         sweep_stale_tmp(os.path.dirname(path) or ".", os.path.basename(path))
-        engine.memsys = RecordingMemory(engine.memsys, self.replies)
+        ms = engine.memsys
+        ms.access = RecordingMemory(ms, self.replies).access
         engine.faults.begin_recording(self.fault_log)
 
     # -- engine hooks ------------------------------------------------------
@@ -235,9 +236,10 @@ class CheckpointManager:
         self.saves = ckpt["saves"]
         self._next_save = ckpt["events_processed"] + self.interval
 
-        real = engine.memsys.real
-        replay = ReplayMemory(real, ckpt["replies"])
-        engine.memsys = replay
+        # one tap slot, rebound record -> replay -> record (no tap stack)
+        ms = engine.memsys
+        replay = ReplayMemory(ms, ckpt["replies"])
+        ms.access = replay.access
         engine.faults.begin_replay(self.fault_log)
         self.mode = "replay"
         try:
@@ -261,7 +263,7 @@ class CheckpointManager:
             self._replay_idx = -1
         install_snapshot(engine, ckpt["snapshot"])
         # switch live: record the tail from here on
-        engine.memsys = RecordingMemory(real, self.replies)
+        ms.access = RecordingMemory(ms, self.replies).access
         engine.faults.begin_recording(self.fault_log)
         self.mode = "record"
 

@@ -229,9 +229,10 @@ class SimConfig:
     max_cycles: int = 1 << 62
     #: instrumentation ON/OFF default (the paper's Simulation switch)
     instrument_default: bool = True
-    #: batched event pipeline + L1 fast-path filter (bit-identical timing;
-    #: turn off to force the one-event-per-reference path, e.g. for
-    #: equivalence testing or interleaving ablations)
+    #: batched event pipeline: frontends publish EventBatches (bit-identical
+    #: timing; turn off to force the one-event-per-reference path, e.g. for
+    #: equivalence testing or interleaving ablations). The L1 probe is the
+    #: memory model and runs either way.
     fastpath: bool = True
     #: basic-block translation cache for interpreted ISA frontends: compile
     #: each block to a specialized closure (bit-identical results; see
@@ -245,10 +246,6 @@ class SimConfig:
     #: Bit-identical to the strict scheduler; turn off to force the PR 1
     #: next-rival-event cut, e.g. for equivalence testing.
     lookahead: bool = True
-    #: how far past the strict horizon a lookahead window may reach, in
-    #: cycles. 0 = auto: scaled from the protocol's min_remote_latency()
-    #: (see DESIGN.md "Conservative lookahead windows").
-    lookahead_cycles: int = 0
     #: fire-and-forget batch size used by ParallelEngine workers (events
     #: per pipe message)
     worker_batch: int = 64
@@ -269,16 +266,16 @@ class SimConfig:
     watchdog_rounds: int = 1_000_000
     #: checkpoint/restore: autosave an engine checkpoint to this path every
     #: ``checkpoint_interval`` processed events. 0 disables the subsystem
-    #: entirely — no manager is created, no wrapper is installed, and runs
+    #: entirely — no manager is created, no tap is installed, and runs
     #: are bit-identical to a build without it.
     checkpoint_path: Optional[str] = None
     checkpoint_interval: int = 0
     #: vectorized batch fast path: mirror the L1 tag/state arrays and page
     #: tables as numpy arrays so a whole EventBatch is classified in one
     #: vectorized tag-compare and all-hit prefixes retire in bulk array ops
-    #: (bit-identical timing; requires ``fastpath``; silently degrades to
-    #: the scalar loop when numpy is unavailable). Turn off to force the
-    #: scalar fast path, e.g. for equivalence testing.
+    #: (bit-identical timing; silently degrades to the scalar loop when
+    #: numpy is unavailable). Turn off to force the scalar loop, e.g. for
+    #: equivalence testing.
     vectorized: bool = True
     #: sampled-simulation schedule (a SamplingConfig) alternating detailed
     #: windows with functional fast-forward. None = full detail (default);
@@ -294,8 +291,6 @@ class SimConfig:
         self.ethernet.validate()
         if self.watchdog_rounds <= 0:
             raise ConfigError("watchdog_rounds must be positive")
-        if self.lookahead_cycles < 0:
-            raise ConfigError("lookahead_cycles must be >= 0")
         if self.worker_batch <= 0:
             raise ConfigError("worker_batch must be positive")
         if self.worker_lease < 0:

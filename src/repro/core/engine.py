@@ -81,7 +81,7 @@ class Engine:
         #: seeded deterministic fault injection; with no (or an empty) plan
         #: the injector is disabled, no hooks are bound anywhere, and runs
         #: are bit-identical to a build without the subsystem
-        self.faults = FaultInjector(getattr(cfg, "faults", None), self.stats)
+        self.faults = FaultInjector(cfg.faults, self.stats)
         self._faults_on = self.faults.enabled
         if self._faults_on:
             self.stats.counter("fault_plan_seed").add(self.faults.plan.seed)
@@ -110,20 +110,20 @@ class Engine:
             "sp_rollbacks": 0,
         }
         #: conservative lookahead windows (timing-invisible by
-        #: construction; see DESIGN.md): only meaningful with the batched
-        #: pipeline + L1 filter on, since invisibility is exactly the
-        #: fast-path full-hit predicate
-        self._lookahead = (bool(getattr(cfg, "lookahead", True))
-                           and self._frontend_batching
-                           and self.memsys._fast_on)
-        _la_cycles = getattr(cfg, "lookahead_cycles", 0)
-        if not _la_cycles:
-            # auto: the protocol's cheapest cross-CPU interaction sets the
-            # per-configuration scale; the multiplier only bounds how much
-            # rival-qualification work one window may spend (safety comes
-            # from per-reference invisibility, not from the bound itself)
-            _la_cycles = max(64 * self.memsys.min_remote_latency(), 4096)
-        self._lookahead_cycles = _la_cycles
+        #: construction; see DESIGN.md), asked for where batches exist
+        self._lookahead = cfg.lookahead and self._frontend_batching
+        #: how far a window may reach past the strict horizon: scaled from
+        #: the protocol's cheapest cross-CPU interaction; only bounds the
+        #: rival-qualification work one window may spend (safety comes
+        #: from per-reference invisibility, not from the bound itself)
+        self._lookahead_cycles = max(
+            64 * self.memsys.min_remote_latency(), 4096)
+        #: windows and leases not opened, by reason: ``_stand_down``'s, then
+        #: the lease-only ones (the rows of DESIGN.md's stand-down table);
+        #: observability only: in no ``batch_stats``, fingerprint, checkpoint
+        self.stand_downs: Dict[str, int] = dict.fromkeys(
+            ("delivery", "tapped", "fast_forward", "sampler", "bounded_run",
+             "kernel_mode", "pending_batch", "short_window"), 0)
         self._max_cycles = cfg.max_cycles
         self._timer_started = False
         #: count of not-yet-exited processes (kept in step with spawns/exits)
@@ -134,21 +134,21 @@ class Engine:
         self._last_progress = 0
         self._deadlock_window = max(10 * cfg.os.timer_interval, 10_000_000)
         #: watchdog: scheduler rounds tolerated with global time frozen
-        self._watchdog_rounds = getattr(cfg, "watchdog_rounds", 1_000_000)
+        self._watchdog_rounds = cfg.watchdog_rounds
         #: ring of the most recent events, for deadlock/livelock forensics:
         #: (cycle, pid, event kind) tuples
         self._recent_events: deque = deque(maxlen=8)
         #: deterministic checkpoint/restore; None = subsystem entirely off
-        #: (no wrapper installed, no hook bound, zero cost)
+        #: (no tap installed, no hook bound, zero cost)
         self._ckpt = None
-        if getattr(cfg, "checkpoint_interval", 0) > 0:
+        if cfg.checkpoint_interval > 0:
             from ..checkpoint import CheckpointManager
             self._ckpt = CheckpointManager(self, cfg.checkpoint_path,
                                            cfg.checkpoint_interval)
         #: sampled-simulation window controller; None = full detail (no
         #: hook bound, zero cost — see core/sampling.py)
         self._sampler = None
-        if getattr(cfg, "sampling", None) is not None:
+        if cfg.sampling is not None:
             from .sampling import SamplingController
             self._sampler = SamplingController(self, cfg.sampling)
 
@@ -276,8 +276,7 @@ class Engine:
                 break
             if ck is not None and ck.on_loop_top(self):
                 # replay reached the checkpoint's event count: stop without
-                # finalising (timer.stop would kill the pending tick the
-                # checkpointed run still had armed)
+                # finalising (the checkpointed run was mid-loop here)
                 return self.stats
             if sam is not None:
                 sam.on_loop_top(self)
@@ -347,7 +346,7 @@ class Engine:
                 # cap, then shrink to the rivals' qualified-invisible bound
                 ext = 0
                 if (self._lookahead and horizon < (1 << 61)
-                        and self.memsys.__class__ is MemorySystem):
+                        and self._stand_down(cand) is None):
                     ext = horizon + self._lookahead_cycles
                 if t_task is not None:
                     if t_task < horizon:
@@ -373,7 +372,8 @@ class Engine:
             self.events_processed += 1
             budget -= 1
             handle_event(cand, event)
-        self.timer.stop()
+        if self._live <= 0:
+            self.timer.stop()
         self.stats.end_cycle = gsched.now
         self.stats.host_seconds += _wallclock.perf_counter() - t0
         self._account_trailing_idle()
@@ -610,14 +610,24 @@ class Engine:
         of the rival (a syscall body arming a timed wake-up, a block or
         dispatch taking ``gsched.now``) that reads the global clock, which
         a window reaching past the event would have advanced. Likewise
-        when ``proc`` has a pending interrupt/signal/preemption: servicing
-        its event pushes handler frames whose references cannot be bounded
-        here.
+        when ``proc`` stands down (:meth:`_stand_down`).
         """
-        if event.kind != 9 or self._delivery_due(proc,
-                                                 self.comm.cpus[proc.cpu]):
+        if event.kind != 9 or self._stand_down(proc) is not None:
             return event.time
         return self.memsys.invisible_until(event.pid, proc.cpu, event, cap)
+
+    def _stand_down(self, proc: SimProcess) -> Optional[str]:
+        """Why nothing of ``proc`` may run ahead of the strict schedule —
+        no window for it, no rival's window past its parked event, no
+        lease — or None. A delivery due at its next event boundary (the
+        handler frames cannot be bounded), then
+        :meth:`MemorySystem.strict_stream`; tallied in ``stand_downs``."""
+        why = ("delivery"
+               if self._delivery_due(proc, self.comm.cpus[proc.cpu])
+               else self.memsys.strict_stream())
+        if why is not None:
+            self.stand_downs[why] += 1
+        return why
 
     # -- memory faults -----------------------------------------------------
 

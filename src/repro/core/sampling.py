@@ -66,7 +66,6 @@ class SamplingController:
             # replaying: recorded replies already carry the sampled timing
             return
         ms = engine.memsys
-        ms = getattr(ms, "real", ms)   # unwrap Recording/ReplayMemory
         if not self.in_ff:
             if self.cfg.ff_events <= 0:
                 self._next_switch = 1 << 62
@@ -122,7 +121,7 @@ class SamplingController:
     # -- reporting ---------------------------------------------------------
 
     def summary(self) -> dict:
-        ms = getattr(self.engine.memsys, "real", self.engine.memsys)
+        ms = self.engine.memsys
         detail = sum(1 for w in self.windows if w["kind"] == "detail")
         ff = sum(1 for w in self.windows if w["kind"] == "ff")
         return {

@@ -30,9 +30,9 @@ as one pre-timed delta (``"pr"``) instead of dozens of event messages.
 frontend could act *visibly* — its parked event and already-harvested
 stream are walked through their own L1 hits (``_rival_stream_bound``), and
 L1 hits of different frontends commute — so the reported timing is
-bit-identical to the strict schedule's. Requests are denied while anything
-needs the strict per-reference stream: checkpointing, a memory tap, bounded
-stepping, an installed sampler.
+bit-identical to the strict schedule's. Requests are denied (by reason, in
+``Engine.stand_downs``) while anything needs the strict per-reference
+stream: a memory tap (checkpointing is one), bounded stepping, a sampler.
 
 Conservative ordering
 ---------------------
@@ -67,13 +67,10 @@ from ..core.stats import StatsRegistry
 from ..isa.assembler import assemble
 from ..isa.interpreter import Interpreter, Machine
 from ..isa.memory import DataMemory
-from ..mem.hierarchy import KERNEL_BASE, MemorySystem
+from ..mem.hierarchy import KERNEL_BASE
 
 #: sentinel yielded by the proxy while its worker computes ahead
 COMPUTING = object()
-#: default worker-side batch size for fire-and-forget events (the live
-#: value comes from ``SimConfig.worker_batch``)
-BATCH = 64
 
 
 class WorkerSpec:
@@ -194,9 +191,8 @@ def _drain_lease(conn: Connection, gen, m, grant: tuple):
 
 def _worker_main(conn: Connection, spec_name: str, program_text: str,
                  segments: list, regs: dict,
-                 cpu_affinity: Optional[frozenset] = None,
-                 translate: bool = True, batch_size: int = BATCH,
-                 lease_every: int = 0) -> None:
+                 cpu_affinity: Optional[frozenset], translate: bool,
+                 batch_size: int, lease_every: int) -> None:
     """Child-process body: interpret and stream events."""
     if cpu_affinity:
         try:
@@ -321,14 +317,9 @@ class ParallelEngine(Engine):
         self._workers: Dict[int, _Worker] = {}
         self._ctx = mp.get_context("fork")
         # -- worker-side pre-timing (lookahead layer 2) -------------------
-        self._worker_batch = max(1, getattr(cfg, "worker_batch", BATCH))
-        self._lease_on = bool(getattr(cfg, "lookahead", True)
-                              and getattr(cfg, "worker_lease", 0)
-                              and self.memsys._fast_on)
-        #: consecutive full fire-and-forget batches before a worker asks
-        #: for a lease (0 = workers never ask)
-        self._worker_lease = (getattr(cfg, "worker_lease", 0)
-                              if self._lease_on else 0)
+        #: workers ask for a lease after ``worker_lease`` consecutive full
+        #: fire-and-forget batches (never when this is off)
+        self._lease_on = bool(cfg.lookahead and cfg.worker_lease)
         #: a granted window shorter than this is not worth the snapshot
         self.lease_min_window = 64
         #: pre-timed events to drain from the run loop's event budget
@@ -380,7 +371,8 @@ class ParallelEngine(Engine):
             target=_worker_main,
             args=(child, w.spec.name, w.spec.program_text, w.spec.segments,
                   w.spec.regs, self._affinity, self._frontend_translate,
-                  self._worker_batch, self._worker_lease),
+                  self.cfg.worker_batch,
+                  self.cfg.worker_lease if self._lease_on else 0),
             daemon=True)
         p.start()
         child.close()
@@ -580,23 +572,28 @@ class ParallelEngine(Engine):
         and (b) nothing else can act *visibly* before the window's end
         ``T``: no backend task, no rival frontend (``_rival_stream_bound``,
         with the pid tie-break), and no pending delivery for this
-        frontend. Anything that needs the strict per-reference stream
-        (checkpoint recording/replay, memory taps, bounded max_events
-        stepping, a sampler switching timing modes by event count) denies
-        outright.
+        frontend. The gate every window passes (:meth:`Engine._stand_down`)
+        comes first, then the reasons only a lease has, each counted in
+        ``stand_downs`` (``lease_denied`` is their sum).
         """
         p = w.proc
+        why = self._stand_down(p)
+        if why is None:
+            why = ("sampler" if self._sampler is not None
+                   else "bounded_run" if self._run_budget_capped
+                   else "kernel_mode" if p.kernel_mode
+                   else "pending_batch" if p.pending_batches
+                   else None)
+            grant = self._lease_grant(p) if why is None else None
+            if grant is not None:
+                return grant
+            self.stand_downs[why or "short_window"] += 1
+        self.batch_stats["lease_denied"] += 1
+        return ("ld",)
+
+    def _lease_grant(self, p: SimProcess) -> Optional[tuple]:
+        """The ``"lg"`` message granting ``[t0, T)``; None: window too short"""
         ms = self.memsys
-        if (not self._lease_on or self._ckpt is not None
-                or self._sampler is not None
-                or ms.__class__ is not MemorySystem
-                or "access" in ms.__dict__ or not ms._fast_on
-                or self._run_budget_capped
-                or p is None or p.cpu < 0 or p.kernel_mode
-                or p.pending_batches
-                or self._delivery_due(p, self.comm.cpus[p.cpu])):
-            self.batch_stats["lease_denied"] += 1
-            return ("ld",)
         t0 = p.vtime + p.clock.pending
         T = self._run_until
         t_task = self.gsched.next_time()
@@ -612,8 +609,7 @@ class ParallelEngine(Engine):
             if b < T:
                 T = b
         if T - t0 < self.lease_min_window:
-            self.batch_stats["lease_denied"] += 1
-            return ("ld",)
+            return None
         cpu = p.cpu
         sp = ms._spaces.get(pid)
         return ("lg", t0, T,
@@ -935,7 +931,8 @@ class ParallelEngine(Engine):
             self._last_progress = event.time
             budget -= 1
             self._handle_event(cand, event)
-        self.timer.stop()
+        if self._live <= 0:
+            self.timer.stop()
         self.stats.end_cycle = self.gsched.now
         self.stats.host_seconds += _wall.perf_counter() - t0
         self._account_trailing_idle()

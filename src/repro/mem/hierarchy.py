@@ -69,16 +69,15 @@ class MemorySystem:
         self._line_shift = be.l1.line_size.bit_length() - 1
         self.accesses = 0
 
-        # --- L1 fast-path filter -------------------------------------------
+        # --- the L1 probe --------------------------------------------------
         # A reference whose page is already translated and whose lines all
-        # hit this CPU's L1 with sufficient rights resolves here as raw dict
+        # hit this CPU's L1 with sufficient rights resolves as raw dict
         # probes, with no protocol/VMM involvement. The cached container
-        # references below are stable objects mutated in place by the slow
-        # path, so the filter always sees current state; every decline falls
-        # through to the unchanged full path having mutated nothing.
+        # references below are stable objects mutated in place by the miss
+        # kernel, so the probe always sees current state; every decline
+        # goes to the miss kernel having mutated nothing.
         self.fast_hits = 0
         self.fast_fallbacks = 0
-        self._fast_on = bool(getattr(cfg, "fastpath", True))
         self._l1_latency = be.l1.latency
         self._page_shift = self.vmm._page_shift
         self._page_mask = mem.page_size - 1
@@ -103,8 +102,7 @@ class MemorySystem:
         self.vec_fallbacks = 0
         self.vec_rebuilds = 0
         self._vec = None
-        if (self._fast_on and _np is not None
-                and bool(getattr(cfg, "vectorized", True))):
+        if cfg.vectorized and _np is not None:
             from .vec import VecState
             self._vec = VecState(self)
 
@@ -134,83 +132,77 @@ class MemorySystem:
         """
         if self.ff_active:
             return self._ff_access(pid, vaddr, size, write, cpu, atomic)
+        # the L1 probe: page already translated + all lines hit L1 with
+        # sufficient rights; the miss kernel services whatever it declines
         paddr = -1
-        if self._fast_on:
-            # fast path: page already translated + all lines hit L1 with
-            # sufficient rights (bit-identical to the miss kernel, which
-            # services whatever this probe declines)
-            if vaddr >= KERNEL_BASE:
-                ppn = self._kernel_table.get(vaddr >> self._page_shift)
-            else:
-                sp = self._spaces.get(pid)
-                ppn = (sp.table.get(vaddr >> self._page_shift)
-                       if sp is not None else None)
-            if ppn is not None:
-                paddr = (ppn << self._page_shift) | (vaddr & self._page_mask)
-                shift = self._line_shift
-                line = paddr >> shift
-                last = (paddr + (size or 1) - 1) >> shift
+        if vaddr >= KERNEL_BASE:
+            ppn = self._kernel_table.get(vaddr >> self._page_shift)
+        else:
+            sp = self._spaces.get(pid)
+            ppn = (sp.table.get(vaddr >> self._page_shift)
+                   if sp is not None else None)
+        if ppn is not None:
+            paddr = (ppn << self._page_shift) | (vaddr & self._page_mask)
+            shift = self._line_shift
+            line = paddr >> shift
+            last = (paddr + (size or 1) - 1) >> shift
+            if line == last:
                 states = self._l1_states[cpu]
-                if line == last:
-                    st = states.get(line)
-                    if st is not None and (not write or st >= 2):
-                        self.l1s[cpu].hits += 1
-                        mask = self._l1_set_mask
-                        s = self._l1_sets[cpu][
-                            line & mask if mask >= 0
-                            else line % self._l1_nsets]
-                        if s[0] != line:
-                            s.remove(line)
-                            s.insert(0, line)
-                        if write and st == 2:   # EXCLUSIVE -> MODIFIED
-                            states[line] = 3
-                            l2s = self._l2_states
-                            if l2s is not None and line in l2s[cpu]:
-                                l2s[cpu][line] = 3
-                        self.accesses += 1
-                        self.fast_hits += 1
-                        lat = self._l1_latency
-                        return (lat + 4, None) if atomic else (lat, None)
-                else:
-                    # multi-line: qualify every line before mutating any,
-                    # so a decline leaves the caches untouched for the
-                    # full path to service from scratch
-                    ok = True
-                    sts = []
-                    l = line
-                    while l <= last:
-                        st = states.get(l)
-                        if st is None or (write and st < 2):
-                            ok = False
-                            break
-                        sts.append(st)
-                        l += 1
-                    if ok:
-                        nlines = last - line + 1
-                        self.l1s[cpu].hits += nlines
-                        sets = self._l1_sets[cpu]
-                        mask = self._l1_set_mask
-                        nsets = self._l1_nsets
-                        l2s = (self._l2_states[cpu]
-                               if self._l2_states is not None else None)
-                        for j in range(nlines):
-                            l = line + j
-                            s = sets[l & mask if mask >= 0 else l % nsets]
-                            if s[0] != l:
-                                s.remove(l)
-                                s.insert(0, l)
-                            if write and sts[j] == 2:
-                                states[l] = 3
-                                if l2s is not None and l in l2s:
-                                    l2s[l] = 3
-                        self.accesses += 1
-                        self.fast_hits += 1
-                        lat = self._l1_latency * nlines
-                        if atomic:
-                            lat += 4
-                        return lat, None
-            self.fast_fallbacks += 1
+                st = states.get(line)
+                if st is not None and (not write or st >= 2):
+                    self.l1s[cpu].hits += 1
+                    mask = self._l1_set_mask
+                    s = self._l1_sets[cpu][
+                        line & mask if mask >= 0
+                        else line % self._l1_nsets]
+                    if s[0] != line:
+                        s.remove(line)
+                        s.insert(0, line)
+                    if write and st == 2:   # EXCLUSIVE -> MODIFIED
+                        states[line] = 3
+                        l2s = self._l2_states
+                        if l2s is not None and line in l2s[cpu]:
+                            l2s[cpu][line] = 3
+                    self.accesses += 1
+                    self.fast_hits += 1
+                    lat = self._l1_latency
+                    return (lat + 4, None) if atomic else (lat, None)
+            else:
+                nlines = self._hit_span(cpu, line, last, write)
+                if nlines:
+                    lat = self._l1_latency * nlines
+                    return (lat + 4, None) if atomic else (lat, None)
+        self.fast_fallbacks += 1
         return self._miss(pid, vaddr, size, write, atomic, cpu, now, paddr)
+
+    def _hit_span(self, cpu: int, line: int, last: int, write: bool) -> int:
+        """The probe's multi-line arm. Every line is qualified before any
+        is mutated, so a decline (returns 0) leaves the caches untouched
+        for the miss kernel to service from scratch; a hit returns the
+        line count (not a latency: ``CacheConfig.latency`` may be 0)."""
+        states = self._l1_states[cpu]
+        sts = []
+        for l in range(line, last + 1):
+            st = states.get(l)
+            if st is None or (write and st < 2):
+                return 0
+            sts.append(st)
+        self.l1s[cpu].hits += len(sts)
+        sets = self._l1_sets[cpu]
+        mask = self._l1_set_mask
+        l2s = self._l2_states[cpu] if self._l2_states is not None else None
+        for l, st in zip(range(line, last + 1), sts):
+            s = sets[l & mask if mask >= 0 else l % self._l1_nsets]
+            if s[0] != l:
+                s.remove(l)
+                s.insert(0, l)
+            if write and st == 2:   # EXCLUSIVE -> MODIFIED
+                states[l] = 3
+                if l2s is not None and l in l2s:
+                    l2s[l] = 3
+        self.accesses += 1
+        self.fast_hits += 1
+        return len(sts)
 
     # ------------------------------------------------------------------
     # conservative lookahead support (see DESIGN.md)
@@ -221,17 +213,27 @@ class MemorySystem:
         per-configuration scale of the engine's lookahead windows."""
         return self.protocol.min_remote_latency()
 
+    def strict_stream(self) -> Optional[str]:
+        """Why every reference must go through :meth:`access` alone, at its
+        strict-order cycle — or None when runs may be inlined, vectorised,
+        windowed or leased. ``"tapped"``: ``access`` is rebound on the
+        instance (memtrace, checkpoint record/replay) and must see the
+        strict interleaving call by call. ``"fast_forward"``: a sampled ff
+        window, whose synthetic timing no invisibility argument covers."""
+        if "access" in self.__dict__:
+            return "tapped"
+        return "fast_forward" if self.ff_active else None
+
     def ref_invisible_latency(self, pid: int, cpu: int, kind: int,
                               vaddr: int, size: int) -> int:
-        """Latency this single reference would resolve with on the L1 fast
-        path, or -1 when it would decline (miss / upgrade / untranslated).
+        """Latency this single reference would resolve with on the L1
+        probe, or -1 when it would decline (miss / upgrade / untranslated).
 
-        Read-only: probes the same state the fast path consults but mutates
-        nothing — used to bound how long a *rival* frontend provably stays
-        invisible (a fast-path hit touches only issuer-private state).
+        Read-only: the one scalar classifier — it reads the state the probe
+        consults but mutates nothing, so it can bound how long a *rival*
+        frontend provably stays invisible (a probe hit touches only
+        issuer-private state). Callers rule out :meth:`strict_stream`.
         """
-        if not self._fast_on or self.ff_active:
-            return -1
         if vaddr >= KERNEL_BASE:
             ppn = self._kernel_table.get(vaddr >> self._page_shift)
         else:
@@ -257,86 +259,49 @@ class MemorySystem:
         """Earliest cycle at which the frontend owning ``batch`` could next
         act *non-invisibly*, walking its pending references from the cursor.
 
-        A reference is invisible when it satisfies the L1 fast-path full-hit
-        predicate: it then mutates only issuer-private state (own LRU order,
-        E->M flips of lines no peer holds, commutative counters), so any
-        interleaving of invisible references from different frontends is
-        bit-identical to the strict order. The walk is read-only (no LRU
-        promotion, no counters) and chains the same issue-time arithmetic
-        as :meth:`access_run`. Returns ``cap`` when the whole prefix up to
-        ``cap`` qualifies, else the issue time of the first reference that
-        might take the slow path — or of the *last* reference when the
-        batch ends first: the frontend's next event can be no earlier than
-        the batch's completion, but the host code it runs on completion
-        reads the global clock, which must not have passed the cycle the
-        strict schedule completes the batch at.
+        A reference is invisible when the L1 probe fully hits: it then
+        mutates only issuer-private state (own LRU order, E->M flips of
+        lines no peer holds, commutative counters), so any interleaving of
+        invisible references from different frontends is bit-identical to
+        the strict order. The walk is read-only and chains the same
+        issue-time arithmetic as :meth:`access_run`. Returns ``cap`` when
+        the whole prefix up to ``cap`` qualifies, else the issue time of
+        the first reference that might need the miss kernel — or of the
+        *last* reference when the batch ends first: the frontend's next
+        event can be no earlier than the batch's completion, but the host
+        code it runs on completion reads the global clock, which must not
+        have passed the cycle the strict schedule completes the batch at.
 
         There are two qualifiers. With the vec mirror of ``cpu`` fresh the
         bound is read from the batch's array classification
         (:meth:`VecState.frontier` — the one the owner's own run will use),
         after a single probe of the first reference so that a rival about
         to miss costs no classification. Otherwise (``vectorized`` off,
-        mirror stale, a handful of references left) the scalar walk below
-        answers; it is the reference the array bound is tested against.
+        mirror stale, a handful of references left) the loop over
+        :meth:`ref_invisible_latency` answers; it is the reference the
+        array bound is tested against.
         """
         t = batch.time
-        if not self._fast_on or self.ff_active or "access" in self.__dict__:
-            return t
         i = batch.cursor
-        vec = self._vec
-        if vec is not None:
-            if self.ref_invisible_latency(pid, cpu, batch.kinds[i],
-                                          batch.addrs[i],
-                                          batch.sizes[i]) < 0:
-                return t
-            bound = vec.frontier(pid, cpu, batch, cap)
-            if bound is not None:
-                return bound
-        kbase = KERNEL_BASE
-        ktable_get = self._kernel_table.get
-        sp = self._spaces.get(pid)
-        utable_get = sp.table.get if sp is not None else None
-        pshift = self._page_shift
-        pmask = self._page_mask
-        shift = self._line_shift
-        states_get = self._l1_states[cpu].get
-        l1_lat = self._l1_latency
         kinds = batch.kinds
         addrs = batch.addrs
         sizes = batch.sizes
+        probe = self.ref_invisible_latency
+        lat = probe(pid, cpu, kinds[i], addrs[i], sizes[i])
+        if lat >= 0 and self._vec is not None:
+            bound = self._vec.frontier(pid, cpu, batch, cap)
+            if bound is not None:
+                return bound
         pends = batch.pendings
-        n = batch.n
-        while True:
-            vaddr = addrs[i]
-            k = kinds[i]
-            if vaddr >= kbase:
-                ppn = ktable_get(vaddr >> pshift)
-            elif utable_get is not None:
-                ppn = utable_get(vaddr >> pshift)
-            else:
-                ppn = None
-            if ppn is None:
-                return t
-            paddr = (ppn << pshift) | (vaddr & pmask)
-            line = paddr >> shift
-            last = (paddr + (sizes[i] or 1) - 1) >> shift
-            nlines = 0
-            while line <= last:
-                st = states_get(line)
-                if st is None or (k != 0 and st < _EXCLUSIVE):
-                    return t
-                line += 1
-                nlines += 1
-            lat = l1_lat * nlines
-            if k == 2:
-                lat += 4
-            i += 1
-            if i >= n:
-                return t
+        for i in range(i + 1, batch.n):
+            if lat < 0:
+                break
             nt = t + lat + pends[i]
             if nt >= cap:
                 return cap
             t = nt
+            lat = probe(pid, cpu, kinds[i], addrs[i], sizes[i])
+        return t
 
     # ------------------------------------------------------------------
 
@@ -366,76 +331,67 @@ class MemorySystem:
         rival whose qualified window justified the extension. ``ext_refs``
         counts references consumed beyond the strict horizon.
 
-        When a tracing tap has rebound ``access`` on the instance (e.g.
-        :class:`~repro.traces.memtrace.MemTraceRecorder`), every reference
-        is delegated through it so taps observe the full stream — and the
-        extension is ignored (taps must see the strict interleaving);
-        otherwise the L1 fast path is inlined here, which is the
-        simulator's hottest loop.
+        Under :meth:`strict_stream` the extension is ignored: a tapped
+        run goes through the instance's ``access`` reference by reference
+        (:meth:`_run_each`), a fast-forward window through :meth:`_ff_run`.
+        Otherwise the vec mirror retires the all-hit prefix in bulk array
+        ops when it can (``serial`` names the batch filling so a
+        classification survives horizon-cut continuations) and the scalar
+        loop, the simulator's hottest, does the rest — bit-identically.
         """
         if i >= n or limit <= 0:
             return 0, i, t, 0, None, 0
-        access = self.access
-        consumed = 0
-        added = 0
-        if "access" in self.__dict__ or not self._fast_on:
-            # tapped (or filter disabled): preserve the per-reference call
-            # stream through the instance attribute
-            while True:
-                k = kinds[i]
-                if clock is not None and t > clock.now:
-                    clock.now = t
-                lat, major = access(pid, addrs[i], sizes[i], k != 0, cpu,
-                                    t, atomic=(k == 2))
-                consumed += 1
-                if major is not None:
-                    return consumed, i, t, added, major, 0
-                added += lat
-                t += lat
-                i += 1
-                if i >= n or consumed >= limit:
-                    return consumed, i, t, added, None, 0
-                nt = t + pends[i]
-                if nt >= horizon:
-                    return consumed, i, t, added, None, 0
-                t = nt
-        if self.ff_active:
-            # sampled fast-forward window: functional warming, constant
-            # calibrated latency, strict horizon (no lookahead extension)
+        strict = self.strict_stream()
+        if strict == "tapped":
+            return self._run_each(pid, cpu, kinds, addrs, sizes, pends, i, n,
+                                  t, limit, horizon, clock)
+        if strict is not None:
             return self._ff_run(pid, cpu, kinds, addrs, sizes, pends,
                                 i, n, t, limit, horizon, clock, uhint)
         if self._vec is not None:
-            return self.access_run_vec(pid, cpu, kinds, addrs, sizes, pends,
-                                       i, n, t, limit, horizon, ext, clock,
-                                       serial, uhint)
+            res = self._vec.run(pid, cpu, kinds, addrs, sizes, pends, i, n,
+                                t, limit, horizon, ext, clock, serial, uhint)
+            if res is not None:
+                return res
+            self.vec_fallbacks += 1
         return self._access_run_scalar(pid, cpu, kinds, addrs, sizes, pends,
                                        i, n, t, limit, horizon, ext, clock)
 
-    def access_run_vec(self, pid: int, cpu: int, kinds: list, addrs: list,
-                       sizes: list, pends: list, i: int, n: int, t: int,
-                       limit: int, horizon: int, ext: int = 0, clock=None,
-                       serial=None, uhint=None):
-        """Vectorized :meth:`access_run`: classify the run in one numpy
-        membership test against the mirror state, retire the all-hit prefix
-        in bulk array ops, and delegate anything past it to the scalar loop.
-        Bit-identical to the scalar path (SimConfig.vectorized off).
-        ``serial`` names the batch filling so a classification survives
-        horizon-cut continuations of the same batch."""
-        res = self._vec.run(pid, cpu, kinds, addrs, sizes, pends, i, n, t,
-                            limit, horizon, ext, clock, serial, uhint)
-        if res is not None:
-            return res
-        self.vec_fallbacks += 1
-        return self._access_run_scalar(pid, cpu, kinds, addrs, sizes, pends,
-                                       i, n, t, limit, horizon, ext, clock)
+    def _run_each(self, pid: int, cpu: int, kinds: list, addrs: list,
+                  sizes: list, pends: list, i: int, n: int, t: int,
+                  limit: int, horizon: int, clock):
+        """The per-reference loop: one ``access`` per reference through
+        the instance (a tap sees the whole stream), each at its strict
+        issue time, cut at ``horizon``; returns as :meth:`access_run`."""
+        access = self.access
+        consumed = 0
+        added = 0
+        while True:
+            k = kinds[i]
+            if clock is not None and t > clock.now:
+                clock.now = t
+            lat, major = access(pid, addrs[i], sizes[i], k != 0, cpu,
+                                t, atomic=(k == 2))
+            consumed += 1
+            if major is not None:
+                return consumed, i, t, added, major, 0
+            added += lat
+            t += lat
+            i += 1
+            if i >= n or consumed >= limit:
+                return consumed, i, t, added, None, 0
+            nt = t + pends[i]
+            if nt >= horizon:
+                return consumed, i, t, added, None, 0
+            t = nt
 
     def _access_run_scalar(self, pid: int, cpu: int, kinds: list,
                            addrs: list, sizes: list, pends: list, i: int,
                            n: int, t: int, limit: int, horizon: int,
                            ext: int = 0, clock=None):
-        """The untapped scalar hot loop: locals bound once, fast path
-        inlined; any reference the filter declines goes straight to the
-        miss kernel with the translation this loop's probe already made."""
+        """The scalar hot loop: locals bound once, the single-line probe
+        inlined; any reference the probe declines goes straight to the
+        miss kernel with the translation this loop already made."""
         miss = self._miss
         consumed = 0
         added = 0
@@ -500,34 +456,10 @@ class MemorySystem:
                         self.fast_hits += 1
                         lat = l1_lat + 4 if k == 2 else l1_lat
                 else:
-                    ok = True
-                    sts = []
-                    l = line
-                    while l <= last:
-                        st = states_get(l)
-                        if st is None or (k != 0 and st < 2):
-                            ok = False
-                            break
-                        sts.append(st)
-                        l += 1
-                    if ok:
-                        nlines = last - line + 1
-                        l1.hits += nlines
-                        for j in range(nlines):
-                            l = line + j
-                            s = sets[l & mask if mask >= 0 else l % nsets]
-                            if s[0] != l:
-                                s.remove(l)
-                                s.insert(0, l)
-                            if k != 0 and sts[j] == 2:
-                                states[l] = 3
-                                if l2s is not None and l in l2s:
-                                    l2s[l] = 3
-                        self.accesses += 1
-                        self.fast_hits += 1
-                        lat = l1_lat * nlines
-                        if k == 2:
-                            lat += 4
+                    nlines = self._hit_span(cpu, line, last, k != 0)
+                    if nlines:
+                        lat = l1_lat * nlines + 4 if k == 2 \
+                            else l1_lat * nlines
             if lat < 0:
                 if t >= horizon:
                     # lookahead zone: this reference would take the slow
@@ -643,10 +575,11 @@ class MemorySystem:
                 sizes: list, pends: list, i: int, n: int, t: int,
                 limit: int, horizon: int, clock=None, uhint=None):
         """Batched fast-forward: translation + warming + the calibrated
-        latency chain in array ops, falling back to :meth:`_ff_access` for
-        short tails and references whose page is not yet translated (those
-        may allocate or major-fault). Ignores the lookahead extension: ff
-        timing is synthetic, so no invisibility argument applies.
+        latency chain in array ops, falling back to :meth:`_run_each` (its
+        ``access`` is :meth:`_ff_access` here) for short tails and
+        references whose page is not yet translated (those may allocate or
+        major-fault). Ignores the lookahead extension: ff timing is
+        synthetic, so no invisibility argument applies.
 
         ``uhint = (kind, stride, work_per_line)`` is the producer's claim
         that the whole filling is one arithmetic stream (uniform kind and
@@ -667,25 +600,10 @@ class MemorySystem:
                 m = rem
             if np_ is None or m < 8:
                 # scalar tail (same stream the per-event loop would make)
-                while True:
-                    k = kinds[i]
-                    if clock is not None and t > clock.now:
-                        clock.now = t
-                    lat, major = self._ff_access(
-                        pid, addrs[i], sizes[i], k != 0, cpu,
-                        atomic=(k == 2))
-                    consumed += 1
-                    if major is not None:
-                        return consumed, i, t, added, major, 0
-                    added += lat
-                    t += lat
-                    i += 1
-                    if i >= n or consumed >= limit:
-                        return consumed, i, t, added, None, 0
-                    nt = t + pends[i]
-                    if nt >= horizon:
-                        return consumed, i, t, added, None, 0
-                    t = nt
+                c, i, t, a, major, _ = self._run_each(
+                    pid, cpu, kinds, addrs, sizes, pends, i, n, t, rem,
+                    horizon, clock)
+                return consumed + c, i, t, added + a, major, 0
             if uhint is not None:
                 a = addrs[i] + uhint[1] * np_.arange(m, dtype=np_.int64)
             else:
@@ -705,23 +623,15 @@ class MemorySystem:
             if seg == 0:
                 # first ref needs page allocation (or major-faults): take
                 # the scalar path for it, then rescan the rest
-                k = kinds[i]
-                if clock is not None and t > clock.now:
-                    clock.now = t
-                lat, major = self._ff_access(pid, addrs[i], sizes[i],
-                                             k != 0, cpu, atomic=(k == 2))
-                consumed += 1
-                if major is not None:
+                c, i, t, a, major, _ = self._run_each(
+                    pid, cpu, kinds, addrs, sizes, pends, i, n, t, 1,
+                    horizon, clock)
+                consumed += c
+                added += a
+                if major is not None or i >= n or consumed >= limit \
+                        or t + pends[i] >= horizon:
                     return consumed, i, t, added, major, 0
-                added += lat
-                t += lat
-                i += 1
-                if i >= n or consumed >= limit:
-                    return consumed, i, t, added, None, 0
-                nt = t + pends[i]
-                if nt >= horizon:
-                    return consumed, i, t, added, None, 0
-                t = nt
+                t += pends[i]
                 continue
             shift = self._line_shift
             paddr = (ppn[:seg] << pshift) | (a[:seg] & self._page_mask)
@@ -895,11 +805,11 @@ class MemorySystem:
         """The miss kernel: service one reference the L1 probe declined.
 
         Every slow reference of every caller ends here — ``access`` and the
-        batched run loop after their own probe, or ``access`` directly when
-        the filter is off. ``paddr`` is the translation the caller's probe
-        made, or -1 when it found none; only then is the VMM walked, which
-        may allocate (minor fault, charged here) or report a major fault
-        (no timing progress; the engine traps and retries).
+        batched run loop, each after its own probe. ``paddr`` is the
+        translation that probe made, or -1 when it found none; only then is
+        the VMM walked, which may allocate (minor fault, charged here) or
+        report a major fault (no timing progress; the engine traps and
+        retries).
 
         Each line of the reference is serviced in order — L1 probe, L2
         probe, protocol call, L2 fill with its inclusion victim, L1 fill —

@@ -10,7 +10,7 @@ from repro import (CheckpointError, Engine, FaultPlan, FaultRule,
                    checkpoint_exists,
                    SamplingConfig, SimulatedCrash, complex_backend,
                    load_checkpoint, resume)
-from repro.checkpoint import RecordingMemory
+from repro.checkpoint import CheckpointManager, RecordingMemory
 from repro.checkpoint.log import ReplayMemory
 from repro.checkpoint.manager import FORMAT_VERSION
 from repro.core.errors import ReplayDivergence
@@ -137,6 +137,8 @@ class TestSegmentedRuns:
         SimProcess._next_pid[0] = 1
         eng0 = build(_cfg_factory(None, 0, TIMING_PLAN))
         baseline = _full_fingerprint(eng0, run_segmented(eng0))
+        # a segment cut is not an event: the interval timer ticks across it
+        assert baseline == _run_plain(build, TIMING_PLAN)
 
         path = str(tmp_path / "ck.pkl")
         factory = _cfg_factory(path, 1_500, TIMING_PLAN)
@@ -164,10 +166,69 @@ class TestZeroCostWhenOff:
         path = str(tmp_path / "ck.pkl")
         SimProcess._next_pid[0] = 1
         eng = build(_cfg_factory(path, 2_000, TIMING_PLAN))
-        assert type(eng.memsys) is RecordingMemory
+        assert eng.memsys.strict_stream() == "tapped"
         stats = eng.run()
         assert _full_fingerprint(eng, stats) == baseline
         assert eng._ckpt.saves > 0
+
+
+class TestOneTap:
+    """Recording and replaying are ``access`` interposers on the live
+    ``MemorySystem`` instance: the engine keeps the object it was built
+    with, and the interposer looks the class's ``access`` up per call."""
+
+    def test_memsys_is_never_replaced(self, tmp_path, monkeypatch):
+        build = FAULT_OFF_WORKLOADS["oltp"]
+        path = str(tmp_path / "ck.pkl")
+        factory = _cfg_factory(path, 1_500, TIMING_PLAN)
+        seen = []
+        init = CheckpointManager.__init__
+        top = CheckpointManager.on_loop_top
+
+        def spy_init(mgr, engine, *a):
+            seen.append(("attach", engine.memsys, engine.memsys.strict_stream()))
+            init(mgr, engine, *a)
+
+        def spy_top(mgr, engine):
+            tap = engine.memsys.access.__self__
+            if not seen or seen[-1][0] != mgr.mode or seen[-1][2] is not tap:
+                seen.append((mgr.mode, engine.memsys, tap))
+            return top(mgr, engine)
+
+        monkeypatch.setattr(CheckpointManager, "__init__", spy_init)
+        monkeypatch.setattr(CheckpointManager, "on_loop_top", spy_top)
+        SimProcess._next_pid[0] = 1
+        eng = build(factory)
+        eng._ckpt.crash_after_saves = 2
+        with pytest.raises(SimulatedCrash):
+            eng.run()
+        eng2, _ = resume(path, lambda: build(factory))
+        modes = [m for m, _, _ in seen]
+        assert modes == ["attach", "record", "attach", "replay", "record"]
+        # untapped before the manager attaches; then one slot, rebound
+        assert [tap for m, _, tap in seen if m == "attach"] == [None, None]
+        taps = [type(tap) for m, _, tap in seen if m != "attach"]
+        assert taps == [RecordingMemory, ReplayMemory, RecordingMemory]
+        assert all(type(ms) is MemorySystem for _, ms, _ in seen)
+        assert {id(ms) for _, ms, _ in seen[:2]} == {id(eng.memsys)}
+        assert {id(ms) for _, ms, _ in seen[2:]} == {id(eng2.memsys)}
+        assert eng2.memsys.strict_stream() == "tapped"
+
+    def test_class_level_patch_sees_every_reference(self, tmp_path,
+                                                    monkeypatch):
+        """What ``benchmarks/e2e``'s tracer does: patch the class after the
+        engine is built. The recorder must not have captured the method."""
+        SimProcess._next_pid[0] = 1
+        eng = FAULT_OFF_WORKLOADS["oltp"](
+            _cfg_factory(str(tmp_path / "ck.pkl"), 2_000, TIMING_PLAN))
+        calls = []
+        orig = MemorySystem.access
+        monkeypatch.setattr(
+            MemorySystem, "access",
+            lambda ms, *a, **kw: calls.append(1) or orig(ms, *a, **kw))
+        eng.run()
+        assert eng._ckpt.saves > 0
+        assert len(calls) == eng.memsys.accesses > 0
 
 
 class TestFingerprints:

@@ -1,10 +1,11 @@
-"""Bit-identity of the batched pipeline + L1 fast-path filter.
+"""Bit-identity of the batched pipeline and of the L1 probe.
 
-The fast path (SimConfig.fastpath) is a pure host-side optimisation: batched
-event delivery and the L1 filter must produce *exactly* the simulated cycle
-counts, cache statistics, CPU time buckets and memory trace of the
-one-event-per-reference path, on every workload class the paper studies
-(OLTP, DSS, webserver, SPLASH kernel).
+Batching (SimConfig.fastpath) is a pure host-side optimisation and the L1
+probe is the memory model itself: batched delivery must produce *exactly*
+the simulated cycle counts, cache statistics, CPU time buckets and memory
+trace of the one-event-per-reference path, and both those of a run whose
+every reference is serviced by the miss kernel, on every workload class
+the paper studies (OLTP, DSS, webserver, SPLASH kernel).
 """
 
 from __future__ import annotations
@@ -100,11 +101,21 @@ def _snapshot(eng, stats, rec):
     }
 
 
-def _run(build, **cfg):
+def miss_tap(eng):
+    """The "probe off" reference: every reference, L1 hits included, is
+    serviced by the miss kernel (``paddr=-1``: it translates itself)."""
+    ms = eng.memsys
+    ms.access = lambda pid, vaddr, size, write, cpu, now, atomic=False: \
+        ms._miss(pid, vaddr, size, write, atomic, cpu, now, -1)
+
+
+def _run(build, tap=None, **cfg):
     # pids feed the selection tie-break and address-space keys; both runs
     # must see identical numbering
     SimProcess._next_pid[0] = 1
     eng, finish = build(**cfg)
+    if tap is not None:
+        tap(eng)
     rec = MemTraceRecorder.attach(eng, max_records=2_000_000)
     stats = finish()
     assert rec.dropped == 0
@@ -128,9 +139,13 @@ def test_fastpath_bit_identical(name):
     if name in BATCHING_WORKLOADS:
         assert eng_on.batch_stats["refs"] > 0
         assert eng_on.batch_stats["batches"] > 0
-    # ...and the reference run stayed on the per-event path
+    # ...and the reference run stayed on the per-event path, where the
+    # probe answers what the miss kernel alone would have
     assert eng_off.batch_stats["refs"] == 0
-    assert eng_off.memsys.fast_hits == 0
+    assert eng_off.batch_stats["batches"] == 0
+    snap_miss, eng_miss = _run(build, tap=miss_tap, fastpath=False)
+    assert snap_off == snap_miss
+    assert eng_off.memsys.fast_hits > 0 == eng_miss.memsys.fast_hits
 
 
 @pytest.mark.parametrize("name", sorted(BATCHING_WORKLOADS))

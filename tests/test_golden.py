@@ -40,7 +40,8 @@ ERRNO_PLAN = FaultPlan(rules=(
 ), seed=7)
 
 #: every optimistic/perf knob off — bit-identical to the defaults by
-#: contract, so these arms share the default arms' goldens
+#: contract, fault plan armed or not, so these arms share the default
+#: arms' goldens
 STRICT = {"lookahead": False, "vectorized": False, "fastpath": False}
 
 #: the fleet: name, workload, config dict, optional golden alias
@@ -51,6 +52,9 @@ SCENARIOS = [
      "config": dict(STRICT), "golden": "oltp-directory"},
     {"name": "oltp-timing-faults", "workload": "oltp",
      "config": {"faults": TIMING_PLAN.to_dict()}},
+    {"name": "oltp-timing-faults-strict", "workload": "oltp",
+     "config": {"faults": TIMING_PLAN.to_dict(), **STRICT},
+     "golden": "oltp-timing-faults"},
     {"name": "oltp-errno-faults", "workload": "oltp",
      "config": {"faults": ERRNO_PLAN.to_dict()}},
     # DSS (TPC-D Q1): directory and COMA protocols, strict arm
@@ -63,6 +67,9 @@ SCENARIOS = [
     {"name": "webserver-mesi", "workload": "webserver", "config": {}},
     {"name": "webserver-mesi-faults", "workload": "webserver",
      "config": {"faults": TIMING_PLAN.to_dict()}},
+    {"name": "webserver-mesi-faults-strict", "workload": "webserver",
+     "config": {"faults": TIMING_PLAN.to_dict(), **STRICT},
+     "golden": "webserver-mesi-faults"},
     # SPLASH radix: directory and page-based DSM, strict arm
     {"name": "splash-directory", "workload": "splash", "config": {}},
     {"name": "splash-directory-strict", "workload": "splash",

@@ -30,7 +30,7 @@ import pytest
 from repro import (Engine, FaultPlan, FaultRule, SimulatedCrash, WaitToken,
                    checkpoint_exists,
                    complex_backend, resume)
-from repro.core.config import SamplingConfig
+from repro.core.config import OSConfig, SamplingConfig
 from repro.core.frontend import SimProcess
 from repro.host import ParallelEngine, WorkerSpec
 from repro.host.parallel import _Worker
@@ -249,14 +249,12 @@ def test_all_knob_arms_land_one_fingerprint(name, faults):
 
 
 def test_lookahead_cycles_auto_derivation():
-    """lookahead_cycles=0 derives the window scan budget from the
-    protocol's cheapest cross-CPU interaction."""
+    """The window scan budget is derived from the protocol's cheapest
+    cross-CPU interaction (it is not a knob)."""
     eng = Engine(complex_backend(num_cpus=2))
     mrl = eng.memsys.min_remote_latency()
     assert mrl >= 1
     assert eng._lookahead_cycles == max(64 * mrl, 4096)
-    eng2 = Engine(complex_backend(num_cpus=2, lookahead_cycles=777))
-    assert eng2._lookahead_cycles == 777
 
 
 @pytest.mark.parametrize("coherence", ["mesi", "none", "directory",
@@ -461,6 +459,8 @@ def test_parallel_checkpoint_denies_leases(tmp_path):
                                     checkpoint_interval=2_000)
     snap_off, _ = _run_parallel(1, worker_lease=0)
     assert eng_ck.batch_stats["leases"] == 0
+    assert (eng_ck.stand_downs["tapped"]
+            == eng_ck.batch_stats["lease_denied"] > 0)
     assert snap_ck == snap_off
 
 
@@ -476,8 +476,25 @@ def test_lease_denied_under_bounded_stepping():
             eng.run(max_events=500)
         stats = eng.stats
     assert eng.batch_stats["leases"] == 0
+    assert eng.stand_downs["bounded_run"] == eng.batch_stats["lease_denied"]
     snap_strict, _ = _run_parallel(1, worker_lease=0)
     assert _snapshot(eng, stats) == snap_strict
+
+
+def test_parallel_run_cut_and_continued_equals_uncut():
+    """A ``max_events`` cut leaves the interval timer armed: slices land
+    the uncut run, its timer interrupts included."""
+    os_cfg = OSConfig(timer_interval=20_000)
+    snap, whole = _run_parallel(1, worker_lease=0, os=os_cfg)
+    assert whole.stats.interrupt_counts["timer"] > 2
+    SimProcess._next_pid[0] = 1
+    eng = ParallelEngine(complex_backend(num_cpus=1, worker_lease=0,
+                                         os=os_cfg))
+    with eng:
+        eng.spawn_worker(WorkerSpec("w0", HOT_PROG))
+        while eng._live > 0:
+            eng.run(max_events=3_000)
+    assert _snapshot(eng, eng.stats) == snap
 
 
 def test_sampler_denies_leases():
@@ -490,6 +507,11 @@ def test_sampler_denies_leases():
     assert snap_lease == snap_strict
     assert eng_lease.batch_stats["leases"] == 0
     assert eng_lease.batch_stats["lease_denied"] > 0
+    # by name: the gate's own reason inside fast-forward windows, the
+    # lease's in detail ones
+    sd = eng_lease.stand_downs
+    assert sd["sampler"] > 0 and sd["fast_forward"] > 0
+    assert sum(sd.values()) == eng_lease.batch_stats["lease_denied"]
 
 
 # ---------------------------------------------------------------------------
@@ -598,4 +620,10 @@ def test_lease_window_reaches_past_a_rivals_parked_event():
     wq.queue.append(("m", 0, COLD, 4, 5))
     assert eng._lease_decision(eng._workers[p.pid]) == ("ld",)
     assert eng.batch_stats["lease_denied"] == 1
+    assert eng.stand_downs["short_window"] == 1
+    # the gate every window passes is the head of the decision
+    p.preempt_pending = True
+    assert eng._lease_decision(eng._workers[p.pid]) == ("ld",)
+    assert eng.stand_downs["delivery"] == 1
+    assert sum(eng.stand_downs.values()) == eng.batch_stats["lease_denied"]
     eng.shutdown()

@@ -17,6 +17,8 @@ hits legitimately skip the bump).
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -144,12 +146,12 @@ def reference_access(ms, vaddr, size, write, atomic, cpu, now,
 # the systems under comparison
 # ---------------------------------------------------------------------------
 
-def make_system(detail, coherence, fault_extra):
+def make_system(detail, coherence, fault_extra, l1_latency=1):
     """Caches of 8 (L1) and 32 (L2) lines: a few dozen references already
     evict, and an L1-hot line routinely becomes the L2's LRU victim."""
     be = BackendConfig(
         detail=detail,
-        l1=CacheConfig(size=256, line_size=32, assoc=2, latency=1),
+        l1=CacheConfig(size=256, line_size=32, assoc=2, latency=l1_latency),
         l2=(CacheConfig(size=1024, line_size=32, assoc=2, latency=8)
             if detail == "complex" else None),
         coherence=coherence,
@@ -338,3 +340,67 @@ def test_access_run_matches_cache_method_composition(detail, coherence,
         assert (t, got_added) == (rt, want_added)
         assert all(b <= a for b, a in zip(before, versions(flat)))
     assert observable(flat) == observable(ref)
+
+
+# ---------------------------------------------------------------------------
+# the probe's multi-line arm against its single-line arm
+# ---------------------------------------------------------------------------
+
+#: cpu, kind, first line (a dozen lines over four sets, so spans are often
+#: fully resident and as often not), lines spanned
+span_ref = st.tuples(st.integers(0, 1), st.sampled_from([0, 0, 1, 2]),
+                     st.integers(0, 11), st.integers(1, 4))
+
+
+@pytest.mark.parametrize("l1_latency", [1, 0])
+@settings(max_examples=60, deadline=None)
+@given(refs=st.lists(span_ref, min_size=1, max_size=60))
+def test_hit_span_is_the_single_line_probe_line_by_line(l1_latency, refs):
+    """``_hit_span`` over lines ``a..b`` leaves the caches exactly as one
+    single-line probe hit per line, in order, would — or, when any line
+    would decline, touches nothing (``Cache`` state byte-equal) and
+    returns 0. Through ``access`` a span hit costs ``latency * lines``
+    (+4 atomic) and never reaches the miss kernel, a zero-latency L1
+    included."""
+    span = make_system("complex", "mesi", 0, l1_latency)
+    single = make_system("complex", "mesi", 0, l1_latency)
+    for ms in (span, single):      # translate the page
+        ms.access(PID, USER_BASE + 127 * 32, 1, False, 0, 0)
+    ppn = span.vmm._spaces[PID].table[USER_BASE >> 12]
+    assert single.vmm._spaces[PID].table[USER_BASE >> 12] == ppn
+    now = 10
+    for cpu, kind, first, nlines in refs:
+        vaddr = USER_BASE + first * 32
+        write, atomic = kind != 0, kind == 2
+        line = ((ppn << 12) | (vaddr & 0xFFF)) >> 5
+        hits = all(single.ref_invisible_latency(PID, cpu, kind,
+                                                vaddr + j * 32, 1) >= 0
+                   for j in range(nlines))
+        before = pickle.dumps([(c._sets, c._states) for c in
+                               span.l1s + span.l2s])
+        if not hits:
+            assert span._hit_span(cpu, line, line + nlines - 1, write) == 0
+            assert pickle.dumps([(c._sets, c._states) for c in
+                                 span.l1s + span.l2s]) == before
+            got = span.access(PID, vaddr, nlines * 32, write, cpu, now,
+                              atomic=atomic)
+            assert got == single.access(PID, vaddr, nlines * 32, write, cpu,
+                                        now, atomic=atomic)
+        elif nlines == 1:
+            # access() inlines this arm; the span of one line equals it
+            assert span._hit_span(cpu, line, line, write) == 1
+            single.access(PID, vaddr, 1, write, cpu, now)
+        else:
+            fallbacks = span.fast_fallbacks
+            lat, major = span.access(PID, vaddr, nlines * 32, write, cpu,
+                                     now, atomic=atomic)
+            assert (lat, major) == (l1_latency * nlines + 4 * atomic, None)
+            assert span.fast_fallbacks == fallbacks
+            for j in range(nlines):
+                single.access(PID, vaddr + j * 32, 1, write, cpu, now)
+            # one reference on one side, ``nlines`` on the other
+            single.accesses -= nlines - 1
+            single.fast_hits -= nlines - 1
+        now += 50
+        assert observable(span) == observable(single)
+        assert span.fast_hits == single.fast_hits

@@ -69,6 +69,23 @@ class TestSimulatorAdapter:
         assert not a.running
         assert a.engine.events_processed > seen
 
+    @pytest.mark.parametrize("workload, tiny", [
+        ("oltp", {"tx_per_agent": 1}), ("webserver", {"nrequests": 2})])
+    def test_segment_cuts_are_not_events(self, workload, tiny):
+        """``run(budget)`` slices land the uninterrupted run, timer
+        interrupts included (a bounded return used to stop the interval
+        timer for good) — down to one event per slice on a tiny input."""
+        def run(segment, kw):
+            a = SimulatorAdapter()
+            a.prepare(workload=workload, workload_kwargs=kw)
+            stats = a.run_to_completion(segment=segment)
+            return a.fingerprint(), stats.interrupt_counts["timer"]
+
+        whole = run(None, {})
+        assert whole[1] > 1
+        assert run(4_096, {}) == run(1_000, {}) == whole
+        assert run(1, tiny) == run(None, tiny)
+
     def test_config_dict_faults_and_knobs(self):
         """Plain-dict configs (with the FaultPlan dict form) build the
         same simulation as live objects."""

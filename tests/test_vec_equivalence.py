@@ -136,9 +136,9 @@ def test_vec_off_in_config_disables_mirror():
     eng = Engine(complex_backend(num_cpus=1, vectorized=False))
     assert eng.memsys._vec is None
     eng2 = Engine(complex_backend(num_cpus=1, fastpath=False))
-    # the vec path rides on the batched fast path; without it there is
-    # nothing to vectorize
-    assert eng2.memsys._vec is None
+    # `vectorized` alone decides whether the mirror exists; with no
+    # batches published nothing ever runs through it
+    assert eng2.memsys._vec is not None
 
 
 # ---------------------------------------------------------------------------
