@@ -1,28 +1,31 @@
 """Lookahead-window speedup — conservative windows on the backend hot loop.
 
 The lookahead scheduler (``SimConfig.lookahead``) lets the batched hot
-loop drain invisible references past the strict rival horizon, and lets
-``ParallelEngine`` workers pre-time fast-path stretches under a lease.
-Both are bit-identical to the strict path (tests/test_lookahead_equivalence).
-This bench measures what they buy on the configuration they target: a
-4-CPU run where every CPU streams over a *private*, L1-resident buffer —
-all references qualify as invisible, so the strict path's tiny alternating
-batch windows are pure scheduling overhead.
+loop drain invisible references past the strict rival horizon — for an
+inline frontend's batches and for the ones a ``ParallelEngine`` worker
+ships alike, bit-identical to the strict path
+(tests/test_lookahead_equivalence). This bench measures what the windows
+buy on the configuration they target: a 4-CPU run where every CPU streams
+over a *private*, L1-resident buffer — all references qualify as
+invisible, so the strict path's tiny alternating batch windows are pure
+scheduling overhead.
 
 Writes ``BENCH_lookahead.json`` at the repo root with wall-clock seconds,
-events/second, the on/off speedup, and a ``worker_batch`` sweep for the
-parallel engine; asserts the windows are at least 2x faster than the
-strict interleaving (1.3x under ``COMPASS_BENCH_QUICK=1``, where fixed
-setup costs dominate).
+events/second, the on/off speedup, and one row per ``ParallelEngine``
+shape (solo / symmetric / staggered workers on the hot loop, four all-miss
+scans); asserts the windows are at least 2x faster than the strict
+interleaving (1.3x under ``COMPASS_BENCH_QUICK=1``, where fixed setup
+costs dominate).
 
 Also runs standalone for CI::
 
     python benchmarks/bench_lookahead.py --smoke
 
 Smoke mode does a single small round, hard-fails if lookahead on/off are
-not bit-identical or if the windows qualified from the vec mirror differ
-from those the scalar walk qualifies (``vectorized`` on/off), and does not
-overwrite the JSON artifact.
+not bit-identical, if the windows qualified from the vec mirror differ
+from those the scalar walk qualifies (``vectorized`` on/off) or if any
+``ParallelEngine`` shape misses the inline engine's fingerprint, and does
+not overwrite the JSON artifact.
 """
 
 from __future__ import annotations
@@ -41,16 +44,17 @@ if str(REPO_ROOT / "src") not in sys.path:
 from repro import Engine, complex_backend                     # noqa: E402
 from repro.core.frontend import SimProcess                    # noqa: E402
 from repro.harness import render_table                        # noqa: E402
+# Table 3's scan: every reference a miss, so every batch is cut after one
+from bench_table3_slowdown_smp import SCAN                    # noqa: E402
 
 QUICK = bool(os.environ.get("COMPASS_BENCH_QUICK"))
 NCPUS = 4
 NBYTES = 8192           # per-CPU buffer: L1-resident, so warm passes stay hits
 PASSES = 40 if QUICK else 150
 MIN_SPEEDUP = 1.3 if QUICK else 2.0
-SWEEP_BATCHES = (16, 64, 256)
 OUT_PATH = REPO_ROOT / "BENCH_lookahead.json"
 
-#: worker program for the parallel sweep: re-scans a private 8 KiB buffer
+#: worker program of the parallel shapes: re-scans a private 8 KiB buffer
 HOT_PROG = """
     li r7, 0
     li r8, {passes}
@@ -68,7 +72,6 @@ loop:
     li r3, 0
     halt
 """
-
 
 def _run_once(lookahead, passes=PASSES, vectorized=True):
     """One 4-CPU private-heavy run; returns (host seconds, engine, stats)."""
@@ -111,42 +114,53 @@ def _measure(rounds, passes=PASSES):
     return best[True], best[False]
 
 
-def _sweep_worker_batch(passes):
-    """ParallelEngine throughput across worker_batch sizes (leases on).
-
-    The sweep is host-side only — simulated results must not move — so the
-    end cycle doubles as a correctness check across the knob values.
-    """
+def _run_isa(progs, parallel):
+    """``progs`` as ParallelEngine workers or inline ISA frontends;
+    returns (host seconds of ``run``, fingerprint)."""
     from repro.host import ParallelEngine, WorkerSpec
-    # staggered pass counts: the short worker finishes early, leaving the
-    # long one running solo — the steady state where leases engage (two
-    # lockstep workers keep each other's windows below the grant minimum)
-    progs = [HOT_PROG.format(passes=passes),
-             HOT_PROG.format(passes=max(1, passes // 4))]
-    rows = []
-    end_cycles = set()
-    for wb in SWEEP_BATCHES:
-        SimProcess._next_pid[0] = 1
-        eng = ParallelEngine(complex_backend(num_cpus=2, worker_lease=4,
-                                             worker_batch=wb))
-        with eng:
-            for i, prog in enumerate(progs):
+    from repro.isa import Interpreter, Machine, assemble
+    from repro.isa.memory import DataMemory
+    SimProcess._next_pid[0] = 1
+    cfg = complex_backend(num_cpus=len(progs))
+    eng = ParallelEngine(cfg) if parallel else Engine(cfg)
+    try:
+        for i, prog in enumerate(progs):
+            if parallel:
                 eng.spawn_worker(WorkerSpec(f"w{i}", prog))
-            t0 = time.perf_counter()
-            stats = eng.run()
-            secs = time.perf_counter() - t0
-        end_cycles.add(stats.end_cycle)
-        rows.append({"worker_batch": wb, "seconds": secs,
-                     "events": eng.events_processed,
-                     "events_per_sec": eng.events_processed / secs,
-                     "end_cycle": stats.end_cycle,
-                     "lease_refs": eng.batch_stats["lease_refs"]})
-    assert len(end_cycles) == 1, \
-        f"worker_batch changed the simulation: {sorted(end_cycles)}"
+            else:
+                dm = DataMemory()
+                dm.map_segment(0x100000, 1 << 22)
+                eng.spawn_interpreter(
+                    f"w{i}", Interpreter(assemble(prog, f"w{i}"), Machine(dm)))
+        t0 = time.perf_counter()
+        stats = eng.run()
+        secs = time.perf_counter() - t0
+    finally:
+        if parallel:
+            eng.shutdown()
+    return secs, _fingerprint(eng, stats)
+
+
+def _parallel_shapes(passes):
+    """ParallelEngine throughput per shape of worker set, each checked
+    against the inline engine's fingerprint of the same programs: the
+    shapes are host-side only, the simulated result must not move."""
+    hot, short = (HOT_PROG.format(passes=passes),
+                  HOT_PROG.format(passes=max(1, passes // 4)))
+    shapes = {"solo": [hot], "2 symmetric": [hot] * 2,
+              "2 staggered": [hot, short], "4 symmetric": [hot] * 4,
+              "4 all-miss scans": [SCAN] * 4}
+    rows = []
+    for name, progs in shapes.items():
+        secs, fp = _run_isa(progs, parallel=True)
+        assert fp == _run_isa(progs, parallel=False)[1], \
+            f"ParallelEngine shape {name!r} left the inline fingerprint"
+        rows.append({"shape": name, "seconds": secs, "events": fp[1],
+                     "events_per_sec": fp[1] / secs, "end_cycle": fp[0]})
     return rows
 
 
-def _report(on, off, sweep=None, write=True):
+def _report(on, off, shapes=None, write=True):
     (on_s, on_eng, on_stats), (off_s, off_eng, off_stats) = on, off
     fp_on, fp_off = _fingerprint(on_eng, on_stats), \
         _fingerprint(off_eng, off_stats)
@@ -167,13 +181,13 @@ def _report(on, off, sweep=None, write=True):
     print(f"  speedup: {speedup:.2f}x   windows: {bs['la_windows']}   "
           f"extended refs: {bs['la_refs']}   "
           f"batches: {bs['batches']} vs {off_eng.batch_stats['batches']}")
-    if sweep:
+    if shapes:
         print(render_table(
-            ("worker_batch", "host seconds", "events/s", "lease refs"),
-            [(str(r["worker_batch"]), f"{r['seconds']:.3f}",
-              f"{r['events_per_sec']:,.0f}", str(r["lease_refs"]))
-             for r in sweep],
-            title="\nworker_batch sweep (2 workers, leases on):"))
+            ("shape", "host seconds", "events/s", "end cycle"),
+            [(r["shape"], f"{r['seconds']:.3f}",
+              f"{r['events_per_sec']:,.0f}", str(r["end_cycle"]))
+             for r in shapes],
+            title="\nParallelEngine shapes (each == the inline engine):"))
 
     payload = {
         "workload": f"private_heavy {NCPUS}cpu {NBYTES}B x{PASSES}",
@@ -187,7 +201,7 @@ def _report(on, off, sweep=None, write=True):
         "speedup": speedup,
         "la_windows": bs["la_windows"],
         "la_refs": bs["la_refs"],
-        "worker_batch_sweep": sweep or [],
+        "parallel_shapes": shapes or [],
     }
     if write:
         OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
@@ -197,8 +211,8 @@ def _report(on, off, sweep=None, write=True):
 def test_lookahead_speedup(benchmark):
     on, off = benchmark.pedantic(
         lambda: _measure(2 if QUICK else 3), rounds=1, iterations=1)
-    sweep = _sweep_worker_batch(passes=10 if QUICK else 40)
-    speedup, payload = _report(on, off, sweep)
+    shapes = _parallel_shapes(passes=10 if QUICK else 40)
+    speedup, payload = _report(on, off, shapes)
     benchmark.extra_info.update(speedup=speedup,
                                 la_refs=payload["la_refs"])
     assert speedup >= MIN_SPEEDUP, \
@@ -213,7 +227,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.smoke:
         on, off = _measure(rounds=1, passes=20)
-        speedup, _ = _report(on, off, write=False)
+        speedup, _ = _report(on, off, _parallel_shapes(passes=10),
+                             write=False)
         # the two qualifiers of a window — the vec mirror's classification
         # of each rival batch, the scalar walk — must grant the same ones
         _, walk_eng, walk_stats = _run_once(True, passes=20,
@@ -226,11 +241,11 @@ def main(argv=None) -> int:
         # smoke gates correctness (the identity asserts), not perf — CI
         # machines are too noisy for a hard speedup floor on a tiny run
         print(f"smoke ok: bit-identical, same windows from either "
-              f"qualifier, {speedup:.2f}x")
+              f"qualifier, every ParallelEngine shape == inline, "
+              f"{speedup:.2f}x")
         return 0
     on, off = _measure(rounds=3)
-    sweep = _sweep_worker_batch(passes=40)
-    speedup, _ = _report(on, off, sweep)
+    speedup, _ = _report(on, off, _parallel_shapes(passes=40))
     if speedup < MIN_SPEEDUP:
         print(f"FAIL: speedup {speedup:.2f}x < {MIN_SPEEDUP}x",
               file=sys.stderr)

@@ -2,7 +2,7 @@
 """The host-switch lattice: one simulated program per (workload, plan).
 
 ``fastpath``, ``lookahead`` and ``vectorized`` each select a host mechanism
-(published batches, windows/leases, the numpy mirror) and nothing else, so
+(published batches, windows, the numpy mirror) and nothing else, so
 all eight on/off arms must land one ``full_fingerprint`` on every registry
 workload — clean, and under the golden fleet's ``TIMING_PLAN``, whose
 ``mem:degraded`` site draws once per miss-kernel call and therefore tells

@@ -242,18 +242,9 @@ class SimConfig:
     #: conservative lookahead windows: grant the earliest frontend a safe
     #: window past the strict rival horizon during which provably-invisible
     #: (private L1-hit) batched references drain without re-consulting rival
-    #: ports, and let ParallelEngine workers time such runs worker-side.
-    #: Bit-identical to the strict scheduler; turn off to force the PR 1
-    #: next-rival-event cut, e.g. for equivalence testing.
+    #: ports. Bit-identical to the strict scheduler; turn off to force the
+    #: PR 1 next-rival-event cut, e.g. for equivalence testing.
     lookahead: bool = True
-    #: fire-and-forget batch size used by ParallelEngine workers (events
-    #: per pipe message)
-    worker_batch: int = 64
-    #: ParallelEngine worker-side timing: a worker requests an exclusive
-    #: window lease after this many consecutive full fire-and-forget
-    #: batches. 0 disables worker-side timing (leases also require
-    #: ``lookahead``).
-    worker_lease: int = 4
     #: optional deterministic fault-injection plan (a repro.faults.FaultPlan;
     #: kept untyped here to avoid a config -> faults import cycle). None or
     #: an empty plan disables the subsystem entirely: no hooks are bound and
@@ -291,10 +282,6 @@ class SimConfig:
         self.ethernet.validate()
         if self.watchdog_rounds <= 0:
             raise ConfigError("watchdog_rounds must be positive")
-        if self.worker_batch <= 0:
-            raise ConfigError("worker_batch must be positive")
-        if self.worker_lease < 0:
-            raise ConfigError("worker_lease must be >= 0")
         if self.faults is not None:
             self.faults.validate()
         if self.checkpoint_interval < 0:

@@ -92,7 +92,6 @@ class Engine:
         self._exit_watchers: Dict[int, List[WaitToken]] = {}
         self.events_processed = 0
         #: frontends publish EventBatches instead of per-reference events
-        #: (ParallelEngine turns this off: its proxies stream plain events)
         self._frontend_batching = bool(cfg.fastpath)
         #: ISA frontends run through the basic-block translation cache
         self._frontend_translate = bool(cfg.translate)
@@ -118,12 +117,11 @@ class Engine:
         #: from per-reference invisibility, not from the bound itself)
         self._lookahead_cycles = max(
             64 * self.memsys.min_remote_latency(), 4096)
-        #: windows and leases not opened, by reason: ``_stand_down``'s, then
-        #: the lease-only ones (the rows of DESIGN.md's stand-down table);
-        #: observability only: in no ``batch_stats``, fingerprint, checkpoint
+        #: windows not opened, by ``_stand_down`` reason (the rows of
+        #: DESIGN.md's stand-down table); observability only: in no
+        #: ``batch_stats``, fingerprint, checkpoint
         self.stand_downs: Dict[str, int] = dict.fromkeys(
-            ("delivery", "tapped", "fast_forward", "sampler", "bounded_run",
-             "kernel_mode", "pending_batch", "short_window"), 0)
+            ("delivery", "tapped", "fast_forward"), 0)
         self._max_cycles = cfg.max_cycles
         self._timer_started = False
         #: count of not-yet-exited processes (kept in step with spawns/exits)
@@ -271,6 +269,9 @@ class Engine:
         select = self.comm.select
         handle_event = self._handle_event
         max_cycles = self._max_cycles
+        gate = self._round_gate
+        #: no batch reference is consumed at or past this cycle
+        cap = max_cycles + 1
         while budget > 0:
             if self._live <= 0:
                 break
@@ -299,6 +300,10 @@ class Engine:
             else:
                 t_task = gsched.next_time()
             cand = select()
+            if gate is not None:
+                cap = gate(cand, t_task)
+                if cap is None:
+                    continue
             if cand is None:
                 if t_task is None:
                     self._report_deadlock(self.comm.live_processes())
@@ -306,7 +311,7 @@ class Engine:
                     break
                 task = gsched.pop_due(t_task)
                 gsched.run_task(task)
-                if (self.comm.next_event_time() is None
+                if (self._ports_quiet()
                         and gsched.now - self._last_progress
                         > self._deadlock_window):
                     # long silence is only a deadlock when nobody is waiting
@@ -321,6 +326,8 @@ class Engine:
             event = cand.port_event
             et = event.time
             if t_task is not None and t_task <= et:
+                if until is not None and t_task > until:
+                    break
                 task = gsched.pop_due(t_task)
                 gsched.run_task(task)
                 continue
@@ -358,10 +365,10 @@ class Engine:
                         horizon = until + 1
                     if until + 1 < ext:
                         ext = until + 1
-                if max_cycles + 1 < horizon:
-                    horizon = max_cycles + 1
-                if max_cycles + 1 < ext:
-                    ext = max_cycles + 1
+                if cap < horizon:
+                    horizon = cap
+                if cap < ext:
+                    ext = cap
                 if ext > horizon:
                     ext = self.comm.lookahead_horizon(
                         cand, horizon, ext, self._invisible_bound)
@@ -378,6 +385,19 @@ class Engine:
         self.stats.host_seconds += _wallclock.perf_counter() - t0
         self._account_trailing_idle()
         return self.stats
+
+    #: per-round hook of an engine whose frontends compute in other host
+    #: processes (``ParallelEngine``): ``gate(cand, t_task)`` answers None —
+    #: "select again", it drained or waited on a port — or the cycle below
+    #: which the selected winner stays first against every frontend that
+    #: has nothing parked yet, at most ``max_cycles + 1``. None here: the
+    #: inline loop pays one ``is not None`` a round.
+    _round_gate = None
+
+    def _ports_quiet(self) -> bool:
+        """No frontend event is parked (or, for a subclass, on its way):
+        what the deadlock window asks before it calls silence a deadlock."""
+        return self.comm.next_event_time() is None
 
     def _report_deadlock(self, live: List[SimProcess],
                          reason: str = "no frontend can make progress and "
@@ -618,8 +638,8 @@ class Engine:
 
     def _stand_down(self, proc: SimProcess) -> Optional[str]:
         """Why nothing of ``proc`` may run ahead of the strict schedule —
-        no window for it, no rival's window past its parked event, no
-        lease — or None. A delivery due at its next event boundary (the
+        no window for it, no rival's window past its parked event — or
+        None. A delivery due at its next event boundary (the
         handler frames cannot be bounded), then
         :meth:`MemorySystem.strict_stream`; tallied in ``stand_downs``."""
         why = ("delivery"

@@ -1,48 +1,53 @@
 """Frontends as real host processes (the Table 3 experiment).
 
-Protocol
---------
-A worker process interprets its ISA program and streams events to the
-backend over a pipe:
+Workers ship batches
+--------------------
+A worker process runs its ISA program through the *batched* interpreter —
+the very generator an inline ISA frontend runs — and ships what it yields
+to the backend over a pipe. Four message tags go worker -> backend:
 
-* memory/advance events are **fire-and-forget** — the interpreter's control
-  flow never depends on a reference's latency, so the worker keeps running
-  while the backend times the reference (this is the shared-memory implicit
-  communication of the paper's communicator);
-* control events (OS calls, lock/unlock/barrier, EXIT) **block** the worker
-  until the backend replies, because the result feeds back into execution;
-* events carry the pending-cycle delta accumulated since the previous event,
-  so the backend can stamp exact execution times in order.
+* ``("B", kinds, addrs, sizes, pendings)`` — one filled ``EventBatch``
+  (up to ``events.BATCH_CAP`` references, each with the cycles accumulated
+  before it). **Fire-and-forget**: the interpreter's control flow never
+  depends on a reference's latency, so the worker keeps running while the
+  backend times the batch (the shared-memory implicit communication of the
+  paper's communicator);
+* ``("c", kind, addr, size, arg, delta)`` — a control event (OS call,
+  lock/unlock/barrier). The worker **blocks** until the backend replies,
+  because the result feeds back into execution;
+* ``("exit", status, delta)`` and ``("crash", why)``.
 
-Worker-side pre-timing (leases)
--------------------------------
-With ``SimConfig.lookahead`` on, a worker that has streamed
-``SimConfig.worker_lease`` consecutive full fire-and-forget batches sends a
-lease request (``"lr"``) and blocks. When the simulation reaches that stream
-position the proxy either denies (``"ld"``) or grants (``"lg"``) a window
-``[t0, T)`` together with a read-only snapshot of the worker's own L1 state
-and page table. The worker then times its next references *itself* against
-a private mirror — but only references that satisfy the L1 fast-path
-full-hit predicate, which touch nothing outside the issuer's private state
-(see DESIGN.md, "Conservative lookahead windows") — and reports the result
-as one pre-timed delta (``"pr"``) instead of dozens of event messages.
-``T`` is the earliest cycle at which a backend task could run or a rival
-frontend could act *visibly* — its parked event and already-harvested
-stream are walked through their own L1 hits (``_rival_stream_bound``), and
-L1 hits of different frontends commute — so the reported timing is
-bit-identical to the strict schedule's. Requests are denied (by reason, in
-``Engine.stand_downs``) while anything needs the strict per-reference
-stream: a memory tap (checkpointing is one), bounded stepping, a sampler.
+The engine-side proxy (``ParallelEngine._proxy``) refills one reusable
+``EventBatch`` from each ``"B"`` message and yields it, so a worker's
+references go through ``Engine._handle_batch`` / ``MemorySystem.access_run``
+/ the vec mirror / the qualified lookahead window exactly like an inline
+ISA frontend's. With ``SimConfig.fastpath`` off the proxy replays the batch
+reference by reference instead (the equivalence oracle). There is one run
+loop, ``Engine.run``.
 
 Conservative ordering
 ---------------------
 The backend may only process the globally-earliest event. A worker whose
-queue is empty might still produce an earlier event, but never earlier than
-its current virtual time — that lower bound tells the backend when it is
-safe to proceed and when it must wait for a pipe (the same reasoning the
-COMPASS communicator applies while scanning event ports). With the same
-timestamps and the same pid tie-break as inline mode, parallel runs produce
-bit-identical simulated results.
+proxy has nothing parked and nothing queued is still *computing* its next
+message; that message can carry no event earlier than the proxy's virtual
+time ``vtime + clock.pending``. ``Engine.run`` asks ``_round_gate`` once a
+round: while a computing worker's bound could still order it ahead of the
+selected winner the backend waits on that worker's pipe (the reasoning the
+COMPASS communicator applies while scanning event ports); otherwise the
+smallest such bound caps the winner's batch horizon, so no reference of a
+batch is consumed at a cycle a computing worker could still get in front
+of. With the same timestamps and the same pid tie-break as inline mode,
+parallel runs produce bit-identical simulated results. (A sampler switches
+phase where a batch was cut, so under one the gate waits for every
+computing worker and the cuts are the inline engine's.)
+
+Crash replay
+------------
+Workers are pure functions of their spec. A ``"B"`` message is *one*
+logical message: the proxy owns its contents from the moment it pops it,
+so a worker killed while the engine is half-way through a batch is
+relaunched, its stream replayed, and exactly the consumed prefix —
+that batch included — discarded: nothing is lost or applied twice.
 
 Limitation: workers own their functional memory privately, so programs whose
 *values* must be shared across processes need inline mode; timing-level
@@ -67,7 +72,6 @@ from ..core.stats import StatsRegistry
 from ..isa.assembler import assemble
 from ..isa.interpreter import Interpreter, Machine
 from ..isa.memory import DataMemory
-from ..mem.hierarchy import KERNEL_BASE
 
 #: sentinel yielded by the proxy while its worker computes ahead
 COMPUTING = object()
@@ -97,115 +101,15 @@ def _decode_reply(msg) -> object:
     return msg[1]
 
 
-def _drain_lease(conn: Connection, gen, m, grant: tuple):
-    """Consume fire-and-forget events worker-side under a granted lease.
-
-    ``grant`` carries the window ``[t0, T)`` plus a snapshot of the
-    worker's own L1 line states, per-set LRU orders and page table. Each
-    reference is qualified against the mirror with exactly the backend's
-    L1 fast-path predicate (translate, every line present, writes need
-    state >= EXCLUSIVE) and, when it qualifies, timed with exactly the
-    fast-path latency and applied to the mirror (LRU move-to-front,
-    EXCLUSIVE->MODIFIED flips). The first reference that would take the
-    slow path — or would issue at or past the window end — stops the
-    drain; it is returned *unconsumed* (its pending delta still in
-    ``m.pending``) for normal streaming. The drain result goes back as
-    one ``"pr"`` message — on program end before the StopIteration
-    propagates, so the exit message follows in stream order.
-    """
-    (_, t0, T, states, sets, utable, pshift, pmask, lshift, smask,
-     nsets, l1_lat) = grant
-    sget = states.get
-    uget = utable.get
-    t = t0
-    #: issue time of the last consumed reference — the strict engine's
-    #: global clock lands there (advance_to at each event's issue time)
-    last_issue = t0
-    n_mem = n_adv = n_lines = 0
-    touched: dict = {}
-    flips: list = []
-    ended = None
-    try:
-        evt = gen.send(0)
-        while True:
-            k = evt.kind
-            if k > 3:           # control event: stream it normally
-                break
-            nt = t + m.pending
-            if nt >= T:
-                break
-            if k == 3:          # ADVANCE: a poll point, zero latency
-                m.pending = 0
-                t = nt
-                last_issue = nt
-                n_adv += 1
-                evt = gen.send(0)
-                continue
-            vaddr = evt.addr
-            if vaddr >= KERNEL_BASE:
-                break
-            ppn = uget(vaddr >> pshift)
-            if ppn is None:
-                break
-            paddr = (ppn << pshift) | (vaddr & pmask)
-            line = paddr >> lshift
-            last = (paddr + (evt.size or 1) - 1) >> lshift
-            ok = True
-            sts = []
-            l = line
-            while l <= last:
-                st = sget(l)
-                if st is None or (k != 0 and st < 2):
-                    ok = False
-                    break
-                sts.append(st)
-                l += 1
-            if not ok:
-                break
-            nlines = last - line + 1
-            for j in range(nlines):
-                l = line + j
-                idx = l & smask if smask >= 0 else l % nsets
-                s = sets[idx]
-                if s[0] != l:
-                    s.remove(l)
-                    s.insert(0, l)
-                touched[idx] = s
-                if k != 0 and sts[j] == 2:   # EXCLUSIVE -> MODIFIED
-                    states[l] = 3
-                    flips.append(l)
-            m.pending = 0
-            t = nt + l1_lat * nlines + (4 if k == 2 else 0)
-            last_issue = nt
-            n_mem += 1
-            n_lines += nlines
-            evt = gen.send(0)
-    except StopIteration as si:
-        ended = si
-    conn.send(("pr", n_mem, n_adv, n_lines, t - t0, last_issue,
-               touched, flips))
-    if ended is not None:
-        raise ended
-    return evt
-
-
 def _worker_main(conn: Connection, spec_name: str, program_text: str,
                  segments: list, regs: dict,
-                 cpu_affinity: Optional[frozenset], translate: bool,
-                 batch_size: int, lease_every: int) -> None:
-    """Child-process body: interpret and stream events."""
+                 cpu_affinity: Optional[frozenset], translate: bool) -> None:
+    """Child-process body: interpret (batched) and ship what is yielded."""
     if cpu_affinity:
         try:
             os.sched_setaffinity(0, cpu_affinity)
         except (AttributeError, OSError):
             pass
-    batch: list = []
-
-    def flush() -> None:
-        if batch:
-            conn.send(("b", list(batch)))
-            batch.clear()
-
     try:
         prog = assemble(program_text, spec_name)
         dm = DataMemory(spec_name)
@@ -214,37 +118,21 @@ def _worker_main(conn: Connection, spec_name: str, program_text: str,
         m = Machine(dm)
         for r, v in regs.items():
             m.regs[r] = v
-        gen = Interpreter(prog, m).run(translate=translate)
+        gen = Interpreter(prog, m).run(batched=True, translate=translate)
         reply = None
-        full_runs = 0
-        evt = next(gen)
         while True:
-            delta = m.pending
-            m.pending = 0
-            if evt.kind <= ev.EvKind.ADVANCE:   # memory / advance
-                batch.append((evt.kind, evt.addr, evt.size, delta))
+            out = gen.send(reply)
+            if out.kind == ev.EvKind.BATCH:
+                # pickled here, so the interpreter may refill it at once
+                conn.send(("B", out.kinds, out.addrs, out.sizes,
+                           out.pendings))
                 reply = 0
-                if len(batch) >= batch_size:
-                    flush()
-                    full_runs += 1
-                    if lease_every and full_runs >= lease_every:
-                        # steady fire-and-forget state: ask to time the
-                        # next stretch ourselves (deterministic stream
-                        # position — right after a full batch flush)
-                        full_runs = 0
-                        conn.send(("lr",))
-                        grant = conn.recv()
-                        if grant[0] == "lg":
-                            evt = _drain_lease(conn, gen, m, grant)
-                            continue
             else:
-                full_runs = 0
-                flush()
-                conn.send(("c", evt.kind, evt.addr, evt.size, evt.arg, delta))
+                delta = m.pending
+                m.pending = 0
+                conn.send(("c", out.kind, out.addr, out.size, out.arg, delta))
                 reply = _decode_reply(conn.recv())
-            evt = gen.send(reply)
     except StopIteration as si:
-        flush()
         status = si.value if isinstance(si.value, int) else 0
         conn.send(("exit", status, m.pending))
     except (EOFError, BrokenPipeError):
@@ -280,7 +168,7 @@ class _Worker:
         self.proc: Optional[SimProcess] = None
         self.conn: Optional[Connection] = None
         self.process: Optional[mp.Process] = None
-        #: decoded event messages waiting to be replayed into the proxy
+        #: harvested messages waiting to be replayed into the proxy
         self.queue: deque = deque()
         self.computing = True
         self.alive = True
@@ -297,7 +185,8 @@ class _Worker:
         self.restarts = 0
         self.restartable = True
         self.exit_seen = False
-        #: ring of the last raw messages, for the forensic report
+        #: ring of the last messages (a batch as ``("B", n, first address,
+        #: last address)``), for the forensic report
         self.last_msgs: deque = deque(maxlen=6)
         self.death_reason = ""
 
@@ -311,25 +200,10 @@ class ParallelEngine(Engine):
         to the first N host CPUs — the knob behind the paper's Table 3
         uniprocessor-vs-SMP comparison."""
         super().__init__(cfg, stats)
-        # worker proxies replay one decoded event per generator step; the
-        # batched port pipeline only applies to in-process frontends
-        self._frontend_batching = False
         self._workers: Dict[int, _Worker] = {}
         self._ctx = mp.get_context("fork")
-        # -- worker-side pre-timing (lookahead layer 2) -------------------
-        #: workers ask for a lease after ``worker_lease`` consecutive full
-        #: fire-and-forget batches (never when this is off)
-        self._lease_on = bool(cfg.lookahead and cfg.worker_lease)
-        #: a granted window shorter than this is not worth the snapshot
-        self.lease_min_window = 64
-        #: pre-timed events to drain from the run loop's event budget
-        self._pretimed = 0
-        #: run-bound caps for lease windows, stashed by run()
-        self._run_until = self._max_cycles + 1
-        self._run_budget_capped = False
-        self.batch_stats.setdefault("leases", 0)
-        self.batch_stats.setdefault("lease_refs", 0)
-        self.batch_stats.setdefault("lease_denied", 0)
+        #: rounds since the pipes were last drained (see ``_round_gate``)
+        self._since_harvest = 0
         # -- worker supervision knobs ------------------------------------
         #: restarts allowed per worker before giving up with a HostError
         self.max_worker_restarts = 2
@@ -370,9 +244,7 @@ class ParallelEngine(Engine):
         p = self._ctx.Process(
             target=_worker_main,
             args=(child, w.spec.name, w.spec.program_text, w.spec.segments,
-                  w.spec.regs, self._affinity, self._frontend_translate,
-                  self.cfg.worker_batch,
-                  self.cfg.worker_lease if self._lease_on else 0),
+                  w.spec.regs, self._affinity, self._frontend_translate),
             daemon=True)
         p.start()
         child.close()
@@ -380,8 +252,8 @@ class ParallelEngine(Engine):
         w.process = p
 
     def _proxy(self, w: _Worker):
-        """Engine-side base frame replaying the worker's event stream."""
-        clock = None
+        """Engine-side base frame replaying the worker's message stream."""
+        batch = ev.acquire_batch() if self._frontend_batching else None
         while True:
             while not w.queue:
                 # park until the harvest loop refills the queue; the sentinel
@@ -390,39 +262,37 @@ class ParallelEngine(Engine):
             msg = w.queue.popleft()
             w.consumed += 1
             tag = msg[0]
-            if tag == "exit":
-                if clock is None:
-                    clock = w.proc.clock
+            clock = w.proc.clock
+            if tag == "B":
+                if batch is None:
+                    # fastpath off: the same references, one event each
+                    for kind, addr, size, delta in zip(*msg[1:]):
+                        clock.pending += delta
+                        yield ev.Event(kind, addr, size)
+                    continue
+                batch.reset()
+                _, batch.kinds, batch.addrs, batch.sizes, batch.pendings = msg
+                batch.n = len(batch.kinds)
+                # cycles a handler frame left on the clock while the last
+                # batch was parked lead this one in (an inline interpreter
+                # folds them into its next append the same way)
+                batch.pendings[0] += clock.pending
+                clock.pending = 0
+                yield batch
+            elif tag == "exit":
                 clock.pending += msg[2]
                 w.alive = False
+                if batch is not None:
+                    ev.release_batch(batch)
                 return msg[1]
-            if clock is None:
-                clock = w.proc.clock
-            if tag == "m":
-                kind, addr, size, delta = msg[1], msg[2], msg[3], msg[4]
-                clock.pending += delta
-                yield ev.Event(kind, addr, size)
-            elif tag == "lr":
-                # lease request: everything the worker streamed before it
-                # has been consumed and timed (stream order), so the
-                # simulation is exactly at the worker's position — decide
-                # and answer without yielding. Recorded like a control
-                # reply so crash replay re-answers it identically.
-                self._answer(w, self._lease_decision(w), "a lease request")
-            elif tag == "pr":
-                # pre-timed drain result: fold it into the proxy's clock
-                # and the backend caches, no yield (the engine never saw
-                # these references as events)
-                self._apply_pretimed(w, msg)
             else:   # control
-                kind, addr, size, arg, delta = (msg[1], msg[2], msg[3],
-                                                msg[4], msg[5])
+                kind, addr, size, arg, delta = msg[1:]
                 clock.pending += delta
                 reply = yield ev.Event(kind, addr, size, arg)
                 self._answer(w, _encode_reply(reply), "a control reply")
 
     def _answer(self, w: _Worker, enc: tuple, what: str) -> None:
-        """Answer a blocked worker: a control reply or a lease decision.
+        """Answer a worker blocked on a control event.
 
         Recorded before sending — whether the send succeeds or the worker
         dies mid-flight, the answer is available for crash replay."""
@@ -502,17 +372,7 @@ class ParallelEngine(Engine):
                 continue   # stale pipe of a worker restarted this call
             try:
                 while c.poll():
-                    msg = c.recv()
-                    if msg[0] == "b":
-                        ok = True
-                        for kind, addr, size, delta in msg[1]:
-                            if not self._ingest(w, ("m", kind, addr, size,
-                                                    delta)):
-                                ok = False
-                                break
-                        if not ok:
-                            break
-                    elif not self._ingest(w, msg):
+                    if not self._ingest(w, c.recv()):
                         break
             except (EOFError, OSError):
                 self._worker_failed(w, "worker pipe closed unexpectedly")
@@ -534,17 +394,16 @@ class ParallelEngine(Engine):
         if msg[0] == "crash":
             self._worker_failed(w, f"worker crashed: {msg[1]}")
             return False
-        w.last_msgs.append(msg)
+        w.last_msgs.append(("B", len(msg[1]), msg[2][0], msg[2][-1])
+                           if msg[0] == "B" else msg)
         if msg[0] == "exit":
             w.exit_seen = True
         if w.streamed < w.skip:
             # replaying a restarted worker's deterministic stream: this
             # message was consumed before the crash — discard it, but
-            # answer re-sent controls (and lease requests — the recorded
-            # grant carries the original snapshot, so the re-run drain is
-            # deterministic) from the recorded reply log
+            # answer re-sent controls from the recorded reply log
             w.streamed += 1
-            if msg[0] in ("c", "lr"):
+            if msg[0] == "c":
                 if w.reply_cursor < len(w.control_replies):
                     enc = w.control_replies[w.reply_cursor]
                     w.reply_cursor += 1
@@ -560,171 +419,6 @@ class ParallelEngine(Engine):
         w.streamed += 1
         w.queue.append(msg)
         return True
-
-    # -- worker-side pre-timing ----------------------------------------------
-
-    def _lease_decision(self, w: _Worker) -> tuple:
-        """Grant or deny a worker's lease request (see module docstring).
-
-        A grant is safe only when (a) every reference the worker will
-        drain can be timed from its own private L1 state — enforced
-        reference-by-reference worker-side via the fast-path predicate —
-        and (b) nothing else can act *visibly* before the window's end
-        ``T``: no backend task, no rival frontend (``_rival_stream_bound``,
-        with the pid tie-break), and no pending delivery for this
-        frontend. The gate every window passes (:meth:`Engine._stand_down`)
-        comes first, then the reasons only a lease has, each counted in
-        ``stand_downs`` (``lease_denied`` is their sum).
-        """
-        p = w.proc
-        why = self._stand_down(p)
-        if why is None:
-            why = ("sampler" if self._sampler is not None
-                   else "bounded_run" if self._run_budget_capped
-                   else "kernel_mode" if p.kernel_mode
-                   else "pending_batch" if p.pending_batches
-                   else None)
-            grant = self._lease_grant(p) if why is None else None
-            if grant is not None:
-                return grant
-            self.stand_downs[why or "short_window"] += 1
-        self.batch_stats["lease_denied"] += 1
-        return ("ld",)
-
-    def _lease_grant(self, p: SimProcess) -> Optional[tuple]:
-        """The ``"lg"`` message granting ``[t0, T)``; None: window too short"""
-        ms = self.memsys
-        t0 = p.vtime + p.clock.pending
-        T = self._run_until
-        t_task = self.gsched.next_time()
-        if t_task is not None and t_task < T:
-            T = t_task
-        pid = p.pid
-        for q in self.comm.running():
-            if q is p:
-                continue
-            b = self._rival_stream_bound(q, T)
-            if pid < q.pid:
-                b += 1
-            if b < T:
-                T = b
-        if T - t0 < self.lease_min_window:
-            return None
-        cpu = p.cpu
-        sp = ms._spaces.get(pid)
-        return ("lg", t0, T,
-                dict(ms._l1_states[cpu]),
-                [list(s) for s in ms._l1_sets[cpu]],
-                dict(sp.table) if sp is not None else {},
-                ms._page_shift, ms._page_mask, ms._line_shift,
-                ms._l1_set_mask, ms._l1_nsets, ms._l1_latency)
-
-    def _apply_pretimed(self, w: _Worker, msg: tuple) -> None:
-        """Fold a worker's ``"pr"`` drain result into the backend.
-
-        The drained references were all L1 fast-path full hits, so their
-        only backend-visible effects are the issuer's own LRU orders,
-        EXCLUSIVE->MODIFIED flips (mirrored into the inclusive L2) and
-        the commutative hit/access counters — exactly what the strict
-        engine would have produced processing them one event at a time.
-        """
-        _, n_mem, n_adv, n_lines, advance, last_issue, touched, flips = msg
-        p = w.proc
-        ms = self.memsys
-        cpu = p.cpu
-        sets = ms._l1_sets[cpu]
-        for idx, lst in touched.items():
-            sets[idx][:] = lst
-        states = ms._l1_states[cpu]
-        l2s = ms._l2_states[cpu] if ms._l2_states is not None else None
-        for line in flips:
-            states[line] = 3
-            if l2s is not None and line in l2s:
-                l2s[line] = 3
-        ms.l1s[cpu].hits += n_lines
-        ms.accesses += n_mem
-        ms.fast_hits += n_mem
-        self.batch_stats["leases"] += 1
-        self.batch_stats["lease_refs"] += n_mem
-        n = n_mem + n_adv
-        if n:
-            # materialise the drained span into virtual time directly (not
-            # clock.pending): the program may exit before another event, and
-            # pending cycles are dropped at exit exactly like the strict
-            # path drops trailing compute — but these cycles were *timed*
-            # references. The global clock lands on the last issue time, as
-            # advance_to would have per event; both are below the window
-            # end, hence below every visible rival action and backend task.
-            p.vtime += p.clock.pending + advance
-            p.clock.pending = 0
-            self.gsched.advance_to(last_issue)
-            self._last_progress = last_issue
-        self.events_processed += n
-        self._pretimed += n
-
-    def _rival_stream_bound(self, q: SimProcess, cap: int) -> int:
-        """Earliest cycle at which rival ``q`` could act *non-invisibly*:
-        the one rule that bounds a lease window.
-
-        A rival that is not a worker proxy, runs OS-server code or has a
-        delivery pending is bounded at its parked event (or, computing,
-        at its published virtual time): what follows runs in this process
-        and reads the global clock, as in ``Engine._invisible_bound``. A
-        *user-mode* proxy's single references can be walked through
-        (loads/stores qualified with a read-only fast-path probe, ADVANCE
-        poll points pure time), because the code that follows them runs
-        in the worker process and cannot read this process's clock. The
-        walk goes on through the rival's already-harvested message queue,
-        clamped at ``cap``. Every stop case returns a cycle the strict
-        engine could not order a visible action of ``q`` before.
-        """
-        t = q.vtime + q.clock.pending
-        e = q.port_event
-        if e is not None:
-            t = e.time
-        w = self._workers.get(q.pid)
-        if (w is None or q.cpu < 0 or q.kernel_mode
-                or self._delivery_due(q, self.comm.cpus[q.cpu])):
-            return t
-        ms = self.memsys
-        if e is not None:
-            kind = e.kind
-            if kind > 3:
-                return t
-            if kind != 3:
-                lat = ms.ref_invisible_latency(q.pid, q.cpu, kind,
-                                               e.addr, e.size)
-                if lat < 0:
-                    return t
-                t += lat
-            if t >= cap:
-                return cap
-        for msg in w.queue:
-            tag = msg[0]
-            if tag == "m":
-                issue = t + msg[4]
-                if issue >= cap:
-                    return cap
-                kind = msg[1]
-                if kind == 3:
-                    t = issue
-                    continue
-                lat = ms.ref_invisible_latency(q.pid, q.cpu, kind,
-                                               msg[2], msg[3])
-                if lat < 0:
-                    return issue
-                t = issue + lat
-            elif tag == "c":
-                return t + msg[5]
-            elif tag == "exit":
-                return t + msg[2]
-            elif tag == "pr":
-                # a queued drain result: all fast-path full hits
-                # (invisible), spanning ``advance`` cycles
-                t += msg[4]
-            else:
-                return t
-        return t
 
     # -- supervision ---------------------------------------------------------
 
@@ -771,9 +465,9 @@ class ParallelEngine(Engine):
     def _forensic_report(self, w: _Worker, reason: str,
                          exitcode: Optional[int]) -> dict:
         """Worker post-mortem as JSON-plain data (``last_messages`` are
-        raw pipe tuples, so the whole payload goes through
-        :func:`to_jsonable`); control-plane job records embed it with
-        ``json.dumps``."""
+        pipe tuples — batches summarised, see ``_Worker.last_msgs`` — so
+        the whole payload goes through :func:`to_jsonable`); control-plane
+        job records embed it with ``json.dumps``."""
         p = w.proc
         return to_jsonable({
             "worker": w.spec.name,
@@ -816,127 +510,71 @@ class ParallelEngine(Engine):
         if e is not None and e.arg is COMPUTING:
             proc.port_event = None
 
-    # -- the run loop with the safety condition ---------------------------------
+    # -- the safety condition ----------------------------------------------------
 
-    def _unsafe_workers(self, horizon: int, pid: int) -> List[_Worker]:
-        """Workers that might still produce an event ordered before
-        (horizon, pid): computing, alive, with an empty queue, and a virtual
-        time at or before the horizon."""
-        out = []
+    def _computing(self):
+        """Workers still computing their proxy's next message: alive, the
+        proxy RUNNING in user mode with nothing parked and nothing queued."""
         for w in self._workers.values():
             p = w.proc
             if (w.alive and p is not None and p.state == ProcState.RUNNING
                     and p.port_event is None and not w.queue
                     and not p.kernel_mode and p.reply is None):
-                lb = p.vtime + p.clock.pending
-                if lb < horizon or (lb == horizon and p.pid < pid):
-                    out.append(w)
-        return out
+                yield w
 
-    def run(self, until: Optional[int] = None,
-            max_events: Optional[int] = None) -> StatsRegistry:
-        """Conservative parallel run loop."""
-        import time as _wall
-        if not self._timer_started:
-            self.timer.start()
-            self._timer_started = True
-        ck = self._ckpt
-        if ck is not None:
-            ck.on_run_begin(self, until, max_events)
-        sam = self._sampler
-        t0 = _wall.perf_counter()
-        budget = max_events if max_events is not None else (1 << 62)
-        # lease-window caps for this run: windows must not reach past the
-        # run bound, and bounded-event stepping needs the strict stream
-        self._run_until = self._max_cycles + 1
-        if until is not None and until + 1 < self._run_until:
-            self._run_until = until + 1
-        self._run_budget_capped = max_events is not None
-        since_harvest = 0
-        wd_rounds = 0
-        wd_time = -1
-        wd_limit = self._watchdog_rounds
-        while budget > 0:
-            if self._pretimed:
-                # events timed worker-side under a lease still count
-                # against the caller's event budget
-                budget -= self._pretimed
-                self._pretimed = 0
-            if self._live <= 0:
-                break
-            if ck is not None and ck.on_loop_top(self):
-                # replay stop: skip finalisation, same as Engine.run
-                return self.stats
-            if sam is not None:
-                sam.on_loop_top(self)
-            now = self.gsched.now
-            if now != wd_time:
-                wd_time = now
-                wd_rounds = 0
-            else:
-                wd_rounds += 1
-                if wd_rounds > wd_limit:
-                    self._report_deadlock(
-                        self.comm.live_processes(),
-                        reason=f"watchdog: global time stuck at cycle {now} "
-                               f"for {wd_rounds} scheduler rounds (livelock)")
-            # pipes only need draining when a worker is starved (the unsafe
-            # check below catches the ones that matter for ordering) or
-            # periodically to keep OS pipe buffers from filling
-            since_harvest += 1
-            if since_harvest >= 512:
-                since_harvest = 0
-                self._harvest()
-            t_task = self.gsched.next_time()
-            cand = self.comm.select()
-            if cand is None and t_task is None:
-                self._harvest()
-                if self.comm.select() is not None:
-                    continue
-                waiters = self._unsafe_workers(1 << 62, 1 << 30)
-                if not waiters:
-                    self._report_deadlock(self.comm.live_processes())
-                self._harvest(block_on=waiters)
-                continue
-            horizon = cand.port_event.time if cand is not None else t_task
-            pid = cand.pid if cand is not None else (1 << 30)
-            if t_task is not None and (cand is None or t_task <= horizon):
-                horizon, pid = t_task, -1
-            unsafe = self._unsafe_workers(horizon, pid)
-            if unsafe:
-                self._harvest(block_on=unsafe)
-                continue
-            if cand is None or (t_task is not None
-                                and t_task <= cand.port_event.time):
-                if until is not None and t_task > until:
-                    break
-                task = self.gsched.pop_due(t_task)
-                self.gsched.run_task(task)
-                if (cand is None
-                        and self.comm.next_event_time() is None
-                        and not self._unsafe_workers(1 << 62, 1 << 30)
-                        and self.gsched.now - self._last_progress
-                        > self._deadlock_window):
-                    live = self.comm.live_processes()
-                    if not any(p.state == ProcState.BLOCKED for p in live):
-                        self._report_deadlock(live)
-                    self._last_progress = self.gsched.now
-                continue
-            if until is not None and cand.port_event.time > until:
-                break
-            event = cand.port_event
-            cand.port_event = None
-            self.gsched.advance_to(event.time)
-            self.events_processed += 1
-            self._last_progress = event.time
-            budget -= 1
-            self._handle_event(cand, event)
-        if self._live <= 0:
-            self.timer.stop()
-        self.stats.end_cycle = self.gsched.now
-        self.stats.host_seconds += _wall.perf_counter() - t0
-        self._account_trailing_idle()
-        return self.stats
+    def _ports_quiet(self) -> bool:
+        """A computing worker is an event on its way, not a deadlock."""
+        return super()._ports_quiet() and next(self._computing(), None) is None
+
+    def _round_gate(self, cand: Optional[SimProcess],
+                    t_task: Optional[int]) -> Optional[int]:
+        """The conservative safety condition (``Engine._round_gate``).
+
+        The round's winner is the backend task at ``t_task`` when it is due
+        no later than ``cand``'s parked event, else ``cand``. A computing
+        worker's next event is stamped no earlier than its proxy's
+        ``vtime + clock.pending`` — cycles are only ever added to a clock —
+        so the winner stays first below that cycle, or up to and including
+        it when the winner's pid is smaller (a task goes before any event of
+        its cycle). While some worker's bound does not clear the winner,
+        wait on those pipes and answer None; otherwise answer the smallest
+        bound, which caps how far the winner's batch may be consumed.
+
+        Where that cap cuts a batch depends on the host's timing. A sampler
+        switches phase at the first loop top past an event count, so under
+        one the cuts are part of the result: every computing worker is
+        waited for, each frontend has its event parked as it would inline,
+        and the batches are cut exactly where the inline engine cuts them.
+        """
+        self._since_harvest += 1
+        if self._since_harvest >= 512:
+            # nothing is starved, but a worker streaming ahead must not
+            # stall on a full OS pipe buffer; a drained message may park
+            # an earlier event, hence "select again"
+            self._since_harvest = 0
+            self._harvest()
+            return None
+        if cand is not None and (t_task is None
+                                 or cand.port_event.time < t_task):
+            wt, pid = cand.port_event.time, cand.pid
+        elif t_task is not None:
+            wt, pid = t_task, -1
+        else:
+            wt, pid = 1 << 62, 1 << 30   # only a worker can move the run on
+        cap = self._max_cycles + 1
+        sampled = self._sampler is not None
+        unsafe = []
+        for w in self._computing():
+            p = w.proc
+            b = p.vtime + p.clock.pending + (pid < p.pid)
+            if b <= wt or sampled:
+                unsafe.append(w)
+            elif b < cap:
+                cap = b
+        if unsafe:
+            self._harvest(block_on=unsafe)
+            return None
+        return cap
 
     # -- cleanup ------------------------------------------------------------
 

@@ -215,8 +215,8 @@ class MemorySystem:
 
     def strict_stream(self) -> Optional[str]:
         """Why every reference must go through :meth:`access` alone, at its
-        strict-order cycle — or None when runs may be inlined, vectorised,
-        windowed or leased. ``"tapped"``: ``access`` is rebound on the
+        strict-order cycle — or None when runs may be inlined, vectorised
+        or windowed. ``"tapped"``: ``access`` is rebound on the
         instance (memtrace, checkpoint record/replay) and must see the
         strict interleaving call by call. ``"fast_forward"``: a sampled ff
         window, whose synthetic timing no invisibility argument covers."""

@@ -122,6 +122,37 @@ def test_run_until_bound(engine1):
     assert p.state == ProcState.DONE
 
 
+@pytest.mark.parametrize("parallel", [False, True])
+def test_run_until_holds_backend_tasks_too(parallel):
+    """A backend task due past ``until`` must not run: with one process
+    computing 5 M cycles before its first load, ``run(until=1_000_000)``
+    returned at ``gsched.now == 3_990_000``. Continuing lands the uncut run."""
+    from repro.core.frontend import SimProcess
+    from repro.host import ParallelEngine
+    from repro.service.workloads import fingerprint
+
+    def build():
+        SimProcess._next_pid[0] = 1
+        eng = (ParallelEngine if parallel else Engine)(
+            complex_backend(num_cpus=1))
+
+        def app(proc):
+            proc.compute(5_000_000)
+            yield from proc.load(0x10_000)
+            yield from proc.exit(0)
+
+        eng.spawn("a", app)
+        return eng
+
+    whole = build()
+    uncut = fingerprint(whole, whole.run())
+    eng = build()
+    for until in (1_000_000, 3_000_000):
+        eng.run(until=until)
+        assert eng.gsched.now <= until and eng._live == 1
+    assert fingerprint(eng, eng.run()) == uncut
+
+
 def test_max_events_bound(engine1):
     def app(proc):
         for _ in range(50):

@@ -2,15 +2,18 @@
 mixed inline + parallel frontends, and worker supervision (crash, kill,
 restart-with-replay, forensic reports)."""
 
+import json
 import os
 import signal
 import time
 
 import pytest
 
-from repro import complex_backend, simple_backend
+from repro import DeadlockError, complex_backend, simple_backend
 from repro.core.errors import HostError
 from repro.host import ParallelEngine, WorkerSpec
+
+from tests.test_lookahead_equivalence import HOT_PROG
 
 TRIVIAL = """
     li r3, 7
@@ -129,6 +132,31 @@ def test_worker_death_with_no_restarts_is_forensic():
     assert report["worker"] == "victim"
     assert report["restarts"] == 0
     assert report["max_restarts"] == 0
+
+
+def test_forensic_report_summarises_batches():
+    """The message ring holds ``("B", n, first address, last address)``,
+    not four 1 024-element lists: a post-mortem stays a screenful."""
+    eng = ParallelEngine(complex_backend(num_cpus=1))
+    eng.max_worker_restarts = 0
+    with eng:
+        p = eng.spawn_worker(WorkerSpec("streamer", HOT_PROG))
+        _kill_worker_child(eng._workers[p.pid])
+        with pytest.raises(HostError) as ei:
+            eng.run()
+    report = ei.value.report
+    assert len(json.dumps(report)) < 4096
+    assert ["B", 1024, 0x100000, 0x100000 + 8192 - 32] in report["last_messages"]
+    assert "'streamer'" in str(ei.value) and "['B', 1024," in str(ei.value)
+
+
+def test_runaway_worker_program_hits_max_cycles():
+    """``Engine.run`` holds a worker's proxy to ``max_cycles`` too."""
+    eng = ParallelEngine(complex_backend(num_cpus=1, max_cycles=30_000))
+    with eng, pytest.raises(DeadlockError, match="max_cycles=30000"):
+        eng.spawn_worker(WorkerSpec("w", HOT_PROG))
+        eng.run()
+    assert 0 < eng.gsched.now <= 30_000
 
 
 def test_worker_crash_message_exhausts_restarts():

@@ -1,11 +1,11 @@
 """The three host switches select host mechanisms, never the model.
 
-``fastpath`` (published batches), ``lookahead`` (windows / leases) and
+``fastpath`` (published batches), ``lookahead`` (windows) and
 ``vectorized`` (the numpy mirror) may each be on or off: every arm is one
 simulated program, fault plan armed or not — the L1 probe is the memory
-model, so no arm moves a ``mem:degraded`` draw. And wherever a window or a
-lease is *not* opened, one gate says why (``Engine._stand_down``), counted
-by reason in ``Engine.stand_downs``, which no fingerprint ever sees.
+model, so no arm moves a ``mem:degraded`` draw. And wherever a window is
+*not* opened, one gate says why (``Engine._stand_down``), counted by
+reason in ``Engine.stand_downs``, which no fingerprint ever sees.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from tests.test_golden import TIMING_PLAN
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
-#: every reason a window or a lease can be denied for, in the code's order
+#: every reason a window can be denied for, in the code's order
 STAND_DOWNS = tuple(Engine(complex_backend(num_cpus=1)).stand_downs)
 
 

@@ -1,29 +1,29 @@
-"""Bit-identity of the conservative lookahead windows (both layers).
+"""Bit-identity of the conservative lookahead windows, on both engines.
 
-Layer 1 (inline engine): the batched hot loop may drain references past the
-strict rival horizon, but only references satisfying the L1 fast-path
-full-hit predicate — which touch nothing outside the issuer's private
-state, so any interleaving of them commutes with the strict order. How far
-each rival stays invisible is read from the vec mirror's classification of
-its parked batch, or walked reference by reference when there is no fresh
-mirror (``vectorized=False`` forces the walk); both qualifiers must grant
-the same windows (``test_frontier.py`` compares them bound by bound).
+The batched hot loop may drain references past the strict rival horizon,
+but only references satisfying the L1 fast-path full-hit predicate — which
+touch nothing outside the issuer's private state, so any interleaving of
+them commutes with the strict order. How far each rival stays invisible is
+read from the vec mirror's classification of its parked batch, or walked
+reference by reference when there is no fresh mirror (``vectorized=False``
+forces the walk); both qualifiers must grant the same windows
+(``test_frontier.py`` compares them bound by bound).
 
-Layer 2 (ParallelEngine): a worker in steady fire-and-forget state may be
-granted a lease to time its own references against a snapshot of its L1
-state, bounded by the earliest cycle anything else can act at all.
+``ParallelEngine`` workers ship the batches their interpreters fill into that
+same pipeline; a still-computing worker bounds the others (``_round_gate``).
 
-Both are gated by ``SimConfig.lookahead`` and must produce *exactly* the
+Windows are gated by ``SimConfig.lookahead`` and must produce *exactly* the
 simulated cycle counts, cache statistics, CPU time buckets and fault-fire
 counts of the strict path — with and without fault plans, and composed
-with checkpoint/restore and worker crash/replay.
+with checkpoint/restore, sampling, segmented runs and worker crash/replay.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import os
 import signal
-import time
 
 import pytest
 
@@ -31,13 +31,15 @@ from repro import (Engine, FaultPlan, FaultRule, SimulatedCrash, WaitToken,
                    checkpoint_exists,
                    complex_backend, resume)
 from repro.core.config import OSConfig, SamplingConfig
-from repro.core.frontend import SimProcess
+from repro.core.frontend import ProcState, SimProcess
 from repro.host import ParallelEngine, WorkerSpec
 from repro.host.parallel import _Worker
-from repro.mem.hierarchy import MemorySystem
+from repro.isa import Interpreter, Machine, assemble
+from repro.isa.memory import DataMemory
 from repro.osim import kmem
 
 from tests.test_determinism_harness import FAULT_OFF_WORKLOADS, _fingerprint
+from tests.test_host_parallel import LOCKY, SCAN, SYS
 
 #: timing-only plan that fires in every workload (mirrors the checkpoint
 #: suite's plan: no errno faults, so all workloads complete unchanged)
@@ -48,7 +50,7 @@ TIMING_PLAN = FaultPlan(rules=(
 ), seed=1998)
 
 #: ISA program that re-scans a private L1-resident buffer — the
-#: fast-path-dominated steady state where worker leases engage
+#: fast-path-dominated steady state where windows engage
 HOT_PROG = """
     li r7, 0
     li r8, 40
@@ -87,7 +89,7 @@ def _run_inline(build, faults=None, **cfg_kw):
 
 
 # ---------------------------------------------------------------------------
-# Layer 1: inline engine windows
+# inline engine windows
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", sorted(FAULT_OFF_WORKLOADS))
@@ -266,7 +268,7 @@ def test_min_remote_latency_all_protocols(coherence):
 
 
 # ---------------------------------------------------------------------------
-# Layer 1 x checkpointing
+# windows x checkpointing
 # ---------------------------------------------------------------------------
 
 def test_lookahead_never_granted_while_recording(tmp_path):
@@ -321,309 +323,256 @@ def test_checkpoint_resume_with_lookahead_on(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Layer 2: worker leases (ParallelEngine)
+# ParallelEngine: workers ship the same batches into the same pipeline
 # ---------------------------------------------------------------------------
 
-def _run_parallel(nworkers=1, prog=HOT_PROG, **cfg_kw):
+ARMS = [dict(zip(("fastpath", "lookahead", "vectorized"), bits))
+        for bits in itertools.product((True, False), repeat=3)]
+STRICT = ARMS[-1]
+PROGS = {"hot": HOT_PROG, "locky": LOCKY, "scan": SCAN, "sys": SYS}
+
+
+def _run_isa(progs, parallel, extra=None, **cfg_kw):
+    """``progs`` as ParallelEngine workers or as inline ISA frontends (pids
+    1..n either way); ``extra`` spawns further in-process frontends."""
     SimProcess._next_pid[0] = 1
-    eng = ParallelEngine(complex_backend(num_cpus=max(nworkers, 1),
-                                         **cfg_kw))
-    with eng:
-        for i in range(nworkers):
-            eng.spawn_worker(WorkerSpec(f"w{i}", prog))
+    cfg = complex_backend(num_cpus=len(progs) + (extra is not None), **cfg_kw)
+    eng = ParallelEngine(cfg) if parallel else Engine(cfg)
+    try:
+        for i, prog in enumerate(progs):
+            if parallel:
+                eng.spawn_worker(WorkerSpec(f"w{i}", prog))
+            else:
+                dm = DataMemory()
+                dm.map_segment(0x100000, 1 << 22)
+                eng.spawn_interpreter(
+                    f"w{i}", Interpreter(assemble(prog, f"w{i}"), Machine(dm)))
+        if extra is not None:
+            extra(eng)
         stats = eng.run()
+    finally:
+        if parallel:
+            eng.shutdown()
     return _snapshot(eng, stats), eng
 
 
-def _run_inline_isa(nworkers=1, prog=HOT_PROG, **cfg_kw):
-    from repro.isa import Interpreter, Machine, assemble
-    from repro.isa.memory import DataMemory
-    SimProcess._next_pid[0] = 1
-    eng = Engine(complex_backend(num_cpus=max(nworkers, 1), **cfg_kw))
-    for i in range(nworkers):
-        dm = DataMemory()
-        dm.map_segment(0x100000, 1 << 22)
-        eng.spawn_interpreter(
-            f"w{i}", Interpreter(assemble(prog, f"w{i}"), Machine(dm)))
-    stats = eng.run()
-    return _snapshot(eng, stats), eng
+@functools.lru_cache(maxsize=None)
+def _strict_inline(prog, n):
+    return _run_isa([PROGS[prog]] * n, False, **STRICT)[0]
 
 
-def test_worker_lease_matches_inline_and_strict():
-    snap_lease, eng_lease = _run_parallel(1, worker_lease=4)
-    snap_strict, eng_strict = _run_parallel(1, worker_lease=0)
-    snap_inline, _ = _run_inline_isa(1)
-    assert snap_lease == snap_strict == snap_inline
-    assert eng_lease.batch_stats["lease_refs"] > 0
-    assert eng_strict.batch_stats["leases"] == 0
+@pytest.mark.parametrize("prog,n,arm", [
+    *itertools.product(("hot", "locky"), (1, 3), range(8)),
+    *itertools.product(("scan", "sys"), (1, 2, 3, 4), (0,))])
+def test_parallel_equals_strict_inline(prog, n, arm):
+    """Every knob arm of a ParallelEngine lands the strict inline ISA run
+    (``fastpath=False`` replays shipped batches reference by reference);
+    where a computing worker's bound cuts a batch is the host's timing."""
+    snap, _ = _run_isa([PROGS[prog]] * n, True, **ARMS[arm])
+    assert snap == _strict_inline(prog, n)
 
 
-def test_worker_lease_multi_worker_identity():
-    """With rival workers the windows shrink to the rival bounds (often
-    to nothing) — grant or deny, the results must not move."""
-    snap_lease, eng_lease = _run_parallel(3, worker_lease=2)
-    snap_strict, _ = _run_parallel(3, worker_lease=0)
-    assert snap_lease == snap_strict
-    bs = eng_lease.batch_stats
-    assert bs["leases"] + bs["lease_denied"] > 0
+def test_parallel_under_timing_plan_equals_inline():
+    progs = [HOT_PROG, SCAN, HOT_PROG]
+    snap, eng = _run_isa(progs, True, faults=TIMING_PLAN)
+    assert snap == _run_isa(progs, False, faults=TIMING_PLAN, **STRICT)[0]
+    assert eng.faults.stats.draws > 0
 
 
-def test_worker_batch_knob_is_timing_neutral():
-    """SimConfig.worker_batch only changes host-side message grouping."""
-    snap16, _ = _run_parallel(2, worker_batch=16, worker_lease=0)
-    snap64, _ = _run_parallel(2, worker_batch=64, worker_lease=0)
-    snap128, _ = _run_parallel(2, worker_batch=128, worker_lease=4)
-    assert snap16 == snap64 == snap128
+#: six HOT_PROG passes with a streaming miss every eighth line — fast-forward
+#: charges a miss the calibrated mean, so the run moves whenever a phase
+#: switch does — and the same program starting 6 000 cycles late
+MIX = (HOT_PROG.replace("li r8, 40", "li r8, 6\n    li r11, 0x140000")
+       .replace("    addi r1, r1, 32\n",
+                "    addi r1, r1, 32\n    andi r4, r1, 255\n"
+                "    bne r4, r0, skip\n    loadx r5, r11, r12, 4\n"
+                "    addi r12, r12, 64\nskip:\n"))
+LATE = MIX.replace("pass:", "    li r9, 3000\nspin:\n    addi r9, r9, -1\n"
+                            "    blt r7, r9, spin\npass:")
 
 
-def _kill_child(w, timeout=5.0):
-    deadline = time.time() + timeout
-    while not w.conn.poll() and time.time() < deadline:
-        time.sleep(0.01)
-    os.kill(w.process.pid, signal.SIGKILL)
-    w.process.join()
+def _toucher(eng):
+    def app(p):
+        for _ in range(40):
+            yield from p.touch(0x3_0000, 8192, write=True, stride=32,
+                               work_per_line=2)
+        yield from p.exit(0)
+    eng.spawn("t", app)
 
 
-def test_worker_killed_after_grant_replays_lease(monkeypatch):
-    """SIGKILL the worker right after its first lease grant is computed:
-    the supervisor relaunches it, answers the re-sent lease request from
-    the recorded reply log (same grant, same snapshot, same drain), and
-    the run completes bit-identically to an undisturbed one."""
-    baseline, _ = _run_parallel(1, worker_lease=2)
-
-    killed = []
-    orig = ParallelEngine._lease_decision
-
-    def killing_decision(self, w):
-        enc = orig(self, w)
-        if enc[0] == "lg" and not killed:
-            killed.append(True)
-            try:
-                os.kill(w.process.pid, signal.SIGKILL)
-                w.process.join(timeout=5)
-            except (OSError, ValueError):
-                pass
-        return enc
-
-    monkeypatch.setattr(ParallelEngine, "_lease_decision", killing_decision)
-    SimProcess._next_pid[0] = 1
-    eng = ParallelEngine(complex_backend(num_cpus=1, worker_lease=2))
-    eng.worker_backoff = 0.01
-    with eng:
-        p = eng.spawn_worker(WorkerSpec("w0", HOT_PROG))
-        stats = eng.run()
-    assert killed
-    assert eng._workers[p.pid].restarts >= 1
-    assert _snapshot(eng, stats) == baseline
+@pytest.mark.parametrize("starved", [False, True], ids=["greedy", "starved"])
+def test_parallel_sampled_equals_inline_sampled(monkeypatch, starved):
+    """Under a sampler — it switches phase at the first loop top past an
+    event count — the batch cuts are part of the result: ``_round_gate``
+    waits for every computing worker and the run equals the inline sampled
+    run cut for cut, also when a harvest reads one message a pipe."""
+    if starved:     # workers are found computing as often as the host can
+        ingest = ParallelEngine._ingest
+        monkeypatch.setattr(ParallelEngine, "_ingest", lambda self, w, msg:
+                            ingest(self, w, msg) and False)
+    sc = SamplingConfig(detail_events=890, ff_events=53)
+    for progs, extra in (([MIX, LATE], None), ([MIX, LATE, MIX], None),
+                         ([MIX], _toucher)):
+        ref, inline = _run_isa(progs, False, extra=extra, sampling=sc)
+        assert ref != _run_isa(progs, False, extra=extra)[0]    # it switched
+        for _ in range(3):
+            snap, eng = _run_isa(progs, True, extra=extra, sampling=sc)
+            assert snap == ref and eng.batch_stats == inline.batch_stats
 
 
-def test_worker_killed_after_pretimed_apply_replays(monkeypatch):
-    """SIGKILL the worker right after its first pre-timed result was
-    consumed: the replay must regenerate and then *discard* the already
-    applied drain (it is inside the consumed prefix) instead of applying
-    it twice."""
-    baseline, _ = _run_parallel(1, worker_lease=2)
-
-    killed = []
-    orig = ParallelEngine._apply_pretimed
-
-    def killing_apply(self, w, msg):
-        orig(self, w, msg)
-        if not killed:
-            killed.append(True)
-            try:
-                os.kill(w.process.pid, signal.SIGKILL)
-                w.process.join(timeout=5)
-            except (OSError, ValueError):
-                pass
-
-    monkeypatch.setattr(ParallelEngine, "_apply_pretimed", killing_apply)
-    SimProcess._next_pid[0] = 1
-    eng = ParallelEngine(complex_backend(num_cpus=1, worker_lease=2))
-    eng.worker_backoff = 0.01
-    with eng:
-        p = eng.spawn_worker(WorkerSpec("w0", HOT_PROG))
-        stats = eng.run()
-    assert killed
-    assert eng._workers[p.pid].restarts >= 1
-    assert _snapshot(eng, stats) == baseline
-
-
-def test_parallel_checkpoint_denies_leases(tmp_path):
-    """An active checkpoint manager needs the strict per-reference stream
-    (the reply log), so lease requests are denied — and the checkpointed
-    run still matches the lease-off one."""
-    path = str(tmp_path / "ck.pkl")
-    snap_ck, eng_ck = _run_parallel(1, worker_lease=4,
-                                    checkpoint_path=path,
-                                    checkpoint_interval=2_000)
-    snap_off, _ = _run_parallel(1, worker_lease=0)
-    assert eng_ck.batch_stats["leases"] == 0
-    assert (eng_ck.stand_downs["tapped"]
-            == eng_ck.batch_stats["lease_denied"] > 0)
-    assert snap_ck == snap_off
-
-
-def test_lease_denied_under_bounded_stepping():
-    """run(max_events=...) is used for incremental stepping; a lease
-    could overshoot the stop point, so it must be denied."""
-    SimProcess._next_pid[0] = 1
-    eng = ParallelEngine(complex_backend(num_cpus=1, worker_lease=1,
-                                         worker_batch=8))
-    with eng:
-        eng.spawn_worker(WorkerSpec("w0", HOT_PROG))
-        while eng._live > 0:
-            eng.run(max_events=500)
-        stats = eng.stats
-    assert eng.batch_stats["leases"] == 0
-    assert eng.stand_downs["bounded_run"] == eng.batch_stats["lease_denied"]
-    snap_strict, _ = _run_parallel(1, worker_lease=0)
-    assert _snapshot(eng, stats) == snap_strict
+def test_parallel_checkpointed_equals_inline(tmp_path):
+    """An active checkpoint manager taps ``access``: every shipped batch
+    goes through it reference by reference, no window opens."""
+    ck = dict(checkpoint_path=str(tmp_path / "ck.pkl"),
+              checkpoint_interval=2_000)
+    snap, eng = _run_isa([HOT_PROG] * 2, True, **ck)
+    assert snap == _strict_inline("hot", 2)
+    assert eng._ckpt.saves > 0 and eng.batch_stats["la_windows"] == 0
+    assert eng.stand_downs["tapped"] > 0
 
 
 def test_parallel_run_cut_and_continued_equals_uncut():
-    """A ``max_events`` cut leaves the interval timer armed: slices land
-    the uncut run, its timer interrupts included."""
+    """A ``max_events`` cut leaves the interval timer armed and a shipped
+    batch half-consumed at the port: slices of any size — one event
+    included — land the uncut run, its timer interrupts included."""
     os_cfg = OSConfig(timer_interval=20_000)
-    snap, whole = _run_parallel(1, worker_lease=0, os=os_cfg)
+    snap, whole = _run_isa([HOT_PROG], True, os=os_cfg)
     assert whole.stats.interrupt_counts["timer"] > 2
-    SimProcess._next_pid[0] = 1
-    eng = ParallelEngine(complex_backend(num_cpus=1, worker_lease=0,
-                                         os=os_cfg))
-    with eng:
-        eng.spawn_worker(WorkerSpec("w0", HOT_PROG))
-        while eng._live > 0:
-            eng.run(max_events=3_000)
-    assert _snapshot(eng, eng.stats) == snap
+    for segment in (3_000, 1):
+        SimProcess._next_pid[0] = 1
+        eng = ParallelEngine(complex_backend(num_cpus=1, os=os_cfg))
+        with eng:
+            eng.spawn_worker(WorkerSpec("w0", HOT_PROG))
+            while eng._live > 0:
+                eng.run(max_events=segment)
+        assert _snapshot(eng, eng.stats) == snap
 
 
-def test_sampler_denies_leases():
-    """A sampler switches timing modes by event count; a lease drains
-    through the switch with detail-mode timing (it used to move the
-    *simulated* result), so an installed sampler denies every request."""
-    sc = SamplingConfig(detail_events=2_000, ff_events=8_000)
-    snap_lease, eng_lease = _run_parallel(1, worker_lease=4, sampling=sc)
-    snap_strict, _ = _run_parallel(1, worker_lease=0, sampling=sc)
-    assert snap_lease == snap_strict
-    assert eng_lease.batch_stats["leases"] == 0
-    assert eng_lease.batch_stats["lease_denied"] > 0
-    # by name: the gate's own reason inside fast-forward windows, the
-    # lease's in detail ones
-    sd = eng_lease.stand_downs
-    assert sd["sampler"] > 0 and sd["fast_forward"] > 0
-    assert sum(sd.values()) == eng_lease.batch_stats["lease_denied"]
+#: HOT_PROG ending in an OS call: the worker blocks for its reply, which
+#: is only sent once every batch before it is consumed — so at any batch
+#: entry the worker process is alive to be killed
+HOT_THEN_CALL = HOT_PROG.replace("    li r3, 0\n", "    syscall getpid, 0\n"
+                                                   "    li r3, 0\n")
+
+#: when to kill, given (messages the proxy has popped, the batch's cursor)
+KILL_AT = {"first": lambda consumed, cursor: True,
+           "half_consumed": lambda consumed, cursor: cursor >= 256,
+           "mid_run": lambda consumed, cursor: consumed >= 10}
 
 
-# ---------------------------------------------------------------------------
-# Layer 2: the grant rule (_rival_stream_bound), on hand-built state
-# ---------------------------------------------------------------------------
+@pytest.mark.parametrize("where", sorted(KILL_AT))
+def test_worker_killed_at_batch_entry_replays(monkeypatch, where):
+    """SIGKILL a worker as the engine enters ``_handle_batch`` on its
+    first batch, on that batch half-consumed, on its tenth: the proxy owns
+    the batch it popped, the relaunched stream is skipped up to and
+    including it — nothing lost, nothing applied twice."""
+    baseline, _ = _run_isa([HOT_THEN_CALL] * 2, True)
+    assert baseline == _run_isa([HOT_THEN_CALL] * 2, False, **STRICT)[0]
+    killed = []
+    orig = ParallelEngine._handle_batch
 
-HOT = 0x1_0000      # rival lines warmed into its L1 (MODIFIED)
-COLD = 0x5_0000     # mapped, never touched
+    def killing(self, proc, batch, *rest):
+        w = self._workers[1]
+        if (not killed and proc is w.proc
+                and KILL_AT[where](w.consumed, batch.cursor)):
+            killed.append(w.consumed)
+            os.kill(w.process.pid, signal.SIGKILL)
+            w.process.join(timeout=5)
+        return orig(self, proc, batch, *rest)
+
+    monkeypatch.setattr(ParallelEngine, "_handle_batch", killing)
+    snap, eng = _run_isa([HOT_THEN_CALL] * 2, True)
+    assert killed and eng._workers[1].restarts >= 1
+    assert snap == baseline
 
 
-def _parked_pair():
-    """Lessee ``p`` (pid 1, CPU 0) and rival ``q`` (pid 2, CPU 1), each
-    parked on an L1-hit load past cycle 100 000; ``q`` is registered as a
-    worker proxy whose queue the test fills by hand."""
+def _winner_and_computing_worker(worker_first):
+    """An in-process frontend parked on a batch and a proxy
+    whose worker is still computing (no process behind it: nothing ever
+    arrives), spawned in either pid order. Returns (engine, frontend,
+    proxy, the horizons ``_handle_batch`` was entered with)."""
     SimProcess._next_pid[0] = 1
     eng = ParallelEngine(complex_backend(num_cpus=2, coherence="mesi",
-                                         num_nodes=1, worker_lease=4))
+                                         num_nodes=1))
 
-    def app(base):
-        def run(proc):
-            yield from proc.store(base)
-            yield from proc.store(base + 32)
-            proc.compute(100_000)
-            yield from proc.load(base)
-            yield from proc.exit(0)
-        return run
+    def app(proc):
+        proc.compute(1_000)
+        yield from proc.touch(0x2_0000, 8192, stride=32, work_per_line=50)
+        yield from proc.exit(0)
 
-    p = eng.spawn("p", app(0x2_0000))
-    q = eng.spawn("q", app(HOT))
-    eng.run(until=50_000)
-    eng._run_until = eng._max_cycles + 1    # as an unbounded run() sets it
-    for proc in (p, q):
-        w = _Worker(WorkerSpec(proc.name, ""))
-        w.proc = proc
-        eng._workers[proc.pid] = w
-    return eng, p, q, eng._workers[q.pid]
+    w = _Worker(WorkerSpec("q", ""))
+    if worker_first:
+        q = eng.spawn("q", lambda _api: eng._proxy(w))
+    p = eng.spawn("p", app)
+    if not worker_first:
+        q = eng.spawn("q", lambda _api: eng._proxy(w))
+    w.proc = q
+    eng._workers[q.pid] = w
+    seen = []
+
+    def stop_at_entry(proc, batch, horizon, ext, budget):
+        seen.append((proc.pid, horizon, ext))
+        raise KeyboardInterrupt
+
+    eng._handle_batch = stop_at_entry
+    return eng, p, q, seen
 
 
-def test_rival_stream_bound_walks_hits_and_stops_at_visible_actions():
-    eng, p, q, wq = _parked_pair()
-    lat = eng.memsys._l1_latency
-    far = 1 << 40
-    t_e = q.port_event.time
-    bound = lambda cap=far: eng._rival_stream_bound(q, cap)
+@pytest.mark.parametrize("worker_first", [False, True])
+def test_computing_workers_bound_caps_the_winners_batch(worker_first):
+    """The winner's batch is consumed below a computing worker's
+    ``vtime + clock.pending`` — through it when the winner's pid is the
+    smaller — and not at all while that bound does not clear its head."""
+    eng, p, q, seen = _winner_and_computing_worker(worker_first)
+    head = p.port_event.time
+    assert p.port_event.kind == 9 and q.port_event is None
+    # at a tie the smaller pid goes first: the bound clears the head of
+    # the batch only for a winner with the smaller pid
+    q.vtime, q.clock.pending = head - 5, 5
+    assert eng._round_gate(p, None) == (head + 1 if p.pid < q.pid else None)
+    q.vtime -= 1
+    assert eng._round_gate(p, None) is None
+    # a backend task goes before any event of its own cycle
+    assert eng._round_gate(p, head - 1) == head
+    q.vtime = head + 1_000
+    cap = head + 1_005 + (p.pid < q.pid)
+    assert eng._round_gate(p, None) == cap
+    with pytest.raises(KeyboardInterrupt):
+        eng.run()
+    assert seen == [(p.pid, cap, 0)]        # cut there, no window past it
+    eng.shutdown()
 
-    # the parked L1-hit load is walked through; nothing queued after it
-    assert bound() == t_e + lat
-    # L1-hit "m" messages and ADVANCE poll points are walked through ...
-    wq.queue.extend([("m", 0, HOT + 32, 4, 10),     # load hit
-                     ("m", 3, 0, 0, 5),             # ADVANCE
-                     ("m", 1, HOT, 4, 7)])          # store hit (MODIFIED)
-    t = t_e + lat + 10 + lat + 5 + 7 + lat
-    assert bound() == t
-    # ... a queued drain result spans its ``advance`` ...
-    wq.queue.append(("pr", 3, 0, 3, 40, t + 30, {}, []))
-    t += 40
-    assert bound() == t
-    # ... and the walk stops at the issue time of a reference that misses
-    wq.queue.append(("m", 0, COLD, 4, 3))
-    wq.queue.append(("m", 0, HOT, 4, 1_000))
-    assert bound() == t + 3
-    # a control or exit message bounds at its own issue time
-    del wq.queue[-1], wq.queue[-1]
-    wq.queue.append(("c", 4, 0, 0, None, 9))
-    assert bound() == t + 9
-    wq.queue[-1] = ("exit", 0, 11)
-    assert bound() == t + 11
-    # clamped at ``cap``: inside the queue walk, and at the parked event
-    assert bound(t_e + lat + 12) == t_e + lat + 12
-    assert bound(t_e) == t_e
-    # a miss on the parked event itself stops there
-    q.port_event.addr = COLD
-    assert bound() == t_e
-    q.port_event.addr = HOT
 
-    # a kernel-mode rival, one with a delivery due, and a rival that is
-    # not a worker proxy run host code that reads the global clock right
-    # after the reference: bounded at the parked event's own time
+def test_round_gate_ignores_proxies_that_are_not_computing():
+    """A proxy running OS-server code, blocked or finished gets its next
+    event from this process, not from a pipe: no bound, and with nothing
+    else to wait for the loop's own deadlock report, not a hang."""
+    eng, p, q, _ = _winner_and_computing_worker(False)
+    top = eng._max_cycles + 1
+    for attr, value, back in (("kernel_mode", True, False),
+                              ("state", ProcState.BLOCKED, q.state),
+                              ("reply", 0, None)):
+        setattr(q, attr, value)
+        assert eng._round_gate(p, None) == top
+        assert eng._round_gate(None, None) == top
+        setattr(q, attr, back)
+    assert eng._round_gate(p, None) is None     # computing again: waited on
+    p.port_event = None
+    assert not eng._ports_quiet()
     q.kernel_mode = True
-    assert bound() == t_e
-    q.kernel_mode = False
-    q.preempt_pending = True
-    assert bound() == t_e
-    q.preempt_pending = False
-    del eng._workers[q.pid]
-    assert bound() == t_e
+    assert eng._ports_quiet()
     eng.shutdown()
 
 
-def test_lease_window_reaches_past_a_rivals_parked_event():
-    """The grant is bounded by the first *visible* thing the rival can
-    do — here its queued control event — not by its parked L1 hit."""
-    eng, p, q, wq = _parked_pair()
-    wq.queue.extend([("m", 1, HOT + 32, 4, 500), ("c", 4, 0, 0, None, 500)])
-    grant = eng._lease_decision(eng._workers[p.pid])
-    assert grant[0] == "lg"
-    t0, T = grant[1], grant[2]
-    assert t0 == p.vtime + p.clock.pending
-    lat = eng.memsys._l1_latency
-    # pid 1 < pid 2: a tie at the bound goes to the lessee, hence the +1
-    assert T == q.port_event.time + lat + 500 + lat + 500 + 1
-    assert T > q.port_event.time
-    # with the rival's next reference a miss the window ends at the miss,
-    # too close to be worth a snapshot: denied
-    wq.queue.clear()
-    wq.queue.append(("m", 0, COLD, 4, 5))
-    assert eng._lease_decision(eng._workers[p.pid]) == ("ld",)
-    assert eng.batch_stats["lease_denied"] == 1
-    assert eng.stand_downs["short_window"] == 1
-    # the gate every window passes is the head of the decision
-    p.preempt_pending = True
-    assert eng._lease_decision(eng._workers[p.pid]) == ("ld",)
-    assert eng.stand_downs["delivery"] == 1
-    assert sum(eng.stand_downs.values()) == eng.batch_stats["lease_denied"]
-    eng.shutdown()
+def test_removed_worker_knobs_are_refused():
+    for knob in ("worker_lease", "worker_batch"):
+        with pytest.raises(TypeError, match=knob):
+            complex_backend(num_cpus=1, **{knob: 4})
+
+
+def test_worker_beside_an_inprocess_batching_frontend_equals_inline():
+    """A ``touch`` frontend inside a ParallelEngine publishes batches and
+    windows open between it and the worker's; oracle: all-inline, strict."""
+    snap, eng = _run_isa([HOT_PROG], True, extra=_toucher)
+    assert snap == _run_isa([HOT_PROG], False, extra=_toucher, **STRICT)[0]
+    assert eng.batch_stats["la_windows"] > 0

@@ -231,17 +231,21 @@ class TestChaos:
         spool_dir = str(tmp_path / "spool")
         runner = JobRunner(spool_dir=spool_dir,
                            workdir=str(tmp_path / "work"))
-        runner.submit(JobSpec(name="stale", workload="dss",
-                              config={"speculate": False}, max_retries=0,
-                              safe_mode_fallback=False))
-        rec = runner.run()["stale"]
+        removed = ("speculate", "worker_lease", "worker_batch")
+        for knob in removed:
+            runner.submit(JobSpec(name=knob, workload="dss",
+                                  config={knob: 0}, max_retries=0,
+                                  safe_mode_fallback=False))
+        recs = runner.run()
         runner._spool.close()
-        assert rec.state == JobState.FAILED
-        assert rec.error["last_error"]["type"] == "ConfigError"
-        assert "'speculate'" in rec.error["last_error"]["message"]
-        assert json.loads(rec.to_json()) == rec.to_dict()
         recovered = JobRunner.recover(spool_dir)
-        assert recovered.queue.get("stale").to_dict() == rec.to_dict()
+        for knob in removed:
+            rec = recs[knob]
+            assert rec.state == JobState.FAILED
+            assert rec.error["last_error"]["type"] == "ConfigError"
+            assert f"'{knob}'" in rec.error["last_error"]["message"]
+            assert json.loads(rec.to_json()) == rec.to_dict()
+            assert recovered.queue.get(knob).to_dict() == rec.to_dict()
         recovered._spool.close()
 
     def test_timeout_enforced(self, tmp_path):

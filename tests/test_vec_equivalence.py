@@ -7,8 +7,8 @@ array ops. Like the scalar fast path it is a pure host-side optimisation:
 simulated cycle counts, cache statistics, CPU time buckets and the memory
 trace must be *exactly* those of the scalar loop on every workload class
 the paper studies (OLTP, DSS, webserver, SPLASH kernel) — tapped and
-untapped, composed with conservative lookahead windows and with
-ParallelEngine worker leases.
+untapped, composed with conservative lookahead windows and with the
+batches ParallelEngine workers ship.
 """
 
 from __future__ import annotations
@@ -18,13 +18,11 @@ import pytest
 from repro import Engine, complex_backend
 from repro.apps.minidb import MiniDb, TpcdDriver, tpcd_catalog
 from repro.core.frontend import SimProcess
-from repro.host import ParallelEngine, WorkerSpec
 
 from tests.test_fastpath_equivalence import (BATCHING_WORKLOADS, WORKLOADS,
                                              _run, _snapshot)
 from tests.test_lookahead_equivalence import (HOT_PROG, _private_heavy,
-                                              _run_inline)
-from tests.test_lookahead_equivalence import _snapshot as _la_snapshot
+                                              _run_inline, _run_isa)
 
 
 #: a CPU pays one rebuild when it turns warm and one more per fill that
@@ -159,22 +157,12 @@ def test_vec_under_lookahead_bit_identical():
 
 
 # ---------------------------------------------------------------------------
-# composition with ParallelEngine worker leases
+# composition with ParallelEngine: shipped batches take the vec path too
 # ---------------------------------------------------------------------------
 
-def _run_parallel(vectorized, nworkers=1, **cfg_kw):
-    SimProcess._next_pid[0] = 1
-    eng = ParallelEngine(complex_backend(num_cpus=max(nworkers, 1),
-                                         vectorized=vectorized, **cfg_kw))
-    with eng:
-        for i in range(nworkers):
-            eng.spawn_worker(WorkerSpec(f"w{i}", HOT_PROG))
-        stats = eng.run()
-    return _la_snapshot(eng, stats), eng
-
-
-def test_vec_under_worker_leases_bit_identical():
-    snap_on, eng_on = _run_parallel(True, worker_lease=4)
-    snap_off, _ = _run_parallel(False, worker_lease=4)
+def test_vec_under_parallel_engine_bit_identical():
+    snap_on, eng_on = _run_isa([HOT_PROG] * 2, True, vectorized=True)
+    snap_off, eng_off = _run_isa([HOT_PROG] * 2, True, vectorized=False)
     assert snap_on == snap_off
-    assert eng_on.batch_stats["lease_refs"] > 0
+    assert eng_on.memsys.vec_refs > 0 and eng_off.memsys.vec_refs == 0
+    assert eng_on.batch_stats["la_refs"] > 0
