@@ -23,9 +23,11 @@ Also runs standalone for CI::
 
 Smoke mode does a single small round, hard-fails if lookahead on/off are
 not bit-identical, if the windows qualified from the vec mirror differ
-from those the scalar walk qualifies (``vectorized`` on/off) or if any
-``ParallelEngine`` shape misses the inline engine's fingerprint, and does
-not overwrite the JSON artifact.
+from those the scalar walk qualifies (``vectorized`` on/off), if any
+``ParallelEngine`` shape misses the inline engine's fingerprint, if the
+all-miss shape opened a window on either engine (a frontend whose next
+reference is about to miss asks for none) or if a hot-loop shape with a
+rival extended no reference, and does not overwrite the JSON artifact.
 """
 
 from __future__ import annotations
@@ -116,7 +118,7 @@ def _measure(rounds, passes=PASSES):
 
 def _run_isa(progs, parallel):
     """``progs`` as ParallelEngine workers or inline ISA frontends;
-    returns (host seconds of ``run``, fingerprint)."""
+    returns (host seconds of ``run``, fingerprint, ``batch_stats``)."""
     from repro.host import ParallelEngine, WorkerSpec
     from repro.isa import Interpreter, Machine, assemble
     from repro.isa.memory import DataMemory
@@ -138,7 +140,7 @@ def _run_isa(progs, parallel):
     finally:
         if parallel:
             eng.shutdown()
-    return secs, _fingerprint(eng, stats)
+    return secs, _fingerprint(eng, stats), eng.batch_stats
 
 
 def _parallel_shapes(passes):
@@ -152,11 +154,21 @@ def _parallel_shapes(passes):
               "4 all-miss scans": [SCAN] * 4}
     rows = []
     for name, progs in shapes.items():
-        secs, fp = _run_isa(progs, parallel=True)
-        assert fp == _run_isa(progs, parallel=False)[1], \
+        secs, fp, bs = _run_isa(progs, parallel=True)
+        _, inline_fp, inline_bs = _run_isa(progs, parallel=False)
+        assert fp == inline_fp, \
             f"ParallelEngine shape {name!r} left the inline fingerprint"
+        for engine, stats in (("ParallelEngine", bs), ("Engine", inline_bs)):
+            if progs[0] is SCAN:
+                assert stats["la_windows"] == 0, \
+                    f"{engine}, {name}: {stats['la_windows']} wasted windows"
+            elif len(progs) > 1:    # solo has no rival, hence no horizon
+                assert stats["la_refs"] > 0, \
+                    f"{engine}, {name}: no reference extended"
         rows.append({"shape": name, "seconds": secs, "events": fp[1],
-                     "events_per_sec": fp[1] / secs, "end_cycle": fp[0]})
+                     "events_per_sec": fp[1] / secs, "end_cycle": fp[0],
+                     "la_windows": bs["la_windows"],
+                     "la_refs": bs["la_refs"]})
     return rows
 
 
@@ -241,8 +253,8 @@ def main(argv=None) -> int:
         # smoke gates correctness (the identity asserts), not perf — CI
         # machines are too noisy for a hard speedup floor on a tiny run
         print(f"smoke ok: bit-identical, same windows from either "
-              f"qualifier, every ParallelEngine shape == inline, "
-              f"{speedup:.2f}x")
+              f"qualifier, every ParallelEngine shape == inline, no window "
+              f"on all-miss, {speedup:.2f}x")
         return 0
     on, off = _measure(rounds=3)
     speedup, _ = _report(on, off, _parallel_shapes(passes=40))

@@ -121,7 +121,7 @@ class Engine:
         #: DESIGN.md's stand-down table); observability only: in no
         #: ``batch_stats``, fingerprint, checkpoint
         self.stand_downs: Dict[str, int] = dict.fromkeys(
-            ("delivery", "tapped", "fast_forward"), 0)
+            ("delivery", "tapped", "fast_forward", "miss"), 0)
         self._max_cycles = cfg.max_cycles
         self._timer_started = False
         #: count of not-yet-exited processes (kept in step with spawns/exits)
@@ -353,7 +353,7 @@ class Engine:
                 # cap, then shrink to the rivals' qualified-invisible bound
                 ext = 0
                 if (self._lookahead and horizon < (1 << 61)
-                        and self._stand_down(cand) is None):
+                        and self._stand_down(cand, event) is None):
                     ext = horizon + self._lookahead_cycles
                 if t_task is not None:
                     if t_task < horizon:
@@ -632,19 +632,28 @@ class Engine:
         a window reaching past the event would have advanced. Likewise
         when ``proc`` stands down (:meth:`_stand_down`).
         """
-        if event.kind != 9 or self._stand_down(proc) is not None:
+        if event.kind != 9 or self._stand_down(proc, event) is not None:
             return event.time
         return self.memsys.invisible_until(event.pid, proc.cpu, event, cap)
 
-    def _stand_down(self, proc: SimProcess) -> Optional[str]:
+    def _stand_down(self, proc: SimProcess,
+                    batch: ev.EventBatch) -> Optional[str]:
         """Why nothing of ``proc`` may run ahead of the strict schedule —
-        no window for it, no rival's window past its parked event — or
+        no window for it, no rival's window past its parked ``batch`` — or
         None. A delivery due at its next event boundary (the
         handler frames cannot be bounded), then
-        :meth:`MemorySystem.strict_stream`; tallied in ``stand_downs``."""
+        :meth:`MemorySystem.strict_stream`, then ``"miss"``: the reference
+        at the cursor would leave the L1 probe (one read-only probe) — a
+        rival is then visible at its own time, an owner about to be cut
+        after it; tallied in ``stand_downs``."""
         why = ("delivery"
                if self._delivery_due(proc, self.comm.cpus[proc.cpu])
                else self.memsys.strict_stream())
+        i = batch.cursor
+        if why is None and self.memsys.ref_invisible_latency(
+                batch.pid, proc.cpu, batch.kinds[i], batch.addrs[i],
+                batch.sizes[i]) < 0:
+            why = "miss"
         if why is not None:
             self.stand_downs[why] += 1
         return why

@@ -40,7 +40,11 @@ def refill(dst: dict, src: dict) -> None:
 
 
 class Cache:
-    """One cache: maps line address → state, LRU within each set."""
+    """One cache: maps line address → state, LRU within each set.
+
+    Invariant: ``hits`` never rewinds without a ``version`` bump (only
+    ``load_state`` sets it back) — ``VecState.run``'s resync rule counts on it.
+    """
 
     __slots__ = ("name", "cfg", "line_shift", "n_sets", "set_mask", "assoc",
                  "_sets", "_states", "version",
@@ -159,10 +163,6 @@ class Cache:
             self.version += 1
         self.writebacks += len(dirty)
         return dirty
-
-    def reset_stats(self) -> None:
-        self.hits = self.misses = 0
-        self.evictions = self.writebacks = self.invalidations = 0
 
     # -- checkpoint/restore ----------------------------------------------------
 

@@ -274,13 +274,18 @@ class MemorySystem:
 
         There are two qualifiers. With the vec mirror of ``cpu`` fresh the
         bound is read from the batch's array classification
-        (:meth:`VecState.frontier` — the one the owner's own run will use),
-        after a single probe of the first reference so that a rival about
-        to miss costs no classification. Otherwise (``vectorized`` off,
-        mirror stale, a handful of references left) the loop over
+        (:meth:`VecState.frontier` — the one the owner's own run will use);
+        the engine has already probed the reference at the cursor
+        (``Engine._stand_down``), so a rival about to miss costs no
+        classification. Otherwise (``vectorized`` off, mirror stale, a
+        handful of references left) the loop over
         :meth:`ref_invisible_latency` answers; it is the reference the
         array bound is tested against.
         """
+        if self._vec is not None:
+            bound = self._vec.frontier(pid, cpu, batch, cap)
+            if bound is not None:
+                return bound
         t = batch.time
         i = batch.cursor
         kinds = batch.kinds
@@ -288,10 +293,6 @@ class MemorySystem:
         sizes = batch.sizes
         probe = self.ref_invisible_latency
         lat = probe(pid, cpu, kinds[i], addrs[i], sizes[i])
-        if lat >= 0 and self._vec is not None:
-            bound = self._vec.frontier(pid, cpu, batch, cap)
-            if bound is not None:
-                return bound
         pends = batch.pendings
         for i in range(i + 1, batch.n):
             if lat < 0:

@@ -258,7 +258,7 @@ class VecState:
             "step": step, "latc": latc,
             "nl": nl, "rd": rd, "st0": st0, "st1": st1,
             "pos0": pos0, "pos1": pos1, "line1": line1,
-            "lat": lat, "prefix": prefix,
+            "lat": lat, "prefix": prefix, "plans": {},
         }
 
     def _classified(self, pid, cpu, l1_version, kinds, addrs, sizes, pends,
@@ -463,57 +463,8 @@ class VecState:
                             if l2s is not None and ln in l2s:
                                 l2s[ln] = 3
 
-        # LRU replay: final order = touched lines, most-recent-touch first,
-        # then untouched lines in their prior order — exactly what the
-        # scalar per-touch move-to-front produces. Dedupe keeps the *last*
-        # occurrence of each line (stable sort groups duplicates; the last
-        # element of each group has the highest original index).
-        if cd["two_any"]:
-            nlc = cd["nl"][o:o + c]
-            starts = np.cumsum(nlc) - nlc
-            offs = (np.arange(int(nlc.sum()), dtype=np.int64)
-                    - np.repeat(starts, nlc))
-            seq = np.repeat(line0[o:o + c], nlc) + offs
-        else:
-            seq = line0[o:o + c]
-        nseq = seq.shape[0]
-        if nseq > 1 and bool((seq[1:] >= seq[:-1]).all()):
-            # nondecreasing touch sequence (the common case: ascending
-            # scans): duplicates are consecutive, so keep each group's
-            # last element and reverse — no sort needed
-            flag = np.empty(nseq, dtype=bool)
-            np.not_equal(seq[1:], seq[:-1], out=flag[:-1])
-            flag[-1] = True
-            recent = seq[flag][::-1]
-        else:
-            order = np.argsort(seq, kind="stable")
-            ss = seq[order]
-            flag = np.empty(nseq, dtype=bool)
-            if nseq > 1:
-                np.not_equal(ss[1:], ss[:-1], out=flag[:-1])
-            flag[-1] = True
-            recent = ss[flag][np.argsort(order[flag])[::-1]]
-        sets = ms._l1_sets[cpu]
-        mask = ms._l1_set_mask
-        nsets = ms._l1_nsets
-        fronts: dict = {}
-        for ln in recent.tolist():
-            si = ln & mask if mask >= 0 else ln % nsets
-            f = fronts.get(si)
-            if f is None:
-                fronts[si] = [ln]
-            else:
-                f.append(ln)
-        for si, front in fronts.items():
-            s = sets[si]
-            if len(front) == 1:
-                ln = front[0]
-                if s[0] != ln:
-                    s.remove(ln)
-                    s.insert(0, ln)
-            elif s[:len(front)] != front:
-                members = set(front)
-                s[:] = front + [x for x in s if x not in members]
+        _replay_lru(cd, o, c, ms._l1_sets[cpu], ms._l1_set_mask,
+                    ms._l1_nsets)
 
         if clock is not None and last_issue > clock.now:
             clock.now = last_issue
@@ -531,3 +482,81 @@ class VecState:
             pid, cpu, kinds, addrs, sizes, pends, i + c, n, nt,
             limit - c, horizon, ext, clock)
         return c + c2, i2, t2, added + a2, major2, ext_refs + er2
+
+
+def _replay_lru(cd, o, c, sets, mask, nsets) -> None:
+    """LRU replay of references ``[o, o + c)`` of classification ``cd`` on
+    the live per-set MRU lists ``sets``: touched lines, most-recent-touch
+    first, then untouched lines in their prior order — exactly what the
+    scalar per-touch move-to-front produces.
+
+    The per-set fronts are a pure function of the classified lines, the
+    slice and the geometry, so a slice ``(o, c)`` that recurs keeps them as
+    a plan with ``cd`` (which dies on any ``Cache.version`` move, i.e.
+    before set membership can change; the set lists themselves are only ever
+    mutated in place). Every call reads the verdict off the live lists,
+    because scalar hits reorder sets without moving a version: a planned
+    slice compares one column of heads per front depth (two list builds and
+    a list ``==`` for ``private_hot``'s 128 two-line sets) and only a call
+    that finds a column out of place walks the sets, from the same fronts."""
+    plans = cd["plans"]
+    plan = plans.get((o, c))
+    if plan:
+        fronts, cols = plan
+        if all([s[j] for s in lists] == col
+               for j, (lists, col) in enumerate(cols)):
+            return
+    else:
+        line0 = cd["line0"]
+        if cd["two_any"]:
+            nlc = cd["nl"][o:o + c]
+            starts = np.cumsum(nlc) - nlc
+            offs = (np.arange(int(nlc.sum()), dtype=np.int64)
+                    - np.repeat(starts, nlc))
+            seq = np.repeat(line0[o:o + c], nlc) + offs
+        else:
+            seq = line0[o:o + c]
+        # dedupe keeps the *last* occurrence of each line (stable sort
+        # groups duplicates; the last of each group has the highest index)
+        nseq = seq.shape[0]
+        flag = np.empty(nseq, dtype=bool)
+        flag[-1] = True
+        if nseq > 1 and bool((seq[1:] >= seq[:-1]).all()):
+            # nondecreasing touch sequence (ascending scans): duplicates
+            # are consecutive — keep each group's last, reverse, no sort
+            np.not_equal(seq[1:], seq[:-1], out=flag[:-1])
+            recent = seq[flag][::-1]
+        else:
+            order = np.argsort(seq, kind="stable")
+            ss = seq[order]
+            np.not_equal(ss[1:], ss[:-1], out=flag[:-1])
+            recent = ss[flag][np.argsort(order[flag])[::-1]]
+        fronts: dict = {}
+        for ln in recent.tolist():
+            si = ln & mask if mask >= 0 else ln % nsets
+            f = fronts.get(si)
+            if f is None:
+                fronts[si] = [ln]
+            else:
+                f.append(ln)
+        if plan is None:
+            # first sight of the slice: note it and keep nothing — most
+            # slices of a serial-keyed filling never recur
+            if len(plans) >= CACHE_CAP:
+                plans.clear()
+            plans[(o, c)] = ()
+        else:
+            plans[(o, c)] = (fronts, [
+                ([sets[si] for si, f in fronts.items() if len(f) > j],
+                 [f[j] for f in fronts.values() if len(f) > j])
+                for j in range(max(map(len, fronts.values())))])
+    for si, front in fronts.items():
+        s = sets[si]
+        if len(front) == 1:
+            ln = front[0]
+            if s[0] != ln:
+                s.remove(ln)
+                s.insert(0, ln)
+        elif s[:len(front)] != front:
+            members = set(front)
+            s[:] = front + [x for x in s if x not in members]

@@ -160,7 +160,10 @@ def _check(ms, refs, uhint, data):
         got = ms.invisible_until(PID, CPU, batch, cap)
         assert got <= want, (cap, refs, cursor, uhint)
         if exact:
-            assert got == want, (cap, refs, cursor, uhint)
+            # a cursor reference that declines is the engine's
+            # ``_stand_down`` "miss", not a qualifier's business: the walk
+            # answers it uncapped, the arrays clamp it like any other bound
+            assert got in (want, min(want, cap)), (cap, refs, cursor, uhint)
 
 
 @settings(max_examples=120, deadline=None)
@@ -220,8 +223,9 @@ def test_stale_or_short_goes_to_the_scalar_walk():
 def test_classification_is_paid_once_and_shared_with_the_owner(monkeypatch):
     """A fresh, fully-hitting rival batch is classified by the first query;
     the second query and the owner's own ``run()`` read the cached arrays —
-    no classification, no per-reference probe. A rival whose next reference
-    misses is answered by that one probe, with no classification at all."""
+    no classification, no per-reference probe at all (the engine's
+    ``_stand_down`` has probed the cursor reference; a rival about to miss
+    never gets here — ``tests/test_host_switches.py``)."""
     ms = make_ms()
     vec = ms._vec
     classified = []
@@ -238,19 +242,14 @@ def test_classification_is_paid_once_and_shared_with_the_owner(monkeypatch):
     refs = [(1, BASE + (j % 5) * LINE, 4, 0) for j in range(64)]
     batch = make_batch(refs)
     first = ms.invisible_until(PID, CPU, batch, INF)
-    assert classified == [(0, 64)] and len(probes) == 1
+    assert classified == [(0, 64)] and not probes
     assert ms.invisible_until(PID, CPU, batch, INF) == first
     assert ms.invisible_until(PID, CPU, batch, batch.time + 10) == \
         batch.time + 10
-    assert classified == [(0, 64)]
-    assert len(probes) == 3                 # one per query, not one per ref
+    assert classified == [(0, 64)] and not probes
     # the owner's turn: same cache entry, and the whole batch retires
     consumed, i, *_ = ms.access_run(
         PID, CPU, batch.kinds, batch.addrs, batch.sizes, batch.pendings, 0,
         batch.n, batch.time, batch.n, INF, serial=batch.serial)
     assert (consumed, i) == (64, 64)
-    assert classified == [(0, 64)]
-
-    miss = make_batch([(0, BASE + ABSENT * LINE, 4, 0)] + refs)
-    assert ms.invisible_until(PID, CPU, miss, INF) == miss.time
     assert classified == [(0, 64)]

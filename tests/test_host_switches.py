@@ -23,6 +23,7 @@ from repro.service.workloads import WORKLOADS, full_fingerprint
 from repro.traces.memtrace import MemTraceRecorder
 
 from tests.test_golden import TIMING_PLAN
+from tests.test_lookahead_equivalence import _private_heavy
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -73,9 +74,11 @@ def test_every_arm_lands_the_default_fingerprint_under_faults(workload, arm):
 # the gate
 # ---------------------------------------------------------------------------
 
-def _build(workload="oltp", **cfg):
+def _build(build=_private_heavy, **cfg):
+    """``_private_heavy``: since the owner's cursor probe, no registry
+    workload opens a window at its test size."""
     SimProcess._next_pid[0] = 1
-    return WORKLOADS[workload](lambda **kw: complex_backend(**cfg, **kw))
+    return build(lambda **kw: complex_backend(**cfg, **kw))
 
 
 def test_stand_downs_on_a_tapped_run_and_invisible_to_fingerprints(tmp_path):
@@ -108,18 +111,17 @@ def test_stand_downs_on_a_sampled_run():
     """Windows open in detail phases and are denied, by name, inside
     fast-forward ones; the sampled result does not depend on asking."""
     sc = SamplingConfig(detail_events=1_000, ff_events=2_000)
-    eng = _build("dss", sampling=sc)
+    eng = _build(WORKLOADS["dss"], sampling=sc)
     fp = full_fingerprint(eng, eng.run())
     assert eng.stand_downs["fast_forward"] > 0
     assert eng.stand_downs["tapped"] == 0
-    strict = _build("dss", sampling=sc, lookahead=False)
+    strict = _build(WORKLOADS["dss"], sampling=sc, lookahead=False)
     assert full_fingerprint(strict, strict.run()) == fp
     assert not any(strict.stand_downs.values())
 
 
-def test_no_window_for_a_frontend_with_a_delivery_due():
-    """The gate's first clause: with a pre-emption pending, ``proc`` gets
-    no window and bounds a rival's at its own parked event."""
+def _parked_touch():
+    """An engine whose one frontend has parked a cold ``touch`` batch."""
     eng = Engine(complex_backend(num_cpus=2))
 
     def app(p):
@@ -127,14 +129,53 @@ def test_no_window_for_a_frontend_with_a_delivery_due():
         yield from p.exit(0)
 
     proc = eng.spawn("a", app)
-    assert eng._stand_down(proc) is None
+    assert proc.port_event.kind == 9
+    return eng, proc, proc.port_event
+
+
+def _warm(eng, proc, batch):
+    for addr, size in zip(batch.addrs, batch.sizes):
+        eng.memsys.access(proc.pid, addr, size, True, proc.cpu, 0)
+
+
+def test_no_window_for_a_frontend_with_a_delivery_due():
+    """The gate's first clause: with a pre-emption pending, ``proc`` gets
+    no window and bounds a rival's at its own parked event."""
+    eng, proc, batch = _parked_touch()
+    _warm(eng, proc, batch)
+    assert eng._stand_down(proc, batch) is None
+    assert eng._invisible_bound(proc, batch, 1 << 40) > batch.time
     assert not any(eng.stand_downs.values())
     proc.preempt_pending = True
-    assert eng._stand_down(proc) == "delivery"
-    batch = proc.port_event
-    assert batch.kind == 9
+    assert eng._stand_down(proc, batch) == "delivery"
     assert eng._invisible_bound(proc, batch, 1 << 40) == batch.time
     assert eng.stand_downs["delivery"] == 2
+
+
+def test_no_window_for_a_frontend_about_to_miss():
+    """The gate's last clause, for the owner and for a rival alike: the
+    reference at the cursor would leave the L1 probe. One read-only probe
+    answers — no classification, no walk — and it is asked again each
+    round: once the line is resident the same batch qualifies."""
+    eng, proc, batch = _parked_touch()
+    ms = eng.memsys
+    probes = []
+    ms.ref_invisible_latency = lambda *a: probes.append(a) or \
+        type(ms).ref_invisible_latency(ms, *a)
+    assert eng._stand_down(proc, batch) == "miss"
+    assert eng._invisible_bound(proc, batch, 1 << 40) == batch.time
+    assert len(probes) == 2 and not ms._vec._cache
+    assert eng.stand_downs == {"delivery": 0, "tapped": 0,
+                               "fast_forward": 0, "miss": 2}
+    # warm but for one line: only the cursor that stands on it stands down
+    _warm(eng, proc, batch)
+    ms.l1s[proc.cpu].invalidate(next(iter(ms._l1_states[proc.cpu])))
+    verdicts = []
+    for cursor in range(batch.n):
+        batch.cursor = cursor
+        verdicts.append(eng._stand_down(proc, batch))
+    assert verdicts.count("miss") == 1
+    assert verdicts.count(None) == batch.n - 1
 
 
 def test_design_table_lists_the_codes_own_reasons():

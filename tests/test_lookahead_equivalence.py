@@ -30,6 +30,7 @@ import pytest
 from repro import (Engine, FaultPlan, FaultRule, SimulatedCrash, WaitToken,
                    checkpoint_exists,
                    complex_backend, resume)
+from repro.core.communicator import Communicator
 from repro.core.config import OSConfig, SamplingConfig
 from repro.core.frontend import ProcState, SimProcess
 from repro.host import ParallelEngine, WorkerSpec
@@ -140,8 +141,11 @@ def test_lookahead_drains_past_horizon():
     snap_off, eng_off = _run_inline(_private_heavy, lookahead=False)
     assert snap_on == snap_off
     bs_on = eng_on.batch_stats
-    assert bs_on["la_windows"] > 0
-    assert bs_on["la_refs"] > 0
+    # pinned: the owner's cursor probe (``_stand_down``'s "miss") must not
+    # cost a warm frontend a window. Before it there were 124 — one opened
+    # for the last, missing reference of a cold pass, which extended nothing
+    assert (bs_on["la_windows"], bs_on["la_refs"]) == (123, 22_999)
+    assert eng_on.stand_downs["miss"] == 4 * 256        # the cold pass
     assert bs_on["batches"] < eng_off.batch_stats["batches"]
     # the array qualifier did the work: past warm-up no rival query fell
     # back to the walk for want of a fresh mirror (three queries a window)
@@ -370,6 +374,27 @@ def test_parallel_equals_strict_inline(prog, n, arm):
     where a computing worker's bound cuts a batch is the host's timing."""
     snap, _ = _run_isa([PROGS[prog]] * n, True, **ARMS[arm])
     assert snap == _strict_inline(prog, n)
+
+
+@pytest.mark.parametrize("parallel", [False, True],
+                         ids=["inline", "parallel"])
+def test_all_miss_frontends_ask_for_no_window(monkeypatch, parallel):
+    """Table 3's shape — every reference a miss, every batch cut after
+    one — on either engine: the owner's cursor probe stands each round
+    down, so no rival is ever qualified for a window that could retire
+    nothing, and the run is the strict one."""
+    asked = []
+    orig = Communicator.lookahead_horizon
+    monkeypatch.setattr(
+        Communicator, "lookahead_horizon",
+        lambda self, *a: asked.append(a[1:3]) or orig(self, *a))
+    snap, eng = _run_isa([SCAN] * 4, parallel)
+    assert snap == _strict_inline("scan", 4)
+    assert not asked and eng.batch_stats["la_windows"] == 0
+    assert eng.stand_downs["miss"] > 0
+    # the spy sees what it should: a warm pair does get qualified
+    _run_isa([HOT_PROG] * 2, parallel)
+    assert asked
 
 
 def test_parallel_under_timing_plan_equals_inline():

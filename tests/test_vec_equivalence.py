@@ -8,7 +8,9 @@ simulated cycle counts, cache statistics, CPU time buckets and the memory
 trace must be *exactly* those of the scalar loop on every workload class
 the paper studies (OLTP, DSS, webserver, SPLASH kernel) — tapped and
 untapped, composed with conservative lookahead windows and with the
-batches ParallelEngine workers ship.
+batches ParallelEngine workers ship. Fingerprints see LRU *order* only
+through later evictions, so every on/off pair also ends with the same
+per-set MRU lists and line states, L1 and L2, list for list.
 """
 
 from __future__ import annotations
@@ -28,6 +30,15 @@ from tests.test_lookahead_equivalence import (HOT_PROG, _private_heavy,
 #: a CPU pays one rebuild when it turns warm and one more per fill that
 #: interrupts its hit streak; the warm scenarios below fill once, up front
 WARM_REBUILDS_PER_CPU = 2
+
+
+def _assert_same_caches(eng_on, eng_off):
+    """End-of-run cache contents *and* LRU order, L1 and L2."""
+    on, off = eng_on.memsys, eng_off.memsys
+    assert on._l1_sets == off._l1_sets
+    assert on._l1_states == off._l1_states
+    assert [c._sets for c in on.l2s] == [c._sets for c in off.l2s]
+    assert on._l2_states == off._l2_states
 
 
 def _watch_resyncs(eng):
@@ -69,6 +80,7 @@ def test_vec_tapped_bit_identical(name):
     snap_on, eng_on = _run(build, fastpath=True, vectorized=True)
     snap_off, eng_off = _run(build, fastpath=True, vectorized=False)
     assert snap_on == snap_off
+    _assert_same_caches(eng_on, eng_off)
     # the scalar arm must never construct the mirror
     assert eng_off.memsys._vec is None
     assert eng_off.memsys.vec_refs == 0
@@ -97,6 +109,7 @@ def test_vec_untapped_bit_identical(name):
                                     vectorized=True)
     snap_off, eng_off = _run_untapped(build, fastpath=True, vectorized=False)
     assert snap_on == snap_off
+    _assert_same_caches(eng_on, eng_off)
     assert eng_off.memsys.vec_refs == 0
     ms = eng_on.memsys
     if name in BATCHING_WORKLOADS:
@@ -123,8 +136,9 @@ def test_vec_engages_on_warm_scan():
     through it, after a bounded number of rebuilds."""
     snap_on, eng_on = _run_untapped(build_warm_scan, watch=True,
                                     vectorized=True)
-    snap_off, _ = _run_untapped(build_warm_scan, vectorized=False)
+    snap_off, eng_off = _run_untapped(build_warm_scan, vectorized=False)
     assert snap_on == snap_off
+    _assert_same_caches(eng_on, eng_off)
     ms = eng_on.memsys
     assert ms.vec_refs > ms.accesses // 2
     assert 0 < ms.vec_rebuilds <= WARM_REBUILDS_PER_CPU
@@ -149,6 +163,7 @@ def test_vec_under_lookahead_bit_identical():
     snap_off, eng_off = _run_inline(_private_heavy, lookahead=True,
                                     vectorized=False)
     assert snap_on == snap_off
+    _assert_same_caches(eng_on, eng_off)
     # both mechanisms engaged in the vec arm, each CPU's mirror resynced
     # a bounded number of times
     assert eng_on.memsys.vec_refs > 0
@@ -164,5 +179,6 @@ def test_vec_under_parallel_engine_bit_identical():
     snap_on, eng_on = _run_isa([HOT_PROG] * 2, True, vectorized=True)
     snap_off, eng_off = _run_isa([HOT_PROG] * 2, True, vectorized=False)
     assert snap_on == snap_off
+    _assert_same_caches(eng_on, eng_off)
     assert eng_on.memsys.vec_refs > 0 and eng_off.memsys.vec_refs == 0
     assert eng_on.batch_stats["la_refs"] > 0
