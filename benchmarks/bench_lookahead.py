@@ -11,11 +11,13 @@ invisible, so the strict path's tiny alternating batch windows are pure
 scheduling overhead.
 
 Writes ``BENCH_lookahead.json`` at the repo root with wall-clock seconds,
-events/second, the on/off speedup, and one row per ``ParallelEngine``
-shape (solo / symmetric / staggered workers on the hot loop, four all-miss
-scans); asserts the windows are at least 2x faster than the strict
-interleaving (1.3x under ``COMPASS_BENCH_QUICK=1``, where fixed setup
-costs dominate).
+events/second, the on/off speedup, one row per ``ParallelEngine`` shape
+(solo / symmetric / staggered workers on the hot loop, four all-miss
+scans) and one per spaced private stream (MESI at ``work_per_line`` 20,
+50, 200, 1000 and DSM at 200, ``vectorized`` on and off beside
+``lookahead=False``); asserts the windows are at least 2x faster than the
+strict interleaving (1.3x under ``COMPASS_BENCH_QUICK=1``, where fixed
+setup costs dominate).
 
 Also runs standalone for CI::
 
@@ -26,8 +28,10 @@ not bit-identical, if the windows qualified from the vec mirror differ
 from those the scalar walk qualifies (``vectorized`` on/off), if any
 ``ParallelEngine`` shape misses the inline engine's fingerprint, if the
 all-miss shape opened a window on either engine (a frontend whose next
-reference is about to miss asks for none) or if a hot-loop shape with a
-rival extended no reference, and does not overwrite the JSON artifact.
+reference is about to miss asks for none), if a hot-loop shape with a
+rival extended no reference, or if a spaced row misses its
+``lookahead=False`` fingerprint or opens different windows with
+``vectorized`` on and off, and does not overwrite the JSON artifact.
 """
 
 from __future__ import annotations
@@ -143,6 +147,67 @@ def _run_isa(progs, parallel):
     return secs, _fingerprint(eng, stats), eng.batch_stats
 
 
+#: compute-spaced private streams: (coherence, work_per_line) per row
+SPACED = (("mesi", 20), ("mesi", 50), ("mesi", 200), ("mesi", 1000),
+          ("dsm", 200))
+
+
+def _run_spaced(coherence, work, passes, **knobs):
+    """4 CPUs, each re-touching a private 8 KiB buffer with ``work``
+    cycles of compute per line, started 1 000 cycles apart: rivals stay
+    invisible for long stretches, so a window reaches as far as they are
+    qualified. Returns (host seconds of ``run``, fingerprint, ``batch_stats``)."""
+    SimProcess._next_pid[0] = 1
+    eng = Engine(complex_backend(num_cpus=NCPUS, coherence=coherence,
+                                 **knobs))
+
+    def make_app(c):
+        def app(p):
+            p.compute(1_000 * c)
+            for _ in range(passes):
+                yield from p.touch(0x1_0000 + c * 0x10_000, NBYTES,
+                                   write=True, stride=32, work_per_line=work)
+            yield from p.exit(0)
+        return app
+
+    for c in range(NCPUS):
+        eng.spawn(f"w{c}", make_app(c))
+    t0 = time.perf_counter()
+    stats = eng.run()
+    return time.perf_counter() - t0, _fingerprint(eng, stats), eng.batch_stats
+
+
+def _spaced_rows(passes, rounds):
+    """One row per SPACED shape: median host seconds of ``vectorized`` on
+    and off (each checked against the strict run's fingerprint, and the two
+    against each other's windows) beside ``lookahead=False``."""
+    rows = []
+    for coherence, work in SPACED:
+        strict_s, strict_fp, _ = _run_spaced(coherence, work, passes,
+                                             lookahead=False)
+        row = {"shape": f"{coherence} work_per_line={work}",
+               "seconds_strict": strict_s}
+        arms = {}
+        for vec in (True, False):
+            times = []
+            for _ in range(rounds):
+                secs, fp, bs = _run_spaced(coherence, work, passes,
+                                           vectorized=vec)
+                assert fp == strict_fp, \
+                    f"{row['shape']} vectorized={vec} left the strict run"
+                times.append(secs)
+            arms[vec] = bs
+            row["seconds_vec" if vec else "seconds_walk"] = \
+                sorted(times)[len(times) // 2]
+        assert arms[True] == arms[False], \
+            (f"{row['shape']}: vectorized changed the qualified windows:\n"
+             f"  on : {arms[True]}\n  off: {arms[False]}")
+        row.update(la_windows=arms[True]["la_windows"],
+                   la_refs=arms[True]["la_refs"])
+        rows.append(row)
+    return rows
+
+
 def _parallel_shapes(passes):
     """ParallelEngine throughput per shape of worker set, each checked
     against the inline engine's fingerprint of the same programs: the
@@ -172,7 +237,7 @@ def _parallel_shapes(passes):
     return rows
 
 
-def _report(on, off, shapes=None, write=True):
+def _report(on, off, shapes=None, spaced=None, write=True):
     (on_s, on_eng, on_stats), (off_s, off_eng, off_stats) = on, off
     fp_on, fp_off = _fingerprint(on_eng, on_stats), \
         _fingerprint(off_eng, off_stats)
@@ -200,6 +265,14 @@ def _report(on, off, shapes=None, write=True):
               f"{r['events_per_sec']:,.0f}", str(r["end_cycle"]))
              for r in shapes],
             title="\nParallelEngine shapes (each == the inline engine):"))
+    if spaced:
+        print(render_table(
+            ("shape", "vectorized s", "walk s", "lookahead off s",
+             "windows"),
+            [(r["shape"], f"{r['seconds_vec']:.3f}",
+              f"{r['seconds_walk']:.3f}", f"{r['seconds_strict']:.3f}",
+              str(r["la_windows"])) for r in spaced],
+            title="\nSpaced private streams (each == lookahead off):"))
 
     payload = {
         "workload": f"private_heavy {NCPUS}cpu {NBYTES}B x{PASSES}",
@@ -214,6 +287,7 @@ def _report(on, off, shapes=None, write=True):
         "la_windows": bs["la_windows"],
         "la_refs": bs["la_refs"],
         "parallel_shapes": shapes or [],
+        "spaced_rows": spaced or [],
     }
     if write:
         OUT_PATH.write_text(json.dumps(payload, indent=2) + "\n")
@@ -224,7 +298,8 @@ def test_lookahead_speedup(benchmark):
     on, off = benchmark.pedantic(
         lambda: _measure(2 if QUICK else 3), rounds=1, iterations=1)
     shapes = _parallel_shapes(passes=10 if QUICK else 40)
-    speedup, payload = _report(on, off, shapes)
+    spaced = _spaced_rows(passes=10 if QUICK else 60, rounds=1 if QUICK else 3)
+    speedup, payload = _report(on, off, shapes, spaced)
     benchmark.extra_info.update(speedup=speedup,
                                 la_refs=payload["la_refs"])
     assert speedup >= MIN_SPEEDUP, \
@@ -240,7 +315,7 @@ def main(argv=None) -> int:
     if args.smoke:
         on, off = _measure(rounds=1, passes=20)
         speedup, _ = _report(on, off, _parallel_shapes(passes=10),
-                             write=False)
+                             _spaced_rows(passes=10, rounds=1), write=False)
         # the two qualifiers of a window — the vec mirror's classification
         # of each rival batch, the scalar walk — must grant the same ones
         _, walk_eng, walk_stats = _run_once(True, passes=20,
@@ -254,10 +329,12 @@ def main(argv=None) -> int:
         # machines are too noisy for a hard speedup floor on a tiny run
         print(f"smoke ok: bit-identical, same windows from either "
               f"qualifier, every ParallelEngine shape == inline, no window "
-              f"on all-miss, {speedup:.2f}x")
+              f"on all-miss, every spaced row == lookahead off with the same "
+              f"windows either way, {speedup:.2f}x")
         return 0
     on, off = _measure(rounds=3)
-    speedup, _ = _report(on, off, _parallel_shapes(passes=40))
+    speedup, _ = _report(on, off, _parallel_shapes(passes=40),
+                         _spaced_rows(passes=60, rounds=3))
     if speedup < MIN_SPEEDUP:
         print(f"FAIL: speedup {speedup:.2f}x < {MIN_SPEEDUP}x",
               file=sys.stderr)

@@ -6,7 +6,9 @@ rebuilt: components the replay reconstructs live (scheduler, communicator,
 sync managers, devices, OS server, stats) must match exactly; the memory
 hierarchy and the fault injector are *not* compared — replay answers from
 the log without touching them — and are instead installed authoritatively
-by ``install_snapshot``.
+by ``install_snapshot``. Only what it installs (memory hierarchy, stats,
+fault injector, sampler) has a ``load_state``; the owners replay rebuilds
+are compared, never loaded.
 
 Collecting runs on every autosave, so its cost is part of the run. The
 state-owner rule is *borrow out, copy in*: ``state_dict()`` lends the

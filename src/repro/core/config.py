@@ -227,8 +227,6 @@ class SimConfig:
     ethernet: EthernetConfig = field(default_factory=EthernetConfig)
     #: deadlock-detection: max events with no progress before aborting
     max_cycles: int = 1 << 62
-    #: instrumentation ON/OFF default (the paper's Simulation switch)
-    instrument_default: bool = True
     #: batched event pipeline: frontends publish EventBatches (bit-identical
     #: timing; turn off to force the one-event-per-reference path, e.g. for
     #: equivalence testing or interleaving ablations). The L1 probe is the

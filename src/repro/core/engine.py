@@ -111,12 +111,6 @@ class Engine:
         #: conservative lookahead windows (timing-invisible by
         #: construction; see DESIGN.md), asked for where batches exist
         self._lookahead = cfg.lookahead and self._frontend_batching
-        #: how far a window may reach past the strict horizon: scaled from
-        #: the protocol's cheapest cross-CPU interaction; only bounds the
-        #: rival-qualification work one window may spend (safety comes
-        #: from per-reference invisibility, not from the bound itself)
-        self._lookahead_cycles = max(
-            64 * self.memsys.min_remote_latency(), 4096)
         #: windows not opened, by ``_stand_down`` reason (the rows of
         #: DESIGN.md's stand-down table); observability only: in no
         #: ``batch_stats``, fingerprint, checkpoint
@@ -345,33 +339,22 @@ class Engine:
                 # consume references while this frontend is guaranteed to
                 # stay globally first: before any rival port event (with
                 # the pid tie-break), any backend task, and the run bounds
+                bound = cap
+                if t_task is not None and t_task < bound:
+                    bound = t_task
+                if until is not None and until + 1 < bound:
+                    bound = until + 1
                 horizon = self.comm.batch_horizon(cand)
-                if horizon is None:
-                    horizon = 1 << 62
-                # lookahead: extend past the rival cut (never past tasks or
-                # run bounds — tasks can mutate anything) up to the window
-                # cap, then shrink to the rivals' qualified-invisible bound
                 ext = 0
-                if (self._lookahead and horizon < (1 << 61)
+                if horizon is None or horizon >= bound:
+                    horizon = bound
+                elif (self._lookahead
                         and self._stand_down(cand, event) is None):
-                    ext = horizon + self._lookahead_cycles
-                if t_task is not None:
-                    if t_task < horizon:
-                        horizon = t_task
-                    if t_task < ext:
-                        ext = t_task
-                if until is not None:
-                    if until + 1 < horizon:
-                        horizon = until + 1
-                    if until + 1 < ext:
-                        ext = until + 1
-                if cap < horizon:
-                    horizon = cap
-                if cap < ext:
-                    ext = cap
-                if ext > horizon:
+                    # lookahead: past the rival cut, never past tasks or
+                    # run bounds (tasks can mutate anything), as far as
+                    # every rival is qualified invisible
                     ext = self.comm.lookahead_horizon(
-                        cand, horizon, ext, self._invisible_bound)
+                        cand, horizon, bound, self._invisible_bound)
                 n = self._handle_batch(cand, event, horizon, ext, budget)
                 self.events_processed += n
                 budget -= n

@@ -65,12 +65,6 @@ class GlobalScheduler:
                 "heap_len": len(self._heap),
                 "next_time": self.next_time()}
 
-    def load_state(self, state: dict) -> None:
-        """Restore the scalar counters (the heap itself is rebuilt live)."""
-        self.now = state["now"]
-        self._seq = state["seq"]
-        self.dispatched = state["dispatched"]
-
     def schedule_at(self, when: int, fn: Task, *args: Any) -> ScheduledTask:
         """Schedule ``fn(*args)`` to run at absolute cycle ``when``."""
         if when < self.now:

@@ -97,26 +97,13 @@ class LockManager:
     # -- checkpoint/restore ----------------------------------------------------
 
     def state_dict(self) -> Dict[int, dict]:
-        """Plain-data snapshot: waiters become pids (SimProcess references
-        are rebuilt by replay; ``load_state`` resolves them back when given
-        a pid map, otherwise restores counters only)."""
+        """Verification snapshot: waiters become pids (replay rebuilds the
+        SimProcess references)."""
         return {i: {"holder": l.holder,
                     "waiters": [w.pid for w in l.waiters],
                     "acquisitions": l.acquisitions,
                     "contended": l.contended}
                 for i, l in self._locks.items()}
-
-    def load_state(self, state: Dict[int, dict],
-                   procs: Optional[Dict[int, SimProcess]] = None) -> None:
-        self._locks.clear()
-        for i, ls in state.items():
-            lk = _Lock()
-            lk.holder = ls["holder"]
-            lk.acquisitions = ls["acquisitions"]
-            lk.contended = ls["contended"]
-            if procs is not None:
-                lk.waiters = deque(procs[pid] for pid in ls["waiters"])
-            self._locks[i] = lk
 
 
 class _Barrier:
@@ -176,13 +163,3 @@ class BarrierManager:
         return {i: {"arrived": [p.pid for p in b.arrived],
                     "episodes": b.episodes}
                 for i, b in self._barriers.items()}
-
-    def load_state(self, state: Dict[int, dict],
-                   procs: Optional[Dict[int, SimProcess]] = None) -> None:
-        self._barriers.clear()
-        for i, bs in state.items():
-            b = _Barrier()
-            b.episodes = bs["episodes"]
-            if procs is not None:
-                b.arrived = [procs[pid] for pid in bs["arrived"]]
-            self._barriers[i] = b

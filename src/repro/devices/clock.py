@@ -49,10 +49,6 @@ class IntervalTimer:
         """Counters only — the pending tick closure is rebuilt by replay."""
         return {"ticks": self.ticks, "running": self._running}
 
-    def load_state(self, state: dict) -> None:
-        self.ticks = state["ticks"]
-        self._running = state["running"]
-
     def _tick(self) -> None:
         if not self._running:
             return

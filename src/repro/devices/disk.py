@@ -108,11 +108,6 @@ class Disk:
         self.gsched.schedule_at(done, complete)
         return done
 
-    @property
-    def queue_depth_hint(self) -> int:
-        """Cycles of work already queued (0 when idle)."""
-        return max(0, self._busy_until - self.gsched.now)
-
     # -- checkpoint/restore ----------------------------------------------------
 
     def state_dict(self) -> dict:
@@ -122,13 +117,3 @@ class Disk:
                 "busy_cycles": self.busy_cycles,
                 "queue_cycles": self.queue_cycles,
                 "fault_delay_cycles": self.fault_delay_cycles}
-
-    def load_state(self, state: dict) -> None:
-        self._busy_until = state["busy_until"]
-        self._head_pos = state["head_pos"]
-        self.requests = state["requests"]
-        self.read_bytes = state["read_bytes"]
-        self.write_bytes = state["write_bytes"]
-        self.busy_cycles = state["busy_cycles"]
-        self.queue_cycles = state["queue_cycles"]
-        self.fault_delay_cycles = state["fault_delay_cycles"]

@@ -9,8 +9,7 @@ what pushes the web-server profile to the paper's ~38 % interrupt time.
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, Deque, List, Optional
+from typing import Callable, List, Optional
 
 from ..core.clock import ClockDomain
 from ..core.config import EthernetConfig
@@ -59,13 +58,6 @@ class EthernetNic:
         return {"wire_busy_until": self._wire_busy_until,
                 "rx_frames": self.rx_frames, "tx_frames": self.tx_frames,
                 "rx_bytes": self.rx_bytes, "tx_bytes": self.tx_bytes}
-
-    def load_state(self, state: dict) -> None:
-        self._wire_busy_until = state["wire_busy_until"]
-        self.rx_frames = state["rx_frames"]
-        self.tx_frames = state["tx_frames"]
-        self.rx_bytes = state["rx_bytes"]
-        self.tx_bytes = state["tx_bytes"]
 
     def _wire_cycles(self, nbytes: int) -> int:
         c = self.clock

@@ -68,18 +68,6 @@ class CoherenceProtocol:
     def count(self, key: str, n: int = 1) -> None:
         self.counters[key] = self.counters.get(key, 0) + n
 
-    def min_remote_latency(self) -> int:
-        """Cycles of the cheapest action by which one CPU can affect what
-        another CPU observes (cheapest coherence message / bus grant).
-
-        This is the per-protocol scale of the engine's conservative
-        lookahead windows (see DESIGN.md): a frontend that has been granted
-        a window can never be perturbed sooner than this by a rival action
-        initiated after the grant. Subclasses derive it from their cost
-        tables; the base floor of one cycle is always safe.
-        """
-        return 1
-
     # -- checkpoint/restore -------------------------------------------------
 
     def state_dict(self) -> Dict[str, object]:

@@ -64,11 +64,6 @@ class ComaProtocol(CoherenceProtocol):
 
     # -- checkpoint/restore -------------------------------------------------
 
-    def min_remote_latency(self) -> int:
-        """Cheapest cross-CPU effect: a one-hop attraction-memory probe
-        (request hop + AM tag lookup at the target node)."""
-        return max(1, self.network.hop_latency + self.am_lookup)
-
     def state_dict(self):
         st = super().state_dict()
         st["holders"] = self._holders

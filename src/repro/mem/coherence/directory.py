@@ -38,11 +38,6 @@ class DirectoryProtocol(CoherenceProtocol):
         #: line -> cpu id with a MODIFIED copy; clean lines have no key
         self._owner: Dict[int, int] = {}
 
-    def min_remote_latency(self) -> int:
-        """Cheapest cross-CPU effect: a one-hop invalidation through a
-        directory controller (request hop + directory occupancy)."""
-        return max(1, self.network.hop_latency + self.dirctl[0].service)
-
     # -- checkpoint/restore -------------------------------------------------
 
     def state_dict(self):

@@ -54,12 +54,6 @@ class DsmProtocol(CoherenceProtocol):
 
     # -- checkpoint/restore -------------------------------------------------
 
-    def min_remote_latency(self) -> int:
-        """Cheapest cross-CPU effect: a software protocol handler invocation
-        at the remote node (one hop plus half the handler, the invalidation
-        path's cheapest leg)."""
-        return max(1, self.network.hop_latency + self.handler_cycles // 2)
-
     def state_dict(self):
         st = super().state_dict()
         st["holders"] = self._holders

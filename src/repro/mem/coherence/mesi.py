@@ -28,11 +28,6 @@ class MesiBusProtocol(CoherenceProtocol):
         self.c2c_latency = c2c_latency
         self.bus = OccupancyResource("bus", bus_latency)
 
-    def min_remote_latency(self) -> int:
-        """Cheapest cross-CPU effect: an address-only bus transaction (an
-        S->M upgrade's invalidation) costs one bus grant."""
-        return max(1, self.bus.service)
-
     # -- checkpoint/restore -------------------------------------------------
 
     def state_dict(self):

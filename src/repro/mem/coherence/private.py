@@ -28,11 +28,6 @@ class PrivateProtocol(CoherenceProtocol):
         self.dram_latency = dram_latency
         self.memctl = OccupancyResource("memctl", bus_latency)
 
-    def min_remote_latency(self) -> int:
-        """No sharing traffic exists; CPUs interact only by queueing at the
-        shared memory controller, whose grant is the cheapest coupling."""
-        return max(1, self.memctl.service + self.dram_latency)
-
     def state_dict(self):
         st = super().state_dict()
         st["memctl"] = self.memctl.state_dict()

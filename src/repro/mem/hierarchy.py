@@ -208,11 +208,6 @@ class MemorySystem:
     # conservative lookahead support (see DESIGN.md)
     # ------------------------------------------------------------------
 
-    def min_remote_latency(self) -> int:
-        """Cheapest cross-CPU interaction of the configured protocol — the
-        per-configuration scale of the engine's lookahead windows."""
-        return self.protocol.min_remote_latency()
-
     def strict_stream(self) -> Optional[str]:
         """Why every reference must go through :meth:`access` alone, at its
         strict-order cycle — or None when runs may be inlined, vectorised

@@ -70,9 +70,6 @@ class PhysMem:
         self._next[:] = state["next"]
         self.allocated = state["allocated"]
 
-    def free_frames(self, node: int) -> int:
-        return self.frames_per_node - self._next[node]
-
 
 @dataclass
 class SharedSegment:
@@ -181,14 +178,6 @@ class Vmm:
             raise MemoryError_(f"pid {pid} already has an address space")
         self._spaces[pid] = _Space()
 
-    def destroy_space(self, pid: int) -> None:
-        """Tear down a process address space (detaching its segments)."""
-        sp = self._spaces.pop(pid, None)
-        if sp:
-            for vma in sp.vmas:
-                if vma.kind == "shm" and vma.segment is not None:
-                    vma.segment.nattach -= 1
-
     def space_of(self, pid: int) -> _Space:
         sp = self._spaces.get(pid)
         if sp is None:
@@ -279,9 +268,6 @@ class Vmm:
         return seg
 
     # -- file page residency (used by the VM trap path) ----------------------
-
-    def file_page_resident(self, file_key: object, page_index: int) -> bool:
-        return (file_key, page_index) in self._file_pages
 
     def install_file_page(self, file_key: object, page_index: int,
                           node: int) -> int:

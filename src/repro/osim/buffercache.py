@@ -107,21 +107,6 @@ class BufferCache:
             "dirty_evictions": self.dirty_evictions,
         }
 
-    def load_state(self, state: dict) -> None:
-        self._map.clear()
-        self._slot_of.clear()
-        for key, slot in state["map"]:
-            key = tuple(key)
-            self._map[key] = slot
-            self._slot_of[slot] = key
-        self._dirty.clear()
-        self._dirty.update(tuple(k) for k in state["dirty"])
-        self._free[:] = state["free"]
-        self.hits = state["hits"]
-        self.misses = state["misses"]
-        self.evictions = state["evictions"]
-        self.dirty_evictions = state["dirty_evictions"]
-
     @property
     def occupancy(self) -> int:
         return len(self._map)

@@ -65,12 +65,6 @@ class InterruptController:
         return {"rr": self._rr, "posted": self.posted,
                 "areas": dict(self._areas)}
 
-    def load_state(self, state: dict) -> None:
-        self._rr = state["rr"]
-        self.posted = state["posted"]
-        self._areas.clear()
-        self._areas.update(state["areas"])
-
     # -- posting -------------------------------------------------------------
 
     def post(self, intr: Interrupt, now: int, cpu: int = -1) -> int:

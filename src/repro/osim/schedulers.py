@@ -18,7 +18,7 @@ paper:
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Sequence, Tuple
+from typing import Deque, List, Optional, Sequence, Tuple
 
 from ..core.errors import SchedulerError
 from ..core.frontend import ProcState, SimProcess
@@ -55,15 +55,6 @@ class ProcessScheduler:
                 "dispatch_count": self.dispatch_count,
                 "preemptions": self.preemptions,
                 "affinity_hits": self.affinity_hits}
-
-    def load_state(self, state: dict,
-                   procs: Optional[Dict[int, SimProcess]] = None) -> None:
-        self.on_cpu[:] = state["on_cpu"]
-        if procs is not None:
-            self.ready = deque(procs[pid] for pid in state["ready"])
-        self.dispatch_count = state["dispatch_count"]
-        self.preemptions = state["preemptions"]
-        self.affinity_hits = state["affinity_hits"]
 
     def ready_count(self) -> int:
         return len(self.ready)

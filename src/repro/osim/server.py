@@ -274,14 +274,6 @@ class OSServer:
             "net": self.net.state_dict(),
         }
 
-    def load_state(self, state: dict) -> None:
-        """Install the plain-data pieces (buffer cache, TCP counters,
-        readahead); thread pairing and fd tables are live state verified by
-        the checkpoint manager."""
-        self.readahead = state["readahead"]
-        self.bufcache.load_state(state["bufcache"])
-        self.net.load_state(state["net"])
-
     # -- registry ----------------------------------------------------------
 
     def register(self, name: str, category: int, handler: Callable) -> None:
@@ -365,9 +357,6 @@ class OSServer:
 
     def fd_close(self, pid: int, fd: int) -> Optional[FdEntry]:
         return self._fdtables.get(pid, {}).pop(fd, None)
-
-    def open_fds(self, pid: int) -> int:
-        return len(self._fdtables.get(pid, {}))
 
     # -- the VM trap path (major faults on mmapped files) ---------------------
 

@@ -107,7 +107,7 @@ class TcpIpStack:
     def state_dict(self) -> dict:
         """Verification snapshot: connection/socket topology as plain data
         (waiter tokens and callbacks are rebuilt by replay) plus the
-        counters a restore installs."""
+        counters."""
         return {
             "next_sid": self._next_sid,
             "next_conn": self._next_conn,
@@ -124,15 +124,6 @@ class TcpIpStack:
                                   c.bytes_in, c.bytes_out)
                       for c in self._conns.values()},
         }
-
-    def load_state(self, state: dict) -> None:
-        """Install the counters; topology is live-rebuilt and only verified
-        against the snapshot by the checkpoint manager."""
-        self._next_sid = state["next_sid"]
-        self._next_conn = state["next_conn"]
-        self.conns_established = state["conns_established"]
-        self.conns_closed = state["conns_closed"]
-        self.retransmits = state["retransmits"]
 
     # -- socket API (called by syscall handlers) ----------------------------
 

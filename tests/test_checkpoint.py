@@ -13,6 +13,8 @@ from repro import (CheckpointError, Engine, FaultPlan, FaultRule,
 from repro.checkpoint import CheckpointManager, RecordingMemory
 from repro.checkpoint.log import ReplayMemory
 from repro.checkpoint.manager import FORMAT_VERSION
+from repro.checkpoint.snapshot import (_INSTALL_ONLY, collect_snapshot,
+                                       verify_snapshot)
 from repro.core.errors import ReplayDivergence
 from repro.core.frontend import SimProcess
 from repro.mem.hierarchy import MemorySystem
@@ -422,31 +424,18 @@ class TestSamplingSpeculationResume:
 
 
 class TestComponentRoundTrips:
-    """state_dict()/load_state() are exact inverses on live engine state.
-    ``state_dict()`` may lend the owner's live containers, so the value
-    held across ``load_state`` is a deep copy."""
-
-    COMPONENTS = ("gsched", "locks", "barriers", "procsched",
-                  "intctl", "timer", "disk", "nic", "os_server", "stats")
+    """state_dict()/load_state() are exact inverses on the state
+    ``install_snapshot`` loads; every other owner is rebuilt by replay and
+    only compared. ``state_dict()`` may lend the owner's live containers,
+    so the value held across ``load_state`` is a deep copy."""
 
     def test_mid_run_round_trip(self):
         SimProcess._next_pid[0] = 1
         eng = FAULT_OFF_WORKLOADS["oltp"](_cfg_factory(None, 0, TIMING_PLAN))
         eng.run(max_events=3_000)
-        needs_procs = {"locks", "barriers", "procsched"}
-        for name in self.COMPONENTS:
-            comp = getattr(eng, name)
-            before = copy.deepcopy(comp.state_dict())
-            frozen = pickle.loads(pickle.dumps(before))
-            if name in needs_procs:
-                comp.load_state(frozen, procs=eng.comm.processes)
-            else:
-                comp.load_state(frozen)
-            assert comp.state_dict() == before, name
-        for cpu in eng.comm.cpus:   # Communicator itself is verify-only
-            before = copy.deepcopy(cpu.state_dict())
-            cpu.load_state(pickle.loads(pickle.dumps(before)))
-            assert cpu.state_dict() == before
+        before = copy.deepcopy(eng.stats.state_dict())
+        eng.stats.load_state(pickle.loads(pickle.dumps(before)))
+        assert eng.stats.state_dict() == before
         ms = eng.memsys
         before = copy.deepcopy(ms.state_dict())
         ms.load_state(pickle.loads(pickle.dumps(before)))
@@ -454,3 +443,26 @@ class TestComponentRoundTrips:
         # the lent tables are the owners' own: loading them back is a no-op
         ms.load_state(ms.state_dict())
         assert ms.state_dict() == before
+
+    def test_every_owner_restore_does_not_install_is_verified(self):
+        """The owners replay rebuilds have no ``load_state``: a snapshot
+        that differs from the rebuilt state in any one of them is refused,
+        naming the component."""
+        SimProcess._next_pid[0] = 1
+        eng = FAULT_OFF_WORKLOADS["oltp"](_cfg_factory(None, 0, TIMING_PLAN))
+        eng.run(max_events=3_000)
+        snap = collect_snapshot(eng)
+        verify_snapshot(eng, snap)
+        verified = [k for k in snap if k not in _INSTALL_ONLY]
+        assert {"gsched", "comm", "locks", "barriers", "procsched", "intctl",
+                "timer", "disk", "nic", "os_server"} <= set(verified)
+        for key in verified:
+            value = snap[key]
+            if isinstance(value, dict):
+                bad = {**value, "perturbed": True}
+            elif isinstance(value, list):
+                bad = value + ["perturbed"]
+            else:
+                bad = value + 1
+            with pytest.raises(ReplayDivergence, match=repr(key)):
+                verify_snapshot(eng, {**snap, key: bad})

@@ -15,6 +15,7 @@ streams are appended to the log once, so the checkpoint *files* stay flat
 in run length.
 """
 
+import gc
 import os
 import sys
 
@@ -35,18 +36,27 @@ PROTOCOLS = ("directory", "coma", "dsm")
 
 
 def _events(fn):
-    """Profiler events (function calls, Python and C) made by ``fn()``."""
+    """Profiler events (function calls, Python and C) made by ``fn()``.
+
+    The cyclic collector is off while counting: a collection that happens
+    to fall inside ``fn`` runs the finalizers of earlier tests' garbage
+    (suspended generators, ``__del__``), calls ``fn`` never made."""
     count = [0]
 
     def hook(_frame, event, _arg):
         if event in ("call", "c_call"):
             count[0] += 1
 
+    gc.collect()
+    was_enabled = gc.isenabled()
+    gc.disable()
     sys.setprofile(hook)
     try:
         fn()
     finally:
         sys.setprofile(None)
+        if was_enabled:
+            gc.enable()
     return count[0]
 
 

@@ -254,21 +254,37 @@ def test_all_knob_arms_land_one_fingerprint(name, faults):
     assert runs[0][1].batch_stats == runs[1][1].batch_stats
 
 
-def test_lookahead_cycles_auto_derivation():
-    """The window scan budget is derived from the protocol's cheapest
-    cross-CPU interaction (it is not a knob)."""
-    eng = Engine(complex_backend(num_cpus=2))
-    mrl = eng.memsys.min_remote_latency()
-    assert mrl >= 1
-    assert eng._lookahead_cycles == max(64 * mrl, 4096)
+def _spaced(cfg):
+    """4 CPUs, each re-touching a private 8 KiB buffer with 200 cycles of
+    compute per line, started 1 000 cycles apart: rivals stay invisible
+    for long stretches, so a window reaches as far as they are qualified."""
+    eng = Engine(cfg(num_cpus=4, coherence="mesi", num_nodes=1))
+
+    def make_app(c):
+        def app(p):
+            p.compute(1_000 * c)
+            for _ in range(30):
+                yield from p.touch(0x1_0000 + c * 0x10_000, 8192, write=True,
+                                   stride=32, work_per_line=200)
+            yield from p.exit(0)
+        return app
+
+    for c in range(4):
+        eng.spawn(f"w{c}", make_app(c))
+    return eng
 
 
-@pytest.mark.parametrize("coherence", ["mesi", "none", "directory",
-                                       "coma", "dsm"])
-def test_min_remote_latency_all_protocols(coherence):
-    eng = Engine(complex_backend(num_cpus=2, num_nodes=2,
-                                 coherence=coherence))
-    assert eng.memsys.min_remote_latency() >= 1
+def test_window_reaches_the_rivals_bound():
+    """A window has no size of its own: it reaches the nearest task / run
+    bound unless a rival's qualified bound cuts it first. Pinned: a scan
+    budget of ``64 x`` the protocol's cheapest remote latency used to cut
+    this run's windows nine times as often (1 167), for the same result."""
+    snap, eng = _run_inline(_spaced)
+    snap_walk, eng_walk = _run_inline(_spaced, vectorized=False)
+    snap_off, _ = _run_inline(_spaced, lookahead=False)
+    assert snap == snap_walk == snap_off
+    assert eng_walk.batch_stats == eng.batch_stats
+    assert eng.batch_stats["la_windows"] == 128
 
 
 # ---------------------------------------------------------------------------
