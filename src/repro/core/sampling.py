@@ -1,11 +1,14 @@
 """Checkpoint-based sampled simulation (SimConfig.sampling).
 
 SMARTS/gem5-style windowing for the engine: run ``detail_events`` in full
-detail, then ``ff_events`` in functional fast-forward (the memory system's
-ff mode: translation + cache warming, constant calibrated latency, no
-protocol/interconnect modeling), and repeat. Window boundaries are counted
-in processed events, so the schedule — and therefore the whole sampled run —
-is deterministic for a given workload.
+detail, then ``ff_events`` in functional fast-forward (the ff arm of
+``MemorySystem.access``: translation + cache warming, constant calibrated
+latency, no protocol/interconnect modeling), and repeat. A fast-forward
+window's batches go through the memory system's per-reference loop, as a
+tapped run's do, so attaching a memtrace recorder or setting
+``checkpoint_path`` leaves the sampled result unchanged. Window boundaries
+are counted in processed events, so the schedule — and therefore the whole
+sampled run — is deterministic for a given workload.
 
 Calibration: unless ``ff_latency`` pins a constant, each fast-forward window
 charges the mean reference latency measured over the preceding detail

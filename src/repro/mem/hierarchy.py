@@ -327,23 +327,22 @@ class MemorySystem:
         rival whose qualified window justified the extension. ``ext_refs``
         counts references consumed beyond the strict horizon.
 
-        Under :meth:`strict_stream` the extension is ignored: a tapped
-        run goes through the instance's ``access`` reference by reference
-        (:meth:`_run_each`), a fast-forward window through :meth:`_ff_run`.
-        Otherwise the vec mirror retires the all-hit prefix in bulk array
-        ops when it can (``serial`` names the batch filling so a
-        classification survives horizon-cut continuations) and the scalar
-        loop, the simulator's hottest, does the rest — bit-identically.
+        Under :meth:`strict_stream` the extension is ignored and the run
+        goes through the instance's ``access`` reference by reference
+        (:meth:`_run_each`): a tap sees every reference, and a fast-forward
+        window warms through ``access``'s ff arm, so a sampled result does
+        not depend on whether a tap is attached. Otherwise the vec mirror
+        retires the all-hit prefix in bulk array ops when it can
+        (``serial`` names the batch filling so a classification survives
+        horizon-cut continuations; ``uhint`` is the producer's uniform
+        stream claim) and the scalar loop, the simulator's hottest, does
+        the rest — bit-identically.
         """
         if i >= n or limit <= 0:
             return 0, i, t, 0, None, 0
-        strict = self.strict_stream()
-        if strict == "tapped":
+        if self.strict_stream() is not None:
             return self._run_each(pid, cpu, kinds, addrs, sizes, pends, i, n,
                                   t, limit, horizon, clock)
-        if strict is not None:
-            return self._ff_run(pid, cpu, kinds, addrs, sizes, pends,
-                                i, n, t, limit, horizon, clock, uhint)
         if self._vec is not None:
             res = self._vec.run(pid, cpu, kinds, addrs, sizes, pends, i, n,
                                 t, limit, horizon, ext, clock, serial, uhint)
@@ -507,32 +506,89 @@ class MemorySystem:
 
     def _ff_access(self, pid: int, vaddr: int, size: int, write: bool,
                    cpu: int, atomic: bool = False):
-        """One reference in fast-forward: translate (faults still surface),
-        warm L1/L2 contents, charge the calibrated constant latency. The
-        coherence protocol is *not* consulted — its guards tolerate the
-        resulting stale directory entries, and the next detail window
-        re-establishes precise sharing state on miss."""
-        paddr, major, minor = self.vmm.translate(pid, vaddr, write, cpu)
-        if major is not None:
-            return 0, major
+        """One reference in fast-forward: translate like the probe (the VMM
+        is walked only for an untranslated page, which may allocate —
+        uncharged — or major-fault), warm L1/L2 contents, charge the
+        calibrated constant latency. The coherence protocol is *not*
+        consulted: its guards tolerate the stale directory entries this
+        leaves, and the next detail window re-establishes precise sharing
+        state on miss. A present line counts a hit and promotes nothing (a
+        write flips it to M in the L1 alone: conservative for the mirror);
+        an absent line fills L2 then L1 in place, with exactly the effects
+        of composing ``Cache.insert`` / ``set_state`` / ``invalidate``
+        (counters, LRU order, versions) and no writeback or forget.
+        ``tests/test_miss_kernel.py`` holds that composition."""
+        pshift = self._page_shift
+        if vaddr >= KERNEL_BASE:
+            ppn = self._kernel_table.get(vaddr >> pshift)
+        else:
+            sp = self._spaces.get(pid)
+            ppn = sp.table.get(vaddr >> pshift) if sp is not None else None
+        if ppn is not None:
+            paddr = (ppn << pshift) | (vaddr & self._page_mask)
+        else:
+            paddr, major, _minor = self.vmm.translate(pid, vaddr, write, cpu)
+            if major is not None:
+                return 0, major
         self.accesses += 1
         self.ff_refs += 1
         shift = self._line_shift
         line = paddr >> shift
         last = (paddr + (size or 1) - 1) >> shift
         l1 = self.l1s[cpu]
-        states = self._l1_states[cpu]
+        states = l1._states
+        sets = l1._sets
+        mask = self._l1_set_mask
+        nsets = self._l1_nsets
+        l2 = self.l2s[cpu] if self.l2s is not None else None
+        l2states = l2._states if l2 is not None else None
+        fill = _MODIFIED if write else _SHARED
         while line <= last:
             st = states.get(line)
-            if st is None:
-                l1.misses += 1
-                self._ff_fill(cpu, line, 3 if write else 1)
-            else:
+            if st is not None:
                 l1.hits += 1
-                if write and st < 3:
-                    # S/E -> M without the protocol: conservative for the
-                    # mirror, tolerated by the directory guards
-                    states[line] = 3
+                if write and st < _MODIFIED:
+                    states[line] = _MODIFIED
+                line += 1
+                continue
+            l1.misses += 1
+            if l2 is not None:
+                st = l2states.get(line)
+                if st is None:
+                    l2.misses += 1
+                    l2.version += 1
+                    m2 = l2.set_mask
+                    s = l2._sets[line & m2 if m2 >= 0 else line % l2.n_sets]
+                    if len(s) >= l2.assoc:
+                        v = s.pop()
+                        l2.evictions += 1
+                        if l2states.pop(v) == _MODIFIED:
+                            l2.writebacks += 1
+                        # inclusion: the L1 copy of the victim goes too
+                        if states.pop(v, None) is not None:
+                            sets[v & mask if mask >= 0
+                                 else v % nsets].remove(v)
+                            l1.invalidations += 1
+                            l1.version += 1
+                    s.insert(0, line)
+                    l2states[line] = fill
+                else:
+                    l2.hits += 1
+                    if fill > st:
+                        l2states[line] = fill
+                        l2.version += 1
+            l1.version += 1
+            s = sets[line & mask if mask >= 0 else line % nsets]
+            if len(s) >= l1.assoc:
+                v = s.pop()
+                l1.evictions += 1
+                if states.pop(v) == _MODIFIED:
+                    l1.writebacks += 1
+                    if l2 is not None and v in l2states:
+                        l2states[v] = _MODIFIED
+                        l2.version += 1
+            s.insert(0, line)
+            states[line] = fill
             line += 1
         lat = self._ff_base
         e = self._ff_err + self._ff_frac
@@ -543,255 +599,6 @@ class MemorySystem:
         if atomic:
             lat += 4
         return lat, None
-
-    def _ff_fill(self, cpu: int, line: int, st: int) -> None:
-        """Functional fill: install in L2 then L1 through the Cache methods
-        (so versions bump and the vec mirror resyncs), keep inclusion by
-        invalidating inner copies of outer victims, but send no
-        writeback/forget — fast-forward models no protocol traffic."""
-        l1 = self.l1s[cpu]
-        if self.l2s is not None:
-            l2 = self.l2s[cpu]
-            st2 = l2._states.get(line)
-            if st2 is None:
-                l2.misses += 1
-                victim = l2.insert(line, st)
-                if victim is not None:
-                    l1.invalidate(victim[0])
-            else:
-                l2.hits += 1
-                if st > st2:
-                    l2.set_state(line, st)
-        victim = l1.insert(line, st)
-        if victim is not None and victim[1] == _MODIFIED \
-                and self.l2s is not None:
-            self.l2s[cpu].set_state(victim[0], _MODIFIED)
-
-    def _ff_run(self, pid: int, cpu: int, kinds: list, addrs: list,
-                sizes: list, pends: list, i: int, n: int, t: int,
-                limit: int, horizon: int, clock=None, uhint=None):
-        """Batched fast-forward: translation + warming + the calibrated
-        latency chain in array ops, falling back to :meth:`_run_each` (its
-        ``access`` is :meth:`_ff_access` here) for short tails and
-        references whose page is not yet translated (those may allocate or
-        major-fault). Ignores the lookahead extension: ff timing is
-        synthetic, so no invisibility argument applies.
-
-        ``uhint = (kind, stride, work_per_line)`` is the producer's claim
-        that the whole filling is one arithmetic stream (uniform kind and
-        size == stride, addrs[i] = addrs[0] + stride*i, interior pendings
-        == work_per_line — frontends void the hint on any ragged filling).
-        It lets the hot window synthesize the address/latency arrays in
-        closed form instead of converting the python lists."""
-        np_ = _np
-        consumed = 0
-        added = 0
-        pshift = self._page_shift
-        kvpn = KERNEL_BASE >> pshift
-        ktab = self._kernel_table
-        while True:
-            m = n - i
-            rem = limit - consumed
-            if rem < m:
-                m = rem
-            if np_ is None or m < 8:
-                # scalar tail (same stream the per-event loop would make)
-                c, i, t, a, major, _ = self._run_each(
-                    pid, cpu, kinds, addrs, sizes, pends, i, n, t, rem,
-                    horizon, clock)
-                return consumed + c, i, t, added + a, major, 0
-            if uhint is not None:
-                a = addrs[i] + uhint[1] * np_.arange(m, dtype=np_.int64)
-            else:
-                a = np_.array(addrs[i:i + m], dtype=np_.int64)
-            vpn = a >> pshift
-            uv, inv = np_.unique(vpn, return_inverse=True)
-            sp = self._spaces.get(pid)
-            utab = sp.table if sp is not None else None
-            uppn = np_.empty(uv.shape[0], dtype=np_.int64)
-            for j, v in enumerate(uv.tolist()):
-                p = ktab.get(v) if v >= kvpn else (
-                    utab.get(v) if utab is not None else None)
-                uppn[j] = -1 if p is None else p
-            ppn = uppn[inv]
-            untrans = np_.flatnonzero(ppn < 0)
-            seg = int(untrans[0]) if untrans.size else m
-            if seg == 0:
-                # first ref needs page allocation (or major-faults): take
-                # the scalar path for it, then rescan the rest
-                c, i, t, a, major, _ = self._run_each(
-                    pid, cpu, kinds, addrs, sizes, pends, i, n, t, 1,
-                    horizon, clock)
-                consumed += c
-                added += a
-                if major is not None or i >= n or consumed >= limit \
-                        or t + pends[i] >= horizon:
-                    return consumed, i, t, added, major, 0
-                t += pends[i]
-                continue
-            shift = self._line_shift
-            paddr = (ppn[:seg] << pshift) | (a[:seg] & self._page_mask)
-            line0 = paddr >> shift
-            if uhint is not None:
-                k0, stride, wpl = uhint
-                line1 = (paddr + ((stride or 1) - 1)) >> shift
-            else:
-                k = np_.array(kinds[i:i + seg], dtype=np_.int64)
-                sz = np_.array(sizes[i:i + seg], dtype=np_.int64)
-                line1 = (paddr + np_.maximum(sz, 1) - 1) >> shift
-            nl = line1 - line0 + 1
-            lat = np_.full(seg, self._ff_base, dtype=np_.int64)
-            fr = self._ff_frac
-            if fr > 0.0:
-                e0 = self._ff_err
-                grid = np_.floor(e0 + fr * np_.arange(1, seg + 1))
-                lat += np_.diff(np_.concatenate(([0.0], grid))
-                                ).astype(np_.int64)
-            if uhint is not None:
-                if k0 == 2:
-                    lat += 4
-            else:
-                lat[k == 2] += 4
-            if seg > 1:
-                if uhint is not None:
-                    steps = lat[:-1] + wpl
-                else:
-                    steps = lat[:-1] + np_.array(pends[i + 1:i + seg],
-                                                 dtype=np_.int64)
-                issue = np_.empty(seg, dtype=np_.int64)
-                issue[0] = 0
-                np_.cumsum(steps, out=issue[1:])
-                issue += t
-            else:
-                issue = np_.array([t], dtype=np_.int64)
-            c = seg
-            cut = int(np_.searchsorted(issue, horizon, side="left"))
-            if cut < 1:
-                cut = 1
-            if cut < c:
-                c = cut
-            wr = (np_.full(c, k0 != 0, dtype=bool) if uhint is not None
-                  else (k[:c] != 0))
-            self._ff_warm(cpu, line0[:c], nl[:c], wr)
-            self.accesses += c
-            self.ff_refs += c
-            if fr > 0.0:
-                tot = self._ff_err + fr * c
-                self._ff_err = tot - int(tot)
-            last_issue = int(issue[c - 1])
-            if clock is not None and last_issue > clock.now:
-                clock.now = last_issue
-            added += int(lat[:c].sum())
-            t = last_issue + int(lat[c - 1])
-            consumed += c
-            i += c
-            if i >= n or consumed >= limit:
-                return consumed, i, t, added, None, 0
-            nt = t + pends[i]
-            if nt >= horizon:
-                return consumed, i, t, added, None, 0
-            t = nt
-
-    def _ff_warm(self, cpu: int, line0, nl, wr) -> None:
-        """Bulk functional warming: count one miss per newly-installed line
-        and a hit per further touch (the scalar ff counting), upgrade
-        write-touched lines to MODIFIED. Fills are inlined raw dict/list
-        ops — the same installs/evictions/inclusion drops :meth:`_ff_fill`
-        performs through the Cache methods, but with one L1 version bump
-        covering the whole batch (legal because the vec mirror can only
-        observe the caches between runs, never mid-warm)."""
-        np_ = _np
-        c = line0.shape[0]
-        tot = int(nl.sum())
-        if tot == c:
-            seq = line0
-            wrs = wr
-        else:
-            starts = np_.cumsum(nl) - nl
-            offs = np_.arange(tot, dtype=np_.int64) - np_.repeat(starts, nl)
-            seq = np_.repeat(line0, nl) + offs
-            wrs = np_.repeat(wr, nl)
-        uniq, idx = np_.unique(seq, return_inverse=True)
-        wany = np_.zeros(uniq.shape[0], dtype=bool)
-        np_.logical_or.at(wany, idx, wrs)
-        counts = np_.bincount(idx)
-        l1 = self.l1s[cpu]
-        states = self._l1_states[cpu]
-        states_get = states.get
-        sets = self._l1_sets[cpu]
-        mask = self._l1_set_mask
-        nsets = self._l1_nsets
-        assoc = l1.assoc
-        l2 = self.l2s[cpu] if self.l2s is not None else None
-        if l2 is not None:
-            l2states = l2._states
-            l2states_get = l2states.get
-            l2sets = l2._sets
-            l2assoc = l2.assoc
-            l2n = len(l2sets)
-            l2mask = l2n - 1 if (l2n & (l2n - 1)) == 0 else -1
-        # counters accumulate in locals and flush once: attribute writes
-        # per line would dominate the loop
-        h1 = m1 = e1 = w1 = inv1 = 0
-        h2 = m2 = e2 = w2 = 0
-        filled = False
-        for ln, w, cnt in zip(uniq.tolist(), wany.tolist(),
-                              counts.tolist()):
-            st = states_get(ln)
-            if st is not None:
-                h1 += cnt
-                if w and st < 3:
-                    states[ln] = 3
-                continue
-            m1 += 1
-            h1 += cnt - 1
-            filled = True
-            stn = 3 if w else 1
-            if l2 is not None:
-                st2 = l2states_get(ln)
-                if st2 is None:
-                    m2 += 1
-                    s2 = l2sets[ln & l2mask if l2mask >= 0 else ln % l2n]
-                    if len(s2) >= l2assoc:
-                        v = s2.pop()
-                        vst = l2states.pop(v)
-                        e2 += 1
-                        if vst == 3:
-                            w2 += 1
-                        # inclusion: drop the inner copy of the L2 victim
-                        if states.pop(v, None) is not None:
-                            sets[v & mask if mask >= 0
-                                 else v % nsets].remove(v)
-                            inv1 += 1
-                    s2.insert(0, ln)
-                    l2states[ln] = stn
-                else:
-                    h2 += 1
-                    if stn > st2:
-                        l2states[ln] = stn
-            s = sets[ln & mask if mask >= 0 else ln % nsets]
-            if len(s) >= assoc:
-                v = s.pop()
-                vst = states.pop(v)
-                e1 += 1
-                if vst == 3:
-                    w1 += 1
-                    if l2 is not None and v in l2states:
-                        l2states[v] = 3
-            s.insert(0, ln)
-            states[ln] = stn
-        l1.hits += h1
-        l1.misses += m1
-        l1.evictions += e1
-        l1.writebacks += w1
-        l1.invalidations += inv1
-        if l2 is not None:
-            l2.hits += h2
-            l2.misses += m2
-            l2.evictions += e2
-            l2.writebacks += w2
-        if filled:
-            l1.version += 1
 
     # ------------------------------------------------------------------
 
@@ -898,8 +705,8 @@ class MemorySystem:
                 if l2 is not None:
                     l2.misses += 1
                     l2.version += 1
-                    s = l2sets[line & l2mask if l2mask >= 0
-                               else line % l2nsets]
+                    m2 = l2.set_mask
+                    s = l2._sets[line & m2 if m2 >= 0 else line % l2.n_sets]
                     if len(s) >= l2.assoc:
                         v = s.pop()
                         vst = l2states.pop(v)

@@ -13,6 +13,10 @@ every cache's sets / states / counters, the protocol's and the VMM's whole
 state. ``Cache.version`` must agree exactly when the kernel is driven
 directly, and never run backwards when it sits behind the L1 probe (whose
 hits legitimately skip the bump).
+
+Sampled fast-forward warming (``MemorySystem._ff_access``, reached through
+``access`` and the batched loop while a window is active) is held the same
+way: ``reference_ff_access`` is its fill composed of ``Cache`` methods.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from __future__ import annotations
 import pickle
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.config import (BackendConfig, CacheConfig, MemoryConfig,
                                SimConfig)
@@ -142,6 +146,53 @@ def reference_access(ms, vaddr, size, write, atomic, cpu, now,
     return latency, None
 
 
+def reference_ff_access(ms, vaddr, size, write, atomic, cpu):
+    """One reference in a fast-forward window, as the memory system warmed
+    before its fill was written in place: translate, count L1 hits and
+    misses, flip a written S/E line to M in the L1 alone, fill L2 then L1
+    through the Cache methods (inclusion drops the L1 copy of an L2
+    victim), no protocol call, the calibrated latency."""
+    paddr, major, _minor = ms.vmm.translate(PID, vaddr, write, cpu)
+    if major is not None:
+        return 0, major
+    ms.accesses += 1
+    ms.ff_refs += 1
+    l1 = ms.l1s[cpu]
+    fill = _M if write else 1
+    line = paddr >> ms._line_shift
+    last = (paddr + max(size, 1) - 1) >> ms._line_shift
+    while line <= last:
+        st_ = l1.probe(line)
+        if st_ is not None:
+            l1.hits += 1
+            if write and st_ < _M:
+                l1._states[line] = _M
+            line += 1
+            continue
+        l1.misses += 1
+        if ms.l2s is not None:
+            l2 = ms.l2s[cpu]
+            st2 = l2.probe(line)
+            if st2 is None:
+                l2.misses += 1
+                victim = l2.insert(line, fill)
+                if victim is not None:
+                    l1.invalidate(victim[0])
+            else:
+                l2.hits += 1
+                if fill > st2:
+                    l2.set_state(line, fill)
+        _ref_fill_l1(ms, cpu, line, fill)
+        line += 1
+    lat = ms._ff_base
+    e = ms._ff_err + ms._ff_frac
+    if e >= 1.0:
+        e -= 1.0
+        lat += 1
+    ms._ff_err = e
+    return (lat + 4 if atomic else lat), None
+
+
 # ---------------------------------------------------------------------------
 # the systems under comparison
 # ---------------------------------------------------------------------------
@@ -175,6 +226,7 @@ def observable(ms):
         "protocol": ms.protocol.state_dict(),
         "vmm": ms.vmm.state_dict(),
         "accesses": ms.accesses,
+        "ff_refs": ms.ff_refs,
         "lat_slow": ms.lat_slow,
     }
 
@@ -257,28 +309,60 @@ def test_kernel_matches_cache_method_composition(detail, coherence, refs,
     assert observable(flat) == observable(ref)
 
 
+def _ref(kind, line, size=4):
+    return 0, kind, "user", 0, line, 0, size, 0
+
+
 @pytest.mark.parametrize("coherence", PROTOCOLS)
 @pytest.mark.parametrize("detail", HIERARCHIES)
 @settings(max_examples=30, deadline=None)
-@given(refs=st.lists(reference, min_size=1, max_size=90))
-def test_access_matches_cache_method_composition(detail, coherence, refs):
+# every warming arm at least once: three reads through one L1 set push
+# line 0 out of the L1 but not the L2, whose copy a write then upgrades; a
+# detail read leaves line 1 EXCLUSIVE for a write to flip; a three-line
+# write spans lines 2-4
+@example(refs=[_ref(0, 0), _ref(0, 4), _ref(0, 8), _ref(1, 0), _ref(0, 1),
+               _ref(1, 1), _ref(1, 2, size=72)],
+         ff=[True, True, True, True, False, True, True], mean=2.5)
+@given(refs=st.lists(reference, min_size=1, max_size=90),
+       ff=st.lists(st.booleans(), max_size=90),
+       mean=st.sampled_from([0.0, 1.0, 2.5, 7.75]))
+def test_access_matches_cache_method_composition(detail, coherence, refs, ff,
+                                                 mean):
     """``access()`` — probe, else kernel — against the composition. (No
-    degraded-DIMM hook here: by design the probe's hits never pay it.)"""
+    degraded-DIMM hook here: by design the probe's hits never pay it.)
+    Reference ``j`` with ``ff[j]`` set is issued inside a fast-forward
+    window (calibrated ``mean``) against :func:`reference_ff_access`, and
+    must move every ``Cache.version`` exactly as the composition does."""
     flat = make_system(detail, coherence, 0)
     ref = make_system(detail, coherence, 0)
     now = 0
-    for r in refs:
+    for j, r in enumerate(refs):
         cpu, kind, _region, _page, _line, _byte, size, gap = r
         vaddr = vaddr_of(r)
         now += gap
+        in_ff = j < len(ff) and ff[j]
+        if in_ff != flat.ff_active:
+            for ms in (flat, ref):
+                if in_ff:
+                    ms.ff_begin(mean)
+                else:
+                    ms.ff_end()
         while True:
-            before = versions(flat)
+            before, ref_before = versions(flat), versions(ref)
             got = flat.access(PID, vaddr, size, kind != 0, cpu, now,
                               atomic=(kind == 2))
-            want = reference_access(ref, vaddr, size, kind != 0, kind == 2,
-                                    cpu, now, behind_probe=True)
+            if in_ff:
+                want = reference_ff_access(ref, vaddr, size, kind != 0,
+                                           kind == 2, cpu)
+                assert ([a - b for a, b in zip(versions(flat), before)]
+                        == [a - b for a, b in zip(versions(ref),
+                                                  ref_before)])
+            else:
+                want = reference_access(ref, vaddr, size, kind != 0,
+                                        kind == 2, cpu, now,
+                                        behind_probe=True)
+                assert all(b <= a for b, a in zip(before, versions(flat)))
             assert got[0] == want[0]
-            assert all(b <= a for b, a in zip(before, versions(flat)))
             if got[1] is None:
                 assert want[1] is None
                 break
@@ -286,22 +370,32 @@ def test_access_matches_cache_method_composition(detail, coherence, refs):
             page_in(ref, want[1])
         now += got[0]
     assert observable(flat) == observable(ref)
-    assert flat.fast_hits + flat.fast_fallbacks >= len(refs)
+    assert flat.fast_hits + flat.fast_fallbacks + flat.ff_refs >= len(refs)
 
 
 @pytest.mark.parametrize("coherence", PROTOCOLS)
 @pytest.mark.parametrize("detail", HIERARCHIES)
 @settings(max_examples=30, deadline=None)
 @given(runs=st.lists(st.lists(reference, min_size=1, max_size=24),
-                     min_size=1, max_size=6))
+                     min_size=1, max_size=6),
+       ff=st.lists(st.booleans(), max_size=6))
 def test_access_run_matches_cache_method_composition(detail, coherence,
-                                                     runs):
+                                                     runs, ff):
     """The batched run loop hands the kernel the translation its own probe
-    made; each run is one CPU's batch, chained on issue times."""
+    made; each run is one CPU's batch, chained on issue times. A run with
+    its ``ff`` flag set is a fast-forward window's batch: it goes through
+    the per-reference loop into the warming arm, against
+    :func:`reference_ff_access`."""
     flat = make_system(detail, coherence, 0)
     ref = make_system(detail, coherence, 0)
     t = 0
-    for run in runs:
+    for k, run in enumerate(runs):
+        in_ff = k < len(ff) and ff[k]
+        for ms in (flat, ref):
+            if in_ff:
+                ms.ff_begin(2.5)
+            else:
+                ms.ff_end()
         cpu = run[0][0]
         kinds = [r[1] for r in run]
         addrs = [vaddr_of(r) for r in run]
@@ -317,9 +411,14 @@ def test_access_run_matches_cache_method_composition(detail, coherence,
             if j:
                 rt += pends[j]
             while True:
-                lat, major = reference_access(
-                    ref, addrs[j], sizes[j], kinds[j] != 0, kinds[j] == 2,
-                    cpu, rt, behind_probe=True)
+                if in_ff:
+                    lat, major = reference_ff_access(
+                        ref, addrs[j], sizes[j], kinds[j] != 0,
+                        kinds[j] == 2, cpu)
+                else:
+                    lat, major = reference_access(
+                        ref, addrs[j], sizes[j], kinds[j] != 0,
+                        kinds[j] == 2, cpu, rt, behind_probe=True)
                 if major is None:
                     break
                 page_in(ref, major)

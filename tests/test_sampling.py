@@ -6,7 +6,7 @@ instead of walking the timing models. The contract tested here is the one
 EXPERIMENTS.md documents:
 
   * a sampled run is exactly as deterministic as a full one (same config
-    -> same cycle count, same stats, every time);
+    -> same cycle count, same stats, every time), tapped or not;
   * on the streaming workload class the error vs full detail stays inside
     the documented bounds (cycle count <= 2% relative, L1 miss rate
     <= 2 percentage points absolute);
@@ -25,6 +25,8 @@ from repro import (ConfigError, Engine, SamplingConfig, complex_backend,
                    load_checkpoint)
 from repro.core.frontend import SimProcess
 from repro.harness import sampling_summary
+from repro.service.workloads import WORKLOADS, full_fingerprint
+from repro.traces.memtrace import MemTraceRecorder
 
 BASE = 0x0001_0000
 
@@ -104,6 +106,31 @@ def test_sampling_summary_accounting():
     eng_off, _ = _run_stream(None)
     assert sampling_summary(eng_off) == {"enabled": False}
     assert eng_off.memsys.ff_refs == 0
+
+
+def test_sampled_result_does_not_depend_on_a_tap(tmp_path):
+    """Fast-forward has one model: a fast-forward window's batches go
+    through the per-reference loop whether or not a tap is attached, so a
+    sampled run lands one result plain, under a memtrace recorder, and
+    with checkpointing on (whose recorder is a tap too)."""
+    sc = SamplingConfig(detail_events=1_000, ff_events=2_000)
+
+    def run(tap):
+        SimProcess._next_pid[0] = 1
+        ck = ({"checkpoint_path": str(tmp_path / "ck.pkl"),
+               "checkpoint_interval": 10_000}
+              if tap == "checkpoint" else {})
+        eng = WORKLOADS["dss"](
+            lambda **kw: complex_backend(sampling=sc, **ck, **kw),
+            scale=0.001, nagents=2, pool_frames=64)
+        if tap == "memtrace":
+            MemTraceRecorder.attach(eng)
+        return full_fingerprint(eng, eng.run()), sampling_summary(eng)
+
+    plain = run(None)
+    assert plain[1]["ff_refs"] > 0
+    assert run("memtrace") == plain
+    assert run("checkpoint") == plain
 
 
 def test_ff_events_zero_never_fast_forwards():
