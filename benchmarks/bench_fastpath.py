@@ -2,8 +2,8 @@
 
 The batched pipeline (EventBatch producers + the engine's tight consume
 loop) and the L1 fast-path filter in the memory hierarchy are pure host-side
-optimisations: simulated results are bit-identical (see
-tests/test_fastpath_equivalence.py). This bench measures what they buy on
+optimisations: simulated results are bit-identical (the equivalence
+table, tests/test_equivalence.py). This bench measures what they buy on
 the paper's Table 2 workload — a TPC-D-like sequential scan on the complex
 backend, the configuration where per-reference overhead dominates.
 

@@ -3,9 +3,9 @@
 The lookahead scheduler (``SimConfig.lookahead``) lets the batched hot
 loop drain invisible references past the strict rival horizon — for an
 inline frontend's batches and for the ones a ``ParallelEngine`` worker
-ships alike, bit-identical to the strict path
-(tests/test_lookahead_equivalence). This bench measures what the windows
-buy on the configuration they target: a 4-CPU run where every CPU streams
+ships alike, bit-identical to the strict path (the equivalence table,
+tests/test_equivalence.py). This bench measures what the windows buy on
+the configuration they target: a 4-CPU run where every CPU streams
 over a *private*, L1-resident buffer — all references qualify as
 invisible, so the strict path's tiny alternating batch windows are pure
 scheduling overhead.

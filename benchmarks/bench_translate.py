@@ -3,9 +3,10 @@
 The translation layer (``src/repro/isa/translate.py``) compiles each basic
 block to a specialized closure: opcode dispatch, operand decode, timing
 accumulation and memory-reference collection fused into straight-line code.
-Results are bit-identical (tests/test_translate_equivalence.py); this bench
-measures what that buys on a compute-heavy block mix — the frontend-bound
-regime where the interpreter's per-instruction ``elif`` chain dominates.
+Results are bit-identical (the equivalence table,
+tests/test_equivalence.py); this bench measures what that buys on a
+compute-heavy block mix — the frontend-bound regime where the
+interpreter's per-instruction ``elif`` chain dominates.
 
 Three measurements:
 

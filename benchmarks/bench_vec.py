@@ -4,8 +4,8 @@ The vec path (``SimConfig.vectorized``) classifies a whole EventBatch in
 one numpy tag-compare against mirror copies of the L1 state and page
 tables, and retires 100%-private-hit runs in bulk array ops instead of the
 per-reference scalar loop. It is a pure host-side optimisation: simulated
-results are bit-identical whether it is on or off (see
-tests/test_vec_equivalence.py).
+results are bit-identical whether it is on or off (the equivalence
+table, tests/test_equivalence.py).
 
 This bench measures what it buys on top of the scalar fast path, on the
 same warm TPC-D Q1 scan bench_fastpath.py uses — the hit-dominated steady

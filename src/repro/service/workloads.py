@@ -34,7 +34,7 @@ ConfigFactory = Callable[..., object]
 
 
 # ---------------------------------------------------------------------------
-# deterministic test/golden-scale builders (the FAULT_OFF_WORKLOADS set)
+# deterministic test/golden-scale builders (the golden fleet's rows)
 # ---------------------------------------------------------------------------
 
 def build_oltp(cfg: ConfigFactory, *, warehouses=1, scale=0.005,

@@ -6,60 +6,31 @@ import pickle
 
 import pytest
 
-from repro import (CheckpointError, Engine, FaultPlan, FaultRule,
-                   checkpoint_exists,
-                   SamplingConfig, SimulatedCrash, complex_backend,
-                   load_checkpoint, resume)
+from repro import (CheckpointError, SamplingConfig, SimulatedCrash,
+                   checkpoint_exists, load_checkpoint, resume)
 from repro.checkpoint import CheckpointManager, RecordingMemory
 from repro.checkpoint.log import ReplayMemory
 from repro.checkpoint.manager import FORMAT_VERSION
 from repro.checkpoint.snapshot import (_INSTALL_ONLY, collect_snapshot,
                                        verify_snapshot)
 from repro.core.errors import ReplayDivergence
-from repro.core.frontend import SimProcess
 from repro.mem.hierarchy import MemorySystem
+from repro.service.workloads import WORKLOADS, full_fingerprint
 
-from tests.test_determinism_harness import FAULT_OFF_WORKLOADS, _fingerprint
-
-#: timing-only fault plan that injects in every workload (no errno faults,
-#: so OLTP/DSS/web/SPLASH all run to completion unchanged)
-TIMING_PLAN = FaultPlan(rules=(
-    FaultRule(site="disk:latency", prob=0.2, extra_cycles=40_000),
-    FaultRule(site="mem:degraded", prob=0.001, extra_cycles=300),
-    FaultRule(site="link:degraded", prob=0.001, extra_cycles=50),
-), seed=1998)
-
-#: OLTP-only plan with an errno fault in the mix (kreadv retries)
-ERRNO_PLAN = FaultPlan(rules=(
-    FaultRule(site="syscall:kreadv", prob=0.05, errno="EINTR"),
-    FaultRule(site="disk:latency", prob=0.2, extra_cycles=40_000),
-    FaultRule(site="mem:degraded", prob=0.001, extra_cycles=300),
-), seed=7)
+from tests.equivalence import (DEFAULT, ERRNO_PLAN, SCAN, TIMING_PLAN, Isa,
+                               build, check, reference, run)
 
 
-def _cfg_factory(path, interval, faults):
-    def cfg(**kw):
-        return complex_backend(faults=faults, checkpoint_path=path,
-                               checkpoint_interval=interval, **kw)
-    return cfg
+def _engine(path=None, interval=0, faults=TIMING_PLAN, name="oltp", **cfg):
+    """``name``'s ready-to-run engine (pids from 1), autosaving to
+    ``path`` every ``interval`` events."""
+    return build(name, dict(cfg, checkpoint_path=path,
+                            checkpoint_interval=interval), faults)
 
 
-def _full_fingerprint(eng, stats):
-    return _fingerprint(eng, stats) + (
-        tuple(sorted(eng.faults.stats.fired.items())),
-        eng.faults.stats.draws,
-        tuple(sorted(eng.memsys.cache_summary()["l1"].items())),
-        dict(eng.memsys.cache_summary()["protocol"]),
-        eng.memsys.vmm.minor_faults,
-        eng.memsys.vmm.major_faults,
-    )
-
-
-def _run_plain(build, faults):
-    SimProcess._next_pid[0] = 1
-    eng = build(_cfg_factory(None, 0, faults))
-    stats = eng.run()
-    return _full_fingerprint(eng, stats)
+def _uninterrupted():
+    """The plain oltp run under ``TIMING_PLAN`` (the table's cell)."""
+    return run("oltp", DEFAULT, "plan").snap["fingerprint"]
 
 
 class TestCrashResumeBitIdentity:
@@ -67,68 +38,46 @@ class TestCrashResumeBitIdentity:
     event stream, final stats, and fault-fire counts of an uninterrupted
     run, on every workload, with a fault plan active."""
 
-    @pytest.mark.parametrize("name", sorted(FAULT_OFF_WORKLOADS))
-    def test_interrupted_equals_uninterrupted(self, name, tmp_path):
-        build = FAULT_OFF_WORKLOADS[name]
-        path = str(tmp_path / "ck.pkl")
-        baseline = _run_plain(build, TIMING_PLAN)
-
-        factory = _cfg_factory(path, 1_500, TIMING_PLAN)
-        SimProcess._next_pid[0] = 1
-        eng = build(factory)
-        eng._ckpt.crash_after_saves = 2
-        with pytest.raises(SimulatedCrash):
-            eng.run()
-        assert checkpoint_exists(path)
-
-        eng2, stats2 = resume(path, lambda: build(factory))
-        assert _full_fingerprint(eng2, stats2) == baseline
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
+    def test_interrupted_equals_uninterrupted(self, name):
+        check(name, [DEFAULT], "resume")
 
     def test_errno_faults_survive_resume(self, tmp_path):
-        build = FAULT_OFF_WORKLOADS["oltp"]
-        path = str(tmp_path / "ck.pkl")
-        baseline = _run_plain(build, ERRNO_PLAN)
+        eng0 = _engine(faults=ERRNO_PLAN)
+        baseline = full_fingerprint(eng0, eng0.run())
 
-        factory = _cfg_factory(path, 2_000, ERRNO_PLAN)
-        SimProcess._next_pid[0] = 1
-        eng = build(factory)
+        path = str(tmp_path / "ck.pkl")
+        eng = _engine(path, 2_000, ERRNO_PLAN)
         eng._ckpt.crash_after_saves = 3
         with pytest.raises(SimulatedCrash):
             eng.run()
-        eng2, stats2 = resume(path, lambda: build(factory))
-        assert _full_fingerprint(eng2, stats2) == baseline
+        eng2, stats2 = resume(path, lambda: _engine(path, 2_000, ERRNO_PLAN))
+        assert full_fingerprint(eng2, stats2) == baseline
 
     def test_second_generation_crash(self, tmp_path):
         """Crash the *resumed* run and resume again: the checkpoint after
         a restore must be as complete as one from an unbroken run."""
-        build = FAULT_OFF_WORKLOADS["oltp"]
         path = str(tmp_path / "ck.pkl")
-        baseline = _run_plain(build, TIMING_PLAN)
-
-        factory = _cfg_factory(path, 1_500, TIMING_PLAN)
-        SimProcess._next_pid[0] = 1
-        eng = build(factory)
+        eng = _engine(path, 1_500)
         eng._ckpt.crash_after_saves = 1
         with pytest.raises(SimulatedCrash):
             eng.run()
 
         def rebuild():
-            e = build(factory)
+            e = _engine(path, 1_500)
             e._ckpt.crash_after_saves = 2     # crash again, further along
             return e
 
         with pytest.raises(SimulatedCrash):
             resume(path, rebuild)
 
-        eng3, stats3 = resume(path, lambda: build(factory))
-        assert _full_fingerprint(eng3, stats3) == baseline
+        eng3, stats3 = resume(path, lambda: _engine(path, 1_500))
+        assert full_fingerprint(eng3, stats3) == _uninterrupted()
 
 
 class TestSegmentedRuns:
     def test_resume_across_multiple_run_calls(self, tmp_path):
         """run(max_events=...) segments replay with their original bounds."""
-        build = FAULT_OFF_WORKLOADS["oltp"]
-
         def run_segmented(eng):
             stats = eng.stats
             while True:
@@ -136,41 +85,32 @@ class TestSegmentedRuns:
                 if eng._live <= 0:
                     return stats
 
-        SimProcess._next_pid[0] = 1
-        eng0 = build(_cfg_factory(None, 0, TIMING_PLAN))
-        baseline = _full_fingerprint(eng0, run_segmented(eng0))
+        eng0 = _engine()
+        baseline = full_fingerprint(eng0, run_segmented(eng0))
         # a segment cut is not an event: the interval timer ticks across it
-        assert baseline == _run_plain(build, TIMING_PLAN)
+        assert baseline == _uninterrupted()
 
         path = str(tmp_path / "ck.pkl")
-        factory = _cfg_factory(path, 1_500, TIMING_PLAN)
-        SimProcess._next_pid[0] = 1
-        eng = build(factory)
+        eng = _engine(path, 1_500)
         eng._ckpt.crash_after_saves = 4
         with pytest.raises(SimulatedCrash):
             run_segmented(eng)
 
-        eng2, _ = resume(path, lambda: build(factory), finish=True)
+        eng2, _ = resume(path, lambda: _engine(path, 1_500), finish=True)
         stats2 = run_segmented(eng2) if eng2._live > 0 else eng2.stats
-        assert _full_fingerprint(eng2, stats2) == baseline
+        assert full_fingerprint(eng2, stats2) == baseline
 
 
 class TestZeroCostWhenOff:
     def test_no_manager_no_wrapper(self):
-        SimProcess._next_pid[0] = 1
-        eng = FAULT_OFF_WORKLOADS["oltp"](_cfg_factory(None, 0, None))
+        eng = _engine(faults=None)
         assert eng._ckpt is None
         assert type(eng.memsys) is MemorySystem
 
     def test_recording_is_bit_identical(self, tmp_path):
-        build = FAULT_OFF_WORKLOADS["oltp"]
-        baseline = _run_plain(build, TIMING_PLAN)
-        path = str(tmp_path / "ck.pkl")
-        SimProcess._next_pid[0] = 1
-        eng = build(_cfg_factory(path, 2_000, TIMING_PLAN))
+        eng = _engine(str(tmp_path / "ck.pkl"), 2_000)
         assert eng.memsys.strict_stream() == "tapped"
-        stats = eng.run()
-        assert _full_fingerprint(eng, stats) == baseline
+        assert full_fingerprint(eng, eng.run()) == _uninterrupted()
         assert eng._ckpt.saves > 0
 
 
@@ -180,9 +120,7 @@ class TestOneTap:
     with, and the interposer looks the class's ``access`` up per call."""
 
     def test_memsys_is_never_replaced(self, tmp_path, monkeypatch):
-        build = FAULT_OFF_WORKLOADS["oltp"]
         path = str(tmp_path / "ck.pkl")
-        factory = _cfg_factory(path, 1_500, TIMING_PLAN)
         seen = []
         init = CheckpointManager.__init__
         top = CheckpointManager.on_loop_top
@@ -199,12 +137,11 @@ class TestOneTap:
 
         monkeypatch.setattr(CheckpointManager, "__init__", spy_init)
         monkeypatch.setattr(CheckpointManager, "on_loop_top", spy_top)
-        SimProcess._next_pid[0] = 1
-        eng = build(factory)
+        eng = _engine(path, 1_500)
         eng._ckpt.crash_after_saves = 2
         with pytest.raises(SimulatedCrash):
             eng.run()
-        eng2, _ = resume(path, lambda: build(factory))
+        eng2, _ = resume(path, lambda: _engine(path, 1_500))
         modes = [m for m, _, _ in seen]
         assert modes == ["attach", "record", "attach", "replay", "record"]
         # untapped before the manager attaches; then one slot, rebound
@@ -220,9 +157,7 @@ class TestOneTap:
                                                     monkeypatch):
         """What ``benchmarks/e2e``'s tracer does: patch the class after the
         engine is built. The recorder must not have captured the method."""
-        SimProcess._next_pid[0] = 1
-        eng = FAULT_OFF_WORKLOADS["oltp"](
-            _cfg_factory(str(tmp_path / "ck.pkl"), 2_000, TIMING_PLAN))
+        eng = _engine(str(tmp_path / "ck.pkl"), 2_000)
         calls = []
         orig = MemorySystem.access
         monkeypatch.setattr(
@@ -235,29 +170,24 @@ class TestOneTap:
 
 class TestFingerprints:
     def test_config_mismatch_refused(self, tmp_path):
-        build = FAULT_OFF_WORKLOADS["oltp"]
         path = str(tmp_path / "ck.pkl")
-        factory = _cfg_factory(path, 1_500, TIMING_PLAN)
-        SimProcess._next_pid[0] = 1
-        eng = build(factory)
+        eng = _engine(path, 1_500)
         eng._ckpt.crash_after_saves = 1
         with pytest.raises(SimulatedCrash):
             eng.run()
-        other = _cfg_factory(path, 1_500, None)   # different fault plan
         with pytest.raises(CheckpointError, match="configuration"):
-            resume(path, lambda: build(other))
+            # a different fault plan
+            resume(path, lambda: _engine(path, 1_500, None))
 
     def test_workload_mismatch_refused(self, tmp_path):
         path = str(tmp_path / "ck.pkl")
-        factory = _cfg_factory(path, 1_500, TIMING_PLAN)
-        SimProcess._next_pid[0] = 1
-        eng = FAULT_OFF_WORKLOADS["oltp"](factory)
+        eng = _engine(path, 1_500)
         eng._ckpt.crash_after_saves = 1
         with pytest.raises(SimulatedCrash):
             eng.run()
         with pytest.raises(CheckpointError, match="workload"):
             # same SimConfig shape, different process set
-            resume(path, lambda: FAULT_OFF_WORKLOADS["dss"](factory))
+            resume(path, lambda: _engine(path, 1_500, name="dss"))
 
     def test_not_a_checkpoint(self, tmp_path):
         path = str(tmp_path / "junk.pkl")
@@ -268,9 +198,7 @@ class TestFingerprints:
 
     def test_atomic_autosave_leaves_no_tmp(self, tmp_path):
         path = str(tmp_path / "ck.pkl")
-        factory = _cfg_factory(path, 1_500, TIMING_PLAN)
-        SimProcess._next_pid[0] = 1
-        eng = FAULT_OFF_WORKLOADS["oltp"](factory)
+        eng = _engine(path, 1_500)
         eng.run()
         assert checkpoint_exists(path)
         # autosaves rotate generations; no bare file and no stale temps
@@ -291,9 +219,7 @@ class TestFingerprints:
         from repro.checkpoint import generation_paths
         from repro.harness import checkpoint_summary
         path = str(tmp_path / "ck.pkl")
-        SimProcess._next_pid[0] = 1
-        eng = FAULT_OFF_WORKLOADS["oltp"](
-            _cfg_factory(path, 1_500, TIMING_PLAN))
+        eng = _engine(path, 1_500)
         eng.run()
         s = checkpoint_summary(eng)
         assert s["enabled"] and s["saves"] == eng._ckpt.session_saves >= 2
@@ -307,9 +233,7 @@ class TestFingerprints:
         ck = load_checkpoint(path)
         assert not {"save_seconds", "save_bytes"} & (set(ck)
                                                      | set(ck["snapshot"]))
-        SimProcess._next_pid[0] = 1
-        off = FAULT_OFF_WORKLOADS["oltp"](_cfg_factory(None, 0, TIMING_PLAN))
-        assert checkpoint_summary(off) == {"enabled": False}
+        assert checkpoint_summary(_engine()) == {"enabled": False}
 
 
 class TestReplayMemory:
@@ -335,42 +259,15 @@ class TestParallelResume:
     """ParallelEngine checkpoints resume by respawning fresh workers and
     replaying their (deterministic) event streams against the reply log."""
 
-    PROG = """
-        li r1, 0
-        li r2, 12000
-        li r10, 0x100000
-        li r6, 0
-    loop:
-        loadx r3, r10, r1, 4
-        mul r4, r3, r3
-        add r6, r6, r4
-        addi r1, r1, 64
-        blt r1, r2, loop
-        syscall getpid, 0
-        li r3, 0
-        halt
-    """
-
-    def _build(self, path, interval):
-        from repro.host import ParallelEngine, WorkerSpec
-        cfg = complex_backend(num_cpus=2, faults=TIMING_PLAN,
-                              checkpoint_path=path,
-                              checkpoint_interval=interval)
-        eng = ParallelEngine(cfg)
-        for i in range(2):
-            eng.spawn_worker(WorkerSpec(f"w{i}", self.PROG))
-        return eng
+    #: ``SCAN`` over 12 000 bytes, ending in an OS call
+    PROG = SCAN.replace("li r2, 20000", "li r2, 12000").replace(
+        "    li r3, 0\n", "    syscall getpid, 0\n    li r3, 0\n")
 
     def test_parallel_crash_resume(self, tmp_path):
-        SimProcess._next_pid[0] = 1
-        eng0 = self._build(None, 0)
-        with eng0:
-            stats0 = eng0.run()
-        baseline = _fingerprint(eng0, stats0)
-
-        path = str(tmp_path / "ck.pkl")
-        SimProcess._next_pid[0] = 1
-        eng1 = self._build(path, 100)
+        row = Isa((self.PROG,) * 2, parallel=True)
+        ck = {"checkpoint_path": str(tmp_path / "ck.pkl"),
+              "checkpoint_interval": 100}
+        eng1 = build(row, ck, TIMING_PLAN)
         eng1._ckpt.crash_after_saves = 1
         try:
             with pytest.raises(SimulatedCrash):
@@ -378,9 +275,11 @@ class TestParallelResume:
         finally:
             eng1.shutdown()
 
-        eng2, stats2 = resume(path, lambda: self._build(path, 100))
+        eng2, stats2 = resume(ck["checkpoint_path"],
+                              lambda: build(row, ck, TIMING_PLAN))
         try:
-            assert _fingerprint(eng2, stats2) == baseline
+            assert full_fingerprint(eng2, stats2) == \
+                reference(row, "plan")["fingerprint"]
         finally:
             eng2.shutdown()
 
@@ -395,23 +294,17 @@ class TestSamplingSpeculationResume:
     #: window (events 1000-3500)
     SC = SamplingConfig(detail_events=1_000, ff_events=2_500)
 
-    def _factory(self, path, interval):
-        def cfg(**kw):
-            return complex_backend(sampling=self.SC, lookahead=True,
-                                   checkpoint_path=path,
-                                   checkpoint_interval=interval, **kw)
-        return cfg
+    def _engine(self, path):
+        # splash: multi-CPU, so rivals exist
+        return _engine(path, 800, None, "splash", sampling=self.SC,
+                       lookahead=True)
 
     def test_kill_during_ff_window_resumes(self, tmp_path):
-        build = FAULT_OFF_WORKLOADS["splash"]    # multi-CPU: rivals exist
         path = str(tmp_path / "ck.pkl")
+        eng0 = self._engine(str(tmp_path / "base.pkl"))
+        baseline = full_fingerprint(eng0, eng0.run())
 
-        SimProcess._next_pid[0] = 1
-        eng0 = build(self._factory(str(tmp_path / "base.pkl"), 800))
-        baseline = _full_fingerprint(eng0, eng0.run())
-
-        SimProcess._next_pid[0] = 1
-        eng = build(self._factory(path, 800))
+        eng = self._engine(path)
         eng._ckpt.crash_after_saves = 2
         with pytest.raises(SimulatedCrash):
             eng.run()
@@ -419,8 +312,8 @@ class TestSamplingSpeculationResume:
         # the resume must reconstruct the window schedule and the
         # calibrated ff latency mid-flight
         assert eng.memsys.ff_active
-        eng2, stats2 = resume(path, lambda: build(self._factory(path, 800)))
-        assert _full_fingerprint(eng2, stats2) == baseline
+        eng2, stats2 = resume(path, lambda: self._engine(path))
+        assert full_fingerprint(eng2, stats2) == baseline
 
 
 class TestComponentRoundTrips:
@@ -430,8 +323,7 @@ class TestComponentRoundTrips:
     so the value held across ``load_state`` is a deep copy."""
 
     def test_mid_run_round_trip(self):
-        SimProcess._next_pid[0] = 1
-        eng = FAULT_OFF_WORKLOADS["oltp"](_cfg_factory(None, 0, TIMING_PLAN))
+        eng = _engine()
         eng.run(max_events=3_000)
         before = copy.deepcopy(eng.stats.state_dict())
         eng.stats.load_state(pickle.loads(pickle.dumps(before)))
@@ -448,8 +340,7 @@ class TestComponentRoundTrips:
         """The owners replay rebuilds have no ``load_state``: a snapshot
         that differs from the rebuilt state in any one of them is refused,
         naming the component."""
-        SimProcess._next_pid[0] = 1
-        eng = FAULT_OFF_WORKLOADS["oltp"](_cfg_factory(None, 0, TIMING_PLAN))
+        eng = _engine()
         eng.run(max_events=3_000)
         snap = collect_snapshot(eng)
         verify_snapshot(eng, snap)

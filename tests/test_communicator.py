@@ -106,9 +106,8 @@ def test_batch_horizon_none_without_rival():
     a = proc_with_event("a", 10)
     c.register(a)
     c.mark_running(a)
+    assert c.select() is a
     assert c.batch_horizon(a) is None
-    best, hz = c.select_horizon()
-    assert best is a and hz is None
 
 
 def test_batch_horizon_tie_break_directions():
@@ -138,9 +137,8 @@ def test_batch_horizon_uses_second_best_rival():
     for p in (a, b, d):
         c.register(p)
         c.mark_running(p)
-    best, hz = c.select_horizon()
-    assert best is a
-    assert hz == 31          # d is the binding rival, a wins the tie
+    assert c.select() is a
+    assert c.batch_horizon(a) == 31   # d is the binding rival, a wins ties
 
 
 def test_select_tie_break_with_horizon_active():
@@ -152,9 +150,8 @@ def test_select_tie_break_with_horizon_active():
         c.register(p)
         c.mark_running(p)
     lo, hi = (a, b) if a.pid < b.pid else (b, a)
-    best, hz = c.select_horizon()
-    assert best is lo
-    assert hz == 25 + 1      # lo also wins future ties at t == 25
+    assert c.select() is lo
+    assert c.batch_horizon(lo) == 25 + 1   # lo also wins ties at t == 25
     assert c.batch_horizon(hi) == 25   # hi would lose the tie
 
 

@@ -3,21 +3,15 @@
 import pytest
 
 from repro import Engine, FaultPlan, complex_backend
-from repro.apps.minidb import MiniDb, TpccDriver, tpcc_catalog
-from repro.apps.splash import spawn_kernel
-from repro.core.frontend import SimProcess
 from repro.harness import (ProfileRow, measure_slowdown, profile_row,
                            render_table, top_oscall_table)
 from repro.service.workloads import WORKLOADS, fingerprint
 
+from tests.equivalence import build
+
 
 def run_tpcc(seed):
-    eng = Engine(complex_backend(num_cpus=2))
-    db = MiniDb(eng, tpcc_catalog(1, 0.005), pool_frames=16, seed=seed)
-    db.setup()
-    drv = TpccDriver(db, nagents=2, tx_per_agent=3, seed=seed,
-                     think_cycles=5_000, user_work=20_000)
-    drv.spawn_agents(eng)
+    eng = WORKLOADS["oltp"](complex_backend, seed=seed)
     stats = eng.run()
     return stats.end_cycle, eng.events_processed, stats.total_cpu().busy
 
@@ -31,33 +25,21 @@ class TestDeterminism:
 
     def test_splash_deterministic(self):
         def once():
-            eng = Engine(complex_backend(num_cpus=4))
-            spawn_kernel(eng, "radix", 4, nkeys=512)
+            eng = WORKLOADS["splash"](complex_backend)
             st = eng.run()
             return st.end_cycle, eng.events_processed
         assert once() == once()
-
-
-# the canonical builders/fingerprints live in the service workload
-# registry now; this module keeps the historical names the equivalence
-# and checkpoint suites import
-FAULT_OFF_WORKLOADS = dict(WORKLOADS)
-_fingerprint = fingerprint
 
 
 class TestFaultsOffBitIdentity:
     """``faults=None`` and an empty ``FaultPlan`` must be the *same*
     simulation: no RNG draws, no hooks, bit-identical statistics."""
 
-    @pytest.mark.parametrize("name", sorted(FAULT_OFF_WORKLOADS))
+    @pytest.mark.parametrize("name", sorted(WORKLOADS))
     def test_empty_plan_is_no_plan(self, name):
-        build = FAULT_OFF_WORKLOADS[name]
-
         def run(faults):
-            SimProcess._next_pid[0] = 1
-            eng = build(lambda **kw: complex_backend(faults=faults, **kw))
-            stats = eng.run()
-            return _fingerprint(eng, stats), eng
+            eng = build(name, faults=faults)
+            return fingerprint(eng, eng.run()), eng
 
         fp_none, eng_none = run(None)
         fp_empty, eng_empty = run(FaultPlan())

@@ -20,29 +20,13 @@ from pathlib import Path
 
 import pytest
 
-from repro import FaultPlan, FaultRule
 from repro.core.jsonable import to_jsonable
 from repro.service import SimulatorAdapter
 
+from tests.equivalence import ERRNO_PLAN, STRICT, TIMING_PLAN
+
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 UPDATE = os.environ.get("COMPASS_UPDATE_GOLDEN") == "1"
-
-TIMING_PLAN = FaultPlan(rules=(
-    FaultRule(site="disk:latency", prob=0.2, extra_cycles=40_000),
-    FaultRule(site="mem:degraded", prob=0.001, extra_cycles=300),
-    FaultRule(site="link:degraded", prob=0.001, extra_cycles=50),
-), seed=1998)
-
-ERRNO_PLAN = FaultPlan(rules=(
-    FaultRule(site="syscall:kreadv", prob=0.05, errno="EINTR"),
-    FaultRule(site="disk:latency", prob=0.2, extra_cycles=40_000),
-    FaultRule(site="mem:degraded", prob=0.001, extra_cycles=300),
-), seed=7)
-
-#: every optimistic/perf knob off — bit-identical to the defaults by
-#: contract, fault plan armed or not, so these arms share the default
-#: arms' goldens
-STRICT = {"lookahead": False, "vectorized": False, "fastpath": False}
 
 #: the fleet: name, workload, config dict, optional golden alias
 SCENARIOS = [

@@ -1,87 +1,23 @@
 """Host-parallel engine tests: determinism vs inline mode, syscalls,
 locks across worker processes, host model."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro import Engine, complex_backend, simple_backend
+from repro import complex_backend, simple_backend
 from repro.harness.hostmodel import HostCosts, measure_context_switch, predict
 from repro.host import ParallelEngine, WorkerSpec
-from repro.isa import Interpreter, Machine, assemble
-from repro.isa.memory import DataMemory
 
-SCAN = """
-    li r1, 0
-    li r2, 20000
-    li r10, 0x100000
-    li r6, 0
-loop:
-    loadx r3, r10, r1, 4
-    mul r4, r3, r3
-    add r6, r6, r4
-    addi r1, r1, 64
-    blt r1, r2, loop
-    li r3, 0
-    halt
-"""
-
-SYS = """
-    syscall getpid, 0
-    mov r5, r3
-    li r1, 0
-    li r10, 0x100000
-    storex r5, r10, r1, 4
-    li r3, 0
-    halt
-"""
-
-LOCKY = """
-    li r5, 1
-    li r1, 0
-    li r2, 10
-    li r10, 0x100000
-loop:
-    lock r5
-    loadx r3, r10, r1, 4
-    addi r3, r3, 1
-    storex r3, r10, r1, 4
-    unlock r5
-    addi r1, r1, 1
-    blt r1, r2, loop
-    li r3, 0
-    halt
-"""
-
-
-def run_inline(progs, cpus=2):
-    eng = Engine(complex_backend(num_cpus=cpus))
-    for i, src in enumerate(progs):
-        dm = DataMemory()
-        dm.map_segment(0x100000, 1 << 22)
-        eng.spawn_interpreter(f"w{i}", Interpreter(assemble(src, f"w{i}"),
-                                                   Machine(dm)))
-    st = eng.run()
-    return st.end_cycle, eng.events_processed, st
-
-
-def run_parallel(progs, cpus=2):
-    eng = ParallelEngine(complex_backend(num_cpus=cpus))
-    with eng:
-        for i, src in enumerate(progs):
-            eng.spawn_worker(WorkerSpec(f"w{i}", src))
-        st = eng.run()
-    return st.end_cycle, eng.events_processed, st
+from tests.equivalence import DEFAULT, LOCKY, SCAN, SYS, Isa, check, simulate
 
 
 def test_parallel_matches_inline_single():
-    ci, ei, _ = run_inline([SCAN])
-    cp, ep, _ = run_parallel([SCAN])
-    assert (ci, ei) == (cp, ep)
+    check(Isa((SCAN,), parallel=True), [DEFAULT])
 
 
 def test_parallel_matches_inline_multi():
-    ci, ei, _ = run_inline([SCAN, SCAN, SCAN], cpus=3)
-    cp, ep, _ = run_parallel([SCAN, SCAN, SCAN], cpus=3)
-    assert (ci, ei) == (cp, ep)
+    check(Isa((SCAN,) * 3, parallel=True), [DEFAULT])
 
 
 def test_parallel_syscalls_work():
@@ -93,17 +29,19 @@ def test_parallel_syscalls_work():
 
 
 def test_parallel_locks_across_workers():
-    ci, ei, sti = run_inline([LOCKY, LOCKY], cpus=2)
-    cp, ep, stp = run_parallel([LOCKY, LOCKY], cpus=2)
-    assert ci == cp
-    assert sti.get("lock_contention") == stp.get("lock_contention")
+    """The strict inline result, and its lock contention, which no
+    snapshot holds."""
+    row = Isa((LOCKY,) * 2, parallel=True)
+    check(row, [DEFAULT])
+    _, par = simulate(row)
+    _, inline = simulate(replace(row, parallel=False))
+    assert par.stats.get("lock_contention") == \
+        inline.stats.get("lock_contention")
 
 
 def test_parallel_time_breakdown_matches_inline():
-    _, _, sti = run_inline([SCAN, SCAN], cpus=2)
-    _, _, stp = run_parallel([SCAN, SCAN], cpus=2)
-    assert sti.total_cpu().user == stp.total_cpu().user
-    assert sti.total_cpu().kernel == stp.total_cpu().kernel
+    """The snapshot's fingerprint holds every CPU's time split."""
+    check(Isa((SCAN,) * 2, parallel=True), [DEFAULT])
 
 
 def test_shutdown_idempotent():

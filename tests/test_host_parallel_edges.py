@@ -13,7 +13,7 @@ from repro import DeadlockError, complex_backend, simple_backend
 from repro.core.errors import HostError
 from repro.host import ParallelEngine, WorkerSpec
 
-from tests.test_lookahead_equivalence import HOT_PROG
+from tests.equivalence import HOT_PROG
 
 TRIVIAL = """
     li r3, 7

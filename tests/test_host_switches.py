@@ -10,20 +10,15 @@ reason in ``Engine.stand_downs``, which no fingerprint ever sees.
 
 from __future__ import annotations
 
-import functools
-import importlib.util
 import re
 from pathlib import Path
 
 import pytest
 
 from repro import Engine, SamplingConfig, complex_backend, load_checkpoint
-from repro.core.frontend import SimProcess
-from repro.service.workloads import WORKLOADS, full_fingerprint
-from repro.traces.memtrace import MemTraceRecorder
 
-from tests.test_golden import TIMING_PLAN
-from tests.test_lookahead_equivalence import _private_heavy
+from tests.equivalence import (ARMS, DEFAULT, STRICT, SWITCHES, TIMING_PLAN,
+                               arm, check, run, simulate)
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -31,78 +26,57 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 STAND_DOWNS = tuple(Engine(complex_backend(num_cpus=1)).stand_downs)
 
 
-def _load_lattice():
-    path = REPO_ROOT / "benchmarks" / "knob_lattice.py"
-    spec = importlib.util.spec_from_file_location("_knob_lattice", path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod
-
-
-lattice = _load_lattice()
-
-
 # ---------------------------------------------------------------------------
 # the lattice
 # ---------------------------------------------------------------------------
 
 def test_lattice_script_sweeps_the_golden_timing_plan():
-    assert lattice.TIMING_PLAN == TIMING_PLAN.to_dict()
-    assert len(lattice.ARMS) == 8
-    assert lattice.ARMS[0] == dict.fromkeys(lattice.SWITCHES, True)
-    assert lattice.ARMS[-1] == dict.fromkeys(lattice.SWITCHES, False)
+    """The oracle's arms are the whole lattice, and its plan draws at
+    ``mem:degraded``, once per miss-kernel call: the site that tells a
+    probe that is part of the model from one that is a switch."""
+    assert len(ARMS) == 8 == len({tuple(a.values()) for a in ARMS})
+    assert DEFAULT == dict.fromkeys(SWITCHES, True)
+    assert STRICT == dict.fromkeys(SWITCHES, False)
+    assert "mem:degraded" in {r.site for r in TIMING_PLAN.rules}
 
 
-@functools.lru_cache(maxsize=None)
-def _default_arm(workload):
-    return lattice.run_arm(workload, lattice.ARMS[0], lattice.TIMING_PLAN)
-
-
-@pytest.mark.parametrize("arm", lattice.ARMS[1:], ids=lambda a: "-".join(
+@pytest.mark.parametrize("other", ARMS[1:], ids=lambda a: "-".join(
     f"{k[:4]}{int(v)}" for k, v in a.items()))
 @pytest.mark.parametrize("workload", ["oltp", "splash"])
-def test_every_arm_lands_the_default_fingerprint_under_faults(workload, arm):
-    """All 8 arms x ``TIMING_PLAN``: one ``full_fingerprint``, one end
-    cycle, one count of fault draws (two of each before PR 18, split on
-    ``fastpath``: with it off every L1 hit drew from ``mem:degraded``)."""
-    want = _default_arm(workload)
-    assert want[2] > 0                       # the plan is armed and draws
-    assert lattice.run_arm(workload, arm, lattice.TIMING_PLAN) == want
+def test_every_arm_lands_the_default_fingerprint_under_faults(workload, other):
+    """All 8 arms x ``TIMING_PLAN``: one result, one count of fault draws
+    (two of each while ``fastpath`` off also turned the L1 probe off: every
+    L1 hit then drew from ``mem:degraded``)."""
+    default, _ = check(workload, [DEFAULT, other], "plan")
+    assert default.counters["draws"] > 0     # the plan is armed and draws
 
 
 # ---------------------------------------------------------------------------
 # the gate
 # ---------------------------------------------------------------------------
 
-def _build(build=_private_heavy, **cfg):
-    """``_private_heavy``: since the owner's cursor probe, no registry
-    workload opens a window at its test size."""
-    SimProcess._next_pid[0] = 1
-    return build(lambda **kw: complex_backend(**cfg, **kw))
-
-
 def test_stand_downs_on_a_tapped_run_and_invisible_to_fingerprints(tmp_path):
     """A tap denies every window as ``"tapped"`` — a memtrace recorder
     alone, or chained on the checkpoint recorder, where it sees the same
-    stream. The tally is in no fingerprint, ``batch_stats`` or checkpoint."""
-    plain = _build()
-    fp = full_fingerprint(plain, plain.run())
-    assert plain.batch_stats["la_windows"] > 0
-    assert plain.stand_downs["tapped"] == 0
-
-    traced = _build()
-    rec = MemTraceRecorder.attach(traced)
+    stream. The tally is in no snapshot, ``batch_stats`` or checkpoint.
+    (``private_heavy``: since the owner's cursor probe, no registry
+    workload opens a window at its test size.)"""
+    plain, = check("private_heavy", [DEFAULT])
+    assert plain.counters["batch_stats"]["la_windows"] > 0
+    assert plain.counters["stand_downs"]["tapped"] == 0
+    traced, = check("private_heavy", [DEFAULT], "tapped")
     path = str(tmp_path / "ck.pkl")
-    both = _build(checkpoint_path=path, checkpoint_interval=2_000)
-    rec_both = MemTraceRecorder.attach(both)
-    for eng in (traced, both):
-        assert full_fingerprint(eng, eng.run()) == fp
-        assert eng.stand_downs["tapped"] > 0
-        assert eng.batch_stats["la_windows"] == 0
-        assert set(eng.stand_downs) == set(STAND_DOWNS)
-        assert not set(STAND_DOWNS) & set(eng.batch_stats)
-    assert both._ckpt.saves > 0
-    assert rec.records == rec_both.records and len(rec) == plain.memsys.accesses
+    both, eng = simulate("private_heavy", {**DEFAULT, "checkpoint_path": path,
+                                           "checkpoint_interval": 2_000},
+                         "tapped")
+    assert both.snap == traced.snap           # the recorder sees the stream
+    assert eng._ckpt.saves > 0
+    assert traced.snap["trace"][0] == plain.counters["accesses"]
+    for c in (traced.counters, both.counters):
+        assert c["stand_downs"]["tapped"] > 0
+        assert c["batch_stats"]["la_windows"] == 0
+        assert set(c["stand_downs"]) == set(STAND_DOWNS)
+        assert not set(STAND_DOWNS) & set(c["batch_stats"])
     ck = load_checkpoint(path)
     assert "stand_downs" not in ck and "stand_downs" not in ck["snapshot"]
 
@@ -111,13 +85,12 @@ def test_stand_downs_on_a_sampled_run():
     """Windows open in detail phases and are denied, by name, inside
     fast-forward ones; the sampled result does not depend on asking."""
     sc = SamplingConfig(detail_events=1_000, ff_events=2_000)
-    eng = _build(WORKLOADS["dss"], sampling=sc)
-    fp = full_fingerprint(eng, eng.run())
-    assert eng.stand_downs["fast_forward"] > 0
-    assert eng.stand_downs["tapped"] == 0
-    strict = _build(WORKLOADS["dss"], sampling=sc, lookahead=False)
-    assert full_fingerprint(strict, strict.run()) == fp
-    assert not any(strict.stand_downs.values())
+    on = run("dss", {**DEFAULT, "sampling": sc})
+    assert on.counters["stand_downs"]["fast_forward"] > 0
+    assert on.counters["stand_downs"]["tapped"] == 0
+    strict = run("dss", {**arm(lookahead=False), "sampling": sc})
+    assert strict.snap == on.snap
+    assert not any(strict.counters["stand_downs"].values())
 
 
 def _parked_touch():

@@ -8,12 +8,13 @@ import os
 
 import pytest
 
-from repro import FaultPlan, FaultRule, checkpoint_exists, complex_backend
+from repro import FaultPlan, FaultRule, checkpoint_exists
 from repro.apps.splash import KERNELS
 from repro.core.errors import ConfigError
 from repro.service import (JobRunner, JobSpec, JobState, SimulatorAdapter,
                            make_config_factory, run_matrix)
-from repro.service.workloads import WORKLOADS, full_fingerprint
+
+from tests import equivalence
 
 TIMING_PLAN = FaultPlan(rules=(
     FaultRule(site="disk:latency", prob=0.2, extra_cycles=40_000),
@@ -49,14 +50,10 @@ class TestSimulatorAdapter:
     def test_matches_manual_build(self):
         """The adapter is the registry builders behind a lifecycle: same
         description, same fingerprint as building by hand."""
-        from repro.core.frontend import SimProcess
-        SimProcess.set_pid_counter(1)
-        eng = WORKLOADS["oltp"](lambda **kw: complex_backend(**kw))
-        manual = full_fingerprint(eng, eng.run())
         a = SimulatorAdapter()
         a.prepare(workload="oltp")
         a.run()
-        assert a.fingerprint() == manual
+        assert a.fingerprint() == equivalence.run("oltp").snap["fingerprint"]
 
     def test_bounded_runs_resume_where_they_stopped(self):
         a = SimulatorAdapter()

@@ -4,8 +4,9 @@ Translation (SimConfig.translate / Interpreter.run(translate=True)) is a
 pure host-side optimisation: the compiled per-block closures must produce
 *exactly* the interpreter's behaviour — same registers, memory, instret,
 event streams (including batch boundaries and pending-cycle stamps), same
-simulated cycles and stats — on engine workloads, host-parallel workers and
-seeded random programs.
+simulated result — on engine workloads and host-parallel workers (held to
+the strict run by :func:`tests.equivalence.check`) and on seeded random
+programs.
 """
 
 from __future__ import annotations
@@ -16,112 +17,42 @@ import pytest
 
 from repro import Engine, complex_backend
 from repro.core import events as ev
-from repro.core.frontend import SimProcess
 from repro.harness import translate_summary
-from repro.host import ParallelEngine, WorkerSpec
 from repro.isa import (BasicBlock, Instr, Interpreter, Machine, Op, Program,
                        assemble, translate)
 from repro.isa.memory import DataMemory
-from repro.traces.memtrace import MemTraceRecorder
 
-from .test_fastpath_equivalence import WORKLOADS, _run, _snapshot
+from tests.equivalence import (DEFAULT, ISA_KERNEL, WORKLOADS, Isa, arm,
+                               check, simulate)
+
+#: two instrumented ISA_KERNEL frontends: every translated event kind
+KERNEL = Isa((ISA_KERNEL,) * 2)
 
 
 # ---------------------------------------------------------------------------
-# paper workloads: the translate flag must not perturb any simulation path
+# engine rows: the translate flag must not perturb any simulation path
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_workloads_bit_identical(name):
-    snap_on, _ = _run(WORKLOADS[name], translate=True)
-    snap_off, _ = _run(WORKLOADS[name], translate=False)
-    assert snap_on == snap_off
-
-
-# ---------------------------------------------------------------------------
-# ISA-interpreter engine workload — the path translation actually rewrites
-# ---------------------------------------------------------------------------
-
-#: two instrumented frontends: shared-lock increments, a SIMOFF stretch,
-#: a syscall, atomics, and a closing barrier — every translated event kind
-ISA_KERNEL = """
-    li r10, 0x100000
-    li r1, 0
-    li r2, 2000
-    syscall getpid, 0
-    mov r9, r3
-loop:
-    loadx r3, r10, r1, 4
-    addi r3, r3, 1
-    mul r4, r3, r3
-    storex r3, r10, r1, 4
-    add r6, r6, r4
-    addi r1, r1, 4
-    blt r1, r2, loop
-    simoff
-    li r1, 0
-off:
-    loadx r3, r10, r1, 4
-    add r6, r6, r3
-    addi r1, r1, 4
-    blt r1, r2, off
-    simon
-    lock r5
-    addi r6, r6, 1
-    unlock r5
-    addi r11, r10, 64
-    lwarx r3, r11
-    addi r3, r3, 1
-    stwcx r3, r11
-    li r7, 1
-    li r8, 2
-    barrier r7, r8
-    li r3, 0
-    halt
-"""
-
-
-def build_isa(**cfg):
-    eng = Engine(complex_backend(num_cpus=2, **cfg))
-    for i in range(2):
-        dm = DataMemory()
-        dm.map_segment(0x100000, 1 << 22)
-        eng.spawn_interpreter(
-            f"w{i}", Interpreter(assemble(ISA_KERNEL, f"w{i}"), Machine(dm)))
-    return eng, eng.run
+    check(name, [DEFAULT, arm(translate=False)], "tapped")
 
 
 @pytest.mark.parametrize("fastpath", [True, False])
 def test_isa_engine_bit_identical_tapped(fastpath):
-    snap_on, eng_on = _run(build_isa, translate=True, fastpath=fastpath)
-    snap_off, _ = _run(build_isa, translate=False, fastpath=fastpath)
-    assert snap_on == snap_off
-    assert eng_on._frontend_translate
+    check(KERNEL, [arm(fastpath=fastpath),
+                   arm(fastpath=fastpath, translate=False)], "tapped")
 
 
 @pytest.mark.parametrize("fastpath", [True, False])
 def test_isa_engine_bit_identical_untapped(fastpath):
-    def run(tr):
-        SimProcess._next_pid[0] = 1
-        eng, finish = build_isa(translate=tr, fastpath=fastpath)
-        snap = _snapshot(eng, finish(), rec=None)
-        del snap["trace"]
-        return snap
-
-    assert run(True) == run(False)
+    check(KERNEL, [arm(fastpath=fastpath),
+                   arm(fastpath=fastpath, translate=False)])
 
 
 def test_parallel_workers_bit_identical():
-    def run(tr):
-        SimProcess._next_pid[0] = 1
-        eng = ParallelEngine(complex_backend(num_cpus=2, translate=tr))
-        with eng:
-            for i in range(2):
-                eng.spawn_worker(WorkerSpec(f"w{i}", ISA_KERNEL))
-            st = eng.run()
-        return st.end_cycle, eng.events_processed, st.total_cpu().user
-
-    assert run(True) == run(False)
+    check(Isa((ISA_KERNEL,) * 2, parallel=True),
+          [DEFAULT, arm(translate=False)])
 
 
 # ---------------------------------------------------------------------------
@@ -401,9 +332,7 @@ def test_config_toggles_cleanly():
 
 
 def test_translate_summary_shape():
-    SimProcess._next_pid[0] = 1
-    eng, finish = build_isa(translate=True)
-    finish()
+    _, eng = simulate(KERNEL)
     s = translate_summary(eng)
     assert s["enabled"]
     assert s["programs"] >= 1

@@ -4,13 +4,11 @@ The vec path (``SimConfig.vectorized``) mirrors the L1 tag/state arrays
 and page tables in numpy, classifies whole EventBatch runs in one
 vectorized membership test, and retires 100%-private-hit runs in bulk
 array ops. Like the scalar fast path it is a pure host-side optimisation:
-simulated cycle counts, cache statistics, CPU time buckets and the memory
-trace must be *exactly* those of the scalar loop on every workload class
-the paper studies (OLTP, DSS, webserver, SPLASH kernel) — tapped and
-untapped, composed with conservative lookahead windows and with the
-batches ParallelEngine workers ship. Fingerprints see LRU *order* only
-through later evictions, so every on/off pair also ends with the same
-per-set MRU lists and line states, L1 and L2, list for list.
+:func:`tests.equivalence.check` holds every on/off pair to the strict
+result — tapped and untapped, composed with conservative lookahead windows
+and with the batches ParallelEngine workers ship — end-of-run set lists
+(LRU order) and line states included. This module adds that the mirror
+engaged where it should and never thrashed.
 """
 
 from __future__ import annotations
@@ -18,38 +16,23 @@ from __future__ import annotations
 import pytest
 
 from repro import Engine, complex_backend
-from repro.apps.minidb import MiniDb, TpcdDriver, tpcd_catalog
-from repro.core.frontend import SimProcess
 
-from tests.test_fastpath_equivalence import (BATCHING_WORKLOADS, WORKLOADS,
-                                             _run, _snapshot)
-from tests.test_lookahead_equivalence import (HOT_PROG, _private_heavy,
-                                              _run_inline, _run_isa)
-
+from tests.equivalence import (BATCHING, DEFAULT, HOT_PROG, WORKLOADS, Isa,
+                               arm, check, simulate)
 
 #: a CPU pays one rebuild when it turns warm and one more per fill that
 #: interrupts its hit streak; the warm scenarios below fill once, up front
 WARM_REBUILDS_PER_CPU = 2
 
 
-def _assert_same_caches(eng_on, eng_off):
-    """End-of-run cache contents *and* LRU order, L1 and L2."""
-    on, off = eng_on.memsys, eng_off.memsys
-    assert on._l1_sets == off._l1_sets
-    assert on._l1_states == off._l1_states
-    assert [c._sets for c in on.l2s] == [c._sets for c in off.l2s]
-    assert on._l2_states == off._l2_states
-
-
-def _watch_resyncs(eng):
-    """Watch the mirror of ``eng`` (before it runs) for thrash: returns a
-    list that collects ``(cpu, version at its previous entry, version
-    now)`` for every rebuild made by a CPU whose L1 version moved since
-    its previous entry into the vec path."""
+def _watch_resyncs(eng, thrash):
+    """Watch the mirror of ``eng`` (before it runs) for thrash: collects
+    into ``thrash`` ``(cpu, version at its previous entry, version now)``
+    for every rebuild made by a CPU whose L1 version moved since its
+    previous entry into the vec path."""
     vec = eng.memsys._vec
     l1s = eng.memsys.l1s
     prev = {}
-    thrash = []
     run, rebuild = vec.run, vec._rebuild_cache
 
     def watched_rebuild(cpu):
@@ -66,82 +49,44 @@ def _watch_resyncs(eng):
 
     vec.run = watched_run
     vec._rebuild_cache = watched_rebuild
-    return thrash
 
 
-# ---------------------------------------------------------------------------
-# tapped runs: the memtrace tap forces the per-reference loop, so the vec
-# path must stand down and change nothing (trace included in the compare)
-# ---------------------------------------------------------------------------
+def _check_watched(row):
+    """``check`` of the vec on/off pair, and the on arm once more with the
+    mirror watched: it lands the same result without thrashing."""
+    on, off = check(row, [DEFAULT, arm(vectorized=False)])
+    thrash = []
+    watched, _ = simulate(row, spy=lambda eng: _watch_resyncs(eng, thrash))
+    assert watched == on and thrash == []
+    assert not off.counters["vec"]["enabled"]
+    return on.counters
+
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_vec_tapped_bit_identical(name):
-    build = WORKLOADS[name]
-    snap_on, eng_on = _run(build, fastpath=True, vectorized=True)
-    snap_off, eng_off = _run(build, fastpath=True, vectorized=False)
-    assert snap_on == snap_off
-    _assert_same_caches(eng_on, eng_off)
-    # the scalar arm must never construct the mirror
-    assert eng_off.memsys._vec is None
-    assert eng_off.memsys.vec_refs == 0
-
-
-# ---------------------------------------------------------------------------
-# untapped runs: the inlined hot loop, where the vec path actually engages
-# ---------------------------------------------------------------------------
-
-def _run_untapped(build, watch=False, **cfg):
-    SimProcess._next_pid[0] = 1
-    eng, finish = build(**cfg)
-    thrash = _watch_resyncs(eng) if watch else None
-    stats = finish()
-    snap = _snapshot(eng, stats, rec=None)
-    del snap["trace"]
-    if watch:
-        assert thrash == []
-    return snap, eng
+    """The memtrace tap forces the per-reference loop: the vec path must
+    stand down and change nothing; the scalar arm never builds it."""
+    _, off = check(name, [DEFAULT, arm(vectorized=False)], "tapped")
+    assert not off.counters["vec"]["enabled"]
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_vec_untapped_bit_identical(name):
-    build = WORKLOADS[name]
-    snap_on, eng_on = _run_untapped(build, watch=True, fastpath=True,
-                                    vectorized=True)
-    snap_off, eng_off = _run_untapped(build, fastpath=True, vectorized=False)
-    assert snap_on == snap_off
-    _assert_same_caches(eng_on, eng_off)
-    assert eng_off.memsys.vec_refs == 0
-    ms = eng_on.memsys
-    if name in BATCHING_WORKLOADS:
+    vec = _check_watched(name)["vec"]
+    if name in BATCHING:
         # cold, miss-heavy runs: the vec arm considers the batches and must
         # not thrash — a stale mirror is declined, not rebuilt, until the
         # CPU turns warm, so no rebuild goes without a run it retired
-        assert ms.vec_fallbacks > 0
-        assert ms.vec_rebuilds <= ms.vec_batches
-
-
-def build_warm_scan(**cfg):
-    """A TPC-D Q1 scan re-executed over an L1-resident table fragment: the
-    first pass fills, every later pass is all hits."""
-    eng = Engine(complex_backend(num_cpus=1, num_nodes=1, **cfg))
-    db = MiniDb(eng, tpcd_catalog(scale=0.00004), pool_frames=128)
-    db.setup()
-    drv = TpcdDriver(db, nagents=1, io="read", scan_stride=8, passes=12)
-    drv.spawn_q1(eng)
-    return eng, eng.run
+        assert vec["vec_fallbacks"] > 0
+        assert vec["vec_rebuilds"] <= vec["vec_batches"]
 
 
 def test_vec_engages_on_warm_scan():
     """Where the mirror should pay it must engage: the warm passes retire
     through it, after a bounded number of rebuilds."""
-    snap_on, eng_on = _run_untapped(build_warm_scan, watch=True,
-                                    vectorized=True)
-    snap_off, eng_off = _run_untapped(build_warm_scan, vectorized=False)
-    assert snap_on == snap_off
-    _assert_same_caches(eng_on, eng_off)
-    ms = eng_on.memsys
-    assert ms.vec_refs > ms.accesses // 2
-    assert 0 < ms.vec_rebuilds <= WARM_REBUILDS_PER_CPU
+    c = _check_watched("warm_scan")
+    assert c["vec"]["vec_refs"] > c["accesses"] // 2
+    assert 0 < c["vec"]["vec_rebuilds"] <= WARM_REBUILDS_PER_CPU
 
 
 def test_vec_off_in_config_disables_mirror():
@@ -153,32 +98,20 @@ def test_vec_off_in_config_disables_mirror():
     assert eng2.memsys._vec is not None
 
 
-# ---------------------------------------------------------------------------
-# composition with conservative lookahead windows
-# ---------------------------------------------------------------------------
-
 def test_vec_under_lookahead_bit_identical():
-    snap_on, eng_on = _run_inline(_private_heavy, lookahead=True,
-                                  vectorized=True)
-    snap_off, eng_off = _run_inline(_private_heavy, lookahead=True,
-                                    vectorized=False)
-    assert snap_on == snap_off
-    _assert_same_caches(eng_on, eng_off)
+    on, _ = check("private_heavy", [DEFAULT, arm(vectorized=False)])
     # both mechanisms engaged in the vec arm, each CPU's mirror resynced
     # a bounded number of times
-    assert eng_on.memsys.vec_refs > 0
-    assert 0 < eng_on.memsys.vec_rebuilds <= 4 * WARM_REBUILDS_PER_CPU
-    assert eng_on.batch_stats["la_refs"] > 0
+    vec = on.counters["vec"]
+    assert vec["vec_refs"] > 0
+    assert 0 < vec["vec_rebuilds"] <= 4 * WARM_REBUILDS_PER_CPU
+    assert on.counters["batch_stats"]["la_refs"] > 0
 
-
-# ---------------------------------------------------------------------------
-# composition with ParallelEngine: shipped batches take the vec path too
-# ---------------------------------------------------------------------------
 
 def test_vec_under_parallel_engine_bit_identical():
-    snap_on, eng_on = _run_isa([HOT_PROG] * 2, True, vectorized=True)
-    snap_off, eng_off = _run_isa([HOT_PROG] * 2, True, vectorized=False)
-    assert snap_on == snap_off
-    _assert_same_caches(eng_on, eng_off)
-    assert eng_on.memsys.vec_refs > 0 and eng_off.memsys.vec_refs == 0
-    assert eng_on.batch_stats["la_refs"] > 0
+    """Shipped batches take the vec path too."""
+    row = Isa((HOT_PROG,) * 2, parallel=True)
+    on, off = check(row, [DEFAULT, arm(vectorized=False)])
+    assert on.counters["vec"]["vec_refs"] > 0
+    assert not off.counters["vec"]["enabled"]
+    assert on.counters["batch_stats"]["la_refs"] > 0
