@@ -6,9 +6,9 @@ Runs the OLTP and webserver workloads twice under the same seeded
 acceptance bar for the fault subsystem is that a faulty run is exactly as
 reproducible as a clean one. Also checks the off-switch (``faults=None``
 vs an empty plan must be bit-identical), that the smoke plan actually
-exercises at least three distinct fault sites, and that the host switches
-(``lookahead`` off; ``fastpath``, ``lookahead`` and ``vectorized`` all off)
-land the default run under the plan, fault draws included.
+exercises at least three distinct fault sites, and that the one host
+switch (``fastpath`` off) lands the default run under the plan, fault
+draws included.
 
 Usage::
 
@@ -104,17 +104,14 @@ def smoke() -> dict:
         }
         for site, n in fired1.items():
             all_fired[site] = all_fired.get(site, 0) + n
-    # host switches x faults cross-check: windows off, and every switch off
-    # (per-reference events, no windows, no mirror), must not move fault
-    # draws or outcomes relative to the defaults — the L1 probe is the
-    # model, so no arm reaches ``mem:degraded`` more often than another
-    arms = {"lookahead_on": {"lookahead": True},
-            "lookahead_off": {"lookahead": False},
-            "all_off": {"fastpath": False, "lookahead": False,
-                        "vectorized": False}}
+    # host switch x faults cross-check: the strict arm (per-reference
+    # events, so no window and no mirror) must not move fault draws or
+    # outcomes relative to the default — the L1 probe is the model, so
+    # neither arm reaches ``mem:degraded`` more often than the other
+    arms = {"default": {}, "fastpath_off": {"fastpath": False}}
     runs = {name: run_oltp(plan, **kw) for name, kw in arms.items()}
     report["knob_arms"] = {
-        name: {"bit_identical": run == runs["lookahead_on"]}
+        name: {"bit_identical": run == runs["default"]}
         for name, run in runs.items()}
     report["bit_identical"] = all(a["bit_identical"]
                                   for a in report["knob_arms"].values())
@@ -123,7 +120,7 @@ def smoke() -> dict:
             report["failures"].append(
                 f"oltp: the {name} arm diverged from the defaults under "
                 f"the fault plan (fired {runs[name][1]} vs "
-                f"{runs['lookahead_on'][1]})")
+                f"{runs['default'][1]})")
     report["fired_total"] = dict(sorted(all_fired.items()))
     report["distinct_sites"] = len(all_fired)
     if len(all_fired) < 3:

@@ -1,37 +1,37 @@
 """Lookahead-window speedup — conservative windows on the backend hot loop.
 
-The lookahead scheduler (``SimConfig.lookahead``) lets the batched hot
-loop drain invisible references past the strict rival horizon — for an
-inline frontend's batches and for the ones a ``ParallelEngine`` worker
-ships alike, bit-identical to the strict path (the equivalence table,
-tests/test_equivalence.py). This bench measures what the windows buy on
-the configuration they target: a 4-CPU run where every CPU streams
-over a *private*, L1-resident buffer — all references qualify as
-invisible, so the strict path's tiny alternating batch windows are pure
-scheduling overhead.
+Lookahead windows let the batched hot loop drain invisible references past
+the strict rival horizon — for an inline frontend's batches and for the
+ones a ``ParallelEngine`` worker ships alike, bit-identical to the strict
+schedule (the equivalence table, tests/test_equivalence.py). They are asked
+for wherever batches exist, so the comparison is the default against the
+one host switch off (``fastpath=False``: per-reference events, the strict
+schedule). This bench measures that on the configuration the windows
+target: a 4-CPU run where every CPU streams over a *private*, L1-resident
+buffer — all references qualify as invisible, so the strict schedule's
+tiny alternating turns are pure scheduling overhead.
 
 Writes ``BENCH_lookahead.json`` at the repo root with wall-clock seconds,
-events/second, the on/off speedup, one row per ``ParallelEngine`` shape
-(solo / symmetric / staggered workers on the hot loop, four all-miss
+events/second, the default/strict speedup, one row per ``ParallelEngine``
+shape (solo / symmetric / staggered workers on the hot loop, four all-miss
 scans) and one per spaced private stream (MESI at ``work_per_line`` 20,
-50, 200, 1000 and DSM at 200, ``vectorized`` on and off beside
-``lookahead=False``); asserts the windows are at least 2x faster than the
-strict interleaving (1.3x under ``COMPASS_BENCH_QUICK=1``, where fixed
-setup costs dominate).
+50, 200, 1000 and DSM at 200, beside ``fastpath=False``); asserts the
+default is at least 2x faster than the strict schedule (1.3x under
+``COMPASS_BENCH_QUICK=1``, where fixed setup costs dominate).
 
 Also runs standalone for CI::
 
     python benchmarks/bench_lookahead.py --smoke
 
-Smoke mode does a single small round, hard-fails if lookahead on/off are
-not bit-identical, if the windows qualified from the vec mirror differ
-from those the scalar walk qualifies (``vectorized`` on/off), if any
-``ParallelEngine`` shape misses the inline engine's fingerprint, if the
-all-miss shape opened a window on either engine (a frontend whose next
-reference is about to miss asks for none), if a hot-loop shape with a
-rival extended no reference, or if a spaced row misses its
-``lookahead=False`` fingerprint or opens different windows with
-``vectorized`` on and off, and does not overwrite the JSON artifact.
+Smoke mode does a single small round, hard-fails if the default and
+``fastpath=False`` are not bit-identical, if the windows qualified from the
+vec mirror differ from those the scalar walk alone qualifies (the mirror
+made to decline), if any ``ParallelEngine`` shape misses the inline
+engine's fingerprint, if the all-miss shape opened a window on either
+engine (a frontend whose next reference is about to miss asks for none),
+if a hot-loop shape with a rival extended no reference, or if a spaced row
+misses its ``fastpath=False`` fingerprint or opens different windows with
+the mirror and with the walk, and does not overwrite the JSON artifact.
 """
 
 from __future__ import annotations
@@ -79,12 +79,21 @@ loop:
     halt
 """
 
-def _run_once(lookahead, passes=PASSES, vectorized=True):
-    """One 4-CPU private-heavy run; returns (host seconds, engine, stats)."""
+def _walk_only(eng):
+    """Make ``eng``'s vec mirror decline every run and every rival's
+    frontier: windows are then qualified by the scalar walk alone."""
+    eng.memsys._vec.run = eng.memsys._vec.frontier = lambda *a: None
+    return eng
+
+
+def _run_once(fastpath, passes=PASSES, walk=False):
+    """One 4-CPU private-heavy run (``walk``: qualified by the scalar walk
+    alone); returns (host seconds, engine, stats)."""
     SimProcess._next_pid[0] = 1
     eng = Engine(complex_backend(num_cpus=NCPUS, coherence="mesi",
-                                 num_nodes=1, lookahead=lookahead,
-                                 vectorized=vectorized))
+                                 num_nodes=1, fastpath=fastpath))
+    if walk:
+        _walk_only(eng)
 
     def make_app(base):
         def app(p):
@@ -109,14 +118,15 @@ def _fingerprint(eng, stats):
 
 def _measure(rounds, passes=PASSES):
     """Interleaved best-of-N for each arm so a host hiccup in either arm
-    cannot fake (or hide) the speedup. Returns (best_on, best_off)."""
+    cannot fake (or hide) the speedup. Returns (best_default,
+    best_strict)."""
     best = {}
     for _ in range(rounds):
-        for la in (True, False):
-            secs, eng, stats = _run_once(la, passes)
-            prev = best.get(la)
+        for fastpath in (True, False):
+            secs, eng, stats = _run_once(fastpath, passes)
+            prev = best.get(fastpath)
             if prev is None or secs < prev[0]:
-                best[la] = (secs, eng, stats)
+                best[fastpath] = (secs, eng, stats)
     return best[True], best[False]
 
 
@@ -152,14 +162,17 @@ SPACED = (("mesi", 20), ("mesi", 50), ("mesi", 200), ("mesi", 1000),
           ("dsm", 200))
 
 
-def _run_spaced(coherence, work, passes, **knobs):
+def _run_spaced(coherence, work, passes, walk=False, **knobs):
     """4 CPUs, each re-touching a private 8 KiB buffer with ``work``
     cycles of compute per line, started 1 000 cycles apart: rivals stay
     invisible for long stretches, so a window reaches as far as they are
-    qualified. Returns (host seconds of ``run``, fingerprint, ``batch_stats``)."""
+    qualified (``walk``: by the scalar walk alone). Returns (host seconds
+    of ``run``, fingerprint, ``batch_stats``)."""
     SimProcess._next_pid[0] = 1
     eng = Engine(complex_backend(num_cpus=NCPUS, coherence=coherence,
                                  **knobs))
+    if walk:
+        _walk_only(eng)
 
     def make_app(c):
         def app(p):
@@ -178,32 +191,28 @@ def _run_spaced(coherence, work, passes, **knobs):
 
 
 def _spaced_rows(passes, rounds):
-    """One row per SPACED shape: median host seconds of ``vectorized`` on
-    and off (each checked against the strict run's fingerprint, and the two
-    against each other's windows) beside ``lookahead=False``."""
+    """One row per SPACED shape: median host seconds of the default (each
+    run checked against the strict run's fingerprint, and its windows
+    against the ones the scalar walk alone grants) beside
+    ``fastpath=False``."""
     rows = []
     for coherence, work in SPACED:
         strict_s, strict_fp, _ = _run_spaced(coherence, work, passes,
-                                             lookahead=False)
+                                             fastpath=False)
+        _, walk_fp, walk_bs = _run_spaced(coherence, work, passes, walk=True)
         row = {"shape": f"{coherence} work_per_line={work}",
                "seconds_strict": strict_s}
-        arms = {}
-        for vec in (True, False):
-            times = []
-            for _ in range(rounds):
-                secs, fp, bs = _run_spaced(coherence, work, passes,
-                                           vectorized=vec)
-                assert fp == strict_fp, \
-                    f"{row['shape']} vectorized={vec} left the strict run"
-                times.append(secs)
-            arms[vec] = bs
-            row["seconds_vec" if vec else "seconds_walk"] = \
-                sorted(times)[len(times) // 2]
-        assert arms[True] == arms[False], \
-            (f"{row['shape']}: vectorized changed the qualified windows:\n"
-             f"  on : {arms[True]}\n  off: {arms[False]}")
-        row.update(la_windows=arms[True]["la_windows"],
-                   la_refs=arms[True]["la_refs"])
+        assert walk_fp == strict_fp, f"{row['shape']} walk left the strict run"
+        times = []
+        for _ in range(rounds):
+            secs, fp, bs = _run_spaced(coherence, work, passes)
+            assert fp == strict_fp, f"{row['shape']} left the strict run"
+            assert bs == walk_bs, \
+                (f"{row['shape']}: the vec mirror changed the qualified "
+                 f"windows:\n  mirror: {bs}\n  walk  : {walk_bs}")
+            times.append(secs)
+        row.update(seconds_default=sorted(times)[len(times) // 2],
+                   la_windows=bs["la_windows"], la_refs=bs["la_refs"])
         rows.append(row)
     return rows
 
@@ -242,22 +251,22 @@ def _report(on, off, shapes=None, spaced=None, write=True):
     fp_on, fp_off = _fingerprint(on_eng, on_stats), \
         _fingerprint(off_eng, off_stats)
     assert fp_on == fp_off, \
-        f"lookahead changed the simulation:\n  on : {fp_on}\n  off: {fp_off}"
+        (f"the host switch changed the simulation:\n  default: {fp_on}\n"
+         f"  strict : {fp_off}")
 
     speedup = off_s / on_s
     bs = on_eng.batch_stats
     rows = [
-        ("lookahead on", f"{on_s:.3f}",
+        ("default", f"{on_s:.3f}",
          f"{on_eng.events_processed / on_s:,.0f}"),
-        ("lookahead off", f"{off_s:.3f}",
+        ("fastpath off", f"{off_s:.3f}",
          f"{off_eng.events_processed / off_s:,.0f}"),
     ]
     print(render_table(
         ("configuration", "host seconds", "events/s"),
         rows, title="\nLookahead-window speedup (4-CPU private-heavy):"))
     print(f"  speedup: {speedup:.2f}x   windows: {bs['la_windows']}   "
-          f"extended refs: {bs['la_refs']}   "
-          f"batches: {bs['batches']} vs {off_eng.batch_stats['batches']}")
+          f"extended refs: {bs['la_refs']}   batches: {bs['batches']}")
     if shapes:
         print(render_table(
             ("shape", "host seconds", "events/s", "end cycle"),
@@ -267,22 +276,21 @@ def _report(on, off, shapes=None, spaced=None, write=True):
             title="\nParallelEngine shapes (each == the inline engine):"))
     if spaced:
         print(render_table(
-            ("shape", "vectorized s", "walk s", "lookahead off s",
-             "windows"),
-            [(r["shape"], f"{r['seconds_vec']:.3f}",
-              f"{r['seconds_walk']:.3f}", f"{r['seconds_strict']:.3f}",
-              str(r["la_windows"])) for r in spaced],
-            title="\nSpaced private streams (each == lookahead off):"))
+            ("shape", "default s", "fastpath off s", "windows"),
+            [(r["shape"], f"{r['seconds_default']:.3f}",
+              f"{r['seconds_strict']:.3f}", str(r["la_windows"]))
+             for r in spaced],
+            title="\nSpaced private streams (each == fastpath off):"))
 
     payload = {
         "workload": f"private_heavy {NCPUS}cpu {NBYTES}B x{PASSES}",
         "quick": QUICK,
         "end_cycle": on_stats.end_cycle,
         "events": on_eng.events_processed,
-        "seconds_on": on_s,
-        "seconds_off": off_s,
-        "events_per_sec_on": on_eng.events_processed / on_s,
-        "events_per_sec_off": off_eng.events_processed / off_s,
+        "seconds_default": on_s,
+        "seconds_strict": off_s,
+        "events_per_sec_default": on_eng.events_processed / on_s,
+        "events_per_sec_strict": off_eng.events_processed / off_s,
         "speedup": speedup,
         "la_windows": bs["la_windows"],
         "la_refs": bs["la_refs"],
@@ -303,7 +311,7 @@ def test_lookahead_speedup(benchmark):
     benchmark.extra_info.update(speedup=speedup,
                                 la_refs=payload["la_refs"])
     assert speedup >= MIN_SPEEDUP, \
-        f"lookahead must be >= {MIN_SPEEDUP}x faster (got {speedup:.2f}x)"
+        f"the default must be >= {MIN_SPEEDUP}x faster (got {speedup:.2f}x)"
 
 
 def main(argv=None) -> int:
@@ -318,18 +326,18 @@ def main(argv=None) -> int:
                              _spaced_rows(passes=10, rounds=1), write=False)
         # the two qualifiers of a window — the vec mirror's classification
         # of each rival batch, the scalar walk — must grant the same ones
-        _, walk_eng, walk_stats = _run_once(True, passes=20,
-                                            vectorized=False)
+        _, walk_eng, walk_stats = _run_once(True, passes=20, walk=True)
         _, on_eng, on_stats = on
         assert (_fingerprint(walk_eng, walk_stats), walk_eng.batch_stats) \
             == (_fingerprint(on_eng, on_stats), on_eng.batch_stats), \
-            ("vectorized changed the qualified windows:\n"
-             f"  on : {on_eng.batch_stats}\n  off: {walk_eng.batch_stats}")
+            ("the vec mirror changed the qualified windows:\n"
+             f"  mirror: {on_eng.batch_stats}\n"
+             f"  walk  : {walk_eng.batch_stats}")
         # smoke gates correctness (the identity asserts), not perf — CI
         # machines are too noisy for a hard speedup floor on a tiny run
         print(f"smoke ok: bit-identical, same windows from either "
               f"qualifier, every ParallelEngine shape == inline, no window "
-              f"on all-miss, every spaced row == lookahead off with the same "
+              f"on all-miss, every spaced row == fastpath off with the same "
               f"windows either way, {speedup:.2f}x")
         return 0
     on, off = _measure(rounds=3)

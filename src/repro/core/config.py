@@ -227,22 +227,13 @@ class SimConfig:
     ethernet: EthernetConfig = field(default_factory=EthernetConfig)
     #: deadlock-detection: max events with no progress before aborting
     max_cycles: int = 1 << 62
-    #: batched event pipeline: frontends publish EventBatches (bit-identical
-    #: timing; turn off to force the one-event-per-reference path, e.g. for
-    #: equivalence testing or interleaving ablations). The L1 probe is the
-    #: memory model and runs either way.
+    #: the one host switch. On, frontends publish EventBatches, on which
+    #: lookahead windows and the vec mirror (mem/vec.py) select themselves
+    #: from what the run observes. Off, every reference is one event: the
+    #: strict reference schedule, e.g. for equivalence testing or
+    #: interleaving ablations. Bit-identical timing either way; the L1
+    #: probe is the memory model and runs either way.
     fastpath: bool = True
-    #: basic-block translation cache for interpreted ISA frontends: compile
-    #: each block to a specialized closure (bit-identical results; see
-    #: src/repro/isa/translate.py). Turn off to force the generic opcode
-    #: dispatch loop, e.g. for equivalence testing.
-    translate: bool = True
-    #: conservative lookahead windows: grant the earliest frontend a safe
-    #: window past the strict rival horizon during which provably-invisible
-    #: (private L1-hit) batched references drain without re-consulting rival
-    #: ports. Bit-identical to the strict scheduler; turn off to force the
-    #: PR 1 next-rival-event cut, e.g. for equivalence testing.
-    lookahead: bool = True
     #: optional deterministic fault-injection plan (a repro.faults.FaultPlan;
     #: kept untyped here to avoid a config -> faults import cycle). None or
     #: an empty plan disables the subsystem entirely: no hooks are bound and
@@ -259,13 +250,6 @@ class SimConfig:
     #: are bit-identical to a build without it.
     checkpoint_path: Optional[str] = None
     checkpoint_interval: int = 0
-    #: vectorized batch fast path: mirror the L1 tag/state arrays and page
-    #: tables as numpy arrays so a whole EventBatch is classified in one
-    #: vectorized tag-compare and all-hit prefixes retire in bulk array ops
-    #: (bit-identical timing; silently degrades to the scalar loop when
-    #: numpy is unavailable). Turn off to force the scalar loop, e.g. for
-    #: equivalence testing.
-    vectorized: bool = True
     #: sampled-simulation schedule (a SamplingConfig) alternating detailed
     #: windows with functional fast-forward. None = full detail (default);
     #: sampled runs are approximate — see SamplingConfig.

@@ -93,8 +93,6 @@ class Engine:
         self.events_processed = 0
         #: frontends publish EventBatches instead of per-reference events
         self._frontend_batching = bool(cfg.fastpath)
-        #: ISA frontends run through the basic-block translation cache
-        self._frontend_translate = bool(cfg.translate)
         #: batched-pipeline observability: batches consumed, references
         #: consumed, and why each consume loop stopped; ``la_windows`` /
         #: ``la_refs`` count granted lookahead windows and references
@@ -108,9 +106,6 @@ class Engine:
             "sp_windows": 0, "sp_refs": 0, "sp_commits": 0,
             "sp_rollbacks": 0,
         }
-        #: conservative lookahead windows (timing-invisible by
-        #: construction; see DESIGN.md), asked for where batches exist
-        self._lookahead = cfg.lookahead and self._frontend_batching
         #: windows not opened, by ``_stand_down`` reason (the rows of
         #: DESIGN.md's stand-down table); observability only: in no
         #: ``batch_stats``, fingerprint, checkpoint
@@ -223,10 +218,8 @@ class Engine:
                 machine.pending = v
 
         batched = self._frontend_batching
-        translate = self._frontend_translate
         return self.spawn(
-            name,
-            lambda _api: interp.run(batched=batched, translate=translate),
+            name, lambda _api: interp.run(batched=batched, translate=True),
             clock=_MachineClock())
 
     def mmap_alloc(self, pid: int, size: int) -> int:
@@ -348,11 +341,10 @@ class Engine:
                 ext = 0
                 if horizon is None or horizon >= bound:
                     horizon = bound
-                elif (self._lookahead
-                        and self._stand_down(cand, event) is None):
-                    # lookahead: past the rival cut, never past tasks or
-                    # run bounds (tasks can mutate anything), as far as
-                    # every rival is qualified invisible
+                elif self._stand_down(cand, event) is None:
+                    # a lookahead window: past the rival cut, never past
+                    # tasks or run bounds (tasks can mutate anything), as
+                    # far as every rival is qualified invisible
                     ext = self.comm.lookahead_horizon(
                         cand, horizon, bound, self._invisible_bound)
                 n = self._handle_batch(cand, event, horizon, ext, budget)

@@ -98,16 +98,13 @@ def vec_summary(engine) -> dict:
     not an L1 fast hit); see DESIGN.md "Vectorized mirror state".
     """
     ms = engine.memsys
-    out = {
-        "enabled": ms._vec is not None,
+    return {
         "vec_batches": ms.vec_batches,
         "vec_refs": ms.vec_refs,
         "vec_fallbacks": ms.vec_fallbacks,
         "vec_rebuilds": ms.vec_rebuilds,
+        "declines": dict(ms._vec.declines),
     }
-    if ms._vec is not None:
-        out["declines"] = dict(ms._vec.declines)
-    return out
 
 
 def sampling_summary(engine) -> dict:
@@ -166,14 +163,12 @@ def checkpoint_summary(engine) -> dict:
 def translate_summary(engine) -> dict:
     """Observability row for the basic-block translation cache.
 
-    ``enabled`` reflects the engine's frontend setting; the counters are the
-    process-wide translation-cache stats (programs/blocks translated, shared
-    code-cache hit rate, and interpreter fallbacks) — see
-    :mod:`repro.isa.translate`.
+    The counters are the process-wide translation-cache stats
+    (programs/blocks translated, shared code-cache hit rate, and
+    interpreter fallbacks) — see :mod:`repro.isa.translate`.
     """
     from ..isa.translate import cache_stats
-    out = {"enabled": bool(getattr(engine, "_frontend_translate", False))}
-    out.update(cache_stats())
+    out = cache_stats()
     compiles = out["code_hits"] + out["code_misses"]
     out["code_hit_rate"] = (out["code_hits"] / compiles) if compiles else 0.0
     return out

@@ -103,7 +103,7 @@ def _decode_reply(msg) -> object:
 
 def _worker_main(conn: Connection, spec_name: str, program_text: str,
                  segments: list, regs: dict,
-                 cpu_affinity: Optional[frozenset], translate: bool) -> None:
+                 cpu_affinity: Optional[frozenset]) -> None:
     """Child-process body: interpret (batched) and ship what is yielded."""
     if cpu_affinity:
         try:
@@ -118,7 +118,7 @@ def _worker_main(conn: Connection, spec_name: str, program_text: str,
         m = Machine(dm)
         for r, v in regs.items():
             m.regs[r] = v
-        gen = Interpreter(prog, m).run(batched=True, translate=translate)
+        gen = Interpreter(prog, m).run(batched=True, translate=True)
         reply = None
         while True:
             out = gen.send(reply)
@@ -244,7 +244,7 @@ class ParallelEngine(Engine):
         p = self._ctx.Process(
             target=_worker_main,
             args=(child, w.spec.name, w.spec.program_text, w.spec.segments,
-                  w.spec.regs, self._affinity, self._frontend_translate),
+                  w.spec.regs, self._affinity),
             daemon=True)
         p.start()
         child.close()

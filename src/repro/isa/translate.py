@@ -31,10 +31,9 @@ interpreter would (a batch publish after the append that reaches
 ``BATCH_CAP``, a flush before every sync/OS event, one event per reference
 in unbatched mode), accumulate block cost and ``pending`` cycles in the
 same order, and raise the same errors with the same messages. Equivalence
-is asserted by the equivalence table, ``tests/test_equivalence.py`` (every
-ISA row with translation on and off, on both engines, against the strict
-run), and by ``tests/test_translate_equivalence.py``'s differential fuzzing
-of the event streams.
+is asserted by ``tests/test_translate_equivalence.py``: engine rows with
+translation and with the interpreter fallback, on both engines, against
+the strict run, and differential fuzzing of the event streams.
 
 Invalidation: translations are cached on the :class:`Program` object and
 keyed by block *content* in the shared code cache. Programs are immutable

@@ -20,11 +20,7 @@ from ..core.stats import StatsRegistry
 from .cache import Cache, _EXCLUSIVE, _MODIFIED, _SHARED
 from .coherence import make_protocol
 from .pagetable import KERNEL_BASE, MajorFault, Vmm
-
-try:
-    import numpy as _np
-except ImportError:          # pragma: no cover - numpy is a soft dependency
-    _np = None
+from .vec import VecState
 
 
 class MemorySystem:
@@ -101,10 +97,7 @@ class MemorySystem:
         self.vec_refs = 0
         self.vec_fallbacks = 0
         self.vec_rebuilds = 0
-        self._vec = None
-        if cfg.vectorized and _np is not None:
-            from .vec import VecState
-            self._vec = VecState(self)
+        self._vec = VecState(self)
 
         # --- sampled-simulation fast-forward mode --------------------------
         # While ff_active, references warm translation + cache contents
@@ -272,15 +265,13 @@ class MemorySystem:
         (:meth:`VecState.frontier` — the one the owner's own run will use);
         the engine has already probed the reference at the cursor
         (``Engine._stand_down``), so a rival about to miss costs no
-        classification. Otherwise (``vectorized`` off, mirror stale, a
-        handful of references left) the loop over
-        :meth:`ref_invisible_latency` answers; it is the reference the
-        array bound is tested against.
+        classification. Otherwise (mirror stale, a handful of references
+        left) the loop over :meth:`ref_invisible_latency` answers; it is
+        the reference the array bound is tested against.
         """
-        if self._vec is not None:
-            bound = self._vec.frontier(pid, cpu, batch, cap)
-            if bound is not None:
-                return bound
+        bound = self._vec.frontier(pid, cpu, batch, cap)
+        if bound is not None:
+            return bound
         t = batch.time
         i = batch.cursor
         kinds = batch.kinds
@@ -343,12 +334,11 @@ class MemorySystem:
         if self.strict_stream() is not None:
             return self._run_each(pid, cpu, kinds, addrs, sizes, pends, i, n,
                                   t, limit, horizon, clock)
-        if self._vec is not None:
-            res = self._vec.run(pid, cpu, kinds, addrs, sizes, pends, i, n,
-                                t, limit, horizon, ext, clock, serial, uhint)
-            if res is not None:
-                return res
-            self.vec_fallbacks += 1
+        res = self._vec.run(pid, cpu, kinds, addrs, sizes, pends, i, n, t,
+                            limit, horizon, ext, clock, serial, uhint)
+        if res is not None:
+            return res
+        self.vec_fallbacks += 1
         return self._access_run_scalar(pid, cpu, kinds, addrs, sizes, pends,
                                        i, n, t, limit, horizon, ext, clock)
 

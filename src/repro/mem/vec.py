@@ -9,7 +9,7 @@ tests, and the leading all-hit prefix retires in bulk array ops (counters,
 E->M upgrades, LRU replay). Anything else — a miss, an upgrade from SHARED,
 an untranslated page, a reference spanning more than two lines — ends the
 prefix and is delegated to the unchanged scalar loop, so results are
-bit-identical with the mirror on or off.
+bit-identical to the scalar loop's.
 
 Mirror-state invariants (see DESIGN.md, "Vectorized mirror state"):
 

@@ -21,11 +21,15 @@ PR 4 :class:`~repro.checkpoint.manager.CheckpointManager`; a retried,
 preempted, or externally SIGKILLed job *resumes from its last autosave*
 instead of restarting, and the checkpoint layer guarantees the resumed
 run is bit-identical to an undisturbed one. When the retry budget runs
-out, one last "safe mode" attempt runs with every optimistic knob
-(lookahead / vectorized) off and checkpointing disabled —
-those knobs are bit-identical by contract, so a safe-mode success still
-produces the canonical fingerprint, just slower; it terminates the job
-as ``DEGRADED`` rather than ``DONE`` so fleets can alert on it.
+out, one last "safe mode" attempt runs with checkpointing disabled and,
+unless the spec is sampled, with ``fastpath`` off: every batched host
+layer off, the strict schedule, which lands the canonical fingerprint,
+just slower. A sampled result depends on where batches are cut (its
+phases switch at the first loop top past an event count), so a sampled
+spec keeps its host path; its fingerprint then holds only as far as
+batches are cut where the optimistic attempts cut them (DESIGN.md
+"Sampled simulation"). A safe-mode success terminates the job as
+``DEGRADED`` rather than ``DONE`` so fleets can alert on it.
 """
 
 from __future__ import annotations
@@ -52,8 +56,9 @@ try:
 except ValueError:                             # non-POSIX host
     _ctx = mp.get_context()
 
-#: knobs forced off by a safe-mode attempt (all bit-identical on/off)
-SAFE_MODE_OVERRIDES = {"lookahead": False, "vectorized": False}
+#: what a safe-mode attempt of an unsampled spec overrides: the one host
+#: switch, bit-identical on and off
+SAFE_MODE_OVERRIDES = {"fastpath": False}
 
 
 # ---------------------------------------------------------------------------
@@ -77,10 +82,12 @@ def _job_child(spec_dict: dict, attempt: int, ckpt_path: str,
         adapter = SimulatorAdapter()
         config = dict(spec.config)
         if safe_mode:
-            # serial safe mode: optimistic knobs off; no checkpointing, a
-            # safe-mode config could not adopt the optimistic run's
-            # autosave anyway (the config fingerprint differs)
-            config.update(SAFE_MODE_OVERRIDES)
+            # serial safe mode: the strict schedule unless sampled; no
+            # checkpointing, a safe-mode config could not adopt the
+            # optimistic run's autosave anyway (the config fingerprint
+            # differs)
+            if config.get("sampling") is None:
+                config.update(SAFE_MODE_OVERRIDES)
             config.pop("checkpoint_path", None)
             config.pop("checkpoint_interval", None)
         elif spec.checkpoint_interval > 0:

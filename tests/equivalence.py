@@ -1,35 +1,42 @@
-"""The equivalence oracle: every host-switch arm lands one result.
+"""The equivalence oracle: both host-switch arms land one result.
 
-The conservative interleaving rule decides every result; ``fastpath``,
-``lookahead``, ``vectorized``, ``translate`` and ``ParallelEngine`` may
-change only speed. This module states that once: the rows, ``ARMS``,
-``MODES``, the fault plans and ISA programs; :func:`snapshot` (what no arm
-may move); :func:`simulate`, the runner, and :func:`run`, the same
-memoised per session on ``(row, arm, mode)``; and :func:`check`, every
-arm against the strict run. ``tests/test_equivalence.py`` is the table;
-the other equivalence suites call :func:`check` and add only what their
-mechanism must have done. A helper module: pytest does not collect it.
+The conservative interleaving rule decides every result; ``fastpath`` and
+``ParallelEngine`` may change only speed, and so may the layers that select
+themselves (windows and the vec mirror where batches exist, block
+translation in ISA frontends). This module states that once: the rows,
+``ARMS``, ``MODES``, the substitutions that reach those layers' reference
+implementations, the fault plans and ISA programs; :func:`snapshot` (what
+no arm may move); :func:`simulate`, the runner, and :func:`run`, the same
+memoised per session on ``(row, arm, mode)``; and :func:`check`, every arm
+against the strict run. ``tests/test_equivalence.py`` is the table; the other
+equivalence suites call :func:`check` and add only what their mechanism
+must have done. A helper module: pytest does not collect it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import importlib
 import itertools
 import os
 import tempfile
 from dataclasses import dataclass, replace
 from typing import Callable, NamedTuple, Optional, Tuple
+from unittest import mock
 
 import pytest
 
 from repro import (Engine, FaultPlan, FaultRule, SimulatedCrash, WaitToken,
                    complex_backend, resume)
 from repro.apps.minidb import MiniDb, TpcdDriver, tpcd_catalog
+from repro.core.communicator import Communicator
 from repro.core.frontend import SimProcess
 from repro.harness import vec_summary
 from repro.host import ParallelEngine, WorkerSpec
-from repro.isa import Interpreter, Machine, assemble
+from repro.isa import Interpreter, Machine, TranslationError, assemble
 from repro.isa.memory import DataMemory
+from repro.mem.vec import VecState
 from repro.osim import kmem
 from repro.service.workloads import WORKLOADS, full_fingerprint
 from repro.traces.memtrace import MemTraceRecorder
@@ -58,15 +65,65 @@ ERRNO_PLAN = FaultPlan(rules=(
 # arms
 # ---------------------------------------------------------------------------
 
-SWITCHES = ("fastpath", "lookahead", "vectorized")
-ARMS = [dict(zip(SWITCHES, bits))
-        for bits in itertools.product((True, False), repeat=len(SWITCHES))]
-DEFAULT, STRICT = ARMS[0], ARMS[-1]
+#: the one host switch: batches published (windows and the vec mirror then
+#: select themselves), or the strict schedule; ISA frontends translate on
+#: either arm
+DEFAULT, STRICT = {"fastpath": True}, {"fastpath": False}
+ARMS = [DEFAULT, STRICT]
 
 
-def arm(**switches) -> dict:
-    """``DEFAULT`` with ``switches`` flipped, e.g. ``arm(lookahead=False)``."""
-    return {**DEFAULT, **switches}
+def _decline(*_args, **_kwargs):
+    return None
+
+
+#: test-side substitutions, one per self-selecting layer, each reaching the
+#: reference implementation that layer stands in for (as ``miss_tap``
+#: reaches "probe off"): name -> a context manager held over the whole run.
+#: For the mechanism suites: ``sub(name)``, composed by nesting
+SUBS = {
+    # the scalar loop and the scalar walk: the vec mirror declines every
+    # run and every rival's frontier
+    "scalar": lambda: mock.patch.multiple(VecState, run=_decline,
+                                          frontier=_decline),
+    # the generic interpreter: translation fails, the fallback runs
+    "interpreted": lambda: mock.patch.object(
+        importlib.import_module("repro.isa.translate"), "translated_run",
+        side_effect=TranslationError("substituted")),
+    # no window: every batch is cut at the strict rival horizon
+    "no_windows": lambda: mock.patch.object(
+        Communicator, "lookahead_horizon",
+        lambda self, winner, strict, limit, bound_fn: strict),
+}
+
+
+def sub(name, cfg=DEFAULT) -> dict:
+    """``cfg`` run under the substitution ``name`` too, e.g.
+    ``sub("scalar")`` or ``sub("scalar", sub("no_windows"))``."""
+    return {**cfg, "sub": tuple(sorted({*cfg.get("sub", ()), name}))}
+
+
+def _corner(fast, windows, mirror) -> dict:
+    if not fast:
+        return STRICT
+    cfg = DEFAULT if windows else sub("no_windows")
+    return cfg if mirror else sub("scalar", cfg)
+
+
+#: the switch x windows x the vec mirror, each layer on or substituted by
+#: its reference implementation, ``LATTICE[0]`` the ``DEFAULT`` corner.
+#: With ``fastpath`` off no batch exists for a substitution to act on, so
+#: the four ``fast0`` corners are all ``STRICT`` (one memoised run).
+#: ``LATTICE_IDS`` name the corners ``fast1-look1-vect1`` and so on
+_BITS = list(itertools.product((True, False), repeat=3))
+LATTICE = [_corner(*bits) for bits in _BITS]
+LATTICE_IDS = ["fast{}-look{}-vect{}".format(*map(int, bits))
+               for bits in _BITS]
+
+
+def decline_mirror(ms) -> None:
+    """The ``scalar`` substitution on one memory system: from now on its
+    mirror declines every run and every frontier."""
+    ms._vec.run = ms._vec.frontier = _decline
 
 
 # ---------------------------------------------------------------------------
@@ -93,8 +150,7 @@ loop:
     halt
 """
 
-#: the same loop at 5 passes: the equivalence table's hot row, where its
-#: untranslated arms stay cheap
+#: the same loop at 5 passes: the equivalence table's hot row
 HOT5 = HOT_PROG.replace("li r8, 40", "li r8, 5")
 
 #: six HOT_PROG passes with a streaming miss every eighth line —
@@ -216,24 +272,34 @@ def private_heavy(cfg):
     return eng
 
 
-def spaced(cfg):
-    """4 CPUs, each re-touching a private 8 KiB buffer with 200 cycles of
-    compute per line, started 1 000 cycles apart: rivals stay invisible
+def spaced(cfg, coherence="mesi", work=200):
+    """4 CPUs, each re-touching a private 8 KiB buffer with ``work`` cycles
+    of compute per line, started 1 000 cycles apart: rivals stay invisible
     for long stretches, so a window reaches as far as they are qualified."""
-    eng = Engine(cfg(num_cpus=4, coherence="mesi", num_nodes=1))
+    eng = Engine(cfg(num_cpus=4, coherence=coherence))
 
     def make_app(c):
         def app(p):
             p.compute(1_000 * c)
             for _ in range(30):
                 yield from p.touch(0x1_0000 + c * 0x10_000, 8192, write=True,
-                                   stride=32, work_per_line=200)
+                                   stride=32, work_per_line=work)
             yield from p.exit(0)
         return app
 
     for c in range(4):
         eng.spawn(f"w{c}", make_app(c))
     return eng
+
+
+#: ``spaced`` at every shape of ``benchmarks/bench_lookahead.py``'s spaced
+#: rows: (coherence, work_per_line), MESI at 200 being the plain ``spaced``
+#: row. The two qualifiers of a window opened different windows on some of
+#: these shapes once
+SPACED = {"spaced" if (coh, work) == ("mesi", 200) else f"spaced-{coh}-{work}":
+          functools.partial(spaced, coherence=coh, work=work)
+          for coh, work in (("mesi", 20), ("mesi", 50), ("mesi", 200),
+                            ("mesi", 1000), ("dsm", 200))}
 
 
 def warm_scan(cfg):
@@ -302,7 +368,7 @@ CLOCK_READERS = {
 
 #: named rows: builder(cfg) -> ready-to-run engine. The registry workloads
 #: are the golden fleet's, at its size
-ROWS = {**WORKLOADS, "private_heavy": private_heavy, "spaced": spaced,
+ROWS = {**WORKLOADS, "private_heavy": private_heavy, **SPACED,
         "warm_scan": warm_scan, **CLOCK_READERS}
 
 #: registry workloads whose producers publish EventBatches (touch /
@@ -430,7 +496,8 @@ def counters(eng) -> dict:
 
 def build(row, cfg=DEFAULT, faults=None):
     """``row``'s ready-to-run engine under the config keywords ``cfg``
-    (an arm, plus any further ``SimConfig`` fields), pids from 1."""
+    (an arm, plus any further ``SimConfig`` fields, no ``sub``), pids
+    from 1."""
     SimProcess.set_pid_counter(1)
 
     def factory(**kw):
@@ -451,8 +518,17 @@ def _crash_and_resume(row, cfg, faults):
 
 
 def simulate(row, cfg=DEFAULT, mode="clean", spy=None):
-    """Run ``row`` under ``cfg`` and ``mode``, uncached; ``spy(eng)`` sees
-    the engine before it runs. Returns ``(Result, engine)``."""
+    """Run ``row`` under ``cfg`` (its substitutions, if any, held over the
+    build and the run) and ``mode``, uncached; ``spy(eng)`` sees the
+    engine before it runs. Returns ``(Result, engine)``."""
+    cfg = dict(cfg)
+    with contextlib.ExitStack() as subs:
+        for name in cfg.pop("sub", ()):
+            subs.enter_context(SUBS[name]())
+        return _simulate(row, cfg, mode, spy)
+
+
+def _simulate(row, cfg, mode, spy):
     faults, how = MODES[mode]
     rec = None
     if how == "crash":
@@ -475,7 +551,7 @@ def simulate(row, cfg=DEFAULT, mode="clean", spy=None):
 
 
 def _key(cfg) -> tuple:
-    return tuple(sorted({"translate": True, **cfg}.items()))
+    return tuple(sorted(cfg.items()))
 
 
 @functools.lru_cache(maxsize=None)
@@ -509,9 +585,9 @@ def _same(a: dict, b: dict) -> bool:
 def check(row, arms=ARMS, mode="clean") -> list:
     """Every arm of ``row`` under ``mode`` lands :func:`reference`, which
     itself lands the strict result of the mode ``mode`` must not move
-    (``SAME_AS``). On the inline engine, arms that differ only in
-    ``vectorized`` or only in ``translate`` also open the same windows:
-    equal ``batch_stats``. Returns the arms' :class:`Result`\\ s."""
+    (``SAME_AS``). On the inline engine, an arm under the ``scalar`` or
+    ``interpreted`` substitution also opens the windows its plain twin
+    opens: equal ``batch_stats``. Returns the arms' :class:`Result`\\ s."""
     ref = reference(row, mode)
     if mode in SAME_AS:
         assert _same(ref, reference(row, SAME_AS[mode])), \
@@ -522,9 +598,12 @@ def check(row, arms=ARMS, mode="clean") -> list:
     if not (isinstance(row, Isa) and row.parallel):
         for key, res in results.items():
             cfg = dict(key)
-            for switch in ("vectorized", "translate"):
-                twin = results.get(_key({**cfg, switch: not cfg[switch]}))
+            names = cfg.pop("sub", ())
+            for name in {"scalar", "interpreted"}.intersection(names):
+                rest = tuple(n for n in names if n != name)
+                twin = results.get(_key({**cfg, "sub": rest} if rest
+                                        else cfg))
                 assert twin is None or (twin.counters["batch_stats"]
                                         == res.counters["batch_stats"]), \
-                    f"{row} {mode}: {cfg} and its {switch} twin cut apart"
+                    f"{row} {mode}: {dict(key)} and its plain twin cut apart"
     return [results[_key(a)] for a in arms]

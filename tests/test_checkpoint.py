@@ -285,9 +285,9 @@ class TestParallelResume:
 
 
 class TestSamplingSpeculationResume:
-    """``sampling`` and ``lookahead`` enabled *together*: the sampled
-    schedule must survive a crash and resume even when the kill lands
-    inside a fast-forward window."""
+    """``sampling`` beside lookahead windows: the sampled schedule must
+    survive a crash and resume even when the kill lands inside a
+    fast-forward window."""
 
     #: short detail windows, long ff windows: autosaves at an 800-event
     #: cadence land the second save (event 1600) inside the first ff
@@ -296,8 +296,7 @@ class TestSamplingSpeculationResume:
 
     def _engine(self, path):
         # splash: multi-CPU, so rivals exist
-        return _engine(path, 800, None, "splash", sampling=self.SC,
-                       lookahead=True)
+        return _engine(path, 800, None, "splash", sampling=self.SC)
 
     def test_kill_during_ff_window_resumes(self, tmp_path):
         path = str(tmp_path / "ck.pkl")

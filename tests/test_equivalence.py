@@ -1,29 +1,19 @@
-"""The equivalence table: every host-switch arm lands one result.
+"""The equivalence table: both host-switch arms land one result.
 
-One cell per row x mode; :func:`tests.equivalence.check` holds each arm of
-the cell to the strict inline run of that row and mode. The registry rows
-run all 8 ``ARMS`` clean and under ``TIMING_PLAN`` (the lattice); the
-other columns are restricted:
-
-* other rows run the five host paths: the four ``fastpath`` arms and
-  ``STRICT`` (with ``fastpath`` off no batch is published, so neither
-  windows nor the vec path have anything to act on);
-* ``translate`` applies to the inline ISA rows, which also run ``DEFAULT``
-  untranslated (``STRICT`` is translated);
-* ``tapped`` and ``resume`` run ``DEFAULT`` and ``STRICT``: a tapped
-  stream stands every window and the vec path down; ``probe_off`` is a
-  reference and runs ``STRICT``, which must land the tapped strict run;
-* ``ParallelEngine`` rows run ``DEFAULT`` and ``STRICT`` (every arm of the
-  hot and lock rows: ``test_lookahead_equivalence``) and compare the
-  snapshot only: their ``batch_stats`` move with the wall clock.
+One cell per row x mode; :func:`tests.equivalence.check` holds ``DEFAULT``
+and ``STRICT`` (``fastpath`` on and off) to the strict inline run of that
+row and mode. ``ParallelEngine`` rows compare the snapshot only: their
+``batch_stats`` move with the wall clock. The layers that select
+themselves under ``DEFAULT`` are reached one by one in their mechanism
+suites, through ``tests.equivalence.SUBS``.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from tests.equivalence import (ARMS, CLOCK_READERS, DEFAULT, PROGS, STRICT,
-                               WORKLOADS, Isa, check)
+from tests.equivalence import (ARMS, CLOCK_READERS, PROGS, WORKLOADS, Isa,
+                               check)
 
 #: the ISA rows, two frontends each (rivals for every window)
 ISA_ROWS = [Isa((PROGS[name],) * 2)
@@ -41,22 +31,7 @@ CELLS = [
 ]
 
 
-def arms(row, mode) -> list:
-    """The arms of one cell (the columns above)."""
-    isa = isinstance(row, Isa)
-    if mode == "probe_off":
-        return [STRICT]
-    if mode in ("tapped", "resume") or (isa and row.parallel):
-        return [DEFAULT, STRICT]
-    if row in WORKLOADS:
-        return ARMS
-    paths = ARMS[:4] + [STRICT]
-    if isa:
-        return paths + [{**DEFAULT, "translate": False}]
-    return paths
-
-
 @pytest.mark.parametrize("row,mode", CELLS,
                          ids=[f"{row}-{mode}" for row, mode in CELLS])
 def test_every_arm_lands_the_strict_result(row, mode):
-    check(row, arms(row, mode), mode)
+    check(row, ARMS, mode)

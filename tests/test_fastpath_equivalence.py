@@ -16,8 +16,8 @@ import pytest
 
 from repro.harness import fastpath_summary
 
-from tests.equivalence import (BATCHING, DEFAULT, STRICT, WORKLOADS, arm,
-                               check, simulate)
+from tests.equivalence import (BATCHING, DEFAULT, STRICT, WORKLOADS, check,
+                               simulate)
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
@@ -41,7 +41,7 @@ def test_fastpath_bit_identical(name):
 def test_fastpath_untapped_inline_loop_identical(name):
     """Without a memtrace tap, access_run inlines the L1 filter (the
     hottest loop); that branch must be bit-identical too."""
-    on, _ = check(name, [DEFAULT, arm(fastpath=False)])
+    on, _ = check(name, [DEFAULT, STRICT])
     assert on.counters["fast_hits"] > 0
     assert on.counters["batch_stats"]["refs"] > 0
 

@@ -72,12 +72,14 @@ def make_batch(refs, cursor=0, time=1000, uhint=None) -> EventBatch:
 
 
 def scalar_bound(ms, batch, cap):
-    """The walk alone: ``invisible_until`` with the array qualifier off."""
-    vec, ms._vec = ms._vec, None
+    """The walk alone: ``invisible_until`` with the array qualifier
+    declining."""
+    vec = ms._vec
+    vec.frontier = lambda *_args: None
     try:
         return ms.invisible_until(PID, CPU, batch, cap)
     finally:
-        ms._vec = vec
+        del vec.frontier
 
 
 def spans_over_two_lines(refs) -> bool:

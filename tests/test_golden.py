@@ -9,7 +9,7 @@ unless the goldens are deliberately regenerated::
     COMPASS_UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest tests/test_golden.py
 
 Scenarios with a ``golden`` alias share another scenario's file: the
-strict-knob arms (lookahead/vectorized/fastpath off) must be
+strict arms (``fastpath`` off, the one host switch) must be
 *bit-identical* to the default arms, so pointing them at the same golden
 re-proves the equivalence contracts on every CI run.
 """

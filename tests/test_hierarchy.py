@@ -7,13 +7,19 @@ from repro.core.stats import StatsRegistry
 from repro.mem.cache import LineState
 from repro.mem.hierarchy import MemorySystem
 
+from tests.equivalence import decline_mirror
 
-def make(cfg=None, minor=400):
+
+def make(cfg=None, minor=400, vec=True):
+    """A memory system with pid 1 mapped; ``vec=False``: its vec mirror
+    declines everything, so runs take the scalar loop."""
     cfg = cfg or complex_backend(num_cpus=2)
     ms = MemorySystem(cfg, StatsRegistry(cfg.num_cpus),
                       minor_fault_cycles=minor)
     ms.vmm.new_space(1)
     ms.vmm.map_anon(1, 0x10000, 1 << 24)
+    if not vec:
+        decline_mirror(ms)
     return ms
 
 
@@ -143,7 +149,7 @@ def _straddle_refs(start=0x20F00):
 
 @pytest.mark.parametrize("vec", [True, False])
 def test_access_run_zero_length_and_zero_limit(vec):
-    ms = make(complex_backend(num_cpus=2, vectorized=vec))
+    ms = make(vec=vec)
     kinds, addrs, sizes, pends = _straddle_refs()
     n = len(kinds)
     # i >= n: nothing to consume, state untouched
@@ -159,8 +165,7 @@ def test_access_run_zero_length_and_zero_limit(vec):
 
 @pytest.mark.parametrize("vec", [True, False])
 def test_access_run_page_straddle_matches_per_ref(vec):
-    cfg = complex_backend(num_cpus=2, vectorized=vec)
-    ms_run, ms_ref = make(cfg), make(cfg)
+    ms_run, ms_ref = make(vec=vec), make(vec=vec)
     kinds, addrs, sizes, pends = _straddle_refs()
     n = len(kinds)
     want_added, want_t = _per_ref_mirror(ms_ref, kinds, addrs, sizes,
@@ -184,8 +189,7 @@ def test_access_run_mixed_tapped_untapped(vec):
     """Installing a tracing tap (an instance rebinding of ``access``)
     between runs must flip access_run to the per-reference stream for
     exactly the tapped runs, with no effect on the simulated totals."""
-    cfg = complex_backend(num_cpus=2, vectorized=vec)
-    ms_run, ms_ref = make(cfg), make(cfg)
+    ms_run, ms_ref = make(vec=vec), make(vec=vec)
     kinds, addrs, sizes, pends = _straddle_refs()
     n = len(kinds)
 

@@ -5,18 +5,19 @@ but only references satisfying the L1 fast-path full-hit predicate — which
 touch nothing outside the issuer's private state, so any interleaving of
 them commutes with the strict order. How far each rival stays invisible is
 read from the vec mirror's classification of its parked batch, or walked
-reference by reference when there is no fresh mirror (``vectorized=False``
-forces the walk); both qualifiers must grant the same windows
+reference by reference when there is no fresh mirror (the ``scalar``
+substitution forces the walk); both qualifiers must grant the same windows
 (``test_frontier.py`` compares them bound by bound).
 
 ``ParallelEngine`` workers ship the batches their interpreters fill into that
 same pipeline; a still-computing worker bounds the others (``_round_gate``).
 
-Windows are gated by ``SimConfig.lookahead`` and must land *exactly* the
+Windows are asked for wherever batches exist and must land *exactly* the
 strict schedule's result (:func:`tests.equivalence.check`) — with and
 without fault plans, and composed with checkpoint/restore, sampling,
-segmented runs and worker crash/replay. This module adds what the windows
-did: where they opened, how far they reached, and where they stood down.
+segmented runs and worker crash/replay. The batched run without them is
+the ``no_windows`` substitution. This module adds what the windows did:
+where they opened, how far they reached, and where they stood down.
 """
 
 from __future__ import annotations
@@ -36,9 +37,10 @@ from repro.host import ParallelEngine, WorkerSpec
 from repro.host.parallel import _Worker
 
 from tests.equivalence import (ARMS, CLOCK_READERS, DEFAULT, HOT_PROG, LATE,
-                               MIX, PROGS, SCAN, WORKLOADS, Isa, arm, build,
-                               check, reference, run, simulate, snapshot,
-                               toucher)
+                               LATTICE, MIX, PROGS, SCAN, SPACED, WORKLOADS,
+                               Isa,
+                               build, check, reference, run, simulate,
+                               snapshot, sub, toucher)
 
 # ---------------------------------------------------------------------------
 # inline engine windows
@@ -46,15 +48,15 @@ from tests.equivalence import (ARMS, CLOCK_READERS, DEFAULT, HOT_PROG, LATE,
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_lookahead_bit_identical(name):
-    _, off = check(name, [DEFAULT, arm(lookahead=False)])
-    # the strict run must never grant a window
+    _, off = check(name, [DEFAULT, sub("no_windows")])
+    # the batched run cut at the strict horizon never grants a window
     assert off.counters["batch_stats"]["la_windows"] == 0
     assert off.counters["batch_stats"]["la_refs"] == 0
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_lookahead_bit_identical_under_faults(name):
-    on, _ = check(name, [DEFAULT, arm(lookahead=False)], "plan")
+    on, _ = check(name, [DEFAULT, sub("no_windows")], "plan")
     assert on.counters["draws"] > 0
 
 
@@ -63,9 +65,9 @@ def test_lookahead_drains_past_horizon():
     references are consumed beyond the strict rival cut — while staying
     bit-identical and using far fewer batch dispatches; and the windows
     are the same whichever qualifier bounded them (``check``: the
-    ``vectorized`` twins open the same windows)."""
-    on, off, _ = check("private_heavy", [DEFAULT, arm(lookahead=False),
-                                         arm(vectorized=False)])
+    ``scalar`` twin opens the same windows)."""
+    on, off, _ = check("private_heavy", [DEFAULT, sub("no_windows"),
+                                         sub("scalar")])
     bs_on = on.counters["batch_stats"]
     # pinned: the owner's cursor probe (``_stand_down``'s "miss") must not
     # cost a warm frontend a window. Before it there were 124 — one opened
@@ -86,18 +88,17 @@ def test_window_never_outruns_a_rivals_invisible_reference(name, mode):
     time, and an all-invisible batch at its last reference's issue time —
     not at the completion: the references are invisible, but the host code
     the rival runs right after them reads the global clock."""
-    check(name, [DEFAULT, arm(vectorized=False), arm(lookahead=False)], mode)
+    check(name, [DEFAULT, sub("scalar"), sub("no_windows")], mode)
 
 
 @pytest.mark.parametrize("name", sorted(CLOCK_READERS))
 @pytest.mark.parametrize("mode", ["clean", "plan"], ids=["plain", "faults"])
 def test_all_knob_arms_land_one_fingerprint(name, mode):
-    """Default knobs (windows qualified from the vec mirror), the scalar
-    qualifier, the strict schedule and both knobs off agree — on the
-    checkpoint bench's TPC-C (where default and strict used to end one
+    """Both arms and the windows' reference implementations agree — on
+    the checkpoint bench's TPC-C (where default and strict used to end one
     cycle apart) and on the hand-built rivals — and the two qualifiers
     grant the same windows, not just the same result."""
-    check(name, ARMS[:4], mode)
+    check(name, [*ARMS, sub("scalar"), sub("no_windows")], mode)
 
 
 def test_window_reaches_the_rivals_bound():
@@ -105,9 +106,18 @@ def test_window_reaches_the_rivals_bound():
     bound unless a rival's qualified bound cuts it first. Pinned: a scan
     budget of ``64 x`` the protocol's cheapest remote latency used to cut
     this run's windows nine times as often (1 167), for the same result."""
-    on, _, _ = check("spaced", [DEFAULT, arm(vectorized=False),
-                                arm(lookahead=False)])
+    on, _, _ = check("spaced", [DEFAULT, sub("scalar"), sub("no_windows")])
     assert on.counters["batch_stats"]["la_windows"] == 128
+
+
+@pytest.mark.parametrize("name", sorted(SPACED))
+def test_spaced_windows_are_the_scalar_walks(name):
+    """Every spaced shape (MESI at 20 to 1 000 cycles of work a line, DSM
+    at 200) opens windows, and the vec mirror grants exactly the windows
+    the scalar walk grants (``check``: the ``scalar`` twin's
+    ``batch_stats`` equal the default's)."""
+    on, _, _ = check(name, [DEFAULT, sub("scalar"), sub("no_windows")])
+    assert on.counters["batch_stats"]["la_windows"] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -139,13 +149,24 @@ def test_checkpoint_resume_with_lookahead_on():
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("prog,n,i", [
-    *itertools.product(("hot", "locky"), (1, 3), range(8)),
+    *itertools.product(("hot", "locky"), (1, 3), range(len(LATTICE))),
     *itertools.product(("scan", "sys"), (1, 2, 3, 4), (0,))])
 def test_parallel_equals_strict_inline(prog, n, i):
-    """Every knob arm of a ParallelEngine lands the strict inline ISA run
-    (``fastpath=False`` replays shipped batches reference by reference);
-    where a computing worker's bound cuts a batch is the host's timing."""
-    check(Isa((PROGS[prog],) * n, parallel=True), [ARMS[i]])
+    """Every corner of the ``LATTICE`` on a ParallelEngine lands the
+    strict inline ISA run (``fastpath=False`` replays shipped batches
+    reference by reference; the proxies' windows and mirror may be
+    substituted); where a computing worker's bound cuts a batch is the
+    host's timing."""
+    check(Isa((PROGS[prog],) * n, parallel=True), [LATTICE[i]])
+
+
+@pytest.mark.parametrize("name", ["scalar", "interpreted", "no_windows"])
+def test_parallel_substitutions_equal_strict_inline(name):
+    """Each self-selecting layer's reference implementation, in workers
+    (the interpreter) or behind the proxies (the scalar loop and walk, a
+    batched run with no window), lands the strict inline run too."""
+    check(Isa((HOT_PROG, PROGS["locky"], HOT_PROG), parallel=True),
+          [sub(name)])
 
 
 @pytest.mark.parametrize("parallel", [False, True],
@@ -345,7 +366,8 @@ def test_round_gate_ignores_proxies_that_are_not_computing():
 
 
 def test_removed_worker_knobs_are_refused():
-    for knob in ("worker_lease", "worker_batch"):
+    for knob in ("worker_lease", "worker_batch", "lookahead", "vectorized",
+                 "translate"):
         with pytest.raises(TypeError, match=knob):
             complex_backend(num_cpus=1, **{knob: 4})
 

@@ -87,9 +87,9 @@ class TestSimulatorAdapter:
         """Plain-dict configs (with the FaultPlan dict form) build the
         same simulation as live objects."""
         via_dict = _direct_fingerprint(
-            "oltp", {"faults": TIMING_PLAN.to_dict(), "lookahead": False})
+            "oltp", {"faults": TIMING_PLAN.to_dict(), "fastpath": False})
         via_obj = _direct_fingerprint(
-            "oltp", {"faults": TIMING_PLAN, "lookahead": False})
+            "oltp", {"faults": TIMING_PLAN, "fastpath": False})
         assert via_dict == via_obj
 
     @pytest.mark.parametrize("kernel", sorted(KERNELS))
@@ -116,8 +116,8 @@ class TestSimulatorAdapter:
             make_config_factory({"specluate": False})
         with pytest.raises(ConfigError, match="'num_nodes'"):
             make_config_factory({"backend": "simple", "num_nodes": 2})
-        cfg = make_config_factory({"coherence": "mesi", "lookahead": False})
-        assert cfg(num_cpus=2).lookahead is False
+        cfg = make_config_factory({"coherence": "mesi", "fastpath": False})
+        assert cfg(num_cpus=2).fastpath is False
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +189,7 @@ class TestChaos:
     def test_retry_exhaustion_degrades_to_safe_mode(self, tmp_path):
         """Every optimistic attempt is killed; the job must degrade to
         the serial safe-mode attempt and still produce the canonical
-        fingerprint (the optimistic knobs are bit-identical)."""
+        fingerprint (``fastpath`` is bit-identical on and off)."""
         undisturbed = run_matrix(
             [_chaos_spec("calm", {}, tmp_path, max_retries=1)],
             workdir=str(tmp_path / "calm"))["calm"]
@@ -204,6 +204,26 @@ class TestChaos:
         assert rec.attempts[-1].outcome == "done"
         assert rec.fingerprint == undisturbed.fingerprint
         assert rec.history[-1] == "DEGRADED"
+
+    @pytest.mark.parametrize("sampling", [None, {"detail_events": 1_000,
+                                                 "ff_events": 2_000}],
+                             ids=["full", "sampled"])
+    def test_forced_safe_mode_lands_the_done_fingerprint(self, tmp_path,
+                                                        sampling):
+        """A safe-mode attempt, forced without a failure first, lands the
+        fingerprint of the job's DONE attempt: unsampled with ``fastpath``
+        off; sampled on its own host path, only without checkpoints (where
+        its batches are cut is part of a sampled result)."""
+        config = {} if sampling is None else {"sampling": sampling}
+        runner = JobRunner(workdir=str(tmp_path))
+        for name in ("done", "safe"):
+            runner.submit(JobSpec(name=name, workload="oltp", config=config))
+        runner._safe_pending.add("safe")
+        recs = runner.run()
+        assert recs["done"].state == JobState.DONE
+        assert recs["safe"].state == JobState.DEGRADED
+        assert [a.safe_mode for a in recs["safe"].attempts] == [True]
+        assert recs["safe"].fingerprint == recs["done"].fingerprint
 
     def test_exhausted_job_fails_with_structured_record(self, tmp_path):
         """No fallback: the terminal record is FAILED, JSON-serializable,
@@ -228,7 +248,8 @@ class TestChaos:
         spool_dir = str(tmp_path / "spool")
         runner = JobRunner(spool_dir=spool_dir,
                            workdir=str(tmp_path / "work"))
-        removed = ("speculate", "worker_lease", "worker_batch")
+        removed = ("speculate", "worker_lease", "worker_batch", "lookahead",
+                   "vectorized", "translate")
         for knob in removed:
             runner.submit(JobSpec(name=knob, workload="dss",
                                   config={knob: 0}, max_retries=0,

@@ -1,12 +1,13 @@
 """Bit-identity of the basic-block translation cache.
 
-Translation (SimConfig.translate / Interpreter.run(translate=True)) is a
-pure host-side optimisation: the compiled per-block closures must produce
+Translation (``Interpreter.run(translate=True)``, which every engine ISA
+frontend runs, falling back to the interpreter on ``TranslationError``) is
+a pure host-side optimisation: the compiled per-block closures must produce
 *exactly* the interpreter's behaviour — same registers, memory, instret,
 event streams (including batch boundaries and pending-cycle stamps), same
 simulated result — on engine workloads and host-parallel workers (held to
-the strict run by :func:`tests.equivalence.check`) and on seeded random
-programs.
+the strict run by :func:`tests.equivalence.check`, the interpreter reached
+through the ``interpreted`` substitution) and on seeded random programs.
 """
 
 from __future__ import annotations
@@ -22,37 +23,37 @@ from repro.isa import (BasicBlock, Instr, Interpreter, Machine, Op, Program,
                        assemble, translate)
 from repro.isa.memory import DataMemory
 
-from tests.equivalence import (DEFAULT, ISA_KERNEL, WORKLOADS, Isa, arm,
-                               check, simulate)
+from tests.equivalence import (DEFAULT, ISA_KERNEL, WORKLOADS, Isa, check,
+                               simulate, sub)
 
 #: two instrumented ISA_KERNEL frontends: every translated event kind
 KERNEL = Isa((ISA_KERNEL,) * 2)
 
 
 # ---------------------------------------------------------------------------
-# engine rows: the translate flag must not perturb any simulation path
+# engine rows: translation must not perturb any simulation path
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_workloads_bit_identical(name):
-    check(name, [DEFAULT, arm(translate=False)], "tapped")
+    check(name, [DEFAULT, sub("interpreted")], "tapped")
 
 
 @pytest.mark.parametrize("fastpath", [True, False])
 def test_isa_engine_bit_identical_tapped(fastpath):
-    check(KERNEL, [arm(fastpath=fastpath),
-                   arm(fastpath=fastpath, translate=False)], "tapped")
+    arm = {"fastpath": fastpath}
+    check(KERNEL, [arm, sub("interpreted", arm)], "tapped")
 
 
 @pytest.mark.parametrize("fastpath", [True, False])
 def test_isa_engine_bit_identical_untapped(fastpath):
-    check(KERNEL, [arm(fastpath=fastpath),
-                   arm(fastpath=fastpath, translate=False)])
+    arm = {"fastpath": fastpath}
+    check(KERNEL, [arm, sub("interpreted", arm)])
 
 
 def test_parallel_workers_bit_identical():
     check(Isa((ISA_KERNEL,) * 2, parallel=True),
-          [DEFAULT, arm(translate=False)])
+          [DEFAULT, sub("interpreted")])
 
 
 # ---------------------------------------------------------------------------
@@ -324,17 +325,22 @@ def test_max_instrs_guard_translated():
 
 
 def test_config_toggles_cleanly():
-    on = complex_backend(num_cpus=1)
-    off = complex_backend(num_cpus=1, translate=False)
-    assert on.translate and not off.translate
-    assert Engine(on)._frontend_translate
-    assert not Engine(off)._frontend_translate
+    """No config turns translation off: an engine ISA frontend runs the
+    translated closures (the interpreter only as the fallback), and a
+    ``translate`` key is refused."""
+    with pytest.raises(TypeError, match="translate"):
+        complex_backend(num_cpus=1, translate=False)
+    prog = assemble("li r3, 7\nhalt", "toggles")
+    eng = Engine(complex_backend(num_cpus=1))
+    proc = eng.spawn_interpreter("t", Interpreter(prog, Machine()))
+    assert getattr(prog, "_translation", None) is not None
+    eng.run()
+    assert proc.exit_status == 7
 
 
 def test_translate_summary_shape():
     _, eng = simulate(KERNEL)
     s = translate_summary(eng)
-    assert s["enabled"]
     assert s["programs"] >= 1
     assert s["blocks"] >= 1
     assert 0.0 <= s["code_hit_rate"] <= 1.0

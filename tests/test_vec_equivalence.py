@@ -1,14 +1,17 @@
 """Bit-identity of the vectorized batch memory path.
 
-The vec path (``SimConfig.vectorized``) mirrors the L1 tag/state arrays
-and page tables in numpy, classifies whole EventBatch runs in one
-vectorized membership test, and retires 100%-private-hit runs in bulk
-array ops. Like the scalar fast path it is a pure host-side optimisation:
-:func:`tests.equivalence.check` holds every on/off pair to the strict
-result — tapped and untapped, composed with conservative lookahead windows
-and with the batches ParallelEngine workers ship — end-of-run set lists
-(LRU order) and line states included. This module adds that the mirror
-engaged where it should and never thrashed.
+The vec path mirrors the L1 tag/state arrays and page tables in numpy,
+classifies whole EventBatch runs in one vectorized membership test, and
+retires 100%-private-hit runs in bulk array ops. Every ``MemorySystem``
+has the mirror; it selects itself, declining whatever it cannot retire to
+the scalar loop. Like the scalar fast path it is a pure host-side
+optimisation: :func:`tests.equivalence.check` holds it and the scalar
+reference (the ``scalar`` substitution: a mirror that declines every run
+and every frontier) to the strict result — tapped and untapped, composed
+with conservative lookahead windows and with the batches ParallelEngine
+workers ship — end-of-run set lists (LRU order) and line states included.
+This module adds that the mirror engaged where it should and never
+thrashed.
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ import pytest
 
 from repro import Engine, complex_backend
 
-from tests.equivalence import (BATCHING, DEFAULT, HOT_PROG, WORKLOADS, Isa,
-                               arm, check, simulate)
+from tests.equivalence import (BATCHING, DEFAULT, HOT_PROG, STRICT,
+                               WORKLOADS, Isa, check, simulate, sub)
 
 #: a CPU pays one rebuild when it turns warm and one more per fill that
 #: interrupts its hit streak; the warm scenarios below fill once, up front
@@ -52,22 +55,24 @@ def _watch_resyncs(eng, thrash):
 
 
 def _check_watched(row):
-    """``check`` of the vec on/off pair, and the on arm once more with the
-    mirror watched: it lands the same result without thrashing."""
-    on, off = check(row, [DEFAULT, arm(vectorized=False)])
+    """``check`` of the mirror and its scalar reference, and the default
+    arm once more with the mirror watched: it lands the same result
+    without thrashing."""
+    on, off = check(row, [DEFAULT, sub("scalar")])
     thrash = []
     watched, _ = simulate(row, spy=lambda eng: _watch_resyncs(eng, thrash))
     assert watched == on and thrash == []
-    assert not off.counters["vec"]["enabled"]
+    assert off.counters["vec"]["vec_refs"] == 0
     return on.counters
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_vec_tapped_bit_identical(name):
     """The memtrace tap forces the per-reference loop: the vec path must
-    stand down and change nothing; the scalar arm never builds it."""
-    _, off = check(name, [DEFAULT, arm(vectorized=False)], "tapped")
-    assert not off.counters["vec"]["enabled"]
+    stand down and change nothing; the scalar reference retires nothing
+    through it."""
+    _, off = check(name, [DEFAULT, sub("scalar")], "tapped")
+    assert off.counters["vec"]["vec_refs"] == 0
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
@@ -90,16 +95,18 @@ def test_vec_engages_on_warm_scan():
 
 
 def test_vec_off_in_config_disables_mirror():
-    eng = Engine(complex_backend(num_cpus=1, vectorized=False))
-    assert eng.memsys._vec is None
-    eng2 = Engine(complex_backend(num_cpus=1, fastpath=False))
-    # `vectorized` alone decides whether the mirror exists; with no
-    # batches published nothing ever runs through it
-    assert eng2.memsys._vec is not None
+    """No config turns the mirror off: it exists on either arm (with no
+    batches published nothing ever runs through it), and a ``vectorized``
+    key is refused."""
+    for arm in (DEFAULT, STRICT):
+        assert Engine(complex_backend(num_cpus=1, **arm)).memsys._vec \
+            is not None
+    with pytest.raises(TypeError, match="vectorized"):
+        complex_backend(num_cpus=1, vectorized=False)
 
 
 def test_vec_under_lookahead_bit_identical():
-    on, _ = check("private_heavy", [DEFAULT, arm(vectorized=False)])
+    on, _ = check("private_heavy", [DEFAULT, sub("scalar")])
     # both mechanisms engaged in the vec arm, each CPU's mirror resynced
     # a bounded number of times
     vec = on.counters["vec"]
@@ -111,7 +118,7 @@ def test_vec_under_lookahead_bit_identical():
 def test_vec_under_parallel_engine_bit_identical():
     """Shipped batches take the vec path too."""
     row = Isa((HOT_PROG,) * 2, parallel=True)
-    on, off = check(row, [DEFAULT, arm(vectorized=False)])
+    on, off = check(row, [DEFAULT, sub("scalar")])
     assert on.counters["vec"]["vec_refs"] > 0
-    assert not off.counters["vec"]["enabled"]
+    assert off.counters["vec"]["vec_refs"] == 0
     assert on.counters["batch_stats"]["la_refs"] > 0

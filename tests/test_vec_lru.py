@@ -21,6 +21,8 @@ from repro.mem import vec as vecmod
 from repro.mem.cache import Cache
 from repro.mem.hierarchy import MemorySystem
 
+from tests.equivalence import decline_mirror
+
 LINE = 32
 #: (n_sets, assoc): mask-indexed and modulo-indexed geometries
 GEOMETRIES = [(8, 4), (16, 2), (6, 4), (3, 2), (5, 8)]
@@ -92,18 +94,20 @@ def test_replay_equals_per_touch_move_to_front(script):
     assert cache._states == twin._states
 
 
-def _warm_ms(vectorized: bool) -> MemorySystem:
-    cfg = complex_backend(num_cpus=1, vectorized=vectorized)
+def _warm_ms(vec: bool) -> MemorySystem:
+    cfg = complex_backend(num_cpus=1)
     ms = MemorySystem(cfg, StatsRegistry(cfg.num_cpus))
     ms.vmm.new_space(1)
     ms.vmm.map_anon(1, 0x10000, 1 << 24)
+    if not vec:
+        decline_mirror(ms)
     return ms
 
 
 def test_plan_lives_and_dies_with_the_classification():
-    """Through ``access_run`` on a real hierarchy, against a
-    ``vectorized=False`` twin: the same hinted filling reuses one plan; a
-    scalar hit in between (no version moves) is caught by the live-list
+    """Through ``access_run`` on a real hierarchy, against a twin whose
+    mirror declines (the scalar loop): the same hinted filling reuses one
+    plan; a scalar hit in between (no version moves) is caught by the live-list
     check; an invalidation (version moves) gets a new classification and a
     new plan — the old fronts, which name a line that is gone, are never
     replayed."""
