@@ -471,7 +471,7 @@ class Engine:
         if kind <= 2:   # READ / WRITE / RMW: one pass, no shared tail
             lat, major = self.memsys.access(
                 proc.pid, event.addr, event.size, kind != 0, proc.cpu, now,
-                atomic=(kind == 2))
+                kind == 2)
             if major is None:
                 proc.vtime = vt = proc.vtime + lat
                 proc.reply = lat
@@ -492,17 +492,17 @@ class Engine:
                     self._after_event(proc)
                 return
             self._push_fault_handler(proc, event, major)
-        elif kind == ev.EvKind.ADVANCE:
+        elif kind == 3:     # ADVANCE
             proc.reply = 0
-        elif kind == ev.EvKind.LOCK:
+        elif kind == 4:     # LOCK
             resume = self._do_lock(proc, event, now)
-        elif kind == ev.EvKind.UNLOCK:
+        elif kind == 5:     # UNLOCK
             self._do_unlock(proc, event, now)
-        elif kind == ev.EvKind.BARRIER:
+        elif kind == 6:     # BARRIER
             resume = self._do_barrier(proc, event)
-        elif kind == ev.EvKind.SYSCALL:
+        elif kind == 7:     # SYSCALL
             self._do_syscall(proc, event, now)
-        elif kind == ev.EvKind.EXIT:
+        elif kind == 8:     # EXIT
             proc.exit_status = event.arg
             proc.reply = 0
         else:  # pragma: no cover
@@ -758,7 +758,7 @@ class Engine:
         return ((cpu_state.irq_pending and cpu_state.irq_enabled
                  and proc.intr_enabled and proc.mode != "interrupt")
                 or (not proc.kernel_mode
-                    and self.signals.has_pending(proc.pid))
+                    and proc.pid in self.signals.pending)
                 or proc.preempt_pending)
 
     def _after_event(self, proc: SimProcess) -> None:
@@ -976,10 +976,8 @@ class Engine:
                         proc.port_event = orig
                         return
                     lat, major = self.memsys.access(
-                        proc.pid, orig.addr, orig.size,
-                        orig.kind != ev.EvKind.READ, proc.cpu,
-                        self.gsched.now,
-                        atomic=(orig.kind == ev.EvKind.RMW))
+                        proc.pid, orig.addr, orig.size, orig.kind != 0,
+                        proc.cpu, self.gsched.now, orig.kind == 2)
                     if major is not None:
                         frame = self.os_server.vm_fault_handler(proc, major)
                         proc.push_frame(frame, "kernel", ("retry", orig))

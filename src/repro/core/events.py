@@ -6,9 +6,13 @@ issue) and passes it to the backend through the event port. Synchronisation
 instructions and OS calls also produce events. This module defines those
 records.
 
-Events are deliberately small ``__slots__`` objects: the simulator creates
-one per simulated memory reference, which makes this the hottest allocation
-site in the system (see the HPC guide notes in DESIGN.md).
+Events are small ``__slots__`` objects. A memory reference from the
+:class:`~repro.core.frontend.Proc` API allocates none: each ``Proc`` refills
+one reusable ``Event``, its slot, per reference. Runs of references travel
+as pooled :class:`EventBatch` objects. Fresh events are made for
+control events (syscalls, locks, barriers, exits) and by the per-event
+fallbacks of the other producers (see DESIGN.md, "The per-reference event
+path").
 """
 
 from __future__ import annotations
@@ -57,6 +61,11 @@ _KIND_NAMES = {k.value: k.name for k in EvKind}
 
 class Event:
     """One frontend→backend message.
+
+    An ``Event`` is not necessarily fresh: a ``Proc``'s memory macros
+    yield the same instance, refilled, for every reference. The engine
+    must not hold an event past the step that resumes its producer, except
+    as a faulting reference's retry frame, which ends before it resumes.
 
     Attributes
     ----------

@@ -27,6 +27,12 @@ from .errors import FrontendError
 #: generator type of an application/kernel coroutine
 Coroutine = Generator[ev.Event, Any, Any]
 
+#: memory kinds as plain ints, bound once: the macros would otherwise look
+#: an ``EvKind`` member up on the enum class per reference
+_READ = int(ev.EvKind.READ)
+_WRITE = int(ev.EvKind.WRITE)
+_RMW = int(ev.EvKind.RMW)
+
 
 class ProcState(IntEnum):
     """Life-cycle states of a simulated process."""
@@ -206,13 +212,21 @@ class Proc:
     data (apps keep functional state in ordinary Python objects, as COMPASS
     frontends keep theirs in native memory). Use the ISA interpreter path
     when functional simulated memory is wanted.
+
+    ``load`` / ``store`` / ``rmw`` all yield the same :class:`Event`, this
+    instance's slot, refilled per reference: the engine is done with it
+    before the coroutine resumes, except for a faulting reference, whose
+    ``("retry", slot)`` frame runs while the coroutine is still suspended.
+    Every other producer on the same process (a syscall's ``Sys.k``, a
+    signal wrapper) is built around its own ``Proc`` and so its own slot.
     """
 
-    __slots__ = ("process", "_clock")
+    __slots__ = ("process", "_clock", "_slot")
 
     def __init__(self, process: SimProcess) -> None:
         self.process = process
         self._clock = process.clock
+        self._slot = ev.Event(_READ)
 
     # -- instrumentation control (the Simulation ON/OFF switch, §4/§5) ------
 
@@ -249,19 +263,31 @@ class Proc:
         """Issue a read reference; returns its latency in cycles."""
         if not self.process.events_enabled:
             return 0
-        return (yield ev.Event(ev.EvKind.READ, addr, size))
+        e = self._slot
+        e.kind = _READ
+        e.addr = addr
+        e.size = size
+        return (yield e)
 
     def store(self, addr: int, size: int = 4):
         """Issue a write reference; returns its latency in cycles."""
         if not self.process.events_enabled:
             return 0
-        return (yield ev.Event(ev.EvKind.WRITE, addr, size))
+        e = self._slot
+        e.kind = _WRITE
+        e.addr = addr
+        e.size = size
+        return (yield e)
 
     def rmw(self, addr: int, size: int = 4):
         """Issue an atomic read-modify-write reference."""
         if not self.process.events_enabled:
             return 0
-        return (yield ev.Event(ev.EvKind.RMW, addr, size))
+        e = self._slot
+        e.kind = _RMW
+        e.addr = addr
+        e.size = size
+        return (yield e)
 
     def touch(self, addr: int, nbytes: int, write: bool = False,
               stride: int = 32, work_per_line: int = 0):
@@ -270,7 +296,7 @@ class Proc:
         cycles between references. Returns total memory latency."""
         if nbytes <= 0 or not self.process.events_enabled:
             return 0
-        kind = ev.EvKind.WRITE if write else ev.EvKind.READ
+        kind = _WRITE if write else _READ
         total = 0
         end = addr + nbytes
         a = addr
@@ -279,7 +305,7 @@ class Proc:
             # batched pipeline: one bulk-filled EventBatch per BATCH_CAP
             # references instead of one generator suspension each
             return (yield from ev.strided_batches(
-                [int(kind)], (addr,), nbytes, stride, work_per_line, pend))
+                [kind], (addr,), nbytes, stride, work_per_line, pend))
         while a < end:
             if work_per_line:
                 pend.pending += work_per_line

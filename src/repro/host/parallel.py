@@ -76,6 +76,10 @@ from ..isa.memory import DataMemory
 #: sentinel yielded by the proxy while its worker computes ahead
 COMPUTING = object()
 
+#: kinds the worker and the proxy test or yield, bound once as plain ints
+_ADVANCE = int(ev.EvKind.ADVANCE)
+_BATCH = int(ev.EvKind.BATCH)
+
 
 class WorkerSpec:
     """What a worker process runs: program text + data segments."""
@@ -122,7 +126,7 @@ def _worker_main(conn: Connection, spec_name: str, program_text: str,
         reply = None
         while True:
             out = gen.send(reply)
-            if out.kind == ev.EvKind.BATCH:
+            if out.kind == _BATCH:
                 # pickled here, so the interpreter may refill it at once
                 conn.send(("B", out.kinds, out.addrs, out.sizes,
                            out.pendings))
@@ -258,7 +262,7 @@ class ParallelEngine(Engine):
             while not w.queue:
                 # park until the harvest loop refills the queue; the sentinel
                 # rides in an ADVANCE event so the base stepper can stamp it
-                yield ev.Event(ev.EvKind.ADVANCE, 0, 0, COMPUTING)
+                yield ev.Event(_ADVANCE, 0, 0, COMPUTING)
             msg = w.queue.popleft()
             w.consumed += 1
             tag = msg[0]

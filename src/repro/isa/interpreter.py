@@ -27,6 +27,12 @@ from .instructions import Instr, Op
 from .memory import DataMemory
 from .program import Program
 
+#: memory kinds as plain ints, bound once: the per-event arms would
+#: otherwise look an ``EvKind`` member up on the enum class per reference
+_READ = int(ev.EvKind.READ)
+_WRITE = int(ev.EvKind.WRITE)
+_RMW = int(ev.EvKind.RMW)
+
 
 class Machine:
     """Architectural state of one interpreted frontend."""
@@ -116,7 +122,7 @@ class Interpreter:
                                 yield batch
                                 batch.reset()
                         else:
-                            yield ev.Event(ev.EvKind.READ, addr, ins.d or 4)
+                            yield ev.Event(_READ, addr, ins.d or 4)
                 elif op == Op.STORE:
                     addr = regs[ins.b] + ins.c
                     m.mem.store(addr, regs[ins.a], ins.d or 4)
@@ -128,7 +134,7 @@ class Interpreter:
                                 yield batch
                                 batch.reset()
                         else:
-                            yield ev.Event(ev.EvKind.WRITE, addr, ins.d or 4)
+                            yield ev.Event(_WRITE, addr, ins.d or 4)
                 elif op == Op.LOADX:
                     addr = regs[ins.b] + regs[ins.c]
                     regs[ins.a] = m.mem.load(addr, ins.d or 4)
@@ -140,7 +146,7 @@ class Interpreter:
                                 yield batch
                                 batch.reset()
                         else:
-                            yield ev.Event(ev.EvKind.READ, addr, ins.d or 4)
+                            yield ev.Event(_READ, addr, ins.d or 4)
                 elif op == Op.STOREX:
                     addr = regs[ins.b] + regs[ins.c]
                     m.mem.store(addr, regs[ins.a], ins.d or 4)
@@ -152,7 +158,7 @@ class Interpreter:
                                 yield batch
                                 batch.reset()
                         else:
-                            yield ev.Event(ev.EvKind.WRITE, addr, ins.d or 4)
+                            yield ev.Event(_WRITE, addr, ins.d or 4)
                 elif op == Op.LWARX:
                     addr = regs[ins.b]
                     m.reservation = addr
@@ -165,7 +171,7 @@ class Interpreter:
                                 yield batch
                                 batch.reset()
                         else:
-                            yield ev.Event(ev.EvKind.READ, addr, 4)
+                            yield ev.Event(_READ, addr, 4)
                 elif op == Op.STWCX:
                     addr = regs[ins.b]
                     if m.reservation == addr:
@@ -179,7 +185,7 @@ class Interpreter:
                                     yield batch
                                     batch.reset()
                             else:
-                                yield ev.Event(ev.EvKind.RMW, addr, 4)
+                                yield ev.Event(_RMW, addr, 4)
                     else:
                         regs[ins.a] = 0
                     m.reservation = None

@@ -24,6 +24,10 @@ from ..core.communicator import CpuState
 #: kernel addresses of per-source device/queue structures the handler touches
 _HANDLER_DATA_BASE = 0xC700_0000
 
+#: the handler's reference kinds, bound once (not an ``EvKind`` lookup each)
+_READ = int(ev.EvKind.READ)
+_WRITE = int(ev.EvKind.WRITE)
+
 
 class Interrupt:
     """A posted interrupt: source, cost, and completion actions."""
@@ -113,7 +117,7 @@ class InterruptController:
             per_line = max(1, intr.handler_cycles // max(1, intr.lines))
             for i in range(intr.lines):
                 clock.pending += per_line
-                yield ev.Event(ev.EvKind.READ if i % 2 == 0 else ev.EvKind.WRITE,
+                yield ev.Event(_READ if i % 2 == 0 else _WRITE,
                                base + 32 * i, 4)
             for act in intr.actions:
                 act()

@@ -33,6 +33,9 @@ from .tcpip import TcpIpStack
 SYSCALL_ENTRY_CYCLES = 180
 #: copy loop: cycles of kernel ALU work per cache line moved
 COPY_WORK_PER_LINE = 2
+#: the copy loop's reference kinds, bound once (not an ``EvKind`` lookup each)
+_READ = int(ev.EvKind.READ)
+_WRITE = int(ev.EvKind.WRITE)
 
 
 class OSThread:
@@ -146,8 +149,8 @@ class Sys:
         while off < nbytes:
             step = min(line, nbytes - off)
             k.compute(COPY_WORK_PER_LINE)
-            total += yield ev.Event(ev.EvKind.READ, src + off, step)
-            total += yield ev.Event(ev.EvKind.WRITE, dst + off, step)
+            total += yield ev.Event(_READ, src + off, step)
+            total += yield ev.Event(_WRITE, dst + off, step)
             off += line
         return total
 

@@ -34,8 +34,10 @@ class SignalManager:
     def __init__(self) -> None:
         #: pid -> {signo -> handler(proc_api, signo)}
         self._handlers: Dict[int, Dict[int, Callable]] = {}
-        #: pid -> queued signal numbers
-        self._pending: Dict[int, Deque[int]] = {}
+        #: pid -> queued signal numbers; only non-empty queues have a key,
+        #: so ``pid in pending`` is the whole "signal due" test (the engine
+        #: asks it after every event)
+        self.pending: Dict[int, Deque[int]] = {}
         self.delivered = 0
         self.dropped = 0
 
@@ -52,17 +54,21 @@ class SignalManager:
         if signo not in self._handlers.get(pid, {}):
             self.dropped += 1
             return False
-        self._pending.setdefault(pid, deque()).append(signo)
+        self.pending.setdefault(pid, deque()).append(signo)
         return True
 
     def pending_for(self, pid: int) -> Optional[int]:
-        q = self._pending.get(pid)
-        if not q:
+        """Take the oldest queued signal of ``pid`` (None when none is)."""
+        q = self.pending.get(pid)
+        if q is None:
             return None
-        return q.popleft()
+        signo = q.popleft()
+        if not q:
+            del self.pending[pid]
+        return signo
 
     def has_pending(self, pid: int) -> bool:
-        return bool(self._pending.get(pid))
+        return pid in self.pending
 
     def wrapper_frame(self, proc: SimProcess, signo: int):
         """Build the non-augmented wrapper: flag off → handler → flag on.
@@ -92,4 +98,4 @@ class SignalManager:
     def clear(self, pid: int) -> None:
         """Process exit: drop its handlers and pending signals."""
         self._handlers.pop(pid, None)
-        self._pending.pop(pid, None)
+        self.pending.pop(pid, None)

@@ -31,12 +31,13 @@ from pathlib import Path
 import pytest
 
 from repro import Engine, WaitToken, complex_backend
+from repro.core import events as ev
 from repro.core.config import with_os
-from repro.core.frontend import SimProcess
+from repro.core.frontend import Proc, SimProcess
 from repro.core.jsonable import to_jsonable
 from repro.osim import kmem
 from repro.osim.signals import SIGUSR1
-from repro.service.workloads import full_fingerprint
+from repro.service.workloads import WORKLOADS, full_fingerprint
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "event_path.json"
 UPDATE = os.environ.get("COMPASS_UPDATE_GOLDEN") == "1"
@@ -381,6 +382,37 @@ def test_tap_sees_every_single_reference_once():
     user = [s for s in seen if s[2] < 0xC000_0000]
     assert len(user) == 2 * 2 * 30
     assert [s[0] for s in seen] == sorted(s[0] for s in seen)
+
+
+def test_splash_allocates_no_event_per_reference(monkeypatch):
+    """Every memory reference of a ``splash`` run reuses its ``Proc``'s
+    slot: ``Event`` objects are made only for non-memory events (syscalls,
+    locks, barriers, exits) and one slot per ``Proc`` instance."""
+    counts = {"events": 0, "procs": 0, "non_memory": 0, "memory": 0}
+
+    def counting(cls, key):
+        init = cls.__init__
+
+        def wrapper(self, *a, **kw):
+            counts[key] += 1
+            init(self, *a, **kw)
+        monkeypatch.setattr(cls, "__init__", wrapper)
+
+    counting(ev.Event, "events")
+    counting(Proc, "procs")
+    handle = Engine._handle_event
+
+    def spy(self, proc, event):
+        counts["non_memory" if event.kind > 2 else "memory"] += 1
+        return handle(self, proc, event)
+    monkeypatch.setattr(Engine, "_handle_event", spy)
+
+    SimProcess.set_pid_counter(1)
+    eng = WORKLOADS["splash"](complex_backend)
+    eng.run()
+    assert eng.batch_stats["batches"] == 0
+    assert counts["memory"] > 10 * counts["non_memory"]
+    assert counts["events"] <= counts["non_memory"] + counts["procs"]
 
 
 def test_recent_events_ring_holds_single_references():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import Engine, complex_backend
 from repro.core import events as ev
 from repro.core.errors import FrontendError
 from repro.core.frontend import (FrontendClock, Proc, ProcState, SimProcess,
@@ -43,6 +44,24 @@ class TestProcMacros:
         e = events[0]
         assert e.kind == ev.EvKind.READ and e.addr == 0x100 and e.size == 8
         assert lat == 1
+
+    def test_memory_macros_refill_one_slot(self):
+        """load / store / rmw yield this Proc's one Event every time, with
+        the reference's own kind, address and size at its yield."""
+        api = self.api
+        refs = [(api.load(0x100, 8), ev.EvKind.READ, 0x100, 8),
+                (api.store(0x140), ev.EvKind.WRITE, 0x140, 4),
+                (api.rmw(0x180, 2), ev.EvKind.RMW, 0x180, 2),
+                (api.load(0x1C0), ev.EvKind.READ, 0x1C0, 4)]
+        seen = []
+        for gen, kind, addr, size in refs:
+            e = next(gen)
+            assert (e.kind, e.addr, e.size) == (kind, addr, size)
+            assert type(e.kind) is int
+            seen.append(e)
+            with pytest.raises(StopIteration):
+                gen.send(1)
+        assert all(e is seen[0] for e in seen)
 
     def test_touch_strides(self):
         events, total = drain(self.api.touch(0x0, 200, stride=64))
@@ -92,6 +111,26 @@ class TestProcMacros:
         events, status = drain(self.api.exit(5))
         assert events[0].kind == ev.EvKind.EXIT
         assert status == 5
+
+
+def test_app_and_kernel_procs_never_share_a_slot():
+    """The app's Proc and every ``Sys.k`` that ``context_for`` builds for
+    the same process (one per syscall, one per VM fault) own distinct
+    slots, so a kernel reference never overwrites a suspended app one."""
+    eng = Engine(complex_backend(num_cpus=1))
+    apis = {}
+
+    def app(proc):
+        apis["app"] = proc
+        yield from proc.exit(0)
+
+    sp = eng.spawn("a", app)
+    syscall = eng.os_server.context_for(sp)
+    fault = eng.os_server.context_for(sp)
+    app_ref = next(apis["app"].load(0x100))
+    k_refs = [next(syscall.k.load(0x200)), next(fault.k.store(0x300))]
+    assert len({id(app_ref), *map(id, k_refs)}) == 3
+    assert [e.addr for e in [app_ref, *k_refs]] == [0x100, 0x200, 0x300]
 
 
 class TestFrameStack:

@@ -16,6 +16,24 @@ def test_manager_install_post_pending():
     assert m.pending_for(1) is None
 
 
+def test_only_nonempty_queues_have_a_key():
+    """``pid in pending`` is the engine's whole "signal due" test, so taking
+    the last queued signal, and ``clear``, must drop the pid's key."""
+    m = SignalManager()
+    m.install(1, SIGUSR1, lambda p, s: None)
+    m.install(1, SIGUSR2, lambda p, s: None)
+    assert 1 not in m.pending
+    m.post(1, SIGUSR1)
+    m.post(1, SIGUSR2)
+    assert m.pending_for(1) == SIGUSR1
+    assert m.has_pending(1) and 1 in m.pending
+    assert m.pending_for(1) == SIGUSR2
+    assert not m.has_pending(1) and 1 not in m.pending
+    m.post(1, SIGUSR1)
+    m.clear(1)
+    assert not m.has_pending(1) and 1 not in m.pending
+
+
 def test_post_without_handler_dropped():
     m = SignalManager()
     assert not m.post(1, SIGUSR1)
@@ -102,6 +120,41 @@ class TestEngineDelivery:
 
         eng, _log = self._run(handler, nsignals=3)
         assert hits == [SIGUSR1] * 3
+
+    def test_two_queued_signals_delivered_in_order(self):
+        """Two signals posted back to back are both queued at the
+        receiver's next event boundary. The engine takes them oldest
+        first and pushes each wrapper frame above the previous one, so the
+        handlers run newest first, in one boundary, and the queue's key
+        goes only with the second signal."""
+        eng = Engine(complex_backend(num_cpus=2))
+        hits = []
+        holder = {}
+
+        def handler(api, signo):
+            hits.append(signo)
+
+        def receiver(proc):
+            yield from proc.call("sigaction", SIGUSR1, handler)
+            yield from proc.call("sigaction", SIGUSR2, handler)
+            for _ in range(30):
+                proc.compute(10_000)
+                yield from proc.advance()
+            yield from proc.exit(0)
+
+        def sender(proc):
+            yield from proc.call("nanosleep", 40_000)
+            for signo in (SIGUSR2, SIGUSR1):
+                r = yield from proc.call("kill", holder["pid"], signo)
+                assert r.ok
+            yield from proc.exit(0)
+
+        holder["pid"] = eng.spawn("recv", receiver).pid
+        eng.spawn("send", sender)
+        eng.run()
+        assert hits == [SIGUSR1, SIGUSR2]
+        assert eng.signals.delivered == 2
+        assert eng.signals.pending == {}
 
     def test_kill_unknown_pid(self):
         eng = Engine(complex_backend(num_cpus=1))
