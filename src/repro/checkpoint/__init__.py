@@ -24,14 +24,15 @@ left off.
 """
 
 from .log import RecordingMemory, ReplayMemory, reply_log_path
-from .manager import (CheckpointManager, checkpoint_exists, generation_paths,
-                      load_checkpoint, quarantine_checkpoint, resume,
-                      write_checkpoint_file)
+from .manager import (CheckpointManager, checkpoint_exists, config_identity,
+                      generation_paths, load_checkpoint, quarantine_checkpoint,
+                      resume, write_checkpoint_file)
 from .snapshot import collect_snapshot, install_snapshot, verify_snapshot
 
 __all__ = [
     "CheckpointManager",
     "checkpoint_exists",
+    "config_identity",
     "generation_paths",
     "quarantine_checkpoint",
     "write_checkpoint_file",

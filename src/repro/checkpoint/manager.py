@@ -20,6 +20,7 @@ import os
 import pickle
 import time
 import zlib
+from dataclasses import fields
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.errors import (CheckpointCorruptError, CheckpointError,
@@ -38,14 +39,24 @@ from .snapshot import collect_snapshot, install_snapshot, verify_snapshot
 #: and changes the payload: the directory/COMA/DSM protocols snapshot their
 #: global line state as ``line -> int`` dicts (sharer bitmasks, owners).
 #: v4 moves the reply streams into the append-only reply log; header and
-#: payload record its name and committed length (``log`` / ``log_bytes``)
-FORMAT_VERSION = 4
+#: payload record its name and committed length (``log`` / ``log_bytes``).
+#: v5 makes ``config_fp`` a field -> ``repr`` map without the host policy
+#: (:func:`config_identity`) and verifies a parked frontend by port time
+FORMAT_VERSION = 5
 
 #: 4-byte file magic opening every framed (v2+) checkpoint
 MAGIC = b"CMPK"
 
 #: autosave generations rotated under the default path (`.g0`/`.g1`)
 GENERATIONS = 2
+
+
+def config_identity(cfg) -> Dict[str, str]:
+    """Field -> ``repr`` of every ``SimConfig`` field but the host policy;
+    a sampled config keeps ``fastpath`` (its phases switch at a loop top)."""
+    return {f.name: repr(getattr(cfg, f.name)) for f in fields(cfg)
+            if not f.metadata.get("host_policy")
+            or (f.name == "fastpath" and cfg.sampling is not None)}
 
 
 def _worker_fingerprint(engine) -> Optional[Dict[int, Tuple[str, int]]]:
@@ -121,18 +132,20 @@ class CheckpointManager:
                                   "events_at_start": engine.events_processed,
                                   "stop_events": None})
 
-    def on_loop_top(self, engine) -> bool:
+    def on_loop_top(self, engine) -> None:
         """Called at the top of every scheduler round while live processes
-        remain. Returns True when the run loop must stop *without*
-        finalising (replay reached the checkpoint's event count)."""
-        if self.mode == "replay":
-            stop = self.segments[self._replay_idx]["stop_events"]
-            return stop is not None and engine.events_processed >= stop
+        remain: autosave every ``interval`` events (a replay ends below)."""
         if engine.events_processed >= self._next_save:
             while self._next_save <= engine.events_processed:
                 self._next_save += self.interval
             self.save()
-        return False
+
+    def at_replay_stop(self, engine) -> bool:
+        """Called once per ``run()`` return: True when replay reached the
+        checkpoint's event count, where ``run()`` returns *without*
+        finalising (the checkpointed run was mid-loop there)."""
+        return (self.mode == "replay" and engine.events_processed
+                == self.segments[self._replay_idx]["stop_events"])
 
     # -- saving ------------------------------------------------------------
 
@@ -168,7 +181,7 @@ class CheckpointManager:
         t1 = time.perf_counter()
         ckpt = {
             "version": FORMAT_VERSION,
-            "config_fp": repr(engine.cfg),
+            "config_fp": config_identity(engine.cfg),
             "workload_fp": self.workload_fp,
             "worker_fp": self.worker_fp,
             "pid_base": self.pid_base,
@@ -208,10 +221,13 @@ class CheckpointManager:
         """Fast-forward this (freshly built) engine to the checkpoint."""
         engine = self.engine
         _require_current_format(ckpt.get("version"), self.path)
-        if ckpt["config_fp"] != repr(engine.cfg):
+        want, have = ckpt["config_fp"], config_identity(engine.cfg)
+        differ = sorted(k for k in want.keys() | have.keys()
+                        if want.get(k) != have.get(k))
+        if differ:
             raise CheckpointError(
-                "configuration fingerprint mismatch: the engine was built "
-                "with a different SimConfig than the checkpointed run")
+                f"configuration mismatch: the engine's SimConfig differs "
+                f"from the checkpointed run's in: {', '.join(differ)}")
         live_fp = {p.pid: p.name for p in engine.comm.processes.values()}
         if live_fp != ckpt["workload_fp"]:
             raise CheckpointError(
@@ -230,6 +246,13 @@ class CheckpointManager:
         # offset, where the next save cuts it and appends
         self.replies.clear()
         self.log_bytes = ckpt["log_bytes"]
+        if (os.path.abspath(ckpt["log_path"])
+                != os.path.abspath(reply_log_path(self.path))):
+            # resumed under another checkpoint_path: its log starts over,
+            # and the first save writes the whole history into it
+            self.log_bytes = 0
+            self.replies.update((pid, a[:])
+                                for pid, a in ckpt["replies"].items())
         self.fault_log.clear()
         self.fault_log.update(ckpt["fault_log"])
         self.segments = [dict(s) for s in ckpt["segments"]]
@@ -245,8 +268,10 @@ class CheckpointManager:
         try:
             for idx, seg in enumerate(self.segments):
                 self._replay_idx = idx
-                engine.run(seg["until"], seg["max_events"])
                 stop = seg["stop_events"]
+                # the loop budget cuts a batch at the recorded stop
+                engine.run(seg["until"], seg["max_events"] if stop is None
+                           else stop - engine.events_processed)
                 if (stop is not None
                         and engine.events_processed != stop):
                     raise ReplayDivergence(
@@ -352,9 +377,8 @@ def _read_checkpoint_file(path: str) -> Dict[str, Any]:
             f"header format {header.get('format')!r} disagrees with "
             f"payload version {ckpt.get('version')!r}")
     if header.get("log") is not None:
-        ckpt["replies"] = read_replies(
-            os.path.join(os.path.dirname(path), header["log"]),
-            header["log_bytes"])
+        ckpt["log_path"] = os.path.join(os.path.dirname(path), header["log"])
+        ckpt["replies"] = read_replies(ckpt["log_path"], header["log_bytes"])
     return ckpt
 
 
@@ -431,8 +455,8 @@ def load_checkpoint(path: str) -> Dict[str, Any]:
     newer generation is quarantined (:func:`quarantine_checkpoint`) and
     the previous one is used instead of restarting from cycle zero.
     The result carries ``"replies"``, the reply streams read from the log
-    up to the length the file committed; a log short or damaged inside
-    that length is corruption of the generation that needs it.
+    (``"log_path"``) up to the length the file committed; a log short or
+    damaged inside that length is corruption of the generation needing it.
     Raises :class:`CheckpointCorruptError` when every candidate is
     corrupt, ``FileNotFoundError`` when none exists.
     """

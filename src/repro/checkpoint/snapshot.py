@@ -26,9 +26,10 @@ from typing import Any, Dict
 
 from ..core.errors import ReplayDivergence
 
-#: components replay does not rebuild: installed from the snapshot, never
-#: compared against the replayed run
-_INSTALL_ONLY = ("memsys", "faults", "sampler")
+#: components replay does not rebuild, or rebuilds as the resuming arm
+#: runs (host counters): installed from the snapshot, never compared
+_INSTALL_ONLY = ("memsys", "faults", "sampler", "batch_stats",
+                 "recent_events")
 
 
 def collect_snapshot(engine) -> Dict[str, Any]:
@@ -90,10 +91,14 @@ def verify_snapshot(engine, snapshot: Dict[str, Any]) -> None:
 
 def install_snapshot(engine, snapshot: Dict[str, Any]) -> None:
     """Install the authoritative snapshot for the replay-skipped
-    components (memory hierarchy, stats, fault injector)."""
+    components (memory hierarchy, stats, fault injector, sampler, host
+    counters)."""
     engine.memsys.load_state(snapshot["memsys"])
     engine.stats.load_state(snapshot["stats"])
     engine.faults.load_state(snapshot["faults"])
     if (snapshot.get("sampler") is not None
             and engine._sampler is not None):
         engine._sampler.load_state(snapshot["sampler"])
+    engine.batch_stats.update(snapshot["batch_stats"])
+    engine._recent_events.clear()
+    engine._recent_events.extend(snapshot["recent_events"])

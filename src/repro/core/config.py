@@ -19,6 +19,10 @@ from typing import Optional
 from .clock import ClockDomain
 from .errors import ConfigError
 
+#: field metadata of :class:`SimConfig`'s host policy: how it runs, not what
+#: it simulates, so not part of a checkpoint's identity (config_identity)
+HOST_POLICY = {"host_policy": True}
+
 
 @dataclass(frozen=True, slots=True)
 class CacheConfig:
@@ -233,7 +237,7 @@ class SimConfig:
     #: strict reference schedule, e.g. for equivalence testing or
     #: interleaving ablations. Bit-identical timing either way; the L1
     #: probe is the memory model and runs either way.
-    fastpath: bool = True
+    fastpath: bool = field(default=True, metadata=HOST_POLICY)
     #: optional deterministic fault-injection plan (a repro.faults.FaultPlan;
     #: kept untyped here to avoid a config -> faults import cycle). None or
     #: an empty plan disables the subsystem entirely: no hooks are bound and
@@ -243,13 +247,13 @@ class SimConfig:
     #: before the run is declared livelocked and aborted with a structured
     #: DeadlockError. The default is far above anything a legitimate
     #: workload produces at one cycle.
-    watchdog_rounds: int = 1_000_000
+    watchdog_rounds: int = field(default=1_000_000, metadata=HOST_POLICY)
     #: checkpoint/restore: autosave an engine checkpoint to this path every
     #: ``checkpoint_interval`` processed events. 0 disables the subsystem
     #: entirely — no manager is created, no tap is installed, and runs
     #: are bit-identical to a build without it.
-    checkpoint_path: Optional[str] = None
-    checkpoint_interval: int = 0
+    checkpoint_path: Optional[str] = field(default=None, metadata=HOST_POLICY)
+    checkpoint_interval: int = field(default=0, metadata=HOST_POLICY)
     #: sampled-simulation schedule (a SamplingConfig) alternating detailed
     #: windows with functional fast-forward. None = full detail (default);
     #: sampled runs are approximate — see SamplingConfig.

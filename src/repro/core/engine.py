@@ -262,10 +262,8 @@ class Engine:
         while budget > 0:
             if self._live <= 0:
                 break
-            if ck is not None and ck.on_loop_top(self):
-                # replay reached the checkpoint's event count: stop without
-                # finalising (the checkpointed run was mid-loop here)
-                return self.stats
+            if ck is not None:
+                ck.on_loop_top(self)
             if sam is not None:
                 sam.on_loop_top(self)
             now = gsched.now
@@ -354,6 +352,8 @@ class Engine:
             self.events_processed += 1
             budget -= 1
             handle_event(cand, event)
+        if ck is not None and ck.at_replay_stop(self):
+            return self.stats       # the checkpointed run was mid-loop
         if self._live <= 0:
             self.timer.stop()
         self.stats.end_cycle = gsched.now

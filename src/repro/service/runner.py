@@ -21,15 +21,15 @@ PR 4 :class:`~repro.checkpoint.manager.CheckpointManager`; a retried,
 preempted, or externally SIGKILLed job *resumes from its last autosave*
 instead of restarting, and the checkpoint layer guarantees the resumed
 run is bit-identical to an undisturbed one. When the retry budget runs
-out, one last "safe mode" attempt runs with checkpointing disabled and,
-unless the spec is sampled, with ``fastpath`` off: every batched host
-layer off, the strict schedule, which lands the canonical fingerprint,
-just slower. A sampled result depends on where batches are cut (its
-phases switch at the first loop top past an event count), so a sampled
-spec keeps its host path; its fingerprint then holds only as far as
-batches are cut where the optimistic attempts cut them (DESIGN.md
-"Sampled simulation"). A safe-mode success terminates the job as
-``DEGRADED`` rather than ``DONE`` so fleets can alert on it.
+out, one last "safe mode" attempt resumes the last autosave like any
+retry, and keeps autosaving, with ``fastpath`` off unless the spec is
+sampled: the strict schedule, which lands the canonical fingerprint, just
+slower. A checkpoint names the simulated machine, not the host path, so
+either arm resumes it. A sampled result depends on where batches are cut
+(its phases switch at the first loop top past an event count), so a
+sampled spec keeps its host path (DESIGN.md "Sampled simulation"). A
+safe-mode success terminates the job as ``DEGRADED`` rather than
+``DONE`` so fleets can alert on it.
 """
 
 from __future__ import annotations
@@ -81,16 +81,11 @@ def _job_child(spec_dict: dict, attempt: int, ckpt_path: str,
     try:
         adapter = SimulatorAdapter()
         config = dict(spec.config)
-        if safe_mode:
-            # serial safe mode: the strict schedule unless sampled; no
-            # checkpointing, a safe-mode config could not adopt the
-            # optimistic run's autosave anyway (the config fingerprint
-            # differs)
-            if config.get("sampling") is None:
-                config.update(SAFE_MODE_OVERRIDES)
-            config.pop("checkpoint_path", None)
-            config.pop("checkpoint_interval", None)
-        elif spec.checkpoint_interval > 0:
+        if safe_mode and config.get("sampling") is None:
+            # the strict schedule; host policy is not part of a
+            # checkpoint's identity, so it resumes the optimistic autosave
+            config.update(SAFE_MODE_OVERRIDES)
+        if spec.checkpoint_interval > 0:
             config["checkpoint_path"] = ckpt_path
             config["checkpoint_interval"] = spec.checkpoint_interval
 
@@ -98,8 +93,7 @@ def _job_child(spec_dict: dict, attempt: int, ckpt_path: str,
             return adapter.prepare(config=config, workload=spec.workload,
                                    workload_kwargs=spec.workload_kwargs)
 
-        if (not safe_mode and spec.checkpoint_interval > 0
-                and checkpoint_exists(ckpt_path)):
+        if spec.checkpoint_interval > 0 and checkpoint_exists(ckpt_path):
             engine, stats = ckpt_resume(ckpt_path, build, finish=True)
             adapter.stats = stats
             conn.send(("resumed", engine.events_processed))

@@ -437,11 +437,15 @@ MODES = {
     "probe_off": (None, "miss_tap"),
     # killed after two autosaves, resumed in a fresh engine
     "resume": (TIMING_PLAN, "crash"),
+    # killed after two autosaves under the other arm, resumed under this
+    # one: a checkpoint names the simulated machine, not the host path
+    "swap": (TIMING_PLAN, "swap"),
 }
 
 #: mode -> the mode whose strict result it must land: a tap, the probe
-#: and a crash move nothing
-SAME_AS = {"tapped": "clean", "probe_off": "tapped", "resume": "plan"}
+#: and a crash (under either arm) move nothing
+SAME_AS = {"tapped": "clean", "probe_off": "tapped", "resume": "plan",
+           "swap": "plan"}
 
 
 def miss_tap(eng):
@@ -506,11 +510,14 @@ def build(row, cfg=DEFAULT, faults=None):
     return row.build(factory) if isinstance(row, Isa) else ROWS[row](factory)
 
 
-def _crash_and_resume(row, cfg, faults):
+def _crash_and_resume(row, cfg, mode):
+    faults, how = MODES[mode]
     with tempfile.TemporaryDirectory() as tmp:
         cfg = dict(cfg, checkpoint_path=os.path.join(tmp, "ck.pkl"),
                    checkpoint_interval=1_500)
-        eng = build(row, cfg, faults)
+        crashed = (dict(cfg, fastpath=not cfg["fastpath"]) if how == "swap"
+                   else cfg)
+        eng = build(row, crashed, faults)
         eng._ckpt.crash_after_saves = 2
         with pytest.raises(SimulatedCrash):
             eng.run()
@@ -531,8 +538,8 @@ def simulate(row, cfg=DEFAULT, mode="clean", spy=None):
 def _simulate(row, cfg, mode, spy):
     faults, how = MODES[mode]
     rec = None
-    if how == "crash":
-        eng, stats = _crash_and_resume(row, cfg, faults)
+    if how in ("crash", "swap"):
+        eng, stats = _crash_and_resume(row, cfg, mode)
     else:
         eng = build(row, cfg, faults)
         if how == "miss_tap":

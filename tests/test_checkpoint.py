@@ -168,23 +168,51 @@ class TestOneTap:
         assert len(calls) == eng.memsys.accesses > 0
 
 
+def _crashed(path, **cfg):
+    """Run oltp under ``TIMING_PLAN``, autosaving to ``path``, until it
+    crashes after its first autosave."""
+    eng = _engine(path, 1_500, **cfg)
+    eng._ckpt.crash_after_saves = 1
+    with pytest.raises(SimulatedCrash):
+        eng.run()
+
+
 class TestFingerprints:
     def test_config_mismatch_refused(self, tmp_path):
+        """The refusal names the fields that differ."""
         path = str(tmp_path / "ck.pkl")
-        eng = _engine(path, 1_500)
-        eng._ckpt.crash_after_saves = 1
-        with pytest.raises(SimulatedCrash):
-            eng.run()
-        with pytest.raises(CheckpointError, match="configuration"):
-            # a different fault plan
+        _crashed(path)
+        with pytest.raises(CheckpointError,
+                           match="configuration .* differs .* in: faults$"):
             resume(path, lambda: _engine(path, 1_500, None))
+
+    def test_sampled_config_keeps_fastpath_in_its_identity(self, tmp_path):
+        """Where batches are cut is part of a sampled result, so a sampled
+        run resumes only on the arm it was recorded under."""
+        path = str(tmp_path / "ck.pkl")
+        sc = SamplingConfig(detail_events=1_000, ff_events=2_000)
+        _crashed(path, sampling=sc)
+        with pytest.raises(CheckpointError, match="in: fastpath$"):
+            resume(path, lambda: _engine(path, 1_500, sampling=sc,
+                                         fastpath=False))
+
+    @pytest.mark.parametrize("name,cfg", [
+        ("ck.pkl", {"watchdog_rounds": 500_000}), ("moved.pkl", {})],
+        ids=["watchdog_rounds", "checkpoint_path"])
+    def test_host_policy_is_not_identity(self, tmp_path, name, cfg):
+        """A run resumes under another host policy and lands the
+        uninterrupted result; under another ``checkpoint_path`` it starts
+        a log of its own there, which a later resume reads."""
+        path = str(tmp_path / "ck.pkl")
+        _crashed(path)
+        new_path = str(tmp_path / name)
+        eng, stats = resume(path, lambda: _engine(new_path, 1_500, **cfg))
+        assert full_fingerprint(eng, stats) == _uninterrupted()
+        assert load_checkpoint(new_path)["saves"] == eng._ckpt.saves
 
     def test_workload_mismatch_refused(self, tmp_path):
         path = str(tmp_path / "ck.pkl")
-        eng = _engine(path, 1_500)
-        eng._ckpt.crash_after_saves = 1
-        with pytest.raises(SimulatedCrash):
-            eng.run()
+        _crashed(path)
         with pytest.raises(CheckpointError, match="workload"):
             # same SimConfig shape, different process set
             resume(path, lambda: _engine(path, 1_500, name="dss"))
@@ -206,7 +234,7 @@ class TestFingerprints:
         assert not any(f.endswith(".tmp") for f in os.listdir(path.rsplit(
             "/", 1)[0]))
         ck = load_checkpoint(path)
-        assert ck["version"] == FORMAT_VERSION == 4
+        assert ck["version"] == FORMAT_VERSION == 5
         assert ck["events_processed"] > 0
         # both generations exist after >= 2 autosaves and load_checkpoint
         # picks the newer one

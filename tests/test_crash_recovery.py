@@ -150,6 +150,22 @@ def _write_v3_autosave(path):
     return ckpt
 
 
+def _write_v4_autosave(path):
+    """A well-formed format-4 autosave as the previous build wrote it: its
+    ``config_fp`` is ``repr(SimConfig)``, host policy included, and its
+    header points into a reply log."""
+    cfg = complex_backend(num_cpus=2)
+    ckpt = {"version": 4, "saves": 1, "events_processed": 100,
+            "config_fp": repr(cfg), "log": "ck.pkl.log", "log_bytes": 0}
+    header = json.dumps({"format": 4, "saves": 1, "events": 100,
+                         "log": "ck.pkl.log", "log_bytes": 0}).encode()
+    with open(path, "wb") as f:
+        f.write(CKPT_MAGIC)
+        write_frame(f, header)
+        write_frame(f, pickle.dumps(ckpt))
+    return ckpt
+
+
 class TestStaleFormat:
     """A checkpoint of another format version is refused by name — both
     versions in the message — never by a ``KeyError`` out of some
@@ -179,6 +195,22 @@ class TestStaleFormat:
                                      checkpoint_interval=1_000))
         with pytest.raises(CheckpointError,
                            match=f"format 3 != {FORMAT_VERSION}"):
+            eng._ckpt.restore(ckpt)
+
+    def test_v4_refused_as_an_incompatible_build(self, tmp_path):
+        """v4 fingerprinted the host policy with the machine: refused from
+        its header, never misreported as a configuration mismatch."""
+        base = str(tmp_path / "ck.pkl")
+        g0, _ = generation_paths(base)
+        ckpt = _write_v4_autosave(g0)
+        stale = f"format 4 != {FORMAT_VERSION} .written by an incompatible"
+        with pytest.raises(CheckpointError, match=stale) as ei:
+            load_checkpoint(base)
+        assert not isinstance(ei.value, CheckpointCorruptError)
+        assert os.listdir(tmp_path) == [os.path.basename(g0)]
+        eng = Engine(complex_backend(num_cpus=2, checkpoint_path=base,
+                                     checkpoint_interval=1_000))
+        with pytest.raises(CheckpointError, match=stale):
             eng._ckpt.restore(ckpt)
 
     def test_restore_refuses_v2(self, tmp_path):

@@ -2,8 +2,9 @@
 
 One cell per row x mode; :func:`tests.equivalence.check` holds ``DEFAULT``
 and ``STRICT`` (``fastpath`` on and off) to the strict inline run of that
-row and mode. ``ParallelEngine`` rows compare the snapshot only: their
-``batch_stats`` move with the wall clock. The layers that select
+row and mode; a ``swap`` cell crashes under one arm and resumes under the
+other, in both directions. ``ParallelEngine`` rows compare the snapshot
+only: their ``batch_stats`` move with the wall clock. The layers that select
 themselves under ``DEFAULT`` are reached one by one in their mechanism
 suites, through ``tests.equivalence.SUBS``.
 """
@@ -21,8 +22,8 @@ ISA_ROWS = [Isa((PROGS[name],) * 2)
 
 CELLS = [
     *((w, m) for w in sorted(WORKLOADS)
-      for m in ("clean", "plan", "tapped", "probe_off", "resume")),
-    *(("private_heavy", m) for m in ("clean", "tapped", "resume")),
+      for m in ("clean", "plan", "tapped", "probe_off", "resume", "swap")),
+    *(("private_heavy", m) for m in ("clean", "tapped", "resume", "swap")),
     ("spaced", "clean"),
     *((r, m) for r in CLOCK_READERS for m in ("clean", "plan")),
     *((r, m) for r in ISA_ROWS for m in ("clean", "plan")),

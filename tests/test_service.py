@@ -188,8 +188,9 @@ class TestChaos:
 
     def test_retry_exhaustion_degrades_to_safe_mode(self, tmp_path):
         """Every optimistic attempt is killed; the job must degrade to
-        the serial safe-mode attempt and still produce the canonical
-        fingerprint (``fastpath`` is bit-identical on and off)."""
+        the serial safe-mode attempt, which resumes their last autosave
+        under the other arm, and still produce the canonical fingerprint
+        (``fastpath`` is bit-identical on and off)."""
         undisturbed = run_matrix(
             [_chaos_spec("calm", {}, tmp_path, max_retries=1)],
             workdir=str(tmp_path / "calm"))["calm"]
@@ -202,22 +203,29 @@ class TestChaos:
         assert rec.degraded
         assert [a.safe_mode for a in rec.attempts] == [False, False, True]
         assert rec.attempts[-1].outcome == "done"
+        assert rec.attempts[-1].resumed_from_events >= 1_500
         assert rec.fingerprint == undisturbed.fingerprint
         assert rec.history[-1] == "DEGRADED"
 
-    @pytest.mark.parametrize("sampling", [None, {"detail_events": 1_000,
-                                                 "ff_events": 2_000}],
-                             ids=["full", "sampled"])
-    def test_forced_safe_mode_lands_the_done_fingerprint(self, tmp_path,
-                                                        sampling):
+    @pytest.mark.parametrize("workload,sampling,interval", [
+        ("oltp", None, 2_000),
+        ("oltp", {"detail_events": 1_000, "ff_events": 2_000}, 2_000),
+        ("dss", {"detail_events": 1_000, "ff_events": 2_000,
+                 "checkpoint_windows": True}, 1_500),
+    ], ids=["full", "sampled", "sampled-windows"])
+    def test_forced_safe_mode_lands_the_done_fingerprint(
+            self, tmp_path, workload, sampling, interval):
         """A safe-mode attempt, forced without a failure first, lands the
         fingerprint of the job's DONE attempt: unsampled with ``fastpath``
-        off; sampled on its own host path, only without checkpoints (where
-        its batches are cut is part of a sampled result)."""
+        off; sampled on its own host path (where its batches are cut is
+        part of a sampled result). It keeps checkpointing, which a
+        sampled spec's ``checkpoint_windows`` requires."""
         config = {} if sampling is None else {"sampling": sampling}
         runner = JobRunner(workdir=str(tmp_path))
         for name in ("done", "safe"):
-            runner.submit(JobSpec(name=name, workload="oltp", config=config))
+            runner.submit(JobSpec(name=name, workload=workload,
+                                  config=config,
+                                  checkpoint_interval=interval))
         runner._safe_pending.add("safe")
         recs = runner.run()
         assert recs["done"].state == JobState.DONE
