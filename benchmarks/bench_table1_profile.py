@@ -11,99 +11,46 @@ plus: the web kernel time is dominated by TCP/IP calls (kwritev, kreadv,
 select, connect, open, close, naccept, send) and the DB kernel time by
 kwritev, kreadv, mmap, munmap, msync.
 
-This bench regenerates the three rows on our scaled workloads and asserts
-the qualitative shape: web serving is OS-dominated with heavy interrupt
-time, both database workloads are user-dominated with ~10-35 % OS.
+This bench regenerates the rows on our scaled workloads (plus the SPLASH
+contrast) and prints them beside the paper's, with the host time each row
+takes. The shape they must keep — web serving OS-dominated with heavy
+interrupt time, both databases user-dominated with ~10-35 % OS, the
+scientific kernel near-zero OS — is asserted by the tier-1 test
+``tests/test_paper_tables.py`` on the same inputs.
 """
 
 import pytest
 
+from repro import complex_backend
 from repro.harness import profile_row, render_table, top_oscall_table
+from repro.service.workloads import (build_splash, build_tpcc_run,
+                                     build_tpcd_run, build_web_run)
 
-from workloads import build_tpcc_run, build_tpcd_run, build_web_run
-
-PAPER = {
-    "SPECWeb/Apache": (14.9, 85.1, 37.8, 47.3),
-    "TPCD/DB2": (81.0, 19.0, 8.6, 10.4),
-    "TPCC/DB2": (79.0, 21.0, 14.6, 6.4),
+#: row -> (paper's user/OS/interrupt/kernel, the run)
+ROWS = {
+    "SPECWeb/Apache": ((14.9, 85.1, 37.8, 47.3),
+                       lambda: build_web_run(nrequests=16)[1]()),
+    "TPCD/DB2": ((81.0, 19.0, 8.6, 10.4),
+                 lambda: build_tpcd_run(io="mmap")[-1]()),
+    "TPCC/DB2": ((79.0, 21.0, 14.6, 6.4),
+                 lambda: build_tpcc_run()[-1]()),
+    "SPLASH/ocean": (("-", "~0", "~0", "-"),
+                     lambda: build_splash(complex_backend, kernel="ocean",
+                                          nkeys=1024).run()),
 }
 
 
-def _report(rows):
-    table = render_table(
+@pytest.mark.parametrize("name", list(ROWS))
+def test_table1_row(benchmark, name):
+    paper, run = ROWS[name]
+    stats = benchmark.pedantic(run, rounds=1, iterations=1)
+    row = profile_row(name, stats)
+    print(render_table(
         ("benchmark", "user", "OS", "interrupt", "kernel",
          "paper(user/OS/int/kern)"),
-        [r.as_tuple() + ("{}/{}/{}/{}".format(*PAPER[r.benchmark]),)
-         for r in rows],
-        title="\nTable 1 — User vs. OS time (reproduced):")
-    print(table)
-
-
-def test_table1_specweb_row(benchmark):
-    def run():
-        _eng, finish = build_web_run(nrequests=16)
-        return finish()
-
-    stats = benchmark.pedantic(run, rounds=1, iterations=1)
-    row = profile_row("SPECWeb/Apache", stats)
-    _report([row])
+        [row.as_tuple() + ("{}/{}/{}/{}".format(*paper),)],
+        title="\nTable 1 — User vs. OS time (reproduced):"))
     hot = [n for n, _p, _c in top_oscall_table(stats, 8)]
     print("  kernel time dominated by:", ", ".join(hot))
     benchmark.extra_info.update(user=row.user_pct, os=row.os_pct,
                                 interrupt=row.interrupt_pct)
-    # shape: OS-dominated, interrupts a large share (paper: 85.1 / 37.8)
-    assert row.os_pct > 60.0
-    assert 15.0 < row.interrupt_pct < 60.0
-    assert set(hot[:3]) <= {"kreadv", "kwritev", "naccept", "send", "select"}
-
-
-def test_table1_tpcd_row(benchmark):
-    def run():
-        _eng, _db, _drv, finish = build_tpcd_run(io="mmap")
-        return finish()
-
-    stats = benchmark.pedantic(run, rounds=1, iterations=1)
-    row = profile_row("TPCD/DB2", stats)
-    _report([row])
-    hot = [n for n, _p, _c in top_oscall_table(stats, 8)]
-    print("  kernel time dominated by:", ", ".join(hot))
-    benchmark.extra_info.update(user=row.user_pct, os=row.os_pct)
-    # shape: user-dominated with a visible OS share (paper: 81 / 19)
-    assert row.user_pct > 50.0
-    assert 5.0 < row.os_pct < 50.0
-    assert any(n in ("mmap", "msync", "__vm_fault", "kreadv") for n in hot[:4])
-
-
-def test_table1_tpcc_row(benchmark):
-    def run():
-        _eng, _db, _drv, finish = build_tpcc_run()
-        return finish()
-
-    stats = benchmark.pedantic(run, rounds=1, iterations=1)
-    row = profile_row("TPCC/DB2", stats)
-    _report([row])
-    hot = [n for n, _p, _c in top_oscall_table(stats, 8)]
-    print("  kernel time dominated by:", ", ".join(hot))
-    benchmark.extra_info.update(user=row.user_pct, os=row.os_pct)
-    # shape: user-dominated, OS ~10-35 % (paper: 79 / 21)
-    assert row.user_pct > 60.0
-    assert 5.0 < row.os_pct < 40.0
-    assert set(hot[:2]) <= {"kreadv", "kwritev", "fsync"}
-
-
-def test_table1_contrast_scientific(benchmark):
-    """The motivating contrast (§1): a SPLASH-style kernel on the same
-    machine spends almost no time in the OS."""
-    from repro import Engine, complex_backend
-    from repro.apps.splash import spawn_kernel
-
-    def run():
-        eng = Engine(complex_backend(num_cpus=4))
-        spawn_kernel(eng, "ocean", 4, n=32, iters=3)
-        return eng.run()
-
-    stats = benchmark.pedantic(run, rounds=1, iterations=1)
-    row = profile_row("SPLASH/ocean", stats)
-    print(f"\n  contrast: ocean kernel user={row.user_pct:.1f}% "
-          f"OS={row.os_pct:.1f}% (scientific code, near-zero OS)")
-    assert row.kernel_pct + row.interrupt_pct < 25.0

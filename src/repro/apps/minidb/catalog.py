@@ -6,12 +6,13 @@ updates vs sequential scan — are preserved)."""
 from __future__ import annotations
 
 import random
+import struct
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, Tuple
 
 from ...osim.filesystem import FileSystem
-from .layout import PAGE_SIZE, Record, Schema, table_pages
+from .layout import PAGE_SIZE, Schema, table_pages
 
 
 # ---------------------------------------------------------------------------
@@ -125,61 +126,87 @@ def tpcd_catalog(scale: float = 0.001, root: str = "/db/tpcd") -> Catalog:
 # loaders (host-side: populate the simulated file system before simulating)
 # ---------------------------------------------------------------------------
 
-def _gen_record(schema: Schema, rid: int, rng: random.Random) -> Dict:
-    """Deterministic contents per (schema, rid)."""
-    v: Dict = {}
-    for name, width in schema.fields:
+#: integer fields drawn from the table's stream: name -> (offset, bound),
+#: the value is ``offset + randrange(bound)``. Every other integer field
+#: holds the record id if named ``*_id`` / ``*key``, else draws
+#: ``_DEFAULT_DRAW``; a one-byte field is an A/B/C flag, ``_FLAG_DRAW``.
+_INT_DRAWS = {
+    "l_quantity": (1, 50),
+    "l_extendedprice": (100, 100_000),
+    "l_discount": (0, 11),
+    "l_shipdate": (0, 2_500),
+    "o_orderdate": (0, 2_500),
+    "c_mktsegment": (0, 5),
+    "s_quantity": (10, 91),
+    "i_price": (1, 10_000),
+}
+_DEFAULT_DRAW = (0, 1_000)
+_FLAG_DRAW = (ord("A"), 3)
+
+
+def _draw(slot: int, offset: int, bound: int) -> Tuple[int, int, int, int]:
+    return slot, offset, bound, bound.bit_length()
+
+
+def _draw_plan(schema: Schema, custkey_range: int):
+    """How one table's records are generated: (a codec for the record,
+    its value list with the constant fields filled in, the slots that hold
+    the record id, the ordered draws ``(slot, offset, bound, bits)``).
+    Built per :func:`load_table` call and never kept.
+
+    The codec is the schema's, except that a one-byte field packs an
+    unsigned byte (``B``), so a flag is drawn as an integer like every
+    other field: ``B`` of 65 packs the same byte as ``1s`` of ``b"A"``."""
+    fmt, values, rid_slots, draws = "<", [], [], []
+    for slot, (name, width) in enumerate(schema.fields):
         if width == 0:
-            if name.endswith("_id") or name.endswith("key"):
-                v[name] = rid
-            elif name == "l_quantity":
-                v[name] = 1 + rng.randrange(50)
-            elif name == "l_extendedprice":
-                v[name] = 100 + rng.randrange(100_000)
-            elif name == "l_discount":
-                v[name] = rng.randrange(11)
-            elif name == "l_shipdate":
-                v[name] = rng.randrange(2_500)
-            elif name == "o_orderdate":
-                v[name] = rng.randrange(2_500)
-            elif name == "c_mktsegment":
-                v[name] = rng.randrange(5)
-            elif name == "o_custkey":
-                v[name] = rng.randrange(10**6)
-            elif name == "s_quantity":
-                v[name] = 10 + rng.randrange(91)
-            elif name == "i_price":
-                v[name] = 1 + rng.randrange(10_000)
-            elif name == "d_next_o_id":
-                v[name] = 1
+            fmt += "q"
+            values.append(0)
+            if name.endswith(("_id", "key")):
+                rid_slots.append(slot)
             else:
-                v[name] = rng.randrange(1_000)
+                draws.append(_draw(slot, *_INT_DRAWS.get(name, _DEFAULT_DRAW)))
         elif width == 1:
-            v[name] = bytes([65 + rng.randrange(3)])   # A/B/C flags
+            fmt += "B"
+            values.append(0)
+            draws.append(_draw(slot, *_FLAG_DRAW))
         else:
-            v[name] = (name.encode() * 8)[:width]
-    return v
+            fmt += f"{width}s"
+            values.append((name.encode() * 8)[:width])
+    if custkey_range and "o_custkey" in schema.names:
+        # drawn after the record's other draws; overwrites its rid fill
+        draws.append(_draw(schema.names.index("o_custkey"), 0, custkey_range))
+    return struct.Struct(fmt), values, rid_slots, draws
 
 
 def load_table(fs: FileSystem, info: TableInfo, seed: int = 7,
                custkey_range: int = 0) -> None:
-    """Generate and write one table's pages into the simulated FS."""
+    """Generate and write one table's pages into the simulated FS.
+
+    Each draw is ``randrange(bound)`` made inline: ``getrandbits`` of the
+    bound's bit length, drawn again while out of range. That is the stream
+    ``random.Random.randrange`` consumes, so it yields the same values."""
     # crc32 keeps the stream stable across processes (str.__hash__ is
     # randomized per interpreter, which made generated data non-reproducible)
     rng = random.Random(zlib.crc32(f"{seed}:{info.schema.name}".encode()))
-    rpp = info.schema.records_per_page
-    rs = info.schema.record_size
+    getrandbits = rng.getrandbits
+    codec, values, rid_slots, draws = _draw_plan(info.schema, custkey_range)
+    pack_into = codec.pack_into
+    rpp, rs = info.schema.records_per_page, codec.size
     out = bytearray(info.npages * PAGE_SIZE)
     for rid in range(info.nrecords):
-        vals = _gen_record(info.schema, rid, rng)
-        if custkey_range and "o_custkey" in vals:
-            vals["o_custkey"] = rng.randrange(custkey_range)
-        page, slot = rid // rpp, rid % rpp
-        off = page * PAGE_SIZE + slot * rs
-        out[off:off + rs] = Record.encode(info.schema, vals)
+        for slot in rid_slots:
+            values[slot] = rid
+        for slot, offset, bound, bits in draws:
+            r = getrandbits(bits)
+            while r >= bound:
+                r = getrandbits(bits)
+            values[slot] = offset + r
+        page, pos = divmod(rid, rpp)
+        pack_into(out, page * PAGE_SIZE + pos * rs, *values)
     if fs.exists(info.path):
         fs.unlink(info.path)
-    fs.create(info.path, bytes(out), reserve=len(out) * 2)
+    fs.create(info.path, out, reserve=len(out) * 2)
 
 
 def load_catalog(fs: FileSystem, catalog: Catalog, seed: int = 7) -> None:

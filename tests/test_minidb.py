@@ -1,5 +1,11 @@
 """minidb tests: layout, catalog, buffer pool, WAL, OLTP and DSS."""
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro import Engine, ProcState, complex_backend
@@ -9,6 +15,40 @@ from repro.apps.minidb import (MiniDb, TpccDriver, TpcdDriver, load_table,
 from repro.apps.minidb.catalog import CUSTOMER, LINEITEM, load_catalog
 from repro.apps.minidb.layout import (PAGE_SIZE, Page, Record, Schema,
                                       rid_to_page, table_pages)
+from repro.osim.filesystem import FileSystem
+
+REPO = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
+
+#: sha256 of every generated table image, recorded with the per-field
+#: ``randrange`` generator the draw plan replaced: (catalog, scale, seed) ->
+#: table -> digest. tpcd at 0.01 is the e2e ``dss`` size (MiniDb's default
+#: seed); tpcc at 0.02 with seed 3 is the e2e ``oltp`` size and input seed.
+IMAGE_DIGESTS = {
+    ("tpcd", 0.01, 7): {
+        "customer_d": "dfa442fdb817566191ac9abc7496e4086b319f571a0f45a87d339e3359d0bc63",
+        "lineitem": "8fc2065e60a0d34eca73da5268b4692a87f589d90d21b1f23a5258888bee0dfa",
+        "orders_d": "12f1f48954f689411d64a6f87d654cae56946d0862d98e1972e92b36aef3ec7c",
+    },
+    ("tpcc", 0.02, 3): {
+        "customer": "ca121e32c84fecb9f720c4edebdf2659fd3d840e0ab7c2f60f15b3ad8510caad",
+        "district": "e955e9978a0dfdfa21f527b2f6dcdafdb8703a6c830262a6e0860af915e10390",
+        "item": "ec764e1ee5cb2514d34c937126cff93d26ca120362f28545904f90032fa259b3",
+        "order_line": "8fd159f4f4645b969d8c783283adce0cde73662f8701d7750c228def4a49fc1e",
+        "orders": "67641207be1388fc458c5f81e0cad8d75f387ba9ca7721a5def73ec14123fe51",
+        "stock": "54870c88424432c904bbf9f0aae252df74606e8cd58bec71e86e1601ffa9d447",
+        "warehouse": "ad14c5871d69872843288c003794e79f3a52af9b15b2029bfc9cdc591d6706c0",
+    },
+}
+
+
+def image_digests(kind, scale, seed):
+    """table -> sha256 of its image, for one loaded catalog."""
+    cat = (tpcd_catalog(scale=scale) if kind == "tpcd"
+           else tpcc_catalog(1, scale))
+    fs = FileSystem()
+    load_catalog(fs, cat, seed=seed)
+    return {name: hashlib.sha256(bytes(fs.lookup(t.path).data)).hexdigest()
+            for name, t in cat.tables.items()}
 
 
 class TestLayout:
@@ -123,7 +163,6 @@ class TestCatalog:
                 > small.tables["lineitem"].nrecords)
 
     def test_load_table_deterministic(self):
-        from repro.osim.filesystem import FileSystem
         c = tpcd_catalog(scale=0.0001)
         fs1, fs2 = FileSystem(), FileSystem()
         load_table(fs1, c.tables["lineitem"], seed=3)
@@ -133,12 +172,109 @@ class TestCatalog:
         assert bytes(a) == bytes(b)
 
     def test_load_catalog_populates_fs(self):
-        from repro.osim.filesystem import FileSystem
         fs = FileSystem()
         c = tpcd_catalog(scale=0.0001)
         load_catalog(fs, c)
         for info in c.tables.values():
             assert fs.lookup(info.path).size == info.nbytes
+
+    def test_id_fields_hold_the_record_id(self):
+        """What the loader writes: every ``*_id`` / ``*key`` integer field
+        holds the record id, ``d_next_o_id`` included; ``orders_d``'s
+        ``o_custkey`` alone is drawn, below the customer count."""
+        fs = FileSystem()
+        tpcc, tpcd = tpcc_catalog(1, 0.005), tpcd_catalog(scale=0.0001)
+        ncust = tpcd.tables["customer_d"].nrecords
+        rid_fields = set()
+        custkeys = []
+        for cat in (tpcc, tpcd):
+            load_catalog(fs, cat)
+            for info in cat.tables.values():
+                schema = info.schema
+                ids = [n for n, w in schema.fields
+                       if w == 0 and n.endswith(("_id", "key"))
+                       and n != "o_custkey"]
+                rid_fields.update(ids)
+                data = fs.lookup(info.path).data
+                for rid in range(info.nrecords):
+                    page, slot = rid_to_page(schema, rid)
+                    rec = Record.decode(schema, data, page * PAGE_SIZE
+                                        + slot * schema.record_size)
+                    assert [rec[n] for n in ids] == [rid] * len(ids)
+                    if "o_custkey" in rec:
+                        custkeys.append(rec["o_custkey"])
+        assert {"d_next_o_id", "d_id", "c_custkey", "l_partkey"} <= rid_fields
+        assert len(custkeys) == tpcd.tables["orders_d"].nrecords
+        assert all(0 <= k < ncust for k in custkeys)
+        assert custkeys != list(range(len(custkeys)))
+
+
+class TestTableImages:
+    """The generated data, pinned: the draw plan writes the images the
+    per-field generator wrote, and no process-level hash seed moves them."""
+
+    @pytest.mark.parametrize("key", list(IMAGE_DIGESTS),
+                             ids=lambda k: f"{k[0]}-{k[1]}")
+    def test_image_digests(self, key):
+        assert image_digests(*key) == IMAGE_DIGESTS[key]
+
+    def test_images_independent_of_hash_seed(self):
+        code = ("import json; from tests.test_minidb import IMAGE_DIGESTS, "
+                "image_digests; print(json.dumps([image_digests(*k) "
+                "for k in IMAGE_DIGESTS]))")
+        path = os.pathsep.join(filter(None, [
+            os.path.join(REPO, "src"), os.environ.get("PYTHONPATH")]))
+        outs = [subprocess.run(
+            [sys.executable, "-c", code], cwd=REPO, check=True, timeout=120,
+            capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=hs)).stdout
+            for hs in ("1", "2")]
+        first, second = (json.loads(o) for o in outs)
+        assert first == second == list(IMAGE_DIGESTS.values())
+
+    @staticmethod
+    def _image_by_field(info, seed, custkey_range):
+        """The per-field ``randrange`` generator the draw plan replaced,
+        kept as the reference (its two unreachable arms, ``o_custkey`` and
+        ``d_next_o_id``, left out: ``*key`` / ``*_id`` caught them)."""
+        import random
+        import zlib
+        draws = {"l_quantity": (1, 50), "l_extendedprice": (100, 100_000),
+                 "l_discount": (0, 11), "l_shipdate": (0, 2_500),
+                 "o_orderdate": (0, 2_500), "c_mktsegment": (0, 5),
+                 "s_quantity": (10, 91), "i_price": (1, 10_000)}
+        schema = info.schema
+        rng = random.Random(zlib.crc32(f"{seed}:{schema.name}".encode()))
+        out = bytearray(info.npages * PAGE_SIZE)
+        for rid in range(info.nrecords):
+            v = {}
+            for name, width in schema.fields:
+                if width == 0:
+                    if name.endswith("_id") or name.endswith("key"):
+                        v[name] = rid
+                    else:
+                        off, bound = draws.get(name, (0, 1_000))
+                        v[name] = off + rng.randrange(bound)
+                elif width == 1:
+                    v[name] = bytes([65 + rng.randrange(3)])
+                else:
+                    v[name] = (name.encode() * 8)[:width]
+            if custkey_range and "o_custkey" in v:
+                v["o_custkey"] = rng.randrange(custkey_range)
+            page, slot = rid_to_page(schema, rid)
+            off = page * PAGE_SIZE + slot * schema.record_size
+            out[off:off + schema.record_size] = Record.encode(schema, v)
+        return bytes(out)
+
+    @pytest.mark.parametrize("seed", [0, 7, 12345])
+    def test_images_equal_the_per_field_generator(self, seed):
+        fs = FileSystem()
+        for cat in (tpcc_catalog(2, 0.003), tpcd_catalog(scale=0.0002)):
+            load_catalog(fs, cat, seed=seed)
+            ckr = cat.tables["customer_d"].nrecords if cat.name == "tpcd" else 0
+            for info in cat.tables.values():
+                assert bytes(fs.lookup(info.path).data) == \
+                    self._image_by_field(info, seed, ckr), info.schema.name
 
 
 @pytest.fixture
