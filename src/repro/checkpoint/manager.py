@@ -41,8 +41,10 @@ from .snapshot import collect_snapshot, install_snapshot, verify_snapshot
 #: v4 moves the reply streams into the append-only reply log; header and
 #: payload record its name and committed length (``log`` / ``log_bytes``).
 #: v5 makes ``config_fp`` a field -> ``repr`` map without the host policy
-#: (:func:`config_identity`) and verifies a parked frontend by port time
-FORMAT_VERSION = 5
+#: (:func:`config_identity`) and verifies a parked frontend by port time.
+#: v6 drops the per-CPU ``running_pid`` and the communicator's ``running``
+#: list (the scheduler's ``on_cpu`` is the one record of who runs where)
+FORMAT_VERSION = 6
 
 #: 4-byte file magic opening every framed (v2+) checkpoint
 MAGIC = b"CMPK"

@@ -26,14 +26,14 @@ HOST_POLICY = {"host_policy": True}
 
 @dataclass(frozen=True, slots=True)
 class CacheConfig:
-    """Geometry and timing of one cache level."""
+    """Geometry and timing of one cache level (every level is
+    write-back)."""
 
     size: int = 32 * 1024
     line_size: int = 32
     assoc: int = 4
     #: access latency in cycles (hit time)
     latency: int = 1
-    write_back: bool = True
 
     def validate(self) -> None:
         if self.line_size <= 0 or self.line_size & (self.line_size - 1):

@@ -56,12 +56,12 @@ class Engine:
         self.cfg = cfg
         self.stats = stats if stats is not None else StatsRegistry(cfg.num_cpus)
         self.gsched = GlobalScheduler()
-        self.comm = Communicator(cfg.num_cpus)
         self.memsys = MemorySystem(cfg, self.stats)
         self.locks = LockManager()
         self.barriers = BarrierManager()
         self.procsched = _osim.ProcessScheduler(
             cfg.num_cpus, cfg.os.scheduler, self.memsys.vmm.cpu_node)
+        self.comm = Communicator(self.procsched.on_cpu)
         self.intctl = _osim.InterruptController(self.comm.cpus)
         self.intctl.post_hook = self._interrupt_posted
         self.timer = _devices.IntervalTimer(
@@ -202,25 +202,12 @@ class Engine:
     def spawn_interpreter(self, name: str, interp) -> SimProcess:
         """Spawn a frontend executing an ISA interpreter (the faithful
         instrumented-assembly path). The interpreter's pending-cycle counter
-        becomes the process clock."""
-        machine = interp.machine
-
-        class _MachineClock:
-            """Adapter: the interpreter accumulates into machine.pending."""
-            __slots__ = ()
-
-            @property
-            def pending(self) -> int:
-                return machine.pending
-
-            @pending.setter
-            def pending(self, v: int) -> None:
-                machine.pending = v
-
+        becomes the process clock: the machine has the ``pending`` slot the
+        engine reads and writes."""
         batched = self._frontend_batching
         return self.spawn(
             name, lambda _api: interp.run(batched=batched, translate=True),
-            clock=_MachineClock())
+            clock=interp.machine)
 
     def mmap_alloc(self, pid: int, size: int) -> int:
         """Pick a free address in the mmap region (page aligned)."""
@@ -402,10 +389,10 @@ class Engine:
                 "wait": (p.wait.label if p.wait is not None else None),
             })
         cpus = []
-        for c in self.comm.cpus:
+        for c, p in zip(self.comm.cpus, self.procsched.on_cpu):
             cpus.append({
                 "cpu": c.index, "time": c.time,
-                "running_pid": c.running_pid,
+                "running_pid": -1 if p is None else p.pid,
                 "irq_pending": bool(c.irq_pending),
                 "irq_enabled": bool(c.irq_enabled),
             })
@@ -453,8 +440,8 @@ class Engine:
         })
 
     def _account_trailing_idle(self) -> None:
-        for c in self.comm.cpus:
-            if c.running_pid < 0 and self.gsched.now > c.idle_since:
+        for c, p in zip(self.comm.cpus, self.procsched.on_cpu):
+            if p is None and self.gsched.now > c.idle_since:
                 self.stats.cpu[c.index].idle += self.gsched.now - c.idle_since
                 c.idle_since = self.gsched.now
 
@@ -689,17 +676,7 @@ class Engine:
         blocking-OS-call protocol of §3.3.3 applied to synchronisation)."""
         self._charge(proc, proc.mode)
         proc.state = state
-        cpu_state = self.comm.cpus[proc.cpu]
-        cpu_state.time = max(cpu_state.time, proc.vtime)
-        self.comm.mark_not_running(proc)
-        disp = self.procsched.release_cpu(proc)
-        cpu_state.running_pid = -1
-        cpu_state.idle_since = cpu_state.time
-        if disp is not None:
-            nxt, cpu = disp
-            self._dispatch(nxt, cpu, max(self.gsched.now, cpu_state.time))
-        else:
-            self._interrupt_posted(cpu_state.index)
+        self._vacate(proc)
 
     def _sync_release(self, proc: SimProcess, at: int, reply: int) -> None:
         """Grant a lock/barrier to a parked process: back to the scheduler."""
@@ -801,16 +778,14 @@ class Engine:
         cpu_state = self.comm.cpus[cpu]
         if not cpu_state.irq_enabled:
             return
-        pid = cpu_state.running_pid
-        if pid >= 0:
-            proc = self.comm.processes.get(pid)
-            if (proc is not None and proc.state == ProcState.RUNNING
-                    and proc.intr_enabled):
-                return   # the frontend will poll the flag at its next event
-            if proc is not None and not proc.intr_enabled:
+        proc = self.procsched.on_cpu[cpu]
+        if proc is not None:
+            if not proc.intr_enabled:
                 return   # masked: stays pending until re-enabled
+            if proc.state == ProcState.RUNNING:
+                return   # the frontend will poll the flag at its next event
         start = max(self.gsched.now, cpu_state.time)
-        if pid < 0 and start > cpu_state.idle_since:
+        if proc is None and start > cpu_state.idle_since:
             self.stats.cpu[cpu].idle += start - cpu_state.idle_since
         # charge all handler time first: wake actions may dispatch a process
         # onto this very CPU, and it must see the post-handler clock
@@ -822,7 +797,7 @@ class Engine:
             self.stats.cpu[cpu].interrupt += intr.handler_cycles
             t += intr.handler_cycles
         cpu_state.time = t
-        if pid < 0:
+        if proc is None:
             cpu_state.idle_since = t
         for intr in pending:
             self.intctl.direct_service(intr)
@@ -831,33 +806,38 @@ class Engine:
         """Timer hook: flag the process on ``cpu`` for pre-emption once it
         has held the CPU for a full quantum (the paper's changeable
         pre-emption interval)."""
-        pid = self.procsched.on_cpu[cpu]
-        if pid >= 0:
-            p = self.comm.processes.get(pid)
-            if (p is not None and p.state == ProcState.RUNNING
-                    and now - p.run_since >= self.cfg.os.quantum):
-                p.preempt_pending = True
+        p = self.procsched.on_cpu[cpu]
+        if (p is not None and p.state == ProcState.RUNNING
+                and now - p.run_since >= self.cfg.os.quantum):
+            p.preempt_pending = True
 
     def _preempt_now(self, proc: SimProcess) -> None:
+        """Hand ``proc``'s CPU to the head waiter (the caller has seen the
+        ready queue non-empty)."""
         cs = self.cfg.os.ctx_switch_cycles
         proc.vtime += cs
         self.stats.cpu[proc.cpu].ctx_switch += cs
         proc.acct_mark = proc.vtime
+        self._vacate(proc)
+
+    def _vacate(self, proc: SimProcess) -> None:
+        """``proc`` leaves its CPU: pre-empted (still RUNNING: it rejoins
+        the ready queue), blocked or parked, or exited (DONE). The
+        scheduler hands the CPU on; the head waiter, if any, is dispatched.
+        A CPU left idle services a pending interrupt from its idle loop,
+        except after an exit, which leaves the interrupt pending."""
         cpu_state = self.comm.cpus[proc.cpu]
         cpu_state.time = max(cpu_state.time, proc.vtime)
-        self.comm.mark_not_running(proc)
-        disp = self.procsched.preempt(proc)
-        if disp is None:
-            # nobody was waiting after all: keep running, restart the quantum
-            proc.run_since = proc.vtime
-            self.comm.mark_running(proc)
-            proc.state = ProcState.RUNNING
-            self._step(proc)
-            return
-        cpu_state.running_pid = -1
+        if proc.state == ProcState.RUNNING:
+            disp = self.procsched.preempt(proc)
+        else:
+            disp = self.procsched.release_cpu(proc)
         cpu_state.idle_since = cpu_state.time
-        nxt, cpu = disp
-        self._dispatch(nxt, cpu, max(self.gsched.now, cpu_state.time))
+        if disp is not None:
+            nxt, cpu = disp
+            self._dispatch(nxt, cpu, max(self.gsched.now, cpu_state.time))
+        elif proc.state != ProcState.DONE:
+            self._interrupt_posted(cpu_state.index)
 
     # -- blocking / waking (paper §3.3.3) ------------------------------------
 
@@ -870,17 +850,7 @@ class Engine:
         proc.state = ProcState.BLOCKED
         proc.wait = token
         token.waker = lambda t, p=proc: self._token_woken(p, t)
-        cpu_state = self.comm.cpus[proc.cpu]
-        cpu_state.time = max(cpu_state.time, proc.vtime)
-        self.comm.mark_not_running(proc)
-        disp = self.procsched.release_cpu(proc)
-        cpu_state.running_pid = -1
-        cpu_state.idle_since = cpu_state.time
-        if disp is not None:
-            nxt, cpu = disp
-            self._dispatch(nxt, cpu, max(self.gsched.now, cpu_state.time))
-        else:
-            self._interrupt_posted(cpu_state.index)
+        self._vacate(proc)
 
     def _token_woken(self, proc: SimProcess, token: WaitToken) -> None:
         if proc.state != ProcState.BLOCKED or proc.wait is not token:
@@ -897,7 +867,7 @@ class Engine:
         """Bind ``proc`` to ``cpu`` at cycle ``at`` (plus context switch)."""
         cpu_state = self.comm.cpus[cpu]
         start = max(at, cpu_state.time)
-        if cpu_state.running_pid < 0 and start > cpu_state.idle_since:
+        if start > cpu_state.idle_since:
             self.stats.cpu[cpu].idle += start - cpu_state.idle_since
         cs = self.cfg.os.ctx_switch_cycles
         self.stats.cpu[cpu].ctx_switch += cs
@@ -905,8 +875,6 @@ class Engine:
         proc.acct_mark = proc.vtime
         proc.run_since = proc.vtime
         cpu_state.time = proc.vtime
-        cpu_state.running_pid = proc.pid
-        self.comm.mark_running(proc)
         self._step(proc)
 
     # -- the stepper ----------------------------------------------------------
@@ -1030,17 +998,9 @@ class Engine:
         self.signals.clear(proc.pid)
         for token in self._exit_watchers.pop(proc.pid, []):
             token.wake(proc.exit_status)
-        self.comm.mark_not_running(proc)
         self.os_server.unpair(proc)
         if proc.cpu >= 0:
-            cpu_state = self.comm.cpus[proc.cpu]
-            cpu_state.time = max(cpu_state.time, proc.vtime)
-            disp = self.procsched.release_cpu(proc)
-            cpu_state.running_pid = -1
-            cpu_state.idle_since = cpu_state.time
-            if disp is not None:
-                nxt, cpu = disp
-                self._dispatch(nxt, cpu, max(self.gsched.now, cpu_state.time))
+            self._vacate(proc)
         else:
             self.procsched.remove(proc)
 

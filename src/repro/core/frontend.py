@@ -126,8 +126,6 @@ class SimProcess:
         #: paired OS-server thread (set by the OS server)
         self.os_thread: Any = None
         self.exit_status: Optional[int] = None
-        #: interrupt frames currently stacked (to attribute time correctly)
-        self.intr_depth = 0
         #: set while this process must not take interrupts (in-handler)
         self.intr_enabled = True
         #: outstanding wait token while BLOCKED

@@ -34,8 +34,10 @@ class ProcessScheduler:
         self.policy = policy
         self.num_cpus = num_cpus
         self.cpu_node = list(cpu_node) if cpu_node else [0] * num_cpus
-        #: cpu -> pid (-1 when idle)
-        self.on_cpu: List[int] = [-1] * num_cpus
+        #: cpu -> the process bound there (None when idle): the one record
+        #: of who runs where. Only this class writes it, together with its
+        #: inverse ``proc.cpu``; the communicator scans this very list
+        self.on_cpu: List[Optional[SimProcess]] = [None] * num_cpus
         self.ready: Deque[SimProcess] = deque()
         self.dispatch_count = 0
         self.preemptions = 0
@@ -44,13 +46,13 @@ class ProcessScheduler:
     # -- queries --------------------------------------------------------------
 
     def free_cpus(self) -> List[int]:
-        return [c for c, pid in enumerate(self.on_cpu) if pid < 0]
+        return [c for c, p in enumerate(self.on_cpu) if p is None]
 
     # -- checkpoint/restore ----------------------------------------------------
 
     def state_dict(self) -> dict:
         """Plain-data snapshot (ready queue as pids, FIFO order)."""
-        return {"on_cpu": list(self.on_cpu),
+        return {"on_cpu": [-1 if p is None else p.pid for p in self.on_cpu],
                 "ready": [p.pid for p in self.ready],
                 "dispatch_count": self.dispatch_count,
                 "preemptions": self.preemptions,
@@ -99,11 +101,11 @@ class ProcessScheduler:
         """``proc`` leaves its CPU (blocked or exited). Returns the next
         dispatch for that CPU from the ready queue, if any."""
         cpu = proc.cpu
-        if cpu < 0 or self.on_cpu[cpu] != proc.pid:
+        if cpu < 0 or self.on_cpu[cpu] is not proc:
             raise SchedulerError(
                 f"{proc.name} (pid {proc.pid}) does not hold cpu {cpu}"
             )
-        self.on_cpu[cpu] = -1
+        self.on_cpu[cpu] = None
         proc.cpu = -1
         if self.ready:
             nxt = self.ready.popleft()
@@ -123,7 +125,7 @@ class ProcessScheduler:
             return None
         self.preemptions += 1
         cpu = proc.cpu
-        self.on_cpu[cpu] = -1
+        self.on_cpu[cpu] = None
         proc.cpu = -1
         proc.state = ProcState.READY
         nxt = self.ready.popleft()
@@ -132,11 +134,11 @@ class ProcessScheduler:
         return nxt, cpu
 
     def _bind(self, proc: SimProcess, cpu: int) -> None:
-        if self.on_cpu[cpu] >= 0:
+        if self.on_cpu[cpu] is not None:
             raise SchedulerError(
-                f"cpu {cpu} already runs pid {self.on_cpu[cpu]}"
+                f"cpu {cpu} already runs pid {self.on_cpu[cpu].pid}"
             )
-        self.on_cpu[cpu] = proc.pid
+        self.on_cpu[cpu] = proc
         proc.cpu = cpu
         proc.state = ProcState.RUNNING
         if not proc.cpu_history or proc.cpu_history[-1] != cpu:

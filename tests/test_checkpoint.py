@@ -234,7 +234,7 @@ class TestFingerprints:
         assert not any(f.endswith(".tmp") for f in os.listdir(path.rsplit(
             "/", 1)[0]))
         ck = load_checkpoint(path)
-        assert ck["version"] == FORMAT_VERSION == 5
+        assert ck["version"] == FORMAT_VERSION == 6
         assert ck["events_processed"] > 0
         # both generations exist after >= 2 autosaves and load_checkpoint
         # picks the newer one

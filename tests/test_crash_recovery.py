@@ -166,6 +166,26 @@ def _write_v4_autosave(path):
     return ckpt
 
 
+def _write_v5_autosave(path):
+    """A well-formed format-5 autosave as the previous build wrote it: its
+    communicator snapshot still carries each CPU's ``running_pid`` and the
+    dispatch-ordered ``running`` scan list."""
+    cpu = {"time": 0, "irq_enabled": True, "irq_pending": 0,
+           "running_pid": -1, "idle_since": 0}
+    ckpt = {"version": 5, "saves": 1, "events_processed": 100,
+            "config_fp": {"num_cpus": "2"},
+            "log": "ck.pkl.log", "log_bytes": 0,
+            "snapshot": {"comm": {"cpus": [cpu, dict(cpu)], "procs": {},
+                                  "running": []}}}
+    header = json.dumps({"format": 5, "saves": 1, "events": 100,
+                         "log": "ck.pkl.log", "log_bytes": 0}).encode()
+    with open(path, "wb") as f:
+        f.write(CKPT_MAGIC)
+        write_frame(f, header)
+        write_frame(f, pickle.dumps(ckpt))
+    return ckpt
+
+
 class TestStaleFormat:
     """A checkpoint of another format version is refused by name — both
     versions in the message — never by a ``KeyError`` out of some
@@ -204,6 +224,22 @@ class TestStaleFormat:
         g0, _ = generation_paths(base)
         ckpt = _write_v4_autosave(g0)
         stale = f"format 4 != {FORMAT_VERSION} .written by an incompatible"
+        with pytest.raises(CheckpointError, match=stale) as ei:
+            load_checkpoint(base)
+        assert not isinstance(ei.value, CheckpointCorruptError)
+        assert os.listdir(tmp_path) == [os.path.basename(g0)]
+        eng = Engine(complex_backend(num_cpus=2, checkpoint_path=base,
+                                     checkpoint_interval=1_000))
+        with pytest.raises(CheckpointError, match=stale):
+            eng._ckpt.restore(ckpt)
+
+    def test_v5_refused_as_an_incompatible_build(self, tmp_path):
+        """v5 snapshots recorded who runs where three times over: refused
+        from the header, never replayed into a ``ReplayDivergence``."""
+        base = str(tmp_path / "ck.pkl")
+        g0, _ = generation_paths(base)
+        ckpt = _write_v5_autosave(g0)
+        stale = f"format 5 != {FORMAT_VERSION} .written by an incompatible"
         with pytest.raises(CheckpointError, match=stale) as ei:
             load_checkpoint(base)
         assert not isinstance(ei.value, CheckpointCorruptError)

@@ -65,16 +65,18 @@ def test_affinity_prefers_last_cpu():
 def test_affinity_falls_back_to_used_cpu():
     s = ProcessScheduler(3, "affinity")
     a, b = procs(2)
+    b.cpu_history = [1]
+    s.admit(b)                      # last-used busy
     a.cpu_history = [2, 1]
-    s.on_cpu[1] = 999               # last-used busy
     assert s.admit(a) == (a, 2)
 
 
 def test_affinity_same_node_fallback():
     s = ProcessScheduler(4, "affinity", cpu_node=[0, 0, 1, 1])
-    a, = procs(1)
+    a, b = procs(2)
+    b.cpu_history = [2]
+    s.admit(b)                      # b takes a's historical cpu2
     a.cpu_history = [2]
-    s.on_cpu[2] = 999
     # cpu3 shares node 1 with the historical cpu2
     assert s.admit(a) == (a, 3)
 
