@@ -106,8 +106,9 @@ class Engine:
             "sp_windows": 0, "sp_refs": 0, "sp_commits": 0,
             "sp_rollbacks": 0,
         }
-        #: windows not opened, by ``_stand_down`` reason (the rows of
-        #: DESIGN.md's stand-down table); observability only: in no
+        #: windows not opened, by the owner's stand-down reason in
+        #: ``_handle_batch`` (the rows of DESIGN.md's stand-down table), at
+        #: most one a round; observability only: in no
         #: ``batch_stats``, fingerprint, checkpoint
         self.stand_downs: Dict[str, int] = dict.fromkeys(
             ("delivery", "tapped", "fast_forward", "miss"), 0)
@@ -314,25 +315,14 @@ class Engine:
                 gsched.now = et
             self._last_progress = et
             if event.kind == 9:     # EvKind.BATCH
-                # consume references while this frontend is guaranteed to
-                # stay globally first: before any rival port event (with
-                # the pid tie-break), any backend task, and the run bounds
+                # no reference of the round is consumed at or past the next
+                # backend task (tasks can mutate anything) or the run bounds
                 bound = cap
                 if t_task is not None and t_task < bound:
                     bound = t_task
                 if until is not None and until + 1 < bound:
                     bound = until + 1
-                horizon = self.comm.batch_horizon(cand)
-                ext = 0
-                if horizon is None or horizon >= bound:
-                    horizon = bound
-                elif self._stand_down(cand, event) is None:
-                    # a lookahead window: past the rival cut, never past
-                    # tasks or run bounds (tasks can mutate anything), as
-                    # far as every rival is qualified invisible
-                    ext = self.comm.lookahead_horizon(
-                        cand, horizon, bound, self._invisible_bound)
-                n = self._handle_batch(cand, event, horizon, ext, budget)
+                n = self._handle_batch(cand, event, bound, budget)
                 self.events_processed += n
                 budget -= n
                 continue
@@ -502,14 +492,17 @@ class Engine:
     # -- the batched hot loop ----------------------------------------------
 
     def _handle_batch(self, proc: SimProcess, batch: ev.EventBatch,
-                      horizon: int, ext: int, budget: int) -> int:
-        """Consume references from ``batch`` in one tight loop.
+                      bound: int, budget: int) -> int:
+        """One batch round: decide how far ``proc`` may run, then consume
+        references from ``batch`` in one tight loop.
 
         Bit-identity contract: each reference is serviced at exactly the
         cycle and in exactly the global order the per-event path would have
         used. The run loop guarantees the reference at ``cursor`` is
-        globally first; later references are consumed only while their issue
-        time stays below ``horizon`` — or below ``ext`` when a lookahead
+        globally first; ``bound`` is the next backend task or run bound.
+        Later references are consumed while their issue time stays below
+        the rival ``horizon`` — or below ``ext`` when the owner has no
+        stand-down reason (tallied in ``stand_downs``) and a lookahead
         window was granted, in which case references past ``horizon`` must
         resolve invisibly (L1 fast-path full hits commute with everything
         the qualified rivals can do before ``ext``; see DESIGN.md).
@@ -520,7 +513,25 @@ class Engine:
         of references consumed.
         """
         cpu = proc.cpu
+        pid = proc.pid
         deliver = self._delivery_due(proc, self.comm.cpus[cpu])
+        horizon = self.comm.batch_horizon(proc)
+        ext = 0
+        if horizon is None or horizon >= bound:
+            horizon = bound
+        else:
+            ms = self.memsys
+            why = "delivery" if deliver else ms.strict_stream()
+            c = batch.cursor
+            if why is None and ms.ref_invisible_latency(
+                    pid, cpu, batch.kinds[c], batch.addrs[c],
+                    batch.sizes[c]) < 0:
+                why = "miss"    # consumed anyway: it is globally first
+            if why is None:
+                ext = self.comm.lookahead_horizon(
+                    proc, horizon, bound, self._invisible_bound)
+            else:
+                self.stand_downs[why] += 1
         limit = batch.n - batch.cursor
         if budget < limit:
             limit = budget
@@ -528,7 +539,7 @@ class Engine:
             limit = 1
         pends = batch.pendings
         consumed, i, t, added, fault, ext_refs = self.memsys.access_run(
-            proc.pid, cpu, batch.kinds, batch.addrs, batch.sizes, pends,
+            pid, cpu, batch.kinds, batch.addrs, batch.sizes, pends,
             batch.cursor, batch.n, batch.time, limit, horizon, ext,
             clock=self.gsched, serial=batch.serial, uhint=batch.uhint)
         n = batch.n
@@ -586,39 +597,21 @@ class Engine:
         invisible references up to this cycle without being reordered
         against anything ``proc`` can observe. Only a parked batch extends
         past its own time: it is qualified reference-by-reference
-        (read-only) up to ``cap``. Every single event bounds the window at
-        its own time — locks, syscalls and exits act there, and a single
-        memory event, even one that would hit L1, is followed by host code
-        of the rival (a syscall body arming a timed wake-up, a block or
-        dispatch taking ``gsched.now``) that reads the global clock, which
-        a window reaching past the event would have advanced. Likewise
-        when ``proc`` stands down (:meth:`_stand_down`).
+        (read-only) up to ``cap`` by :meth:`MemorySystem.invisible_until`.
+        Every single event bounds the window at its own time — locks,
+        syscalls and exits act there, and a single memory event, even one
+        that would hit L1, is followed by host code of the rival (a syscall
+        body arming a timed wake-up, a block or dispatch taking
+        ``gsched.now``) that reads the global clock, which a window reaching
+        past the event would have advanced. So does a batch with a delivery
+        due at its next event boundary: the handler frames it pushes cannot
+        be bounded. The owner has ruled out :meth:`MemorySystem.strict_stream`
+        in the same round; nothing is tallied here.
         """
-        if event.kind != 9 or self._stand_down(proc, event) is not None:
+        if (event.kind != 9
+                or self._delivery_due(proc, self.comm.cpus[proc.cpu])):
             return event.time
         return self.memsys.invisible_until(event.pid, proc.cpu, event, cap)
-
-    def _stand_down(self, proc: SimProcess,
-                    batch: ev.EventBatch) -> Optional[str]:
-        """Why nothing of ``proc`` may run ahead of the strict schedule —
-        no window for it, no rival's window past its parked ``batch`` — or
-        None. A delivery due at its next event boundary (the
-        handler frames cannot be bounded), then
-        :meth:`MemorySystem.strict_stream`, then ``"miss"``: the reference
-        at the cursor would leave the L1 probe (one read-only probe) — a
-        rival is then visible at its own time, an owner about to be cut
-        after it; tallied in ``stand_downs``."""
-        why = ("delivery"
-               if self._delivery_due(proc, self.comm.cpus[proc.cpu])
-               else self.memsys.strict_stream())
-        i = batch.cursor
-        if why is None and self.memsys.ref_invisible_latency(
-                batch.pid, proc.cpu, batch.kinds[i], batch.addrs[i],
-                batch.sizes[i]) < 0:
-            why = "miss"
-        if why is not None:
-            self.stand_downs[why] += 1
-        return why
 
     # -- memory faults -----------------------------------------------------
 
@@ -916,36 +909,16 @@ class Engine:
                     send_val = saved
                 elif kind == "retry":
                     orig = payload
-                    if orig.kind == 9:   # half-consumed EventBatch
+                    batched = orig.kind == 9    # a half-consumed EventBatch
+                    if batched:
                         c = orig.cursor
-                        k = orig.kinds[c]
-                        lat, major = self.memsys.access(
-                            proc.pid, orig.addrs[c], orig.sizes[c],
-                            k != 0, proc.cpu, self.gsched.now,
-                            atomic=(k == 2))
-                        if major is not None:
-                            frame = self.os_server.vm_fault_handler(
-                                proc, major)
-                            proc.push_frame(frame, "kernel",
-                                            ("retry", orig))
-                            send_val = None
-                            continue
-                        proc.vtime += lat
-                        self._charge(proc, orig.mode)
-                        orig.total += lat
-                        orig.cursor = c + 1
-                        proc.pending_batches.pop()
-                        if orig.cursor >= orig.n:
-                            # batch done: resume the generator with the
-                            # aggregate latency, as one yield reply
-                            send_val = orig.total
-                            continue
-                        orig.time = proc.vtime + orig.pendings[orig.cursor]
-                        proc.port_event = orig
-                        return
+                        k, addr, size = orig.kinds[c], orig.addrs[c], \
+                            orig.sizes[c]
+                    else:
+                        k, addr, size = orig.kind, orig.addr, orig.size
                     lat, major = self.memsys.access(
-                        proc.pid, orig.addr, orig.size, orig.kind != 0,
-                        proc.cpu, self.gsched.now, orig.kind == 2)
+                        proc.pid, addr, size, k != 0, proc.cpu,
+                        self.gsched.now, k == 2)
                     if major is not None:
                         frame = self.os_server.vm_fault_handler(proc, major)
                         proc.push_frame(frame, "kernel", ("retry", orig))
@@ -954,6 +927,17 @@ class Engine:
                     proc.vtime += lat
                     self._charge(proc, orig.mode)
                     send_val = lat
+                    if batched:
+                        orig.total += lat
+                        orig.cursor = c = c + 1
+                        proc.pending_batches.pop()
+                        if c < orig.n:
+                            orig.time = proc.vtime + orig.pendings[c]
+                            proc.port_event = orig
+                            return
+                        # batch done: resume the generator with the
+                        # aggregate latency, as one yield reply
+                        send_val = orig.total
                 else:  # pragma: no cover
                     raise FrontendError(f"bad frame meta {kind!r}")
                 continue

@@ -34,7 +34,7 @@ time ``vtime + clock.pending``. ``Engine.run`` asks ``_round_gate`` once a
 round: while a computing worker's bound could still order it ahead of the
 selected winner the backend waits on that worker's pipe (the reasoning the
 COMPASS communicator applies while scanning event ports); otherwise the
-smallest such bound caps the winner's batch horizon, so no reference of a
+smallest such bound caps the winner's batch round, so no reference of a
 batch is consumed at a cycle a computing worker could still get in front
 of. With the same timestamps and the same pid tie-break as inline mode,
 parallel runs produce bit-identical simulated results. (A sampler switches
@@ -162,8 +162,8 @@ class _Worker:
     the recorded reply log.
     """
 
-    __slots__ = ("spec", "proc", "conn", "process", "queue", "computing",
-                 "alive", "consumed", "streamed", "skip", "reply_cursor",
+    __slots__ = ("spec", "proc", "conn", "process", "queue", "alive",
+                 "consumed", "streamed", "skip", "reply_cursor",
                  "control_replies", "restarts", "restartable", "exit_seen",
                  "last_msgs", "death_reason")
 
@@ -174,7 +174,6 @@ class _Worker:
         self.process: Optional[mp.Process] = None
         #: harvested messages waiting to be replayed into the proxy
         self.queue: deque = deque()
-        self.computing = True
         self.alive = True
         #: logical messages the proxy has consumed (the replay frontier)
         self.consumed = 0

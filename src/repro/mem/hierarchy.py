@@ -260,18 +260,16 @@ class MemorySystem:
         code it runs on completion reads the global clock, which must not
         have passed the cycle the strict schedule completes the batch at.
 
-        There are two qualifiers. With the vec mirror of ``cpu`` fresh the
+        The reference at the cursor is probed first: a rival about to miss
+        is visible at its own time, and costs no classification. Past it
+        there are two qualifiers. With the vec mirror of ``cpu`` fresh the
         bound is read from the batch's array classification
-        (:meth:`VecState.frontier` — the one the owner's own run will use);
-        the engine has already probed the reference at the cursor
-        (``Engine._stand_down``), so a rival about to miss costs no
-        classification. Otherwise (mirror stale, a handful of references
-        left) the loop over :meth:`ref_invisible_latency` answers; it is
-        the reference the array bound is tested against.
+        (:meth:`VecState.frontier` — the one the owner's own run will use).
+        Otherwise (mirror stale, a handful of references left) the walk
+        over :meth:`ref_invisible_latency` continues from that probe; it is
+        the reference the array bound is tested against. The caller rules
+        out :meth:`strict_stream`.
         """
-        bound = self._vec.frontier(pid, cpu, batch, cap)
-        if bound is not None:
-            return bound
         t = batch.time
         i = batch.cursor
         kinds = batch.kinds
@@ -279,15 +277,20 @@ class MemorySystem:
         sizes = batch.sizes
         probe = self.ref_invisible_latency
         lat = probe(pid, cpu, kinds[i], addrs[i], sizes[i])
+        if lat < 0:
+            return t
+        bound = self._vec.frontier(pid, cpu, batch, cap)
+        if bound is not None:
+            return bound
         pends = batch.pendings
         for i in range(i + 1, batch.n):
-            if lat < 0:
-                break
             nt = t + lat + pends[i]
             if nt >= cap:
                 return cap
             t = nt
             lat = probe(pid, cpu, kinds[i], addrs[i], sizes[i])
+            if lat < 0:
+                break
         return t
 
     # ------------------------------------------------------------------

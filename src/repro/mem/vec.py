@@ -304,9 +304,9 @@ class VecState:
         bound is the issue time of the first reference the mirror declines,
         else of the last, clamped to ``cap`` — never above the scalar walk,
         and equal to it unless a reference spans more than two lines (the
-        mirror declines those; the walk probes every line). The caller has
-        already probed the reference at the cursor — the one decline the
-        walk answers uncapped, with the batch's own time."""
+        mirror declines those; the walk probes every line). Only asked once
+        ``invisible_until``'s probe of the cursor reference hit: a cursor
+        that declines is answered there, uncapped, with the batch's time."""
         i = batch.cursor
         n = batch.n
         if n - i < MIN_RUN:

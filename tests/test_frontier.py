@@ -153,6 +153,8 @@ def _check(ms, refs, uhint, data):
         st.integers(0, len(refs) - 1)))
     batch = make_batch(refs, cursor, uhint=uhint)
     exact = not spans_over_two_lines(refs[cursor:])
+    kind, addr, size, _pend = refs[cursor]
+    declines = ms.ref_invisible_latency(PID, CPU, kind, addr, size) < 0
     full = scalar_bound(ms, batch, INF)
     # every cap from below the cursor's issue time to past the walk's end:
     # below, at and above each issue time on the way
@@ -161,10 +163,12 @@ def _check(ms, refs, uhint, data):
         want = scalar_bound(ms, batch, cap)
         got = ms.invisible_until(PID, CPU, batch, cap)
         assert got <= want, (cap, refs, cursor, uhint)
-        if exact:
-            # a cursor reference that declines is the engine's
-            # ``_stand_down`` "miss", not a qualifier's business: the walk
-            # answers it uncapped, the arrays clamp it like any other bound
+        if declines:
+            # the cursor probe answers before either qualifier, uncapped
+            assert got == want == batch.time, (cap, refs, cursor, uhint)
+        elif exact:
+            # a batch whose last reference is at the cursor: the walk
+            # answers its time uncapped, the arrays clamp it like any other
             assert got in (want, min(want, cap)), (cap, refs, cursor, uhint)
 
 
@@ -225,9 +229,8 @@ def test_stale_or_short_goes_to_the_scalar_walk():
 def test_classification_is_paid_once_and_shared_with_the_owner(monkeypatch):
     """A fresh, fully-hitting rival batch is classified by the first query;
     the second query and the owner's own ``run()`` read the cached arrays —
-    no classification, no per-reference probe at all (the engine's
-    ``_stand_down`` has probed the cursor reference; a rival about to miss
-    never gets here — ``tests/test_host_switches.py``)."""
+    no classification, and each query probes only the cursor reference (a
+    rival about to miss stops there — ``tests/test_host_switches.py``)."""
     ms = make_ms()
     vec = ms._vec
     classified = []
@@ -243,12 +246,13 @@ def test_classification_is_paid_once_and_shared_with_the_owner(monkeypatch):
 
     refs = [(1, BASE + (j % 5) * LINE, 4, 0) for j in range(64)]
     batch = make_batch(refs)
+    cursor = (batch.kinds[0], batch.addrs[0], batch.sizes[0])
     first = ms.invisible_until(PID, CPU, batch, INF)
-    assert classified == [(0, 64)] and not probes
+    assert classified == [(0, 64)] and probes == [(PID, CPU, *cursor)]
     assert ms.invisible_until(PID, CPU, batch, INF) == first
     assert ms.invisible_until(PID, CPU, batch, batch.time + 10) == \
         batch.time + 10
-    assert classified == [(0, 64)] and not probes
+    assert classified == [(0, 64)] and probes == [(PID, CPU, *cursor)] * 3
     # the owner's turn: same cache entry, and the whole batch retires
     consumed, i, *_ = ms.access_run(
         PID, CPU, batch.kinds, batch.addrs, batch.sizes, batch.pendings, 0,

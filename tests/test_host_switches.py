@@ -6,9 +6,9 @@ frontend. Either arm, and each self-selecting layer's reference
 implementation (``SUBS``), is one simulated program, fault plan armed or
 not — the L1 probe is the memory model, so nothing here moves a
 ``mem:degraded`` draw. And wherever a
-window is *not* opened, one gate says why (``Engine._stand_down``),
-counted by reason in ``Engine.stand_downs``, which no fingerprint ever
-sees.
+window is *not* opened, the batch round says why once
+(``Engine._handle_batch``), counted by reason in ``Engine.stand_downs``,
+which no fingerprint ever sees.
 """
 
 from __future__ import annotations
@@ -101,17 +101,46 @@ def test_stand_downs_on_a_sampled_run():
     assert on.counters["stand_downs"]["tapped"] == 0
 
 
-def _parked_touch():
-    """An engine whose one frontend has parked a cold ``touch`` batch."""
+def _spy_scans(eng, scans):
+    """Append the strict cut of each ``lookahead_horizon`` scan to
+    ``scans``."""
+    scan = eng.comm.lookahead_horizon
+    eng.comm.lookahead_horizon = lambda *a: scans.append(a[1]) or scan(*a)
+    return scans
+
+
+@pytest.mark.parametrize("workload", ["oltp", "dss", "webserver",
+                                      "private_heavy",
+                                      "tpcc-checkpoint-bench"])
+def test_a_round_asks_for_one_verdict(workload):
+    """A batch round answers "how far past the rival cut" at most once:
+    the owner's tallied stand-down reason or one lookahead scan — never
+    both, and a rival's qualification tallies nothing."""
+    scans = []
+    res, _ = simulate(workload, DEFAULT,
+                      spy=lambda eng: _spy_scans(eng, scans))
+    c = res.counters
+    assert sum(c["stand_downs"].values()) + len(scans) <= \
+        c["batch_stats"]["batches"]
+    if workload == "private_heavy":
+        assert c["stand_downs"]["miss"] == 4 * 256     # the cold pass
+
+
+def _parked_touches():
+    """An engine whose two frontends have each parked a cold ``touch``
+    batch, one per CPU."""
     eng = Engine(complex_backend(num_cpus=2))
 
-    def app(p):
-        yield from p.touch(0x2_0000, 4096, write=True, stride=32)
-        yield from p.exit(0)
+    def app(base):
+        def body(p):
+            yield from p.touch(base, 4096, write=True, stride=32)
+            yield from p.exit(0)
+        return body
 
-    proc = eng.spawn("a", app)
-    assert proc.port_event.kind == 9
-    return eng, proc, proc.port_event
+    procs = [eng.spawn(f"t{j}", app(0x2_0000 + j * 0x1_0000))
+             for j in range(2)]
+    assert all(p.port_event.kind == 9 for p in procs)
+    return eng, procs
 
 
 def _warm(eng, proc, batch):
@@ -119,44 +148,63 @@ def _warm(eng, proc, batch):
         eng.memsys.access(proc.pid, addr, size, True, proc.cpu, 0)
 
 
+def _round(eng, proc):
+    """One batch round of ``proc``, entered as the run loop enters it,
+    with a rival parked (no task or run bound)."""
+    batch = proc.port_event
+    proc.port_event = None
+    return eng._handle_batch(proc, batch, 1 << 40, 1 << 62)
+
+
+def _tallied(why):
+    return {**dict.fromkeys(STAND_DOWNS, 0), why: 1}
+
+
 def test_no_window_for_a_frontend_with_a_delivery_due():
-    """The gate's first clause: with a pre-emption pending, ``proc`` gets
-    no window and bounds a rival's at its own parked event."""
-    eng, proc, batch = _parked_touch()
-    _warm(eng, proc, batch)
-    assert eng._stand_down(proc, batch) is None
-    assert eng._invisible_bound(proc, batch, 1 << 40) > batch.time
+    """The verdict's first clause. Warm and with nothing due, the owner's
+    round scans its rival once and tallies nothing; with a pre-emption
+    pending, the round tallies ``"delivery"`` once and scans nothing, and
+    as a rival the frontend bounds a window at its own parked event,
+    untallied."""
+    eng, (proc, rival) = _parked_touches()
+    _warm(eng, proc, proc.port_event)
+    batch = rival.port_event
+    _warm(eng, rival, batch)
+    scans = _spy_scans(eng, [])
+    assert eng._invisible_bound(rival, batch, 1 << 40) > batch.time
+    rival.preempt_pending = True
+    assert eng._invisible_bound(rival, batch, 1 << 40) == batch.time
     assert not any(eng.stand_downs.values())
     proc.preempt_pending = True
-    assert eng._stand_down(proc, batch) == "delivery"
-    assert eng._invisible_bound(proc, batch, 1 << 40) == batch.time
-    assert eng.stand_downs["delivery"] == 2
+    assert _round(eng, proc) == 1
+    assert eng.stand_downs == _tallied("delivery") and not scans
+    eng, (proc, _) = _parked_touches()
+    _warm(eng, proc, proc.port_event)
+    scans = _spy_scans(eng, [])
+    _round(eng, proc)
+    assert len(scans) == 1 and not any(eng.stand_downs.values())
 
 
 def test_no_window_for_a_frontend_about_to_miss():
-    """The gate's last clause, for the owner and for a rival alike: the
-    reference at the cursor would leave the L1 probe. One read-only probe
-    answers — no classification, no walk — and it is asked again each
-    round: once the line is resident the same batch qualifies."""
-    eng, proc, batch = _parked_touch()
+    """The verdict's last clause: the reference at the cursor would leave
+    the L1 probe. The owner's round tallies ``"miss"`` once and scans
+    nothing. A rival bounds at its own parked time for one read-only
+    probe — no classification, no walk, no tally — and is asked again
+    each round: once the line is resident the same batch qualifies."""
+    eng, (proc, rival) = _parked_touches()
+    batch = rival.port_event
     ms = eng.memsys
     probes = []
     ms.ref_invisible_latency = lambda *a: probes.append(a) or \
         type(ms).ref_invisible_latency(ms, *a)
-    assert eng._stand_down(proc, batch) == "miss"
-    assert eng._invisible_bound(proc, batch, 1 << 40) == batch.time
-    assert len(probes) == 2 and not ms._vec._cache
-    assert eng.stand_downs == {"delivery": 0, "tapped": 0,
-                               "fast_forward": 0, "miss": 2}
-    # warm but for one line: only the cursor that stands on it stands down
-    _warm(eng, proc, batch)
-    ms.l1s[proc.cpu].invalidate(next(iter(ms._l1_states[proc.cpu])))
-    verdicts = []
-    for cursor in range(batch.n):
-        batch.cursor = cursor
-        verdicts.append(eng._stand_down(proc, batch))
-    assert verdicts.count("miss") == 1
-    assert verdicts.count(None) == batch.n - 1
+    assert eng._invisible_bound(rival, batch, 1 << 40) == batch.time
+    assert len(probes) == 1 and not ms._vec._cache
+    assert not any(eng.stand_downs.values())
+    _warm(eng, rival, batch)
+    assert eng._invisible_bound(rival, batch, 1 << 40) > batch.time
+    scans = _spy_scans(eng, [])
+    _round(eng, proc)
+    assert eng.stand_downs == _tallied("miss") and not scans
 
 
 def test_design_table_lists_the_codes_own_reasons():

@@ -69,7 +69,7 @@ def test_lookahead_drains_past_horizon():
     on, off, _ = check("private_heavy", [DEFAULT, sub("no_windows"),
                                          sub("scalar")])
     bs_on = on.counters["batch_stats"]
-    # pinned: the owner's cursor probe (``_stand_down``'s "miss") must not
+    # pinned: the owner's cursor probe (the round's "miss") must not
     # cost a warm frontend a window. Before it there were 124 — one opened
     # for the last, missing reference of a cold pass, which extended nothing
     assert (bs_on["la_windows"], bs_on["la_refs"]) == (123, 22_999)
@@ -291,7 +291,7 @@ def _winner_and_computing_worker(worker_first):
     """An in-process frontend parked on a batch and a proxy
     whose worker is still computing (no process behind it: nothing ever
     arrives), spawned in either pid order. Returns (engine, frontend,
-    proxy, the horizons ``_handle_batch`` was entered with)."""
+    proxy, and the first batch round's ``(pid, bound, la_windows)``)."""
     SimProcess._next_pid[0] = 1
     eng = ParallelEngine(complex_backend(num_cpus=2, coherence="mesi",
                                          num_nodes=1))
@@ -310,12 +310,14 @@ def _winner_and_computing_worker(worker_first):
     w.proc = q
     eng._workers[q.pid] = w
     seen = []
+    handle_batch = eng._handle_batch
 
-    def stop_at_entry(proc, batch, horizon, ext, budget):
-        seen.append((proc.pid, horizon, ext))
+    def stop_after_round(proc, batch, bound, budget):
+        handle_batch(proc, batch, bound, budget)
+        seen.append((proc.pid, bound, eng.batch_stats["la_windows"]))
         raise KeyboardInterrupt
 
-    eng._handle_batch = stop_at_entry
+    eng._handle_batch = stop_after_round
     return eng, p, q, seen
 
 
@@ -340,7 +342,7 @@ def test_computing_workers_bound_caps_the_winners_batch(worker_first):
     assert eng._round_gate(p, None) == cap
     with pytest.raises(KeyboardInterrupt):
         eng.run()
-    assert seen == [(p.pid, cap, 0)]        # cut there, no window past it
+    assert seen == [(p.pid, cap, 0)]        # bound there, no window opened
     eng.shutdown()
 
 
