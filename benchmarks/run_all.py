@@ -14,6 +14,9 @@ per-bench exit codes. Usage::
     python benchmarks/run_all.py --quick      # COMPASS_BENCH_QUICK=1
     python benchmarks/run_all.py fastpath     # only bench_fastpath.py
 
+A filter pattern that matches no bench is an error (exit 2), even when
+the other patterns match.
+
 The summary is (re)written after *every* benchmark, marked
 ``"complete": false`` until the last one finishes — a crashed or
 interrupted run leaves a partial ``BENCH_summary.json`` covering the
@@ -38,11 +41,14 @@ REPO_ROOT = BENCH_DIR.parent
 
 
 def discover(patterns):
+    """The benches matching any pattern (all without one), and the
+    patterns that match none."""
     benches = sorted(BENCH_DIR.glob("bench_*.py"))
+    stale = [p for p in patterns if not any(p in b.stem for b in benches)]
     if patterns:
         benches = [b for b in benches
                    if any(p in b.stem for p in patterns)]
-    return benches
+    return benches, stale
 
 
 def main(argv=None) -> int:
@@ -53,9 +59,9 @@ def main(argv=None) -> int:
                     help="set COMPASS_BENCH_QUICK=1 (smaller workloads)")
     args = ap.parse_args(argv)
 
-    benches = discover(args.patterns)
-    if not benches:
-        print("no benchmarks match", args.patterns, file=sys.stderr)
+    benches, stale = discover(args.patterns)
+    if stale or not benches:
+        print("no benchmarks match", stale or args.patterns, file=sys.stderr)
         return 2
 
     env = dict(os.environ)

@@ -204,11 +204,11 @@ class Engine:
         """Spawn a frontend executing an ISA interpreter (the faithful
         instrumented-assembly path). The interpreter's pending-cycle counter
         becomes the process clock: the machine has the ``pending`` slot the
-        engine reads and writes."""
-        batched = self._frontend_batching
-        return self.spawn(
-            name, lambda _api: interp.run(batched=batched, translate=True),
-            clock=interp.machine)
+        engine reads and writes. The program is translated before the
+        engine takes any state, so a ``TranslationError`` leaves it as it
+        was."""
+        gen = interp.run(batched=self._frontend_batching)
+        return self.spawn(name, lambda _api: gen, clock=interp.machine)
 
     def mmap_alloc(self, pid: int, size: int) -> int:
         """Pick a free address in the mmap region (page aligned)."""

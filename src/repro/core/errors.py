@@ -135,6 +135,13 @@ class InstrumentationError(CompassError):
     """Raised by the instrumentor for malformed programs."""
 
 
+class TranslationError(InstrumentationError):
+    """A program has no basic-block translation (an operand with no literal
+    form, an unknown opcode). Raised when the program is translated: by
+    ``Interpreter.run`` / ``run_raw``, so at spawn time for a frontend.
+    Translation is the one ISA execution path: nothing falls back."""
+
+
 class DeviceError(CompassError):
     """Raised by physical device models for invalid requests."""
 

@@ -12,10 +12,11 @@ ParallelEngine` demonstrates this directly. When it does not (this
 container exposes a single CPU), Table 3 is reproduced through this model,
 with every parameter *measured on the host*:
 
-* ``t_fe`` — frontend cost per event: raw instrumented-execution time
-  between events (measured by timing the interpreter);
-* ``t_be`` — backend cost per event (measured by timing the event loop with
-  a null frontend);
+* ``t_fe`` — frontend cost per event: raw execution time between events
+  (measured by timing ``Interpreter.run_raw``, the frontends' own
+  translated blocks without the hooks);
+* ``t_be`` — backend cost per event (the inline simulated run's time per
+  event, less ``t_fe``);
 * ``t_cs`` — one context switch + event hand-off on a shared CPU (measured
   with a pipe ping-pong between two processes pinned to one core);
 * ``t_spin`` — shared-memory event hand-off without a context switch.

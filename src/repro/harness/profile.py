@@ -164,8 +164,8 @@ def translate_summary(engine) -> dict:
     """Observability row for the basic-block translation cache.
 
     The counters are the process-wide translation-cache stats
-    (programs/blocks translated, shared code-cache hit rate, and
-    interpreter fallbacks) — see :mod:`repro.isa.translate`.
+    (programs/blocks translated, shared code-cache hit rate) — see
+    :mod:`repro.isa.translate`.
     """
     from ..isa.translate import cache_stats
     out = cache_stats()

@@ -7,12 +7,10 @@ parallelism — map to: which workload callable you pass, which SimConfig you
 build the engine with, and whether the engine runs inline or in host-
 parallel mode.
 
-Since the basic-block translation cache (:mod:`repro.isa.translate`) there
-are *two* raw baselines for ISA workloads: the generic interpreter loop and
-the translated closures. Pass both to :func:`measure_slowdown` and the
-result carries both slowdown factors, so Table 2/3 numbers can be quoted
-against the faster native mode (the honest analogue of COMPASS's
-direct-execution baseline).
+For ISA workloads the raw baseline is :meth:`Interpreter.run_raw
+<repro.isa.interpreter.Interpreter.run_raw>`: the same translated blocks the
+simulated run executes, without the instrumentation hooks (the analogue of
+COMPASS's uninstrumented binary).
 """
 
 from __future__ import annotations
@@ -33,29 +31,15 @@ class SlowdownResult:
     sim_seconds: float
     simulated_cycles: int
     events: int
-    #: wall-clock of the translated raw baseline; 0.0 = not measured
-    raw_translated_seconds: float = 0.0
 
     @property
     def slowdown(self) -> float:
-        """The paper's slowdown factor (vs the interpreted raw baseline)."""
+        """The paper's slowdown factor."""
         return self.sim_seconds / self.raw_seconds if self.raw_seconds else 0.0
 
-    @property
-    def slowdown_translated(self) -> float:
-        """Slowdown vs the translated raw baseline (the faster native
-        mode); 0.0 when no translated baseline was measured."""
-        if not self.raw_translated_seconds:
-            return 0.0
-        return self.sim_seconds / self.raw_translated_seconds
-
     def row(self) -> tuple:
-        base = (self.label, f"{self.raw_seconds:.3f}s",
+        return (self.label, f"{self.raw_seconds:.3f}s",
                 f"{self.sim_seconds:.3f}s", f"{self.slowdown:.0f}x")
-        if self.raw_translated_seconds:
-            base += (f"{self.raw_translated_seconds:.3f}s",
-                     f"{self.slowdown_translated:.0f}x")
-        return base
 
 
 def _best_of(fn: Callable[[], object], repeat: int) -> float:
@@ -71,16 +55,10 @@ def measure_slowdown(label: str,
                      raw_fn: Callable[[], object],
                      sim_fn: Callable[[], StatsRegistry],
                      events: Optional[int] = None,
-                     repeat_raw: int = 3,
-                     raw_translated_fn: Optional[Callable[[], object]] = None,
-                     ) -> SlowdownResult:
+                     repeat_raw: int = 3) -> SlowdownResult:
     """Time the raw baseline (best of ``repeat_raw``) against one simulated
-    run. ``sim_fn`` must return the run's StatsRegistry. Pass
-    ``raw_translated_fn`` to also time the translated raw baseline (filled
-    into ``raw_translated_seconds`` / ``slowdown_translated``)."""
+    run. ``sim_fn`` must return the run's StatsRegistry."""
     best_raw = _best_of(raw_fn, repeat_raw)
-    best_tr = (_best_of(raw_translated_fn, repeat_raw)
-               if raw_translated_fn is not None else 0.0)
     t0 = time.perf_counter()
     stats = sim_fn()
     sim_s = time.perf_counter() - t0
@@ -90,5 +68,4 @@ def measure_slowdown(label: str,
         sim_seconds=sim_s,
         simulated_cycles=stats.end_cycle,
         events=events if events is not None else 0,
-        raw_translated_seconds=best_tr,
     )

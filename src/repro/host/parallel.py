@@ -122,7 +122,7 @@ def _worker_main(conn: Connection, spec_name: str, program_text: str,
         m = Machine(dm)
         for r, v in regs.items():
             m.regs[r] = v
-        gen = Interpreter(prog, m).run(batched=True, translate=True)
+        gen = Interpreter(prog, m).run(batched=True)
         reply = None
         while True:
             out = gen.send(reply)

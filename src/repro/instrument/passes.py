@@ -1,4 +1,9 @@
-"""Instrumentation passes over ISA programs."""
+"""Instrumentation passes over ISA programs.
+
+Every pass mutates the program in place and drops its cached basic-block
+translation (:func:`repro.isa.translate.invalidate`), so the next run
+executes the rewritten blocks.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +14,7 @@ from ..core.errors import InstrumentationError
 from ..isa.instructions import Instr, MEM_OPS, Op
 from ..isa.program import BasicBlock, Program
 from ..isa.timing import block_cost
+from ..isa.translate import invalidate
 
 
 @dataclass(frozen=True)
@@ -67,6 +73,7 @@ def report(program: Program) -> InstrumentationReport:
 def instrument_program(program: Program) -> Program:
     """(Re)compute the per-block timing annotations — the pass that inserts
     "special assembly code at end of each basic block" (§2). Idempotent."""
+    invalidate(program)
     for blk in program.blocks:
         blk.cost = block_cost(blk.instrs)
     return program
@@ -86,6 +93,7 @@ def exclude_regions(program: Program, labels: Iterable[str]) -> Program:
         raise InstrumentationError(
             f"exclude_regions: unknown labels {sorted(missing)}"
         )
+    invalidate(program)
     for name in labelset:
         blk = program.block_of(name)
         blk.instrs.insert(0, Instr(Op.SIMOFF))
@@ -102,6 +110,7 @@ def exclude_regions(program: Program, labels: Iterable[str]) -> Program:
 def rename_oscalls(program: Program, mapping: Dict[str, str]) -> Program:
     """Rewrite OS-call names — §4 step 3: "rename OS calls that can cause
     deadlocks and supply a stub library for those OS calls"."""
+    invalidate(program)
     for blk in program.blocks:
         for ins in blk.instrs:
             if ins.op == Op.SYSCALL and ins.a in mapping:

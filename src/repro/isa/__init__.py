@@ -8,16 +8,17 @@ the closest synthetic equivalent: a small RISC-style virtual ISA
 (:mod:`repro.isa.timing`), a program/basic-block representation
 (:mod:`repro.isa.program`), a textual assembler (:mod:`repro.isa.assembler`)
 and an interpreter that executes programs as event-generating frontends
-(:mod:`repro.isa.interpreter`).
+(:mod:`repro.isa.interpreter`) through their basic-block translation
+(:mod:`repro.isa.translate`).
 """
 
+from ..core.errors import TranslationError
 from .instructions import Op, Instr
 from .program import BasicBlock, Program
 from .assembler import assemble
 from .timing import cost_of, block_cost
 from .interpreter import Interpreter, Machine
-from .translate import (TranslatedProgram, TranslationError, cache_stats,
-                        translate)
+from .translate import TranslatedProgram, cache_stats, translate
 
 __all__ = [
     "Op",

@@ -1,21 +1,19 @@
-"""Basic-block translation cache: compile hot blocks to specialized closures.
+"""Basic-block translation cache: compile blocks to specialized closures.
 
-The generic interpreter (:mod:`repro.isa.interpreter`) pays a long opcode
-``elif`` chain plus several ``Instr`` attribute loads for *every* executed
-instruction — after the batched-event work that dispatch is the dominant
-remaining host cost. COMPASS itself avoids it entirely by direct execution:
-application code runs native and only the inserted instrumentation costs
-anything. This module is the closest Python equivalent: each basic block is
-compiled **once** into straight-line Python source (operands baked in as
-literals, no ``Op`` branching, no per-instruction attribute lookups), the
-source is compiled and cached, and thin trampolines chain the resulting
-closures block to block.
+This is the one ISA execution path: :class:`~repro.isa.interpreter.Interpreter`
+runs every program through it. COMPASS avoids per-instruction dispatch by
+direct execution: application code runs native and only the inserted
+instrumentation costs anything. This module is the closest Python
+equivalent: each basic block is compiled **once** into straight-line Python
+source (operands baked in as literals, no ``Op`` branching, no
+per-instruction attribute lookups), the source is compiled and cached, and
+thin trampolines chain the resulting closures block to block.
 
 Four variants are generated per block:
 
 ``raw``
     Plain function with raw-mode semantics (no events, no timing) — the
-    Table 2 "raw execution" baseline.
+    Tables 2/3 "raw execution" baseline.
 ``plain``
     Plain instrumented function used when the caller can prove no generator
     suspension can occur in the block (no sync/OS ops, and either the event
@@ -26,19 +24,23 @@ Four variants are generated per block:
     flushes, sync/OS-call yields), entered via ``yield from`` only when a
     suspension is actually possible.
 
-Bit-identity contract: the trampolines suspend at exactly the points the
-interpreter would (a batch publish after the append that reaches
-``BATCH_CAP``, a flush before every sync/OS event, one event per reference
-in unbatched mode), accumulate block cost and ``pending`` cycles in the
-same order, and raise the same errors with the same messages. Equivalence
-is asserted by ``tests/test_translate_equivalence.py``: engine rows with
-translation and with the interpreter fallback, on both engines, against
-the strict run, and differential fuzzing of the event streams.
+Semantics contract: the trampolines suspend at exactly the points of the
+generic dispatch loop kept as the test oracle (``tests/isa_reference.py``):
+a batch publish after the append that reaches ``BATCH_CAP``, a flush before
+every sync/OS event, one event per reference in unbatched mode. They
+accumulate block cost and ``pending`` cycles in the same order and raise the
+same errors with the same messages. ``tests/test_translate_equivalence.py``
+holds the two to each other on engine rows, on both engines, and by
+differential fuzzing of the event streams.
+
+A program the code generator cannot express (an operand that has no
+literal form, an unknown opcode) raises
+:class:`~repro.core.errors.TranslationError` when it is translated.
 
 Invalidation: translations are cached on the :class:`Program` object and
-keyed by block *content* in the shared code cache. Programs are immutable
-after :meth:`Program.resolve` everywhere in this codebase; callers that do
-mutate a program afterwards must call :func:`invalidate` first.
+keyed by block *content* in the shared code cache. Whatever mutates a
+program after it may have run (the :mod:`repro.instrument` passes) calls
+:func:`invalidate`.
 """
 
 from __future__ import annotations
@@ -46,17 +48,9 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional
 
 from ..core import events as ev
-from ..core.errors import FrontendError
+from ..core.errors import FrontendError, TranslationError
 from .instructions import BLOCK_ENDERS, Instr, Op
 from .program import Program
-
-
-class TranslationError(Exception):
-    """A program cannot be translated (exotic operand types, unknown ops).
-
-    Callers fall back to the generic interpreter — translation is a pure
-    host-side optimisation, never a functional requirement.
-    """
 
 
 #: translation-cache observability (read via :func:`cache_stats`)
@@ -66,7 +60,6 @@ CACHE_STATS: Dict[str, int] = {
     "blocks": 0,          # basic blocks compiled (all variants)
     "code_hits": 0,       # block variants served from the shared code cache
     "code_misses": 0,     # block variants actually compiled
-    "fallbacks": 0,       # programs that fell back to the interpreter
 }
 
 #: shared code cache: generated source -> compiled code object. Keyed by
@@ -80,15 +73,8 @@ def cache_stats() -> Dict[str, int]:
     return dict(CACHE_STATS)
 
 
-def clear_code_cache() -> None:
-    """Drop the shared code cache and zero the counters (test isolation)."""
-    _CODE_CACHE.clear()
-    for k in CACHE_STATS:
-        CACHE_STATS[k] = 0
-
-
 def invalidate(program: Program) -> None:
-    """Forget a program's cached translation (call before mutating it)."""
+    """Forget a program's cached translation (call when mutating it)."""
     if hasattr(program, "_translation"):
         del program._translation
 
@@ -377,8 +363,8 @@ class TranslatedProgram:
             return ns.pop("_bf")
 
         for bi, blk in enumerate(program.blocks):
-            # instructions past the first block-ender are dead: the
-            # interpreter's loop always breaks at the ender
+            # instructions past the first block-ender are dead: control
+            # always leaves the block at the ender
             effective: List[Instr] = []
             for ins in blk.instrs:
                 effective.append(ins)
@@ -406,7 +392,10 @@ def translate(program: Program) -> TranslatedProgram:
     if tp is not None:
         CACHE_STATS["program_hits"] += 1
         return tp
-    tp = TranslatedProgram(program)
+    try:
+        tp = TranslatedProgram(program)
+    except TranslationError as e:
+        raise TranslationError(f"{program.name}: {e}") from None
     CACHE_STATS["programs"] += 1
     CACHE_STATS["blocks"] += tp.nblocks
     program._translation = tp
@@ -418,7 +407,7 @@ def translate(program: Program) -> TranslatedProgram:
 # ---------------------------------------------------------------------------
 
 def _drive_batched(tp: TranslatedProgram, m):
-    """Instrumented batched frontend (mirrors Interpreter.run(batched=True)).
+    """Instrumented batched frontend (``Interpreter.run(batched=True)``).
 
     The fast case takes the plain closure: possible only when the block has
     no sync/OS ops and either the batch has headroom for every reference in
@@ -459,7 +448,7 @@ def _drive_batched(tp: TranslatedProgram, m):
 
 
 def _drive_event(tp: TranslatedProgram, m):
-    """Instrumented per-event frontend (mirrors Interpreter.run())."""
+    """Instrumented per-event frontend (``Interpreter.run()``)."""
     regs = m.regs
     mem = m.mem
     stack = m.stack
@@ -489,8 +478,8 @@ def _drive_event(tp: TranslatedProgram, m):
 
 
 def translated_run(program: Program, machine, batched: bool = False):
-    """The translated instrumented frontend coroutine — a drop-in for
-    :meth:`Interpreter.run` with identical yields, replies and return."""
+    """The instrumented frontend coroutine behind :meth:`Interpreter.run`.
+    Translation happens at the call, before the first resume."""
     tp = translate(program)
     if batched:
         return _drive_batched(tp, machine)
@@ -499,7 +488,7 @@ def translated_run(program: Program, machine, batched: bool = False):
 
 def translated_run_raw(program: Program, machine,
                        max_instrs: int = 1 << 62) -> int:
-    """The translated raw loop — a drop-in for :meth:`Interpreter.run_raw`."""
+    """The raw loop behind :meth:`Interpreter.run_raw`."""
     tp = translate(program)
     m = machine
     regs = m.regs

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import importlib
 import itertools
 import os
 import tempfile
@@ -34,12 +33,14 @@ from repro.core.communicator import Communicator
 from repro.core.frontend import SimProcess
 from repro.harness import vec_summary
 from repro.host import ParallelEngine, WorkerSpec
-from repro.isa import Interpreter, Machine, TranslationError, assemble
+from repro.isa import Interpreter, Machine, assemble
 from repro.isa.memory import DataMemory
 from repro.mem.vec import VecState
 from repro.osim import kmem
 from repro.service.workloads import WORKLOADS, full_fingerprint
 from repro.traces.memtrace import MemTraceRecorder
+
+from tests import isa_reference
 
 # ---------------------------------------------------------------------------
 # fault plans
@@ -85,10 +86,10 @@ SUBS = {
     # run and every rival's frontier
     "scalar": lambda: mock.patch.multiple(VecState, run=_decline,
                                           frontier=_decline),
-    # the generic interpreter: translation fails, the fallback runs
-    "interpreted": lambda: mock.patch.object(
-        importlib.import_module("repro.isa.translate"), "translated_run",
-        side_effect=TranslationError("substituted")),
+    # the generic interpreter (tests/isa_reference.py) instead of block
+    # translation; forked ParallelEngine workers inherit the patch
+    "interpreted": lambda: mock.patch.object(Interpreter, "run",
+                                             isa_reference.run),
     # no window: every batch is cut at the strict rival horizon
     "no_windows": lambda: mock.patch.object(
         Communicator, "lookahead_horizon",
@@ -527,12 +528,17 @@ def _crash_and_resume(row, cfg, mode):
 def simulate(row, cfg=DEFAULT, mode="clean", spy=None):
     """Run ``row`` under ``cfg`` (its substitutions, if any, held over the
     build and the run) and ``mode``, uncached; ``spy(eng)`` sees the
-    engine before it runs. Returns ``(Result, engine)``."""
+    engine before it runs. Returns ``(Result, engine)``; its counters
+    carry ``reference_runs``, the ISA frontends (workers included) that ran
+    the reference interpreter."""
     cfg = dict(cfg)
+    runs = isa_reference.RUNS.value
     with contextlib.ExitStack() as subs:
         for name in cfg.pop("sub", ()):
             subs.enter_context(SUBS[name]())
-        return _simulate(row, cfg, mode, spy)
+        res, eng = _simulate(row, cfg, mode, spy)
+    res.counters["reference_runs"] = isa_reference.RUNS.value - runs
+    return res, eng
 
 
 def _simulate(row, cfg, mode, spy):
@@ -592,16 +598,24 @@ def _same(a: dict, b: dict) -> bool:
 def check(row, arms=ARMS, mode="clean") -> list:
     """Every arm of ``row`` under ``mode`` lands :func:`reference`, which
     itself lands the strict result of the mode ``mode`` must not move
-    (``SAME_AS``). On the inline engine, an arm under the ``scalar`` or
-    ``interpreted`` substitution also opens the windows its plain twin
-    opens: equal ``batch_stats``. Returns the arms' :class:`Result`\\ s."""
+    (``SAME_AS``). An arm under the ``interpreted`` substitution ran the
+    reference interpreter in every ISA frontend of the row, and in none of
+    a named row (those spawn no ISA frontend). On the inline engine, an arm
+    under the ``scalar`` or ``interpreted`` substitution also opens the
+    windows its plain twin opens: equal ``batch_stats``. Returns the arms'
+    :class:`Result`\\ s."""
     ref = reference(row, mode)
     if mode in SAME_AS:
         assert _same(ref, reference(row, SAME_AS[mode])), \
             f"{row}: strict {mode} != strict {SAME_AS[mode]}"
     results = {_key(a): run(row, a, mode) for a in arms}
+    frontends = len(row.progs) if isinstance(row, Isa) else 0
     for key, res in results.items():
         assert res.snap == ref, f"{row} {mode}: {dict(key)} != strict"
+        if "interpreted" in dict(key).get("sub", ()):
+            runs = res.counters["reference_runs"]
+            assert runs >= frontends if frontends else runs == 0, \
+                f"{row} {mode}: {runs} reference runs, {frontends} frontends"
     if not (isinstance(row, Isa) and row.parallel):
         for key, res in results.items():
             cfg = dict(key)

@@ -114,36 +114,9 @@ class TestSlowdown:
         assert res.slowdown == pytest.approx(
             res.sim_seconds / res.raw_seconds)
         assert res.simulated_cycles > 0
-        # no translated baseline passed: not measured, row stays short
-        assert res.raw_translated_seconds == 0.0
-        assert res.slowdown_translated == 0.0
-        assert len(res.row()) == 4
-
-    def test_measure_slowdown_dual_baseline(self):
-        def raw():
-            return sum(range(2000))
-
-        def raw_translated():
-            return sum(range(500))
-
-        def sim():
-            eng = Engine(complex_backend(num_cpus=1))
-
-            def app(proc):
-                for _ in range(10):
-                    yield from proc.store(0x10_000)
-                yield from proc.exit(0)
-
-            eng.spawn("a", app)
-            return eng.run()
-
-        res = measure_slowdown("t", raw, sim,
-                               raw_translated_fn=raw_translated)
-        assert res.raw_translated_seconds > 0
-        assert res.slowdown_translated == pytest.approx(
-            res.sim_seconds / res.raw_translated_seconds)
-        # the translated baseline is faster, so its slowdown factor is larger
-        assert len(res.row()) == 6
+        assert res.row() == ("t", f"{res.raw_seconds:.3f}s",
+                             f"{res.sim_seconds:.3f}s",
+                             f"{res.slowdown:.0f}x")
 
 
 class TestRenderTable:

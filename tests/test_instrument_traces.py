@@ -3,10 +3,12 @@
 import pytest
 
 from repro.core.errors import InstrumentationError
+from repro.core.events import EvKind
 from repro.instrument import (exclude_regions, instrument_program,
                               rename_oscalls, report)
 from repro.isa import Op, assemble
 from repro.traces import HttpRequest, load_trace, save_trace
+from tests import isa_reference
 
 
 SRC = """
@@ -24,6 +26,22 @@ loop:
     unlock r5
     halt
 """
+
+
+#: a program whose only memory reference sits in block ``hot``
+STALE = """
+    li r10, 0x1000
+hot:
+    load r1, r10, 0, 4
+    syscall open, 0
+    halt
+"""
+
+
+def _events(prog):
+    """``(kind, arg)`` of each event of one ``Interpreter.run`` of ``prog``."""
+    stream, _state = isa_reference.execute(prog, "event", reference=False)
+    return [(kind, arg) for kind, _addr, _size, arg, _pending in stream]
 
 
 class TestInstrument:
@@ -59,25 +77,9 @@ class TestInstrument:
             exclude_regions(p, ["nope"])
 
     def test_excluded_region_generates_no_events(self):
-        from repro.isa import Interpreter, Machine
-        from repro.isa.memory import DataMemory
-        from repro.core.events import EvKind
-
         p = assemble(SRC)
         exclude_regions(p, ["loop"])
-        dm = DataMemory()
-        dm.map_segment(0x1000, 4096)
-        gen = Interpreter(p, Machine(dm)).run()
-        kinds = []
-        try:
-            e = next(gen)
-            while True:
-                kinds.append(e.kind)
-                from repro.core.events import SyscallResult
-                e = gen.send(SyscallResult(0) if e.kind == EvKind.SYSCALL
-                             else 1)
-        except StopIteration:
-            pass
+        kinds = [k for k, _arg in _events(p)]
         assert EvKind.READ not in kinds and EvKind.WRITE not in kinds
         assert EvKind.SYSCALL in kinds   # outside the excluded region
 
@@ -87,6 +89,36 @@ class TestInstrument:
         names = [i.a for b in p.blocks for i in b.instrs
                  if i.op == Op.SYSCALL]
         assert names == ["compass_open"]
+
+
+class TestPassesAfterARun:
+    """A pass applied to a program that already ran (and so has a cached
+    translation) takes effect at the next run."""
+
+    def test_exclude_regions(self):
+        p = assemble(STALE)
+        assert _events(p)[0][0] == EvKind.READ
+        exclude_regions(p, ["hot"])
+        fresh = exclude_regions(assemble(STALE), ["hot"])
+        assert _events(p) == _events(fresh) == \
+            [(EvKind.SYSCALL, ("open", ()))]
+
+    def test_rename_oscalls(self):
+        p = assemble(STALE)
+        assert _events(p)[-1][1] == ("open", ())
+        rename_oscalls(p, {"open": "compass_open"})
+        assert _events(p)[-1][1] == ("compass_open", ())
+
+    def test_instrument_program(self):
+        def pending(prog):
+            return isa_reference.execute(prog, "event", reference=False)[1][3]
+
+        p = assemble(STALE)
+        for b in p.blocks:
+            b.cost = 0
+        assert pending(p) == 0
+        instrument_program(p)
+        assert pending(p) == pending(assemble(STALE)) > 0
 
 
 class TestTraces:

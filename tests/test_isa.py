@@ -5,10 +5,11 @@ from hypothesis import given, strategies as st
 
 from repro.core.errors import FrontendError, InstrumentationError
 from repro.core.events import EvKind, SyscallResult
-from repro.isa import (Instr, Machine, Op, Program, assemble, block_cost,
-                       cost_of, Interpreter)
-from repro.isa.instructions import BLOCK_ENDERS, MEM_OPS
+from repro.isa import (Instr, Machine, Op, assemble, block_cost, cost_of,
+                       Interpreter)
 from repro.isa.memory import DataMemory
+
+from tests import isa_reference
 
 
 def drive(prog, mem=None, reply=1):
@@ -244,9 +245,10 @@ class TestInterpreter:
             Interpreter(p, Machine()).run_raw(max_instrs=1000)
 
 
-#: per-opcode exercise programs: every Op must run through both the raw and
-#: the instrumented loop (and, via translate=True, through the translated
-#: closures). Conditional branches cover both the taken and fall-through arm.
+#: per-opcode exercise programs: every Op must run in the raw, per-event and
+#: batched modes, through the translated closures and the reference
+#: interpreter (tests/isa_reference.py). Conditional branches cover both the
+#: taken and fall-through arm.
 OP_PROGRAMS = {
     Op.ADD: "li r1, 2\nli r2, 3\nadd r3, r1, r2\nhalt",
     Op.SUB: "li r1, 9\nli r2, 3\nsub r3, r1, r2\nhalt",
@@ -308,59 +310,21 @@ OP_PROGRAMS = {
 
 
 class TestOpcodeCoverage:
-    """Every opcode runs through both loops, interpreted and translated."""
+    """Every opcode runs in all three modes, translated and reference."""
 
     def test_table_is_complete(self):
         assert set(OP_PROGRAMS) == set(Op)
 
-    @staticmethod
-    def _fresh():
-        dm = DataMemory()
-        dm.map_segment(0x1000, 4096)
-        return Machine(dm), dm
-
-    @classmethod
-    def _raw(cls, prog, translate):
-        m, dm = cls._fresh()
-        rc = Interpreter(prog, m).run_raw(translate=translate)
-        return (rc, list(m.regs), m.instret, m.halted,
-                {k: v for _b, _s, st in dm._segs for k, v in st.data.items()})
-
-    @classmethod
-    def _instrumented(cls, prog, translate, batched):
-        m, dm = cls._fresh()
-        gen = Interpreter(prog, m).run(batched=batched, translate=translate)
-        stream = []
-        try:
-            evt = gen.send(None)
-            while True:
-                if hasattr(evt, "kinds"):       # EventBatch
-                    stream.append(("b", tuple(evt.kinds), tuple(evt.addrs),
-                                   tuple(evt.sizes), tuple(evt.pendings)))
-                    reply = 0
-                else:
-                    stream.append((int(evt.kind), evt.addr, evt.size,
-                                   evt.arg))
-                    reply = (SyscallResult(42)
-                             if evt.kind == EvKind.SYSCALL else 1)
-                evt = gen.send(reply)
-        except StopIteration as si:
-            return (stream, si.value, list(m.regs), m.instret, m.pending)
-
     @pytest.mark.parametrize("op", sorted(OP_PROGRAMS, key=lambda o: o.value),
                              ids=lambda o: o.name)
     def test_raw_and_instrumented_interpreted_vs_translated(self, op):
-        src = OP_PROGRAMS[op]
+        prog = assemble(OP_PROGRAMS[op], "op")
         # static sanity: the snippet really contains the opcode under test
-        assert any(i.op == op
-                   for b in assemble(src).blocks for i in b.instrs), op
-        prog_i = assemble(src, "op_i")
-        prog_t = assemble(src, "op_t")
-        assert self._raw(prog_i, False) == self._raw(prog_t, True)
-        for batched in (False, True):
-            got_i = self._instrumented(prog_i, False, batched)
-            got_t = self._instrumented(prog_t, True, batched)
-            assert got_i == got_t, (op, batched)
+        assert any(i.op == op for b in prog.blocks for i in b.instrs), op
+        for mode in isa_reference.MODES:
+            assert (isa_reference.execute(prog, mode, reference=False)
+                    == isa_reference.execute(prog, mode, reference=True)), \
+                (op, mode)
 
 
 class TestDataMemory:

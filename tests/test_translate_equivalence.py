@@ -1,13 +1,14 @@
-"""Bit-identity of the basic-block translation cache.
+"""Block translation against the reference interpreter.
 
-Translation (``Interpreter.run(translate=True)``, which every engine ISA
-frontend runs, falling back to the interpreter on ``TranslationError``) is
-a pure host-side optimisation: the compiled per-block closures must produce
-*exactly* the interpreter's behaviour — same registers, memory, instret,
-event streams (including batch boundaries and pending-cycle stamps), same
-simulated result — on engine workloads and host-parallel workers (held to
-the strict run by :func:`tests.equivalence.check`, the interpreter reached
-through the ``interpreted`` substitution) and on seeded random programs.
+Block translation (:mod:`repro.isa.translate`) is the one ISA execution
+path: ``Interpreter.run`` / ``run_raw`` and every engine and
+``ParallelEngine`` frontend run it. It must reproduce the generic
+interpreter kept in ``tests/isa_reference.py`` *exactly* — same registers,
+memory, instret, event streams (including batch boundaries and
+pending-cycle stamps), same simulated result — on engine rows on both
+engines (held to the strict run by :func:`tests.equivalence.check`, the
+reference reached through the ``interpreted`` substitution) and on seeded
+random programs.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ import pytest
 
 from repro import Engine, complex_backend
 from repro.core import events as ev
+from repro.core.errors import FrontendError, InstrumentationError
 from repro.harness import translate_summary
 from repro.isa import (BasicBlock, Instr, Interpreter, Machine, Op, Program,
-                       assemble, translate)
-from repro.isa.memory import DataMemory
+                       TranslationError, assemble, translate)
 
+from tests import isa_reference
 from tests.equivalence import (DEFAULT, ISA_KERNEL, WORKLOADS, Isa, check,
                                simulate, sub)
 
@@ -36,6 +38,9 @@ KERNEL = Isa((ISA_KERNEL,) * 2)
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_workloads_bit_identical(name):
+    """The registry workloads run no ISA frontend: the ``interpreted`` arm
+    reaches no reference run there (``check`` asserts it), and both arms
+    land the strict tapped run."""
     check(name, [DEFAULT, sub("interpreted")], "tapped")
 
 
@@ -60,7 +65,6 @@ def test_parallel_workers_bit_identical():
 # differential fuzzing: seeded random programs, all three execution modes
 # ---------------------------------------------------------------------------
 
-_BASE = 4096
 _INT = (1, 2, 3, 4, 5, 6)         # integer value registers
 _FLT = (12, 13, 14)               # float value registers (FDIV taints them)
 
@@ -144,7 +148,7 @@ def random_program(seed: int) -> str:
     rng = random.Random(seed)
     nb = rng.randint(4, 8)
     nh = rng.randint(1, 3)
-    lines = [f"    li r10, {_BASE}"]
+    lines = [f"    li r10, {isa_reference.BASE}"]
     for r in _INT:
         lines.append(f"    li r{r}, {rng.randint(0, 4096)}")
     for r in _FLT:
@@ -179,61 +183,14 @@ def random_program(seed: int) -> str:
     return "\n".join(lines)
 
 
-def _fresh_machine():
-    dm = DataMemory()
-    dm.map_segment(_BASE, 4096)
-    return Machine(dm), dm
-
-
-def _mem_dump(dm):
-    return {b: dict(st.data) for b, _s, st in dm._segs}
-
-
-def _final_state(m, dm, rc):
-    return (rc, list(m.regs), m.instret, m.pending, m.halted,
-            m.reservation, list(m.stack), _mem_dump(dm))
-
-
-def run_raw_mode(prog, tr):
-    m, dm = _fresh_machine()
-    rc = Interpreter(prog, m).run_raw(translate=tr)
-    return _final_state(m, dm, rc)
-
-
-def run_instrumented(prog, tr, batched):
-    """Drive the coroutine with canned replies, recording every suspension
-    (event fields or full batch contents, plus the pending counter)."""
-    m, dm = _fresh_machine()
-    gen = Interpreter(prog, m).run(batched=batched, translate=tr)
-    stream = []
-    try:
-        evt = gen.send(None)
-        while True:
-            if isinstance(evt, ev.EventBatch):
-                stream.append(("batch", tuple(evt.kinds), tuple(evt.addrs),
-                               tuple(evt.sizes), tuple(evt.pendings),
-                               m.pending))
-                reply = evt.n
-            else:
-                stream.append((int(evt.kind), evt.addr, evt.size, evt.arg,
-                               m.pending))
-                reply = (ev.SyscallResult(42, 0)
-                         if evt.kind == ev.EvKind.SYSCALL else 7)
-            evt = gen.send(reply)
-    except StopIteration as si:
-        return stream, _final_state(m, dm, si.value)
-
-
 @pytest.mark.parametrize("seed", range(12))
 def test_fuzz_differential(seed):
-    prog_i = assemble(random_program(seed), f"fuzz{seed}")
-    prog_t = assemble(random_program(seed), f"fuzz{seed}")
-    assert run_raw_mode(prog_i, False) == run_raw_mode(prog_t, True)
-    for batched in (False, True):
-        si, fi = run_instrumented(prog_i, False, batched)
-        st, ft = run_instrumented(prog_t, True, batched)
-        assert fi == ft, f"final state diverged (batched={batched})"
-        assert si == st, f"event stream diverged (batched={batched})"
+    prog = assemble(random_program(seed), f"fuzz{seed}")
+    for mode in isa_reference.MODES:
+        want = isa_reference.execute(prog, mode, reference=True)
+        got = isa_reference.execute(prog, mode, reference=False)
+        assert got[1] == want[1], f"final state diverged ({mode})"
+        assert got[0] == want[0], f"event stream diverged ({mode})"
 
 
 def test_fuzz_streams_nontrivial():
@@ -242,7 +199,7 @@ def test_fuzz_streams_nontrivial():
     batches = 0
     for seed in range(12):
         prog = assemble(random_program(seed), f"fz{seed}")
-        stream, _ = run_instrumented(prog, True, True)
+        stream, _ = isa_reference.execute(prog, "batched", reference=False)
         for item in stream:
             if item[0] == "batch":
                 batches += 1
@@ -259,7 +216,7 @@ def test_fuzz_streams_nontrivial():
 
 def test_dead_code_after_block_ender_ignored():
     """Hand-built blocks may carry unreachable instructions after the
-    terminator; the interpreter breaks at the ender and so must the
+    terminator; the reference breaks at the ender and so must the
     translation (including the instret count)."""
     prog = Program("dead")
     prog.add_block(BasicBlock("main", [
@@ -269,20 +226,22 @@ def test_dead_code_after_block_ender_ignored():
         Instr(Op.LI, 2, 77),       # dead
     ]))
     prog.resolve()
-    m1 = Machine()
-    Interpreter(prog, m1).run_raw(translate=False)
-    m2 = Machine()
-    Interpreter(prog, m2).run_raw(translate=True)
-    assert m1.regs[1] == m2.regs[1] == 5
-    assert m1.regs[2] == m2.regs[2] == 0
-    assert m1.instret == m2.instret == 2
+    for mode in isa_reference.MODES:
+        _, want = isa_reference.execute(prog, mode, reference=True)
+        _, got = isa_reference.execute(prog, mode, reference=False)
+        assert got == want
+        assert got[1][1:3] == [5, 0] and got[2] == 2
 
 
-def test_untranslatable_program_falls_back():
-    """Operands the codegen cannot bake (here: an object immediate) must
-    fall back to the interpreter transparently."""
+def test_untranslatable_program_raises():
+    """An operand the code generator cannot bake (here: an object
+    immediate) is an ``InstrumentationError`` naming the program and the
+    operand, raised when the program is translated: by ``run_raw``, by
+    ``run`` and by ``spawn_interpreter``, before the engine takes any
+    state. There is no fallback."""
     class Weird:
-        pass
+        def __repr__(self):
+            return "<Weird>"
 
     prog = Program("weird")
     prog.add_block(BasicBlock("main", [
@@ -290,12 +249,16 @@ def test_untranslatable_program_falls_back():
         Instr(Op.HALT),
     ]))
     prog.resolve()
-    from repro.isa.translate import CACHE_STATS
-    fb0 = CACHE_STATS["fallbacks"]
-    m = Machine()
-    rc = Interpreter(prog, m).run_raw(translate=True)
-    assert rc == 0 and isinstance(m.regs[1], Weird)
-    assert CACHE_STATS["fallbacks"] == fb0 + 1
+    assert issubclass(TranslationError, InstrumentationError)
+    msg = "weird: cannot bake operand <Weird>"
+    with pytest.raises(TranslationError, match=msg):
+        Interpreter(prog, Machine()).run_raw()
+    with pytest.raises(TranslationError, match=msg):
+        Interpreter(prog, Machine()).run(batched=True)
+    eng = Engine(complex_backend(num_cpus=1))
+    with pytest.raises(TranslationError, match=msg):
+        eng.spawn_interpreter("w", Interpreter(prog, Machine()))
+    assert eng._live == 0 and not eng.comm.processes
 
 
 def test_translation_cached_on_program():
@@ -307,27 +270,26 @@ def test_translation_cached_on_program():
 
 
 def test_ret_empty_stack_same_error():
-    from repro.core.errors import FrontendError
     prog = assemble("ret", "retprog")
-    msgs = []
-    for tr in (False, True):
-        with pytest.raises(FrontendError) as ei:
-            Interpreter(prog, Machine()).run_raw(translate=tr)
-        msgs.append(str(ei.value))
-    assert msgs[0] == msgs[1]
+    for mode in isa_reference.MODES:
+        for reference in (True, False):
+            with pytest.raises(FrontendError,
+                               match="^retprog: RET with empty call stack$"):
+                isa_reference.execute(prog, mode, reference)
 
 
 def test_max_instrs_guard_translated():
-    from repro.core.errors import FrontendError
     prog = assemble("spin:\n    b spin", "spinprog")
-    with pytest.raises(FrontendError):
-        Interpreter(prog, Machine()).run_raw(max_instrs=1000, translate=True)
+    msg = "^spinprog: exceeded 1000 instructions$"
+    with pytest.raises(FrontendError, match=msg):
+        Interpreter(prog, Machine()).run_raw(max_instrs=1000)
+    with pytest.raises(FrontendError, match=msg):
+        isa_reference.run_raw(Interpreter(prog, Machine()), max_instrs=1000)
 
 
 def test_config_toggles_cleanly():
     """No config turns translation off: an engine ISA frontend runs the
-    translated closures (the interpreter only as the fallback), and a
-    ``translate`` key is refused."""
+    translated closures, and a ``translate`` key is refused."""
     with pytest.raises(TypeError, match="translate"):
         complex_backend(num_cpus=1, translate=False)
     prog = assemble("li r3, 7\nhalt", "toggles")
@@ -344,4 +306,4 @@ def test_translate_summary_shape():
     assert s["programs"] >= 1
     assert s["blocks"] >= 1
     assert 0.0 <= s["code_hit_rate"] <= 1.0
-    assert s["fallbacks"] >= 0
+    assert "fallbacks" not in s
