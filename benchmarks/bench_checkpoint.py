@@ -10,7 +10,10 @@ re-running the simulation to the same event count: the fast-forward must
 win, or checkpointing buys nothing over rerunning. The price of the
 autosaves themselves is reported next to it (``ms_per_save`` and its
 collect / pickle / write split, ``bytes_per_save`` — generation files plus
-reply-log frames — and ``log_bytes``, from ``harness.checkpoint_summary``).
+log frames — ``log_bytes``, and ``base`` / ``delta``: the saves that wrote
+the whole memory system and those that wrote its changes, each with its
+count and per save its ms, collect / pickle / write split and bytes; from
+``harness.checkpoint_summary``).
 
 The ``--baseline`` / ``--crash`` / ``--resume`` modes split the gate
 across *separate interpreter processes* (CI runs them under different
@@ -117,6 +120,8 @@ def smoke() -> dict:
                                        in cost["ms_per_save"].items()}
         report["bytes_per_save"] = cost["bytes"] // cost["saves"]
         report["log_bytes"] = cost["log_bytes"]
+        for kind in ("base", "delta"):
+            report[kind] = {k: round(v, 3) for k, v in cost[kind].items()}
 
         # 3. restore (timed: log-replay fast-forward, no backend work),
         #    then finish and compare against the uninterrupted run
@@ -222,10 +227,13 @@ def main(argv=None) -> int:
         for f in report["failures"]:
             print(" -", f, file=sys.stderr)
         return 1
+    base, delta = report["base"], report["delta"]
     print(f"checkpoint smoke ok: resume bit-identical, fast-forward "
           f"{report['speedup']}x faster than re-simulating; autosaves cost "
           f"{report['ms_per_save']} ms and {report['bytes_per_save']} bytes "
-          f"each")
+          f"each ({base['saves']} bases at {base['ms']} ms / "
+          f"{base['bytes']} B, {delta['saves']} deltas at {delta['ms']} ms "
+          f"/ {delta['bytes']} B)")
     return 0
 
 

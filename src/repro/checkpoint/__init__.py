@@ -4,14 +4,15 @@ COMPASS frontends are generator coroutines — unpicklable by design — so a
 checkpoint cannot serialise the simulation directly. Instead it stores:
 
 * a config/workload fingerprint (to refuse resuming a different setup),
-* a versioned plain-data snapshot of every backend component
-  (``state_dict()`` on caches, coherence protocol, page tables, devices,
-  OS state, stats, fault injector),
-* the per-site outcomes of every fault-injection check, and a pointer
-  (name + committed byte length) into the per-process **reply log**: the
-  latency the backend answered to every memory reference since cycle 0,
-  kept in one append-only framed file beside the checkpoints so each
-  reply is written once.
+* a versioned plain-data snapshot of every backend component but the
+  memory system (``state_dict()`` on devices, OS state, stats, fault
+  injector, schedulers),
+* a pointer (name, committed byte length, offset of the memory base) into
+  one append-only framed **log** beside the checkpoints, written once:
+  the latency the backend answered to every memory reference since cycle
+  0, the per-site outcome of every fault-injection check, and the memory
+  system (caches, coherence protocol, page tables) as a base plus the
+  deltas of what changed between saves.
 
 Restore rebuilds the workload coroutines by re-running the builder, then
 **fast-forwards** by replaying the run segments with every memory access

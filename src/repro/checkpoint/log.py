@@ -1,4 +1,4 @@
-"""Memory-system taps: record backend replies, or replay them.
+"""The checkpoint log, and the memory-system taps that record or replay.
 
 Every reference reaches the memory system through ``MemorySystem.access``
 (batched runs too, once it is rebound on the instance: the tapped arm of
@@ -7,49 +7,76 @@ fast-path equivalence tests), so an ``access`` interposer the manager binds
 on the live instance, exactly as ``MemTraceRecorder.attach`` binds its own,
 captures (or substitutes) the full reply stream and changes no timing.
 
-The reply streams themselves live in one append-only framed file beside
-the checkpoint generations (``<path>.log``): every save appends the replies
-recorded since the previous one as a single frame, so a reply is written
-once and the checkpoint files stay flat in run length. Each checkpoint
-records the log's committed byte length at its save; restore reads the
-frames up to that length and ignores whatever follows.
+What grows with run length or footprint lives in one append-only framed
+file beside the checkpoint generations (``<path>.log``). Every save
+appends two frames, fsynced together, and the checkpoint files stay flat:
+
+* a **streams** frame: the replies and the fault-check outcomes recorded
+  since the previous save, so each is written once;
+* a **memory** frame: either a **base**, the whole
+  ``MemorySystem.state_dict()``, or a **delta**, the
+  ``MemorySystem.state_delta()`` of the lines that changed since the
+  previous save.
+
+Each frame's payload opens with a one-byte tag naming its kind. Each
+checkpoint records the log's committed byte length at its save and the
+offset of the base its chain starts from; restore reads the streams up to
+that length, folds the chain into one full ``state_dict()`` and ignores
+whatever follows.
 """
 
 from __future__ import annotations
 
+import io
 import os
 import pickle
 from array import array
-from typing import Dict, Sequence
+from typing import Any, Dict, List, Sequence, Tuple
 
 from ..core.errors import CheckpointCorruptError, ReplayDivergence
 from ..core.framing import fsync_file, read_frame, write_frame
 from ..faults import crashpoints
+from ..mem.hierarchy import MemorySystem
 
 #: reply-log sentinel for "this access raised a major fault"
 MAJOR_FAULT = -1
 
-#: 4-byte file magic opening the reply log
+#: 4-byte file magic opening the checkpoint log
 LOG_MAGIC = b"CMPL"
+
+#: frame tags: the streams since the previous save, a full memory system,
+#: the memory system's changes since the previous save
+STREAMS, BASE, DELTA = b"S", b"B", b"D"
 
 
 def reply_log_path(path: str) -> str:
-    """The reply log shared by every checkpoint saved under ``path``
+    """The log shared by every checkpoint saved under ``path``
     (``.g0``/``.g1`` generations and the sampler's ``.w<N>`` files)."""
     return path + ".log"
 
 
-def append_replies(log: str, committed: int,
-                   tail: Dict[int, array]) -> int:
-    """Append ``tail`` (the per-pid replies recorded since the previous
-    save) to ``log`` as one frame at byte ``committed`` and fsync it;
-    returns the new committed length. ``committed == 0`` starts the file
-    over; otherwise anything past ``committed`` — a torn frame, or frames
-    of a future a crash erased — is cut off first. Crash points
-    ``ckpt:log-append`` (frame not yet written) and ``ckpt:log-fsync``
-    (written, not yet durable) bracket the append."""
-    payload = pickle.dumps({pid: a for pid, a in tail.items() if a},
-                           protocol=pickle.HIGHEST_PROTOCOL)
+def tagged(tag: bytes, obj: Any) -> memoryview:
+    """A log frame payload: ``tag`` and the pickle of ``obj``, pickled
+    behind the tag (a base is never held twice)."""
+    buf = io.BytesIO()
+    buf.write(tag)
+    pickle.dump(obj, buf, protocol=pickle.HIGHEST_PROTOCOL)
+    return buf.getbuffer()
+
+
+def append_frames(log: str, committed: int,
+                  payloads: Sequence[memoryview]) -> List[int]:
+    """Append ``payloads`` (one save's tagged frames) to ``log`` at byte
+    ``committed`` with one fsync; returns where each frame starts, then the
+    new committed length. ``committed == 0`` starts the file over;
+    otherwise anything past ``committed`` — a torn frame, or frames of a
+    future a crash erased — is cut off first. Crash points
+    ``ckpt:log-append`` (nothing of this save written), ``ckpt:base-append``
+    (a base is next: the streams frame is written, not yet durable),
+    ``ckpt:log-fsync`` (all written, not yet durable) and
+    ``ckpt:base-fsync`` (a new base is durable, no checkpoint commits it)
+    bracket the append."""
+    base = False
     with open(log, "r+b" if committed else "wb") as f:
         if committed:
             f.truncate(committed)
@@ -57,40 +84,76 @@ def append_replies(log: str, committed: int,
         else:
             committed = f.write(LOG_MAGIC)
         crashpoints.hit("ckpt:log-append")
-        committed += write_frame(f, payload)
+        offsets = []
+        for payload in payloads:
+            if payload[:1] == BASE:
+                base = True
+                f.flush()
+                crashpoints.hit("ckpt:base-append")
+            offsets.append(committed)
+            committed += write_frame(f, payload)
+        offsets.append(committed)
         f.flush()
         crashpoints.hit("ckpt:log-fsync")
         fsync_file(f)
-    return committed
+    if base:
+        crashpoints.hit("ckpt:base-fsync")
+    return offsets
 
 
-def read_replies(log: str, committed: int) -> Dict[int, array]:
-    """The per-pid reply streams in the first ``committed`` bytes of
-    ``log``. Bytes past ``committed`` are never looked at; a log shorter
-    than that, a bad frame inside it, or a frame straddling it raises
-    :class:`CheckpointCorruptError` (path, offset, reason)."""
+def read_log(log: str, committed: int,
+             base: int) -> Tuple[Dict[int, array], Dict[str, array], dict]:
+    """The per-pid reply streams, the per-site fault outcomes and the
+    memory system's full ``state_dict()`` in the first ``committed`` bytes
+    of ``log``: the base at byte ``base`` with every delta after it folded
+    in. Memory frames before ``base`` are CRC-checked, never decoded; bytes
+    past ``committed`` are never looked at. A log shorter than that, a bad
+    frame inside it, a frame straddling it, or a chain that does not start
+    with a base at ``base`` raises :class:`CheckpointCorruptError` (path,
+    offset, reason)."""
     replies: Dict[int, array] = {}
+    faults: Dict[str, array] = {}
+    memory = None
     if not os.path.exists(log):
-        raise CheckpointCorruptError(log, 0, "reply log is missing")
+        raise CheckpointCorruptError(log, 0, "checkpoint log is missing")
     with open(log, "rb") as f:
         magic = f.read(len(LOG_MAGIC))
         if magic != LOG_MAGIC:
             raise CheckpointCorruptError(
-                log, 0, f"bad magic {magic!r}: not a reply log")
+                log, 0, f"bad magic {magic!r}: not a checkpoint log")
         while f.tell() < committed:
             offset = f.tell()
             payload = read_frame(f, log, CheckpointCorruptError)
             if payload is None or f.tell() > committed:
                 raise CheckpointCorruptError(
-                    log, offset, f"reply log ends inside the {committed} "
-                    f"bytes its checkpoint committed")
+                    log, offset, f"checkpoint log ends inside the "
+                    f"{committed} bytes its checkpoint committed")
+            tag = payload[:1]
+            if tag in (BASE, DELTA) and offset < base:
+                continue
+            if offset == base and tag != BASE:
+                raise CheckpointCorruptError(
+                    log, offset, f"no memory base at byte {base}")
             try:
-                for pid, a in pickle.loads(payload).items():
-                    replies.setdefault(pid, array("i")).extend(a)
+                obj = pickle.loads(memoryview(payload)[1:])
+                if tag == STREAMS:
+                    for pid, a in obj["replies"].items():
+                        replies.setdefault(pid, array("i")).extend(a)
+                    for site, a in obj["faults"].items():
+                        faults.setdefault(site, array("i")).extend(a)
+                elif tag == BASE:
+                    memory = obj
+                elif tag == DELTA and memory is not None:
+                    MemorySystem.apply_delta(memory, obj)
+                else:
+                    raise ValueError(f"unexpected frame tag {tag!r}")
             except Exception as exc:    # CRC passed but the frame is not
                 raise CheckpointCorruptError(    # ours: still structured
-                    log, offset, f"undecodable reply frame: {exc!r}")
-    return replies
+                    log, offset, f"undecodable log frame: {exc!r}")
+    if memory is None:
+        raise CheckpointCorruptError(
+            log, base, f"no memory base at byte {base}")
+    return replies, faults, memory
 
 
 class RecordingMemory:

@@ -3,9 +3,11 @@
 One manager is attached per engine when ``SimConfig.checkpoint_interval``
 is set. In **record** mode it logs every backend reply (via
 :class:`~repro.checkpoint.log.RecordingMemory` and the fault injector's
-outcome FIFO), tracks the ``run()`` segments the caller issues, and every
-``interval`` processed events appends the new replies to the reply log
-and autosaves an atomic pickle of everything else. In
+outcome FIFO), has the memory system mark the lines that change, tracks
+the ``run()`` segments the caller issues, and every ``interval`` processed
+events appends the new replies and fault outcomes and the memory system's
+changes (or, when that chain has outgrown its base, a new base) to the
+checkpoint log, then autosaves an atomic pickle of everything else. In
 **replay** mode (during :meth:`CheckpointManager.restore`) it re-drives
 the recorded segments against the reply log and stops each one exactly at
 its recorded event count — bypassing ``run()``'s finalisation so the
@@ -20,6 +22,7 @@ import os
 import pickle
 import time
 import zlib
+from array import array
 from dataclasses import fields
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -29,8 +32,8 @@ from ..core.framing import (fsync_dir, fsync_file, read_frame,
                             sweep_stale_tmp, write_frame)
 from ..core.frontend import SimProcess
 from ..faults import crashpoints
-from .log import (RecordingMemory, ReplayMemory, append_replies,
-                  read_replies, reply_log_path)
+from .log import (BASE, DELTA, STREAMS, RecordingMemory, ReplayMemory,
+                  append_frames, read_log, reply_log_path, tagged)
 from .snapshot import collect_snapshot, install_snapshot, verify_snapshot
 
 #: checkpoint file format version (bump on incompatible layout changes);
@@ -43,8 +46,11 @@ from .snapshot import collect_snapshot, install_snapshot, verify_snapshot
 #: v5 makes ``config_fp`` a field -> ``repr`` map without the host policy
 #: (:func:`config_identity`) and verifies a parked frontend by port time.
 #: v6 drops the per-CPU ``running_pid`` and the communicator's ``running``
-#: list (the scheduler's ``on_cpu`` is the one record of who runs where)
-FORMAT_VERSION = 6
+#: list (the scheduler's ``on_cpu`` is the one record of who runs where).
+#: v7 moves the memory system and the fault outcomes into the log: a save
+#: appends a base or a delta of the memory system, and the header records
+#: the offset of the base the chain starts from (``base``)
+FORMAT_VERSION = 7
 
 #: 4-byte file magic opening every framed (v2+) checkpoint
 MAGIC = b"CMPK"
@@ -80,13 +86,20 @@ class CheckpointManager:
         self.path = path
         self.interval = int(interval)
         self.mode = "record"
-        #: per-pid backend replies not yet in the reply log (``array('i')``
+        #: per-pid backend replies not yet in the log (``array('i')``
         #: tails since the last save)
         self.replies: Dict[int, Any] = {}
-        #: committed byte length of the reply log (0: not started)
+        #: committed byte length of the log (0: not started)
         self.log_bytes = 0
-        #: per-site fault-injection outcomes since cycle 0
+        #: per-site fault-injection outcomes not yet in the log
         self.fault_log: Dict[str, List[int]] = {}
+        #: where the memory chain's base starts in the log (None: no base
+        #: yet, the next save writes one), its frame's size, and the bytes
+        #: of the delta frames appended after it; a save writes a new base
+        #: once the deltas add up to the base
+        self.base_at: Optional[int] = None
+        self.base_bytes = 0
+        self.chain_bytes = 0
         #: every run() call: bounds + event counter at entry; the copy
         #: stored in a checkpoint pins ``stop_events`` on the last segment
         self.segments: List[Dict[str, Any]] = []
@@ -96,14 +109,16 @@ class CheckpointManager:
         #: lifetime autosaves (survives resume); this-process autosaves
         self.saves = 0
         self.session_saves = 0
-        #: host cost of this process's autosaves: wall seconds inside
-        #: save() (of which: collecting, pickling) and bytes written (files
-        #: + log frames). Measurements, so never part of a snapshot or
-        #: fingerprint (see harness.checkpoint_summary)
-        self.save_seconds = 0.0
-        self.collect_seconds = 0.0
-        self.pickle_seconds = 0.0
-        self.save_bytes = 0
+        #: host cost of this process's autosaves, per kind of save
+        #: (``"base"`` / ``"delta"``): saves, wall seconds inside save() (of
+        #: which: collecting, pickling) and bytes written (files + log
+        #: frames); :meth:`cost` sums a key over both. Measurements, so
+        #: never part of a snapshot or fingerprint (see
+        #: harness.checkpoint_summary)
+        self.by_kind: Dict[str, Dict[str, float]] = {
+            kind: {"saves": 0, "seconds": 0.0, "collect_seconds": 0.0,
+                   "pickle_seconds": 0.0, "bytes": 0}
+            for kind in ("base", "delta")}
         #: testing/CI knob: raise SimulatedCrash after the Nth autosave of
         #: this process — a deterministic stand-in for kill -9
         self.crash_after_saves: Optional[int] = None
@@ -116,6 +131,7 @@ class CheckpointManager:
         sweep_stale_tmp(os.path.dirname(path) or ".", os.path.basename(path))
         ms = engine.memsys
         ms.access = RecordingMemory(ms, self.replies).access
+        ms.track_changes()
         engine.faults.begin_recording(self.fault_log)
 
     # -- engine hooks ------------------------------------------------------
@@ -152,8 +168,14 @@ class CheckpointManager:
     # -- saving ------------------------------------------------------------
 
     def save(self, path: str = None) -> str:
-        """Append the new replies to the reply log, then write an atomic,
+        """Append this save's frames to the log, then write an atomic,
         framed, generation-rotated checkpoint that points at them.
+
+        The frames are the replies and fault outcomes recorded since the
+        previous save, and the memory system: the lines that changed since
+        the previous save (a delta), or, when there is no base in the log
+        yet or the deltas since the last one add up to its size, the whole
+        of it (a new base). Everything else is pickled into the file.
 
         Default autosaves alternate between ``<path>.g0`` and
         ``<path>.g1`` so a save torn by a crash (or a later bit flip in
@@ -162,25 +184,49 @@ class CheckpointManager:
         ``.w<N>`` snapshots — writes that single file, no rotation; it
         points into the same log at its own offset.
 
-        Durability discipline: the log frame is fsynced *before* the
-        checkpoint committing it is written; payload + header are
+        Durability discipline: the log frames are fsynced *before* the
+        checkpoint committing them is written; payload + header are
         CRC32-framed, the tmp file is fsynced *before* ``os.replace``,
         and the directory is fsynced after, so the rename is itself
-        durable. Crash points ``ckpt:log-append`` / ``ckpt:log-fsync`` /
-        ``ckpt:pre-rename`` / ``ckpt:post-rename`` / ``ckpt:post-fsync``
-        bracket those steps for the recovery test harness. The snapshot
-        borrows the owners' tables, so it is pickled before returning."""
+        durable. Crash points ``ckpt:log-append`` / ``ckpt:base-append`` /
+        ``ckpt:log-fsync`` / ``ckpt:base-fsync`` / ``ckpt:pre-rename`` /
+        ``ckpt:post-rename`` / ``ckpt:post-fsync`` bracket those steps for
+        the recovery test harness. The snapshot borrows the owners'
+        tables, so it is pickled before returning."""
         t0 = time.perf_counter()
         engine = self.engine
         segments = [dict(s) for s in self.segments]
         if not segments:
             raise CheckpointError("nothing to save: run() was never entered")
         segments[-1]["stop_events"] = engine.events_processed
+        ms = engine.memsys
+        snapshot = collect_snapshot(engine)
+        memory = snapshot.pop("memsys")
+        base = self.base_at is None or self.chain_bytes >= self.base_bytes
+        if not base:
+            memory = ms.state_delta()
+        t1 = time.perf_counter()
+        frames = [
+            tagged(STREAMS, {
+                "replies": {pid: a for pid, a in self.replies.items() if a},
+                "faults": {site: array("i", o)
+                           for site, o in self.fault_log.items() if o}}),
+            tagged(BASE if base else DELTA, memory)]
+        t2 = time.perf_counter()
         log = reply_log_path(self.path)
         committed = self.log_bytes
-        self.log_bytes = append_replies(log, committed, self.replies)
+        _streams_at, memory_at, self.log_bytes = append_frames(
+            log, committed, frames)
+        # the frames are durable: what they hold is no longer pending
+        ms.clear_changes()
         self.replies.clear()
-        t1 = time.perf_counter()
+        self.fault_log.clear()
+        if base:
+            self.base_at = memory_at
+            self.base_bytes = self.log_bytes - memory_at
+            self.chain_bytes = 0
+        else:
+            self.chain_bytes += self.log_bytes - memory_at
         ckpt = {
             "version": FORMAT_VERSION,
             "config_fp": config_identity(engine.cfg),
@@ -191,24 +237,29 @@ class CheckpointManager:
             "saves": self.saves + 1,
             "log": os.path.basename(log),
             "log_bytes": self.log_bytes,
-            "fault_log": self.fault_log,
+            "base": self.base_at,
+            "base_bytes": self.base_bytes,
+            "chain_bytes": self.chain_bytes,
             "segments": segments,
-            "snapshot": collect_snapshot(engine),
+            "snapshot": snapshot,
         }
-        t2 = time.perf_counter()
-        payload = pickle.dumps(ckpt, protocol=pickle.HIGHEST_PROTOCOL)
         t3 = time.perf_counter()
+        payload = pickle.dumps(ckpt, protocol=pickle.HIGHEST_PROTOCOL)
+        t4 = time.perf_counter()
         if path is not None:
             target = path
         else:
             target = f"{self.path}.g{self.saves % GENERATIONS}"
-        self.save_bytes += (self.log_bytes - committed
-                            + write_checkpoint_file(target, ckpt, payload))
-        self.collect_seconds += t2 - t1
-        self.pickle_seconds += t3 - t2
+        written = (self.log_bytes - committed
+                   + write_checkpoint_file(target, ckpt, payload))
         self.saves += 1
         self.session_saves += 1
-        self.save_seconds += time.perf_counter() - t0
+        kind = self.by_kind["base" if base else "delta"]
+        kind["saves"] += 1
+        kind["seconds"] += time.perf_counter() - t0
+        kind["collect_seconds"] += t1 - t0
+        kind["pickle_seconds"] += t2 - t1 + t4 - t3
+        kind["bytes"] += written
         if (self.crash_after_saves is not None
                 and self.session_saves >= self.crash_after_saves):
             raise SimulatedCrash(
@@ -216,6 +267,10 @@ class CheckpointManager:
                 f"(cycle {engine.gsched.now}, "
                 f"{engine.events_processed} events)")
         return target
+
+    def cost(self, key: str) -> float:
+        """``key`` of :attr:`by_kind` summed over both kinds of save."""
+        return sum(k[key] for k in self.by_kind.values())
 
     # -- restoring ---------------------------------------------------------
 
@@ -242,21 +297,26 @@ class CheckpointManager:
                 "from the checkpointed run")
         self.workload_fp = ckpt["workload_fp"]
         self.worker_fp = ckpt["worker_fp"]
-        # adopt the recorded history: the fault log keeps growing once
-        # recording resumes; the reply streams read back from the log only
-        # feed the replay — they stay in the log, up to the checkpoint's
-        # offset, where the next save cuts it and appends
+        # adopt the recorded history: the reply streams and fault outcomes
+        # read back from the log only feed the replay — they stay in the
+        # log, up to the checkpoint's offset, where the next save cuts it
+        # and appends (a delta against the chain the checkpoint ends)
         self.replies.clear()
+        self.fault_log.clear()
         self.log_bytes = ckpt["log_bytes"]
+        self.base_at = ckpt["base"]
+        self.base_bytes = ckpt["base_bytes"]
+        self.chain_bytes = ckpt["chain_bytes"]
         if (os.path.abspath(ckpt["log_path"])
                 != os.path.abspath(reply_log_path(self.path))):
             # resumed under another checkpoint_path: its log starts over,
-            # and the first save writes the whole history into it
+            # and the first save writes the whole history and a base
             self.log_bytes = 0
+            self.base_at = None
             self.replies.update((pid, a[:])
                                 for pid, a in ckpt["replies"].items())
-        self.fault_log.clear()
-        self.fault_log.update(ckpt["fault_log"])
+            self.fault_log.update((site, list(a))
+                                  for site, a in ckpt["fault_log"].items())
         self.segments = [dict(s) for s in ckpt["segments"]]
         self.saves = ckpt["saves"]
         self._next_save = ckpt["events_processed"] + self.interval
@@ -265,7 +325,7 @@ class CheckpointManager:
         ms = engine.memsys
         replay = ReplayMemory(ms, ckpt["replies"])
         ms.access = replay.access
-        engine.faults.begin_replay(self.fault_log)
+        engine.faults.begin_replay(ckpt["fault_log"])
         self.mode = "replay"
         try:
             for idx, seg in enumerate(self.segments):
@@ -289,7 +349,9 @@ class CheckpointManager:
         finally:
             self._replay_idx = -1
         install_snapshot(engine, ckpt["snapshot"])
-        # switch live: record the tail from here on
+        # switch live: record the tail from here on, and the changes
+        # against the state just installed
+        ms.clear_changes()
         ms.access = RecordingMemory(ms, self.replies).access
         engine.faults.begin_recording(self.fault_log)
         self.mode = "record"
@@ -322,9 +384,10 @@ def write_checkpoint_file(target: str, ckpt: Dict[str, Any],
     """Atomically write one framed checkpoint file; returns its size.
 
     Layout: ``MAGIC`` + CRC32-framed JSON header (format version, save
-    counter, the reply log's name and committed length — readable without
-    unpickling) + CRC32-framed pickle payload (``payload``, when the caller
-    already pickled ``ckpt``).
+    counter, the log's name, committed length and the offset of the memory
+    base the checkpoint's chain starts from — readable without unpickling)
+    + CRC32-framed pickle payload (``payload``, when the caller already
+    pickled ``ckpt``).
     """
     if payload is None:
         payload = pickle.dumps(ckpt, protocol=pickle.HIGHEST_PROTOCOL)
@@ -332,7 +395,8 @@ def write_checkpoint_file(target: str, ckpt: Dict[str, Any],
                          "saves": ckpt.get("saves", 0),
                          "events": ckpt.get("events_processed", 0),
                          "log": ckpt.get("log"),
-                         "log_bytes": ckpt.get("log_bytes", 0)}).encode()
+                         "log_bytes": ckpt.get("log_bytes", 0),
+                         "base": ckpt.get("base")}).encode()
     tmp = target + ".tmp"
     with open(tmp, "wb") as f:
         f.write(MAGIC)
@@ -380,7 +444,9 @@ def _read_checkpoint_file(path: str) -> Dict[str, Any]:
             f"payload version {ckpt.get('version')!r}")
     if header.get("log") is not None:
         ckpt["log_path"] = os.path.join(os.path.dirname(path), header["log"])
-        ckpt["replies"] = read_replies(ckpt["log_path"], header["log_bytes"])
+        (ckpt["replies"], ckpt["fault_log"],
+         ckpt["snapshot"]["memsys"]) = read_log(
+            ckpt["log_path"], header["log_bytes"], header["base"])
     return ckpt
 
 
@@ -418,8 +484,8 @@ def generation_paths(path: str) -> List[str]:
 
 def checkpoint_exists(path: str) -> bool:
     """True when ``path`` (explicit file) or any of its autosave
-    generations exists. The reply log alone (``reply_log_path(path)``) is
-    not a checkpoint: nothing points into it."""
+    generations exists. The log alone (``reply_log_path(path)``) is not a
+    checkpoint: nothing points into it."""
     return (os.path.exists(path)
             or any(os.path.exists(g) for g in generation_paths(path)))
 
@@ -456,9 +522,11 @@ def load_checkpoint(path: str) -> Dict[str, Any]:
     newest-first (by the save counter in the framed header): a corrupt
     newer generation is quarantined (:func:`quarantine_checkpoint`) and
     the previous one is used instead of restarting from cycle zero.
-    The result carries ``"replies"``, the reply streams read from the log
-    (``"log_path"``) up to the length the file committed; a log short or
-    damaged inside that length is corruption of the generation needing it.
+    The result carries ``"replies"`` and ``"fault_log"``, the reply streams
+    and fault outcomes read from the log (``"log_path"``) up to the length
+    the file committed, and the memory system's base and chain folded into
+    its snapshot's ``"memsys"``; a log short or damaged inside that length
+    is corruption of the generation needing it.
     Raises :class:`CheckpointCorruptError` when every candidate is
     corrupt, ``FileNotFoundError`` when none exists.
     """

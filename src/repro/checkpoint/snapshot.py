@@ -17,7 +17,7 @@ or deep-copy to keep) and ``load_state()`` copies into them — so a snapshot
 is consumed at once, by ``CheckpointManager.save`` (pickled) or
 ``verify_snapshot`` (compared), never held (DESIGN.md, "Checkpoint/restore";
 ``tests/test_checkpoint_cost.py``). Host-side measurements of the saving
-itself (``CheckpointManager.save_seconds`` …) are not state, never collected.
+itself (``CheckpointManager.by_kind``) are not state, never collected.
 """
 
 from __future__ import annotations

@@ -96,14 +96,12 @@ class LockManager:
 
     # -- checkpoint/restore ----------------------------------------------------
 
-    def state_dict(self) -> Dict[int, dict]:
-        """Verification snapshot: waiters become pids (replay rebuilds the
-        SimProcess references)."""
-        return {i: {"holder": l.holder,
-                    "waiters": [w.pid for w in l.waiters],
-                    "acquisitions": l.acquisitions,
-                    "contended": l.contended}
-                for i, l in self._locks.items()}
+    def state_dict(self) -> Dict[str, dict]:
+        """Verification snapshot: :meth:`owners` (waiters become pids;
+        replay rebuilds the SimProcess references) and :meth:`stats`.
+        Every autosave takes it, and most locks are idle: only held ones
+        cost more than a tuple."""
+        return {"owners": self.owners(), "stats": self.stats()}
 
 
 class _Barrier:

@@ -13,11 +13,18 @@ consistency:
     after the frame reached the OS but before fsync — models the
     classic torn-tail/power-cut window;
 ``ckpt:log-append``
-    a save is about to append its frame of new replies to the reply log
+    a save is about to append its frames (new replies and fault
+    outcomes, the memory system's base or delta) to the checkpoint log
     — nothing of this save exists yet;
+``ckpt:base-append``
+    a save that writes a new memory base is about to append it: its
+    streams frame reached the OS, nothing of it is durable or committed;
 ``ckpt:log-fsync``
-    the frame reached the OS but is not fsynced, and no checkpoint
-    commits it — the log has a surplus tail the next append cuts off;
+    the frames reached the OS but are not fsynced, and no checkpoint
+    commits them — the log has a surplus tail the next append cuts off;
+``ckpt:base-fsync``
+    a new memory base is durable in the log and no checkpoint commits it
+    yet — a resume continues the older chain and cuts the base off;
 ``ckpt:pre-rename``
     checkpoint tmp file written + fsynced, ``os.replace`` not yet
     issued — a stale ``*.tmp`` must be swept, the previous generation
@@ -67,7 +74,9 @@ KNOWN_CRASH_SITES = (
     "spool:append",
     "spool:fsync",
     "ckpt:log-append",
+    "ckpt:base-append",
     "ckpt:log-fsync",
+    "ckpt:base-fsync",
     "ckpt:pre-rename",
     "ckpt:post-rename",
     "ckpt:post-fsync",

@@ -127,37 +127,53 @@ def checkpoint_summary(engine) -> dict:
     """Observability row for checkpoint autosaves: what durability cost.
 
     ``saves`` / ``bytes`` / ``host_seconds`` are this process's autosaves
-    (``CheckpointManager.session_saves`` / ``save_bytes`` /
-    ``save_seconds``; ``bytes`` counts checkpoint files *and* reply-log
-    frames), ``log_bytes`` is the reply log's committed length (written
-    once, so it also covers saves made before a resume), ``ms_per_save``
-    splits the mean save into collecting the snapshot, pickling it, and
-    writing (log append, file, fsyncs), and ``share_of_run`` is
-    ``host_seconds`` over ``stats.host_seconds`` (the wall time spent
-    inside ``run()``, which includes the saves). Host measurements only:
-    none of this is in a snapshot or a fingerprint. ``enabled: False``
-    (and no other keys) when the engine has no checkpoint manager.
+    (``CheckpointManager.session_saves`` and ``CheckpointManager.cost`` of
+    ``bytes`` / ``seconds``; ``bytes`` counts checkpoint files *and* log
+    frames), ``log_bytes`` is the log's committed length (written once, so
+    it also covers saves made before a resume), ``ms_per_save`` splits the
+    mean save into collecting the snapshot, pickling it, and writing (log
+    append, file, fsyncs), ``base`` / ``delta`` report the same for the
+    saves that wrote the whole memory system and for those that wrote its
+    changes (``saves``, and per save ``ms`` with its ``collect_ms`` /
+    ``pickle_ms`` / ``write_ms`` split, and ``bytes``), and
+    ``share_of_run`` is ``host_seconds`` over ``stats.host_seconds`` (the
+    wall time spent inside ``run()``, which includes the saves). Host
+    measurements only: none of this is in a snapshot or a fingerprint.
+    ``enabled: False`` (and no other keys) when the engine has no
+    checkpoint manager.
     """
     mgr = getattr(engine, "_ckpt", None)
     if mgr is None:
         return {"enabled": False}
     run_seconds = engine.stats.host_seconds
-    per_save = 1000.0 / max(mgr.session_saves, 1)
-    return {
+
+    def split(k) -> dict:
+        per = 1000.0 / max(k["saves"], 1)
+        return {"collect": k["collect_seconds"] * per,
+                "pickle": k["pickle_seconds"] * per,
+                "write": (k["seconds"] - k["collect_seconds"]
+                          - k["pickle_seconds"]) * per}
+
+    seconds = mgr.cost("seconds")
+    out = {
         "enabled": True,
         "saves": mgr.session_saves,
-        "bytes": mgr.save_bytes,
+        "bytes": mgr.cost("bytes"),
         "log_bytes": mgr.log_bytes,
-        "host_seconds": mgr.save_seconds,
-        "ms_per_save": {
-            "collect": mgr.collect_seconds * per_save,
-            "pickle": mgr.pickle_seconds * per_save,
-            "write": (mgr.save_seconds - mgr.collect_seconds
-                      - mgr.pickle_seconds) * per_save,
-        },
-        "share_of_run": (mgr.save_seconds / run_seconds
-                         if run_seconds else 0.0),
+        "host_seconds": seconds,
+        "ms_per_save": split({key: mgr.cost(key) for key in
+                              ("saves", "seconds", "collect_seconds",
+                               "pickle_seconds")}),
+        "share_of_run": seconds / run_seconds if run_seconds else 0.0,
     }
+    for kind, k in mgr.by_kind.items():
+        ms = split(k)
+        out[kind] = {"saves": k["saves"],
+                     "ms": 1000.0 * k["seconds"] / max(k["saves"], 1),
+                     "collect_ms": ms["collect"], "pickle_ms": ms["pickle"],
+                     "write_ms": ms["write"],
+                     "bytes": k["bytes"] // max(k["saves"], 1)}
+    return out
 
 
 def translate_summary(engine) -> dict:

@@ -72,6 +72,7 @@ from ..core.stats import StatsRegistry
 from ..isa.assembler import assemble
 from ..isa.interpreter import Interpreter, Machine
 from ..isa.memory import DataMemory
+from ..isa.translate import translate
 
 #: sentinel yielded by the proxy while its worker computes ahead
 COMPUTING = object()
@@ -233,7 +234,11 @@ class ParallelEngine(Engine):
     # -- spawning ------------------------------------------------------------
 
     def spawn_worker(self, spec: WorkerSpec) -> SimProcess:
-        """Launch a worker process and register its frontend."""
+        """Launch a worker process and register its frontend. The program
+        is assembled and translated here first, so one that does not
+        assemble or translate raises (``TranslationError``) before any
+        process starts, and the engine is left as it was."""
+        translate(assemble(spec.program_text, spec.name))
         w = _Worker(spec)
         self._launch(w)
         proc = self.spawn(spec.name, lambda _api, w=w: self._proxy(w))

@@ -9,6 +9,7 @@ notes in DESIGN.md).
 from __future__ import annotations
 
 from enum import IntEnum
+from itertools import compress
 from typing import Dict, List, Optional, Tuple
 
 from ..core.config import CacheConfig
@@ -39,6 +40,16 @@ def refill(dst: dict, src: dict) -> None:
         dst.update(src)
 
 
+def patch(dst: dict, keys: list, values: list) -> None:
+    """Apply one slice of a state delta to a plain table: each of ``keys``
+    takes its value, and ``None`` means the key is absent."""
+    for key, value in zip(keys, values):
+        if value is None:
+            dst.pop(key, None)
+        else:
+            dst[key] = value
+
+
 class Cache:
     """One cache: maps line address → state, LRU within each set.
 
@@ -47,7 +58,7 @@ class Cache:
     """
 
     __slots__ = ("name", "cfg", "line_shift", "n_sets", "set_mask", "assoc",
-                 "_sets", "_states", "version",
+                 "_sets", "_states", "version", "dirty_sets",
                  "hits", "misses", "evictions", "writebacks", "invalidations")
 
     def __init__(self, name: str, cfg: CacheConfig) -> None:
@@ -72,6 +83,12 @@ class Cache:
         #: LRU reordering and the fast path's direct E->M upgrades do not
         #: bump it — see DESIGN.md, "mirror-state invariants".
         self.version = 0
+        #: one flag per set: its contents or LRU order changed since the
+        #: last checkpoint capture (set by the memory system's miss and
+        #: fast-forward paths, and by :meth:`invalidate`, the protocols'
+        #: peer drop); None unless a checkpoint manager tracks this (L2)
+        #: cache, and then nothing marks
+        self.dirty_sets: Optional[bytearray] = None
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -142,7 +159,10 @@ class Cache:
         """Drop ``line``; returns its prior state (None if absent)."""
         st = self._states.pop(line, None)
         if st is not None:
-            self._sets[self._set_of(line)].remove(line)
+            i = self._set_of(line)
+            self._sets[i].remove(line)
+            if self.dirty_sets is not None:
+                self.dirty_sets[i] = 1
             self.invalidations += 1
             self.version += 1
         return st
@@ -177,6 +197,34 @@ class Cache:
             "evictions": self.evictions, "writebacks": self.writebacks,
             "invalidations": self.invalidations,
         }
+
+    def state_delta(self, lines: list) -> dict:
+        """The part of :meth:`state_dict` a checkpoint delta carries: the
+        states of ``lines`` in order (``None``: absent), the sets
+        :attr:`dirty_sets` flags (their indices and contents) and the
+        counters. A *borrow* like :meth:`state_dict`; :meth:`apply_delta`
+        folds it into a plain ``state_dict()``."""
+        touched = list(compress(range(self.n_sets), self.dirty_sets))
+        return {
+            "states": list(map(self._states.get, lines)),
+            "touched": touched,
+            "sets": list(map(self._sets.__getitem__, touched)),
+            "hits": self.hits, "misses": self.misses,
+            "evictions": self.evictions, "writebacks": self.writebacks,
+            "invalidations": self.invalidations,
+        }
+
+    @staticmethod
+    def apply_delta(state: dict, delta: dict, lines: list) -> None:
+        """Fold a :meth:`state_delta` of ``lines`` into ``state``, a plain
+        (owned) ``state_dict()`` taken before it."""
+        sets = state["sets"]
+        for i, s in zip(delta["touched"], delta["sets"]):
+            sets[i] = s
+        patch(state["states"], lines, delta["states"])
+        for key in ("hits", "misses", "evictions", "writebacks",
+                    "invalidations"):
+            state[key] = delta[key]
 
     def load_state(self, state: dict) -> None:
         """Restore a snapshot. The ``_sets``/``_states`` containers are

@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ...core.stats import Counter
-from ..cache import Cache, _SHARED
+from ..cache import Cache, _SHARED, patch
 
 
 def bits_of(mask: int) -> List[int]:
@@ -39,6 +39,13 @@ class CoherenceProtocol:
     """Base class; subclasses implement the four-message contract."""
 
     name = "base"
+
+    #: :meth:`state_dict` keys holding ``line -> int`` tables that change
+    #: only at the lines the memory system marks dirty; a delta carries
+    #: just those lines of them. Every other key (DSM's page tables, COMA's
+    #: attraction memories, which move lines the hierarchy never saw) goes
+    #: into a delta whole.
+    LINE_TABLES: Tuple[str, ...] = ()
 
     def __init__(self) -> None:
         #: outer-level (coherence-point) cache per CPU; set by attach()
@@ -82,6 +89,27 @@ class CoherenceProtocol:
     def load_state(self, state: Dict[str, object]) -> None:
         self.counters.clear()
         self.counters.update(state["counters"])
+
+    def state_delta(self, lines: list) -> Dict[str, object]:
+        """:meth:`state_dict` with each of :data:`LINE_TABLES` cut down to
+        the values of ``lines``, in order (``None``: no entry); a *borrow*
+        like :meth:`state_dict`. :meth:`apply_delta` folds it in."""
+        st = self.state_dict()
+        for key in self.LINE_TABLES:
+            st[key] = list(map(st[key].get, lines))
+        return {"state": st, "tables": self.LINE_TABLES}
+
+    @staticmethod
+    def apply_delta(state: Dict[str, object], delta: Dict[str, object],
+                    lines: list) -> None:
+        """Fold a :meth:`state_delta` of ``lines`` into ``state``, a plain
+        (owned) ``state_dict()`` taken before it."""
+        tables = delta["tables"]
+        for key, value in delta["state"].items():
+            if key in tables:
+                patch(state[key], lines, value)
+            else:
+                state[key] = value
 
     def _drop_peer(self, cpu: int, line: int) -> Optional[int]:
         """Invalidate ``line`` in peer ``cpu``'s caches; returns its prior

@@ -21,6 +21,7 @@ class DirectoryProtocol(CoherenceProtocol):
     """Full-map invalidate-based directory over a 2D mesh."""
 
     name = "directory"
+    LINE_TABLES = ("sharers", "owner")
 
     def __init__(self, dram_latency: int = 60, dir_latency: int = 10,
                  hop_latency: int = 20, num_nodes: int = 2,

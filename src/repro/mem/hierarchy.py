@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 from ..core.config import SimConfig
 from ..core.stats import StatsRegistry
 from .cache import Cache, _EXCLUSIVE, _MODIFIED, _SHARED
-from .coherence import make_protocol
+from .coherence import CoherenceProtocol, make_protocol
 from .pagetable import KERNEL_BASE, MajorFault, Vmm
 from .vec import VecState
 
@@ -85,6 +85,11 @@ class MemorySystem:
                            if self.l2s is not None else None)
         self._l1_set_mask = self.l1s[0].set_mask
         self._l1_nsets = self.l1s[0].n_sets
+
+        #: lines whose L2 state or protocol entry may have changed since
+        #: the last checkpoint capture (:meth:`track_changes`); None when no
+        #: checkpoint manager is attached, and then nothing marks
+        self.dirty: Optional[set] = None
 
         #: fault injection: callable() -> extra cycles on the full access
         #: path (a degraded DIMM adds latency to misses/DRAM traffic; L1
@@ -156,6 +161,8 @@ class MemorySystem:
                         l2s = self._l2_states
                         if l2s is not None and line in l2s[cpu]:
                             l2s[cpu][line] = 3
+                            if self.dirty is not None:
+                                self.dirty.add(line)
                     self.accesses += 1
                     self.fast_hits += 1
                     lat = self._l1_latency
@@ -193,6 +200,8 @@ class MemorySystem:
                 states[l] = 3
                 if l2s is not None and l in l2s:
                     l2s[l] = 3
+                    if self.dirty is not None:
+                        self.dirty.add(l)
         self.accesses += 1
         self.fast_hits += 1
         return len(sts)
@@ -440,6 +449,8 @@ class MemorySystem:
                             states[line] = 3
                             if l2s is not None and line in l2s:
                                 l2s[line] = 3
+                                if self.dirty is not None:
+                                    self.dirty.add(line)
                         self.accesses += 1
                         self.fast_hits += 1
                         lat = l1_lat + 4 if k == 2 else l1_lat
@@ -536,6 +547,7 @@ class MemorySystem:
         l2 = self.l2s[cpu] if self.l2s is not None else None
         l2states = l2._states if l2 is not None else None
         fill = _MODIFIED if write else _SHARED
+        dirty = self.dirty
         while line <= last:
             st = states.get(line)
             if st is not None:
@@ -547,13 +559,20 @@ class MemorySystem:
             l1.misses += 1
             if l2 is not None:
                 st = l2states.get(line)
+                if dirty is not None and (st is None or fill > st):
+                    dirty.add(line)
                 if st is None:
                     l2.misses += 1
                     l2.version += 1
                     m2 = l2.set_mask
-                    s = l2._sets[line & m2 if m2 >= 0 else line % l2.n_sets]
+                    i = line & m2 if m2 >= 0 else line % l2.n_sets
+                    s = l2._sets[i]
+                    if dirty is not None:
+                        l2.dirty_sets[i] = 1
                     if len(s) >= l2.assoc:
                         v = s.pop()
+                        if dirty is not None:
+                            dirty.add(v)
                         l2.evictions += 1
                         if l2states.pop(v) == _MODIFIED:
                             l2.writebacks += 1
@@ -578,6 +597,8 @@ class MemorySystem:
                 if states.pop(v) == _MODIFIED:
                     l1.writebacks += 1
                     if l2 is not None and v in l2states:
+                        if dirty is not None and l2states[v] != _MODIFIED:
+                            dirty.add(v)
                         l2states[v] = _MODIFIED
                         l2.version += 1
             s.insert(0, line)
@@ -626,6 +647,10 @@ class MemorySystem:
         shift = self._line_shift
         line = paddr >> shift
         last = (paddr + (size or 1) - 1) >> shift
+        # a line is marked where its L2 state or protocol entry changes (a
+        # fill or an upgrade, and each victim), an L2 set where its contents
+        # or LRU order change
+        dirty = self.dirty
         proto = self.protocol
         l1 = self.l1s[cpu]
         states = l1._states
@@ -639,10 +664,11 @@ class MemorySystem:
             l2sets = l2._sets
             l2mask = l2.set_mask
             l2nsets = l2.n_sets
+            l2dirty = l2.dirty_sets
             fill_lat = l1_lat + l2.cfg.latency
         else:
             # simple hierarchy: L1 is the coherence point
-            l2 = l2states = None
+            l2 = l2states = l2dirty = None
             fill_lat = l1_lat
         while line <= last:
             st = states.get(line)
@@ -655,6 +681,8 @@ class MemorySystem:
                     s.remove(line)
                     s.insert(0, line)
                 if write and st < _MODIFIED:
+                    if dirty is not None:
+                        dirty.add(line)
                     if st == _SHARED:
                         up, st = proto.write_miss(cpu, line, now + latency)
                         latency += up
@@ -674,11 +702,16 @@ class MemorySystem:
             st = l2states.get(line) if l2 is not None else None
             if st is not None:
                 l2.hits += 1
-                s = l2sets[line & l2mask if l2mask >= 0 else line % l2nsets]
+                i = line & l2mask if l2mask >= 0 else line % l2nsets
+                s = l2sets[i]
                 if s[0] != line:
                     s.remove(line)
                     s.insert(0, line)
+                    if l2dirty is not None:
+                        l2dirty[i] = 1
                 if write and st < _MODIFIED:
+                    if dirty is not None:
+                        dirty.add(line)
                     if st == _SHARED:
                         up, st = proto.write_miss(cpu, line, t)
                         latency += up
@@ -689,6 +722,8 @@ class MemorySystem:
                         l2.version += 1
             else:
                 # miss at the coherence point
+                if dirty is not None:
+                    dirty.add(line)
                 if write:
                     miss_lat, st = proto.write_miss(cpu, line, t)
                 else:
@@ -698,10 +733,14 @@ class MemorySystem:
                 if l2 is not None:
                     l2.misses += 1
                     l2.version += 1
-                    m2 = l2.set_mask
-                    s = l2._sets[line & m2 if m2 >= 0 else line % l2.n_sets]
+                    i = line & l2mask if l2mask >= 0 else line % l2nsets
+                    s = l2sets[i]
+                    if l2dirty is not None:
+                        l2dirty[i] = 1
                     if len(s) >= l2.assoc:
                         v = s.pop()
+                        if dirty is not None:
+                            dirty.add(v)
                         vst = l2states.pop(v)
                         l2.evictions += 1
                         if vst == _MODIFIED:
@@ -738,11 +777,17 @@ class MemorySystem:
                 if vst == _MODIFIED:
                     l1.writebacks += 1
                     if l2 is None:
+                        if dirty is not None:
+                            dirty.add(v)
                         proto.writeback(cpu, v, t)
                     elif v in l2states:
+                        if dirty is not None and l2states[v] != _MODIFIED:
+                            dirty.add(v)
                         l2states[v] = _MODIFIED
                         l2.version += 1
                 elif l2 is None:
+                    if dirty is not None:
+                        dirty.add(v)
                     proto.forget(cpu, v)
             else:
                 s.insert(0, line)
@@ -762,13 +807,21 @@ class MemorySystem:
         sets/states, the coherence protocol's global line state and shared
         resources, the VMM's translation state, and the counters."""
         return {
+            **self._whole_state(),
+            "l2": ([c.state_dict() for c in self.l2s]
+                   if self.l2s is not None else None),
+            "protocol": self.protocol.state_dict(),
+        }
+
+    def _whole_state(self) -> dict:
+        """The part of :meth:`state_dict` a delta carries whole: the
+        counters, the L1s (every hit reorders them), the VMM and the
+        fast-forward phase."""
+        return {
             "accesses": self.accesses,
             "fast_hits": self.fast_hits,
             "fast_fallbacks": self.fast_fallbacks,
             "l1": [c.state_dict() for c in self.l1s],
-            "l2": ([c.state_dict() for c in self.l2s]
-                   if self.l2s is not None else None),
-            "protocol": self.protocol.state_dict(),
             "vmm": self.vmm.state_dict(),
             # sampled fast-forward mode: a checkpoint taken inside an ff
             # window must resume *inside* it, same calibrated latency and
@@ -782,6 +835,59 @@ class MemorySystem:
                 "lat_slow": self.lat_slow,
             },
         }
+
+    def track_changes(self) -> None:
+        """Start marking what changes (a checkpoint manager attached). A
+        line mark covers the line's L2 state in every cache and its
+        protocol entry; the miss kernel (the lines it fills or upgrades,
+        and every victim), the L2 E->M flips of the hit paths and the
+        fast-forward fill mark lines. A protocol's peer drops and
+        downgrades are of the line the miss kernel is servicing, which it
+        has marked. Each L2 marks its own sets whose contents or LRU order
+        move (:attr:`Cache.dirty_sets`). An L1 hit that flips no L2 state
+        marks nothing: the L1s go into every delta whole."""
+        if self.dirty is None:
+            self.dirty = set()
+            for c in self.l2s or ():
+                c.dirty_sets = bytearray(c.n_sets)
+
+    def clear_changes(self) -> None:
+        """Forget the marks: the state as it stands has been captured (or
+        installed)."""
+        self.dirty.clear()
+        for c in self.l2s or ():
+            c.dirty_sets[:] = bytes(c.n_sets)
+
+    def state_delta(self) -> dict:
+        """What changed since the dirty set was last cleared, for
+        :meth:`apply_delta`: :meth:`state_dict` with the L2 states and the
+        protocol's line tables cut down to the dirty ``lines``, and only the
+        L2 sets each cache marked. A *borrow* like :meth:`state_dict`; the
+        caller calls :meth:`clear_changes` once the delta is kept."""
+        lines = list(self.dirty)
+        return {
+            **self._whole_state(),
+            "lines": lines,
+            "l2": ([c.state_delta(lines) for c in self.l2s]
+                   if self.l2s is not None else None),
+            "protocol": self.protocol.state_delta(lines),
+        }
+
+    @staticmethod
+    def apply_delta(state: dict, delta: dict) -> None:
+        """Fold a :meth:`state_delta` into ``state``, a plain (owned)
+        :meth:`state_dict` taken at the capture before it: the result is
+        the ``state_dict()`` of the delta's capture point."""
+        lines = delta["lines"]
+        for key, value in delta.items():
+            if key == "l2":
+                if value is not None:
+                    for cs, cd in zip(state["l2"], value):
+                        Cache.apply_delta(cs, cd, lines)
+            elif key == "protocol":
+                CoherenceProtocol.apply_delta(state["protocol"], value, lines)
+            elif key != "lines":
+                state[key] = value
 
     def load_state(self, state: dict) -> None:
         """Restore a snapshot in place; all fast-path container references

@@ -442,6 +442,7 @@ class VecState:
                 states = ms._l1_states[cpu]
                 l2s = (ms._l2_states[cpu]
                        if ms._l2_states is not None else None)
+                dirty = ms.dirty
                 flip0 = cd["st0"][o:o + c] == 2
                 if wr is not None:
                     flip0 &= wr
@@ -451,6 +452,8 @@ class VecState:
                         states[ln] = 3
                         if l2s is not None and ln in l2s:
                             l2s[ln] = 3
+                            if dirty is not None:
+                                dirty.add(ln)
                 if cd["two_any"]:
                     sl = slice(o, o + c)
                     flip1 = (cd["nl"][sl] == 2) & (cd["st1"][sl] == 2)
@@ -462,6 +465,8 @@ class VecState:
                             states[ln] = 3
                             if l2s is not None and ln in l2s:
                                 l2s[ln] = 3
+                                if dirty is not None:
+                                    dirty.add(ln)
 
         _replay_lru(cd, o, c, ms._l1_sets[cpu], ms._l1_set_mask,
                     ms._l1_nsets)

@@ -3,17 +3,22 @@
 import copy
 import os
 import pickle
+import random
 
 import pytest
 
 from repro import (CheckpointError, SamplingConfig, SimulatedCrash,
                    checkpoint_exists, load_checkpoint, resume)
 from repro.checkpoint import CheckpointManager, RecordingMemory
-from repro.checkpoint.log import ReplayMemory
+from repro.checkpoint.log import ReplayMemory, read_log, reply_log_path
 from repro.checkpoint.manager import FORMAT_VERSION
 from repro.checkpoint.snapshot import (_INSTALL_ONLY, collect_snapshot,
                                        verify_snapshot)
+from repro.core.config import (BackendConfig, CacheConfig, MemoryConfig,
+                               SimConfig)
 from repro.core.errors import ReplayDivergence
+from repro.core.frontend import SimProcess
+from repro.core.stats import StatsRegistry
 from repro.mem.hierarchy import MemorySystem
 from repro.service.workloads import WORKLOADS, full_fingerprint
 
@@ -106,6 +111,10 @@ class TestZeroCostWhenOff:
         eng = _engine(faults=None)
         assert eng._ckpt is None
         assert type(eng.memsys) is MemorySystem
+        # nothing marks what changes: no dirty-line set, no dirty L2 sets
+        ms = eng.memsys
+        assert ms.dirty is None
+        assert all(c.dirty_sets is None for c in ms.l1s + ms.l2s)
 
     def test_recording_is_bit_identical(self, tmp_path):
         eng = _engine(str(tmp_path / "ck.pkl"), 2_000)
@@ -234,7 +243,7 @@ class TestFingerprints:
         assert not any(f.endswith(".tmp") for f in os.listdir(path.rsplit(
             "/", 1)[0]))
         ck = load_checkpoint(path)
-        assert ck["version"] == FORMAT_VERSION == 6
+        assert ck["version"] == FORMAT_VERSION == 7
         assert ck["events_processed"] > 0
         # both generations exist after >= 2 autosaves and load_checkpoint
         # picks the newer one
@@ -251,16 +260,24 @@ class TestFingerprints:
         eng.run()
         s = checkpoint_summary(eng)
         assert s["enabled"] and s["saves"] == eng._ckpt.session_saves >= 2
-        # every save is counted, though only two generations stay on disk
-        newest = max(os.path.getsize(g) for g in generation_paths(path))
-        assert newest * 2 <= s["bytes"] <= newest * s["saves"]
+        # every save is counted — the log once, and every generation file
+        # written, though only two stay on disk
+        sizes = [os.path.getsize(g) for g in generation_paths(path)]
+        assert (s["log_bytes"] + sum(sizes) <= s["bytes"]
+                <= s["log_bytes"] + max(sizes) * s["saves"])
+        # split into the saves that wrote a memory base and the deltas
+        base, delta = s["base"], s["delta"]
+        assert base["saves"] >= 1 and delta["saves"] >= 1
+        assert base["saves"] + delta["saves"] == s["saves"]
+        assert (base["saves"] * base["bytes"] + delta["saves"] * delta["bytes"]
+                == pytest.approx(s["bytes"], abs=s["saves"]))
+        assert 0 < delta["bytes"] < base["bytes"]
         assert 0 < s["host_seconds"] <= eng.stats.host_seconds
         assert s["share_of_run"] == pytest.approx(
             s["host_seconds"] / eng.stats.host_seconds)
         # host measurements: never saved
         ck = load_checkpoint(path)
-        assert not {"save_seconds", "save_bytes"} & (set(ck)
-                                                     | set(ck["snapshot"]))
+        assert "by_kind" not in set(ck) | set(ck["snapshot"])
         assert checkpoint_summary(_engine()) == {"enabled": False}
 
 
@@ -384,3 +401,150 @@ class TestComponentRoundTrips:
                 bad = value + 1
             with pytest.raises(ReplayDivergence, match=repr(key)):
                 verify_snapshot(eng, {**snap, key: bad})
+
+
+def _small_backend(coherence="directory", detail="complex"):
+    """1 KiB L1s and 4 KiB L2s: references evict, upgrade and invalidate
+    all the time."""
+    return BackendConfig(
+        detail=detail, coherence=coherence,
+        l1=CacheConfig(size=1024, assoc=2),
+        l2=(CacheConfig(size=4096, assoc=4, latency=8)
+            if detail == "complex" else None),
+        memory=MemoryConfig(num_nodes=1 if coherence == "mesi" else 2))
+
+
+def _small_caches(path, coherence="directory", detail="complex", **cfg):
+    """A config factory for :func:`_small_backend` machines autosaving to
+    ``path`` every 1 000 events."""
+    def factory(num_cpus, **kw):
+        return SimConfig(num_cpus=num_cpus,
+                         backend=_small_backend(coherence, detail),
+                         checkpoint_path=path, checkpoint_interval=1_000,
+                         **cfg, **kw).validate()
+    return factory
+
+
+class TestDeltaReconstruction:
+    """A save writes the memory system as a base or as the lines that
+    changed since the previous save. At every save of a run, the base and
+    the deltas after it, read back from the log, must equal the memory
+    system's full ``state_dict()`` taken at that point — a change the
+    marks miss shows up here, not as a divergence runs later."""
+
+    @staticmethod
+    def _every_save_rebuilds(name, factory):
+        SimProcess.set_pid_counter(1)
+        eng = WORKLOADS[name](factory)
+        mgr, ms = eng._ckpt, eng.memsys
+        real = mgr.save
+        kinds = []
+
+        def save(path=None):
+            want = pickle.loads(pickle.dumps(ms.state_dict()))
+            ff = ms.ff_active
+            base = mgr.by_kind["base"]["saves"]
+            target = real(path)
+            got = read_log(reply_log_path(mgr.path), mgr.log_bytes,
+                           mgr.base_at)[2]
+            assert got == want, f"save {mgr.saves} does not rebuild"
+            kinds.append(("base" if mgr.by_kind["base"]["saves"] > base
+                          else "delta", ff))
+            return target
+
+        mgr.save = save
+        eng.run()
+        assert [k for k, _ in kinds].count("base") >= 2, kinds
+        assert [k for k, _ in kinds].count("delta") >= 2, kinds
+        return kinds
+
+    @pytest.mark.parametrize("coherence",
+                             ("none", "mesi", "directory", "coma", "dsm"))
+    def test_every_protocol(self, tmp_path, coherence):
+        self._every_save_rebuilds("oltp", _small_caches(
+            str(tmp_path / "ck.pkl"), coherence))
+
+    def test_simple_hierarchy(self, tmp_path):
+        """No L2: the L1 is the coherence point, its victims the marks."""
+        self._every_save_rebuilds("oltp", _small_caches(
+            str(tmp_path / "ck.pkl"), detail="simple"))
+
+    def test_under_a_fault_plan(self, tmp_path):
+        self._every_save_rebuilds("oltp", _small_caches(
+            str(tmp_path / "ck.pkl"), faults=TIMING_PLAN))
+
+    def test_saves_inside_a_fast_forward_window(self, tmp_path):
+        kinds = self._every_save_rebuilds("splash", _small_caches(
+            str(tmp_path / "ck.pkl"),
+            sampling=SamplingConfig(detail_events=1_000, ff_events=2_500)))
+        assert ("delta", True) in kinds
+
+    @pytest.mark.parametrize("coherence,detail", [
+        ("none", "complex"), ("mesi", "complex"), ("directory", "complex"),
+        ("coma", "complex"), ("dsm", "complex"), ("directory", "simple")])
+    def test_every_mark_site(self, coherence, detail):
+        """A seeded stream of reads, writes, atomics and line-straddling
+        references from four CPUs over 96 shared lines, one at a time and
+        in batches, in and out of fast-forward, with runs over each CPU's
+        own lines the vec mirror retires: every fourth step the delta
+        folded into the previous capture is the ``state_dict()``."""
+        cfg = SimConfig(num_cpus=4,
+                        backend=_small_backend(coherence, detail)).validate()
+        ms = MemorySystem(cfg, StatsRegistry(4))
+        ms.vmm.new_space(1)
+        ms.vmm.map_anon(1, 0x100000, 4 * cfg.backend.memory.page_size)
+        ms.track_changes()
+
+        def plain(state):
+            return pickle.loads(pickle.dumps(state))
+
+        have = plain(ms.state_dict())
+
+        def settle(step):
+            MemorySystem.apply_delta(have, plain(ms.state_delta()))
+            ms.clear_changes()
+            assert have == plain(ms.state_dict()), step
+
+        rng = random.Random(coherence + detail)
+        now = 0
+        for step in range(1, 151):
+            cpu = rng.randrange(4)
+            refs = [(rng.choice((0, 0, 1, 1, 2)),
+                     0x100000 + rng.randrange(96) * 32
+                     + rng.choice((0, 8, 30)), rng.choice((4, 8)))
+                    for _ in range(rng.choice((1, 8)))]
+            if len(refs) == 1:
+                (kind, addr, size), = refs
+                lat, major = ms.access(1, addr, size, kind != 0, cpu, now,
+                                       atomic=kind == 2)
+            else:
+                kinds, addrs, sizes = map(list, zip(*refs))
+                _n, _i, _t, lat, major, _x = ms.access_run(
+                    1, cpu, kinds, addrs, sizes, [1] * len(refs), 0,
+                    len(refs), now, len(refs), 1 << 60)
+            assert major is None
+            now += lat + 1
+            if step % 10 == 0:
+                now = self._private_runs(ms, step // 10 % 4, now, settle)
+            if step % 40 == 0 and ms.ff_active:
+                ms.ff_end()
+            elif step % 40 == 0:
+                ms.ff_begin(6.5)
+            if step % 4 == 0:
+                settle(step)
+        assert ms.vec_refs > 0
+
+    @staticmethod
+    def _private_runs(ms, cpu, now, settle):
+        """Batches over eight lines only ``cpu`` touches: reads until the
+        mirror retires them, a capture, then writes (E->M flips in bulk,
+        the only change left to mark)."""
+        addrs = [0x100000 + (128 + cpu * 8 + k % 8) * 32 for k in range(16)]
+        for kind in (0, 0, 0, 0, 1):
+            if kind:
+                settle("private")
+            _n, _i, now, _lat, major, _x = ms.access_run(
+                1, cpu, [kind] * 16, addrs, [4] * 16, [1] * 16, 0, 16, now,
+                16, 1 << 60)
+            assert major is None
+        return now + 1

@@ -10,25 +10,31 @@ owner with a footprint-sized table — the NUMA protocols, ``Cache``, ``Vmm``
 and the whole ``MemorySystem`` under MESI / private / directory — and for
 ``load_state`` of each NUMA protocol. A per-entry ``sorted()`` /
 constructor / method call, or a per-set ``list(s)``, shows up as thousands
-of extra events. The second half checks the other growth term: the reply
-streams are appended to the log once, so the checkpoint *files* stay flat
-in run length.
+of extra events. The second half checks the other growth terms: the reply
+streams and the memory system's changes are appended to the log once, so
+the checkpoint *files* stay flat in run length, and a delta is a fraction
+of a full capture.
 """
 
 import gc
 import os
+import pickle
 import sys
 
 import pytest
 
-from repro import Engine, complex_backend
+from repro import Engine, FaultPlan, FaultRule, complex_backend
 from repro.checkpoint import generation_paths, reply_log_path
+from repro.checkpoint.log import BASE, DELTA, LOG_MAGIC, STREAMS
 from repro.core.config import (BackendConfig, CacheConfig, MemoryConfig,
                                SimConfig)
+from repro.core.errors import CheckpointCorruptError
+from repro.core.framing import read_frame
 from repro.core.frontend import SimProcess
 from repro.core.stats import StatsRegistry
 from repro.mem.cache import Cache
 from repro.mem.hierarchy import MemorySystem
+from repro.service.workloads import WORKLOADS
 
 from tests.test_protocol_ops import LINE_SIZE, NCPUS, PAGE_SIZE, build
 
@@ -160,9 +166,11 @@ def test_memsys_state_dict_cost_independent_of_footprint(coherence):
 
 def test_generation_size_flat_and_log_written_once(tmp_path):
     """A steady reference stream over a fixed 16 KiB footprint: the file
-    of save k+10 is within 5 % of save k's, and each save grows the log by
-    about the interval's replies at 4 bytes each (nearly every event here
-    is one memory reference) plus a frame's fixed overhead."""
+    of save k+10 is within 5 % of save k's, the log grows by exactly what
+    each save appended (its streams and memory frames, never rewritten),
+    and the memory frame of a save that writes a delta is at most 40 % of
+    a full capture of the memory system at the same point (the L1s go
+    into every delta whole; the L2 and the directory only as changed)."""
     interval = 1_000
     path = str(tmp_path / "ck.pkl")
 
@@ -176,11 +184,15 @@ def test_generation_size_flat_and_log_written_once(tmp_path):
                                  checkpoint_interval=interval))
     eng.spawn("steady", app)
     mgr = eng._ckpt
-    sizes, logs = [], []
+    sizes, logs, written, full = [], [], [], []
     real_save = mgr.save
 
     def save(path=None):
+        full.append(1 + len(pickle.dumps(eng.memsys.state_dict(),
+                                         protocol=pickle.HIGHEST_PROTOCOL)))
+        before = mgr.cost("bytes")
         target = real_save(path)
+        written.append(mgr.cost("bytes") - before)
         sizes.append(os.path.getsize(target))
         logs.append(os.path.getsize(reply_log_path(mgr.path)))
         return target
@@ -190,11 +202,59 @@ def test_generation_size_flat_and_log_written_once(tmp_path):
     assert len(sizes) >= 16
     k = 4                                   # past the cold-start fills
     assert abs(sizes[k + 10] - sizes[k]) <= 0.05 * sizes[k], sizes
-    growth = [b - a for a, b in zip(logs[k:], logs[k + 1:])]
-    assert all(0.9 * 4 * interval <= g <= 4 * interval + 512
-               for g in growth), growth
+    assert [w - s for w, s in zip(written, sizes)] == [
+        b - a for a, b in zip([0] + logs, logs)]
     assert mgr.log_bytes == logs[-1] == os.path.getsize(reply_log_path(path))
-    assert mgr.save_bytes == sum(sizes) + logs[-1]
+    assert mgr.cost("bytes") == sum(sizes) + logs[-1] == sum(written)
+    memory = _memory_frames(reply_log_path(path))
+    assert len(memory) == len(sizes) and memory[0][0] == BASE
+    ratios = [n / f for (tag, n), f in zip(memory, full) if tag == DELTA]
+    assert len(ratios) > k and max(ratios[k:]) <= 0.40, ratios
     assert set(os.listdir(tmp_path)) == {
         os.path.basename(f)
         for f in generation_paths(path) + [reply_log_path(path)]}
+
+
+def test_generation_size_flat_under_a_fault_plan(tmp_path):
+    """``benchmarks/bench_checkpoint.py``'s TPC-C under its fault plan:
+    every fault check's outcome (one per degraded-DIMM draw on the miss
+    path) goes into the log beside the replies, written once, so the
+    generation files do not grow with them — from save 10 to save 39 they
+    grow by under 10 %, where pickling the outcomes since cycle 0 into
+    every file made save 39's seven times save 10's."""
+    plan = FaultPlan(rules=(
+        FaultRule(site="disk:latency", prob=0.2, extra_cycles=40_000),
+        FaultRule(site="mem:degraded", prob=0.001, extra_cycles=300),
+    ), seed=1998)
+    path = str(tmp_path / "ck.pkl")
+    SimProcess.set_pid_counter(1)
+    eng = WORKLOADS["oltp"](
+        lambda **kw: complex_backend(faults=plan, checkpoint_path=path,
+                                     checkpoint_interval=2_000, **kw),
+        nagents=4, tx_per_agent=8)
+    mgr = eng._ckpt
+    sizes = []
+    real_save = mgr.save
+
+    def save(path=None):
+        target = real_save(path)
+        sizes.append(os.path.getsize(target))
+        return target
+
+    mgr.save = save
+    eng.run()
+    assert len(sizes) >= 39 and eng.faults.stats.fired
+    assert sizes[38] - sizes[9] <= 0.10 * sizes[9], sizes
+
+
+def _memory_frames(log):
+    """``(tag, payload bytes)`` of every memory frame in ``log``."""
+    out = []
+    with open(log, "rb") as f:
+        f.read(len(LOG_MAGIC))
+        while True:
+            payload = read_frame(f, log, CheckpointCorruptError)
+            if payload is None:
+                return out
+            if payload[:1] != STREAMS:
+                out.append((payload[:1], len(payload)))

@@ -27,7 +27,7 @@ from repro import (CheckpointCorruptError, CheckpointError, CrashPointPlan,
                    checkpoint_exists, complex_backend, load_checkpoint, resume)
 from repro.checkpoint import (generation_paths, reply_log_path,
                               write_checkpoint_file)
-from repro.checkpoint.log import LOG_MAGIC, read_replies
+from repro.checkpoint.log import LOG_MAGIC, read_log
 from repro.checkpoint.manager import FORMAT_VERSION
 from repro.checkpoint.manager import MAGIC as CKPT_MAGIC
 from repro.core.errors import ConfigError
@@ -44,6 +44,10 @@ SEEDS = (1, 2, 3) if os.environ.get("COMPASS_CRASH_FULL") else (1,)
 SPEC = dict(workload="oltp", budget=4_500, checkpoint_interval=1_000,
             heartbeat_events=1_500, timeout=120.0, hang_timeout=60.0,
             max_retries=3, backoff=0.01, backoff_max=0.05)
+
+#: the hit a site's rule fires at is drawn from this range: SPEC's 4 saves
+#: hit a per-save site 4 times, and write 2 memory bases (saves 1 and 4)
+HIT_RANGE = {"ckpt:base-append": (1, 2), "ckpt:base-fsync": (1, 2)}
 
 
 def _ckpt(saves, events=100):
@@ -186,6 +190,29 @@ def _write_v5_autosave(path):
     return ckpt
 
 
+def _write_v6_autosave(path):
+    """A well-formed format-6 autosave and its reply log, as the previous
+    build wrote them: the memory system and the fault outcomes are in the
+    payload, and the log's one frame is an untagged pickle of the reply
+    streams — which a v7 reader would take for a frame of unknown kind."""
+    log = os.path.join(os.path.dirname(path), "ck.pkl.log")
+    with open(log, "wb") as f:
+        f.write(LOG_MAGIC)
+        log_bytes = len(LOG_MAGIC) + write_frame(f, pickle.dumps({1: [12]}))
+    ckpt = {"version": 6, "saves": 1, "events_processed": 100,
+            "config_fp": {"num_cpus": "2"}, "fault_log": {"disk:latency": [-1]},
+            "log": "ck.pkl.log", "log_bytes": log_bytes,
+            "snapshot": {"memsys": {"accesses": 1}, "comm": {}}}
+    header = json.dumps({"format": 6, "saves": 1, "events": 100,
+                         "log": "ck.pkl.log",
+                         "log_bytes": log_bytes}).encode()
+    with open(path, "wb") as f:
+        f.write(CKPT_MAGIC)
+        write_frame(f, header)
+        write_frame(f, pickle.dumps(ckpt))
+    return ckpt
+
+
 class TestStaleFormat:
     """A checkpoint of another format version is refused by name — both
     versions in the message — never by a ``KeyError`` out of some
@@ -244,6 +271,25 @@ class TestStaleFormat:
             load_checkpoint(base)
         assert not isinstance(ei.value, CheckpointCorruptError)
         assert os.listdir(tmp_path) == [os.path.basename(g0)]
+        eng = Engine(complex_backend(num_cpus=2, checkpoint_path=base,
+                                     checkpoint_interval=1_000))
+        with pytest.raises(CheckpointError, match=stale):
+            eng._ckpt.restore(ckpt)
+
+    def test_v6_refused_as_an_incompatible_build(self, tmp_path):
+        """v6 kept the memory system in every generation and an untagged
+        reply log: refused from the header, never read as a corrupt log
+        (nothing is quarantined, the log is left as it was)."""
+        base = str(tmp_path / "ck.pkl")
+        g0, _ = generation_paths(base)
+        ckpt = _write_v6_autosave(g0)
+        log = open(reply_log_path(base), "rb").read()
+        stale = f"format 6 != {FORMAT_VERSION} .written by an incompatible"
+        with pytest.raises(CheckpointError, match=stale) as ei:
+            load_checkpoint(base)
+        assert not isinstance(ei.value, CheckpointCorruptError)
+        assert sorted(os.listdir(tmp_path)) == ["ck.pkl.g0", "ck.pkl.log"]
+        assert open(reply_log_path(base), "rb").read() == log
         eng = Engine(complex_backend(num_cpus=2, checkpoint_path=base,
                                      checkpoint_interval=1_000))
         with pytest.raises(CheckpointError, match=stale):
@@ -312,6 +358,17 @@ def _frame_ends(log):
     return ends
 
 
+def _save_ends(log):
+    """Byte offset after the magic and after every save's two frames (its
+    streams, then its memory base or delta)."""
+    return _frame_ends(log)[::2]
+
+
+def _replies(log, mgr):
+    """The reply streams ``mgr``'s committed log holds."""
+    return read_log(log, mgr.log_bytes, mgr.base_at)[0]
+
+
 def _is_prefix(a, b):
     """Per-pid reply streams of ``a`` are prefixes of ``b``'s."""
     return all(list(s) == list(b[pid][:len(s)]) for pid, s in a.items())
@@ -331,7 +388,7 @@ class TestReplyLog:
         ref = _tiny_build(ref_path)()
         baseline = full_fingerprint(ref, ref.run())
         ref._ckpt.save()                     # flush the tail: whole stream
-        streams = read_replies(reply_log_path(ref_path), ref._ckpt.log_bytes)
+        streams = _replies(reply_log_path(ref_path), ref._ckpt)
 
         os.mkdir(tmp_path / "work")
         path = str(tmp_path / "work" / "ck.pkl")
@@ -340,8 +397,8 @@ class TestReplyLog:
         eng._ckpt.crash_after_saves = 4
         with pytest.raises(SimulatedCrash):
             eng.run()
-        ends = _frame_ends(reply_log_path(path))
-        assert len(ends) == 5                 # magic + one frame per save
+        ends = _save_ends(reply_log_path(path))
+        assert len(ends) == 5                 # magic + two frames per save
         return path, baseline, streams, ends
 
     def _finish(self, path, baseline, streams, saves):
@@ -355,7 +412,7 @@ class TestReplyLog:
         # the log is exactly the committed frames — no stale tail, nothing
         # recorded twice — and holds the undisturbed run's replies
         assert _frame_ends(log)[-1] == eng._ckpt.log_bytes
-        assert _is_prefix(read_replies(log, eng._ckpt.log_bytes), streams)
+        assert _is_prefix(_replies(log, eng._ckpt), streams)
         return eng
 
     def test_newest_generation_and_header(self, crashed):
@@ -369,8 +426,12 @@ class TestReplyLog:
             assert header["format"] == FORMAT_VERSION
             assert header["log"] == "ck.pkl.log"
             assert header["log_bytes"] == end
-            # the streams are in the log only, never in the payload again
-            assert "replies" not in pickle.loads(blob[12 + size + 8:])
+            assert len(LOG_MAGIC) <= header["base"] < end
+            # the streams and the memory system are in the log only, never
+            # in the payload again
+            payload = pickle.loads(blob[12 + size + 8:])
+            assert not {"replies", "fault_log"} & set(payload)
+            assert "memsys" not in payload["snapshot"]
         self._finish(path, baseline, streams, saves=4)
 
     @pytest.mark.parametrize("tail", ["garbage", "torn-frame", "future-frame"])
@@ -386,17 +447,22 @@ class TestReplyLog:
         self._finish(path, baseline, streams, saves=4)
 
     def test_truncation_at_every_byte_of_the_last_frame(self, crashed):
-        """Every cut inside the newest generation's frame: the log is
-        shorter than its header says, so it is quarantined with a
-        structured error naming the log, and the older generation — which
-        commits only the intact prefix — loads."""
+        """Cuts inside the newest generation's frames: the log is shorter
+        than its header says, so it is quarantined with a structured error
+        naming the log, and the older generation — which commits only the
+        intact prefix — loads. Every byte of the streams frame and of the
+        memory frame's header is cut; inside the memory payload every
+        cut is the same torn-payload case, so a stride of them is."""
         path, baseline, streams, ends = crashed
         work = os.path.dirname(path)
         keep = work + ".pristine"
         shutil.copytree(work, keep)
         log = reply_log_path(path)
         newest = max(generation_paths(path), key=os.path.getmtime)
-        for cut in range(ends[3], ends[4]):
+        memory_at = _frame_ends(log)[-2]
+        cuts = [*range(ends[3], memory_at + 9),
+                *range(memory_at + 9, ends[4], 61), ends[4] - 1]
+        for cut in cuts:
             shutil.rmtree(work)
             shutil.copytree(keep, work)
             os.truncate(log, cut)
@@ -416,9 +482,10 @@ class TestReplyLog:
         blob[(ends[3] + ends[4]) // 2] ^= 0x10
         open(log, "wb").write(bytes(blob))
         assert load_checkpoint(path)["saves"] == 3
-        # in a frame every generation commits: nothing is left to load, and
-        # what comes out is the structured error, offset at the bad frame
-        blob[(ends[0] + ends[1]) // 2] ^= 0x10
+        # in a frame every generation commits (the first save's streams):
+        # nothing is left to load, and what comes out is the structured
+        # error, offset at the bad frame
+        blob[(ends[0] + _frame_ends(log)[1]) // 2] ^= 0x10
         open(log, "wb").write(bytes(blob))
         with pytest.raises(CheckpointCorruptError) as ei:
             load_checkpoint(path)
@@ -621,7 +688,8 @@ class TestCrashRecoveryLoop:
                                         baseline_fingerprint):
         state_dir = str(tmp_path / "crash-state")
         plan = CrashPointPlan(
-            rules=(CrashRule(site=site, hit_range=(1, 4), action="kill"),),
+            rules=(CrashRule(site=site, hit_range=HIT_RANGE.get(site, (1, 4)),
+                             action="kill"),),
             seed=seed, state_dir=state_dir, tag=f"{site}-{seed}")
         records, rounds = crash_recovery_loop(
             [JobSpec(name="j", **SPEC)], plan,

@@ -3,15 +3,20 @@ mixed inline + parallel frontends, and worker supervision (crash, kill,
 restart-with-replay, forensic reports)."""
 
 import json
+import multiprocessing as mp
 import os
 import signal
+import sys
 import time
 
 import pytest
 
 from repro import DeadlockError, complex_backend, simple_backend
-from repro.core.errors import HostError
+from repro.core.errors import (HostError, InstrumentationError,
+                               TranslationError)
+from repro.core.frontend import SimProcess
 from repro.host import ParallelEngine, WorkerSpec
+import repro.isa.translate  # noqa: F401  (the module, not the function)
 
 from tests.equivalence import HOT_PROG
 
@@ -160,19 +165,49 @@ def test_runaway_worker_program_hits_max_cycles():
 
 
 def test_worker_crash_message_exhausts_restarts():
-    """A deterministic in-worker failure crashes every relaunch; the final
-    HostError carries the worker's own crash reason."""
+    """A deterministic in-worker failure (``ret`` with an empty return
+    stack) crashes every relaunch; the final HostError carries the
+    worker's own crash reason."""
     eng = ParallelEngine(simple_backend(num_cpus=1))
     eng.max_worker_restarts = 1
     eng.worker_backoff = 0.01
     with eng:
-        eng.spawn_worker(WorkerSpec("crasher", "not a real instruction"))
+        eng.spawn_worker(WorkerSpec("crasher", "ret"))
         with pytest.raises(HostError) as ei:
             eng.run()
     msg = str(ei.value)
     assert "forensic" in msg
     assert "crashed" in msg
     assert ei.value.report["restarts"] == 1
+
+
+def test_untranslatable_program_raises_at_spawn(monkeypatch):
+    """A worker program that does not assemble, or does not translate, is
+    refused by ``spawn_worker`` in the parent: no worker process starts,
+    no pid is taken, and the engine runs on as if it had not been asked.
+    (The code generator bakes every operand text can spell, so the
+    untranslatable immediate is made one here.)"""
+    translate_mod = sys.modules["repro.isa.translate"]
+    lit = translate_mod._lit
+
+    def refuse(v):
+        if v == 0x5EED:
+            raise TranslationError(f"cannot bake operand {v!r}")
+        return lit(v)
+
+    monkeypatch.setattr(translate_mod, "_lit", refuse)
+    eng = ParallelEngine(simple_backend(num_cpus=1))
+    before, pid = mp.active_children(), SimProcess.pid_counter()
+    with eng:
+        with pytest.raises(TranslationError, match="bad: cannot bake"):
+            eng.spawn_worker(WorkerSpec("bad", "li r1, 0x5EED\nhalt"))
+        with pytest.raises(InstrumentationError, match="unknown mnemonic"):
+            eng.spawn_worker(WorkerSpec("junk", "not a real instruction"))
+        assert not eng._workers and not eng.comm.processes
+        assert mp.active_children() == before
+        p = eng.spawn_worker(WorkerSpec("t", TRIVIAL))
+        eng.run()
+    assert p.pid == pid and p.exit_status == 7      # TRIVIAL exits with r3
 
 
 def test_shutdown_tolerates_dead_and_never_started_workers():
