@@ -15,13 +15,16 @@ interleaved so a host hiccup in either arm cannot fake (or hide) a gain:
   the full directory walk per line and sampling can honestly amortise it.
   Gates: speedup >= 1.6x (>= 1.4x under ``COMPASS_BENCH_QUICK=1``, two
   passes instead of six), cycle-count relative error <= 2 % and L1
-  miss-rate absolute error <= 2 percentage points.
+  miss-rate absolute error <= 2 percentage points. Detail/ff split
+  160 000 / 19 840 000 cycles (2 000 / 248 000 events at the row's 80
+  cycles an event).
 * **dss** — the registry's TPC-D Q1 at the end-to-end benchmark's size
   (``scale=0.01, nagents=2, pool_frames=64``), detail/ff split
-  2 000 / 18 000 events. Its batches are cut by a rival CPU after a few
-  references, so this row checks that a sampled run is never much slower
-  than the full run it stands in for. Gate: sampled host seconds <= 1.25x
-  unsampled (both modes; the errors are reported, not gated).
+  112 000 / 1 009 000 cycles (2 000 / 18 000 events at 56 cycles an
+  event). Its batches are cut by a rival CPU after a few references, so
+  this row checks that a sampled run is never much slower than the full
+  run it stands in for. Gate: sampled host seconds <= 1.25x unsampled
+  (both modes; the errors are reported, not gated).
 
 Execution-driven simulation bounds what sampling can buy: the
 application's functional execution and event generation run at full
@@ -51,8 +54,8 @@ MAX_DSS_RATIO = 1.25
 #: miss rate absolute
 MAX_CYCLE_ERR = 0.02
 MAX_MISS_ERR = 0.02
-STREAM_SAMPLING = SamplingConfig(detail_events=2000, ff_events=248000)
-DSS_SAMPLING = SamplingConfig(detail_events=2000, ff_events=18000)
+STREAM_SAMPLING = SamplingConfig(detail_cycles=160_000, ff_cycles=19_840_000)
+DSS_SAMPLING = SamplingConfig(detail_cycles=112_000, ff_cycles=1_009_000)
 DSS_KW = dict(scale=0.01, nagents=2, pool_frames=64)
 OUT_PATH = Path(__file__).resolve().parent.parent / "BENCH_sampling.json"
 
@@ -100,8 +103,8 @@ def _measure(build, sampling):
     (s_s, s_eng, s_stats), (f_s, f_eng, f_stats) = best[True], best[False]
     summary = sampling_summary(s_eng)
     return {
-        "sampling": {"detail_events": sampling.detail_events,
-                     "ff_events": sampling.ff_events},
+        "sampling": {"detail_cycles": sampling.detail_cycles,
+                     "ff_cycles": sampling.ff_cycles},
         "end_cycle_full": f_stats.end_cycle,
         "end_cycle_sampled": s_stats.end_cycle,
         "cycle_rel_err": (abs(s_stats.end_cycle - f_stats.end_cycle)

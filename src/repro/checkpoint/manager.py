@@ -31,6 +31,7 @@ from ..core.errors import (CheckpointCorruptError, CheckpointError,
 from ..core.framing import (fsync_dir, fsync_file, read_frame,
                             sweep_stale_tmp, write_frame)
 from ..core.frontend import SimProcess
+from ..core.sampling import NEVER
 from ..faults import crashpoints
 from .log import (BASE, DELTA, STREAMS, RecordingMemory, ReplayMemory,
                   append_frames, read_log, reply_log_path, tagged)
@@ -60,11 +61,9 @@ GENERATIONS = 2
 
 
 def config_identity(cfg) -> Dict[str, str]:
-    """Field -> ``repr`` of every ``SimConfig`` field but the host policy;
-    a sampled config keeps ``fastpath`` (its phases switch at a loop top)."""
+    """Field -> ``repr`` of every ``SimConfig`` field but the host policy."""
     return {f.name: repr(getattr(cfg, f.name)) for f in fields(cfg)
-            if not f.metadata.get("host_policy")
-            or (f.name == "fastpath" and cfg.sampling is not None)}
+            if not f.metadata.get("host_policy")}
 
 
 def _worker_fingerprint(engine) -> Optional[Dict[int, Tuple[str, int]]]:
@@ -124,7 +123,8 @@ class CheckpointManager:
         self.crash_after_saves: Optional[int] = None
         self.workload_fp: Optional[Dict[int, str]] = None
         self.worker_fp: Optional[Dict[int, Tuple[str, int]]] = None
-        self._next_save = self.interval
+        self._next_save = self._due = self.interval
+        self._windows: List[str] = []     # see save_window
         self._replay_idx = -1
         # a writer that died mid-save leaves <target>.tmp behind; sweep
         # our own base name so stale temps never accumulate
@@ -152,11 +152,23 @@ class CheckpointManager:
 
     def on_loop_top(self, engine) -> None:
         """Called at the top of every scheduler round while live processes
-        remain: autosave every ``interval`` events (a replay ends below)."""
-        if engine.events_processed >= self._next_save:
-            while self._next_save <= engine.events_processed:
-                self._next_save += self.interval
-            self.save()
+        remain: save the windows :meth:`save_window` was asked for, and
+        autosave every ``interval`` events (a replay ends below)."""
+        n = engine.events_processed
+        if n >= self._due:
+            while self._windows:
+                self.save(path=self._windows.pop(0))
+            if n >= self._next_save:
+                while self._next_save <= n:
+                    self._next_save += self.interval
+                self.save()
+            self._due = self._next_save
+
+    def save_window(self, path: str) -> None:
+        """Save to ``path`` at the next loop top past this event count: a
+        replay stops only at the first loop top of a count."""
+        self._windows.append(path)
+        self._due = self.engine.events_processed + 1
 
     def at_replay_stop(self, engine) -> bool:
         """Called once per ``run()`` return: True when replay reached the
@@ -319,13 +331,15 @@ class CheckpointManager:
                                   for site, a in ckpt["fault_log"].items())
         self.segments = [dict(s) for s in ckpt["segments"]]
         self.saves = ckpt["saves"]
-        self._next_save = ckpt["events_processed"] + self.interval
+        self._next_save = self._due = ckpt["events_processed"] + self.interval
 
         # one tap slot, rebound record -> replay -> record (no tap stack)
         ms = engine.memsys
         replay = ReplayMemory(ms, ckpt["replies"])
         ms.access = replay.access
         engine.faults.begin_replay(ckpt["fault_log"])
+        if engine._sampler is not None:     # the log holds its latencies
+            engine._sampler.boundary = NEVER
         self.mode = "replay"
         try:
             for idx, seg in enumerate(self.segments):

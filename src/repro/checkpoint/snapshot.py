@@ -48,7 +48,7 @@ def collect_snapshot(engine) -> Dict[str, Any]:
         "disk": engine.disk.state_dict(),
         "nic": engine.nic.state_dict(),
         "os_server": engine.os_server.state_dict(),
-        # the sampling controller stands down during replay, so its window
+        # replay stands the sampling controller down, so its window
         # schedule position is install-only state, like the memory system
         "sampler": (engine._sampler.state_dict()
                     if engine._sampler is not None else None),
@@ -96,8 +96,7 @@ def install_snapshot(engine, snapshot: Dict[str, Any]) -> None:
     engine.memsys.load_state(snapshot["memsys"])
     engine.stats.load_state(snapshot["stats"])
     engine.faults.load_state(snapshot["faults"])
-    if (snapshot.get("sampler") is not None
-            and engine._sampler is not None):
+    if engine._sampler is not None:     # sampling is in the config identity
         engine._sampler.load_state(snapshot["sampler"])
     engine.batch_stats.update(snapshot["batch_stats"])
     engine._recent_events.clear()

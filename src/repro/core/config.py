@@ -190,16 +190,16 @@ class SamplingConfig:
     with *fast-forward* windows (functional cache warming only: references
     update translation and cache contents but are charged a constant
     calibrated latency, with no protocol/interconnect/occupancy modeling).
-    Window boundaries are measured in processed events, so the schedule is
-    deterministic for a given workload. Sampled runs are explicitly
+    Windows are simulated cycles on a fixed grid, so the sampled result is
+    the strict schedule's on every host path. Sampled runs are explicitly
     *approximate*: gated by the error-bound tests in tests/test_sampling.py
     and the measured error table in EXPERIMENTS.md, not by bit-identity.
     """
 
-    #: events simulated in full detail per window
-    detail_events: int = 20_000
-    #: events fast-forwarded between detail windows (0 = never fast-forward)
-    ff_events: int = 80_000
+    #: simulated cycles of each window in full detail
+    detail_cycles: int = 1_000_000
+    #: simulated cycles fast-forwarded between detail windows (0 = never)
+    ff_cycles: int = 4_000_000
     #: constant per-reference latency charged while fast-forwarding; 0.0 =
     #: auto-calibrate from the mean reference latency of the preceding
     #: detail window (fractional parts are spread deterministically)
@@ -210,10 +210,10 @@ class SamplingConfig:
     checkpoint_windows: bool = False
 
     def validate(self) -> None:
-        if self.detail_events <= 0:
-            raise ConfigError("sampling.detail_events must be positive")
-        if self.ff_events < 0:
-            raise ConfigError("sampling.ff_events must be >= 0")
+        if self.detail_cycles <= 0:
+            raise ConfigError("sampling.detail_cycles must be positive")
+        if self.ff_cycles < 0:
+            raise ConfigError("sampling.ff_cycles must be >= 0")
         if self.ff_latency < 0:
             raise ConfigError("sampling.ff_latency must be >= 0")
 

@@ -27,6 +27,7 @@ from .errors import DeadlockError, FrontendError
 from .jsonable import to_jsonable
 from .frontend import (Coroutine, FrontendClock, Proc, ProcState, SimProcess,
                        WaitToken)
+from .sampling import SamplingController
 from .scheduler import GlobalScheduler
 from .stats import StatsRegistry
 from .sync import BarrierManager, LockManager, lock_address
@@ -133,12 +134,10 @@ class Engine:
             from ..checkpoint import CheckpointManager
             self._ckpt = CheckpointManager(self, cfg.checkpoint_path,
                                            cfg.checkpoint_interval)
-        #: sampled-simulation window controller; None = full detail (no
-        #: hook bound, zero cost — see core/sampling.py)
-        self._sampler = None
-        if cfg.sampling is not None:
-            from .sampling import SamplingController
-            self._sampler = SamplingController(self, cfg.sampling)
+        #: sampled-simulation window controller; None = full detail (one
+        #: ``is not None`` a round — see core/sampling.py)
+        self._sampler = (None if cfg.sampling is None
+                         else SamplingController(self, cfg.sampling))
 
     def _wire_faults(self) -> None:
         """Bind injection hooks at every armed site.
@@ -252,8 +251,6 @@ class Engine:
                 break
             if ck is not None:
                 ck.on_loop_top(self)
-            if sam is not None:
-                sam.on_loop_top(self)
             now = gsched.now
             if now != wd_time:
                 wd_time = now
@@ -277,6 +274,14 @@ class Engine:
                 cap = gate(cand, t_task)
                 if cap is None:
                     continue
+            if sam is not None:
+                # a phase switches before the first winner at or past it
+                t = t_task
+                if cand is not None and (t is None
+                                         or cand.port_event.time < t):
+                    t = cand.port_event.time
+                if t is not None and t >= sam.boundary:
+                    sam.cross(t)
             if cand is None:
                 if t_task is None:
                     self._report_deadlock(self.comm.live_processes())
@@ -316,12 +321,15 @@ class Engine:
             self._last_progress = et
             if event.kind == 9:     # EvKind.BATCH
                 # no reference of the round is consumed at or past the next
-                # backend task (tasks can mutate anything) or the run bounds
+                # backend task (tasks can mutate anything), the run bounds
+                # or the sampler's next phase switch
                 bound = cap
                 if t_task is not None and t_task < bound:
                     bound = t_task
                 if until is not None and until + 1 < bound:
                     bound = until + 1
+                if sam is not None and sam.boundary < bound:
+                    bound = sam.boundary
                 n = self._handle_batch(cand, event, bound, budget)
                 self.events_processed += n
                 budget -= n

@@ -1,35 +1,35 @@
 """Checkpoint-based sampled simulation (SimConfig.sampling).
 
-SMARTS/gem5-style windowing for the engine: run ``detail_events`` in full
-detail, then ``ff_events`` in functional fast-forward (the ff arm of
+SMARTS/gem5-style windowing: ``detail_cycles`` in full detail, then
+``ff_cycles`` in functional fast-forward (the ff arm of
 ``MemorySystem.access``: translation + cache warming, constant calibrated
-latency, no protocol/interconnect modeling), and repeat. A fast-forward
-window's batches go through the memory system's per-reference loop, as a
-tapped run's do, so attaching a memtrace recorder or setting
-``checkpoint_path`` leaves the sampled result unchanged. Window boundaries
-are counted in processed events, so the schedule — and therefore the whole
-sampled run — is deterministic for a given workload.
+latency, no protocol/interconnect modeling), and repeat. Windows sit on a
+fixed grid of simulated cycles from 0, and a phase switches at a boundary,
+as gem5 ends a phase at a simulated tick: ``Engine.run`` calls
+:meth:`SamplingController.cross` before a round whose winner (event or
+task) is at or past :attr:`~SamplingController.boundary`, and no batch
+reference of a round is consumed at or past it. Every host path serves the
+strict schedule's references in its order, so a sampled result is the
+strict schedule's on every host path (DESIGN.md "Sampled simulation").
 
 Calibration: unless ``ff_latency`` pins a constant, each fast-forward window
-charges the mean reference latency measured over the preceding detail
-window (slow-path latency from ``lat_slow`` plus one L1 hit time per
-fast-path hit), with the fractional part spread by a deterministic error
-accumulator. Commercial workloads' phase behaviour makes this a good local
-predictor; the error-bound tests in tests/test_sampling.py and the
-EXPERIMENTS.md table quantify it.
+charges the mean reference latency of the preceding detail window
+(slow-path latency from ``lat_slow`` plus one L1 hit time per fast-path
+hit), the fractional part spread by a deterministic error accumulator.
 
-Checkpoint composition: with ``checkpoint_windows`` on (requires the
-checkpoint subsystem), a snapshot is saved at every fast-forward -> detail
-transition under ``<checkpoint_path>.w<N>``, so any detail window can be
-re-run or inspected from its exact start state with
-``repro.checkpoint.resume``. During checkpoint *replay* the controller
-stands down — the reply log already encodes every latency the recorded run
-saw, ff windows included.
+With ``checkpoint_windows`` on, each fast-forward -> detail transition
+saves a snapshot under ``<checkpoint_path>.w<N>``, so any detail window
+can be re-run from its start with ``repro.checkpoint.resume``. A replay
+puts the boundary out of reach (the reply log holds every latency the
+recorded run saw); installing the snapshot restores the schedule.
 """
 
 from __future__ import annotations
 
 from typing import List
+
+#: a boundary no run reaches: ``ff_cycles=0``, and a checkpoint replay
+NEVER = 1 << 62
 
 
 class SamplingController:
@@ -39,13 +39,13 @@ class SamplingController:
         self.engine = engine
         self.cfg = cfg
         #: per-window log: kind, start event/cycle, calibrated latency
-        self.windows: List[dict] = []
+        self.windows: List[dict] = [{"window": 0, "kind": "detail",
+                                     "start_events": 0, "start_cycle": 0}]
         self.in_ff = False
-        self._next_switch = cfg.detail_events
+        #: the cycle the current window ends at
+        self.boundary = cfg.detail_cycles if cfg.ff_cycles > 0 else NEVER
         self._win_idx = 0
         self._mark = (0, 0, 0)      # (accesses, lat_slow, fast_hits)
-        self.windows.append({"window": 0, "kind": "detail",
-                             "start_events": 0, "start_cycle": 0})
 
     # -- calibration -------------------------------------------------------
 
@@ -61,55 +61,41 @@ class SamplingController:
 
     # -- the engine hook ---------------------------------------------------
 
-    def on_loop_top(self, engine) -> None:
-        if engine.events_processed < self._next_switch:
-            return
-        ck = engine._ckpt
-        if ck is not None and ck.mode != "record":
-            # replaying: recorded replies already carry the sampled timing
-            return
+    def cross(self, when: int) -> None:
+        """The round's winner is at cycle ``when``, at or past
+        :attr:`boundary`: switch phase at every boundary up to ``when``."""
+        engine, cfg = self.engine, self.cfg
         ms = engine.memsys
-        if not self.in_ff:
-            if self.cfg.ff_events <= 0:
-                self._next_switch = 1 << 62
-                return
-            mean = self._calibrate(ms)
-            ms.ff_begin(mean)
-            self.in_ff = True
-            self.windows.append({
-                "window": self._win_idx, "kind": "ff",
-                "start_events": engine.events_processed,
-                "start_cycle": engine.gsched.now,
-                "ff_latency": mean,
-            })
-            self._next_switch = (engine.events_processed
-                                 + self.cfg.ff_events)
-        else:
-            ms.ff_end()
-            self.in_ff = False
-            self._win_idx += 1
-            self._mark = (ms.accesses, ms.lat_slow, ms.fast_hits)
-            self.windows.append({
-                "window": self._win_idx, "kind": "detail",
-                "start_events": engine.events_processed,
-                "start_cycle": engine.gsched.now,
-            })
-            self._next_switch = (engine.events_processed
-                                 + self.cfg.detail_events)
-            # saved last: the snapshot must carry the new window's schedule
-            # for a resume from this file to continue bit-identically
-            if self.cfg.checkpoint_windows and ck is not None:
-                ck.save(path=f"{ck.path}.w{self._win_idx}")
+        while when >= self.boundary:
+            at = self.boundary
+            window = {"window": self._win_idx, "kind": "ff",
+                      "start_events": engine.events_processed,
+                      "start_cycle": at}
+            if self.in_ff:
+                ms.ff_end()
+                self._win_idx += 1
+                self._mark = (ms.accesses, ms.lat_slow, ms.fast_hits)
+                window.update(window=self._win_idx, kind="detail")
+                self.boundary = at + cfg.detail_cycles
+                ck = engine._ckpt
+                if cfg.checkpoint_windows and ck is not None:
+                    ck.save_window(f"{ck.path}.w{self._win_idx}")
+            else:
+                window["ff_latency"] = mean = self._calibrate(ms)
+                ms.ff_begin(mean)
+                self.boundary = at + cfg.ff_cycles
+            self.in_ff = not self.in_ff
+            self.windows.append(window)
 
     # -- checkpoint/restore ------------------------------------------------
 
     def state_dict(self) -> dict:
-        """The window schedule position (replay stands down, so a resumed
-        run must restore this rather than re-deriving it)."""
+        """The window schedule position (replay stands the sampler down,
+        so a resumed run must restore this rather than re-deriving it)."""
         return {
             "windows": [dict(w) for w in self.windows],
             "in_ff": self.in_ff,
-            "next_switch": self._next_switch,
+            "boundary": self.boundary,
             "win_idx": self._win_idx,
             "mark": tuple(self._mark),
         }
@@ -117,7 +103,7 @@ class SamplingController:
     def load_state(self, state: dict) -> None:
         self.windows = [dict(w) for w in state["windows"]]
         self.in_ff = state["in_ff"]
-        self._next_switch = state["next_switch"]
+        self.boundary = state["boundary"]
         self._win_idx = state["win_idx"]
         self._mark = tuple(state["mark"])
 

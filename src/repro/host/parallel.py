@@ -37,9 +37,7 @@ COMPASS communicator applies while scanning event ports); otherwise the
 smallest such bound caps the winner's batch round, so no reference of a
 batch is consumed at a cycle a computing worker could still get in front
 of. With the same timestamps and the same pid tie-break as inline mode,
-parallel runs produce bit-identical simulated results. (A sampler switches
-phase where a batch was cut, so under one the gate waits for every
-computing worker and the cuts are the inline engine's.)
+parallel runs produce bit-identical simulated results.
 
 Crash replay
 ------------
@@ -547,12 +545,6 @@ class ParallelEngine(Engine):
         its cycle). While some worker's bound does not clear the winner,
         wait on those pipes and answer None; otherwise answer the smallest
         bound, which caps how far the winner's batch may be consumed.
-
-        Where that cap cuts a batch depends on the host's timing. A sampler
-        switches phase at the first loop top past an event count, so under
-        one the cuts are part of the result: every computing worker is
-        waited for, each frontend has its event parked as it would inline,
-        and the batches are cut exactly where the inline engine cuts them.
         """
         self._since_harvest += 1
         if self._since_harvest >= 512:
@@ -570,12 +562,11 @@ class ParallelEngine(Engine):
         else:
             wt, pid = 1 << 62, 1 << 30   # only a worker can move the run on
         cap = self._max_cycles + 1
-        sampled = self._sampler is not None
         unsafe = []
         for w in self._computing():
             p = w.proc
             b = p.vtime + p.clock.pending + (pid < p.pid)
-            if b <= wt or sampled:
+            if b <= wt:
                 unsafe.append(w)
             elif b < cap:
                 cap = b

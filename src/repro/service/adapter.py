@@ -35,10 +35,10 @@ def make_config_factory(config: Optional[Dict[str, Any]] = None):
     dict forms (:meth:`FaultPlan.to_dict`, ``SamplingConfig`` kwargs) so
     job specs stay JSON-plain. Builder-supplied kwargs (``num_cpus``,
     ``coherence``…) win over the config dict: workloads pin their own
-    architecture where it is part of the workload's identity. Keys are
-    checked here, when the factory is built: a misspelt or removed knob
-    is a :class:`ConfigError` naming it, not a ``TypeError`` out of the
-    first workload that calls the factory.
+    architecture where it is part of the workload's identity. Keys, the
+    ``sampling`` dict's too, are checked when the factory is built: a
+    misspelt or removed knob is a :class:`ConfigError` naming it, not a
+    ``TypeError`` out of the first workload that calls the factory.
     """
     config = dict(config or {})
     backend = config.pop("backend", "complex")
@@ -58,6 +58,11 @@ def make_config_factory(config: Optional[Dict[str, Any]] = None):
         config["faults"] = FaultPlan.from_dict(faults)
     sampling = config.get("sampling")
     if isinstance(sampling, dict):
+        known = sorted(f.name for f in fields(SamplingConfig))
+        unknown = sorted(set(sampling) - set(known))
+        if unknown:
+            raise ConfigError(f"unknown config key 'sampling.{unknown[0]}'; "
+                              f"known keys: {known}")
         config["sampling"] = SamplingConfig(**sampling)
 
     def cfg(**kw):

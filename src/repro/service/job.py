@@ -67,8 +67,8 @@ class JobSpec:
     #: autosave cadence in events; 0 disables checkpointing, so crashed
     #: attempts restart from scratch instead of resuming
     checkpoint_interval: int = 2_000
-    #: after the last retry, try once more serially, without checkpoints
-    #: and (unless sampled) with ``fastpath`` off, before giving up
+    #: after the last retry, try once more with ``fastpath`` off (resuming
+    #: the last autosave), before giving up
     safe_mode_fallback: bool = True
     #: deterministic failure injection for tests/CI: ``kill_at_events``
     #: (child SIGKILLs itself at that event count, on the attempts listed

@@ -22,12 +22,9 @@ preempted, or externally SIGKILLed job *resumes from its last autosave*
 instead of restarting, and the checkpoint layer guarantees the resumed
 run is bit-identical to an undisturbed one. When the retry budget runs
 out, one last "safe mode" attempt resumes the last autosave like any
-retry, and keeps autosaving, with ``fastpath`` off unless the spec is
-sampled: the strict schedule, which lands the canonical fingerprint, just
-slower. A checkpoint names the simulated machine, not the host path, so
-either arm resumes it. A sampled result depends on where batches are cut
-(its phases switch at the first loop top past an event count), so a
-sampled spec keeps its host path (DESIGN.md "Sampled simulation"). A
+retry, and keeps autosaving, with ``fastpath`` off: the strict schedule,
+which lands the canonical fingerprint, just slower. A checkpoint names the
+simulated machine, not the host path, so either arm resumes it. A
 safe-mode success terminates the job as ``DEGRADED`` rather than
 ``DONE`` so fleets can alert on it.
 """
@@ -56,8 +53,8 @@ try:
 except ValueError:                             # non-POSIX host
     _ctx = mp.get_context()
 
-#: what a safe-mode attempt of an unsampled spec overrides: the one host
-#: switch, bit-identical on and off
+#: what a safe-mode attempt overrides: the one host switch, bit-identical
+#: on and off
 SAFE_MODE_OVERRIDES = {"fastpath": False}
 
 
@@ -81,7 +78,7 @@ def _job_child(spec_dict: dict, attempt: int, ckpt_path: str,
     try:
         adapter = SimulatorAdapter()
         config = dict(spec.config)
-        if safe_mode and config.get("sampling") is None:
+        if safe_mode:
             # the strict schedule; host policy is not part of a
             # checkpoint's identity, so it resumes the optimistic autosave
             config.update(SAFE_MODE_OVERRIDES)

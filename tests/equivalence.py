@@ -26,12 +26,12 @@ from unittest import mock
 
 import pytest
 
-from repro import (Engine, FaultPlan, FaultRule, SimulatedCrash, WaitToken,
-                   complex_backend, resume)
+from repro import (Engine, FaultPlan, FaultRule, SamplingConfig,
+                   SimulatedCrash, WaitToken, complex_backend, resume)
 from repro.apps.minidb import MiniDb, TpcdDriver, tpcd_catalog
 from repro.core.communicator import Communicator
 from repro.core.frontend import SimProcess
-from repro.harness import vec_summary
+from repro.harness import sampling_summary, vec_summary
 from repro.host import ParallelEngine, WorkerSpec
 from repro.isa import Interpreter, Machine, assemble
 from repro.isa.memory import DataMemory
@@ -94,6 +94,12 @@ SUBS = {
     "no_windows": lambda: mock.patch.object(
         Communicator, "lookahead_horizon",
         lambda self, winner, strict, limit, bound_fn: strict),
+    # a harvest reads one message a pipe: ParallelEngine workers are found
+    # computing as often as the host can
+    "starved": lambda: mock.patch.object(
+        ParallelEngine, "_ingest",
+        lambda self, w, msg, ingest=ParallelEngine._ingest:
+        ingest(self, w, msg) and False),
 }
 
 
@@ -156,8 +162,8 @@ HOT5 = HOT_PROG.replace("li r8, 40", "li r8, 5")
 
 #: six HOT_PROG passes with a streaming miss every eighth line —
 #: fast-forward charges a miss the calibrated mean, so a sampled run moves
-#: whenever a phase switch does — and the same program starting 6 000
-#: cycles late
+#: with every phase switch — and the same program starting 6 000 cycles
+#: late
 MIX = (HOT_PROG.replace("li r8, 40", "li r8, 6\n    li r11, 0x140000")
        .replace("    addi r1, r1, 32\n",
                 "    addi r1, r1, 32\n    andi r4, r1, 255\n"
@@ -426,27 +432,38 @@ class Isa:
 # modes
 # ---------------------------------------------------------------------------
 
-#: mode -> (fault plan, how the run is tapped or interrupted)
+#: the sampled modes' schedule: a few thousand cycles a window, so every
+#: row of the table switches phase a dozen times or more
+SAMPLED = SamplingConfig(detail_cycles=2_000, ff_cycles=1_500)
+
+#: mode -> (fault plan, how the run is tapped or interrupted, sampling)
 MODES = {
-    "clean": (None, None),
-    "plan": (TIMING_PLAN, None),
+    "clean": (None, None, None),
+    "plan": (TIMING_PLAN, None, None),
     # a memtrace recorder: every reference through ``access``, recorded
-    "tapped": (None, "memtrace"),
+    "tapped": (None, "memtrace", None),
     # the "probe off" reference, recorded: every reference, L1 hits
     # included, serviced by the miss kernel. Clean only: under a plan it
     # draws ``mem:degraded`` per reference and so is another program
-    "probe_off": (None, "miss_tap"),
+    "probe_off": (None, "miss_tap", None),
     # killed after two autosaves, resumed in a fresh engine
-    "resume": (TIMING_PLAN, "crash"),
+    "resume": (TIMING_PLAN, "crash", None),
     # killed after two autosaves under the other arm, resumed under this
     # one: a checkpoint names the simulated machine, not the host path
-    "swap": (TIMING_PLAN, "swap"),
+    "swap": (TIMING_PLAN, "swap", None),
+    # phases switch at cycles on a fixed grid, so a sampled run is a
+    # function of the strict schedule too: each mode above, sampled
+    "sampled": (None, None, SAMPLED),
+    "sampled_tapped": (None, "memtrace", SAMPLED),
+    "sampled_resume": (None, "crash", SAMPLED),
+    "sampled_swap": (None, "swap", SAMPLED),
 }
 
 #: mode -> the mode whose strict result it must land: a tap, the probe
 #: and a crash (under either arm) move nothing
 SAME_AS = {"tapped": "clean", "probe_off": "tapped", "resume": "plan",
-           "swap": "plan"}
+           "swap": "plan", "sampled_tapped": "sampled",
+           "sampled_resume": "sampled", "sampled_swap": "sampled"}
 
 
 def miss_tap(eng):
@@ -476,13 +493,15 @@ def _lines(caches) -> tuple:
 def snapshot(eng, stats, rec=None) -> dict:
     """``full_fingerprint``; every cache's hit/miss counters, L2 included;
     a digest of the end-of-run L1 and L2 set lists (LRU order) and line
-    states, which fingerprints see only through later evictions; and a
-    digest of the memtrace records when ``rec`` tapped the run."""
+    states, which fingerprints see only through later evictions; the
+    sampler's windows and calibrated latencies; and a digest of the
+    memtrace records when ``rec`` tapped the run."""
     ms = eng.memsys
     return {
         "fingerprint": full_fingerprint(eng, stats),
         "caches": ms.cache_summary(),
         "lines": hash((_lines(ms.l1s), _lines(ms.l2s or ()))),
+        "sampling": sampling_summary(eng),
         "trace": None if rec is None else (len(rec.records),
                                            hash(tuple(rec.records))),
     }
@@ -511,8 +530,7 @@ def build(row, cfg=DEFAULT, faults=None):
     return row.build(factory) if isinstance(row, Isa) else ROWS[row](factory)
 
 
-def _crash_and_resume(row, cfg, mode):
-    faults, how = MODES[mode]
+def _crash_and_resume(row, cfg, faults, how):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = dict(cfg, checkpoint_path=os.path.join(tmp, "ck.pkl"),
                    checkpoint_interval=1_500)
@@ -542,10 +560,12 @@ def simulate(row, cfg=DEFAULT, mode="clean", spy=None):
 
 
 def _simulate(row, cfg, mode, spy):
-    faults, how = MODES[mode]
+    faults, how, sampling = MODES[mode]
+    if sampling is not None:
+        cfg = dict(cfg, sampling=sampling)
     rec = None
     if how in ("crash", "swap"):
-        eng, stats = _crash_and_resume(row, cfg, mode)
+        eng, stats = _crash_and_resume(row, cfg, faults, how)
     else:
         eng = build(row, cfg, faults)
         if how == "miss_tap":

@@ -177,10 +177,10 @@ class TestOneTap:
         assert len(calls) == eng.memsys.accesses > 0
 
 
-def _crashed(path, **cfg):
+def _crashed(path):
     """Run oltp under ``TIMING_PLAN``, autosaving to ``path``, until it
     crashes after its first autosave."""
-    eng = _engine(path, 1_500, **cfg)
+    eng = _engine(path, 1_500)
     eng._ckpt.crash_after_saves = 1
     with pytest.raises(SimulatedCrash):
         eng.run()
@@ -194,16 +194,6 @@ class TestFingerprints:
         with pytest.raises(CheckpointError,
                            match="configuration .* differs .* in: faults$"):
             resume(path, lambda: _engine(path, 1_500, None))
-
-    def test_sampled_config_keeps_fastpath_in_its_identity(self, tmp_path):
-        """Where batches are cut is part of a sampled result, so a sampled
-        run resumes only on the arm it was recorded under."""
-        path = str(tmp_path / "ck.pkl")
-        sc = SamplingConfig(detail_events=1_000, ff_events=2_000)
-        _crashed(path, sampling=sc)
-        with pytest.raises(CheckpointError, match="in: fastpath$"):
-            resume(path, lambda: _engine(path, 1_500, sampling=sc,
-                                         fastpath=False))
 
     @pytest.mark.parametrize("name,cfg", [
         ("ck.pkl", {"watchdog_rounds": 500_000}), ("moved.pkl", {})],
@@ -335,9 +325,9 @@ class TestSamplingSpeculationResume:
     fast-forward window."""
 
     #: short detail windows, long ff windows: autosaves at an 800-event
-    #: cadence land the second save (event 1600) inside the first ff
-    #: window (events 1000-3500)
-    SC = SamplingConfig(detail_events=1_000, ff_events=2_500)
+    #: cadence land the second save (event 1600, near cycle 28 000) inside
+    #: the first ff window (cycles 17 000-61 000)
+    SC = SamplingConfig(detail_cycles=17_000, ff_cycles=44_000)
 
     def _engine(self, path):
         # splash: multi-CPU, so rivals exist
@@ -476,7 +466,7 @@ class TestDeltaReconstruction:
     def test_saves_inside_a_fast_forward_window(self, tmp_path):
         kinds = self._every_save_rebuilds("splash", _small_caches(
             str(tmp_path / "ck.pkl"),
-            sampling=SamplingConfig(detail_events=1_000, ff_events=2_500)))
+            sampling=SamplingConfig(detail_cycles=17_000, ff_cycles=44_000)))
         assert ("delta", True) in kinds
 
     @pytest.mark.parametrize("coherence,detail", [

@@ -537,7 +537,7 @@ class TestReplyLog:
     def test_resume_from_a_sampler_window_file(self, tmp_path):
         """``.w<N>`` files point into the same log at their own offsets;
         resuming from one cuts the log there and carries on."""
-        sc = SamplingConfig(detail_events=1_000, ff_events=2_500,
+        sc = SamplingConfig(detail_cycles=18_000, ff_cycles=46_000,
                             checkpoint_windows=True)
         path = str(tmp_path / "run.ckpt")
 

@@ -28,6 +28,9 @@ from tests.equivalence import ERRNO_PLAN, STRICT, TIMING_PLAN
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden"
 UPDATE = os.environ.get("COMPASS_UPDATE_GOLDEN") == "1"
 
+#: the sampled scenarios' schedule, ``dss``'s 1 000 / 2 000 events in cycles
+SAMPLED_DSS = {"detail_cycles": 700_000, "ff_cycles": 1_400_000}
+
 #: the fleet: name, workload, config dict, optional golden alias
 SCENARIOS = [
     # OLTP (TPC-C): default knobs, strict knobs, both fault plans
@@ -61,9 +64,12 @@ SCENARIOS = [
     {"name": "splash-dsm", "workload": "splash",
      "config": {"coherence": "dsm"}},
     # sampled simulation: approximate vs full detail, but deterministic —
-    # it gets its own golden
+    # it gets its own golden, which the strict arm lands too (phases
+    # switch at simulated cycles)
     {"name": "dss-sampling", "workload": "dss",
-     "config": {"sampling": {"detail_events": 1_000, "ff_events": 2_000}}},
+     "config": {"sampling": SAMPLED_DSS}},
+    {"name": "dss-sampling-strict", "workload": "dss",
+     "config": {"sampling": SAMPLED_DSS, **STRICT}, "golden": "dss-sampling"},
 ]
 
 #: component names for fingerprint-diff messages, in tuple order

@@ -19,8 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import (Engine, SamplingConfig, SimConfig, complex_backend,
-                   load_checkpoint)
+from repro import Engine, SimConfig, complex_backend, load_checkpoint
 
 from tests.equivalence import (ARMS, DEFAULT, LATTICE, LATTICE_IDS, STRICT,
                                TIMING_PLAN, check, run, simulate)
@@ -91,12 +90,9 @@ def test_stand_downs_on_a_tapped_run_and_invisible_to_fingerprints(tmp_path):
 
 
 def test_stand_downs_on_a_sampled_run():
-    """Windows are denied, by name, inside fast-forward phases. (Where a
-    window opens can move a sampled result: the sampler switches at the
-    first loop top past an event count — DESIGN.md "Sampled
-    simulation".)"""
-    sc = SamplingConfig(detail_events=1_000, ff_events=2_000)
-    on = run("dss", {**DEFAULT, "sampling": sc})
+    """Windows are denied, by name, inside fast-forward phases (the run
+    lands the strict sampled result: the table's ``dss-sampled`` cell)."""
+    on = run("dss", DEFAULT, "sampled")
     assert on.counters["stand_downs"]["fast_forward"] > 0
     assert on.counters["stand_downs"]["tapped"] == 0
 

@@ -31,7 +31,7 @@ import pytest
 
 from repro import complex_backend
 from repro.core.communicator import Communicator
-from repro.core.config import OSConfig, SamplingConfig
+from repro.core.config import OSConfig
 from repro.core.frontend import ProcState, SimProcess
 from repro.host import ParallelEngine, WorkerSpec
 from repro.host.parallel import _Worker
@@ -39,8 +39,8 @@ from repro.host.parallel import _Worker
 from tests.equivalence import (ARMS, CLOCK_READERS, DEFAULT, HOT_PROG, LATE,
                                LATTICE, MIX, PROGS, SCAN, SPACED, WORKLOADS,
                                Isa,
-                               build, check, reference, run, simulate,
-                               snapshot, sub, toucher)
+                               build, check, reference, simulate, snapshot,
+                               sub, toucher)
 
 # ---------------------------------------------------------------------------
 # inline engine windows
@@ -199,26 +199,20 @@ def test_parallel_under_timing_plan_equals_inline():
 
 
 @pytest.mark.parametrize("starved", [False, True], ids=["greedy", "starved"])
-def test_parallel_sampled_equals_inline_sampled(monkeypatch, starved):
-    """Under a sampler — it switches phase at the first loop top past an
-    event count — the batch cuts are part of the result: ``_round_gate``
-    waits for every computing worker and the run equals the inline sampled
-    run cut for cut, also when a harvest reads one message a pipe."""
-    if starved:     # workers are found computing as often as the host can
-        ingest = ParallelEngine._ingest
-        monkeypatch.setattr(ParallelEngine, "_ingest", lambda self, w, msg:
-                            ingest(self, w, msg) and False)
-    sampled = {**DEFAULT,
-               "sampling": SamplingConfig(detail_events=890, ff_events=53)}
+def test_parallel_sampled_equals_inline_sampled(starved):
+    """A sampler switches phase at cycles on a fixed grid, so where the
+    gate cuts a batch is not part of a sampled result: repeated parallel
+    runs land the strict inline sampled run, also when a harvest reads one
+    message a pipe. Only the snapshot is held; the batch cuts, and so
+    ``batch_stats``, move with the wall clock."""
+    cfg = sub("starved") if starved else DEFAULT
     for row in (Isa((MIX, LATE)), Isa((MIX, LATE, MIX)),
                 Isa((MIX,), extra=toucher)):
-        ref = run(row, sampled)
-        assert ref.snap != run(row).snap                # it switched
+        ref = reference(row, "sampled")
+        assert ref != reference(row)                    # it switched
         for _ in range(3):
-            res, _ = simulate(replace(row, parallel=True), sampled)
-            assert res.snap == ref.snap
-            assert res.counters["batch_stats"] == \
-                ref.counters["batch_stats"]
+            res, _ = simulate(replace(row, parallel=True), cfg, "sampled")
+            assert res.snap == ref
 
 
 def test_parallel_checkpointed_equals_inline(tmp_path):

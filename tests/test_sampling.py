@@ -6,7 +6,10 @@ instead of walking the timing models. The contract tested here is the one
 EXPERIMENTS.md documents:
 
   * a sampled run is exactly as deterministic as a full one (same config
-    -> same cycle count, same stats, every time), tapped or not;
+    -> same cycle count, same stats, every time), on every host path: its
+    phases switch at simulated cycles, so ``max_events`` segments move
+    nothing (the equivalence table's ``sampled`` cells hold the arms, taps,
+    resumes and ``ParallelEngine`` to the strict sampled run);
   * on the streaming workload class the error vs full detail stays inside
     the documented bounds (cycle count <= 2% relative, L1 miss rate
     <= 2 percentage points absolute);
@@ -22,11 +25,12 @@ import os
 import pytest
 
 from repro import (ConfigError, Engine, SamplingConfig, complex_backend,
-                   load_checkpoint)
+                   load_checkpoint, resume)
 from repro.core.frontend import SimProcess
 from repro.harness import sampling_summary
-from repro.service.workloads import WORKLOADS, full_fingerprint
-from repro.traces.memtrace import MemTraceRecorder
+from repro.service.workloads import full_fingerprint
+
+from tests.equivalence import ARMS, SAMPLED, build, reference, snapshot
 
 BASE = 0x0001_0000
 
@@ -63,9 +67,9 @@ def _l1_miss_rate(eng):
 def test_sampling_config_validation():
     SamplingConfig().validate()  # defaults are legal
     with pytest.raises(ConfigError):
-        SamplingConfig(detail_events=0).validate()
+        SamplingConfig(detail_cycles=0).validate()
     with pytest.raises(ConfigError):
-        SamplingConfig(ff_events=-1).validate()
+        SamplingConfig(ff_cycles=-1).validate()
     with pytest.raises(ConfigError):
         SamplingConfig(ff_latency=-0.5).validate()
 
@@ -79,10 +83,13 @@ def test_checkpoint_windows_requires_checkpointing():
 # determinism and window accounting
 # ---------------------------------------------------------------------------
 
+#: the stream's old 2 000 / 18 000-event split, at its 80 cycles an event
+STREAM = SamplingConfig(detail_cycles=160_000, ff_cycles=1_440_000)
+
+
 def test_sampled_run_is_deterministic():
-    sc = SamplingConfig(detail_events=2_000, ff_events=18_000)
-    eng1, st1 = _run_stream(sc)
-    eng2, st2 = _run_stream(sc)
+    eng1, st1 = _run_stream(STREAM)
+    eng2, st2 = _run_stream(STREAM)
     assert st1.end_cycle == st2.end_cycle
     assert eng1.events_processed == eng2.events_processed
     assert eng1.memsys.cache_summary() == eng2.memsys.cache_summary()
@@ -90,8 +97,7 @@ def test_sampled_run_is_deterministic():
 
 
 def test_sampling_summary_accounting():
-    sc = SamplingConfig(detail_events=2_000, ff_events=18_000)
-    eng, _ = _run_stream(sc)
+    eng, _ = _run_stream(STREAM)
     s = sampling_summary(eng)
     assert s["enabled"]
     assert s["ff_windows"] >= 1
@@ -108,33 +114,21 @@ def test_sampling_summary_accounting():
     assert eng_off.memsys.ff_refs == 0
 
 
-def test_sampled_result_does_not_depend_on_a_tap(tmp_path):
-    """Fast-forward has one model: a fast-forward window's batches go
-    through the per-reference loop whether or not a tap is attached, so a
-    sampled run lands one result plain, under a memtrace recorder, and
-    with checkpointing on (whose recorder is a tap too)."""
-    sc = SamplingConfig(detail_events=1_000, ff_events=2_000)
-
-    def run(tap):
-        SimProcess._next_pid[0] = 1
-        ck = ({"checkpoint_path": str(tmp_path / "ck.pkl"),
-               "checkpoint_interval": 10_000}
-              if tap == "checkpoint" else {})
-        eng = WORKLOADS["dss"](
-            lambda **kw: complex_backend(sampling=sc, **ck, **kw),
-            scale=0.001, nagents=2, pool_frames=64)
-        if tap == "memtrace":
-            MemTraceRecorder.attach(eng)
-        return full_fingerprint(eng, eng.run()), sampling_summary(eng)
-
-    plain = run(None)
-    assert plain[1]["ff_refs"] > 0
-    assert run("memtrace") == plain
-    assert run("checkpoint") == plain
+@pytest.mark.parametrize("segment", [1, 997, 2_000])
+def test_sampled_result_does_not_depend_on_segments(segment):
+    """``run(max_events=...)`` segments of any size land the unsegmented
+    strict sampled run, on both arms: a phase switches before the first
+    winner at or past its cycle, wherever the loop was cut."""
+    for arm in ARMS:
+        eng = build("oltp", {**arm, "sampling": SAMPLED})
+        while eng._live > 0:
+            stats = eng.run(max_events=segment)
+        assert snapshot(eng, stats) == reference("oltp", "sampled")
 
 
 def test_ff_events_zero_never_fast_forwards():
-    sc = SamplingConfig(detail_events=2_000, ff_events=0)
+    """``ff_cycles=0``: the run never leaves its first detail window."""
+    sc = SamplingConfig(detail_cycles=160_000, ff_cycles=0)
     eng, st = _run_stream(sc)
     eng_full, st_full = _run_stream(None)
     # degenerate schedule: all detail — must be *identical* to unsampled
@@ -148,8 +142,7 @@ def test_ff_events_zero_never_fast_forwards():
 # ---------------------------------------------------------------------------
 
 def test_sampling_error_within_documented_bounds():
-    sc = SamplingConfig(detail_events=2_000, ff_events=18_000)
-    eng_s, st_s = _run_stream(sc)
+    eng_s, st_s = _run_stream(STREAM)
     eng_f, st_f = _run_stream(None)
     cyc_err = abs(st_s.end_cycle - st_f.end_cycle) / st_f.end_cycle
     miss_err = abs(_l1_miss_rate(eng_s) - _l1_miss_rate(eng_f))
@@ -162,7 +155,7 @@ def test_sampling_error_within_documented_bounds():
 def test_explicit_ff_latency_skips_calibration():
     # with a user-pinned latency the controller never needs a preceding
     # detail window mean; the schedule still alternates
-    sc = SamplingConfig(detail_events=2_000, ff_events=18_000,
+    sc = SamplingConfig(detail_cycles=160_000, ff_cycles=1_440_000,
                         ff_latency=9.0)
     eng, _ = _run_stream(sc)
     s = sampling_summary(eng)
@@ -176,7 +169,7 @@ def test_explicit_ff_latency_skips_calibration():
 
 def test_checkpoint_windows_snapshots(tmp_path):
     path = str(tmp_path / "run.ckpt")
-    sc = SamplingConfig(detail_events=2_000, ff_events=18_000,
+    sc = SamplingConfig(detail_cycles=160_000, ff_cycles=1_440_000,
                         checkpoint_windows=True)
     eng, _ = _run_stream(sc, checkpoint_path=path,
                          checkpoint_interval=1 << 60)
@@ -188,3 +181,23 @@ def test_checkpoint_windows_snapshots(tmp_path):
         ckpt = load_checkpoint(p)
         assert ckpt["version"]
         assert os.path.getsize(p) > 0
+
+
+def test_window_files_resume_where_tasks_preceded_the_switch(tmp_path):
+    """On ``dss`` a phase often switches after backend tasks, which count
+    no event, so a window file is saved at the next loop top past the
+    switch's event count, where a replay can stop. Resuming from window
+    files (latest first: a resume cuts the log at its file's offset) lands
+    the uninterrupted run."""
+    path = str(tmp_path / "ck")
+    cfg = {"sampling": SamplingConfig(detail_cycles=30_000, ff_cycles=20_000,
+                                      checkpoint_windows=True),
+           "checkpoint_path": path, "checkpoint_interval": 1 << 40}
+    eng = build("dss", cfg)
+    ref = full_fingerprint(eng, eng.run())
+    snaps = sorted(glob.glob(path + ".w*"),
+                   key=lambda p: int(p[len(path) + 2:]))
+    assert len(snaps) > 20
+    for snap in snaps[::-8]:
+        eng, stats = resume(snap, lambda: build("dss", cfg))
+        assert full_fingerprint(eng, stats) == ref

@@ -116,6 +116,8 @@ class TestSimulatorAdapter:
             make_config_factory({"specluate": False})
         with pytest.raises(ConfigError, match="'num_nodes'"):
             make_config_factory({"backend": "simple", "num_nodes": 2})
+        with pytest.raises(ConfigError, match="'sampling.detail_event'"):
+            make_config_factory({"sampling": {"detail_event": 1_000}})
         cfg = make_config_factory({"coherence": "mesi", "fastpath": False})
         assert cfg(num_cpus=2).fastpath is False
 
@@ -209,17 +211,18 @@ class TestChaos:
 
     @pytest.mark.parametrize("workload,sampling,interval", [
         ("oltp", None, 2_000),
-        ("oltp", {"detail_events": 1_000, "ff_events": 2_000}, 2_000),
-        ("dss", {"detail_events": 1_000, "ff_events": 2_000,
+        ("oltp", {"detail_cycles": 1_400_000, "ff_cycles": 2_800_000},
+         2_000),
+        ("dss", {"detail_cycles": 700_000, "ff_cycles": 1_400_000,
                  "checkpoint_windows": True}, 1_500),
     ], ids=["full", "sampled", "sampled-windows"])
     def test_forced_safe_mode_lands_the_done_fingerprint(
             self, tmp_path, workload, sampling, interval):
         """A safe-mode attempt, forced without a failure first, lands the
-        fingerprint of the job's DONE attempt: unsampled with ``fastpath``
-        off; sampled on its own host path (where its batches are cut is
-        part of a sampled result). It keeps checkpointing, which a
-        sampled spec's ``checkpoint_windows`` requires."""
+        fingerprint of the job's DONE attempt with ``fastpath`` off,
+        sampled or not: a sampled result is the strict schedule's on every
+        host path. It keeps checkpointing, which a sampled spec's
+        ``checkpoint_windows`` requires."""
         config = {} if sampling is None else {"sampling": sampling}
         runner = JobRunner(workdir=str(tmp_path))
         for name in ("done", "safe"):
@@ -257,11 +260,12 @@ class TestChaos:
         runner = JobRunner(spool_dir=spool_dir,
                            workdir=str(tmp_path / "work"))
         removed = ("speculate", "worker_lease", "worker_batch", "lookahead",
-                   "vectorized", "translate")
+                   "vectorized", "translate", "sampling.detail_events")
         for knob in removed:
+            top, _, key = knob.partition(".")
             runner.submit(JobSpec(name=knob, workload="dss",
-                                  config={knob: 0}, max_retries=0,
-                                  safe_mode_fallback=False))
+                                  config={top: {key: 0} if key else 0},
+                                  max_retries=0, safe_mode_fallback=False))
         recs = runner.run()
         runner._spool.close()
         recovered = JobRunner.recover(spool_dir)
