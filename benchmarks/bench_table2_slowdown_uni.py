@@ -6,8 +6,8 @@ Paper (TPC-D query, 12 MB DB, 133 MHz PowerPC host):
     time (s)     52     16 149           34 841
     slowdown     1      310x             670x
 
-Absolute slowdowns depend on host and frontend technology (ours is an
-interpreted-Python simulator against a native-Python raw run); what must
+Absolute slowdowns depend on host and frontend technology (ours is a
+pure-Python simulator against a native-Python raw run); what must
 reproduce is the *structure*: simulation is orders of magnitude slower than
 raw execution, and the complex backend costs roughly 2x the simple backend
 (paper: 670/310 = 2.16x).
@@ -120,8 +120,9 @@ def test_table2_slowdown_uniprocessor(benchmark):
     print(f"  complex/simple total-slowdown ratio: {ratio:.2f}x "
           f"(paper: 670/310 = 2.16x)")
     print(f"  complex/simple backend-only cost ratio: {be_ratio:.2f}x "
-          f"(isolates the factor the paper's table varies; our interpreted "
-          f"frontend dilutes the total ratio — see EXPERIMENTS.md)")
+          f"(isolates the factor the paper's table varies; the frontend's "
+          f"host cost, the same under both backends, dilutes the total "
+          f"ratio — see EXPERIMENTS.md)")
     benchmark.extra_info.update(simple_slowdown=simple.slowdown,
                                 complex_slowdown=cplx.slowdown,
                                 ratio=ratio, backend_ratio=be_ratio)

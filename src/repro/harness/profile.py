@@ -68,8 +68,8 @@ def top_oscall_table(stats: StatsRegistry, n: int = 8) -> List[Tuple[str, float,
 def fastpath_summary(engine) -> dict:
     """Observability row for the batched pipeline + L1 fast-path filter.
 
-    Reports how many references resolved in the L1 fast path vs fell back
-    to the full hierarchy walk, plus the engine's batch consumption
+    Reports how many references the L1 probe retired vs did not (private
+    L2 hits and the miss kernel's), plus the engine's batch consumption
     counters (batches consumed, references per batch, and why each consume
     loop stopped — see DESIGN.md "Performance notes").
     """

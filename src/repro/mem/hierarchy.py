@@ -2,13 +2,14 @@
 
 ``MemorySystem.access`` services one memory-reference event and
 ``MemorySystem.access_run`` a run of batched ones. Both probe the issuing
-CPU's L1 first (page already translated, every line present with enough
-rights: raw dict probes, nothing else consulted); whatever the probe
-declines goes to the one miss kernel, ``MemorySystem._miss``, which takes
-the caller's translation (or walks the page table itself when there is
-none), walks the private cache hierarchy and lets the coherence protocol
-service misses and upgrades. The returned latency is what the backend
-replies to the frontend's event port.
+CPU's private hierarchy first (page already translated, every line in the
+L1 with enough rights, or the one line in this CPU's L2 with them: raw dict
+probes, nothing else consulted); whatever the probe declines goes to the
+one miss kernel, ``MemorySystem._miss``, which takes the caller's
+translation (or walks the page table itself when there is none), walks the
+private cache hierarchy and lets the coherence protocol service misses and
+upgrades. The returned latency is what the backend replies to the
+frontend's event port.
 """
 
 from __future__ import annotations
@@ -65,10 +66,12 @@ class MemorySystem:
         self._line_shift = be.l1.line_size.bit_length() - 1
         self.accesses = 0
 
-        # --- the L1 probe --------------------------------------------------
+        # --- the probe -----------------------------------------------------
         # A reference whose page is already translated and whose lines all
         # hit this CPU's L1 with sufficient rights resolves as raw dict
-        # probes, with no protocol/VMM involvement. The cached container
+        # probes, with no protocol/VMM involvement; so does a one-line
+        # reference that hits this CPU's L2 with them (a fast_fallback:
+        # the L1 probe did not retire it). The cached container
         # references below are stable objects mutated in place by the miss
         # kernel, so the probe always sees current state; every decline
         # goes to the miss kernel having mutated nothing.
@@ -91,10 +94,10 @@ class MemorySystem:
         #: checkpoint manager is attached, and then nothing marks
         self.dirty: Optional[set] = None
 
-        #: fault injection: callable() -> extra cycles on the full access
-        #: path (a degraded DIMM adds latency to misses/DRAM traffic; L1
-        #: fast-path hits never reach memory and stay unaffected). None
-        #: outside fault-plan runs.
+        #: fault injection: callable() -> extra cycles on the miss kernel
+        #: (a degraded DIMM adds latency to misses/DRAM traffic; L1 probe
+        #: hits stay unaffected, and the private-L2 arm stands down while
+        #: it is set). None outside fault-plan runs.
         self.fault_extra = None
 
         # --- vectorized batch fast path (see mem/vec.py) -------------------
@@ -113,7 +116,8 @@ class MemorySystem:
         self._ff_base = 0
         self._ff_frac = 0.0
         self._ff_err = 0.0
-        #: slow-path latency accumulator (full access() path only) — with
+        #: slow-path latency accumulator: every reference the L1 probe did
+        #: not retire (private-L2 hits and the miss kernel's) — with
         #: fast_hits * l1_latency this yields the mean reference latency a
         #: detail window measured, which calibrates the next ff window
         self.lat_slow = 0
@@ -130,8 +134,8 @@ class MemorySystem:
         """
         if self.ff_active:
             return self._ff_access(pid, vaddr, size, write, cpu, atomic)
-        # the L1 probe: page already translated + all lines hit L1 with
-        # sufficient rights; the miss kernel services whatever it declines
+        # the probe: page translated, all lines in L1 (or the one line in
+        # this CPU's L2) with enough rights; the miss kernel takes the rest
         paddr = -1
         if vaddr >= KERNEL_BASE:
             ppn = self._kernel_table.get(vaddr >> self._page_shift)
@@ -147,12 +151,11 @@ class MemorySystem:
             if line == last:
                 states = self._l1_states[cpu]
                 st = states.get(line)
+                mask = self._l1_set_mask
+                s = self._l1_sets[cpu][line & mask if mask >= 0
+                                       else line % self._l1_nsets]
                 if st is not None and (not write or st >= 2):
                     self.l1s[cpu].hits += 1
-                    mask = self._l1_set_mask
-                    s = self._l1_sets[cpu][
-                        line & mask if mask >= 0
-                        else line % self._l1_nsets]
                     if s[0] != line:
                         s.remove(line)
                         s.insert(0, line)
@@ -167,6 +170,48 @@ class MemorySystem:
                     self.fast_hits += 1
                     lat = self._l1_latency
                     return (lat + 4, None) if atomic else (lat, None)
+                l2 = self.l2s[cpu] if self.l2s is not None else None
+                if st is None and l2 is not None and self.fault_extra is None:
+                    # the private-L2 arm, as _access_run_scalar has it
+                    st = (l2s := l2._states).get(line)
+                    if st is not None and (not write or st >= 2):
+                        m2 = l2.set_mask
+                        i = line & m2 if m2 >= 0 else line % l2.n_sets
+                        s2 = l2._sets[i]
+                        if s2[0] != line:
+                            s2.remove(line)
+                            s2.insert(0, line)
+                            if l2.dirty_sets is not None:
+                                l2.dirty_sets[i] = 1
+                        dirty = self.dirty
+                        if write and st == 2:   # EXCLUSIVE -> MODIFIED
+                            if dirty is not None:
+                                dirty.add(line)
+                            l2s[line] = st = 3
+                            l2.version += 1
+                        l1 = self.l1s[cpu]
+                        l1.version += 1
+                        if len(s) >= l1.assoc:
+                            v = s.pop()
+                            l1.evictions += 1
+                            if states.pop(v) == 3:
+                                l1.writebacks += 1
+                                if v in l2s:   # folds into the L2
+                                    if dirty is not None and l2s[v] != 3:
+                                        dirty.add(v)
+                                    l2s[v] = 3
+                                    l2.version += 1
+                        s.insert(0, line)
+                        states[line] = st
+                        l1.misses += 1
+                        l2.hits += 1
+                        self.accesses += 1
+                        self.fast_fallbacks += 1
+                        lat = self._l1_latency + l2.cfg.latency
+                        if atomic:
+                            lat += 4
+                        self.lat_slow += lat
+                        return lat, None
             else:
                 nlines = self._hit_span(cpu, line, last, write)
                 if nlines:
@@ -315,8 +360,9 @@ class MemorySystem:
         ``t``; each later reference issues at the previous completion time
         plus its pending cycles, and is consumed only while that stays
         below ``horizon`` and fewer than ``limit`` references were served.
-        ``clock`` (the engine's global scheduler) is advanced to each
-        reference's issue time, exactly as the per-event loop does.
+        ``clock`` (the engine's global scheduler) reads each reference's
+        issue time wherever the miss kernel runs, and the last one on
+        return, as the per-event loop leaves it.
         Returns ``(consumed, i, t, added_latency, major_fault, ext_refs)``
         with ``i`` and ``t`` at the stop point (on a fault, the faulting
         reference's index and issue time).
@@ -324,8 +370,8 @@ class MemorySystem:
         ``ext`` is the engine's conservative lookahead horizon: when it
         exceeds ``horizon``, references issuing in ``[horizon, ext)`` may
         also be consumed — but only while they stay *invisible* (resolve on
-        the inlined L1 fast path); the first reference at or past
-        ``horizon`` that would need the slow path cuts the run unconsumed,
+        the inlined L1 probe); the first reference at or past ``horizon``
+        that would not (a private L2 hit included) cuts the run unconsumed,
         because slow-path effects at those cycles could be observed by the
         rival whose qualified window justified the extension. ``ext_refs``
         counts references consumed beyond the strict horizon.
@@ -387,8 +433,10 @@ class MemorySystem:
                            n: int, t: int, limit: int, horizon: int,
                            ext: int = 0, clock=None):
         """The scalar hot loop: locals bound once, the single-line probe
-        inlined; any reference the probe declines goes straight to the
-        miss kernel with the translation this loop already made."""
+        and its private-L2 arm (below ``horizon`` only) inlined; the rest
+        goes straight to the miss kernel with the translation this loop
+        made. Tallies and the clock are written back on return (the clock
+        before a miss too): nothing in between reads them."""
         miss = self._miss
         consumed = 0
         added = 0
@@ -413,77 +461,128 @@ class MemorySystem:
         mask = self._l1_set_mask
         nsets = self._l1_nsets
         l1 = self.l1s[cpu]
-        l2s = self._l2_states[cpu] if self._l2_states is not None else None
         l1_lat = self._l1_latency
-        while True:
-            vaddr = addrs[i]
-            k = kinds[i]
-            if clock is not None and t > clock.now:
-                clock.now = t
-            if vaddr >= kbase:
-                ppn = ktable_get(vaddr >> pshift)
-            elif utable_get is not None:
-                ppn = utable_get(vaddr >> pshift)
-            else:
-                sp = spaces_get(pid)
-                if sp is not None:
-                    utable_get = sp.table.get
+        dirty = self.dirty
+        l2 = self.l2s[cpu] if self.l2s is not None else None
+        l2s = l2._states if l2 is not None else None
+        # the private-L2 arm stands down under a degraded-DIMM hook
+        arm = l2 is not None and self.fault_extra is None
+        fill_lat = l1_lat + l2.cfg.latency if arm else 0
+        fast = l2hits = l2lat = 0
+        try:
+            while True:
+                vaddr = addrs[i]
+                k = kinds[i]
+                if vaddr >= kbase:
+                    ppn = ktable_get(vaddr >> pshift)
+                elif utable_get is not None:
                     ppn = utable_get(vaddr >> pshift)
                 else:
-                    ppn = None
-            lat = -1
-            if ppn is not None:
-                paddr = (ppn << pshift) | (vaddr & pmask)
-                line = paddr >> shift
-                size = sizes[i]
-                last = (paddr + (size or 1) - 1) >> shift
-                if line == last:
-                    st = states_get(line)
-                    if st is not None and (k == 0 or st >= 2):
-                        l1.hits += 1
+                    sp = spaces_get(pid)
+                    if sp is not None:
+                        utable_get = sp.table.get
+                        ppn = utable_get(vaddr >> pshift)
+                    else:
+                        ppn = None
+                lat = -1
+                if ppn is not None:
+                    paddr = (ppn << pshift) | (vaddr & pmask)
+                    line = paddr >> shift
+                    size = sizes[i]
+                    last = (paddr + (size or 1) - 1) >> shift
+                    if line == last:
+                        st = states_get(line)
                         s = sets[line & mask if mask >= 0 else line % nsets]
-                        if s[0] != line:
-                            s.remove(line)
+                        if st is not None and (k == 0 or st >= 2):
+                            if s[0] != line:
+                                s.remove(line)
+                                s.insert(0, line)
+                            if k != 0 and st == 2:   # EXCLUSIVE -> MODIFIED
+                                states[line] = 3
+                                if l2s is not None and line in l2s:
+                                    l2s[line] = 3
+                                    if dirty is not None:
+                                        dirty.add(line)
+                            fast += 1
+                            lat = l1_lat + 4 if k == 2 else l1_lat
+                        elif (st is None and arm and t < horizon
+                              and (st := l2s.get(line)) is not None
+                              and (k == 0 or st >= 2)):
+                            # the miss kernel's L2 hit and L1 fill, inline
+                            m2 = l2.set_mask
+                            j = line & m2 if m2 >= 0 else line % l2.n_sets
+                            s2 = l2._sets[j]
+                            if s2[0] != line:
+                                s2.remove(line)
+                                s2.insert(0, line)
+                                if l2.dirty_sets is not None:
+                                    l2.dirty_sets[j] = 1
+                            if k != 0 and st == 2:   # EXCLUSIVE -> MODIFIED
+                                if dirty is not None:
+                                    dirty.add(line)
+                                l2s[line] = st = 3
+                                l2.version += 1
+                            l1.version += 1
+                            if len(s) >= l1.assoc:
+                                v = s.pop()
+                                l1.evictions += 1
+                                if states.pop(v) == 3:
+                                    l1.writebacks += 1
+                                    if v in l2s:   # folds into the L2
+                                        if dirty is not None and l2s[v] != 3:
+                                            dirty.add(v)
+                                        l2s[v] = 3
+                                        l2.version += 1
                             s.insert(0, line)
-                        if k != 0 and st == 2:   # EXCLUSIVE -> MODIFIED
-                            states[line] = 3
-                            if l2s is not None and line in l2s:
-                                l2s[line] = 3
-                                if self.dirty is not None:
-                                    self.dirty.add(line)
-                        self.accesses += 1
-                        self.fast_hits += 1
-                        lat = l1_lat + 4 if k == 2 else l1_lat
-                else:
-                    nlines = self._hit_span(cpu, line, last, k != 0)
-                    if nlines:
-                        lat = l1_lat * nlines + 4 if k == 2 \
-                            else l1_lat * nlines
-            if lat < 0:
+                            states[line] = st
+                            lat = fill_lat + 4 if k == 2 else fill_lat
+                            l2hits += 1
+                            l2lat += lat
+                    else:
+                        nlines = self._hit_span(cpu, line, last, k != 0)
+                        if nlines:
+                            lat = l1_lat * nlines + 4 if k == 2 \
+                                else l1_lat * nlines
+                if lat < 0:
+                    if t >= horizon:
+                        # lookahead zone: this reference would take the
+                        # slow path, which rivals could observe — cut it
+                        # unconsumed (its lead-in pending was folded into
+                        # t; undo it so the engine re-parks the batch at
+                        # the right time)
+                        return (consumed, i, t - pends[i], added, None,
+                                ext_refs)
+                    self.fast_fallbacks += 1
+                    if clock is not None and t > clock.now:
+                        clock.now = t
+                    lat, major = miss(pid, vaddr, sizes[i], k != 0, k == 2,
+                                      cpu, t,
+                                      paddr if ppn is not None else -1)
+                    if major is not None:
+                        return consumed + 1, i, t, added, major, ext_refs
                 if t >= horizon:
-                    # lookahead zone: this reference would take the slow
-                    # path, which rivals could observe — cut it unconsumed
-                    # (its lead-in pending was folded into t; undo it so
-                    # the engine re-parks the batch at the right time)
-                    return (consumed, i, t - pends[i], added, None,
-                            ext_refs)
-                self.fast_fallbacks += 1
-                lat, major = miss(pid, vaddr, sizes[i], k != 0, k == 2, cpu,
-                                  t, paddr if ppn is not None else -1)
-                if major is not None:
-                    return consumed + 1, i, t, added, major, ext_refs
-            if t >= horizon:
-                ext_refs += 1
-            consumed += 1
-            added += lat
-            t += lat
-            i += 1
-            if i >= n or consumed >= limit:
-                return consumed, i, t, added, None, ext_refs
-            nt = t + pends[i]
-            if nt >= ext:
-                return consumed, i, t, added, None, ext_refs
-            t = nt
+                    ext_refs += 1
+                consumed += 1
+                added += lat
+                i += 1
+                if i >= n or consumed >= limit:
+                    return consumed, i, t + lat, added, None, ext_refs
+                nt = t + lat + pends[i]
+                if nt >= ext:
+                    return consumed, i, t + lat, added, None, ext_refs
+                t = nt
+        finally:
+            # t is the last issue time: the per-event loop's clock
+            if clock is not None and t > clock.now:
+                clock.now = t
+            self.accesses += fast + l2hits
+            self.fast_hits += fast
+            l1.hits += fast
+            if l2hits:
+                l1.misses += l2hits
+                l2.hits += l2hits
+                self.fast_fallbacks += l2hits
+                self.lat_slow += l2lat
 
     # ------------------------------------------------------------------
     # sampled-simulation fast-forward (see core/sampling.py + DESIGN.md)
@@ -619,10 +718,11 @@ class MemorySystem:
     def _miss(self, pid: int, vaddr: int, size: int, write: bool,
               atomic: bool, cpu: int, now: int,
               paddr: int) -> Tuple[int, Optional[MajorFault]]:
-        """The miss kernel: service one reference the L1 probe declined.
+        """The miss kernel: service one reference the probe declined.
 
-        Every slow reference of every caller ends here — ``access`` and the
-        batched run loop, each after its own probe. ``paddr`` is the
+        ``access`` and the batched run loop call it after their own probe
+        for an L2 miss, an upgrade, a multi-line or untranslated reference,
+        and any reference while ``fault_extra`` is set. ``paddr`` is the
         translation that probe made, or -1 when it found none; only then is
         the VMM walked, which may allocate (minor fault, charged here) or
         report a major fault (no timing progress; the engine traps and

@@ -476,8 +476,11 @@ class TestDeltaReconstruction:
         """A seeded stream of reads, writes, atomics and line-straddling
         references from four CPUs over 96 shared lines, one at a time and
         in batches, in and out of fast-forward, with runs over each CPU's
-        own lines the vec mirror retires: every fourth step the delta
-        folded into the previous capture is the ``state_dict()``."""
+        own lines the vec mirror retires, then the private-L2 arm's marks
+        at both of its sites (:meth:`_arm_cases`): every fourth step the
+        delta folded into the previous capture is the ``state_dict()``.
+        On a complex hierarchy the arm (the L2 hits the miss kernel did
+        not make) is reached one at a time and in batches."""
         cfg = SimConfig(num_cpus=4,
                         backend=_small_backend(coherence, detail)).validate()
         ms = MemorySystem(cfg, StatsRegistry(4))
@@ -495,27 +498,53 @@ class TestDeltaReconstruction:
             ms.clear_changes()
             assert have == plain(ms.state_dict()), step
 
+        def l2_hits():
+            return sum(c.hits for c in ms.l2s or ())
+
+        kernel = ms._miss
+        in_kernel = [0]     # L2 hits the miss kernel made
+
+        def miss(*args):
+            before = l2_hits()
+            try:
+                return kernel(*args)
+            finally:
+                in_kernel[0] += l2_hits() - before
+
+        ms._miss = miss
+        arm = {"access": 0, "access_run": 0}
+        clock = [0]
+
+        def issue(cpu, refs, batched):
+            """``refs`` ((kind, addr, size) each) one ``access`` at a time,
+            or as one batch; counts the arm's L2 hits per site."""
+            hits, kernel_hits = l2_hits(), in_kernel[0]
+            for kind, addr, size in ([] if batched else refs):
+                lat, major = ms.access(1, addr, size, kind != 0, cpu,
+                                       clock[0], atomic=kind == 2)
+                assert major is None
+                clock[0] += lat + 1
+            if batched:
+                kinds, addrs, sizes = map(list, zip(*refs))
+                _n, _i, _t, lat, major, _x = ms.access_run(
+                    1, cpu, kinds, addrs, sizes, [1] * len(refs), 0,
+                    len(refs), clock[0], len(refs), 1 << 60)
+                assert major is None
+                clock[0] += lat + 1
+            site = "access_run" if batched else "access"
+            arm[site] += l2_hits() - hits - (in_kernel[0] - kernel_hits)
+
         rng = random.Random(coherence + detail)
-        now = 0
         for step in range(1, 151):
             cpu = rng.randrange(4)
             refs = [(rng.choice((0, 0, 1, 1, 2)),
                      0x100000 + rng.randrange(96) * 32
                      + rng.choice((0, 8, 30)), rng.choice((4, 8)))
                     for _ in range(rng.choice((1, 8)))]
-            if len(refs) == 1:
-                (kind, addr, size), = refs
-                lat, major = ms.access(1, addr, size, kind != 0, cpu, now,
-                                       atomic=kind == 2)
-            else:
-                kinds, addrs, sizes = map(list, zip(*refs))
-                _n, _i, _t, lat, major, _x = ms.access_run(
-                    1, cpu, kinds, addrs, sizes, [1] * len(refs), 0,
-                    len(refs), now, len(refs), 1 << 60)
-            assert major is None
-            now += lat + 1
+            issue(cpu, refs, len(refs) > 1)
             if step % 10 == 0:
-                now = self._private_runs(ms, step // 10 % 4, now, settle)
+                clock[0] = self._private_runs(ms, step // 10 % 4, clock[0],
+                                              settle)
             if step % 40 == 0 and ms.ff_active:
                 ms.ff_end()
             elif step % 40 == 0:
@@ -523,6 +552,42 @@ class TestDeltaReconstruction:
             if step % 4 == 0:
                 settle(step)
         assert ms.vec_refs > 0
+        if ms.ff_active:
+            ms.ff_end()
+        for cpu, batched in ((0, False), (1, True)):
+            self._arm_cases(ms, issue, cpu, 256 + 4 * cpu, batched, settle)
+        if detail == "complex":
+            assert min(arm.values()) > 0, arm
+
+    @staticmethod
+    def _arm_cases(ms, issue, cpu, x, batched, settle):
+        """The private-L2 arm's three marks on lines of page 2 that nothing
+        else touches, through ``issue``. Lines ``x + k * s1`` share an L1
+        set (``s1`` L1 sets), ``x`` and ``x + s2`` an L2 set too. A
+        written line behind a younger one in its L2 set marks the
+        reorder and the E->M flip; an L1 victim that fast-forward left
+        MODIFIED over a cleaner L2 copy marks the fold."""
+        s1, s2 = ms.l1s[0].n_sets, (ms.l2s or ms.l1s)[0].n_sets
+
+        def refs(*pairs):
+            return [(kind, 0x100000 + line * 32, 4) for kind, line in pairs]
+
+        # x leaves the L1 behind x + s2 in its L2 set; the write brings it
+        # back to the front of that set, E -> M
+        issue(cpu, refs((0, x), (0, x + s2), (0, x + s1)), batched)
+        settle("arm: before the reorder")
+        issue(cpu, refs((1, x), (0, x + s1)), batched)
+        settle("arm: reorder, E->M")
+        # y + s1 waits in the L2; y is written in fast-forward (its L1 copy
+        # alone goes MODIFIED) and is the L1's LRU line when y + s1 returns
+        y = x + 1
+        issue(cpu, refs((0, y + s1), (0, y + 2 * s1), (0, y)), batched)
+        ms.ff_begin(6.5)
+        issue(cpu, refs((1, y)), False)
+        ms.ff_end()
+        settle("arm: before the fold")
+        issue(cpu, refs((0, y + 2 * s1), (0, y + s1)), batched)
+        settle("arm: the fold")
 
     @staticmethod
     def _private_runs(ms, cpu, now, settle):

@@ -123,8 +123,10 @@ def _ref_line(ms, line, write, cpu, now):
 def reference_access(ms, vaddr, size, write, atomic, cpu, now,
                      behind_probe=False):
     """One reference through translation + the Cache-method composition.
-    ``behind_probe``: account ``lat_slow`` as a system whose L1 probe runs
-    first does — the probe's hits are not slow-path latency."""
+    ``behind_probe``: account ``lat_slow`` and the degraded-DIMM hook as a
+    system whose L1 probe runs first does — the probe's hits are not
+    slow-path latency and never pay the hook; everything else does,
+    private L2 hits included."""
     fast = behind_probe and ms.ref_invisible_latency(
         PID, cpu, 2 if atomic else int(write), vaddr, size) >= 0
     paddr, major, minor = ms.vmm.translate(PID, vaddr, write, cpu)
@@ -139,9 +141,9 @@ def reference_access(ms, vaddr, size, write, atomic, cpu, now,
     while line <= last:
         latency += _ref_line(ms, line, write, cpu, now + latency)
         line += 1
-    if ms.fault_extra is not None:
-        latency += ms.fault_extra()
     if not fast:
+        if ms.fault_extra is not None:
+            latency += ms.fault_extra()
         ms.lat_slow += latency
     return latency, None
 
@@ -309,8 +311,43 @@ def test_kernel_matches_cache_method_composition(detail, coherence, refs,
     assert observable(flat) == observable(ref)
 
 
-def _ref(kind, line, size=4):
-    return 0, kind, "user", 0, line, 0, size, 0
+def _ref(kind, line, size=4, cpu=0):
+    return cpu, kind, "user", 0, line, 0, size, 0
+
+
+def _probe_arm_cases():
+    """Every case of the probe's private-L2 arm, on CPU 0 of one page (L1
+    set = line % 4, L2 set = line % 16): a line left in CPU 0's L2 in S
+    (a second CPU read it), E (one read) or M (a write), pushed out of its
+    L1 by two reads in its L1 set, then read, written or atomically
+    updated — a write to S leaves the arm for the kernel's upgrade. Last,
+    line 5 comes back from the L2 into an L1 set whose LRU line 1 a
+    fast-forward write left MODIFIED over an E copy in the L2, so the
+    fill's victim folds into the L2. Returns the references and the
+    fast-forward flag of each."""
+    refs = []
+    for n, (state, kind) in enumerate([(s, k) for s in "SEM"
+                                       for k in (0, 1, 2)]):
+        x = 32 + 4 * n
+        refs += {"S": [_ref(0, x), _ref(0, x, cpu=1)], "E": [_ref(0, x)],
+                 "M": [_ref(1, x)]}[state]
+        refs += [_ref(0, x + 20), _ref(0, x + 24), _ref(kind, x)]
+    refs += [_ref(0, 5), _ref(0, 9), _ref(0, 1), _ref(1, 1), _ref(0, 9),
+             _ref(0, 5)]
+    return refs, [False] * (len(refs) - 3) + [True, False, False]
+
+
+def _as_runs(refs, ff):
+    """``refs`` as batches — each run of consecutive references of one CPU
+    and one fast-forward flag — and each batch's flag."""
+    runs, run_ff = [], []
+    for r, f in zip(refs, ff):
+        if runs and runs[-1][0][0] == r[0] and run_ff[-1] == f:
+            runs[-1].append(r)
+        else:
+            runs.append([r])
+            run_ff.append(f)
+    return runs, run_ff
 
 
 @pytest.mark.parametrize("coherence", PROTOCOLS)
@@ -322,19 +359,26 @@ def _ref(kind, line, size=4):
 # write spans lines 2-4
 @example(refs=[_ref(0, 0), _ref(0, 4), _ref(0, 8), _ref(1, 0), _ref(0, 1),
                _ref(1, 1), _ref(1, 2, size=72)],
-         ff=[True, True, True, True, False, True, True], mean=2.5)
+         ff=[True, True, True, True, False, True, True], mean=2.5,
+         fault_extra=0)
+@example(refs=_probe_arm_cases()[0], ff=_probe_arm_cases()[1], mean=0.0,
+         fault_extra=0)
+@example(refs=_probe_arm_cases()[0], ff=_probe_arm_cases()[1], mean=0.0,
+         fault_extra=7)
 @given(refs=st.lists(reference, min_size=1, max_size=90),
        ff=st.lists(st.booleans(), max_size=90),
-       mean=st.sampled_from([0.0, 1.0, 2.5, 7.75]))
+       mean=st.sampled_from([0.0, 1.0, 2.5, 7.75]),
+       fault_extra=st.sampled_from([0, 0, 7]))
 def test_access_matches_cache_method_composition(detail, coherence, refs, ff,
-                                                 mean):
-    """``access()`` — probe, else kernel — against the composition. (No
-    degraded-DIMM hook here: by design the probe's hits never pay it.)
-    Reference ``j`` with ``ff[j]`` set is issued inside a fast-forward
-    window (calibrated ``mean``) against :func:`reference_ff_access`, and
-    must move every ``Cache.version`` exactly as the composition does."""
-    flat = make_system(detail, coherence, 0)
-    ref = make_system(detail, coherence, 0)
+                                                 mean, fault_extra):
+    """``access()`` — probe, else kernel — against the composition. The
+    degraded-DIMM hook charges every reference but the L1 probe's hits
+    (the private-L2 arm stands down while it is set). Reference ``j``
+    with ``ff[j]`` set is issued inside a fast-forward window (calibrated
+    ``mean``) against :func:`reference_ff_access`, and must move every
+    ``Cache.version`` exactly as the composition does."""
+    flat = make_system(detail, coherence, fault_extra)
+    ref = make_system(detail, coherence, fault_extra)
     now = 0
     for j, r in enumerate(refs):
         cpu, kind, _region, _page, _line, _byte, size, gap = r
@@ -376,18 +420,24 @@ def test_access_matches_cache_method_composition(detail, coherence, refs, ff,
 @pytest.mark.parametrize("coherence", PROTOCOLS)
 @pytest.mark.parametrize("detail", HIERARCHIES)
 @settings(max_examples=30, deadline=None)
+@example(runs=_as_runs(*_probe_arm_cases())[0],
+         ff=_as_runs(*_probe_arm_cases())[1], fault_extra=0)
+@example(runs=_as_runs(*_probe_arm_cases())[0],
+         ff=_as_runs(*_probe_arm_cases())[1], fault_extra=7)
 @given(runs=st.lists(st.lists(reference, min_size=1, max_size=24),
                      min_size=1, max_size=6),
-       ff=st.lists(st.booleans(), max_size=6))
+       ff=st.lists(st.booleans(), max_size=6),
+       fault_extra=st.sampled_from([0, 0, 7]))
 def test_access_run_matches_cache_method_composition(detail, coherence,
-                                                     runs, ff):
+                                                     runs, ff, fault_extra):
     """The batched run loop hands the kernel the translation its own probe
     made; each run is one CPU's batch, chained on issue times. A run with
     its ``ff`` flag set is a fast-forward window's batch: it goes through
     the per-reference loop into the warming arm, against
-    :func:`reference_ff_access`."""
-    flat = make_system(detail, coherence, 0)
-    ref = make_system(detail, coherence, 0)
+    :func:`reference_ff_access`. The degraded-DIMM hook is charged as in
+    :func:`test_access_matches_cache_method_composition`."""
+    flat = make_system(detail, coherence, fault_extra)
+    ref = make_system(detail, coherence, fault_extra)
     t = 0
     for k, run in enumerate(runs):
         in_ff = k < len(ff) and ff[k]
@@ -439,6 +489,29 @@ def test_access_run_matches_cache_method_composition(detail, coherence,
         assert (t, got_added) == (rt, want_added)
         assert all(b <= a for b, a in zip(before, versions(flat)))
     assert observable(flat) == observable(ref)
+
+
+def test_a_private_l2_hit_past_the_horizon_cuts_the_run():
+    """The batched loop retires a private L2 hit only below ``horizon``:
+    in the lookahead zone ``[horizon, ext)`` it cuts the run unconsumed,
+    as the miss kernel's references do, so a window still carries only
+    what the L1 probe retires (what ``invisible_until`` qualified)."""
+    ms = make_system("complex", "mesi", 0)
+    for line in (0, 4, 8):        # line 0 leaves the L1 for the L2
+        ms.access(PID, vaddr_of(_ref(0, line)), 4, False, 0, 0)
+    addrs = [vaddr_of(_ref(0, 8)), vaddr_of(_ref(0, 0))]
+    l1 = ms.l1s[0]
+    before = pickle.dumps((l1._sets, ms.l2s[0]._sets, l1.hits, l1.misses))
+    # the L1 hit issues at 100, below the horizon; the L2 hit at 106
+    got = ms.access_run(PID, 0, [0, 0], addrs, [4, 4], [0, 5], 0, 2, 100,
+                        2, 101, ext=1000)
+    assert got == (1, 1, 101, 1, None, 0)
+    assert pickle.dumps((l1._sets, ms.l2s[0]._sets, l1.hits - 1,
+                         l1.misses)) == before
+    # below the horizon the same reference retires: L1 + L2 latency
+    got = ms.access_run(PID, 0, [0], addrs[1:], [4], [5], 0, 1, 106, 1,
+                        107, ext=1000)
+    assert got == (1, 1, 115, 9, None, 0)
 
 
 # ---------------------------------------------------------------------------
