@@ -9,11 +9,14 @@ reply log instead of re-simulating the cache hierarchy — against
 re-running the simulation to the same event count: the fast-forward must
 win, or checkpointing buys nothing over rerunning. The price of the
 autosaves themselves is reported next to it (``ms_per_save`` and its
-collect / pickle / write split, ``bytes_per_save`` — generation files plus
-log frames — ``log_bytes``, and ``base`` / ``delta``: the saves that wrote
-the whole memory system and those that wrote its changes, each with its
-count and per save its ms, collect / pickle / write split and bytes; from
-``harness.checkpoint_summary``).
+collect / pickle / write split, ``bytes_per_save`` — the frames appended
+and the segments compactions wrote — ``log_bytes``, ``disk_bytes`` — the
+files the log leaves on disk — and ``base`` / ``delta``: the saves that
+wrote the whole memory system and those that wrote its changes, each with
+its count and per save its ms, collect / pickle / write split and bytes;
+from ``harness.checkpoint_summary``). The gate also fails when the log
+leaves more on disk than its streams frames, twice its largest memory
+base and the snapshot frames since its newest base (``disk_bound``).
 
 The ``--baseline`` / ``--crash`` / ``--resume`` modes split the gate
 across *separate interpreter processes* (CI runs them under different
@@ -48,6 +51,10 @@ if str(REPO_ROOT / "src") not in sys.path:
 
 from repro import (Engine, FaultPlan, FaultRule, SimulatedCrash,   # noqa: E402
                    complex_backend, load_checkpoint, resume)
+from repro.checkpoint import generation_paths                       # noqa: E402
+from repro.checkpoint.log import BASE, DELTA                        # noqa: E402
+from repro.checkpoint.manager import HEADER, MAGIC                  # noqa: E402
+from repro.core.framing import HEADER_SIZE, scan                    # noqa: E402
 from repro.core.frontend import SimProcess                          # noqa: E402
 from repro.harness import checkpoint_summary                        # noqa: E402
 
@@ -103,13 +110,24 @@ def smoke() -> dict:
         # 2. crash mid-run after the Nth autosave (deep enough into the run
         #    that the fast-forward timing is not noise)
         eng1 = build(path, interval)
-        eng1._ckpt.crash_after_saves = 3 if QUICK else 10
+        mgr = eng1._ckpt
+        mgr.crash_after_saves = 3 if QUICK else 10
+        bases, save = [], mgr.save
+
+        def spy(path=None):
+            try:
+                return save(path)
+            finally:
+                bases.append(mgr.base_bytes)
+
+        mgr.save = spy
         try:
             eng1.run()
             report["failures"].append("crash_after_saves never fired")
             return report
         except SimulatedCrash:
             pass
+        report["disk_bound"] = _disk_bound(path, max(bases))
         ckpt_events = load_checkpoint(path)["events_processed"]
         report["events_at_checkpoint"] = ckpt_events
         cost = checkpoint_summary(eng1)
@@ -120,6 +138,11 @@ def smoke() -> dict:
                                        in cost["ms_per_save"].items()}
         report["bytes_per_save"] = cost["bytes"] // cost["saves"]
         report["log_bytes"] = cost["log_bytes"]
+        report["disk_bytes"] = cost["disk_bytes"]
+        if cost["disk_bytes"] > report["disk_bound"]:
+            report["failures"].append(
+                f"the log leaves {cost['disk_bytes']} bytes on disk, over "
+                f"its bound of {report['disk_bound']}")
         for kind in ("base", "delta"):
             report[kind] = {k: round(v, 3) for k, v in cost[kind].items()}
 
@@ -154,6 +177,18 @@ def smoke() -> dict:
             f"restore fast-forward ({t_restore:.3f}s) is not faster than "
             f"re-simulating {ckpt_events} events ({t_rerun:.3f}s)")
     return report
+
+
+def _disk_bound(path, largest_base):
+    """What ``path``'s log may leave on disk: its streams frames, twice its
+    largest memory base (the newest base, and a delta chain no larger), the
+    snapshot frames since its newest base, and one segment's magic and
+    header."""
+    seg = [f for f in generation_paths(path) if f.endswith(".seg")][-1]
+    frames = scan(seg, MAGIC).frames[1:]
+    return (sum(HEADER_SIZE + len(p) for _off, p in frames
+                if p[:1] not in (BASE, DELTA))
+            + 2 * largest_base + len(MAGIC) + HEADER_SIZE + len(HEADER))
 
 
 def test_checkpoint_smoke():
@@ -231,7 +266,9 @@ def main(argv=None) -> int:
     print(f"checkpoint smoke ok: resume bit-identical, fast-forward "
           f"{report['speedup']}x faster than re-simulating; autosaves cost "
           f"{report['ms_per_save']} ms and {report['bytes_per_save']} bytes "
-          f"each ({base['saves']} bases at {base['ms']} ms / "
+          f"each, and leave {report['disk_bytes']} bytes on disk (bound "
+          f"{report['disk_bound']}) ({base['saves']} bases at "
+          f"{base['ms']} ms / "
           f"{base['bytes']} B, {delta['saves']} deltas at {delta['ms']} ms "
           f"/ {delta['bytes']} B)")
     return 0

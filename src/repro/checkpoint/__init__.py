@@ -7,12 +7,14 @@ checkpoint cannot serialise the simulation directly. Instead it stores:
 * a versioned plain-data snapshot of every backend component but the
   memory system (``state_dict()`` on devices, OS state, stats, fault
   injector, schedulers),
-* a pointer (name, committed byte length, offset of the memory base) into
-  one append-only framed **log** beside the checkpoints, written once:
-  the latency the backend answered to every memory reference since cycle
-  0, the per-site outcome of every fault-injection check, and the memory
-  system (caches, coherence protocol, page tables) as a base plus the
-  deltas of what changed between saves.
+* the history that grows with run length or footprint, in one segmented
+  **log** per checkpoint path, appended once: the latency the backend
+  answered to every memory reference since cycle 0, the per-site outcome
+  of every fault-injection check, and the memory system (caches,
+  coherence protocol, page tables) as a base plus the deltas of what
+  changed between saves. A checkpoint is the newest snapshot frame of
+  that log; a save that writes a new base compacts it, so the disk holds
+  the streams, one base and its chain.
 
 Restore rebuilds the workload coroutines by re-running the builder, then
 **fast-forwards** by replaying the run segments with every memory access
@@ -24,10 +26,9 @@ recording resumes, so a resumed run continues exactly where the saved run
 left off.
 """
 
-from .log import RecordingMemory, ReplayMemory, reply_log_path
+from .log import RecordingMemory, ReplayMemory
 from .manager import (CheckpointManager, checkpoint_exists, config_identity,
-                      generation_paths, load_checkpoint, quarantine_checkpoint,
-                      resume, write_checkpoint_file)
+                      generation_paths, load_checkpoint, resume)
 from .snapshot import collect_snapshot, install_snapshot, verify_snapshot
 
 __all__ = [
@@ -35,11 +36,8 @@ __all__ = [
     "checkpoint_exists",
     "config_identity",
     "generation_paths",
-    "quarantine_checkpoint",
-    "write_checkpoint_file",
     "RecordingMemory",
     "ReplayMemory",
-    "reply_log_path",
     "collect_snapshot",
     "install_snapshot",
     "verify_snapshot",

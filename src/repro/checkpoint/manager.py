@@ -5,21 +5,23 @@ is set. In **record** mode it logs every backend reply (via
 :class:`~repro.checkpoint.log.RecordingMemory` and the fault injector's
 outcome FIFO), has the memory system mark the lines that change, tracks
 the ``run()`` segments the caller issues, and every ``interval`` processed
-events appends the new replies and fault outcomes and the memory system's
-changes (or, when that chain has outgrown its base, a new base) to the
-checkpoint log, then autosaves an atomic pickle of everything else. In
-**replay** mode (during :meth:`CheckpointManager.restore`) it re-drives
-the recorded segments against the reply log and stops each one exactly at
-its recorded event count — bypassing ``run()``'s finalisation so the
-pending timer tick survives — then verifies and installs the snapshot and
-switches back to record mode, live.
+events appends a save to the checkpoint log. In **replay** mode (during
+:meth:`CheckpointManager.restore`) it re-drives the recorded segments
+against the reply streams and stops each one exactly at its recorded
+event count — bypassing ``run()``'s finalisation so the pending timer tick
+survives — then verifies and installs the snapshot and switches back to
+record mode, live.
+
+A checkpoint path owns one :class:`~repro.core.framing.SegmentLog`
+(``<path>.00000001.seg``, ...; each segment holds one memory base), and a
+checkpoint is the newest snapshot frame in it (:meth:`CheckpointManager.
+save`, :func:`load_checkpoint`).
 """
 
 from __future__ import annotations
 
 import json
 import os
-import pickle
 import time
 import zlib
 from array import array
@@ -28,36 +30,35 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.errors import (CheckpointCorruptError, CheckpointError,
                            ReplayDivergence, SimulatedCrash)
-from ..core.framing import (fsync_dir, fsync_file, read_frame,
-                            sweep_stale_tmp, write_frame)
+from ..core.framing import (HEADER_SIZE, Scan, SegmentLog, fsync_file,
+                            quarantine, scan, write_frame)
 from ..core.frontend import SimProcess
 from ..core.sampling import NEVER
 from ..faults import crashpoints
-from .log import (BASE, DELTA, STREAMS, RecordingMemory, ReplayMemory,
-                  append_frames, read_log, reply_log_path, tagged)
+from ..mem.hierarchy import MemorySystem
+from .log import (BASE, DELTA, SNAPSHOT, STREAMS, RecordingMemory,
+                  ReplayMemory, tagged, untagged)
 from .snapshot import collect_snapshot, install_snapshot, verify_snapshot
 
-#: checkpoint file format version (bump on incompatible layout changes);
-#: v2 introduced the framing: magic + CRC32-framed JSON header + CRC32-
-#: framed pickle payload, written fsync-before-rename. v3 keeps the framing
-#: and changes the payload: the directory/COMA/DSM protocols snapshot their
-#: global line state as ``line -> int`` dicts (sharer bitmasks, owners).
-#: v4 moves the reply streams into the append-only reply log; header and
-#: payload record its name and committed length (``log`` / ``log_bytes``).
-#: v5 makes ``config_fp`` a field -> ``repr`` map without the host policy
-#: (:func:`config_identity`) and verifies a parked frontend by port time.
-#: v6 drops the per-CPU ``running_pid`` and the communicator's ``running``
-#: list (the scheduler's ``on_cpu`` is the one record of who runs where).
-#: v7 moves the memory system and the fault outcomes into the log: a save
-#: appends a base or a delta of the memory system, and the header records
-#: the offset of the base the chain starts from (``base``)
-FORMAT_VERSION = 7
+#: checkpoint format version (bump on incompatible layout changes); v2-v7
+#: wrote a checkpoint file per save (``<path>.g0`` / ``.g1``)
+FORMAT_VERSION = 8
 
-#: 4-byte file magic opening every framed (v2+) checkpoint
-MAGIC = b"CMPK"
+#: 4-byte magic opening every checkpoint segment
+MAGIC = b"CMPL"
 
-#: autosave generations rotated under the default path (`.g0`/`.g1`)
-GENERATIONS = 2
+#: the header frame opening every checkpoint segment
+HEADER = json.dumps({"format": FORMAT_VERSION}).encode()
+
+#: bytes a compaction copies per read: the streams grow with the run, and
+#: a save holds no more than this of them in memory
+COPY_CHUNK = 1 << 18
+
+
+def _log(path: str) -> SegmentLog:
+    """The segmented log of checkpoint path ``path``."""
+    return SegmentLog(os.path.dirname(path) or ".",
+                      os.path.basename(path) + ".", ".seg", MAGIC, HEADER)
 
 
 def config_identity(cfg) -> Dict[str, str]:
@@ -88,17 +89,21 @@ class CheckpointManager:
         #: per-pid backend replies not yet in the log (``array('i')``
         #: tails since the last save)
         self.replies: Dict[int, Any] = {}
-        #: committed byte length of the log (0: not started)
-        self.log_bytes = 0
         #: per-site fault-injection outcomes not yet in the log
         self.fault_log: Dict[str, List[int]] = {}
-        #: where the memory chain's base starts in the log (None: no base
-        #: yet, the next save writes one), its frame's size, and the bytes
-        #: of the delta frames appended after it; a save writes a new base
-        #: once the deltas add up to the base
-        self.base_at: Optional[int] = None
+        self.log = _log(path)
+        #: the segment autosaves append to (None: the next save starts
+        #: one), its committed length, and the bytes of its memory base
+        #: frame and of the delta frames after it; a save writes a new base
+        #: when its delta would grow a chain of at least one delta past the
+        #: base
+        self.active: Optional[int] = None
+        self.log_bytes = 0
         self.base_bytes = 0
         self.chain_bytes = 0
+        #: where the committed streams frames are: a file and its byte
+        #: spans, which the next base save copies into its fresh segment
+        self.streams: Tuple[Optional[str], List[Tuple[int, int]]] = (None, [])
         #: every run() call: bounds + event counter at entry; the copy
         #: stored in a checkpoint pins ``stop_events`` on the last segment
         self.segments: List[Dict[str, Any]] = []
@@ -110,8 +115,9 @@ class CheckpointManager:
         self.session_saves = 0
         #: host cost of this process's autosaves, per kind of save
         #: (``"base"`` / ``"delta"``): saves, wall seconds inside save() (of
-        #: which: collecting, pickling) and bytes written (files + log
-        #: frames); :meth:`cost` sums a key over both. Measurements, so
+        #: which: collecting, pickling) and bytes written (frames, and
+        #: the streams a base save copies); :meth:`cost` sums a key over
+        #: both. Measurements, so
         #: never part of a snapshot or fingerprint (see
         #: harness.checkpoint_summary)
         self.by_kind: Dict[str, Dict[str, float]] = {
@@ -126,9 +132,6 @@ class CheckpointManager:
         self._next_save = self._due = self.interval
         self._windows: List[str] = []     # see save_window
         self._replay_idx = -1
-        # a writer that died mid-save leaves <target>.tmp behind; sweep
-        # our own base name so stale temps never accumulate
-        sweep_stale_tmp(os.path.dirname(path) or ".", os.path.basename(path))
         ms = engine.memsys
         ms.access = RecordingMemory(ms, self.replies).access
         ms.track_changes()
@@ -180,31 +183,22 @@ class CheckpointManager:
     # -- saving ------------------------------------------------------------
 
     def save(self, path: str = None) -> str:
-        """Append this save's frames to the log, then write an atomic,
-        framed, generation-rotated checkpoint that points at them.
+        """Append this save to the log; returns the file it is in.
 
-        The frames are the replies and fault outcomes recorded since the
-        previous save, and the memory system: the lines that changed since
-        the previous save (a delta), or, when there is no base in the log
-        yet or the deltas since the last one add up to its size, the whole
-        of it (a new base). Everything else is pickled into the file.
+        Three frames: the replies and fault outcomes recorded since the
+        previous save (streams), the memory system — what changed since
+        the previous save (a delta), or all of it (a base) when the log has
+        no segment yet or the delta would grow a chain of at least one
+        delta past its base — and the snapshot of everything else. A delta
+        save appends them to the newest segment behind one fsync
+        (:meth:`_append`); a base save compacts (:meth:`_compact`).
 
-        Default autosaves alternate between ``<path>.g0`` and
-        ``<path>.g1`` so a save torn by a crash (or a later bit flip in
-        the newest file) still leaves the previous generation loadable.
         An explicit ``path`` — the sampling controller's per-window
-        ``.w<N>`` snapshots — writes that single file, no rotation; it
-        points into the same log at its own offset.
-
-        Durability discipline: the log frames are fsynced *before* the
-        checkpoint committing them is written; payload + header are
-        CRC32-framed, the tmp file is fsynced *before* ``os.replace``,
-        and the directory is fsynced after, so the rename is itself
-        durable. Crash points ``ckpt:log-append`` / ``ckpt:base-append`` /
-        ``ckpt:log-fsync`` / ``ckpt:base-fsync`` / ``ckpt:pre-rename`` /
-        ``ckpt:post-rename`` / ``ckpt:post-fsync`` bracket those steps for
-        the recovery test harness. The snapshot borrows the owners'
-        tables, so it is pickled before returning."""
+        ``.w<N>`` files — gets a self-contained segment of its own (the
+        committed streams, this save's frames with a base) and leaves the
+        autosave chain's pending streams and change marks as they were.
+        The snapshot borrows the owners' tables, so it is pickled before
+        returning."""
         t0 = time.perf_counter()
         engine = self.engine
         segments = [dict(s) for s in self.segments]
@@ -214,32 +208,14 @@ class CheckpointManager:
         ms = engine.memsys
         snapshot = collect_snapshot(engine)
         memory = snapshot.pop("memsys")
-        base = self.base_at is None or self.chain_bytes >= self.base_bytes
-        if not base:
-            memory = ms.state_delta()
+        base = path is not None or self.active is None
+        changes = None if base else ms.state_delta()
         t1 = time.perf_counter()
-        frames = [
-            tagged(STREAMS, {
-                "replies": {pid: a for pid, a in self.replies.items() if a},
-                "faults": {site: array("i", o)
-                           for site, o in self.fault_log.items() if o}}),
-            tagged(BASE if base else DELTA, memory)]
-        t2 = time.perf_counter()
-        log = reply_log_path(self.path)
-        committed = self.log_bytes
-        _streams_at, memory_at, self.log_bytes = append_frames(
-            log, committed, frames)
-        # the frames are durable: what they hold is no longer pending
-        ms.clear_changes()
-        self.replies.clear()
-        self.fault_log.clear()
-        if base:
-            self.base_at = memory_at
-            self.base_bytes = self.log_bytes - memory_at
-            self.chain_bytes = 0
-        else:
-            self.chain_bytes += self.log_bytes - memory_at
-        ckpt = {
+        streams = tagged(STREAMS, {
+            "replies": {pid: a for pid, a in self.replies.items() if a},
+            "faults": {site: array("i", o)
+                       for site, o in self.fault_log.items() if o}})
+        snap = tagged(SNAPSHOT, {
             "version": FORMAT_VERSION,
             "config_fp": config_identity(engine.cfg),
             "workload_fp": self.workload_fp,
@@ -247,30 +223,38 @@ class CheckpointManager:
             "pid_base": self.pid_base,
             "events_processed": engine.events_processed,
             "saves": self.saves + 1,
-            "log": os.path.basename(log),
-            "log_bytes": self.log_bytes,
-            "base": self.base_at,
-            "base_bytes": self.base_bytes,
-            "chain_bytes": self.chain_bytes,
             "segments": segments,
             "snapshot": snapshot,
-        }
-        t3 = time.perf_counter()
-        payload = pickle.dumps(ckpt, protocol=pickle.HIGHEST_PROTOCOL)
-        t4 = time.perf_counter()
+        })
+        if not base:
+            delta = tagged(DELTA, changes)
+            base = 0 < self.chain_bytes and (
+                self.chain_bytes + HEADER_SIZE + len(delta) > self.base_bytes)
+        frames = [streams, tagged(BASE, memory) if base else delta, snap]
+        t2 = time.perf_counter()
         if path is not None:
+            with open(path, "wb") as f:
+                f.write(MAGIC)
+                write_frame(f, HEADER)
+                self._write_segment(f, frames)
+                written = f.tell()
+                fsync_file(f)
             target = path
         else:
-            target = f"{self.path}.g{self.saves % GENERATIONS}"
-        written = (self.log_bytes - committed
-                   + write_checkpoint_file(target, ckpt, payload))
+            committed = self.log_bytes
+            target = self._compact(frames) if base else self._append(frames)
+            written = self.log_bytes - (0 if base else committed)
+            # the frames are durable: what they hold is no longer pending
+            ms.clear_changes()
+            self.replies.clear()
+            self.fault_log.clear()
         self.saves += 1
         self.session_saves += 1
         kind = self.by_kind["base" if base else "delta"]
         kind["saves"] += 1
         kind["seconds"] += time.perf_counter() - t0
         kind["collect_seconds"] += t1 - t0
-        kind["pickle_seconds"] += t2 - t1 + t4 - t3
+        kind["pickle_seconds"] += t2 - t1
         kind["bytes"] += written
         if (self.crash_after_saves is not None
                 and self.session_saves >= self.crash_after_saves):
@@ -279,6 +263,69 @@ class CheckpointManager:
                 f"(cycle {engine.gsched.now}, "
                 f"{engine.events_processed} events)")
         return target
+
+    def _append(self, frames) -> str:
+        """A delta save: three frames onto the newest segment, one fsync."""
+        log = self.log
+        crashpoints.hit("ckpt:log-append")
+        f = log.reopen(self.active, self.log_bytes)
+        at = f.tell()
+        for payload in frames:
+            log.append(payload)
+        f.flush()
+        crashpoints.hit("ckpt:log-fsync")
+        fsync_file(f)
+        self.log_bytes = f.tell()
+        log.close()
+        self.streams[1].append((at, at + HEADER_SIZE + len(frames[0])))
+        self.chain_bytes += HEADER_SIZE + len(frames[1])
+        return log.path(self.active)
+
+    def _compact(self, frames) -> str:
+        """A base save: a fresh segment of the committed streams and this
+        save's frames, sealed (file and directory) before every older
+        segment is unlinked; see ``faults/crashpoints.py`` for its sites."""
+        log = self.log
+        crashpoints.hit("ckpt:log-append")
+        f = log.open_next()
+        start = f.tell()
+        end = self._write_segment(f, frames)
+        crashpoints.hit("ckpt:base-fsync")
+        log.seal()
+        self.log_bytes = f.tell()
+        log.close()
+        crashpoints.hit("ckpt:compact")
+        log.drop_older()
+        self.active = log.index
+        self.streams = (log.path(log.index), [(start, end)])
+        self.base_bytes = HEADER_SIZE + len(frames[1])
+        self.chain_bytes = 0
+        return log.path(log.index)
+
+    def _write_segment(self, f, frames) -> int:
+        """Write the committed streams frames, copied byte for byte, then
+        ``frames`` (streams, base, snapshot) to the new segment open at
+        ``f``; returns where the streams end."""
+        src, spans = self.streams
+        if spans:
+            with open(src, "rb") as g:
+                for a, b in spans:
+                    g.seek(a)
+                    while a < b:
+                        chunk = g.read(min(COPY_CHUNK, b - a))
+                        if not chunk:
+                            raise CheckpointCorruptError(
+                                src, a, "streams frame ends early")
+                        f.write(chunk)
+                        a += len(chunk)
+        write_frame(f, frames[0])
+        end = f.tell()
+        f.flush()
+        crashpoints.hit("ckpt:base-append")
+        for payload in frames[1:]:
+            write_frame(f, payload)
+        f.flush()
+        return end
 
     def cost(self, key: str) -> float:
         """``key`` of :attr:`by_kind` summed over both kinds of save."""
@@ -310,25 +357,18 @@ class CheckpointManager:
         self.workload_fp = ckpt["workload_fp"]
         self.worker_fp = ckpt["worker_fp"]
         # adopt the recorded history: the reply streams and fault outcomes
-        # read back from the log only feed the replay — they stay in the
-        # log, up to the checkpoint's offset, where the next save cuts it
-        # and appends (a delta against the chain the checkpoint ends)
+        # read back from the log only feed the replay. A checkpoint in one
+        # of this path's segments is appended to (the next save cuts what
+        # follows it); one read from a window file or another path's log
+        # is copied into a fresh segment of this path's log by the next
+        # save, which writes a base
         self.replies.clear()
         self.fault_log.clear()
+        self.active = self.log.index_of(ckpt["log_path"])
         self.log_bytes = ckpt["log_bytes"]
-        self.base_at = ckpt["base"]
+        self.streams = (ckpt["log_path"], list(ckpt["streams"]))
         self.base_bytes = ckpt["base_bytes"]
         self.chain_bytes = ckpt["chain_bytes"]
-        if (os.path.abspath(ckpt["log_path"])
-                != os.path.abspath(reply_log_path(self.path))):
-            # resumed under another checkpoint_path: its log starts over,
-            # and the first save writes the whole history and a base
-            self.log_bytes = 0
-            self.base_at = None
-            self.replies.update((pid, a[:])
-                                for pid, a in ckpt["replies"].items())
-            self.fault_log.update((site, list(a))
-                                  for site, a in ckpt["fault_log"].items())
         self.segments = [dict(s) for s in ckpt["segments"]]
         self.saves = ckpt["saves"]
         self._next_save = self._due = ckpt["events_processed"] + self.interval
@@ -393,173 +433,142 @@ def _require_current_format(found, path: str) -> None:
             f"(written by an incompatible build; delete it to start over)")
 
 
-def write_checkpoint_file(target: str, ckpt: Dict[str, Any],
-                          payload: Optional[bytes] = None) -> int:
-    """Atomically write one framed checkpoint file; returns its size.
-
-    Layout: ``MAGIC`` + CRC32-framed JSON header (format version, save
-    counter, the log's name, committed length and the offset of the memory
-    base the checkpoint's chain starts from — readable without unpickling)
-    + CRC32-framed pickle payload (``payload``, when the caller already
-    pickled ``ckpt``).
-    """
-    if payload is None:
-        payload = pickle.dumps(ckpt, protocol=pickle.HIGHEST_PROTOCOL)
-    header = json.dumps({"format": FORMAT_VERSION,
-                         "saves": ckpt.get("saves", 0),
-                         "events": ckpt.get("events_processed", 0),
-                         "log": ckpt.get("log"),
-                         "log_bytes": ckpt.get("log_bytes", 0),
-                         "base": ckpt.get("base")}).encode()
-    tmp = target + ".tmp"
-    with open(tmp, "wb") as f:
-        f.write(MAGIC)
-        write_frame(f, header)
-        write_frame(f, payload)
-        size = f.tell()
-        fsync_file(f)
-    crashpoints.hit("ckpt:pre-rename")
-    os.replace(tmp, target)
-    crashpoints.hit("ckpt:post-rename")
-    fsync_dir(os.path.dirname(target) or ".")
-    crashpoints.hit("ckpt:post-fsync")
-    return size
+def _header_format(s: Scan):
+    """The format version the header frame of a scanned segment names
+    (None: no readable header)."""
+    try:
+        return json.loads(bytes(s.frames[0][1]))["format"]
+    except (IndexError, ValueError, KeyError, TypeError):
+        return None
 
 
-def _read_checkpoint_file(path: str) -> Dict[str, Any]:
-    """Read + fully verify one framed checkpoint file.
+def _newest(path: str) -> Tuple[Scan, int]:
+    """The segment holding ``path``'s checkpoint and the index of its
+    snapshot frame among the intact frames. Nothing is moved.
 
-    Every corruption mode — bad magic, torn/flipped frames, garbage
-    pickle — raises :class:`CheckpointCorruptError` with the byte
-    offset; a raw ``EOFError``/``UnpicklingError`` never escapes. An
-    intact file of another format version is refused from its header,
-    before anything is unpickled, with a plain :class:`CheckpointError`.
-    """
-    with open(path, "rb") as f:
-        header = _read_header(f, path)
-        _require_current_format(header.get("format"), path)
-        offset = f.tell()
-        payload = read_frame(f, path, CheckpointCorruptError)
-        if payload is None:
-            raise CheckpointCorruptError(path, offset,
-                                         "missing payload frame")
+    An existing ``path`` is one self-contained segment (a ``.w<N>`` window):
+    strict, its last frame must be an intact snapshot. Otherwise the
+    segments of ``path``'s log are tried newest first; one with no snapshot
+    before its first bad frame (a compaction torn before its snapshot was
+    durable) gives way to the one before it. A segment whose header names
+    another format, or a generation file an earlier build left, is refused
+    with :class:`CheckpointError`."""
+    if os.path.exists(path):
+        candidates, strict = [path], True
+    else:
+        for gen in (f"{path}.g0", f"{path}.g1"):
+            if os.path.exists(gen):
+                _require_current_format(
+                    _header_format(scan(gen, b"CMPK")), gen)
+        log = _log(path)
+        candidates = [log.path(i) for i in reversed(log.indices())]
+        strict = False
+    err: Optional[CheckpointCorruptError] = None
+    for seg in candidates:
+        s = scan(seg, MAGIC)
+        if s.frames:
+            _require_current_format(_header_format(s), seg)
+        k = max((i for i, (_off, p) in enumerate(s.frames)
+                 if i and p[:1] == SNAPSHOT), default=None)
+        if strict and (s.bad is not None or k != len(s.frames) - 1):
+            raise CheckpointCorruptError(
+                seg, s.size if s.bad is None else s.bad,
+                s.reason or "no snapshot frame ends the file")
+        if k is not None:
+            return s, k
+        if err is None and s.bad is not None:
+            err = CheckpointCorruptError(seg, s.bad, s.reason)
+    if err is not None:
+        raise err
+    raise FileNotFoundError(f"no checkpoint at {path!r}")
+
+
+def _decode(s: Scan, k: int) -> Dict[str, Any]:
+    """The checkpoint in snapshot frame ``k`` of ``s``: the snapshot, the
+    reply streams and fault outcomes of every streams frame before it, and
+    the memory system — the segment's base with the deltas up to ``k``
+    folded in. Frames after ``k`` are never looked at."""
+    replies: Dict[int, array] = {}
+    faults: Dict[str, array] = {}
+    spans: List[Tuple[int, int]] = []
+    memory, base_bytes, chain_bytes = None, 0, 0
+    for off, payload in s.frames[1:k + 1]:
+        tag = payload[:1]
+        if tag == SNAPSHOT and off != s.frames[k][0]:
+            continue
         try:
-            ckpt = pickle.loads(payload)
-        except Exception as exc:     # CRC passed but pickle refuses:
-            raise CheckpointCorruptError(    # writer bug, still structured
-                path, offset, f"unpicklable payload: {exc!r}")
-    if not isinstance(ckpt, dict) or "version" not in ckpt:
-        raise CheckpointCorruptError(path, offset,
-                                     "payload is not a checkpoint dict")
-    if header.get("format") != ckpt.get("version"):
-        raise CheckpointCorruptError(
-            path, len(MAGIC),
-            f"header format {header.get('format')!r} disagrees with "
-            f"payload version {ckpt.get('version')!r}")
-    if header.get("log") is not None:
-        ckpt["log_path"] = os.path.join(os.path.dirname(path), header["log"])
-        (ckpt["replies"], ckpt["fault_log"],
-         ckpt["snapshot"]["memsys"]) = read_log(
-            ckpt["log_path"], header["log_bytes"], header["base"])
+            tag, obj = untagged(payload)
+            if tag == STREAMS:
+                spans.append((off, off + HEADER_SIZE + len(payload)))
+                for pid, a in obj["replies"].items():
+                    replies.setdefault(pid, array("i")).extend(a)
+                for site, a in obj["faults"].items():
+                    faults.setdefault(site, array("i")).extend(a)
+            elif tag == BASE and memory is None:
+                memory, base_bytes = obj, HEADER_SIZE + len(payload)
+            elif tag == DELTA and memory is not None:
+                MemorySystem.apply_delta(memory, obj)
+                chain_bytes += HEADER_SIZE + len(payload)
+            elif tag == SNAPSHOT:
+                if memory is None:
+                    raise ValueError("no memory base before the snapshot")
+                ckpt = obj
+            else:
+                raise ValueError(f"unexpected frame tag {tag!r}")
+        except Exception as exc:    # CRC passed but the frame is not
+            raise CheckpointCorruptError(    # ours: still structured
+                s.path, off, f"undecodable log frame: {exc!r}")
+    ckpt["snapshot"]["memsys"] = memory
+    off, payload = s.frames[k]
+    ckpt.update(replies=replies, fault_log=faults, log_path=s.path,
+                log_bytes=off + HEADER_SIZE + len(payload), streams=spans,
+                base_bytes=base_bytes, chain_bytes=chain_bytes)
     return ckpt
 
 
-def _read_header(f, path: str) -> Dict[str, Any]:
-    """Magic + the JSON header frame of the checkpoint open at ``f``."""
-    magic = f.read(len(MAGIC))
-    if magic != MAGIC:
-        raise CheckpointCorruptError(
-            path, 0, f"bad magic {magic!r} (want {MAGIC!r}): not a "
-            f"framed checkpoint file")
-    header_raw = read_frame(f, path, CheckpointCorruptError)
-    if header_raw is None:
-        raise CheckpointCorruptError(path, len(MAGIC), "missing header frame")
-    try:
-        return json.loads(header_raw)
-    except ValueError as exc:
-        raise CheckpointCorruptError(
-            path, len(MAGIC), f"unreadable header frame: {exc}")
-
-
-def _header_saves(path: str) -> int:
-    """The save counter from a file's header frame; -1 when unreadable
-    (the file then sorts oldest and is tried last)."""
-    try:
-        with open(path, "rb") as f:
-            return int(_read_header(f, path).get("saves", -1))
-    except (OSError, ValueError, CheckpointCorruptError):
-        return -1
-
-
 def generation_paths(path: str) -> List[str]:
-    """The rotation targets autosaves alternate between."""
-    return [f"{path}.g{i}" for i in range(GENERATIONS)]
+    """The files that now hold ``path``'s checkpoints, listed at call time:
+    the log's segments, oldest first, and what a load quarantined beside
+    them."""
+    return _log(path).files()
 
 
 def checkpoint_exists(path: str) -> bool:
-    """True when ``path`` (explicit file) or any of its autosave
-    generations exists. The log alone (``reply_log_path(path)``) is not a
-    checkpoint: nothing points into it."""
-    return (os.path.exists(path)
-            or any(os.path.exists(g) for g in generation_paths(path)))
-
-
-def quarantine_checkpoint(path: str, err: CheckpointCorruptError,
-                          fallback: Optional[str] = None) -> Dict[str, Any]:
-    """Move a corrupt checkpoint aside and drop a JSON forensic record.
-
-    The bytes move to ``<path>.corrupt`` (never deleted — they are the
-    evidence) and ``<path>.quarantine.json`` records what was wrong and
-    which generation recovery fell back to. Returns the record."""
-    record = {
-        "quarantined": path,
-        "moved_to": path + ".corrupt",
-        "error": err.to_record(),
-        "fallback": fallback,
-    }
+    """True when :func:`load_checkpoint` would find something at ``path``
+    (a checkpoint, or one it refuses). A log with no snapshot frame is
+    not a checkpoint."""
     try:
-        os.replace(path, path + ".corrupt")
-    except OSError as exc:
-        record["moved_to"] = None
-        record["move_error"] = repr(exc)
-    with open(path + ".quarantine.json", "w", encoding="utf-8") as fh:
-        json.dump(record, fh, indent=2)
-    return record
+        _newest(path)
+    except FileNotFoundError:
+        return False
+    except CheckpointError:
+        pass
+    return True
 
 
 def load_checkpoint(path: str) -> Dict[str, Any]:
-    """Read + verify a checkpoint (with generation fallback).
+    """Read + verify ``path``'s checkpoint: the newest snapshot frame before
+    the first bad or torn frame of the newest segment holding one (see
+    :func:`_newest`). A flip inside the newest save's frames falls back to
+    the previous save in the same segment. Bytes after the chosen snapshot
+    are moved aside (``<segment>.quarantine`` and
+    ``<segment>.quarantine.json``); the next append cuts them.
 
-    An existing ``path`` is read as an explicit single file — strict,
-    no fallback (the sampling controller's ``.w<N>`` windows). Otherwise
-    the autosave generations ``<path>.g0`` / ``<path>.g1`` are tried
-    newest-first (by the save counter in the framed header): a corrupt
-    newer generation is quarantined (:func:`quarantine_checkpoint`) and
-    the previous one is used instead of restarting from cycle zero.
-    The result carries ``"replies"`` and ``"fault_log"``, the reply streams
-    and fault outcomes read from the log (``"log_path"``) up to the length
-    the file committed, and the memory system's base and chain folded into
-    its snapshot's ``"memsys"``; a log short or damaged inside that length
-    is corruption of the generation needing it.
-    Raises :class:`CheckpointCorruptError` when every candidate is
-    corrupt, ``FileNotFoundError`` when none exists.
+    The result carries ``"replies"`` and ``"fault_log"``, the reply
+    streams and fault outcomes, the memory system in its snapshot's
+    ``"memsys"``, and where it was read (``"log_path"``, ``"log_bytes"``,
+    the streams frames' ``"streams"`` spans, the sizes of the base frame
+    and of the deltas after it, ``"base_bytes"`` / ``"chain_bytes"``). Raises
+    :class:`CheckpointCorruptError` (path, offset, reason) when damage
+    leaves no snapshot to load, ``FileNotFoundError`` when there is none.
     """
-    if os.path.exists(path):
-        return _read_checkpoint_file(path)
-    gens = [g for g in generation_paths(path) if os.path.exists(g)]
-    if not gens:
-        raise FileNotFoundError(
-            f"no checkpoint at {path!r} (and no .g* generations)")
-    gens.sort(key=_header_saves, reverse=True)
-    last_err: Optional[CheckpointCorruptError] = None
-    for idx, gen in enumerate(gens):
-        try:
-            return _read_checkpoint_file(gen)
-        except CheckpointCorruptError as exc:
-            fallback = gens[idx + 1] if idx + 1 < len(gens) else None
-            quarantine_checkpoint(gen, exc, fallback)
-            last_err = exc
-    raise last_err
+    s, k = _newest(path)
+    ckpt = _decode(s, k)
+    if ckpt["log_bytes"] < s.size:
+        quarantine(s.path, ckpt["log_bytes"], None if s.bad is None else
+                   CheckpointCorruptError(s.path, s.bad, s.reason).to_record(),
+                   truncate=False)
+    return ckpt
 
 
 def resume(path: str, build: Callable[[], Any], finish: bool = True):

@@ -13,7 +13,7 @@ bit-identical to a build without it.
 ``crashpoints`` is the host-side sibling: a seeded
 :class:`CrashPointPlan` kills (or raises inside) the *simulator
 process itself* at named durability sites — spool append/fsync,
-checkpoint pre/post-rename, post-fsync — to prove the WAL spool and
+checkpoint log append/fsync and compaction — to prove the WAL spool and
 checkpoint layers recover from any torn write.
 """
 

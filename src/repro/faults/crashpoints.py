@@ -13,26 +13,24 @@ consistency:
     after the frame reached the OS but before fsync — models the
     classic torn-tail/power-cut window;
 ``ckpt:log-append``
-    a save is about to append its frames (new replies and fault
-    outcomes, the memory system's base or delta) to the checkpoint log
-    — nothing of this save exists yet;
-``ckpt:base-append``
-    a save that writes a new memory base is about to append it: its
-    streams frame reached the OS, nothing of it is durable or committed;
+    a save is about to write (new replies and fault outcomes, the memory
+    system's base or delta, the snapshot) — nothing of this save exists
+    yet;
 ``ckpt:log-fsync``
-    the frames reached the OS but are not fsynced, and no checkpoint
-    commits them — the log has a surplus tail the next append cuts off;
+    a delta save's three frames reached the OS but are not fsynced — a
+    load finds them (they are the newest snapshot) or, torn, falls back
+    to the previous save in the same segment;
+``ckpt:base-append``
+    a base save's fresh segment (or a sampler window file) holds the
+    copied streams and this save's streams, not yet its base or snapshot
+    — a load skips that segment for the older one;
 ``ckpt:base-fsync``
-    a new memory base is durable in the log and no checkpoint commits it
-    yet — a resume continues the older chain and cuts the base off;
-``ckpt:pre-rename``
-    checkpoint tmp file written + fsynced, ``os.replace`` not yet
-    issued — a stale ``*.tmp`` must be swept, the previous generation
-    must still load;
-``ckpt:post-rename``
-    rename issued, directory not yet fsynced;
-``ckpt:post-fsync``
-    checkpoint fully durable — the crash must cost nothing.
+    the fresh segment is written, not yet durable; the older segment
+    still holds the previous checkpoint;
+``ckpt:compact``
+    the fresh segment and its directory entry are durable, the older
+    segments are not yet unlinked — the newest wins, and the next
+    compaction unlinks the rest.
 
 Each rule fires at the *Nth* hit of its site — either an explicit
 ``hit`` index or one drawn deterministically from the plan ``seed``
@@ -74,12 +72,10 @@ KNOWN_CRASH_SITES = (
     "spool:append",
     "spool:fsync",
     "ckpt:log-append",
-    "ckpt:base-append",
     "ckpt:log-fsync",
+    "ckpt:base-append",
     "ckpt:base-fsync",
-    "ckpt:pre-rename",
-    "ckpt:post-rename",
-    "ckpt:post-fsync",
+    "ckpt:compact",
 )
 
 ENV_VAR = "COMPASS_CRASH_POINTS"

@@ -8,9 +8,11 @@ from a finished run's statistics.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from ..checkpoint import generation_paths
 from ..core.stats import StatsRegistry
 
 
@@ -128,11 +130,13 @@ def checkpoint_summary(engine) -> dict:
 
     ``saves`` / ``bytes`` / ``host_seconds`` are this process's autosaves
     (``CheckpointManager.session_saves`` and ``CheckpointManager.cost`` of
-    ``bytes`` / ``seconds``; ``bytes`` counts checkpoint files *and* log
-    frames), ``log_bytes`` is the log's committed length (written once, so
-    it also covers saves made before a resume), ``ms_per_save`` splits the
-    mean save into collecting the snapshot, pickling it, and writing (log
-    append, file, fsyncs), ``base`` / ``delta`` report the same for the
+    ``bytes`` / ``seconds``; ``bytes`` counts every frame written and the
+    streams a base save copies into its fresh segment), ``log_bytes`` is
+    the committed length of the segment autosaves append to,
+    ``disk_bytes`` the files the log leaves on disk now
+    (``generation_paths``), ``ms_per_save`` splits the mean save into
+    collecting the snapshot, pickling it, and writing (appends, copies,
+    fsyncs), ``base`` / ``delta`` report the same for the
     saves that wrote the whole memory system and for those that wrote its
     changes (``saves``, and per save ``ms`` with its ``collect_ms`` /
     ``pickle_ms`` / ``write_ms`` split, and ``bytes``), and
@@ -160,6 +164,8 @@ def checkpoint_summary(engine) -> dict:
         "saves": mgr.session_saves,
         "bytes": mgr.cost("bytes"),
         "log_bytes": mgr.log_bytes,
+        "disk_bytes": sum(os.path.getsize(f)
+                          for f in generation_paths(mgr.path)),
         "host_seconds": seconds,
         "ms_per_save": split({key: mgr.cost(key) for key in
                               ("saves", "seconds", "collect_seconds",

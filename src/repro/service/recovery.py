@@ -33,15 +33,12 @@ from ..faults import crashpoints
 from ..faults.crashpoints import CrashPointPlan
 from .job import JobSpec
 from .runner import JobRunner, _ctx
-from .spool import _segment_index
+from .spool import segment_log
 
 
 def spool_has_segments(spool_dir: str) -> bool:
     """True when ``spool_dir`` already holds WAL segments to recover."""
-    if not os.path.isdir(spool_dir):
-        return False
-    return any(_segment_index(name) is not None
-               for name in os.listdir(spool_dir))
+    return bool(segment_log(spool_dir).indices())
 
 
 def final_fingerprints(records: Dict[str, Dict[str, Any]]

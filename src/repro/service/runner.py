@@ -39,8 +39,7 @@ import time
 from multiprocessing.connection import wait as conn_wait
 from typing import Dict, Iterable, Optional
 
-from ..checkpoint import (checkpoint_exists, generation_paths,
-                          reply_log_path)
+from ..checkpoint import checkpoint_exists, generation_paths
 from ..checkpoint import resume as ckpt_resume
 from ..core.framing import sweep_stale_tmp
 from ..core.jsonable import to_jsonable
@@ -435,7 +434,7 @@ class JobRunner:
         for rec in queue:
             if rec.terminal:            # autosaves of finished jobs are
                 base = runner._ckpt_path(rec.spec.name)   # dead weight
-                for dead in generation_paths(base) + [reply_log_path(base)]:
+                for dead in generation_paths(base):
                     try:
                         os.unlink(dead)
                     except OSError:

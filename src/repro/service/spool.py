@@ -8,26 +8,24 @@ records, reconstructs the queue (completed results included), reaps
 orphaned RUNNING attempts, and the reaped jobs resume from their
 checkpoint autosaves.
 
-On-disk layout (``spool_dir/``)::
+On-disk layout (``spool_dir/``), a :class:`~repro.core.framing.SegmentLog`
+of JSON records::
 
     spool-00000001.wal      CRC32-framed JSON records (magic b"CSPL")
     spool-00000002.wal      ... appended on rotation/compaction
     spool-00000002.wal.quarantine       bytes cut from a torn tail
     spool-00000002.wal.quarantine.json  forensic record for the cut
 
-Each segment starts with the 4-byte magic; records are framed by
-:mod:`repro.core.framing` (length + CRC32 + payload). Appends follow
-WAL discipline — frame write, flush, fsync (``fsync=True``, the
-default) — with the ``spool:append`` / ``spool:fsync`` crash points
+Appends follow WAL discipline — frame write, flush, fsync (``fsync=True``,
+the default) — with the ``spool:append`` / ``spool:fsync`` crash points
 bracketing the two durability windows.
 
-**Recovery scan.** Segments are read oldest-first. A framing error in
-the *last* written position — a torn tail from a crash between append
-and fsync — is normal: the scan truncates the segment at the tear,
-moves the cut bytes to ``<segment>.quarantine``, and writes a JSON
-forensic record next to them. A framing error with valid records
-*after* it (or in any non-final segment) is real corruption — a bit
-flip inside synced history — and raises
+**Recovery scan.** Segments are read oldest-first with the shared
+:func:`~repro.core.framing.scan`. A bad frame in the *last* written
+position — a torn tail from a crash between append and fsync — is normal:
+the segment is cut at the tear and the cut bytes are quarantined. A bad
+frame with intact frames *after* it (or in any non-final segment) is real
+corruption — a bit flip inside synced history — and raises
 :class:`~repro.core.errors.SpoolCorruptError` with path + byte offset
 instead of silently dropping durable state.
 
@@ -41,28 +39,24 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List
 
 from ..core.errors import SpoolCorruptError
-from ..core.framing import (HEADER_SIZE, fsync_dir, fsync_file, read_frame,
-                            sweep_stale_tmp, write_frame)
+from ..core.framing import (HEADER_SIZE, MAGIC_SIZE, SegmentLog,
+                            quarantine, scan, sweep_stale_tmp)
 from ..faults import crashpoints
 
 #: 4-byte magic opening every spool segment
 MAGIC = b"CSPL"
-SEG_PREFIX = "spool-"
-SEG_SUFFIX = ".wal"
 
 
-def _segment_name(index: int) -> str:
-    return f"{SEG_PREFIX}{index:08d}{SEG_SUFFIX}"
+def segment_log(spool_dir: str) -> SegmentLog:
+    """The spool's segments in ``spool_dir`` (``spool-%08d.wal``)."""
+    return SegmentLog(spool_dir, "spool-", ".wal", MAGIC)
 
 
-def _segment_index(name: str) -> Optional[int]:
-    if not (name.startswith(SEG_PREFIX) and name.endswith(SEG_SUFFIX)):
-        return None
-    digits = name[len(SEG_PREFIX):-len(SEG_SUFFIX)]
-    return int(digits) if digits.isdigit() else None
+def _encode(record: Dict[str, Any]) -> bytes:
+    return json.dumps(record, separators=(",", ":"), sort_keys=True).encode()
 
 
 class JobSpool:
@@ -80,76 +74,50 @@ class JobSpool:
         self.fsync = fsync
         self.compact_every = int(compact_every)
         os.makedirs(self.dir, exist_ok=True)
-        self._f = None
-        self._bytes = 0
-        self._seg_index = max(self.segment_indices(), default=0)
+        self._log = segment_log(spool_dir)
         self.appended = 0
         self.records_since_compact = 0
         #: quarantine forensic records produced by the last recover()
         self.quarantines: List[Dict[str, Any]] = []
 
-    # -- segment bookkeeping ----------------------------------------------
+    @property
+    def _seg_index(self) -> int:
+        return self._log.index
 
     def segment_indices(self) -> List[int]:
-        out = []
-        for name in os.listdir(self.dir):
-            idx = _segment_index(name)
-            if idx is not None:
-                out.append(idx)
-        return sorted(out)
+        return self._log.indices()
 
     def segment_path(self, index: int) -> str:
-        return os.path.join(self.dir, _segment_name(index))
+        return self._log.path(index)
 
     def close(self) -> None:
-        if self._f is not None:
-            self._f.close()
-            self._f = None
-
-    def _open_next_segment(self) -> None:
-        self.close()
-        self._seg_index += 1
-        path = self.segment_path(self._seg_index)
-        self._f = open(path, "xb")
-        self._f.write(MAGIC)
-        if self.fsync:
-            fsync_file(self._f)
-        fsync_dir(self.dir)
-        self._bytes = len(MAGIC)
+        self._log.close()
 
     # -- the write path ----------------------------------------------------
 
     def append(self, record: Dict[str, Any]) -> None:
         """Durably journal one record (WAL discipline; see module doc)."""
         crashpoints.hit("spool:append")
-        if self._f is None or self._bytes >= self.segment_bytes:
-            self._open_next_segment()
-        payload = json.dumps(record, separators=(",", ":"),
-                             sort_keys=True).encode()
-        self._bytes += write_frame(self._f, payload)
-        self._f.flush()
+        log = self._log
+        if log.f is None or log.f.tell() >= self.segment_bytes:
+            log.open_next(sync=self.fsync)
+        log.append(_encode(record))
+        log.f.flush()
         crashpoints.hit("spool:fsync")
         if self.fsync:
-            os.fsync(self._f.fileno())
+            os.fsync(log.f.fileno())
         self.appended += 1
         self.records_since_compact += 1
 
     def compact(self, snapshot: List[Dict[str, Any]]) -> None:
         """Collapse history: write ``snapshot`` into a fresh segment and
         unlink every older segment (their records are now dead)."""
-        self._open_next_segment()
+        log = self._log
+        log.open_next()
         for record in snapshot:
-            payload = json.dumps(record, separators=(",", ":"),
-                                 sort_keys=True).encode()
-            self._bytes += write_frame(self._f, payload)
-        fsync_file(self._f)
-        for idx in self.segment_indices():
-            if idx < self._seg_index:
-                try:
-                    os.unlink(self.segment_path(idx))
-                except OSError:
-                    pass
-        fsync_dir(self.dir)
+            log.append(_encode(record))
+        log.seal()
+        log.drop_older()
         self.records_since_compact = 0
 
     def maybe_compact(self, snapshot_fn) -> bool:
@@ -170,119 +138,32 @@ class JobSpool:
         sweep_stale_tmp(self.dir)
         self.quarantines = []
         records: List[Dict[str, Any]] = []
-        indices = [i for i in self.segment_indices() if i <= self._seg_index
-                   and (self._f is None or i < self._seg_index)]
+        log = self._log
+        indices = [i for i in log.indices() if i <= log.index
+                   and (log.f is None or i < log.index)]
         for pos, idx in enumerate(indices):
-            last_segment = pos == len(indices) - 1
-            path = self.segment_path(idx)
-            segment_records, tear = self._scan_segment(path, last_segment)
-            records.extend(segment_records)
-            if tear is not None:
-                self._truncate_tail(path, tear)
-        return records
-
-    def _scan_segment(self, path: str, last_segment: bool
-                      ) -> Tuple[List[Dict[str, Any]],
-                                 Optional[SpoolCorruptError]]:
-        """Read one segment; returns (records, tear-to-truncate|None)."""
-        records: List[Dict[str, Any]] = []
-        size = os.path.getsize(path)
-        with open(path, "rb") as f:
-            magic = f.read(len(MAGIC))
-            if magic != MAGIC:
-                err = SpoolCorruptError(
-                    path, 0, f"bad segment magic {magic!r}")
-                if last_segment and size < len(MAGIC) + HEADER_SIZE:
-                    # segment creation itself was torn; nothing recorded
-                    return records, err
-                raise err
-            while True:
+            s = scan(log.path(idx), MAGIC)
+            if s.bad is not None:
+                err = SpoolCorruptError(s.path, s.bad, s.reason)
+                if pos < len(indices) - 1:
+                    raise err   # synced history is damaged mid-stream
+                if s.bad == 0 and s.size >= MAGIC_SIZE + HEADER_SIZE:
+                    raise err   # a whole segment that is not ours
+                if s.follows:
+                    raise SpoolCorruptError(
+                        s.path, s.bad, f"interior corruption ({s.reason}); "
+                        f"valid records follow the damaged one")
+            for off, payload in s.frames:
                 try:
-                    payload = read_frame(f, path, SpoolCorruptError)
-                except SpoolCorruptError as err:
-                    if not last_segment:
-                        raise   # synced history is damaged mid-stream
-                    if self._valid_frame_follows(f, path, err.offset):
-                        raise SpoolCorruptError(
-                            path, err.offset,
-                            f"interior corruption ({err.reason}); valid "
-                            f"records follow the damaged one")
-                    return records, err
-                if payload is None:
-                    return records, None
-                try:
-                    records.append(json.loads(payload))
+                    records.append(json.loads(bytes(payload)))
                 except ValueError as exc:
                     # CRC-valid frame holding garbage JSON: writer bug,
                     # not a torn write — surface it structurally
                     raise SpoolCorruptError(
-                        path, f.tell(), f"frame payload is not JSON: {exc}")
+                        s.path, off + HEADER_SIZE + len(payload),
+                        f"frame payload is not JSON: {exc}")
+            if s.bad is not None:
+                self.quarantines.append(
+                    quarantine(s.path, s.bad, err.to_record(), truncate=True))
+        return records
 
-    @staticmethod
-    def _valid_frame_follows(f, path: str, fail_offset: int) -> bool:
-        """After a frame error: is there a readable frame later in the
-        file (=> interior corruption, not a torn tail)?
-
-        The damaged frame's length field may itself be garbage, so the
-        next frame position is unknowable in general; probing one
-        header-stride past the failure catches the common single-record
-        bit flip without a full resync scan."""
-        try:
-            size = os.fstat(f.fileno()).st_size
-        except OSError:
-            return False
-        probe = fail_offset + HEADER_SIZE
-        while probe + HEADER_SIZE <= size:
-            f.seek(probe)
-            try:
-                if read_frame(f, path, SpoolCorruptError) is not None:
-                    return True
-            except SpoolCorruptError:
-                pass
-            probe += HEADER_SIZE
-            if probe > fail_offset + 64 * HEADER_SIZE:
-                break   # bounded probe; beyond this treat as torn tail
-        return False
-
-    def _truncate_tail(self, path: str, err: SpoolCorruptError) -> None:
-        """Cut a torn tail at the tear, quarantining the removed bytes.
-
-        A tear before the magic (segment creation itself torn) removes
-        the whole segment — an empty file with half a magic holds no
-        records and would re-tear on every scan."""
-        offset = err.offset
-        with open(path, "rb") as f:
-            f.seek(offset)
-            tail = f.read()
-        if offset < len(MAGIC):
-            record = {
-                "segment": path, "offset": offset,
-                "discarded_bytes": len(tail),
-                "moved_to": path + ".quarantine",
-                "error": err.to_record(),
-            }
-            with open(path + ".quarantine", "wb") as f:
-                f.write(tail)
-            with open(path + ".quarantine.json", "w",
-                      encoding="utf-8") as f:
-                json.dump(record, f, indent=2)
-            os.unlink(path)
-            fsync_dir(self.dir)
-            self.quarantines.append(record)
-            return
-        record = {
-            "segment": path,
-            "offset": offset,
-            "discarded_bytes": len(tail),
-            "moved_to": path + ".quarantine",
-            "error": err.to_record(),
-        }
-        with open(path + ".quarantine", "wb") as f:
-            f.write(tail)
-        with open(path + ".quarantine.json", "w", encoding="utf-8") as f:
-            json.dump(record, f, indent=2)
-        with open(path, "rb+") as f:
-            f.truncate(offset)
-            fsync_file(f)
-        fsync_dir(self.dir)
-        self.quarantines.append(record)

@@ -10,7 +10,8 @@ import pytest
 from repro import (CheckpointError, SamplingConfig, SimulatedCrash,
                    checkpoint_exists, load_checkpoint, resume)
 from repro.checkpoint import CheckpointManager, RecordingMemory
-from repro.checkpoint.log import ReplayMemory, read_log, reply_log_path
+from repro.checkpoint import generation_paths
+from repro.checkpoint.log import ReplayMemory
 from repro.checkpoint.manager import FORMAT_VERSION
 from repro.checkpoint.snapshot import (_INSTALL_ONLY, collect_snapshot,
                                        verify_snapshot)
@@ -228,33 +229,31 @@ class TestFingerprints:
         eng = _engine(path, 1_500)
         eng.run()
         assert checkpoint_exists(path)
-        # autosaves rotate generations; no bare file and no stale temps
+        # autosaves append to one segmented log: no bare file, no temps,
+        # and after a compaction no older segment
         assert not os.path.exists(path)
-        assert not any(f.endswith(".tmp") for f in os.listdir(path.rsplit(
-            "/", 1)[0]))
+        assert not any(f.endswith(".tmp") for f in os.listdir(tmp_path))
         ck = load_checkpoint(path)
-        assert ck["version"] == FORMAT_VERSION == 7
+        assert ck["version"] == FORMAT_VERSION == 8
         assert ck["events_processed"] > 0
-        # both generations exist after >= 2 autosaves and load_checkpoint
-        # picks the newer one
-        from repro.checkpoint import generation_paths
-        gens = [g for g in generation_paths(path) if os.path.exists(g)]
-        assert len(gens) == 2
+        # one segment is left, and load_checkpoint reads its newest
+        # snapshot frame
+        assert generation_paths(path) == [ck["log_path"]]
+        assert sorted(os.listdir(tmp_path)) == [
+            os.path.basename(ck["log_path"])]
         assert ck["saves"] == eng._ckpt.saves
 
     def test_checkpoint_summary_reports_the_cost_of_saving(self, tmp_path):
-        from repro.checkpoint import generation_paths
         from repro.harness import checkpoint_summary
         path = str(tmp_path / "ck.pkl")
         eng = _engine(path, 1_500)
         eng.run()
         s = checkpoint_summary(eng)
         assert s["enabled"] and s["saves"] == eng._ckpt.session_saves >= 2
-        # every save is counted — the log once, and every generation file
-        # written, though only two stay on disk
+        # every save is counted — the frames appended and the segments a
+        # compaction writes — though one segment stays on disk
         sizes = [os.path.getsize(g) for g in generation_paths(path)]
-        assert (s["log_bytes"] + sum(sizes) <= s["bytes"]
-                <= s["log_bytes"] + max(sizes) * s["saves"])
+        assert s["log_bytes"] == s["disk_bytes"] == sum(sizes) < s["bytes"]
         # split into the saves that wrote a memory base and the deltas
         base, delta = s["base"], s["delta"]
         assert base["saves"] >= 1 and delta["saves"] >= 1
@@ -435,8 +434,7 @@ class TestDeltaReconstruction:
             ff = ms.ff_active
             base = mgr.by_kind["base"]["saves"]
             target = real(path)
-            got = read_log(reply_log_path(mgr.path), mgr.log_bytes,
-                           mgr.base_at)[2]
+            got = load_checkpoint(target)["snapshot"]["memsys"]
             assert got == want, f"save {mgr.saves} does not rebuild"
             kinds.append(("base" if mgr.by_kind["base"]["saves"] > base
                           else "delta", ff))

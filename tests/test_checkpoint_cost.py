@@ -12,8 +12,8 @@ and the whole ``MemorySystem`` under MESI / private / directory — and for
 constructor / method call, or a per-set ``list(s)``, shows up as thousands
 of extra events. The second half checks the other growth terms: the reply
 streams and the memory system's changes are appended to the log once, so
-the checkpoint *files* stay flat in run length, and a delta is a fraction
-of a full capture.
+a save's snapshot frame stays flat in run length, and a delta is a
+fraction of a full capture.
 """
 
 import gc
@@ -24,12 +24,12 @@ import sys
 import pytest
 
 from repro import Engine, FaultPlan, FaultRule, complex_backend
-from repro.checkpoint import generation_paths, reply_log_path
-from repro.checkpoint.log import BASE, DELTA, LOG_MAGIC, STREAMS
+from repro.checkpoint import generation_paths
+from repro.checkpoint.log import BASE, DELTA, SNAPSHOT, STREAMS
+from repro.checkpoint.manager import MAGIC
 from repro.core.config import (BackendConfig, CacheConfig, MemoryConfig,
                                SimConfig)
-from repro.core.errors import CheckpointCorruptError
-from repro.core.framing import read_frame
+from repro.core.framing import scan
 from repro.core.frontend import SimProcess
 from repro.core.stats import StatsRegistry
 from repro.mem.cache import Cache
@@ -161,16 +161,35 @@ def test_memsys_state_dict_cost_independent_of_footprint(coherence):
 
 
 # ---------------------------------------------------------------------------
-# checkpoint size is flat in run length; the log takes each reply once
+# a checkpoint's size is flat in run length; the log takes each reply once
 # ---------------------------------------------------------------------------
 
+def _spy_frames(mgr):
+    """Wrap ``mgr.save``: per save, the file it returns, that file's size
+    and the ``(tag, payload bytes)`` of its frames after the header."""
+    saves = []
+    real_save = mgr.save
+
+    def save(path=None):
+        target = real_save(path)
+        s = scan(target, MAGIC)
+        saves.append((target, s.size,
+                      [(bytes(p[:1]), len(p)) for _off, p in s.frames[1:]]))
+        return target
+
+    mgr.save = save
+    return saves
+
+
 def test_generation_size_flat_and_log_written_once(tmp_path):
-    """A steady reference stream over a fixed 16 KiB footprint: the file
-    of save k+10 is within 5 % of save k's, the log grows by exactly what
-    each save appended (its streams and memory frames, never rewritten),
-    and the memory frame of a save that writes a delta is at most 40 % of
-    a full capture of the memory system at the same point (the L1s go
-    into every delta whole; the L2 and the directory only as changed)."""
+    """A steady reference stream over a fixed 16 KiB footprint: the
+    snapshot frame of save k+10 is within 5 % of save k's; a delta save
+    grows its segment by exactly the three frames it appended, and a base
+    save writes a fresh segment holding every streams frame before it (copied,
+    never re-encoded) and its own three; and the memory frame of a save
+    that writes a delta is at most 40 % of a full capture of the memory
+    system at the same point (the L1s go into every delta whole; the L2
+    and the directory only as changed). One segment is left."""
     interval = 1_000
     path = str(tmp_path / "ck.pkl")
 
@@ -184,44 +203,54 @@ def test_generation_size_flat_and_log_written_once(tmp_path):
                                  checkpoint_interval=interval))
     eng.spawn("steady", app)
     mgr = eng._ckpt
-    sizes, logs, written, full = [], [], [], []
-    real_save = mgr.save
+    full, written = [], []
+    saves = _spy_frames(mgr)
+    spied = mgr.save
 
     def save(path=None):
         full.append(1 + len(pickle.dumps(eng.memsys.state_dict(),
                                          protocol=pickle.HIGHEST_PROTOCOL)))
         before = mgr.cost("bytes")
-        target = real_save(path)
+        target = spied(path)
         written.append(mgr.cost("bytes") - before)
-        sizes.append(os.path.getsize(target))
-        logs.append(os.path.getsize(reply_log_path(mgr.path)))
         return target
 
     mgr.save = save
     eng.run()
-    assert len(sizes) >= 16
+    assert len(saves) >= 16
+    snapshots = [frames[-1] for _t, _n, frames in saves]
+    assert {tag for tag, _n in snapshots} == {SNAPSHOT}
     k = 4                                   # past the cold-start fills
-    assert abs(sizes[k + 10] - sizes[k]) <= 0.05 * sizes[k], sizes
-    assert [w - s for w, s in zip(written, sizes)] == [
-        b - a for a, b in zip([0] + logs, logs)]
-    assert mgr.log_bytes == logs[-1] == os.path.getsize(reply_log_path(path))
-    assert mgr.cost("bytes") == sum(sizes) + logs[-1] == sum(written)
-    memory = _memory_frames(reply_log_path(path))
-    assert len(memory) == len(sizes) and memory[0][0] == BASE
+    first, later = snapshots[k][1], snapshots[k + 10][1]
+    assert abs(later - first) <= 0.05 * first
+    memory, prev = [], (None, 0, [])
+    for (target, size, frames), w in zip(saves, written):
+        tags = [tag for tag, _n in frames]
+        memory.append(frames[-2])
+        if target == prev[0]:
+            assert w == size - prev[1] and tags[len(prev[2]):] == [
+                STREAMS, DELTA, SNAPSHOT]
+            assert frames[:len(prev[2])] == prev[2]
+        else:
+            streams = [f for f in prev[2] if f[0] == STREAMS]
+            assert w == size and frames[:len(streams)] == streams
+            assert tags[len(streams):] == [STREAMS, BASE, SNAPSHOT]
+        prev = (target, size, frames)
+    assert mgr.cost("bytes") == sum(written)
+    assert memory[0][0] == BASE
     ratios = [n / f for (tag, n), f in zip(memory, full) if tag == DELTA]
     assert len(ratios) > k and max(ratios[k:]) <= 0.40, ratios
-    assert set(os.listdir(tmp_path)) == {
-        os.path.basename(f)
-        for f in generation_paths(path) + [reply_log_path(path)]}
+    assert generation_paths(path) == [saves[-1][0]]
+    assert os.listdir(tmp_path) == [os.path.basename(saves[-1][0])]
 
 
 def test_generation_size_flat_under_a_fault_plan(tmp_path):
     """``benchmarks/bench_checkpoint.py``'s TPC-C under its fault plan:
     every fault check's outcome (one per degraded-DIMM draw on the miss
-    path) goes into the log beside the replies, written once, so the
-    generation files do not grow with them — from save 10 to save 39 they
+    path) goes into the log's streams frames, written once, so the
+    snapshot frames do not grow with them — from save 10 to save 39 they
     grow by under 10 %, where pickling the outcomes since cycle 0 into
-    every file made save 39's seven times save 10's."""
+    every checkpoint made save 39's seven times save 10's."""
     plan = FaultPlan(rules=(
         FaultRule(site="disk:latency", prob=0.2, extra_cycles=40_000),
         FaultRule(site="mem:degraded", prob=0.001, extra_cycles=300),
@@ -232,29 +261,47 @@ def test_generation_size_flat_under_a_fault_plan(tmp_path):
         lambda **kw: complex_backend(faults=plan, checkpoint_path=path,
                                      checkpoint_interval=2_000, **kw),
         nagents=4, tx_per_agent=8)
-    mgr = eng._ckpt
-    sizes = []
-    real_save = mgr.save
-
-    def save(path=None):
-        target = real_save(path)
-        sizes.append(os.path.getsize(target))
-        return target
-
-    mgr.save = save
+    saves = _spy_frames(eng._ckpt)
     eng.run()
+    sizes = [frames[-1][1] for _t, _n, frames in saves]
     assert len(sizes) >= 39 and eng.faults.stats.fired
     assert sizes[38] - sizes[9] <= 0.10 * sizes[9], sizes
 
 
-def _memory_frames(log):
-    """``(tag, payload bytes)`` of every memory frame in ``log``."""
-    out = []
-    with open(log, "rb") as f:
-        f.read(len(LOG_MAGIC))
-        while True:
-            payload = read_frame(f, log, CheckpointCorruptError)
-            if payload is None:
-                return out
-            if payload[:1] != STREAMS:
-                out.append((payload[:1], len(payload)))
+def test_disk_holds_the_streams_and_two_bases(tmp_path, monkeypatch):
+    """What a checkpointed run leaves on disk is what it must keep: every
+    streams frame (replay needs each reply from event 0), twice its largest
+    memory base — the newest base, and a delta chain no larger than it —
+    and the snapshot frames since the newest base, plus a segment's magic
+    and header. Checked at the end of a TPC-C run that writes at least
+    three bases: a log that keeps the chains before its newest base
+    fails."""
+    from repro.checkpoint import manager
+    saves = []
+    real = manager.tagged
+
+    def spy(tag, obj):
+        payload = real(tag, obj)
+        if tag == STREAMS:                  # every save tags its streams first
+            saves.append({})
+        saves[-1].setdefault(tag, []).append(8 + len(payload))
+        return payload
+
+    monkeypatch.setattr(manager, "tagged", spy)
+    path = str(tmp_path / "ck.pkl")
+    SimProcess.set_pid_counter(1)
+    eng = WORKLOADS["oltp"](
+        lambda **kw: complex_backend(checkpoint_path=path,
+                                     checkpoint_interval=2_000, **kw),
+        nagents=4, tx_per_agent=8)
+    eng.run()
+    bases = sorted(n for s in saves for n in s.get(BASE, ()))
+    newest = max(i for i, s in enumerate(saves) if BASE in s)
+    streams = sum(n for s in saves for n in s[STREAMS])
+    snapshots = sum(n for s in saves[newest:] for tag, sizes in s.items()
+                    if tag not in (STREAMS, BASE, DELTA) for n in sizes)
+    disk = sum(os.path.getsize(tmp_path / f) for f in os.listdir(tmp_path))
+    assert len(bases) >= 3
+    assert disk <= streams + 2 * bases[-1] + snapshots + 64, (
+        disk, streams, bases[-1], snapshots)
+    assert disk == sum(os.path.getsize(f) for f in generation_paths(path))

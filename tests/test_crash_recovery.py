@@ -1,12 +1,12 @@
 """Deterministic crash-point injection + the recovery acceptance gate.
 
-Three layers, bottom up: the checkpoint generation fallback (corrupt the
-newest autosave → the previous generation loads, with a quarantine
-forensic record), the in-process crash-point machinery (Nth-hit rules,
-once-only claims, env pickup), and the full supervisor-kill recovery
-loop — every crash site, SIGKILL at the injected instant, recover from
-the WAL spool, finish with a fingerprint bit-identical to an
-undisturbed run.
+Three layers, bottom up: the checkpoint log's fallback (damage the newest
+save → the previous snapshot frame loads, and the bytes after it are
+quarantined with a forensic record), the in-process crash-point machinery
+(Nth-hit rules, once-only claims, env pickup), and the full
+supervisor-kill recovery loop — every crash site, SIGKILL at the injected
+instant, recover from the WAL spool, finish with a fingerprint
+bit-identical to an undisturbed run.
 
 The site × seed matrix defaults to one seed per site to keep tier-1
 fast; ``COMPASS_CRASH_FULL=1`` (set by the CI crash-recovery job) runs
@@ -25,13 +25,11 @@ import pytest
 from repro import (CheckpointCorruptError, CheckpointError, CrashPointPlan,
                    CrashRule, Engine, SamplingConfig, SimulatedCrash,
                    checkpoint_exists, complex_backend, load_checkpoint, resume)
-from repro.checkpoint import (generation_paths, reply_log_path,
-                              write_checkpoint_file)
-from repro.checkpoint.log import LOG_MAGIC, read_log
-from repro.checkpoint.manager import FORMAT_VERSION
-from repro.checkpoint.manager import MAGIC as CKPT_MAGIC
+from repro.checkpoint import generation_paths
+from repro.checkpoint.log import BASE, DELTA, SNAPSHOT, STREAMS, tagged
+from repro.checkpoint.manager import FORMAT_VERSION, HEADER, MAGIC
 from repro.core.errors import ConfigError
-from repro.core.framing import sweep_stale_tmp, write_frame
+from repro.core.framing import HEADER_SIZE, scan, sweep_stale_tmp, write_frame
 from repro.core.frontend import SimProcess
 from repro.faults import crashpoints
 from repro.service import (JobRunner, JobSpec, crash_recovery_loop,
@@ -46,81 +44,137 @@ SPEC = dict(workload="oltp", budget=4_500, checkpoint_interval=1_000,
             max_retries=3, backoff=0.01, backoff_max=0.05)
 
 #: the hit a site's rule fires at is drawn from this range: SPEC's 4 saves
-#: hit a per-save site 4 times, and write 2 memory bases (saves 1 and 4)
-HIT_RANGE = {"ckpt:base-append": (1, 2), "ckpt:base-fsync": (1, 2)}
+#: hit ``ckpt:log-append`` 4 times; 2 of them write a memory base (saves 1
+#: and 3, the sites of a compaction) and 2 a delta (``ckpt:log-fsync``)
+HIT_RANGE = {"ckpt:log-fsync": (1, 2), "ckpt:base-append": (1, 2),
+             "ckpt:base-fsync": (1, 2), "ckpt:compact": (1, 2)}
+
+#: the 4-byte magic of the framed checkpoint files builds before format 8
+#: wrote (``<path>.g0`` / ``.g1``)
+LEGACY_MAGIC = b"CMPK"
 
 
-def _ckpt(saves, events=100):
-    return {"version": FORMAT_VERSION, "saves": saves, "events_processed": events,
-            "payload": list(range(events % 7))}
+def _segments(path):
+    """The segment files of ``path``'s log, oldest first."""
+    return [f for f in generation_paths(path) if f.endswith(".seg")]
+
+
+def _frames(seg):
+    """``(offset, end, tag)`` of every frame of a clean segment after its
+    header frame."""
+    s = scan(seg, MAGIC)
+    assert s.bad is None and bytes(s.frames[0][1]) == HEADER
+    return [(off, off + HEADER_SIZE + len(p), bytes(p[:1]))
+            for off, p in s.frames[1:]]
+
+
+def _save_ends(seg):
+    """The end of the header frame, then the end of every snapshot frame
+    (each save's last frame) of ``seg``."""
+    s = scan(seg, MAGIC)
+    return [s.frames[1][0]] + [end for _o, end, tag in _frames(seg)
+                               if tag == SNAPSHOT]
+
+
+def _saved(tmp_path, saves=4):
+    """A tiny run killed after its ``saves``-th autosave (one segment:
+    a base, then deltas), its path and its one segment."""
+    path = str(tmp_path / "ck.pkl")
+    SimProcess._next_pid[0] = 1
+    eng = _tiny_build(path)()
+    eng._ckpt.crash_after_saves = saves
+    with pytest.raises(SimulatedCrash):
+        eng.run()
+    seg, = _segments(path)
+    return path, seg
 
 
 class TestGenerationFallback:
-    def _write_gens(self, tmp_path):
-        base = str(tmp_path / "ck.pkl")
-        g0, g1 = generation_paths(base)
-        write_checkpoint_file(g1, _ckpt(saves=1, events=100))
-        write_checkpoint_file(g0, _ckpt(saves=2, events=200))
-        return base, g0, g1
+    """A checkpoint is the newest snapshot frame before the first bad
+    frame: damage in the newest save falls back to the previous one, in
+    the same file."""
 
     def test_newest_generation_wins(self, tmp_path):
-        base, _g0, _g1 = self._write_gens(tmp_path)
-        assert load_checkpoint(base)["saves"] == 2
+        path, seg = _saved(tmp_path)
+        ck = load_checkpoint(path)
+        assert ck["saves"] == 4 and ck["log_path"] == seg
+        assert ck["log_bytes"] == os.path.getsize(seg)
+        assert not os.path.exists(seg + ".quarantine")
 
     def test_corrupt_latest_falls_back_and_quarantines(self, tmp_path):
-        base, g0, g1 = self._write_gens(tmp_path)
-        blob = bytearray(open(g0, "rb").read())
-        blob[-1] ^= 0xFF                      # flip a payload byte
-        open(g0, "wb").write(bytes(blob))
+        path, seg = _saved(tmp_path)
+        ends = _save_ends(seg)
+        blob = bytearray(open(seg, "rb").read())
+        blob[-1] ^= 0xFF                      # flip a byte of the snapshot
+        open(seg, "wb").write(bytes(blob))
 
-        ck = load_checkpoint(base)
-        assert ck["saves"] == 1               # fell back to the older gen
-        assert os.path.exists(g0 + ".corrupt")
-        assert not os.path.exists(g0)         # evidence moved aside
-        record = json.loads(open(g0 + ".quarantine.json").read())
-        assert record["quarantined"] == g0
-        assert record["fallback"] == g1
+        ck = load_checkpoint(path)
+        assert ck["saves"] == 3               # the previous save's snapshot
+        assert ck["log_bytes"] == ends[3]
+        # the bytes after it are moved aside, the segment is left for the
+        # next append to cut
+        assert open(seg + ".quarantine", "rb").read() == blob[ends[3]:]
+        assert os.path.getsize(seg) == len(blob)
+        record = json.loads(open(seg + ".quarantine.json").read())
+        assert record["segment"] == seg and record["offset"] == ends[3]
         assert record["error"]["type"] == "CheckpointCorruptError"
-        assert record["error"]["offset"] > 0
+        assert ends[3] < record["error"]["offset"] < len(blob)
 
     def test_all_generations_corrupt_raises_structured(self, tmp_path):
-        base, g0, g1 = self._write_gens(tmp_path)
-        for g in (g0, g1):
-            open(g, "r+b").write(b"XXXX")     # smash the magic
+        path, seg = _saved(tmp_path)
+        open(seg, "r+b").write(b"XXXX")       # smash the magic
         with pytest.raises(CheckpointCorruptError) as ei:
-            load_checkpoint(base)
-        assert ei.value.offset == 0
+            load_checkpoint(path)
+        assert ei.value.path == seg and ei.value.offset == 0
         assert "magic" in ei.value.reason
 
     def test_truncation_never_leaks_raw_errors(self, tmp_path):
-        """Cut a checkpoint at every plausible boundary: the structured
-        error (or clean fallback) is the only acceptable outcome —
-        no EOFError, no UnpicklingError, no struct.error."""
-        base = str(tmp_path / "ck.pkl")
-        g0, _ = generation_paths(base)
-        write_checkpoint_file(g0, _ckpt(saves=1))
-        blob = open(g0, "rb").read()
-        cuts = sorted({0, 1, len(CKPT_MAGIC), len(CKPT_MAGIC) + 4,
-                       len(CKPT_MAGIC) + 8, len(blob) // 2, len(blob) - 1})
+        """Cut the segment at every plausible boundary: an earlier
+        snapshot, the structured error, or (a clean prefix with no snapshot
+        in it) no checkpoint at all are the only acceptable outcomes — no
+        EOFError, no UnpicklingError, no struct.error."""
+        path, seg = _saved(tmp_path)
+        blob = open(seg, "rb").read()
+        ends = _save_ends(seg)
+        bounds = {len(MAGIC), ends[0]} | {e for _o, e, _t in _frames(seg)}
+        cuts = sorted({0, 1, len(MAGIC), len(MAGIC) + 4, len(MAGIC) + 8,
+                       ends[0], ends[0] + 3, ends[1] - 1, ends[1],
+                       len(blob) // 2, len(blob) - 1})
         for cut in cuts:
             d = tmp_path / f"cut-{cut}"
             d.mkdir()
             dest = str(d / "ck.pkl")
-            open(generation_paths(dest)[0], "wb").write(blob[:cut])
-            with pytest.raises(CheckpointCorruptError) as ei:
-                load_checkpoint(dest)
-            assert ei.value.path == generation_paths(dest)[0]
-            assert 0 <= ei.value.offset <= cut
+            cut_seg = str(d / os.path.basename(seg))
+            open(cut_seg, "wb").write(blob[:cut])
+            try:
+                ck = load_checkpoint(dest)
+            except CheckpointCorruptError as exc:
+                assert exc.path == cut_seg and 0 <= exc.offset <= cut
+                assert cut < ends[1]
+                continue
+            except FileNotFoundError:
+                assert cut in bounds and cut < ends[1]
+                continue
+            assert ck["log_bytes"] == max(e for e in ends if e <= cut)
 
     def test_explicit_path_stays_strict(self, tmp_path):
         """An explicit single-file path (the sampling .w<N> windows)
-        never falls back to generations."""
+        never falls back: anything but one intact segment ending in its
+        snapshot frame is corruption."""
+        SimProcess._next_pid[0] = 1
+        eng = _tiny_build(str(tmp_path / "ck.pkl"))()
+        eng.run(max_events=100)
         p = str(tmp_path / "win.w3")
-        write_checkpoint_file(p, _ckpt(saves=9))
-        assert load_checkpoint(p)["saves"] == 9
-        open(p, "r+b").write(b"ZZZZ")
-        with pytest.raises(CheckpointCorruptError):
-            load_checkpoint(p)
+        eng._ckpt.save(path=p)
+        assert load_checkpoint(p)["saves"] == eng._ckpt.saves
+        blob = open(p, "rb").read()
+        for damaged in (b"ZZZZ" + blob[4:], blob + b"\x07" * 9,
+                        blob[:-1], blob[:len(blob) // 2]):
+            open(p, "wb").write(damaged)
+            with pytest.raises(CheckpointCorruptError) as ei:
+                load_checkpoint(p)
+            assert ei.value.path == p
+        assert not os.path.exists(p + ".quarantine")
 
 
 def _write_v2_autosave(path):
@@ -132,7 +186,7 @@ def _write_v2_autosave(path):
                 "counters": {}, "dir": {7: ([0, 1], -1)}}}}}
     header = json.dumps({"format": 2, "saves": 1, "events": 100}).encode()
     with open(path, "wb") as f:
-        f.write(CKPT_MAGIC)
+        f.write(LEGACY_MAGIC)
         write_frame(f, header)
         write_frame(f, pickle.dumps(ckpt))
     return ckpt
@@ -148,7 +202,7 @@ def _write_v3_autosave(path):
                 "counters": {}, "sharers": {7: 3}, "owner": {}}}}}
     header = json.dumps({"format": 3, "saves": 1, "events": 100}).encode()
     with open(path, "wb") as f:
-        f.write(CKPT_MAGIC)
+        f.write(LEGACY_MAGIC)
         write_frame(f, header)
         write_frame(f, pickle.dumps(ckpt))
     return ckpt
@@ -164,7 +218,7 @@ def _write_v4_autosave(path):
     header = json.dumps({"format": 4, "saves": 1, "events": 100,
                          "log": "ck.pkl.log", "log_bytes": 0}).encode()
     with open(path, "wb") as f:
-        f.write(CKPT_MAGIC)
+        f.write(LEGACY_MAGIC)
         write_frame(f, header)
         write_frame(f, pickle.dumps(ckpt))
     return ckpt
@@ -184,7 +238,7 @@ def _write_v5_autosave(path):
     header = json.dumps({"format": 5, "saves": 1, "events": 100,
                          "log": "ck.pkl.log", "log_bytes": 0}).encode()
     with open(path, "wb") as f:
-        f.write(CKPT_MAGIC)
+        f.write(LEGACY_MAGIC)
         write_frame(f, header)
         write_frame(f, pickle.dumps(ckpt))
     return ckpt
@@ -197,8 +251,8 @@ def _write_v6_autosave(path):
     streams — which a v7 reader would take for a frame of unknown kind."""
     log = os.path.join(os.path.dirname(path), "ck.pkl.log")
     with open(log, "wb") as f:
-        f.write(LOG_MAGIC)
-        log_bytes = len(LOG_MAGIC) + write_frame(f, pickle.dumps({1: [12]}))
+        f.write(MAGIC)
+        log_bytes = len(MAGIC) + write_frame(f, pickle.dumps({1: [12]}))
     ckpt = {"version": 6, "saves": 1, "events_processed": 100,
             "config_fp": {"num_cpus": "2"}, "fault_log": {"disk:latency": [-1]},
             "log": "ck.pkl.log", "log_bytes": log_bytes,
@@ -207,7 +261,33 @@ def _write_v6_autosave(path):
                          "log": "ck.pkl.log",
                          "log_bytes": log_bytes}).encode()
     with open(path, "wb") as f:
-        f.write(CKPT_MAGIC)
+        f.write(LEGACY_MAGIC)
+        write_frame(f, header)
+        write_frame(f, pickle.dumps(ckpt))
+    return ckpt
+
+
+def _write_v7_autosave(path):
+    """A well-formed format-7 autosave and its log, as the previous build
+    wrote them: a generation file committing a byte length of ``<path>.log``,
+    whose frames are a tagged streams frame and a memory base — and no
+    snapshot frame, which format 8 keeps in the log."""
+    log = os.path.join(os.path.dirname(path), "ck.pkl.log")
+    with open(log, "wb") as f:
+        f.write(MAGIC)
+        log_bytes = len(MAGIC) + write_frame(
+            f, tagged(STREAMS, {"replies": {1: [12]}, "faults": {}}))
+        base = log_bytes
+        log_bytes += write_frame(f, tagged(BASE, {"accesses": 1}))
+    ckpt = {"version": 7, "saves": 1, "events_processed": 100,
+            "config_fp": {"num_cpus": "2"}, "log": "ck.pkl.log",
+            "log_bytes": log_bytes, "base": base, "base_bytes": 0,
+            "chain_bytes": 0, "snapshot": {"comm": {}}}
+    header = json.dumps({"format": 7, "saves": 1, "events": 100,
+                         "log": "ck.pkl.log", "log_bytes": log_bytes,
+                         "base": base}).encode()
+    with open(path, "wb") as f:
+        f.write(LEGACY_MAGIC)
         write_frame(f, header)
         write_frame(f, pickle.dumps(ckpt))
     return ckpt
@@ -220,7 +300,7 @@ class TestStaleFormat:
 
     def test_load_checkpoint_refuses_v2(self, tmp_path):
         base = str(tmp_path / "ck.pkl")
-        g0, _ = generation_paths(base)
+        g0 = base + ".g0"
         _write_v2_autosave(g0)
         with pytest.raises(CheckpointError) as ei:
             load_checkpoint(base)
@@ -231,7 +311,7 @@ class TestStaleFormat:
 
     def test_v3_refused_from_its_header_not_quarantined(self, tmp_path):
         base = str(tmp_path / "ck.pkl")
-        g0, _ = generation_paths(base)
+        g0 = base + ".g0"
         ckpt = _write_v3_autosave(g0)
         with pytest.raises(CheckpointError) as ei:
             load_checkpoint(base)
@@ -248,7 +328,7 @@ class TestStaleFormat:
         """v4 fingerprinted the host policy with the machine: refused from
         its header, never misreported as a configuration mismatch."""
         base = str(tmp_path / "ck.pkl")
-        g0, _ = generation_paths(base)
+        g0 = base + ".g0"
         ckpt = _write_v4_autosave(g0)
         stale = f"format 4 != {FORMAT_VERSION} .written by an incompatible"
         with pytest.raises(CheckpointError, match=stale) as ei:
@@ -264,7 +344,7 @@ class TestStaleFormat:
         """v5 snapshots recorded who runs where three times over: refused
         from the header, never replayed into a ``ReplayDivergence``."""
         base = str(tmp_path / "ck.pkl")
-        g0, _ = generation_paths(base)
+        g0 = base + ".g0"
         ckpt = _write_v5_autosave(g0)
         stale = f"format 5 != {FORMAT_VERSION} .written by an incompatible"
         with pytest.raises(CheckpointError, match=stale) as ei:
@@ -281,19 +361,53 @@ class TestStaleFormat:
         reply log: refused from the header, never read as a corrupt log
         (nothing is quarantined, the log is left as it was)."""
         base = str(tmp_path / "ck.pkl")
-        g0, _ = generation_paths(base)
+        g0 = base + ".g0"
         ckpt = _write_v6_autosave(g0)
-        log = open(reply_log_path(base), "rb").read()
+        log = open(base + ".log", "rb").read()
         stale = f"format 6 != {FORMAT_VERSION} .written by an incompatible"
         with pytest.raises(CheckpointError, match=stale) as ei:
             load_checkpoint(base)
         assert not isinstance(ei.value, CheckpointCorruptError)
         assert sorted(os.listdir(tmp_path)) == ["ck.pkl.g0", "ck.pkl.log"]
-        assert open(reply_log_path(base), "rb").read() == log
+        assert open(base + ".log", "rb").read() == log
         eng = Engine(complex_backend(num_cpus=2, checkpoint_path=base,
                                      checkpoint_interval=1_000))
         with pytest.raises(CheckpointError, match=stale):
             eng._ckpt.restore(ckpt)
+
+    def test_v7_refused_as_an_incompatible_build(self, tmp_path):
+        """v7 wrote a generation file per save beside a log without
+        snapshot frames: refused from the generation's header, and neither
+        file is touched (the job starts over once they are deleted)."""
+        base = str(tmp_path / "ck.pkl")
+        g0 = base + ".g0"
+        ckpt = _write_v7_autosave(g0)
+        stale = f"format 7 != {FORMAT_VERSION} .written by an incompatible"
+        assert checkpoint_exists(base)
+        with pytest.raises(CheckpointError, match=stale) as ei:
+            load_checkpoint(base)
+        assert not isinstance(ei.value, CheckpointCorruptError)
+        assert sorted(os.listdir(tmp_path)) == ["ck.pkl.g0", "ck.pkl.log"]
+        eng = Engine(complex_backend(num_cpus=2, checkpoint_path=base,
+                                     checkpoint_interval=1_000))
+        with pytest.raises(CheckpointError, match=stale):
+            eng._ckpt.restore(ckpt)
+
+    def test_segment_of_another_format_refused_from_its_header(self, tmp_path):
+        """A segment whose header frame names another format version is
+        refused from that header, before any frame after it is read."""
+        base = str(tmp_path / "ck.pkl")
+        seg = f"{base}.00000001.seg"
+        with open(seg, "wb") as f:
+            f.write(MAGIC)
+            write_frame(f, json.dumps({"format": 9}).encode())
+            write_frame(f, b"X" + b"\x00" * 16)
+        assert checkpoint_exists(base)
+        with pytest.raises(CheckpointError,
+                           match=f"format 9 != {FORMAT_VERSION}") as ei:
+            load_checkpoint(base)
+        assert not isinstance(ei.value, CheckpointCorruptError)
+        assert os.listdir(tmp_path) == ["ck.pkl.00000001.seg"]
 
     def test_restore_refuses_v2(self, tmp_path):
         path = str(tmp_path / "ck.pkl")
@@ -307,7 +421,7 @@ class TestStaleFormat:
     def test_job_with_stale_autosave_fails_structured(self, tmp_path):
         work = tmp_path / "work"
         work.mkdir()
-        _write_v2_autosave(generation_paths(str(work / "j.ckpt"))[0])
+        _write_v2_autosave(str(work / "j.ckpt.g0"))
         spec = dict(SPEC, max_retries=0)
         records = run_matrix(
             [JobSpec(name="j", safe_mode_fallback=False, **spec)],
@@ -321,7 +435,7 @@ class TestStaleFormat:
 
 
 # ---------------------------------------------------------------------------
-# the reply log: one append-only file every checkpoint points into
+# the log: one segment a base starts, appended to by every save after it
 # ---------------------------------------------------------------------------
 
 def _tiny_build(path, interval=40):
@@ -346,27 +460,9 @@ def _tiny_build(path, interval=40):
     return build
 
 
-def _frame_ends(log):
-    """Byte offset after the magic and after every frame of ``log``."""
-    blob = open(log, "rb").read()
-    assert blob[:4] == LOG_MAGIC
-    ends, off = [4], 4
-    while off < len(blob):
-        off += 8 + int.from_bytes(blob[off:off + 4], "little")
-        ends.append(off)
-    assert off == len(blob)
-    return ends
-
-
-def _save_ends(log):
-    """Byte offset after the magic and after every save's two frames (its
-    streams, then its memory base or delta)."""
-    return _frame_ends(log)[::2]
-
-
-def _replies(log, mgr):
-    """The reply streams ``mgr``'s committed log holds."""
-    return read_log(log, mgr.log_bytes, mgr.base_at)[0]
+def _replies(seg):
+    """The reply streams the newest snapshot of ``seg`` commits."""
+    return load_checkpoint(seg)["replies"]
 
 
 def _is_prefix(a, b):
@@ -375,31 +471,27 @@ def _is_prefix(a, b):
 
 
 class TestReplyLog:
-    """Generations (and sampler windows) commit a byte length of one shared
-    log. Past that length nothing matters; inside it everything must."""
+    """A save appends its streams, its memory base or delta and its
+    snapshot frame; the newest intact snapshot is the checkpoint. Past it
+    nothing matters; before it everything must."""
 
     @pytest.fixture()
     def crashed(self, tmp_path):
-        """A tiny run killed after its 4th autosave, its undisturbed
-        fingerprint, and the complete reply streams of the full run."""
-        ref_path = str(tmp_path / "ref" / "ck.pkl")
+        """A tiny run killed after its 4th autosave (a base, then three
+        deltas, all in one segment), its undisturbed fingerprint, and the
+        complete reply streams of the full run."""
         os.mkdir(tmp_path / "ref")
+        ref_path = str(tmp_path / "ref" / "ck.pkl")
         SimProcess._next_pid[0] = 1
         ref = _tiny_build(ref_path)()
         baseline = full_fingerprint(ref, ref.run())
-        ref._ckpt.save()                     # flush the tail: whole stream
-        streams = _replies(reply_log_path(ref_path), ref._ckpt)
+        streams = _replies(ref._ckpt.save())   # flush the tail: whole stream
 
         os.mkdir(tmp_path / "work")
-        path = str(tmp_path / "work" / "ck.pkl")
-        SimProcess._next_pid[0] = 1
-        eng = _tiny_build(path)()
-        eng._ckpt.crash_after_saves = 4
-        with pytest.raises(SimulatedCrash):
-            eng.run()
-        ends = _save_ends(reply_log_path(path))
-        assert len(ends) == 5                 # magic + two frames per save
-        return path, baseline, streams, ends
+        path, seg = _saved(tmp_path / "work")
+        ends = _save_ends(seg)
+        assert len(ends) == 5                 # the header + four saves
+        return path, seg, baseline, streams, ends
 
     def _finish(self, path, baseline, streams, saves):
         """Resume, run out, and check the run and the log it leaves."""
@@ -407,123 +499,130 @@ class TestReplyLog:
         assert ck["saves"] == saves
         eng, stats = resume(path, _tiny_build(path))
         assert full_fingerprint(eng, stats) == baseline
-        log = reply_log_path(path)
         assert eng._ckpt.saves > saves        # it saved again after resuming
-        # the log is exactly the committed frames — no stale tail, nothing
-        # recorded twice — and holds the undisturbed run's replies
-        assert _frame_ends(log)[-1] == eng._ckpt.log_bytes
-        assert _is_prefix(_replies(log, eng._ckpt), streams)
+        # the log is one segment of exactly the committed frames — no stale
+        # tail, nothing recorded twice — holding the undisturbed run's
+        # replies
+        seg, = _segments(path)
+        assert _save_ends(seg)[-1] == eng._ckpt.log_bytes
+        assert _is_prefix(_replies(seg), streams)
         return eng
 
     def test_newest_generation_and_header(self, crashed):
-        path, baseline, streams, ends = crashed
-        newest, older = sorted(generation_paths(path), key=os.path.getmtime,
-                               reverse=True)
-        for gen, end in ((newest, ends[4]), (older, ends[3])):
-            blob = open(gen, "rb").read()
-            size = int.from_bytes(blob[4:8], "little")
-            header = json.loads(blob[12:12 + size])
-            assert header["format"] == FORMAT_VERSION
-            assert header["log"] == "ck.pkl.log"
-            assert header["log_bytes"] == end
-            assert len(LOG_MAGIC) <= header["base"] < end
-            # the streams and the memory system are in the log only, never
-            # in the payload again
-            payload = pickle.loads(blob[12 + size + 8:])
-            assert not {"replies", "fault_log"} & set(payload)
-            assert "memsys" not in payload["snapshot"]
+        path, seg, baseline, streams, ends = crashed
+        s = scan(seg, MAGIC)
+        assert json.loads(bytes(s.frames[0][1])) == {"format": FORMAT_VERSION}
+        assert [t for _o, _e, t in _frames(seg)] == [
+            STREAMS, BASE, SNAPSHOT] + [STREAMS, DELTA, SNAPSHOT] * 3
+        for _off, payload in s.frames[3::3]:
+            # the streams and the memory system are in their own frames,
+            # never in the snapshot again
+            ck = pickle.loads(payload[1:])
+            assert ck["version"] == FORMAT_VERSION
+            assert not {"replies", "fault_log"} & set(ck)
+            assert "memsys" not in ck["snapshot"]
         self._finish(path, baseline, streams, saves=4)
 
     @pytest.mark.parametrize("tail", ["garbage", "torn-frame", "future-frame"])
     def test_surplus_tail_is_ignored_then_cut(self, crashed, tail):
-        path, baseline, streams, ends = crashed
-        with open(reply_log_path(path), "ab") as f:
+        path, seg, baseline, streams, ends = crashed
+        with open(seg, "ab") as f:
             if tail == "garbage":
                 f.write(b"\x07" * 37)
             else:
-                n = write_frame(f, pickle.dumps({1: [9, 9, 9]}))
+                n = write_frame(f, tagged(STREAMS, {"replies": {1: [9]},
+                                                    "faults": {}}))
                 if tail == "torn-frame":
                     f.truncate(ends[4] + n - 5)
+        assert load_checkpoint(path)["log_bytes"] == ends[4]
+        record = json.load(open(seg + ".quarantine.json"))
+        assert record["offset"] == ends[4]
+        assert (record["error"] is None) == (tail == "future-frame")
         self._finish(path, baseline, streams, saves=4)
 
     def test_truncation_at_every_byte_of_the_last_frame(self, crashed):
-        """Cuts inside the newest generation's frames: the log is shorter
-        than its header says, so it is quarantined with a structured error
-        naming the log, and the older generation — which commits only the
-        intact prefix — loads. Every byte of the streams frame and of the
-        memory frame's header is cut; inside the memory payload every
-        cut is the same torn-payload case, so a stride of them is."""
-        path, baseline, streams, ends = crashed
+        """Cuts inside the newest save's three frames: the previous
+        snapshot loads, and what follows it is quarantined — with the
+        structured error naming the segment when the cut tore a frame.
+        Every byte of the streams frame and of the frame headers is cut;
+        inside a payload every cut is the same torn-payload case, so a
+        stride of them is."""
+        path, seg, baseline, streams, ends = crashed
         work = os.path.dirname(path)
         keep = work + ".pristine"
         shutil.copytree(work, keep)
-        log = reply_log_path(path)
-        newest = max(generation_paths(path), key=os.path.getmtime)
-        memory_at = _frame_ends(log)[-2]
-        cuts = [*range(ends[3], memory_at + 9),
-                *range(memory_at + 9, ends[4], 61), ends[4] - 1]
+        memory_at, snapshot_at = [o for o, _e, _t in _frames(seg)][-2:]
+        cuts = [*range(ends[3] + 1, memory_at + 9),
+                *range(memory_at + 9, snapshot_at, 61),
+                *range(snapshot_at, snapshot_at + 9),
+                *range(snapshot_at + 9, ends[4], 61), ends[4] - 1]
         for cut in cuts:
             shutil.rmtree(work)
             shutil.copytree(keep, work)
-            os.truncate(log, cut)
+            os.truncate(seg, cut)
             ck = load_checkpoint(path)
             assert ck["saves"] == 3 and ck["log_bytes"] == ends[3]
-            rec = json.load(open(newest + ".quarantine.json"))["error"]
-            assert rec["type"] == "CheckpointCorruptError"
-            assert rec["path"] == log and ends[3] <= rec["offset"] <= cut
+            rec = json.load(open(seg + ".quarantine.json"))
+            assert rec["offset"] == ends[3]
+            if cut in (ends[3], memory_at, snapshot_at):
+                assert rec["error"] is None       # whole frames, no tear
+            else:
+                assert rec["error"]["type"] == "CheckpointCorruptError"
+                assert rec["error"]["path"] == seg
+                assert ends[3] <= rec["error"]["offset"] <= cut
         # and from such a state the run still finishes bit-identically
         self._finish(path, baseline, streams, saves=3)
 
     def test_bit_flip_inside_the_committed_prefix(self, crashed):
-        path, baseline, streams, ends = crashed
-        log = reply_log_path(path)
-        blob = bytearray(open(log, "rb").read())
-        # in the newest generation's own frame: the older one still loads
+        path, seg, baseline, streams, ends = crashed
+        blob = bytearray(open(seg, "rb").read())
+        # in the newest save's own frame: the previous save still loads
         blob[(ends[3] + ends[4]) // 2] ^= 0x10
-        open(log, "wb").write(bytes(blob))
+        open(seg, "wb").write(bytes(blob))
         assert load_checkpoint(path)["saves"] == 3
-        # in a frame every generation commits (the first save's streams):
+        # in a frame every save commits (the first save's streams):
         # nothing is left to load, and what comes out is the structured
         # error, offset at the bad frame
-        blob[(ends[0] + _frame_ends(log)[1]) // 2] ^= 0x10
-        open(log, "wb").write(bytes(blob))
+        blob[ends[0] + HEADER_SIZE + 3] ^= 0x10
+        open(seg, "wb").write(bytes(blob))
         with pytest.raises(CheckpointCorruptError) as ei:
             load_checkpoint(path)
-        assert ei.value.path == log and ei.value.offset == ends[0]
+        assert ei.value.path == seg and ei.value.offset == ends[0]
         assert ei.value.to_record()["reason"] == "frame CRC32 mismatch"
 
     @pytest.mark.parametrize("damage", ["missing", "bad-magic",
                                         "ends-mid-prefix"])
     def test_unusable_log_is_structured(self, crashed, damage):
-        path, _baseline, _streams, ends = crashed
-        log = reply_log_path(path)
+        """The header frame missing (torn), the magic smashed, the segment
+        ending inside the first save: structured, JSON-plain errors."""
+        path, seg, _baseline, _streams, ends = crashed
         if damage == "missing":
-            os.unlink(log)
+            os.truncate(seg, len(MAGIC) + 5)
         elif damage == "bad-magic":
-            open(log, "r+b").write(b"XXXX")
+            open(seg, "r+b").write(b"XXXX")
         else:
-            os.truncate(log, ends[1] + 3)
+            os.truncate(seg, ends[1] - 3)
         with pytest.raises(CheckpointCorruptError) as ei:
             load_checkpoint(path)
-        assert ei.value.path == log
+        assert ei.value.path == seg
+        assert checkpoint_exists(path)
         json.dumps(ei.value.to_record())
 
     def test_fallback_cuts_the_log_at_the_older_offset(self, crashed):
-        """The newest generation *file* is corrupt, its frame is intact:
-        the older generation resumes and its first save must land at its
-        own offset, not after the orphaned frame."""
-        path, baseline, streams, ends = crashed
-        newest = max(generation_paths(path), key=os.path.getmtime)
-        blob = bytearray(open(newest, "rb").read())
+        """The newest snapshot frame is corrupt, the frames before it are
+        intact: the previous save resumes, and its first save lands at that
+        save's offset, not after the orphaned frames."""
+        path, seg, baseline, streams, ends = crashed
+        blob = bytearray(open(seg, "rb").read())
         blob[-1] ^= 0xFF
-        open(newest, "wb").write(bytes(blob))
+        open(seg, "wb").write(bytes(blob))
         eng = self._finish(path, baseline, streams, saves=3)
-        assert os.path.exists(newest + ".corrupt")
-        assert eng._ckpt.log_bytes > ends[3]
+        assert os.path.exists(seg + ".quarantine")
+        assert eng._ckpt.saves > 3
 
     def test_second_crash_after_a_fallback_resume(self, crashed):
-        path, baseline, streams, ends = crashed
-        os.truncate(reply_log_path(path), ends[4] - 1)    # -> older gen
+        path, seg, baseline, streams, ends = crashed
+        os.truncate(seg, ends[4] - 1)         # -> the previous save
 
         def rebuild():
             eng = _tiny_build(path)()
@@ -535,8 +634,9 @@ class TestReplyLog:
         self._finish(path, baseline, streams, saves=5)
 
     def test_resume_from_a_sampler_window_file(self, tmp_path):
-        """``.w<N>`` files point into the same log at their own offsets;
-        resuming from one cuts the log there and carries on."""
+        """``.w<N>`` files are self-contained one-segment logs (the streams
+        so far, a base, its snapshot); resuming from one starts this path's
+        log over from it and carries on."""
         sc = SamplingConfig(detail_cycles=18_000, ff_cycles=46_000,
                             checkpoint_windows=True)
         path = str(tmp_path / "run.ckpt")
@@ -559,31 +659,53 @@ class TestReplyLog:
         baseline = full_fingerprint(eng0, eng0.run())
         windows = sorted(f for f in os.listdir(tmp_path) if ".w" in f)
         assert len(windows) >= 2
-        offsets = [load_checkpoint(str(tmp_path / w))["log_bytes"]
-                   for w in windows]
-        ends = _frame_ends(reply_log_path(path))
-        assert offsets == sorted(offsets) and set(offsets) < set(ends)
-        assert ends[-1] == eng0._ckpt.log_bytes > offsets[0]
+        final = _replies(_segments(path)[-1])
+        events = []
+        for w in windows:
+            tags = [t for _o, _e, t in _frames(str(tmp_path / w))]
+            assert tags[-2:] == [BASE, SNAPSHOT]
+            assert set(tags[:-2]) == {STREAMS}
+            ck = load_checkpoint(str(tmp_path / w))
+            assert _is_prefix(ck["replies"], final)
+            events.append(ck["events_processed"])
+        assert events == sorted(events)
+        # the window saves left the autosaves' pending streams and change
+        # marks alone: the newest autosave resumes to the same result
+        eng, stats = resume(path, build)
+        assert full_fingerprint(eng, stats) == baseline
 
         eng, stats = resume(str(tmp_path / windows[0]), build)
         assert full_fingerprint(eng, stats) == baseline
-        assert _frame_ends(reply_log_path(path))[-1] == eng._ckpt.log_bytes
+        seg, = _segments(path)
+        assert _save_ends(seg)[-1] == eng._ckpt.log_bytes
+        assert load_checkpoint(path)["saves"] == eng._ckpt.saves
 
     def test_names_the_cleanup_code_must_know(self, tmp_path):
-        """A lone log is not a checkpoint, a temp sweep never takes it, and
-        recovery unlinks it together with a finished job's generations."""
+        """A log without a snapshot frame is not a checkpoint, a temp sweep
+        never takes a segment, and recovery unlinks a finished job's
+        segments together with what a load quarantined beside them."""
         base = str(tmp_path / "j.ckpt")
-        open(reply_log_path(base), "wb").write(LOG_MAGIC)
+        lone = f"{base}.00000001.seg"
+        with open(lone, "wb") as f:
+            f.write(MAGIC)
+            write_frame(f, HEADER)
+            write_frame(f, tagged(STREAMS, {"replies": {}, "faults": {}}))
+        assert generation_paths(base) == [lone]
         assert not checkpoint_exists(base)
         assert sweep_stale_tmp(str(tmp_path), "j.ckpt") == []
-        os.unlink(reply_log_path(base))
+        os.unlink(lone)
 
         spool, work = str(tmp_path / "spool"), str(tmp_path / "work")
         runner = JobRunner(spool_dir=spool, workdir=work)
         runner.submit(JobSpec(name="j", **SPEC))
         runner.run()
-        left = set(os.listdir(work))
-        assert "j.ckpt.log" in left and len(left) == 3
+        seg, = _segments(os.path.join(work, "j.ckpt"))
+        with open(seg, "ab") as f:
+            f.write(b"\x07" * 11)                 # a surplus tail
+        load_checkpoint(os.path.join(work, "j.ckpt"))
+        assert sorted(os.listdir(work)) == sorted(
+            os.path.basename(seg) + tail
+            for tail in ("", ".quarantine", ".quarantine.json"))
         JobRunner.recover(spool)
         assert os.listdir(work) == []
 
@@ -604,11 +726,11 @@ class TestCrashPointMachinery:
 
     def test_once_only_within_a_process(self):
         plan = CrashPointPlan(rules=(
-            CrashRule(site="ckpt:post-fsync", hit=1, action="raise"),))
+            CrashRule(site="ckpt:compact", hit=1, action="raise"),))
         crashpoints.install(plan)
         with pytest.raises(SimulatedCrash):
-            crashpoints.hit("ckpt:post-fsync")
-        crashpoints.hit("ckpt:post-fsync")    # spent: never re-fires
+            crashpoints.hit("ckpt:compact")
+        crashpoints.hit("ckpt:compact")       # spent: never re-fires
 
     def test_once_only_across_processes_via_state_dir(self, tmp_path):
         plan = CrashPointPlan(rules=(
@@ -638,16 +760,39 @@ class TestCrashPointMachinery:
 
     def test_raise_during_checkpoint_write_keeps_old_generation(
             self, tmp_path):
-        base = str(tmp_path / "ck.pkl")
-        g0, g1 = generation_paths(base)
-        write_checkpoint_file(g1, _ckpt(saves=1))
+        """A crash at the compaction site — the fresh segment durable, the
+        older one not yet unlinked — leaves both loadable: the newest wins,
+        and without it the older one still loads."""
+        path = str(tmp_path / "ck.pkl")
+        SimProcess._next_pid[0] = 1
+        eng = _tiny_build(path)()
         crashpoints.install(CrashPointPlan(rules=(
-            CrashRule(site="ckpt:pre-rename", hit=1, action="raise"),)))
+            CrashRule(site="ckpt:compact", hit=2, action="raise"),)))
         with pytest.raises(SimulatedCrash):
-            write_checkpoint_file(g0, _ckpt(saves=2))
+            eng.run()                         # saves B D D D, then B
         crashpoints.install(None)
-        assert os.path.exists(g0 + ".tmp")    # the torn write
-        assert load_checkpoint(base)["saves"] == 1   # old gen still loads
+        older, newer = _segments(path)
+        assert load_checkpoint(path)["saves"] == 5
+        assert load_checkpoint(older)["saves"] == 4
+        os.unlink(newer)
+        assert load_checkpoint(path)["saves"] == 4
+
+    def test_compaction_torn_before_its_snapshot_falls_back(self, tmp_path):
+        """A compaction killed before its snapshot frame was written leaves
+        a segment without one: a load skips it for the older segment."""
+        path = str(tmp_path / "ck.pkl")
+        SimProcess._next_pid[0] = 1
+        eng = _tiny_build(path)()
+        crashpoints.install(CrashPointPlan(rules=(
+            CrashRule(site="ckpt:base-append", hit=2, action="raise"),)))
+        with pytest.raises(SimulatedCrash):
+            eng.run()
+        crashpoints.install(None)
+        older, newer = _segments(path)
+        assert [t for _o, _e, t in _frames(newer)][-1] == STREAMS
+        ck = load_checkpoint(path)
+        assert ck["saves"] == 4 and ck["log_path"] == older
+        assert checkpoint_exists(path)
 
     def test_env_pickup_in_fresh_process(self, tmp_path):
         plan = CrashPointPlan(rules=(

@@ -12,7 +12,8 @@ from itertools import takewhile
 
 from repro.core.config import SimConfig
 
-README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+README = os.path.join(ROOT, "README.md")
 
 
 def _table_after(text: str, header: str) -> list:
@@ -44,6 +45,10 @@ _CLASSES = {
     "MemorySystem": ("repro.mem.hierarchy", "MemorySystem"),
     "VecState": ("repro.mem.vec", "VecState"),
     "ParallelEngine": ("repro.host.parallel", "ParallelEngine"),
+    "CheckpointManager": ("repro.checkpoint.manager", "CheckpointManager"),
+    "SegmentLog": ("repro.core.framing", "SegmentLog"),
+    "JobSpool": ("repro.service.spool", "JobSpool"),
+    "JobRunner": ("repro.service.runner", "JobRunner"),
 }
 
 
@@ -64,12 +69,65 @@ def test_class_members_named_in_the_docs_exist():
     pattern = re.compile(r"`(%s)\.(\w+)" % "|".join(_CLASSES))
     missing = []
     for doc in ("DESIGN.md", "README.md"):
-        path = os.path.join(os.path.dirname(__file__), os.pardir, doc)
-        with open(path, encoding="utf-8") as fh:
+        with open(os.path.join(ROOT, doc), encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
                 for clsname, member in pattern.findall(line):
                     modname, attr = _CLASSES[clsname]
                     cls = getattr(importlib.import_module(modname), attr)
                     if not _has_member(cls, member):
                         missing.append(f"{doc}:{lineno}: {clsname}.{member}")
+    assert not missing, "\n".join(missing)
+
+
+def _sections(path: str, heading: str):
+    """``(lineno, line)`` of every section of ``path`` whose heading matches
+    ``heading``, up to the next heading of its level or above."""
+    level = None
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            m = re.match(r"(#+) ", line)
+            if m and (level is None or len(m.group(1)) <= level):
+                level = (len(m.group(1)) if re.search(heading, line, re.I)
+                         else None)
+            if level is not None:
+                yield lineno, line
+
+
+#: the modules whose module-level names the docs call qualified
+_MODULES = {"repro.checkpoint": "repro.checkpoint",
+            "repro.core.framing": "repro.core.framing",
+            "framing": "repro.core.framing"}
+
+
+def test_durable_log_names_in_the_docs_exist():
+    """In the checkpoint, durability and spool sections of DESIGN.md and
+    README.md, every backticked snake_case name (``name`` or
+    ``name(...)``) occurs in the tree's code, and every
+    ``repro.checkpoint.name`` / ``framing.name`` is a module-level name of
+    ``repro.checkpoint`` / ``repro.core.framing``: a deleted function of
+    the durable log fails here until the sentence is rewritten."""
+    code = set()
+    for top in ("src", "tests", "benchmarks"):
+        for dirpath, _dirs, files in os.walk(os.path.join(ROOT, top)):
+            for name in files:
+                if name.endswith(".py"):
+                    with open(os.path.join(dirpath, name),
+                              encoding="utf-8") as fh:
+                        code.update(re.findall(r"\w+", fh.read()))
+    bare = re.compile(r"`(\w+)(?:\([^`]*\))?`")
+    qualified = re.compile(r"`(%s)\.(\w+)" % "|".join(
+        re.escape(m) for m in sorted(_MODULES, key=len, reverse=True)))
+    missing = []
+    for doc in ("DESIGN.md", "README.md"):
+        path = os.path.join(ROOT, doc)
+        for lineno, line in _sections(path, r"checkpoint|durab|spool"):
+            for name in bare.findall(line):
+                if "_" in name.strip("_") and name not in code:
+                    missing.append(f"{doc}:{lineno}: {name}")
+        with open(path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, 1):
+                for mod, name in qualified.findall(line):
+                    if not hasattr(importlib.import_module(_MODULES[mod]),
+                                   name):
+                        missing.append(f"{doc}:{lineno}: {mod}.{name}")
     assert not missing, "\n".join(missing)

@@ -120,14 +120,28 @@ class TestDurabilityForensicRoundTrip:
         assert on_disk == fresh.quarantines[0]
 
     def test_checkpoint_quarantine_record(self, tmp_path):
-        from repro.checkpoint import quarantine_checkpoint
-        from repro.core.errors import CheckpointCorruptError
-        path = str(tmp_path / "ck.pkl.g0")
-        open(path, "wb").write(b"garbage")
-        err = CheckpointCorruptError(path, 0, "bad magic b'garb'")
-        record = quarantine_checkpoint(path, err, fallback="ck.pkl.g1")
+        """A checkpoint segment whose newest snapshot frame is torn: the load
+        falls back and moves the bytes after the previous snapshot aside
+        with a JSON-plain forensic record."""
+        from repro import load_checkpoint
+        from repro.checkpoint.log import BASE, SNAPSHOT, STREAMS, tagged
+        from repro.checkpoint.manager import HEADER, MAGIC
+        from repro.core.framing import write_frame
+        seg = str(tmp_path / "ck.pkl.00000001.seg")
+        with open(seg, "wb") as f:
+            f.write(MAGIC)
+            write_frame(f, HEADER)
+            write_frame(f, tagged(STREAMS, {"replies": {}, "faults": {}}))
+            write_frame(f, tagged(BASE, {}))
+            write_frame(f, tagged(SNAPSHOT, {"saves": 1, "snapshot": {}}))
+            end = f.tell()
+            write_frame(f, tagged(SNAPSHOT, {"saves": 2, "snapshot": {}}))
+            f.truncate(f.tell() - 3)
+        assert load_checkpoint(str(tmp_path / "ck.pkl"))["saves"] == 1
+        record = json.load(open(seg + ".quarantine.json"))
         assert _roundtrips(record)
-        assert json.load(open(path + ".quarantine.json")) == record
+        assert record["offset"] == end
+        assert record["error"]["type"] == "CheckpointCorruptError"
 
     def test_corrupt_error_to_record(self):
         from repro.core.errors import (CheckpointCorruptError,
@@ -142,7 +156,7 @@ class TestDurabilityForensicRoundTrip:
         from repro import CrashPointPlan, CrashRule
         plan = CrashPointPlan(rules=(
             CrashRule(site="spool:append", hit=3),
-            CrashRule(site="ckpt:pre-rename", hit_range=(1, 4),
+            CrashRule(site="ckpt:compact", hit_range=(1, 4),
                       action="raise"),
         ), seed=11, tag="t")
         assert _roundtrips(plan.to_dict())

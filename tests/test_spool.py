@@ -2,7 +2,9 @@
 the point of the exercise — recovery from torn and corrupted segments.
 Torn tails (a crash mid-append) must truncate cleanly with a quarantine
 forensic record; interior damage to synced history must raise a
-structured :class:`SpoolCorruptError`, never silently drop records."""
+structured :class:`SpoolCorruptError`, never silently drop records. The
+damage fuzz runs over both clients of the shared segment scan, the spool
+and the checkpoint log."""
 
 import json
 import os
@@ -11,8 +13,14 @@ import struct
 
 import pytest
 
-from repro import JobRunner, JobSpec, JobState, SpoolCorruptError
-from repro.core.framing import HEADER_SIZE
+from repro import (CheckpointCorruptError, Engine, JobRunner, JobSpec,
+                   JobState, SimulatedCrash, SpoolCorruptError,
+                   complex_backend, load_checkpoint)
+from repro.checkpoint import generation_paths
+from repro.checkpoint.log import SNAPSHOT
+from repro.checkpoint.manager import MAGIC as CKPT_MAGIC
+from repro.core.framing import HEADER_SIZE, scan
+from repro.core.frontend import SimProcess
 from repro.service.spool import MAGIC, JobSpool
 
 
@@ -196,30 +204,98 @@ class TestInteriorCorruption:
             _read_all(str(tmp_path))
 
     def test_random_bit_flip_fuzz(self, tmp_path):
-        """Any single bit flip either truncates to a valid prefix or
-        raises SpoolCorruptError — never a raw struct/json error, never
-        a wrong record."""
+        """Any single bit flip or cut, in either client of the shared
+        segment scan, either reads back a valid prefix or raises that
+        client's structured error (a ``core/errors.py`` type whose record
+        is JSON-plain) — never a raw struct/json/EOF/pickle error, never a
+        wrong record. A checkpoint segment damaged after its first snapshot
+        frame still loads the newest snapshot before the damage."""
         rng = random.Random(1234)
-        spool = JobSpool(str(tmp_path / "seed"))
+        for name, client in (("spool", _SpoolClient),
+                             ("checkpoint", _CheckpointClient)):
+            seed = client(str(tmp_path / name / "seed"))
+            for trial in range(30):
+                d = tmp_path / name / f"fuzz-{trial}"
+                d.mkdir()
+                mutated = bytearray(seed.blob)
+                off = rng.randrange(len(mutated))
+                if trial % 3 == 2:
+                    del mutated[off:]         # a cut
+                else:
+                    mutated[off] ^= 1 << rng.randrange(8)
+                (d / seed.name).write_bytes(bytes(mutated))
+                try:
+                    seed.check(str(d), off, trial % 3 == 2)
+                except (SpoolCorruptError, CheckpointCorruptError) as exc:
+                    json.dumps(exc.to_record())
+                    assert seed.may_fail(off), (name, trial, off)
+
+
+class _SpoolClient:
+    """Ten journal records in one spool segment."""
+
+    def __init__(self, spool_dir):
+        spool = JobSpool(spool_dir)
         _fill(spool, 10)
         spool.close()
         seg = spool.segment_path(spool._seg_index)
-        blob = open(seg, "rb").read()
-        truth = [r["i"] for r in _read_all(str(tmp_path / "seed"))]
-        for trial in range(30):
-            off = rng.randrange(len(blob))
-            bit = 1 << rng.randrange(8)
-            d = tmp_path / f"fuzz-{trial}"
-            d.mkdir()
-            mutated = bytearray(blob)
-            mutated[off] ^= bit
-            (d / os.path.basename(seg)).write_bytes(bytes(mutated))
-            try:
-                records = JobSpool(str(d)).recover()
-            except SpoolCorruptError:
-                continue
-            got = [r.get("i") for r in records]
-            assert got == truth[:len(got)], (trial, off, bit)
+        self.name, self.blob = os.path.basename(seg), open(seg, "rb").read()
+        self.truth = [r["i"] for r in _read_all(spool_dir)]
+
+    def check(self, d, _off, _cut):
+        got = [r.get("i") for r in JobSpool(d).recover()]
+        assert got == self.truth[:len(got)]
+
+    @staticmethod
+    def may_fail(_off):
+        return True
+
+
+class _CheckpointClient:
+    """A tiny checkpointed run killed after its fourth save: one segment
+    holding a base and three deltas."""
+
+    def __init__(self, workdir):
+        os.makedirs(workdir)
+        path = os.path.join(workdir, "ck.pkl")
+
+        def app(n):
+            def run(proc):
+                for i in range(120):
+                    proc.compute(3 + n)
+                    yield from proc.load(0x10_000 + (i * 36 + n * 4) % 0x800)
+                    if i % 3 == n:
+                        yield from proc.store(0x10_000 + i * 8 % 0x400)
+                yield from proc.exit(0)
+            return run
+
+        SimProcess.set_pid_counter(1)
+        eng = Engine(complex_backend(num_cpus=2, checkpoint_path=path,
+                                     checkpoint_interval=40))
+        for n in range(2):
+            eng.spawn(f"p{n}", app(n))
+        eng._ckpt.crash_after_saves = 4
+        with pytest.raises(SimulatedCrash):
+            eng.run()
+        seg, = generation_paths(path)
+        self.name, self.blob = os.path.basename(seg), open(seg, "rb").read()
+        s = scan(seg, CKPT_MAGIC)
+        self.ends = [off + HEADER_SIZE + len(p) for off, p in s.frames
+                     if p[:1] == SNAPSHOT]
+        self.frames = {off for off, _p in s.frames} | {len(self.blob)}
+        assert len(self.ends) == 4 and self.ends[-1] == len(self.blob)
+
+    def check(self, d, off, cut):
+        try:
+            ck = load_checkpoint(os.path.join(d, "ck.pkl"))
+        except FileNotFoundError:
+            # a clean cut before the first snapshot: no checkpoint yet
+            assert cut and off in self.frames and off < self.ends[0]
+            return
+        assert ck["log_bytes"] == max(e for e in self.ends if e <= off)
+
+    def may_fail(self, off):
+        return off < self.ends[0]
 
 
 class TestRunnerJournal:
