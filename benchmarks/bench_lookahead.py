@@ -25,13 +25,14 @@ Also runs standalone for CI::
 
 Smoke mode does a single small round, hard-fails if the default and
 ``fastpath=False`` are not bit-identical, if the windows qualified from the
-vec mirror differ from those the scalar walk alone qualifies (the mirror
-made to decline), if any ``ParallelEngine`` shape misses the inline
+cached batch classification differ from those the scalar walk alone
+qualifies (the bulk path made to decline), if any ``ParallelEngine`` shape misses the inline
 engine's fingerprint, if the all-miss shape opened a window on either
 engine (a frontend whose next reference is about to miss asks for none),
 if a hot-loop shape with a rival extended no reference, or if a spaced row
 misses its ``fastpath=False`` fingerprint or opens different windows with
-the mirror and with the walk, and does not overwrite the JSON artifact.
+the classification and with the walk, and does not overwrite the JSON
+artifact.
 """
 
 from __future__ import annotations
@@ -80,7 +81,7 @@ loop:
 """
 
 def _walk_only(eng):
-    """Make ``eng``'s vec mirror decline every run and every rival's
+    """Make ``eng``'s bulk path decline every run and every rival's
     frontier: windows are then qualified by the scalar walk alone."""
     eng.memsys._vec.run = eng.memsys._vec.frontier = lambda *a: None
     return eng
@@ -208,8 +209,9 @@ def _spaced_rows(passes, rounds):
             secs, fp, bs = _run_spaced(coherence, work, passes)
             assert fp == strict_fp, f"{row['shape']} left the strict run"
             assert bs == walk_bs, \
-                (f"{row['shape']}: the vec mirror changed the qualified "
-                 f"windows:\n  mirror: {bs}\n  walk  : {walk_bs}")
+                (f"{row['shape']}: the classification changed the "
+                 f"qualified windows:\n  classified: {bs}\n  walk      : "
+                 f"{walk_bs}")
             times.append(secs)
         row.update(seconds_default=sorted(times)[len(times) // 2],
                    la_windows=bs["la_windows"], la_refs=bs["la_refs"])
@@ -324,15 +326,15 @@ def main(argv=None) -> int:
         on, off = _measure(rounds=1, passes=20)
         speedup, _ = _report(on, off, _parallel_shapes(passes=10),
                              _spaced_rows(passes=10, rounds=1), write=False)
-        # the two qualifiers of a window — the vec mirror's classification
-        # of each rival batch, the scalar walk — must grant the same ones
+        # the two qualifiers of a window — the cached classification of
+        # each rival batch, the scalar walk — must grant the same ones
         _, walk_eng, walk_stats = _run_once(True, passes=20, walk=True)
         _, on_eng, on_stats = on
         assert (_fingerprint(walk_eng, walk_stats), walk_eng.batch_stats) \
             == (_fingerprint(on_eng, on_stats), on_eng.batch_stats), \
-            ("the vec mirror changed the qualified windows:\n"
-             f"  mirror: {on_eng.batch_stats}\n"
-             f"  walk  : {walk_eng.batch_stats}")
+            ("the classification changed the qualified windows:\n"
+             f"  classified: {on_eng.batch_stats}\n"
+             f"  walk      : {walk_eng.batch_stats}")
         # smoke gates correctness (the identity asserts), not perf — CI
         # machines are too noisy for a hard speedup floor on a tiny run
         print(f"smoke ok: bit-identical, same windows from either "

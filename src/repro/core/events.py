@@ -162,8 +162,9 @@ class EventBatch:
         #: that filled the WHOLE batch as one arithmetic reference stream —
         #: every kind equal, addresses stepping by ``stride`` with sizes
         #: ``stride``, and every pending after the first ``work_per_ref``.
-        #: Purely an accelerator hint (mem/vec.py rebuilds the arrays from
-        #: it instead of converting the lists); None = no structure claimed.
+        #: Purely an accelerator hint (mem/vec.py keys the filling's
+        #: classification on it, so a warm re-scan of the same buffer reuses
+        #: one across batches); None = no structure claimed.
         self.uhint = None
         self.kinds: list = []
         self.addrs: list = []
@@ -188,8 +189,8 @@ class EventBatch:
         self.n += 1
 
     def reset(self) -> None:
-        """Empty the batch for reuse. Bumps ``serial``: any cached
-        classification of the old contents (mem/vec.py) is invalidated."""
+        """Empty the batch for reuse. Bumps ``serial``: no cached
+        classification of the old contents (mem/vec.py) is read again."""
         self.serial = _next_serial()
         self.uhint = None
         self.kinds.clear()
@@ -208,9 +209,10 @@ class EventBatch:
 
 #: references per batch before the producer must flush (bounds both the
 #: parallel-array size and how far a frontend can run ahead of a cut).
-#: Sized so the vectorized classifier (mem/vec.py) amortizes its fixed
-#: per-batch numpy cost; results are cap-independent (the consumer cuts
-#: batches wherever timing requires), so this is purely a host-side knob.
+#: A filling is classified once (mem/vec.py) however often it is cut, so a
+#: larger cap means fewer flushes for the same work; results are
+#: cap-independent (the consumer cuts batches wherever timing requires), so
+#: this is purely a host-side knob.
 BATCH_CAP = 1024
 
 #: freelist of EventBatch objects (engine is single-threaded)
@@ -265,8 +267,8 @@ def strided_batches(kinds: list, bases: tuple, nbytes: int, stride: int,
             sizes[-w:] = [nbytes - off - span + stride] * w
         batch.sizes.extend(sizes)
         if w == 1 and not ragged:
-            # one arithmetic stream: advertised so the vectorized consumer
-            # can skip the list conversions (see EventBatch.uhint)
+            # one arithmetic stream: advertised so its classification is
+            # shared by every re-filling of it (see EventBatch.uhint)
             batch.uhint = (kinds[0], stride, work)
         pendings = ([work] + [0] * (w - 1)) * cnt
         pendings[0] += clock.pending

@@ -90,21 +90,22 @@ def fastpath_summary(engine) -> dict:
 
 
 def vec_summary(engine) -> dict:
-    """Observability row for the vectorized batch memory path.
+    """Observability row for the batch all-hit prefix (``mem/vec.py``).
 
-    Reports how many batch runs classified and retired through the numpy
-    mirror state vs fell back to the scalar loop, the mirror rebuild count,
-    and the per-reason decline counters from the vec classifier —
-    ``short`` (run below ``MIN_RUN``), ``stale`` (mirror out of date and a
-    rebuild not yet worth its pass) and ``first_miss`` (first reference
-    not an L1 fast hit); see DESIGN.md "Vectorized mirror state".
+    Reports how many batch runs retired a prefix in bulk vs fell back to
+    the scalar loop, how many prefixes were classified, and the per-reason
+    decline counters — ``short`` (run below ``MIN_RUN``), ``stale`` (the
+    CPU's L1 version moved since its previous run) and ``first_miss``
+    (first reference not an L1 hit) for runs, ``frontier_short`` /
+    ``frontier_stale`` for rivals' window bounds left to the scalar walk;
+    see DESIGN.md "The batch classification cache".
     """
     ms = engine.memsys
     return {
         "vec_batches": ms.vec_batches,
         "vec_refs": ms.vec_refs,
         "vec_fallbacks": ms.vec_fallbacks,
-        "vec_rebuilds": ms.vec_rebuilds,
+        "classifications": ms._vec.classifications,
         "declines": dict(ms._vec.declines),
     }
 

@@ -51,11 +51,7 @@ def patch(dst: dict, keys: list, values: list) -> None:
 
 
 class Cache:
-    """One cache: maps line address → state, LRU within each set.
-
-    Invariant: ``hits`` never rewinds without a ``version`` bump (only
-    ``load_state`` sets it back) — ``VecState.run``'s resync rule counts on it.
-    """
+    """One cache: maps line address → state, LRU within each set."""
 
     __slots__ = ("name", "cfg", "line_shift", "n_sets", "set_mask", "assoc",
                  "_sets", "_states", "version", "dirty_sets",
@@ -77,11 +73,10 @@ class Cache:
         self._sets: List[List[int]] = [[] for _ in range(self.n_sets)]
         #: line address -> LineState
         self._states: Dict[int, int] = {}
-        #: bumped on every content/state mutation that could *relax* what a
-        #: lookup may answer (fills, invalidations, state changes, restores);
-        #: the vectorized mirror (mem/vec.py) resyncs when it changes. Pure
-        #: LRU reordering and the fast path's direct E->M upgrades do not
-        #: bump it — see DESIGN.md, "mirror-state invariants".
+        #: bumped on every mutation that could turn a hit into a decline
+        #: (fills, invalidations, state changes, restores), so a batch
+        #: classification (mem/vec.py) holds while it stands; LRU reordering
+        #: and the hit paths' E->M upgrades do not bump it
         self.version = 0
         #: one flag per set: its contents or LRU order changed since the
         #: last checkpoint capture (set by the memory system's miss and

@@ -100,11 +100,10 @@ class MemorySystem:
         #: it is set). None outside fault-plan runs.
         self.fault_extra = None
 
-        # --- vectorized batch fast path (see mem/vec.py) -------------------
+        # --- the batch all-hit prefix, retired in bulk (see mem/vec.py) -----
         self.vec_batches = 0
         self.vec_refs = 0
         self.vec_fallbacks = 0
-        self.vec_rebuilds = 0
         self._vec = VecState(self)
 
         # --- sampled-simulation fast-forward mode --------------------------
@@ -257,8 +256,8 @@ class MemorySystem:
 
     def strict_stream(self) -> Optional[str]:
         """Why every reference must go through :meth:`access` alone, at its
-        strict-order cycle — or None when runs may be inlined, vectorised
-        or windowed. ``"tapped"``: ``access`` is rebound on the
+        strict-order cycle — or None when runs may be inlined, retired in
+        bulk or windowed. ``"tapped"``: ``access`` is rebound on the
         instance (memtrace, checkpoint record/replay) and must see the
         strict interleaving call by call. ``"fast_forward"``: a sampled ff
         window, whose synthetic timing no invisibility argument covers."""
@@ -266,16 +265,12 @@ class MemorySystem:
             return "tapped"
         return "fast_forward" if self.ff_active else None
 
-    def ref_invisible_latency(self, pid: int, cpu: int, kind: int,
-                              vaddr: int, size: int) -> int:
-        """Latency this single reference would resolve with on the L1
-        probe, or -1 when it would decline (miss / upgrade / untranslated).
-
-        Read-only: the one scalar classifier — it reads the state the probe
-        consults but mutates nothing, so it can bound how long a *rival*
-        frontend provably stays invisible (a probe hit touches only
-        issuer-private state). Callers rule out :meth:`strict_stream`.
-        """
+    def _invisible_span(self, pid: int, cpu: int, kind: int, vaddr: int,
+                        size: int):
+        """First and last line of a reference the L1 probe would retire
+        (page translated, every line in ``cpu``'s L1, E or M unless a read),
+        else None; read-only. The one definition of an *invisible*
+        reference: the rivals' walk and the batch classification ask it."""
         if vaddr >= KERNEL_BASE:
             ppn = self._kernel_table.get(vaddr >> self._page_shift)
         else:
@@ -283,18 +278,29 @@ class MemorySystem:
             ppn = (sp.table.get(vaddr >> self._page_shift)
                    if sp is not None else None)
         if ppn is None:
-            return -1
+            return None
         paddr = (ppn << self._page_shift) | (vaddr & self._page_mask)
         shift = self._line_shift
-        line = paddr >> shift
+        first = line = paddr >> shift
         last = (paddr + (size or 1) - 1) >> shift
         states_get = self._l1_states[cpu].get
         while line <= last:
             st = states_get(line)
             if st is None or (kind != 0 and st < _EXCLUSIVE):
-                return -1
+                return None
             line += 1
-        lat = self._l1_latency * (last - (paddr >> shift) + 1)
+        return first, last
+
+    def ref_invisible_latency(self, pid: int, cpu: int, kind: int,
+                              vaddr: int, size: int) -> int:
+        """Latency this single reference would resolve with on the L1
+        probe, or -1 when it would decline (miss / upgrade / untranslated).
+        Read-only (:meth:`_invisible_span`), so it can bound how long a
+        *rival* stays invisible. Callers rule out :meth:`strict_stream`."""
+        span = self._invisible_span(pid, cpu, kind, vaddr, size)
+        if span is None:
+            return -1
+        lat = self._l1_latency * (span[1] - span[0] + 1)
         return lat + 4 if kind == 2 else lat
 
     def invisible_until(self, pid: int, cpu: int, batch, cap: int) -> int:
@@ -316,13 +322,11 @@ class MemorySystem:
 
         The reference at the cursor is probed first: a rival about to miss
         is visible at its own time, and costs no classification. Past it
-        there are two qualifiers. With the vec mirror of ``cpu`` fresh the
-        bound is read from the batch's array classification
-        (:meth:`VecState.frontier` — the one the owner's own run will use).
-        Otherwise (mirror stale, a handful of references left) the walk
-        over :meth:`ref_invisible_latency` continues from that probe; it is
-        the reference the array bound is tested against. The caller rules
-        out :meth:`strict_stream`.
+        the bound is read from the batch's cached classification
+        (:meth:`VecState.frontier`, the one the owner's own run will use)
+        when ``cpu``'s L1 held still since its last run; otherwise the walk
+        over :meth:`ref_invisible_latency` continues from that probe. Both
+        ask one probe and agree. The caller rules out :meth:`strict_stream`.
         """
         t = batch.time
         i = batch.cursor
@@ -380,12 +384,12 @@ class MemorySystem:
         goes through the instance's ``access`` reference by reference
         (:meth:`_run_each`): a tap sees every reference, and a fast-forward
         window warms through ``access``'s ff arm, so a sampled result does
-        not depend on whether a tap is attached. Otherwise the vec mirror
-        retires the all-hit prefix in bulk array ops when it can
-        (``serial`` names the batch filling so a classification survives
-        horizon-cut continuations; ``uhint`` is the producer's uniform
-        stream claim) and the scalar loop, the simulator's hottest, does
-        the rest — bit-identically.
+        not depend on whether a tap is attached. Otherwise the all-hit
+        prefix retires in bulk from its cached classification when it can
+        (:meth:`VecState.run`; ``serial`` names the batch filling so a
+        classification survives horizon-cut continuations, ``uhint`` is the
+        producer's uniform stream claim) and the scalar loop, the
+        simulator's hottest, does the rest — bit-identically.
         """
         if i >= n or limit <= 0:
             return 0, i, t, 0, None, 0
@@ -616,10 +620,12 @@ class MemorySystem:
         consulted: its guards tolerate the stale directory entries this
         leaves, and the next detail window re-establishes precise sharing
         state on miss. A present line counts a hit and promotes nothing (a
-        write flips it to M in the L1 alone: conservative for the mirror);
-        an absent line fills L2 then L1 in place, with exactly the effects
-        of composing ``Cache.insert`` / ``set_state`` / ``invalidate``
-        (counters, LRU order, versions) and no writeback or forget.
+        write flips it to M in the L1 alone, with no version bump: a batch
+        classification made before may then decline a hit, never accept a
+        decline); an absent line fills L2 then L1 in place, with exactly
+        the effects of composing ``Cache.insert`` / ``set_state`` /
+        ``invalidate`` (counters, LRU order, versions) and no writeback or
+        forget.
         ``tests/test_miss_kernel.py`` holds that composition."""
         pshift = self._page_shift
         if vaddr >= KERNEL_BASE:

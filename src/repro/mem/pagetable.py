@@ -115,8 +115,8 @@ class _Space:
     def __init__(self) -> None:
         self.table: Dict[int, int] = {}       # vpn -> ppn
         self.vmas: List[Vma] = []
-        #: bumped on every page-table mutation; the vectorized fast path
-        #: (mem/vec.py) keys its sorted translation snapshot on it
+        #: bumped on every page-table mutation; a batch classification
+        #: (mem/vec.py) is keyed on it
         self.version = 0
 
     def find_vma(self, vaddr: int) -> Optional[Vma]:

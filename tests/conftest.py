@@ -8,6 +8,14 @@ from repro import Engine, complex_backend, simple_backend
 from repro.core.stats import StatsRegistry
 
 
+def pytest_collection_modifyitems(items):
+    """Run ``benchmarks/e2e``'s own tests first, as the bench runs: in a
+    process where no gc callback is installed. Its run deadline is an
+    exception raised from SIGALRM, which Python drops when it lands in a gc
+    callback — and hypothesis installs one with its first test."""
+    items.sort(key=lambda item: not item.nodeid.startswith("benchmarks/e2e/"))
+
+
 @pytest.fixture
 def engine1():
     """A single-CPU simple-backend engine."""

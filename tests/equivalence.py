@@ -2,7 +2,7 @@
 
 The conservative interleaving rule decides every result; ``fastpath`` and
 ``ParallelEngine`` may change only speed, and so may the layers that select
-themselves (windows and the vec mirror where batches exist, block
+themselves (windows and the bulk all-hit prefix where batches exist, block
 translation in ISA frontends). This module states that once: the rows,
 ``ARMS``, ``MODES``, the substitutions that reach those layers' reference
 implementations, the fault plans and ISA programs; :func:`snapshot` (what
@@ -66,7 +66,7 @@ ERRNO_PLAN = FaultPlan(rules=(
 # arms
 # ---------------------------------------------------------------------------
 
-#: the one host switch: batches published (windows and the vec mirror then
+#: the one host switch: batches published (windows and the bulk path then
 #: select themselves), or the strict schedule; ISA frontends translate on
 #: either arm
 DEFAULT, STRICT = {"fastpath": True}, {"fastpath": False}
@@ -82,7 +82,7 @@ def _decline(*_args, **_kwargs):
 #: reaches "probe off"): name -> a context manager held over the whole run.
 #: For the mechanism suites: ``sub(name)``, composed by nesting
 SUBS = {
-    # the scalar loop and the scalar walk: the vec mirror declines every
+    # the scalar loop and the scalar walk: the bulk path declines every
     # run and every rival's frontier
     "scalar": lambda: mock.patch.multiple(VecState, run=_decline,
                                           frontier=_decline),
@@ -109,15 +109,16 @@ def sub(name, cfg=DEFAULT) -> dict:
     return {**cfg, "sub": tuple(sorted({*cfg.get("sub", ()), name}))}
 
 
-def _corner(fast, windows, mirror) -> dict:
+def _corner(fast, windows, bulk) -> dict:
     if not fast:
         return STRICT
     cfg = DEFAULT if windows else sub("no_windows")
-    return cfg if mirror else sub("scalar", cfg)
+    return cfg if bulk else sub("scalar", cfg)
 
 
-#: the switch x windows x the vec mirror, each layer on or substituted by
-#: its reference implementation, ``LATTICE[0]`` the ``DEFAULT`` corner.
+#: the switch x windows x the bulk all-hit prefix (``mem/vec.py``), each
+#: layer on or substituted by its reference implementation, ``LATTICE[0]``
+#: the ``DEFAULT`` corner.
 #: With ``fastpath`` off no batch exists for a substitution to act on, so
 #: the four ``fast0`` corners are all ``STRICT`` (one memoised run).
 #: ``LATTICE_IDS`` name the corners ``fast1-look1-vect1`` and so on
@@ -127,9 +128,9 @@ LATTICE_IDS = ["fast{}-look{}-vect{}".format(*map(int, bits))
                for bits in _BITS]
 
 
-def decline_mirror(ms) -> None:
+def decline_bulk(ms) -> None:
     """The ``scalar`` substitution on one memory system: from now on its
-    mirror declines every run and every frontier."""
+    bulk path declines every run and every frontier."""
     ms._vec.run = ms._vec.frontier = _decline
 
 

@@ -474,7 +474,7 @@ class TestDeltaReconstruction:
         """A seeded stream of reads, writes, atomics and line-straddling
         references from four CPUs over 96 shared lines, one at a time and
         in batches, in and out of fast-forward, with runs over each CPU's
-        own lines the vec mirror retires, then the private-L2 arm's marks
+        own lines the bulk path retires, then the private-L2 arm's marks
         at both of its sites (:meth:`_arm_cases`): every fourth step the
         delta folded into the previous capture is the ``state_dict()``.
         On a complex hierarchy the arm (the L2 hits the miss kernel did
@@ -590,7 +590,7 @@ class TestDeltaReconstruction:
     @staticmethod
     def _private_runs(ms, cpu, now, settle):
         """Batches over eight lines only ``cpu`` touches: reads until the
-        mirror retires them, a capture, then writes (E->M flips in bulk,
+        bulk path retires them, a capture, then writes (E->M flips in bulk,
         the only change left to mark)."""
         addrs = [0x100000 + (128 + cpu * 8 + k % 8) * 32 for k in range(16)]
         for kind in (0, 0, 0, 0, 1):

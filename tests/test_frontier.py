@@ -1,13 +1,12 @@
 """The two qualifiers of a horizon-extension window agree.
 
 ``MemorySystem.invisible_until`` bounds how long a rival's parked batch
-provably stays invisible. With the rival CPU's vec mirror fresh the bound is
-read from the batch's array classification (``VecState.frontier``);
-otherwise the scalar reference-by-reference walk answers. The walk is the
-reference: the array bound must never exceed it (a larger window could
-reorder the rival against something it observes) and must equal it unless a
-reference spans more than two lines, which the mirror declines and the walk
-probes line by line.
+provably stays invisible. With the rival CPU's L1 held still since its
+owner's last run the bound is read from the batch's cached classification
+(``VecState.frontier``); otherwise the scalar reference-by-reference walk
+answers. The walk is the reference and the classification must equal it on
+every batch, multi-line references included: a larger window could reorder
+the rival against something it observes, a smaller one wastes windows.
 """
 
 from __future__ import annotations
@@ -37,8 +36,9 @@ ABSENT = 13
 def make_ms() -> MemorySystem:
     """CPU 0's L1 over two pages, by line index mod 16: 0-10 EXCLUSIVE, 11
     MODIFIED, 12 SHARED (CPU 1 read it too — a write must decline), 13
-    absent (translated, not resident), 14-15 EXCLUSIVE. Mirror resynced, as
-    ``run()`` would."""
+    absent (translated, not resident), 14-15 EXCLUSIVE. Then one short run
+    of CPU 0 (scalar, a hit): its L1 held still since, so the
+    classification answers."""
     cfg = complex_backend(num_cpus=2)
     ms = MemorySystem(cfg, StatsRegistry(cfg.num_cpus))
     ms.vmm.new_space(PID)
@@ -56,7 +56,7 @@ def make_ms() -> MemorySystem:
             lat, fault = ms.access(PID, addr, 4, False, 1, now)
             assert fault is None
             now += lat
-    ms._vec._rebuild_cache(CPU)
+    ms.access_run(PID, CPU, [0], [BASE], [4], [0], 0, 1, now, 1, INF)
     return ms
 
 
@@ -72,7 +72,7 @@ def make_batch(refs, cursor=0, time=1000, uhint=None) -> EventBatch:
 
 
 def scalar_bound(ms, batch, cap):
-    """The walk alone: ``invisible_until`` with the array qualifier
+    """The walk alone: ``invisible_until`` with the classification
     declining."""
     vec = ms._vec
     vec.frontier = lambda *_args: None
@@ -80,10 +80,6 @@ def scalar_bound(ms, batch, cap):
         return ms.invisible_until(PID, CPU, batch, cap)
     finally:
         del vec.frontier
-
-
-def spans_over_two_lines(refs) -> bool:
-    return any(((a % LINE) + s - 1) // LINE >= 2 for _k, a, s, _p in refs)
 
 
 @pytest.fixture(scope="module")
@@ -152,7 +148,6 @@ def _check(ms, refs, uhint, data):
         st.integers(0, max(0, len(refs) - vecmod.MIN_RUN)),
         st.integers(0, len(refs) - 1)))
     batch = make_batch(refs, cursor, uhint=uhint)
-    exact = not spans_over_two_lines(refs[cursor:])
     kind, addr, size, _pend = refs[cursor]
     declines = ms.ref_invisible_latency(PID, CPU, kind, addr, size) < 0
     full = scalar_bound(ms, batch, INF)
@@ -162,40 +157,37 @@ def _check(ms, refs, uhint, data):
             + [INF]:
         want = scalar_bound(ms, batch, cap)
         got = ms.invisible_until(PID, CPU, batch, cap)
-        assert got <= want, (cap, refs, cursor, uhint)
+        assert got == want, (cap, refs, cursor, uhint)
         if declines:
             # the cursor probe answers before either qualifier, uncapped
-            assert got == want == batch.time, (cap, refs, cursor, uhint)
-        elif exact:
-            # a batch whose last reference is at the cursor: the walk
-            # answers its time uncapped, the arrays clamp it like any other
-            assert got in (want, min(want, cap)), (cap, refs, cursor, uhint)
+            assert got == batch.time, (cap, refs, cursor, uhint)
 
 
 @settings(max_examples=120, deadline=None)
 @given(_unhinted, st.data())
-def test_array_frontier_matches_the_scalar_walk(ms, refs, data):
+def test_classified_frontier_matches_the_scalar_walk(ms, refs, data):
     _check(ms, refs, None, data)
 
 
 @settings(max_examples=120, deadline=None)
 @given(_hinted(), st.data())
-def test_array_frontier_matches_the_scalar_walk_hinted(ms, filling, data):
+def test_classified_frontier_matches_the_scalar_walk_hinted(ms, filling,
+                                                            data):
     _check(ms, *filling, data)
 
 
-def test_array_qualifier_answers_when_it_can(ms):
-    """Enough references, first one a hit, mirror fresh: the bound comes
-    from ``frontier`` — also when it is the >2-line decline that stops it
-    short of the walk."""
+def test_classification_answers_when_it_can(ms):
+    """Enough references, first one a hit, L1 held still: the bound comes
+    from ``frontier`` — a reference of three lines included, as the walk
+    probes it."""
     refs = [(0, BASE + j * 4, 4, 0) for j in range(12)]
     batch = make_batch(refs)
     assert ms._vec.frontier(PID, CPU, batch, INF) == \
         scalar_bound(ms, batch, INF) == batch.time + 11
     wide = refs[:4] + [(0, BASE, 3 * LINE, 0)] + refs[5:]
     batch = make_batch(wide)
-    assert ms._vec.frontier(PID, CPU, batch, INF) == batch.time + 4
-    assert scalar_bound(ms, batch, INF) == batch.time + 4 + 3 + 6
+    assert ms._vec.frontier(PID, CPU, batch, INF) == \
+        scalar_bound(ms, batch, INF) == batch.time + 4 + 3 + 6
 
 
 def test_stale_or_short_goes_to_the_scalar_walk():
@@ -215,21 +207,21 @@ def test_stale_or_short_goes_to_the_scalar_walk():
         scalar_bound(ms, short, INF)
     assert vec.declines["frontier_short"] == before["frontier_short"] + 2
 
-    # a fill bumps the L1 version: the mirror is stale, and stays stale —
-    # only the owner's run() decides when a rebuild pays
+    # a fill bumps the L1 version: no classification is read or made until
+    # the owner's next run() entry finds the L1 held still
     ms.access(PID, BASE + ABSENT * LINE, 4, False, CPU, 0)
-    rebuilds = ms.vec_rebuilds
+    classified = vec.classifications
     assert vec.frontier(PID, CPU, batch, INF) is None
     got = ms.invisible_until(PID, CPU, batch, INF)
     assert got == scalar_bound(ms, batch, INF) == batch.time + 11 * 2 + 2
     assert vec.declines["frontier_stale"] == before["frontier_stale"] + 2
-    assert ms.vec_rebuilds == rebuilds
+    assert vec.classifications == classified
 
 
 def test_classification_is_paid_once_and_shared_with_the_owner(monkeypatch):
     """A fresh, fully-hitting rival batch is classified by the first query;
-    the second query and the owner's own ``run()`` read the cached arrays —
-    no classification, and each query probes only the cursor reference (a
+    the second query and the owner's own ``run()`` read the cached
+    classification — no second walk, and each query probes only the cursor reference (a
     rival about to miss stops there — ``tests/test_host_switches.py``)."""
     ms = make_ms()
     vec = ms._vec
@@ -237,7 +229,7 @@ def test_classification_is_paid_once_and_shared_with_the_owner(monkeypatch):
     orig = vecmod.VecState._classify
     monkeypatch.setattr(
         vecmod.VecState, "_classify",
-        lambda self, *a: classified.append(a[5:7]) or orig(self, *a))
+        lambda self, *a: classified.append(a[6:8]) or orig(self, *a))
     probes = []
     orig_probe = MemorySystem.ref_invisible_latency
     monkeypatch.setattr(

@@ -7,11 +7,11 @@ from repro.core.stats import StatsRegistry
 from repro.mem.cache import LineState
 from repro.mem.hierarchy import MemorySystem
 
-from tests.equivalence import decline_mirror
+from tests.equivalence import decline_bulk
 
 
 def make(cfg=None, minor=400, vec=True):
-    """A memory system with pid 1 mapped; ``vec=False``: its vec mirror
+    """A memory system with pid 1 mapped; ``vec=False``: its bulk path
     declines everything, so runs take the scalar loop."""
     cfg = cfg or complex_backend(num_cpus=2)
     ms = MemorySystem(cfg, StatsRegistry(cfg.num_cpus),
@@ -19,7 +19,7 @@ def make(cfg=None, minor=400, vec=True):
     ms.vmm.new_space(1)
     ms.vmm.map_anon(1, 0x10000, 1 << 24)
     if not vec:
-        decline_mirror(ms)
+        decline_bulk(ms)
     return ms
 
 

@@ -1,7 +1,7 @@
 """The one host switch selects host mechanisms, never the model.
 
 ``fastpath`` publishes batches or not; where batches exist, windows and
-the vec mirror select themselves, as block translation does in every ISA
+the bulk all-hit prefix select themselves, as block translation does in every ISA
 frontend. Either arm, and each self-selecting layer's reference
 implementation (``SUBS``), is one simulated program, fault plan armed or
 not — the L1 probe is the memory model, so nothing here moves a

@@ -4,10 +4,10 @@ The batched hot loop may drain references past the strict rival horizon,
 but only references satisfying the L1 fast-path full-hit predicate — which
 touch nothing outside the issuer's private state, so any interleaving of
 them commutes with the strict order. How far each rival stays invisible is
-read from the vec mirror's classification of its parked batch, or walked
-reference by reference when there is no fresh mirror (the ``scalar``
-substitution forces the walk); both qualifiers must grant the same windows
-(``test_frontier.py`` compares them bound by bound).
+read from the cached classification of its parked batch, or walked
+reference by reference when the rival's L1 moved since its last run (the
+``scalar`` substitution forces the walk); both qualifiers must grant the
+same windows (``test_frontier.py`` compares them bound by bound).
 
 ``ParallelEngine`` workers ship the batches their interpreters fill into that
 same pipeline; a still-computing worker bounds the others (``_round_gate``).
@@ -75,8 +75,8 @@ def test_lookahead_drains_past_horizon():
     assert (bs_on["la_windows"], bs_on["la_refs"]) == (123, 22_999)
     assert on.counters["stand_downs"]["miss"] == 4 * 256   # the cold pass
     assert bs_on["batches"] < off.counters["batch_stats"]["batches"]
-    # the array qualifier did the work: past warm-up no rival query fell
-    # back to the walk for want of a fresh mirror (three queries a window)
+    # the classification did the work: past warm-up no rival query fell
+    # back to the walk for an L1 that moved (three queries a window)
     declines = on.counters["vec"]["declines"]
     assert declines["frontier_stale"] < bs_on["la_windows"] // 2
 
@@ -113,8 +113,8 @@ def test_window_reaches_the_rivals_bound():
 @pytest.mark.parametrize("name", sorted(SPACED))
 def test_spaced_windows_are_the_scalar_walks(name):
     """Every spaced shape (MESI at 20 to 1 000 cycles of work a line, DSM
-    at 200) opens windows, and the vec mirror grants exactly the windows
-    the scalar walk grants (``check``: the ``scalar`` twin's
+    at 200) opens windows, and the classification grants exactly the
+    windows the scalar walk grants (``check``: the ``scalar`` twin's
     ``batch_stats`` equal the default's)."""
     on, _, _ = check(name, [DEFAULT, sub("scalar"), sub("no_windows")])
     assert on.counters["batch_stats"]["la_windows"] > 0
@@ -154,7 +154,7 @@ def test_checkpoint_resume_with_lookahead_on():
 def test_parallel_equals_strict_inline(prog, n, i):
     """Every corner of the ``LATTICE`` on a ParallelEngine lands the
     strict inline ISA run (``fastpath=False`` replays shipped batches
-    reference by reference; the proxies' windows and mirror may be
+    reference by reference; the proxies' windows and bulk path may be
     substituted); where a computing worker's bound cuts a batch is the
     host's timing."""
     check(Isa((PROGS[prog],) * n, parallel=True), [LATTICE[i]])

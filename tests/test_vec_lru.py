@@ -1,4 +1,4 @@
-"""LRU exactness of the vectorized retirement (``mem/vec.py``).
+"""LRU exactness of the bulk retirement (``mem/vec.py``).
 
 ``VecState.run`` retires a run of L1 hits in bulk and then has to leave
 every touched set in the MRU order the scalar per-touch move-to-front
@@ -12,7 +12,6 @@ line on a twin cache.
 
 from __future__ import annotations
 
-import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import CacheConfig, complex_backend
@@ -21,7 +20,7 @@ from repro.mem import vec as vecmod
 from repro.mem.cache import Cache
 from repro.mem.hierarchy import MemorySystem
 
-from tests.equivalence import decline_mirror
+from tests.equivalence import decline_bulk
 
 LINE = 32
 #: (n_sets, assoc): mask-indexed and modulo-indexed geometries
@@ -70,11 +69,11 @@ def _scripts(draw):
 def test_replay_equals_per_touch_move_to_front(script):
     n_sets, assoc, refs, steps = script
     cache, twin = _full_cache(n_sets, assoc), _full_cache(n_sets, assoc)
-    line0 = np.array([ln for ln, _ in refs], dtype=np.int64)
-    nl = np.array([k for _, k in refs], dtype=np.int64)
-    two_any = bool((nl == 2).any())
-    cd = {"line0": line0, "nl": nl if two_any else None, "two_any": two_any,
-          "plans": {}}
+    lines, nlines = [], [0]
+    for ln, k in refs:
+        lines.extend(range(ln, ln + k))
+        nlines.append(len(lines))
+    cd = vecmod.Prefix(0, len(refs), len(refs), [], [], nlines, lines, [])
     ran = set()
     for step in steps:
         if isinstance(step, int):
@@ -90,7 +89,7 @@ def test_replay_equals_per_touch_move_to_front(script):
                 twin.lookup(line)
         ran.add(step)
         assert cache._sets == twin._sets, (script, step)
-        assert set(cd["plans"]) == ran      # one plan a slice, reused
+        assert set(cd.plans) == ran         # one plan a slice, reused
     assert cache._states == twin._states
 
 
@@ -100,13 +99,13 @@ def _warm_ms(vec: bool) -> MemorySystem:
     ms.vmm.new_space(1)
     ms.vmm.map_anon(1, 0x10000, 1 << 24)
     if not vec:
-        decline_mirror(ms)
+        decline_bulk(ms)
     return ms
 
 
 def test_plan_lives_and_dies_with_the_classification():
     """Through ``access_run`` on a real hierarchy, against a twin whose
-    mirror declines (the scalar loop): the same hinted filling reuses one
+    bulk path declines (the scalar loop): the same hinted filling reuses one
     plan; a scalar hit in between (no version moves) is caught by the live-list
     check; an invalidation (version moves) gets a new classification and a
     new plan — the old fronts, which name a line that is gone, are never
@@ -128,19 +127,24 @@ def test_plan_lives_and_dies_with_the_classification():
         return ms.access_run(1, 0, kinds, addrs, sizes, pends, 0, n, 1000,
                              n, 1 << 60, serial=1, uhint=(1, LINE, 0))
 
+    def enter(ms):
+        # a one-reference run that hits: the L1 holds still from here on
+        return ms.access_run(1, 0, [0], addrs[:1], [4], [0], 0, 1, 1500, 1,
+                             1 << 60)
+
     both(sweep)                             # cold: fills
-    vec._rebuild_cache(0)
+    both(enter)
     both(sweep)                             # the slice is noted ...
     both(sweep)                             # ... and, recurring, planned
     (cd,) = vec._cache.values()
-    (plan,) = cd["plans"].values()
+    (plan,) = cd.plans.values()
     refs = pair[0].vec_refs
     assert refs == 2 * n and plan
     both(sweep)                             # every set already in place
     both(lambda ms: ms.access(1, addrs[5], 4, False, 0, 2000))
     both(sweep)                             # one set out of place
     (same_cd,) = vec._cache.values()
-    (same_plan,) = cd["plans"].values()
+    (same_plan,) = cd.plans.values()
     assert same_cd is cd and same_plan is plan
     assert pair[0].vec_refs == refs + 2 * n
 
@@ -149,8 +153,8 @@ def test_plan_lives_and_dies_with_the_classification():
     gone = ((ppn << ms._page_shift) | (addrs[9] & ms._page_mask)) \
         >> ms._line_shift
     both(lambda ms: ms.l1s[0].invalidate(gone))
-    vec._rebuild_cache(0)
+    both(enter)
     both(sweep)                             # hits up to the hole, then fills
     (new_cd,) = [c for c in vec._cache.values() if c is not cd]
-    assert new_cd["plans"] == {(0, 9): ()} and len(cd["plans"]) == 1
+    assert new_cd.plans == {(0, 9): ()} and len(cd.plans) == 1
     assert pair[0].vec_refs == refs + 2 * n + 9
