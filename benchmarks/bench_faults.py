@@ -105,7 +105,7 @@ def smoke() -> dict:
         for site, n in fired1.items():
             all_fired[site] = all_fired.get(site, 0) + n
     # host switch x faults cross-check: the strict arm (per-reference
-    # events, so no window and no mirror) must not move fault draws or
+    # events, so no window and no bulk prefix) must not move fault draws or
     # outcomes relative to the default — the L1 probe is the model, so
     # neither arm reaches ``mem:degraded`` more often than the other
     arms = {"default": {}, "fastpath_off": {"fastpath": False}}

@@ -232,10 +232,10 @@ class SimConfig:
     #: deadlock-detection: max events with no progress before aborting
     max_cycles: int = 1 << 62
     #: the one host switch. On, frontends publish EventBatches, on which
-    #: lookahead windows and the vec mirror (mem/vec.py) select themselves
-    #: from what the run observes. Off, every reference is one event: the
-    #: strict reference schedule, e.g. for equivalence testing or
-    #: interleaving ablations. Bit-identical timing either way; the L1
+    #: lookahead windows and the bulk all-hit prefix (mem/vec.py) select
+    #: themselves from what the run observes. Off, every reference is one
+    #: event: the strict reference schedule, e.g. for equivalence testing
+    #: or interleaving ablations. Bit-identical timing either way; the L1
     #: probe is the memory model and runs either way.
     fastpath: bool = field(default=True, metadata=HOST_POLICY)
     #: optional deterministic fault-injection plan (a repro.faults.FaultPlan;

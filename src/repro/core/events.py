@@ -277,7 +277,8 @@ def strided_batches(kinds: list, bases: tuple, nbytes: int, stride: int,
         batch.n = cnt * w
         off += span
         total += yield batch
-        batch.reset()
+        if left:
+            batch.reset()       # the last filling is reset on release
     release_batch(batch)
     return total
 

@@ -90,15 +90,10 @@ def fastpath_summary(engine) -> dict:
 
 
 def vec_summary(engine) -> dict:
-    """Observability row for the batch all-hit prefix (``mem/vec.py``).
-
-    Reports how many batch runs retired a prefix in bulk vs fell back to
-    the scalar loop, how many prefixes were classified, and the per-reason
-    decline counters — ``short`` (run below ``MIN_RUN``), ``stale`` (the
-    CPU's L1 version moved since its previous run) and ``first_miss``
-    (first reference not an L1 hit) for runs, ``frontier_short`` /
-    ``frontier_stale`` for rivals' window bounds left to the scalar walk;
-    see DESIGN.md "The batch classification cache".
+    """Observability row for the batch all-hit prefix (``mem/vec.py``):
+    runs retired in bulk vs left to the scalar loop, prefixes classified,
+    bulk retirements that replayed LRU vs skipped it on the CPU's stamp,
+    and per-reason declines (DESIGN.md, "The batch classification cache").
     """
     ms = engine.memsys
     return {
@@ -106,6 +101,8 @@ def vec_summary(engine) -> dict:
         "vec_refs": ms.vec_refs,
         "vec_fallbacks": ms.vec_fallbacks,
         "classifications": ms._vec.classifications,
+        "lru_replays": ms.vec_batches - ms._vec.lru_skips,
+        "lru_skips": ms._vec.lru_skips,
         "declines": dict(ms._vec.declines),
     }
 

@@ -20,10 +20,10 @@ to the backend over a pipe. Four message tags go worker -> backend:
 The engine-side proxy (``ParallelEngine._proxy``) refills one reusable
 ``EventBatch`` from each ``"B"`` message and yields it, so a worker's
 references go through ``Engine._handle_batch`` / ``MemorySystem.access_run``
-/ the vec mirror / the qualified lookahead window exactly like an inline
-ISA frontend's. With ``SimConfig.fastpath`` off the proxy replays the batch
-reference by reference instead (the equivalence oracle). There is one run
-loop, ``Engine.run``.
+/ the bulk all-hit prefix / the qualified lookahead window exactly like an
+inline ISA frontend's. With ``SimConfig.fastpath`` off the proxy replays the
+batch reference by reference instead (the equivalence oracle). There is one
+run loop, ``Engine.run``.
 
 Conservative ordering
 ---------------------

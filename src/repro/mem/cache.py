@@ -76,7 +76,8 @@ class Cache:
         #: bumped on every mutation that could turn a hit into a decline
         #: (fills, invalidations, state changes, restores), so a batch
         #: classification (mem/vec.py) holds while it stands; LRU reordering
-        #: and the hit paths' E->M upgrades do not bump it
+        #: and the hit paths' E->M upgrades do not bump it (a reorder moves
+        #: ``hits``, which only a restore rewinds: mem/vec.py's LRU stamp)
         self.version = 0
         #: one flag per set: its contents or LRU order changed since the
         #: last checkpoint capture (set by the memory system's miss and

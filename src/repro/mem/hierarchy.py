@@ -320,14 +320,18 @@ class MemorySystem:
         code it runs on completion reads the global clock, which must not
         have passed the cycle the strict schedule completes the batch at.
 
-        The reference at the cursor is probed first: a rival about to miss
-        is visible at its own time, and costs no classification. Past it
-        the bound is read from the batch's cached classification
-        (:meth:`VecState.frontier`, the one the owner's own run will use)
+        A classification already cached for the batch answers first, with
+        no probe (:meth:`VecState.frontier` not walking). Else the cursor is
+        probed: a rival about to miss is visible at its own time and costs
+        no classification. Past it :meth:`VecState.frontier` classifies
         when ``cpu``'s L1 held still since its last run; otherwise the walk
-        over :meth:`ref_invisible_latency` continues from that probe. Both
+        over :meth:`ref_invisible_latency` continues from that probe. All
         ask one probe and agree. The caller rules out :meth:`strict_stream`.
         """
+        frontier = self._vec.frontier
+        bound = frontier(pid, cpu, batch, cap, False)      # cached only
+        if bound is not None:
+            return bound
         t = batch.time
         i = batch.cursor
         kinds = batch.kinds
@@ -337,7 +341,7 @@ class MemorySystem:
         lat = probe(pid, cpu, kinds[i], addrs[i], sizes[i])
         if lat < 0:
             return t
-        bound = self._vec.frontier(pid, cpu, batch, cap)
+        bound = frontier(pid, cpu, batch, cap)
         if bound is not None:
             return bound
         pends = batch.pendings

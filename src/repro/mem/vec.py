@@ -1,24 +1,20 @@
 """The L1 all-hit prefix of a batch filling: classified once, retired in bulk.
 
-The scalar loop (``MemorySystem._access_run_scalar``) retires batched
-references one dict probe at a time. The leading run of references that all
-hit the issuing CPU's L1 needs no probe per turn: it is walked once over the
-live dicts, with the probe that defines an *invisible* reference
-(``MemorySystem._invisible_span``), into a :class:`Prefix`. The owner's
-``run()`` retires any slice of it, a rival's ``frontier()`` reads its window
-bound from it, and what follows the prefix goes to the scalar loop, so
-results are bit-identical to the scalar loop's.
+The leading run of a batch's references that all hit the issuing CPU's L1
+is walked once over the live dicts, with the probe that defines an
+*invisible* reference (``MemorySystem._invisible_span``), into a
+:class:`Prefix`. The owner's ``run()`` retires any slice of it, a rival's
+window bound is read from it, and what follows it goes to the scalar loop
+(``MemorySystem._access_run_scalar``), so results are bit-identical.
 
-A classification is cached per batch filling (``EventBatch.serial``, or the
-stream anchor of a hinted filling) under the version triple it was walked
-under: the CPU's ``Cache.version`` and the kernel and space page-table
-versions. Every mutation that could turn a hit into a decline bumps one of
-them; those that bump none (LRU reordering, E->M upgrades) leave every
-verdict standing, so a cached entry is exact. ``run()`` classifies only for
-a CPU whose L1 version held still since its previous ``run()`` entry (a CPU
-that is filling would pay a walk per entry for a few hits), and
-``frontier()`` answers only under the same condition. See DESIGN.md, "The
-batch classification cache".
+A classification is cached per batch filling under the versions it was
+walked under (the CPU's ``Cache.version``, the kernel and space page-table
+versions): every mutation that could turn a hit into a decline bumps one,
+so a cached entry is exact. ``run()`` classifies, and ``frontier()``
+answers, only for a CPU whose L1 held still since its previous ``run()``
+entry (a filling CPU would pay a walk per entry for a few hits). A per-CPU
+stamp skips the LRU replay of a slice the CPU's sets already hold in
+order. See DESIGN.md, "The batch classification cache".
 """
 
 from __future__ import annotations
@@ -39,7 +35,7 @@ class Prefix:
     lists are indexed from ``base``."""
 
     __slots__ = ("base", "stop", "end", "offs", "lat", "nlines", "lines",
-                 "flips", "plans")
+                 "flips")
 
     def __init__(self, base, stop, end, offs, lat, nlines, lines, flips):
         self.base = base
@@ -56,8 +52,17 @@ class Prefix:
         #: ``(x, line)``: reference ``base + x`` writes EXCLUSIVE ``line``;
         #: an entry goes once retired
         self.flips = flips
-        #: LRU replay plans by retired slice (see :func:`_replay_lru`)
-        self.plans: dict = {}
+
+    def bound(self, batch, cap):
+        """A rival's window bound, the scalar walk's: ``batch.time`` when
+        the probe declines the cursor (unclamped, as the cursor probe
+        answers), else the issue time of the first reference it declines,
+        or of the last, clamped to ``cap``."""
+        i = batch.cursor
+        if i == self.stop:
+            return batch.time
+        t = batch.time + self.offs[-1] - self.offs[i - self.base]
+        return t if t < cap else cap
 
 
 class VecState:
@@ -70,9 +75,13 @@ class VecState:
         self._entry_versions = [-1] * len(ms.l1s)
         #: classification cache: key (see _classified) -> Prefix
         self._cache: dict = {}
-        #: observability only (harness vec_summary): prefixes walked, and
-        #: why run() / frontier() left a run / bound to the scalar side
+        #: per CPU, ``(cd, o, c, version, hits)`` of its L1 right after its
+        #: last LRU replay of slice ``[o, o + c)`` of prefix ``cd``
+        self._stamps: list = [None] * len(ms.l1s)
+        #: observability only (harness vec_summary): prefixes walked, LRU
+        #: replays skipped, why run() / frontier() went scalar
         self.classifications = 0
+        self.lru_skips = 0
         self.declines = {"short": 0, "stale": 0, "first_miss": 0,
                          "frontier_short": 0, "frontier_stale": 0}
 
@@ -111,10 +120,11 @@ class VecState:
         return Prefix(base, x, n, offs, lat, nlines, lines, flips)
 
     def _classified(self, pid, cpu, l1_version, kinds, addrs, sizes, pends,
-                    i, n, serial, uhint):
+                    i, n, serial, uhint, walk=True):
         """The classification covering reference ``i`` of a filling of
-        ``n``, from the cache or walked now. The caller has checked that
-        ``cpu``'s L1 held still (``l1_version`` is its version)."""
+        ``n``, from the cache or walked now (with ``walk`` False: None
+        instead). The caller has checked that ``cpu``'s L1 held still
+        (``l1_version`` is its version)."""
         ms = self.ms
         ker = ms.vmm._kernel
         sp = ms._spaces.get(pid)
@@ -130,6 +140,8 @@ class VecState:
         cache = self._cache
         cd = cache.get(key)
         if cd is None or not (cd.base <= i <= cd.stop and cd.end == n):
+            if not walk:
+                return None
             cd = self._classify(pid, cpu, kinds, addrs, sizes, pends, i, n)
             if uhint is not None or serial is not None:
                 if len(cache) >= CACHE_CAP:
@@ -137,28 +149,26 @@ class VecState:
                 cache[key] = cd
         return cd
 
-    def frontier(self, pid, cpu, batch, cap):
+    def frontier(self, pid, cpu, batch, cap, walk=True):
         """``MemorySystem.invisible_until`` past its cursor probe, answered
-        from the classification the owner's own ``run()`` will read: the
-        issue time of the first reference the probe declines, else of the
-        last, clamped to ``cap`` — the scalar walk's bound. None when the
-        walk answers (the CPU's L1 did not hold still, or too few
-        references are left)."""
+        from the classification the owner's own ``run()`` will read
+        (:meth:`Prefix.bound`). None when the walk answers (the CPU's L1 did
+        not hold still, or too few references are left). With ``walk``
+        False only a classification already cached answers, and nothing is
+        walked or tallied: the lookup a rival's bound makes before its
+        cursor probe."""
         i = batch.cursor
         n = batch.n
-        if n - i < MIN_RUN:
-            self.declines["frontier_short"] += 1
-            return None
         l1_version = self.ms.l1s[cpu].version
-        if l1_version != self._entry_versions[cpu]:
-            self.declines["frontier_stale"] += 1
+        if n - i < MIN_RUN or l1_version != self._entry_versions[cpu]:
+            if walk:
+                self.declines["frontier_short" if n - i < MIN_RUN
+                              else "frontier_stale"] += 1
             return None
         cd = self._classified(pid, cpu, l1_version, batch.kinds, batch.addrs,
                               batch.sizes, batch.pendings, i, n,
-                              batch.serial, batch.uhint)
-        offs = cd.offs
-        t = batch.time + offs[-1] - offs[i - cd.base]
-        return t if t < cap else cap
+                              batch.serial, batch.uhint, walk)
+        return cd.bound(batch, cap) if cd is not None else None
 
     # -- the bulk run ------------------------------------------------------
 
@@ -208,7 +218,8 @@ class VecState:
         added = lat[o + c] - lat[o]
 
         # -- bulk retirement ----------------------------------------------
-        l1.hits += cd.nlines[o + c] - cd.nlines[o]
+        hits = l1.hits                  # before this retirement's own
+        l1.hits = hits + cd.nlines[o + c] - cd.nlines[o]
         ms.accesses += c
         ms.fast_hits += c
         ms.vec_batches += 1
@@ -234,8 +245,15 @@ class VecState:
                                 dirty.add(ln)
                 del flips[lo:hi]
 
-        _replay_lru(cd, o, c, ms._l1_sets[cpu], ms._l1_set_mask,
-                    ms._l1_nsets)
+        # no reorder (hits) or membership change (version) since the CPU
+        # last replayed this slice: its sets already hold its post-order
+        stamps = self._stamps
+        if stamps[cpu] == (cd, o, c, l1.version, hits):
+            self.lru_skips += 1
+        else:
+            _replay_lru(cd, o, c, ms._l1_sets[cpu], ms._l1_set_mask,
+                        ms._l1_nsets)
+        stamps[cpu] = (cd, o, c, l1.version, l1.hits)
 
         if clock is not None and last_issue > clock.now:
             clock.now = last_issue
@@ -258,45 +276,22 @@ def _replay_lru(cd, o, c, sets, mask, nsets) -> None:
     """LRU replay of references ``[o, o + c)`` of the prefix ``cd`` on the
     live per-set MRU lists ``sets``: touched lines, most-recent-touch
     first, then untouched lines in their prior order — exactly what the
-    scalar per-touch move-to-front produces. A slice that recurs keeps its
-    per-set fronts as a plan with ``cd`` (which dies on any
-    ``Cache.version`` move); every call reads the verdict off the live
-    lists, one column of heads per front depth, because scalar hits reorder
-    sets without moving a version (DESIGN.md, "LRU replay from a memoised
-    plan")."""
-    plans = cd.plans
-    plan = plans.get((o, c))
-    if plan:
-        fronts, cols = plan
-        if all([s[j] for s in lists] == col
-               for j, (lists, col) in enumerate(cols)):
-            return
-    else:
-        nl = cd.nlines
-        # walked backwards, a line's first sight is its most recent touch
-        seen = set()
-        fronts: dict = {}
-        for ln in reversed(cd.lines[nl[o]:nl[o + c]]):
-            if ln in seen:
-                continue
-            seen.add(ln)
-            si = ln & mask if mask >= 0 else ln % nsets
-            f = fronts.get(si)
-            if f is None:
-                fronts[si] = [ln]
-            else:
-                f.append(ln)
-        if plan is None:
-            # first sight of the slice: note it and keep nothing — most
-            # slices of a serial-keyed filling never recur
-            if len(plans) >= CACHE_CAP:
-                plans.clear()
-            plans[(o, c)] = ()
+    scalar per-touch move-to-front produces (DESIGN.md, "LRU replay and
+    its stamp")."""
+    nl = cd.nlines
+    # walked backwards, a line's first sight is its most recent touch
+    seen = set()
+    fronts: dict = {}
+    for ln in reversed(cd.lines[nl[o]:nl[o + c]]):
+        if ln in seen:
+            continue
+        seen.add(ln)
+        si = ln & mask if mask >= 0 else ln % nsets
+        f = fronts.get(si)
+        if f is None:
+            fronts[si] = [ln]
         else:
-            plans[(o, c)] = (fronts, [
-                ([sets[si] for si, f in fronts.items() if len(f) > j],
-                 [f[j] for f in fronts.values() if len(f) > j])
-                for j in range(max(map(len, fronts.values())))])
+            f.append(ln)
     for si, front in fronts.items():
         s = sets[si]
         if len(front) == 1:

@@ -2,11 +2,13 @@
 
 ``MemorySystem.invisible_until`` bounds how long a rival's parked batch
 provably stays invisible. With the rival CPU's L1 held still since its
-owner's last run the bound is read from the batch's cached classification
-(``VecState.frontier``); otherwise the scalar reference-by-reference walk
-answers. The walk is the reference and the classification must equal it on
-every batch, multi-line references included: a larger window could reorder
-the rival against something it observes, a smaller one wastes windows.
+owner's last run the bound is read from the batch's classification: one
+already cached answers before any probe (``VecState.frontier`` not
+walking), else the cursor probe runs and ``frontier`` classifies;
+otherwise the scalar reference-by-reference walk answers. The probe-first walk is the
+reference and the classification must equal it on every batch, multi-line
+references included: a larger window could reorder the rival against
+something it observes, a smaller one wastes windows.
 """
 
 from __future__ import annotations
@@ -72,8 +74,8 @@ def make_batch(refs, cursor=0, time=1000, uhint=None) -> EventBatch:
 
 
 def scalar_bound(ms, batch, cap):
-    """The walk alone: ``invisible_until`` with the classification
-    declining."""
+    """The probe-first walk alone: ``invisible_until`` with the cache
+    lookup and the classification declining."""
     vec = ms._vec
     vec.frontier = lambda *_args: None
     try:
@@ -219,10 +221,11 @@ def test_stale_or_short_goes_to_the_scalar_walk():
 
 
 def test_classification_is_paid_once_and_shared_with_the_owner(monkeypatch):
-    """A fresh, fully-hitting rival batch is classified by the first query;
-    the second query and the owner's own ``run()`` read the cached
-    classification — no second walk, and each query probes only the cursor reference (a
-    rival about to miss stops there — ``tests/test_host_switches.py``)."""
+    """A fresh, fully-hitting rival batch is classified by the first query,
+    which probes only the cursor reference (a rival about to miss stops
+    there — ``tests/test_host_switches.py``); later queries and the owner's
+    own ``run()`` read the cached classification — no second walk, and no
+    probe at all."""
     ms = make_ms()
     vec = ms._vec
     classified = []
@@ -244,10 +247,76 @@ def test_classification_is_paid_once_and_shared_with_the_owner(monkeypatch):
     assert ms.invisible_until(PID, CPU, batch, INF) == first
     assert ms.invisible_until(PID, CPU, batch, batch.time + 10) == \
         batch.time + 10
-    assert classified == [(0, 64)] and probes == [(PID, CPU, *cursor)] * 3
+    assert classified == [(0, 64)] and probes == [(PID, CPU, *cursor)]
     # the owner's turn: same cache entry, and the whole batch retires
     consumed, i, *_ = ms.access_run(
         PID, CPU, batch.kinds, batch.addrs, batch.sizes, batch.pendings, 0,
         batch.n, batch.time, batch.n, INF, serial=batch.serial)
     assert (consumed, i) == (64, 64)
     assert classified == [(0, 64)]
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(_unhinted.map(lambda refs: (refs, None)), _hinted()),
+       st.data())
+def test_cached_bound_equals_the_probe_first_walk(filling, data):
+    """Queries at one cursor leave classifications that serve later ones
+    (as an owner's cut continuations move it), hinted fillings across batch
+    objects too: every bound, read from a cached entry or not — one that
+    stops at the cursor and caps below ``batch.time`` included — equals
+    the probe-first walk's."""
+    ms = make_ms()
+    refs, uhint = filling
+    n = len(refs)
+    cursors = []
+    for cursor in data.draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                     max_size=4)):
+        # then the first reference from it the probe declines: where an
+        # entry classified from ``cursor`` stops
+        stop = next((j for j in range(cursor, n)
+                     if ms.ref_invisible_latency(PID, CPU, *refs[j][:3]) < 0),
+                    cursor)
+        cursors += [cursor, stop]
+    for cursor in cursors:
+        batch = make_batch(refs, cursor, time=data.draw(
+            st.integers(1000, 1100)), uhint=uhint)
+        if uhint is None and data.draw(st.booleans()):
+            batch.serial = 1        # the same unhinted filling again
+        for cap in (batch.time - 7, batch.time, batch.time + 1,
+                    batch.time + data.draw(st.integers(2, 60)), INF):
+            assert ms.invisible_until(PID, CPU, batch, cap) == \
+                scalar_bound(ms, batch, cap), (refs, cursor, cap)
+
+
+def test_a_cached_entry_answers_with_no_probe(monkeypatch):
+    """An entry that stops at the cursor answers the cursor's own time,
+    unclamped even under a cap below it, as the cursor probe would; one
+    that covers the cursor answers the clamped bound. Neither probes,
+    walks or tallies anything."""
+    ms = make_ms()
+    vec = ms._vec
+    refs = [(0, BASE + j * 4, 4, 1) for j in range(12)] \
+        + [(0, BASE + ABSENT * LINE, 4, 0)] \
+        + [(0, BASE + j * 4, 4, 0) for j in range(10)]
+    batch = make_batch(refs)
+    assert ms.invisible_until(PID, CPU, batch, INF) == batch.time + 23
+    (cd,) = vec._cache.values()
+    assert (cd.base, cd.stop) == (0, 12)
+    probes = []
+    orig_probe = MemorySystem.ref_invisible_latency
+    monkeypatch.setattr(
+        MemorySystem, "ref_invisible_latency",
+        lambda self, *a: probes.append(a) or orig_probe(self, *a))
+    counts = vec.classifications, dict(vec.declines)
+
+    batch.cursor, batch.time = 12, 2000
+    assert vec.frontier(PID, CPU, batch, 1500, False) == 2000
+    for cap in (1500, 2000, 2001, INF):
+        assert ms.invisible_until(PID, CPU, batch, cap) == 2000
+    batch.cursor = 4
+    for cap in (1500, 2003, INF):
+        assert ms.invisible_until(PID, CPU, batch, cap) == min(cap, 2015)
+    assert probes == []
+    assert (vec.classifications, vec.declines) == counts
+    for cap in (1500, 2003, INF):
+        assert scalar_bound(ms, batch, cap) == min(cap, 2015)

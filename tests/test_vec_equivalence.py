@@ -41,10 +41,10 @@ def _watch_classifications(eng, repeats):
     covered = {}
 
     def watched(pid, cpu, l1_version, kinds, addrs, sizes, pends, i, n,
-                serial, uhint):
+                serial, uhint, walk=True):
         before = vec.classifications
         cd = classified(pid, cpu, l1_version, kinds, addrs, sizes, pends, i,
-                        n, serial, uhint)
+                        n, serial, uhint, walk)
         if uhint is not None and vec.classifications > before:
             sp = ms._spaces.get(pid)
             key = (pid, cpu, l1_version, ms.vmm._kernel.version,

@@ -3,14 +3,19 @@
 ``VecState.run`` retires a run of L1 hits in bulk and then has to leave
 every touched set in the MRU order the scalar per-touch move-to-front
 would have produced. Fingerprints see that order only through later
-evictions, so it is pinned here directly. The replay works from a plan
-memoised with the batch classification — the per-set fronts of one
-consumed slice — and reads the "already in place" verdict off the live set
-lists on every call; the reference is ``Cache.lookup`` once per touched
-line on a twin cache.
+evictions, so it is pinned here directly. The replay computes the per-set
+fronts of the consumed slice and rewrites the sets that differ; a per-CPU
+stamp ``(prefix, slice, Cache.version, Cache.hits)`` skips the replay when
+the CPU last replayed the same slice and no L1 reorder or membership change
+came since. The references are ``Cache.lookup`` once per touched line on a
+twin cache, and a twin memory system whose bulk path declines (the scalar
+loop).
 """
 
 from __future__ import annotations
+
+import copy
+from dataclasses import replace
 
 from hypothesis import given, settings, strategies as st
 
@@ -55,8 +60,8 @@ def _scripts(draw):
         st.integers(0, n - 1).flatmap(
             lambda o: st.tuples(st.just(o), st.integers(1, n - o))),
         min_size=1, max_size=3))
-    # each step retires one of the few slices (repeats hit the memoised
-    # plan: first in place, then — after a scalar hit — out of place)
+    # each step retires one of the few slices (a repeat finds the sets in
+    # place, or — after a scalar hit — out of place)
     steps = draw(st.lists(
         st.one_of(st.sampled_from(slices),
                   st.integers(0, nlines - 1)),
@@ -74,7 +79,6 @@ def test_replay_equals_per_touch_move_to_front(script):
         lines.extend(range(ln, ln + k))
         nlines.append(len(lines))
     cd = vecmod.Prefix(0, len(refs), len(refs), [], [], nlines, lines, [])
-    ran = set()
     for step in steps:
         if isinstance(step, int):
             # a scalar hit between two retirements: moves a line, no version
@@ -87,74 +91,215 @@ def test_replay_equals_per_touch_move_to_front(script):
         for ln, k in refs[o:o + c]:
             for line in range(ln, ln + k):
                 twin.lookup(line)
-        ran.add(step)
         assert cache._sets == twin._sets, (script, step)
-        assert set(cd.plans) == ran         # one plan a slice, reused
     assert cache._states == twin._states
 
 
-def _warm_ms(vec: bool) -> MemorySystem:
-    cfg = complex_backend(num_cpus=1)
+INF = 1 << 60
+PID = 1
+#: the hinted filling the stamp tests sweep
+BASE = 0x20000
+
+
+def _warm_ms(vec: bool, l1: CacheConfig = None) -> MemorySystem:
+    cfg = complex_backend(num_cpus=2)
+    if l1 is not None:
+        cfg = replace(cfg, backend=replace(cfg.backend, l1=l1)).validate()
     ms = MemorySystem(cfg, StatsRegistry(cfg.num_cpus))
-    ms.vmm.new_space(1)
-    ms.vmm.map_anon(1, 0x10000, 1 << 24)
+    ms.vmm.new_space(PID)
+    ms.vmm.map_anon(PID, 0x10000, 1 << 24)
     if not vec:
         decline_bulk(ms)
     return ms
 
 
-def test_plan_lives_and_dies_with_the_classification():
-    """Through ``access_run`` on a real hierarchy, against a twin whose
-    bulk path declines (the scalar loop): the same hinted filling reuses one
-    plan; a scalar hit in between (no version moves) is caught by the live-list
-    check; an invalidation (version moves) gets a new classification and a
-    new plan — the old fronts, which name a line that is gone, are never
-    replayed."""
-    base, n = 0x20000, 64
-    kinds, sizes, pends = [1] * n, [LINE] * n, [0] * n
-    addrs = [base + j * LINE for j in range(n)]
-    pair = _warm_ms(True), _warm_ms(False)
-    vec = pair[0]._vec
+def _line(ms, addr):
+    ppn = ms._spaces[PID].table[addr >> ms._page_shift]
+    return ((ppn << ms._page_shift) | (addr & ms._page_mask)) \
+        >> ms._line_shift
 
-    def both(fn):
-        got = [fn(ms) for ms in pair]
+
+class _Twins:
+    """One memory system with the bulk path and one without, driven alike;
+    every step must return the same and leave the same L1 sets and
+    states."""
+
+    def __init__(self, l1: CacheConfig = None) -> None:
+        self.pair = _warm_ms(True, l1), _warm_ms(False, l1)
+        self.vec = self.pair[0]._vec
+
+    def __call__(self, fn):
+        got = [fn(ms) for ms in self.pair]
         assert got[0] == got[1]
-        assert pair[0]._l1_sets == pair[1]._l1_sets
-        assert pair[0]._l1_states == pair[1]._l1_states
+        assert self.pair[0]._l1_sets == self.pair[1]._l1_sets
+        assert self.pair[0]._l1_states == self.pair[1]._l1_states
         return got[0]
 
+
+def _lru(both):
+    """``(lru_replays, lru_skips)`` of the bulk side, as vec_summary has
+    them."""
+    return both.pair[0].vec_batches - both.vec.lru_skips, both.vec.lru_skips
+
+
+def _filling(n, kind=1):
+    return [kind] * n, [BASE + j * LINE for j in range(n)], [LINE] * n, \
+        [0] * n
+
+
+def test_stamp_skips_only_what_stood_still():
+    """Through ``access_run`` on a real hierarchy: repeated sweeps of one
+    hinted filling replay LRU once and then skip it; a scalar hit in
+    between (hits move, the version does not) makes the next sweep replay;
+    an invalidation (the version moves) gets a new classification, whose
+    first retirement replays."""
+    n = 64
+    kinds, addrs, sizes, pends = _filling(n)
+    both = _Twins()
+    vec = both.vec
+
     def sweep(ms):
-        return ms.access_run(1, 0, kinds, addrs, sizes, pends, 0, n, 1000,
-                             n, 1 << 60, serial=1, uhint=(1, LINE, 0))
+        return ms.access_run(PID, 0, kinds, addrs, sizes, pends, 0, n, 1000,
+                             n, INF, serial=1, uhint=(1, LINE, 0))
 
     def enter(ms):
         # a one-reference run that hits: the L1 holds still from here on
-        return ms.access_run(1, 0, [0], addrs[:1], [4], [0], 0, 1, 1500, 1,
-                             1 << 60)
+        return ms.access_run(PID, 0, [0], addrs[:1], [4], [0], 0, 1, 1500,
+                             1, INF)
 
     both(sweep)                             # cold: fills
     both(enter)
-    both(sweep)                             # the slice is noted ...
-    both(sweep)                             # ... and, recurring, planned
-    (cd,) = vec._cache.values()
-    (plan,) = cd.plans.values()
-    refs = pair[0].vec_refs
-    assert refs == 2 * n and plan
+    both(sweep)
+    assert _lru(both) == (1, 0)
     both(sweep)                             # every set already in place
-    both(lambda ms: ms.access(1, addrs[5], 4, False, 0, 2000))
-    both(sweep)                             # one set out of place
-    (same_cd,) = vec._cache.values()
-    (same_plan,) = cd.plans.values()
-    assert same_cd is cd and same_plan is plan
-    assert pair[0].vec_refs == refs + 2 * n
+    both(sweep)
+    assert _lru(both) == (1, 2)
+    (cd,) = vec._cache.values()
+    assert vec._stamps[0][0] is cd
+    both(lambda ms: ms.access(PID, addrs[5], 4, False, 0, 2000))
+    both(sweep)                             # the hit moved ``hits``
+    assert _lru(both) == (2, 2)
+    assert both.pair[0].vec_refs == 4 * n
 
-    ms = pair[0]
-    ppn = ms._spaces[1].table[addrs[9] >> ms._page_shift]
-    gone = ((ppn << ms._page_shift) | (addrs[9] & ms._page_mask)) \
-        >> ms._line_shift
+    gone = _line(both.pair[0], addrs[9])
     both(lambda ms: ms.l1s[0].invalidate(gone))
     both(enter)
     both(sweep)                             # hits up to the hole, then fills
-    (new_cd,) = [c for c in vec._cache.values() if c is not cd]
-    assert new_cd.plans == {(0, 9): ()} and len(cd.plans) == 1
-    assert pair[0].vec_refs == refs + 2 * n + 9
+    new = [c for c in vec._cache.values() if c is not cd]
+    assert len(new) == 1 and new[0].stop == 9
+    assert _lru(both) == (3, 2)
+    assert both.pair[0].vec_refs == 4 * n + 9
+
+
+def test_stamp_version_term_catches_a_reorder_without_hits(monkeypatch):
+    """A refill of a resident line (``Cache.insert``) moves it to MRU and
+    bumps the version but not ``hits``. The classification key carries the
+    L1 version, so the next retirement normally reads a new prefix anyway;
+    here the key leaves it out (a refill keeps every verdict), the same
+    prefix comes back, and only the stamp's version term sees the move."""
+    l1 = CacheConfig(size=4 * 4 * LINE, line_size=LINE, assoc=4, latency=1)
+    n = 12                                  # three swept lines a set
+    kinds, addrs, sizes, pends = _filling(n)
+    both = _Twins(l1)
+    vec = both.vec
+    classified = vec._classified
+    monkeypatch.setattr(vec, "_classified", lambda pid, cpu, _v, *a:
+                        classified(pid, cpu, 0, *a))
+
+    def sweep(ms):
+        return ms.access_run(PID, 0, kinds, addrs, sizes, pends, 0, n, 1000,
+                             n, INF, serial=1, uhint=(1, LINE, 0))
+
+    both(sweep)                             # cold: fills
+    both(lambda ms: ms.access_run(PID, 0, [0], addrs[:1], [4], [0], 0, 1,
+                                  1500, 1, INF))
+    both(sweep)
+    both(sweep)
+    assert _lru(both) == (1, 1)
+    # the oldest swept line of its set goes to MRU: version moves, hits not
+    ms = both.pair[0]
+    line = _line(ms, addrs[0])
+    both(lambda ms: ms.l1s[0].insert(line, ms._l1_states[0][line]))
+    # an entry that declines short (nothing retires): the L1 held still
+    # from here, with the sets out of the stamped order
+    assert vec.run(PID, 0, kinds, addrs, sizes, pends, 0, 1, 1000, 1, INF,
+                   0, None) is None
+    both(sweep)
+    assert _lru(both) == (2, 1)
+
+
+@st.composite
+def _stamp_scripts(draw):
+    """Sweeps of one hinted filling, whole or cut (by ``limit`` or by the
+    horizon) and continued from where the cut left the cursor, mixed with
+    per-event accesses, a peer's read (a downgrade) and write (an
+    invalidation), a direct invalidation and a checkpoint restore."""
+    n = draw(st.integers(vecmod.MIN_RUN, 20))
+    kind = draw(st.sampled_from([0, 1]))
+    # the filling's lines, and as many again that share their sets
+    addr = st.integers(0, 2 * n - 1).map(lambda j: BASE + j * LINE)
+    step = st.one_of(
+        st.just(("sweep",)), st.just(("sweep",)), st.just(("sweep",)),
+        st.tuples(st.just("cut"), st.integers(1, n)),
+        st.tuples(st.just("horizon"), st.integers(1, n)),
+        st.tuples(st.just("access"), addr, st.booleans()),
+        st.tuples(st.just("peer"), addr, st.booleans()),
+        st.tuples(st.just("invalidate"), addr),
+        st.just(("save",)), st.just(("restore",)))
+    return n, kind, draw(st.lists(step, min_size=1, max_size=30))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_stamp_scripts())
+def test_stamp_equals_the_scalar_loop(script):
+    """A property over step scripts: after every step the bulk path's L1
+    sets and states equal those of a twin that declines the bulk path.
+    A stamp that skipped a replay it owed leaves a set out of order."""
+    n, kind, steps = script
+    l1 = CacheConfig(size=8 * 4 * LINE, line_size=LINE, assoc=4, latency=1)
+    kinds, addrs, sizes, pends = _filling(n, kind)
+    both = _Twins(l1)
+    clock = [1000]
+    cursor = [0]
+    saved = [None, None]
+
+    def tick():
+        clock[0] += 1000
+        return clock[0]
+
+    def run(limit, horizon):
+        now = tick()
+        i = cursor[0]
+        got = both(lambda ms: ms.access_run(
+            PID, 0, kinds, addrs, sizes, pends, i, n, now, limit,
+            now + horizon, serial=1, uhint=(kind, LINE, 0)))
+        cursor[0] = got[1] % n
+
+    # warm: the filling and its set mates resident, then two sweeps (the
+    # first enters run(), the second retires in bulk and stamps)
+    for j in range(2 * n):
+        now = tick()
+        both(lambda ms: ms.access(PID, BASE + j * LINE, 4, False, 0, now))
+    run(n, INF)
+    run(n, INF)
+    for op, *args in steps:
+        if op == "sweep":
+            run(n, INF)
+        elif op == "cut":
+            run(args[0], INF)
+        elif op == "horizon":
+            run(n, args[0])
+        elif op in ("access", "peer"):
+            a, write = args
+            now = tick()
+            cpu = 0 if op == "access" else 1
+            both(lambda ms: ms.access(PID, a, 4, write, cpu, now))
+        elif op == "invalidate":
+            line = _line(both.pair[0], args[0])
+            both(lambda ms: ms.l1s[0].invalidate(line))
+        elif op == "save":
+            saved[:] = [copy.deepcopy(ms.state_dict()) for ms in both.pair]
+        elif saved[0] is not None:
+            for ms, snap in zip(both.pair, saved):
+                ms.load_state(copy.deepcopy(snap))
+            both(lambda ms: None)
