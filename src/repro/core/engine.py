@@ -113,6 +113,9 @@ class Engine:
         #: ``batch_stats``, fingerprint, checkpoint
         self.stand_downs: Dict[str, int] = dict.fromkeys(
             ("delivery", "tapped", "fast_forward", "miss"), 0)
+        #: fillings re-issued from ``events._kept``, emptied per engine
+        self.reissued_fillings = 0
+        ev._kept.clear()
         self._max_cycles = cfg.max_cycles
         self._timer_started = False
         #: count of not-yet-exited processes (kept in step with spawns/exits)
@@ -531,9 +534,10 @@ class Engine:
             ms = self.memsys
             why = "delivery" if deliver else ms.strict_stream()
             c = batch.cursor
-            if why is None and ms.ref_invisible_latency(
-                    pid, cpu, batch.kinds[c], batch.addrs[c],
-                    batch.sizes[c]) < 0:
+            if (why is None and not ms._vec.hits_cursor(pid, cpu, batch)
+                    and ms.ref_invisible_latency(
+                        pid, cpu, batch.kinds[c], batch.addrs[c],
+                        batch.sizes[c]) < 0):
                 why = "miss"    # consumed anyway: it is globally first
             if why is None:
                 ext = self.comm.lookahead_horizon(
@@ -562,10 +566,9 @@ class Engine:
             bs["la_refs"] += ext_refs
         self._recent_events.append((self.gsched.now, proc.pid, 9))
         if fault is not None:
-            # the faulting reference re-runs via the ("retry", batch) meta;
-            # its lead-in pending is already folded into vtime, so zero it
+            # the faulting reference re-runs via the ("retry", batch) meta,
+            # which reads no pending: its lead-in is already folded into t
             bs["cut_fault"] += 1
-            pends[i] = 0
             proc.vtime = t
             batch.time = t
             batch.depth = len(proc.frames)
@@ -940,6 +943,10 @@ class Engine:
                         orig.cursor = c = c + 1
                         proc.pending_batches.pop()
                         if c < orig.n:
+                            # the trap's leftover cycles come first, as
+                            # on the per-event path
+                            proc.vtime += proc.clock.pending
+                            proc.clock.pending = 0
                             orig.time = proc.vtime + orig.pendings[c]
                             proc.port_event = orig
                             return
@@ -958,6 +965,8 @@ class Engine:
                 # into the batch (clock.pending holds only cycles belonging
                 # to whatever the producer yields next, so leave it alone)
                 out.time = proc.vtime + out.pendings[out.cursor]
+                if out.reissued:
+                    self.reissued_fillings += 1
                 out.pid = proc.pid
                 out.mode = proc.mode
                 out.kernel = proc.kernel_mode

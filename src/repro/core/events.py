@@ -143,9 +143,9 @@ class EventBatch:
       cut) or on ``pending_batches`` (interrupt/fault frames pushed above
       it); the generator resumes only once, receiving ``total``.
 
-    Batches are pooled (:func:`acquire_batch` / :func:`release_batch`): a
-    producer reuses one batch object for its whole life, so the hot loop
-    allocates nothing.
+    Batches are pooled (:func:`acquire_batch` / :func:`release_batch`) or
+    kept for re-issue (:func:`strided_batches`), so the hot loop allocates
+    nothing; consumers never write into a filling's lists.
     """
 
     #: class-level Event protocol: a batch is its own kind, has no payload
@@ -154,7 +154,7 @@ class EventBatch:
 
     __slots__ = ("kinds", "addrs", "sizes", "pendings", "n", "cursor",
                  "total", "time", "pid", "kernel", "mode", "depth",
-                 "serial", "uhint")
+                 "serial", "uhint", "reissued")
 
     def __init__(self) -> None:
         self.serial = _next_serial()
@@ -166,6 +166,7 @@ class EventBatch:
         #: classification on it, so a warm re-scan of the same buffer reuses
         #: one across batches); None = no structure claimed.
         self.uhint = None
+        self.reissued = False       #: a kept filling, re-issued
         self.kinds: list = []
         self.addrs: list = []
         self.sizes: list = []
@@ -215,9 +216,13 @@ class EventBatch:
 #: this is purely a host-side knob.
 BATCH_CAP = 1024
 
-#: freelist of EventBatch objects (engine is single-threaded)
+#: freelist of EventBatch objects (engine is single-threaded); consumed
+#: one-lane fillings kept whole for re-issue (strided_batches), keyed
+#: ``(kind, start, count, stride, work)``, the oldest dropped (not pooled)
 _batch_pool: list = []
 _BATCH_POOL_MAX = 64
+_kept: dict = {}
+_KEPT_MAX = 8
 
 
 def acquire_batch() -> EventBatch:
@@ -243,43 +248,54 @@ def strided_batches(kinds: list, bases: tuple, nbytes: int, stride: int,
     stride, with ``work`` cycles ahead of each stride's first reference.
     ``clock.pending`` is folded into the head of *every* batch: handler
     frames may leave cycles there while the previous batch is parked. Each
-    batch is a handful of C-level list operations, no per-reference step."""
+    batch is a handful of C-level list operations, no per-reference step. A
+    whole one-lane filling is kept once consumed and re-issued (``_kept``)."""
     w = len(kinds)
-    batch = acquire_batch()
     total = off = 0
     left = -(-nbytes // stride)
     while left:
         cnt = min(left, BATCH_CAP // w)
         left -= cnt
         span = cnt * stride
-        batch.kinds.extend(kinds * cnt)
-        if w == 1:
-            batch.addrs.extend(range(bases[0] + off, bases[0] + off + span,
-                                     stride))
-        else:
-            addrs = [0] * (cnt * w)
-            for j, base in enumerate(bases):
-                addrs[j::w] = range(base + off, base + off + span, stride)
-            batch.addrs.extend(addrs)
-        sizes = [stride] * (cnt * w)
         ragged = not left and nbytes < off + span
-        if ragged:
-            sizes[-w:] = [nbytes - off - span + stride] * w
-        batch.sizes.extend(sizes)
-        if w == 1 and not ragged:
-            # one arithmetic stream: advertised so its classification is
-            # shared by every re-filling of it (see EventBatch.uhint)
-            batch.uhint = (kinds[0], stride, work)
-        pendings = ([work] + [0] * (w - 1)) * cnt
-        pendings[0] += clock.pending
+        key = (None if w > 1 or ragged
+               else (kinds[0], bases[0] + off, cnt, stride, work))
+        batch = _kept.pop(key, None)
+        if batch is not None:
+            batch.serial, batch.reissued = _next_serial(), True
+            batch.cursor = batch.total = batch.depth = 0
+            batch.pendings[0] = work
+        else:
+            batch = acquire_batch()
+            batch.kinds.extend(kinds * cnt)
+            if w == 1:
+                batch.addrs.extend(range(bases[0] + off,
+                                         bases[0] + off + span, stride))
+            else:
+                addrs = [0] * (cnt * w)
+                for j, base in enumerate(bases):
+                    addrs[j::w] = range(base + off, base + off + span, stride)
+                batch.addrs.extend(addrs)
+            sizes = [stride] * (cnt * w)
+            if ragged:
+                sizes[-w:] = [nbytes - off - span + stride] * w
+            batch.sizes.extend(sizes)
+            if key is not None:
+                # one arithmetic stream: advertised so its classification
+                # is shared by every re-filling of it (see EventBatch.uhint)
+                batch.uhint = (kinds[0], stride, work)
+            batch.pendings.extend(([work] + [0] * (w - 1)) * cnt)
+            batch.n = cnt * w
+        batch.pendings[0] += clock.pending
         clock.pending = 0
-        batch.pendings.extend(pendings)
-        batch.n = cnt * w
         off += span
         total += yield batch
-        if left:
-            batch.reset()       # the last filling is reset on release
-    release_batch(batch)
+        if key is None:
+            release_batch(batch)
+            continue
+        if len(_kept) >= _KEPT_MAX:
+            del _kept[next(iter(_kept))]
+        _kept[key] = batch
     return total
 
 

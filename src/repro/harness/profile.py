@@ -90,10 +90,10 @@ def fastpath_summary(engine) -> dict:
 
 
 def vec_summary(engine) -> dict:
-    """Observability row for the batch all-hit prefix (``mem/vec.py``):
-    runs retired in bulk vs left to the scalar loop, prefixes classified,
-    bulk retirements that replayed LRU vs skipped it on the CPU's stamp,
-    and per-reason declines (DESIGN.md, "The batch classification cache").
+    """Observability row for the batch all-hit prefix (``mem/vec.py``): runs
+    retired in bulk vs scalar, prefixes classified, LRU replays vs stamp
+    skips, owner verdicts from the cache, kept fillings re-issued, and
+    per-reason declines (DESIGN.md, "The batch classification cache").
     """
     ms = engine.memsys
     return {
@@ -103,6 +103,8 @@ def vec_summary(engine) -> dict:
         "classifications": ms._vec.classifications,
         "lru_replays": ms.vec_batches - ms._vec.lru_skips,
         "lru_skips": ms._vec.lru_skips,
+        "owner_hits": ms._vec.owner_hits,
+        "reissued": engine.reissued_fillings,
         "declines": dict(ms._vec.declines),
     }
 

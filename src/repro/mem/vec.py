@@ -79,9 +79,10 @@ class VecState:
         #: last LRU replay of slice ``[o, o + c)`` of prefix ``cd``
         self._stamps: list = [None] * len(ms.l1s)
         #: observability only (harness vec_summary): prefixes walked, LRU
-        #: replays skipped, why run() / frontier() went scalar
+        #: replays skipped, hits_cursor yeses, why run() / frontier() declined
         self.classifications = 0
         self.lru_skips = 0
+        self.owner_hits = 0
         self.declines = {"short": 0, "stale": 0, "first_miss": 0,
                          "frontier_short": 0, "frontier_stale": 0}
 
@@ -149,14 +150,8 @@ class VecState:
                 cache[key] = cd
         return cd
 
-    def frontier(self, pid, cpu, batch, cap, walk=True):
-        """``MemorySystem.invisible_until`` past its cursor probe, answered
-        from the classification the owner's own ``run()`` will read
-        (:meth:`Prefix.bound`). None when the walk answers (the CPU's L1 did
-        not hold still, or too few references are left). With ``walk``
-        False only a classification already cached answers, and nothing is
-        walked or tallied: the lookup a rival's bound makes before its
-        cursor probe."""
+    def _lookup(self, pid, cpu, batch, walk):
+        """``frontier``'s classification of the cursor, or None (see there)."""
         i = batch.cursor
         n = batch.n
         l1_version = self.ms.l1s[cpu].version
@@ -165,10 +160,28 @@ class VecState:
                 self.declines["frontier_short" if n - i < MIN_RUN
                               else "frontier_stale"] += 1
             return None
-        cd = self._classified(pid, cpu, l1_version, batch.kinds, batch.addrs,
-                              batch.sizes, batch.pendings, i, n,
-                              batch.serial, batch.uhint, walk)
+        return self._classified(pid, cpu, l1_version, batch.kinds,
+                                batch.addrs, batch.sizes, batch.pendings, i,
+                                n, batch.serial, batch.uhint, walk)
+
+    def frontier(self, pid, cpu, batch, cap, walk=True):
+        """``MemorySystem.invisible_until`` past its cursor probe, answered
+        from the classification the owner's own ``run()`` will read
+        (:meth:`Prefix.bound`). None when the walk answers (the CPU's L1 did
+        not hold still, or too few references are left). With ``walk``
+        False only a classification already cached answers, and nothing is
+        walked or tallied: the lookup a rival's bound makes before its
+        cursor probe."""
+        cd = self._lookup(pid, cpu, batch, walk)
         return cd.bound(batch, cap) if cd is not None else None
+
+    def hits_cursor(self, pid, cpu, batch):
+        """A cached classification holds ``batch``'s cursor as a hit: the
+        owner's ``miss`` probe would hit. Nothing is walked or declined."""
+        cd = self._lookup(pid, cpu, batch, False)
+        hit = cd is not None and cd.stop > batch.cursor
+        self.owner_hits += hit
+        return hit
 
     # -- the bulk run ------------------------------------------------------
 

@@ -330,10 +330,10 @@ class JobRunner:
           attempt record is appended, and the job returns to RETRYING
           *without* consuming retry budget, so its next launch resumes
           from its checkpoint autosave bit-identically;
-        * sweeps stale ``*.tmp`` files (checkpoint writers that died
-          mid-save) from the work directory;
-        * deletes autosave generations and the reply log of jobs already
-          terminal;
+        * sweeps stale ``*.tmp`` files (left by an older build's
+          checkpoint writer that died mid-save) from the work directory;
+        * unlinks the checkpoint log segments (and any quarantined
+          bytes) of jobs already terminal;
         * compacts the spool, so recovery cost stays bounded no matter
           how many crashes preceded this one.
 

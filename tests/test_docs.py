@@ -99,11 +99,22 @@ _MODULES = {"repro.checkpoint": "repro.checkpoint",
             "framing": "repro.core.framing"}
 
 
-def _unknown_names(heading: str) -> list:
+def _paragraph(path: str, opening: str):
+    """``(lineno, line)`` of the paragraph of ``path`` that opens with
+    ``opening``, up to the next blank line."""
+    inside = False
+    with open(path, encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, 1):
+            inside = line.startswith(opening) or (inside and bool(line.strip()))
+            if inside:
+                yield lineno, line
+
+
+def _unknown_names(heading: str, pick=_sections) -> list:
     """``doc:line: name`` for every backticked snake_case name (``name`` or
-    ``name(...)``) in the sections of DESIGN.md and README.md whose heading
-    matches ``heading`` that occurs nowhere in the tree's code (src, tests,
-    benchmarks)."""
+    ``name(...)``) in the parts of DESIGN.md and README.md that ``pick``
+    selects with ``heading`` (by default the sections whose heading matches
+    it) that occurs nowhere in the tree's code (src, tests, benchmarks)."""
     code = set()
     for top in ("src", "tests", "benchmarks"):
         for dirpath, _dirs, files in os.walk(os.path.join(ROOT, top)):
@@ -115,7 +126,7 @@ def _unknown_names(heading: str) -> list:
     bare = re.compile(r"`(\w+)(?:\([^`]*\))?`")
     missing = []
     for doc in ("DESIGN.md", "README.md"):
-        for lineno, line in _sections(os.path.join(ROOT, doc), heading):
+        for lineno, line in pick(os.path.join(ROOT, doc), heading):
             for name in bare.findall(line):
                 if "_" in name.strip("_") and name not in code:
                     missing.append(f"{doc}:{lineno}: {name}")
@@ -148,4 +159,19 @@ def test_memory_system_names_in_the_docs_exist():
     function, counter or field of the memory path fails here until the
     sentence is rewritten."""
     missing = _unknown_names(r"fast-path filter|classification cache")
+    assert not missing, "\n".join(missing)
+
+
+def test_producers_paragraph_names_the_kept_filling():
+    """DESIGN.md's "Producers" paragraph names the kept filling's store,
+    bound and re-issue count by names the code has (bare snake_case names
+    anywhere in the tree, ``events.name`` in ``repro.core.events``): a
+    renamed or deleted piece fails here until the paragraph is rewritten."""
+    missing = _unknown_names("**Producers**", _paragraph)
+    path = os.path.join(ROOT, "DESIGN.md")
+    text = "".join(line for _n, line in _paragraph(path, "**Producers**"))
+    events = importlib.import_module("repro.core.events")
+    named = re.findall(r"`events\.(\w+)", text)
+    assert {"strided_batches", "_kept", "_KEPT_MAX"} <= set(named)
+    missing += [f"events.{n}" for n in named if not hasattr(events, n)]
     assert not missing, "\n".join(missing)
