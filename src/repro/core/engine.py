@@ -549,11 +549,8 @@ class Engine:
             limit = budget
         if deliver:
             limit = 1
-        pends = batch.pendings
         consumed, i, t, added, fault, ext_refs = self.memsys.access_run(
-            pid, cpu, batch.kinds, batch.addrs, batch.sizes, pends,
-            batch.cursor, batch.n, batch.time, limit, horizon, ext,
-            clock=self.gsched, serial=batch.serial, uhint=batch.uhint)
+            pid, cpu, batch, limit, horizon, ext, self.gsched)
         n = batch.n
         batch.cursor = i
         batch.total = total = batch.total + added
@@ -596,7 +593,7 @@ class Engine:
             self._after_event(proc)
         else:
             bs["cut_horizon" if consumed < limit else "cut_budget"] += 1
-            batch.time = t + pends[i]
+            batch.time = t + batch.pendings[i]
             proc.port_event = batch
         return consumed
 

@@ -114,16 +114,6 @@ class Event:
         )
 
 
-#: monotone id distinguishing batch *contents*: reused pool objects get a
-#: fresh serial on every refill, so a serial uniquely names one filling
-_serial_counter = [0]
-
-
-def _next_serial() -> int:
-    _serial_counter[0] += 1
-    return _serial_counter[0]
-
-
 class EventBatch:
     """A run of consecutive memory references from one frontend frame.
 
@@ -145,7 +135,9 @@ class EventBatch:
 
     Batches are pooled (:func:`acquire_batch` / :func:`release_batch`) or
     kept for re-issue (:func:`strided_batches`), so the hot loop allocates
-    nothing; consumers never write into a filling's lists.
+    nothing; consumers never write into a filling's lists. ``prefix`` is
+    the filling's own classification (mem/vec.py): :meth:`reset` drops it,
+    a re-issued filling keeps it.
     """
 
     #: class-level Event protocol: a batch is its own kind, has no payload
@@ -154,18 +146,11 @@ class EventBatch:
 
     __slots__ = ("kinds", "addrs", "sizes", "pendings", "n", "cursor",
                  "total", "time", "pid", "kernel", "mode", "depth",
-                 "serial", "uhint", "reissued")
+                 "prefix", "reissued")
 
     def __init__(self) -> None:
-        self.serial = _next_serial()
-        #: producer hint ``(kind, stride, work_per_ref)``: set by a producer
-        #: that filled the WHOLE batch as one arithmetic reference stream —
-        #: every kind equal, addresses stepping by ``stride`` with sizes
-        #: ``stride``, and every pending after the first ``work_per_ref``.
-        #: Purely an accelerator hint (mem/vec.py keys the filling's
-        #: classification on it, so a warm re-scan of the same buffer reuses
-        #: one across batches); None = no structure claimed.
-        self.uhint = None
+        #: the ``mem.vec.Prefix`` last walked for this filling, or None
+        self.prefix = None
         self.reissued = False       #: a kept filling, re-issued
         self.kinds: list = []
         self.addrs: list = []
@@ -190,10 +175,9 @@ class EventBatch:
         self.n += 1
 
     def reset(self) -> None:
-        """Empty the batch for reuse. Bumps ``serial``: no cached
-        classification of the old contents (mem/vec.py) is read again."""
-        self.serial = _next_serial()
-        self.uhint = None
+        """Empty the batch for reuse, dropping the old contents'
+        classification."""
+        self.prefix = None
         self.kinds.clear()
         self.addrs.clear()
         self.sizes.clear()
@@ -262,8 +246,9 @@ def strided_batches(kinds: list, bases: tuple, nbytes: int, stride: int,
                else (kinds[0], bases[0] + off, cnt, stride, work))
         batch = _kept.pop(key, None)
         if batch is not None:
-            batch.serial, batch.reissued = _next_serial(), True
+            batch.reissued = True
             batch.cursor = batch.total = batch.depth = 0
+            # its prefix stands: none reads the pending at its own base
             batch.pendings[0] = work
         else:
             batch = acquire_batch()
@@ -280,10 +265,6 @@ def strided_batches(kinds: list, bases: tuple, nbytes: int, stride: int,
             if ragged:
                 sizes[-w:] = [nbytes - off - span + stride] * w
             batch.sizes.extend(sizes)
-            if key is not None:
-                # one arithmetic stream: advertised so its classification
-                # is shared by every re-filling of it (see EventBatch.uhint)
-                batch.uhint = (kinds[0], stride, work)
             batch.pendings.extend(([work] + [0] * (w - 1)) * cnt)
             batch.n = cnt * w
         batch.pendings[0] += clock.pending

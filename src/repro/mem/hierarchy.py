@@ -320,8 +320,8 @@ class MemorySystem:
         code it runs on completion reads the global clock, which must not
         have passed the cycle the strict schedule completes the batch at.
 
-        A classification already cached for the batch answers first, with
-        no probe (:meth:`VecState.frontier` not walking). Else the cursor is
+        A classification already on the batch answers first, with no probe
+        (:meth:`VecState.frontier` not walking). Else the cursor is
         probed: a rival about to miss is visible at its own time and costs
         no classification. Past it :meth:`VecState.frontier` classifies
         when ``cpu``'s L1 held still since its last run; otherwise the walk
@@ -357,20 +357,19 @@ class MemorySystem:
 
     # ------------------------------------------------------------------
 
-    def access_run(self, pid: int, cpu: int, kinds: list, addrs: list,
-                   sizes: list, pends: list, i: int, n: int, t: int,
-                   limit: int, horizon: int, ext: int = 0, clock=None,
-                   serial=None, uhint=None):
-        """Service a run of batched references in one loop.
+    def access_run(self, pid: int, cpu: int, batch, limit: int,
+                   horizon: int, ext: int = 0, clock=None):
+        """Service a run of the batch filling ``batch``'s references in one
+        loop (its lists, cursor and time are read, never written).
 
         Replays exactly the sequence of :meth:`access` calls the engine's
-        per-reference loop would make: the reference at ``i`` issues at
-        ``t``; each later reference issues at the previous completion time
-        plus its pending cycles, and is consumed only while that stays
-        below ``horizon`` and fewer than ``limit`` references were served.
-        ``clock`` (the engine's global scheduler) reads each reference's
-        issue time wherever the miss kernel runs, and the last one on
-        return, as the per-event loop leaves it.
+        per-reference loop would make: the reference at ``batch.cursor``
+        issues at ``batch.time``; each later reference issues at the
+        previous completion time plus its pending cycles, and is consumed
+        only while that stays below ``horizon`` and fewer than ``limit``
+        references were served. ``clock`` (the engine's global scheduler)
+        reads each reference's issue time wherever the miss kernel runs,
+        and the last one on return, as the per-event loop leaves it.
         Returns ``(consumed, i, t, added_latency, major_fault, ext_refs)``
         with ``i`` and ``t`` at the stop point (on a fault, the faulting
         reference's index and issue time).
@@ -389,24 +388,28 @@ class MemorySystem:
         (:meth:`_run_each`): a tap sees every reference, and a fast-forward
         window warms through ``access``'s ff arm, so a sampled result does
         not depend on whether a tap is attached. Otherwise the all-hit
-        prefix retires in bulk from its cached classification when it can
-        (:meth:`VecState.run`; ``serial`` names the batch filling so a
-        classification survives horizon-cut continuations, ``uhint`` is the
-        producer's uniform stream claim) and the scalar loop, the
-        simulator's hottest, does the rest — bit-identically.
+        prefix retires in bulk from the filling's classification when it
+        can (:meth:`VecState.run`; the classification stays on the filling,
+        so horizon-cut continuations and a re-issue read it again) and the
+        scalar loop, the simulator's hottest, does the rest —
+        bit-identically.
         """
+        i = batch.cursor
+        t = batch.time
+        n = batch.n
         if i >= n or limit <= 0:
             return 0, i, t, 0, None, 0
         if self.strict_stream() is not None:
-            return self._run_each(pid, cpu, kinds, addrs, sizes, pends, i, n,
-                                  t, limit, horizon, clock)
-        res = self._vec.run(pid, cpu, kinds, addrs, sizes, pends, i, n, t,
-                            limit, horizon, ext, clock, serial, uhint)
+            return self._run_each(pid, cpu, batch.kinds, batch.addrs,
+                                  batch.sizes, batch.pendings, i, n, t,
+                                  limit, horizon, clock)
+        res = self._vec.run(pid, cpu, batch, limit, horizon, ext, clock)
         if res is not None:
             return res
         self.vec_fallbacks += 1
-        return self._access_run_scalar(pid, cpu, kinds, addrs, sizes, pends,
-                                       i, n, t, limit, horizon, ext, clock)
+        return self._access_run_scalar(pid, cpu, batch.kinds, batch.addrs,
+                                       batch.sizes, batch.pendings, i, n, t,
+                                       limit, horizon, ext, clock)
 
     def _run_each(self, pid: int, cpu: int, kinds: list, addrs: list,
                   sizes: list, pends: list, i: int, n: int, t: int,

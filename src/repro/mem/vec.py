@@ -7,10 +7,11 @@ is walked once over the live dicts, with the probe that defines an
 window bound is read from it, and what follows it goes to the scalar loop
 (``MemorySystem._access_run_scalar``), so results are bit-identical.
 
-A classification is cached per batch filling under the versions it was
-walked under (the CPU's ``Cache.version``, the kernel and space page-table
-versions): every mutation that could turn a hit into a decline bumps one,
-so a cached entry is exact. ``run()`` classifies, and ``frontier()``
+A classification is stored on its filling (``EventBatch.prefix``) with what
+it was walked under: the CPU's L1 ``Cache`` (naming memory system and CPU)
+and its ``version``, the pid, and the page-table versions. Every mutation
+that could turn a hit into a decline bumps one, so a stored prefix whose
+key matches is exact. ``run()`` classifies, and ``frontier()``
 answers, only for a CPU whose L1 held still since its previous ``run()``
 entry (a filling CPU would pay a walk per entry for a few hits). A per-CPU
 stamp skips the LRU replay of a slice the CPU's sets already hold in
@@ -24,23 +25,20 @@ from bisect import bisect_left
 #: runs shorter than this go scalar: classifying only pays over a prefix
 MIN_RUN = 8
 
-#: classifications kept before the cache is dropped whole (entries keyed
-#: against a dead version or a consumed filling are never hit again)
-CACHE_CAP = 64
-
 
 class Prefix:
-    """The classified all-hit prefix ``[base, stop)`` of one filling of
-    ``end`` references (``stop == end``: every one hits); per-reference
-    lists are indexed from ``base``."""
+    """The classified all-hit prefix ``[base, stop)`` of one filling
+    (``stop == n``: every one hits), walked under ``key`` (see
+    :meth:`VecState._classified`); per-reference lists are indexed from
+    ``base``."""
 
-    __slots__ = ("base", "stop", "end", "offs", "lat", "nlines", "lines",
+    __slots__ = ("key", "base", "stop", "offs", "lat", "nlines", "lines",
                  "flips")
 
-    def __init__(self, base, stop, end, offs, lat, nlines, lines, flips):
+    def __init__(self, key, base, stop, offs, lat, nlines, lines, flips):
+        self.key = key
         self.base = base
         self.stop = stop
-        self.end = end
         #: issue time of each reference relative to ``base``'s, through the
         #: first declined one (``offs[-1]`` is ``frontier``'s bound)
         self.offs = offs
@@ -66,15 +64,13 @@ class Prefix:
 
 
 class VecState:
-    """The classification cache and the bulk retirement of ``access_run``'s
-    all-hit prefix."""
+    """The classification of a filling's all-hit prefix and its bulk
+    retirement in ``access_run``."""
 
     def __init__(self, ms) -> None:
         self.ms = ms
         #: per CPU, its L1 version at its previous run() entry
         self._entry_versions = [-1] * len(ms.l1s)
-        #: classification cache: key (see _classified) -> Prefix
-        self._cache: dict = {}
         #: per CPU, ``(cd, o, c, version, hits)`` of its L1 right after its
         #: last LRU replay of slice ``[o, o + c)`` of prefix ``cd``
         self._stamps: list = [None] * len(ms.l1s)
@@ -88,20 +84,25 @@ class VecState:
 
     # -- classification ----------------------------------------------------
 
-    def _classify(self, pid, cpu, kinds, addrs, sizes, pends, base, n):
-        """Walk references ``[base, n)`` up to the first one the L1 probe
-        would decline; returns their :class:`Prefix`."""
+    def _classify(self, key, pid, cpu, batch):
+        """Walk ``batch``'s references from its cursor up to the first one
+        the L1 probe would decline; returns their :class:`Prefix`."""
         ms = self.ms
         self.classifications += 1
         probe = ms._invisible_span
         states = ms._l1_states[cpu]
         l1_lat = ms._l1_latency
+        kinds = batch.kinds
+        addrs = batch.addrs
+        sizes = batch.sizes
+        pends = batch.pendings
+        n = batch.n
         offs = [0]
         lat = [0]
         nlines = [0]
         lines = []
         flips = []
-        x = base
+        x = base = batch.cursor
         while True:
             k = kinds[x]
             hit = probe(pid, cpu, k, addrs[x], sizes[x])
@@ -118,65 +119,52 @@ class VecState:
             if x == n:
                 break
             offs.append(offs[-1] + d + pends[x])
-        return Prefix(base, x, n, offs, lat, nlines, lines, flips)
+        return Prefix(key, base, x, offs, lat, nlines, lines, flips)
 
-    def _classified(self, pid, cpu, l1_version, kinds, addrs, sizes, pends,
-                    i, n, serial, uhint, walk=True):
-        """The classification covering reference ``i`` of a filling of
-        ``n``, from the cache or walked now (with ``walk`` False: None
-        instead). The caller has checked that ``cpu``'s L1 held still
-        (``l1_version`` is its version)."""
+    def _classified(self, pid, cpu, l1_version, batch, walk=True):
+        """The classification covering ``batch``'s cursor: the filling's own
+        when it was walked under this key and covers the cursor, else walked
+        now and stored on the filling (with ``walk`` False: None instead).
+        The caller has checked that ``cpu``'s L1 held still (``l1_version``
+        is its version)."""
         ms = self.ms
-        ker = ms.vmm._kernel
         sp = ms._spaces.get(pid)
-        uver = sp.version if sp is not None else -1
-        if uhint is not None:
-            # hinted fillings are position-independent: key on the stream's
-            # virtual index-0 address so identical re-fillings (warm passes
-            # over the same buffer) hit across batch serials
-            key = (pid, cpu, l1_version, ker.version, uver, uhint,
-                   addrs[i] - uhint[1] * i, n)
-        else:
-            key = (serial, pid, cpu, l1_version, ker.version, uver)
-        cache = self._cache
-        cd = cache.get(key)
-        if cd is None or not (cd.base <= i <= cd.stop and cd.end == n):
-            if not walk:
-                return None
-            cd = self._classify(pid, cpu, kinds, addrs, sizes, pends, i, n)
-            if uhint is not None or serial is not None:
-                if len(cache) >= CACHE_CAP:
-                    cache.clear()
-                cache[key] = cd
+        # the L1, not self: a kept filling must not hold a memory system
+        key = (ms.l1s[cpu], l1_version, pid, ms.vmm._kernel.version,
+               sp.version if sp is not None else -1)
+        cd = batch.prefix
+        if (cd is not None and cd.base <= batch.cursor <= cd.stop
+                and cd.key == key):
+            return cd
+        if not walk:
+            return None
+        cd = batch.prefix = self._classify(key, pid, cpu, batch)
         return cd
 
     def _lookup(self, pid, cpu, batch, walk):
         """``frontier``'s classification of the cursor, or None (see there)."""
-        i = batch.cursor
-        n = batch.n
+        short = batch.n - batch.cursor < MIN_RUN
         l1_version = self.ms.l1s[cpu].version
-        if n - i < MIN_RUN or l1_version != self._entry_versions[cpu]:
+        if short or l1_version != self._entry_versions[cpu]:
             if walk:
-                self.declines["frontier_short" if n - i < MIN_RUN
+                self.declines["frontier_short" if short
                               else "frontier_stale"] += 1
             return None
-        return self._classified(pid, cpu, l1_version, batch.kinds,
-                                batch.addrs, batch.sizes, batch.pendings, i,
-                                n, batch.serial, batch.uhint, walk)
+        return self._classified(pid, cpu, l1_version, batch, walk)
 
     def frontier(self, pid, cpu, batch, cap, walk=True):
         """``MemorySystem.invisible_until`` past its cursor probe, answered
         from the classification the owner's own ``run()`` will read
         (:meth:`Prefix.bound`). None when the walk answers (the CPU's L1 did
         not hold still, or too few references are left). With ``walk``
-        False only a classification already cached answers, and nothing is
-        walked or tallied: the lookup a rival's bound makes before its
-        cursor probe."""
+        False only a classification already on the filling answers, and
+        nothing is walked or tallied: the lookup a rival's bound makes
+        before its cursor probe."""
         cd = self._lookup(pid, cpu, batch, walk)
         return cd.bound(batch, cap) if cd is not None else None
 
     def hits_cursor(self, pid, cpu, batch):
-        """A cached classification holds ``batch``'s cursor as a hit: the
+        """The filling's classification holds its cursor as a hit: the
         owner's ``miss`` probe would hit. Nothing is walked or declined."""
         cd = self._lookup(pid, cpu, batch, False)
         hit = cd is not None and cd.stop > batch.cursor
@@ -185,8 +173,7 @@ class VecState:
 
     # -- the bulk run ------------------------------------------------------
 
-    def run(self, pid, cpu, kinds, addrs, sizes, pends, i, n, t,
-            limit, horizon, ext, clock, serial=None, uhint=None):
+    def run(self, pid, cpu, batch, limit, horizon, ext, clock):
         """The all-hit prefix of one access_run, retired in bulk; returns
         the final ``(consumed, i, t, added, major, ext_refs)`` tuple, or
         None to decline the whole run (too short / the CPU's L1 did not
@@ -196,6 +183,8 @@ class VecState:
         l1 = ms.l1s[cpu]
         held = l1.version == self._entry_versions[cpu]
         self._entry_versions[cpu] = l1.version
+        i = batch.cursor
+        n = batch.n
         m = n - i
         if limit < m:
             m = limit
@@ -205,8 +194,7 @@ class VecState:
         if not held:
             self.declines["stale"] += 1
             return None
-        cd = self._classified(pid, cpu, l1.version, kinds, addrs, sizes,
-                              pends, i, n, serial, uhint)
+        cd = self._classified(pid, cpu, l1.version, batch)
         o = i - cd.base
         h = cd.stop - i             # hits from the cursor on
         if h > m:
@@ -222,7 +210,7 @@ class VecState:
         # reference o + x issues at t0 + offs[o + x]; consume those issuing
         # below ext (at least one), count those at or past horizon
         offs = cd.offs
-        t0 = t - offs[o]
+        t0 = batch.time - offs[o]
         c = bisect_left(offs, ext - t0, o + 1, o + h) - o
         ext_refs = c - (bisect_left(offs, horizon - t0, o, o + c) - o)
         last_issue = t0 + offs[o + c - 1]
@@ -276,12 +264,13 @@ class VecState:
             return c, i + c, comp, added, None, ext_refs
         # the prefix ended at a reference the probe declines: the scalar
         # loop takes the rest
+        pends = batch.pendings
         nt = comp + pends[i + c]
         if nt >= ext:
             return c, i + c, comp, added, None, ext_refs
         c2, i2, t2, a2, major2, er2 = ms._access_run_scalar(
-            pid, cpu, kinds, addrs, sizes, pends, i + c, n, nt,
-            limit - c, horizon, ext, clock)
+            pid, cpu, batch.kinds, batch.addrs, batch.sizes, pends, i + c, n,
+            nt, limit - c, horizon, ext, clock)
         return c + c2, i2, t2, added + a2, major2, ext_refs + er2
 
 

@@ -30,6 +30,7 @@ from repro import (Engine, FaultPlan, FaultRule, SamplingConfig,
                    SimulatedCrash, WaitToken, complex_backend, resume)
 from repro.apps.minidb import MiniDb, TpcdDriver, tpcd_catalog
 from repro.core.communicator import Communicator
+from repro.core.events import EventBatch
 from repro.core.frontend import SimProcess
 from repro.harness import sampling_summary, vec_summary
 from repro.host import ParallelEngine, WorkerSpec
@@ -132,6 +133,17 @@ def decline_bulk(ms) -> None:
     """The ``scalar`` substitution on one memory system: from now on its
     bulk path declines every run and every frontier."""
     ms._vec.run = ms._vec.frontier = _decline
+
+
+def make_batch(refs, cursor=0, time=1000) -> EventBatch:
+    """A filling of ``refs`` (``(kind, addr, size, pending)`` each) whose
+    cursor reference issues at ``time``: what ``access_run`` reads."""
+    b = EventBatch()
+    for kind, addr, size, pend in refs:
+        b.append(kind, addr, size, pend)
+    b.cursor = cursor
+    b.time = time
+    return b
 
 
 # ---------------------------------------------------------------------------

@@ -24,7 +24,7 @@ from repro.mem.hierarchy import MemorySystem
 from repro.service.workloads import WORKLOADS, full_fingerprint
 
 from tests.equivalence import (DEFAULT, ERRNO_PLAN, SCAN, TIMING_PLAN, Isa,
-                               build, check, reference, run)
+                               build, check, make_batch, reference, run)
 
 
 def _engine(path=None, interval=0, faults=TIMING_PLAN, name="oltp", **cfg):
@@ -523,10 +523,9 @@ class TestDeltaReconstruction:
                 assert major is None
                 clock[0] += lat + 1
             if batched:
-                kinds, addrs, sizes = map(list, zip(*refs))
                 _n, _i, _t, lat, major, _x = ms.access_run(
-                    1, cpu, kinds, addrs, sizes, [1] * len(refs), 0,
-                    len(refs), clock[0], len(refs), 1 << 60)
+                    1, cpu, make_batch([(*ref, 1) for ref in refs],
+                                       time=clock[0]), len(refs), 1 << 60)
                 assert major is None
                 clock[0] += lat + 1
             site = "access_run" if batched else "access"
@@ -597,7 +596,7 @@ class TestDeltaReconstruction:
             if kind:
                 settle("private")
             _n, _i, now, _lat, major, _x = ms.access_run(
-                1, cpu, [kind] * 16, addrs, [4] * 16, [1] * 16, 0, 16, now,
-                16, 1 << 60)
+                1, cpu, make_batch([(kind, a, 4, 1) for a in addrs],
+                                   time=now), 16, 1 << 60)
             assert major is None
         return now + 1

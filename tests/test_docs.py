@@ -44,6 +44,14 @@ _CLASSES = {
     "ProcessScheduler": ("repro.osim.schedulers", "ProcessScheduler"),
     "MemorySystem": ("repro.mem.hierarchy", "MemorySystem"),
     "VecState": ("repro.mem.vec", "VecState"),
+    "Prefix": ("repro.mem.vec", "Prefix"),
+    "Cache": ("repro.mem.cache", "Cache"),
+    "Vmm": ("repro.mem.pagetable", "Vmm"),
+    "EventBatch": ("repro.core.events", "EventBatch"),
+    "SimProcess": ("repro.core.frontend", "SimProcess"),
+    "SamplingController": ("repro.core.sampling", "SamplingController"),
+    "FaultInjector": ("repro.faults.injector", "FaultInjector"),
+    "MemTraceRecorder": ("repro.traces.memtrace", "MemTraceRecorder"),
     "ParallelEngine": ("repro.host.parallel", "ParallelEngine"),
     "CheckpointManager": ("repro.checkpoint.manager", "CheckpointManager"),
     "SegmentLog": ("repro.core.framing", "SegmentLog"),

@@ -109,7 +109,7 @@ def test_batch_cap_is_sane():
     assert ev.BATCH_CAP >= 1
 
 
-# -- kept fillings: a re-issued filling is a fresh fill --------------------
+# -- kept fillings: a re-issued filling is a fresh fill, classified ---------
 
 class _Clock:
     def __init__(self, pending):
@@ -118,16 +118,16 @@ class _Clock:
 
 def _fillings(kind, base, nbytes, stride, work, pending, consume=None):
     """Every filling ``strided_batches`` publishes for one touch, as
-    ``(batch, serial, fields)``; ``consume`` plays the consumer on each."""
+    ``(batch, prefix, fields)``; ``consume`` plays the consumer on each."""
     clock = _Clock(pending)
     gen = ev.strided_batches([kind], (base,), nbytes, stride, work, clock)
     out = []
     try:
         b = next(gen)
         while True:
-            out.append((b, b.serial, (list(b.kinds), list(b.addrs),
+            out.append((b, b.prefix, (list(b.kinds), list(b.addrs),
                                       list(b.sizes), list(b.pendings), b.n,
-                                      b.uhint, b.cursor, b.total, b.depth)))
+                                      b.cursor, b.total, b.depth)))
             if consume is not None:
                 consume(b)
             clock.pending = pending     # cycles left behind by a handler
@@ -138,11 +138,13 @@ def _fillings(kind, base, nbytes, stride, work, pending, consume=None):
 
 
 def _scribble(b):
-    """What a consumer leaves on a filling it is done with."""
+    """What a consumer leaves on a filling it is done with, a
+    classification of it included."""
     b.cursor = b.n
     b.total = 777
     b.depth = 3
     b.time = 12345
+    b.prefix = ("classified", id(b))
 
 
 @settings(max_examples=80, deadline=None)
@@ -160,13 +162,14 @@ def test_reissued_filling_equals_a_fresh_fill(kind, stride, work, nbytes,
     ev._kept.clear()
     fresh = _fillings(kind, 0x4000, nbytes, stride, work, again)
     assert [f for _b, _s, f in rescan] == [f for _b, _s, f in fresh]
-    old = {id(b): s for b, s, _f in first}
-    keyed = sum(f[5] is not None for _b, _s, f in first)   # one lane, whole
-    for b, serial, fields in rescan:
-        assert serial != old.get(id(b))     # a new serial names the filling
-        kept = fields[5] is not None and keyed <= ev._KEPT_MAX
+    old = {id(b) for b, _p, _f in first}
+    whole = sum(f[2][-1] == stride for _b, _p, f in first)     # not ragged
+    for b, prefix, fields in rescan:
+        kept = fields[2][-1] == stride and whole <= ev._KEPT_MAX
         assert b.reissued == kept
         assert not b.reissued or id(b) in old
+        # a re-issued filling keeps its classification, a reset one drops it
+        assert prefix == (("classified", id(b)) if kept else None)
     assert len(ev._kept) <= ev._KEPT_MAX
     ev._kept.clear()
 

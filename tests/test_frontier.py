@@ -17,10 +17,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.config import complex_backend
-from repro.core.events import EventBatch
 from repro.core.stats import StatsRegistry
 from repro.mem import vec as vecmod
 from repro.mem.hierarchy import MemorySystem
+
+from tests.equivalence import make_batch
 
 PID = 1
 CPU = 0
@@ -58,19 +59,8 @@ def make_ms() -> MemorySystem:
             lat, fault = ms.access(PID, addr, 4, False, 1, now)
             assert fault is None
             now += lat
-    ms.access_run(PID, CPU, [0], [BASE], [4], [0], 0, 1, now, 1, INF)
+    ms.access_run(PID, CPU, make_batch([(0, BASE, 4, 0)], time=now), 1, INF)
     return ms
-
-
-def make_batch(refs, cursor=0, time=1000, uhint=None) -> EventBatch:
-    b = EventBatch()
-    for kind, addr, size, pend in refs:
-        b.append(kind, addr, size, pend)
-    b.pid = PID
-    b.cursor = cursor
-    b.time = time
-    b.uhint = uhint
-    return b
 
 
 def scalar_bound(ms, batch, cap):
@@ -117,7 +107,7 @@ def _with_one(args):
     return refs[:at] + [odd] + refs[at:]
 
 
-_unhinted = st.one_of(
+_mixed = st.one_of(
     st.lists(_plain_read, min_size=8, max_size=24),
     st.lists(_hit_ref, min_size=8, max_size=24),
     st.tuples(st.lists(_hit_ref, min_size=8, max_size=24), _any_ref,
@@ -127,9 +117,9 @@ _unhinted = st.one_of(
 
 
 @st.composite
-def _hinted(draw):
-    """A whole filling as one arithmetic stream, exactly as ``Proc.touch``
-    advertises it: one kind, sizes == stride, constant lead-in."""
+def _strided(draw):
+    """A whole filling as one arithmetic stream, as ``strided_batches``
+    fills a one-lane scan: one kind, sizes == stride, constant lead-in."""
     kind = draw(st.sampled_from([0, 1, 2]))
     stride = draw(st.sampled_from([4, 16, 32, 64, 96]))
     wpl = draw(st.sampled_from([0, 0, 2]))
@@ -140,16 +130,15 @@ def _hinted(draw):
         st.tuples(st.integers(0, 2 * PAGE // GROUP - 2),
                   st.sampled_from([0, 0, 4, 16])).map(
                       lambda go: BASE + go[0] * GROUP + go[1])))
-    refs = [(kind, start + j * stride, stride,
+    return [(kind, start + j * stride, stride,
              wpl if j else draw(st.integers(0, 5))) for j in range(n)]
-    return refs, (kind, stride, wpl)
 
 
-def _check(ms, refs, uhint, data):
+def _check(ms, refs, data):
     cursor = data.draw(st.one_of(
         st.integers(0, max(0, len(refs) - vecmod.MIN_RUN)),
         st.integers(0, len(refs) - 1)))
-    batch = make_batch(refs, cursor, uhint=uhint)
+    batch = make_batch(refs, cursor)
     kind, addr, size, _pend = refs[cursor]
     declines = ms.ref_invisible_latency(PID, CPU, kind, addr, size) < 0
     full = scalar_bound(ms, batch, INF)
@@ -159,23 +148,22 @@ def _check(ms, refs, uhint, data):
             + [INF]:
         want = scalar_bound(ms, batch, cap)
         got = ms.invisible_until(PID, CPU, batch, cap)
-        assert got == want, (cap, refs, cursor, uhint)
+        assert got == want, (cap, refs, cursor)
         if declines:
             # the cursor probe answers before either qualifier, uncapped
-            assert got == batch.time, (cap, refs, cursor, uhint)
+            assert got == batch.time, (cap, refs, cursor)
 
 
 @settings(max_examples=120, deadline=None)
-@given(_unhinted, st.data())
+@given(_mixed, st.data())
 def test_classified_frontier_matches_the_scalar_walk(ms, refs, data):
-    _check(ms, refs, None, data)
+    _check(ms, refs, data)
 
 
 @settings(max_examples=120, deadline=None)
-@given(_hinted(), st.data())
-def test_classified_frontier_matches_the_scalar_walk_hinted(ms, filling,
-                                                            data):
-    _check(ms, *filling, data)
+@given(_strided(), st.data())
+def test_classified_frontier_matches_the_scalar_walk_strided(ms, refs, data):
+    _check(ms, refs, data)
 
 
 def test_classification_answers_when_it_can(ms):
@@ -232,7 +220,8 @@ def test_classification_is_paid_once_and_shared_with_the_owner(monkeypatch):
     orig = vecmod.VecState._classify
     monkeypatch.setattr(
         vecmod.VecState, "_classify",
-        lambda self, *a: classified.append(a[6:8]) or orig(self, *a))
+        lambda self, key, pid, cpu, batch: classified.append(
+            (batch.cursor, batch.n)) or orig(self, key, pid, cpu, batch))
     probes = []
     orig_probe = MemorySystem.ref_invisible_latency
     monkeypatch.setattr(
@@ -248,25 +237,21 @@ def test_classification_is_paid_once_and_shared_with_the_owner(monkeypatch):
     assert ms.invisible_until(PID, CPU, batch, batch.time + 10) == \
         batch.time + 10
     assert classified == [(0, 64)] and probes == [(PID, CPU, *cursor)]
-    # the owner's turn: same cache entry, and the whole batch retires
-    consumed, i, *_ = ms.access_run(
-        PID, CPU, batch.kinds, batch.addrs, batch.sizes, batch.pendings, 0,
-        batch.n, batch.time, batch.n, INF, serial=batch.serial)
+    # the owner's turn: the same classification, and the whole batch retires
+    consumed, i, *_ = ms.access_run(PID, CPU, batch, batch.n, INF)
     assert (consumed, i) == (64, 64)
     assert classified == [(0, 64)]
 
 
 @settings(max_examples=120, deadline=None)
-@given(st.one_of(_unhinted.map(lambda refs: (refs, None)), _hinted()),
-       st.data())
-def test_cached_bound_equals_the_probe_first_walk(filling, data):
-    """Queries at one cursor leave classifications that serve later ones
-    (as an owner's cut continuations move it), hinted fillings across batch
-    objects too: every bound, read from a cached entry or not — one that
-    stops at the cursor and caps below ``batch.time`` included — equals
-    the probe-first walk's."""
+@given(st.one_of(_mixed, _strided()), st.booleans(), st.data())
+def test_cached_bound_equals_the_probe_first_walk(refs, reissue, data):
+    """Queries at one cursor leave a classification on the filling that
+    serves later ones (as an owner's cut continuations move it, or a
+    re-issue of the kept filling): every bound, read from a stored
+    classification or not — one that stops at the cursor and caps below
+    ``batch.time`` included — equals the probe-first walk's."""
     ms = make_ms()
-    refs, uhint = filling
     n = len(refs)
     cursors = []
     for cursor in data.draw(st.lists(st.integers(0, n - 1), min_size=1,
@@ -277,11 +262,12 @@ def test_cached_bound_equals_the_probe_first_walk(filling, data):
                      if ms.ref_invisible_latency(PID, CPU, *refs[j][:3]) < 0),
                     cursor)
         cursors += [cursor, stop]
+    batch = make_batch(refs)
     for cursor in cursors:
-        batch = make_batch(refs, cursor, time=data.draw(
-            st.integers(1000, 1100)), uhint=uhint)
-        if uhint is None and data.draw(st.booleans()):
-            batch.serial = 1        # the same unhinted filling again
+        if not reissue:
+            batch = make_batch(refs)
+        batch.cursor = cursor
+        batch.time = data.draw(st.integers(1000, 1100))
         for cap in (batch.time - 7, batch.time, batch.time + 1,
                     batch.time + data.draw(st.integers(2, 60)), INF):
             assert ms.invisible_until(PID, CPU, batch, cap) == \
@@ -300,7 +286,7 @@ def test_a_cached_entry_answers_with_no_probe(monkeypatch):
         + [(0, BASE + j * 4, 4, 0) for j in range(10)]
     batch = make_batch(refs)
     assert ms.invisible_until(PID, CPU, batch, INF) == batch.time + 23
-    (cd,) = vec._cache.values()
+    cd = batch.prefix
     assert (cd.base, cd.stop) == (0, 12)
     probes = []
     orig_probe = MemorySystem.ref_invisible_latency

@@ -7,7 +7,7 @@ from repro.core.stats import StatsRegistry
 from repro.mem.cache import LineState
 from repro.mem.hierarchy import MemorySystem
 
-from tests.equivalence import decline_bulk
+from tests.equivalence import decline_bulk, make_batch
 
 
 def make(cfg=None, minor=400, vec=True):
@@ -150,16 +150,15 @@ def _straddle_refs(start=0x20F00):
 @pytest.mark.parametrize("vec", [True, False])
 def test_access_run_zero_length_and_zero_limit(vec):
     ms = make(vec=vec)
-    kinds, addrs, sizes, pends = _straddle_refs()
-    n = len(kinds)
-    # i >= n: nothing to consume, state untouched
-    assert ms.access_run(1, 0, kinds, addrs, sizes, pends,
-                         n, n, 500, 64, 1 << 60) == (0, n, 500, 0, None, 0)
-    assert ms.access_run(1, 0, [], [], [], [], 0, 0, 500, 64,
-                         1 << 60) == (0, 0, 500, 0, None, 0)
+    batch = make_batch(zip(*_straddle_refs()), time=500)
+    n = batch.n
     # limit exhausted before the first reference
-    assert ms.access_run(1, 0, kinds, addrs, sizes, pends,
-                         0, n, 500, 0, 1 << 60) == (0, 0, 500, 0, None, 0)
+    assert ms.access_run(1, 0, batch, 0, 1 << 60) == (0, 0, 500, 0, None, 0)
+    # cursor >= n: nothing to consume, state untouched
+    assert ms.access_run(1, 0, make_batch([], time=500), 64,
+                         1 << 60) == (0, 0, 500, 0, None, 0)
+    batch.cursor = n
+    assert ms.access_run(1, 0, batch, 64, 1 << 60) == (0, n, 500, 0, None, 0)
     assert ms.accesses == 0
 
 
@@ -170,16 +169,18 @@ def test_access_run_page_straddle_matches_per_ref(vec):
     n = len(kinds)
     want_added, want_t = _per_ref_mirror(ms_ref, kinds, addrs, sizes,
                                          pends, 500)
+    batch = make_batch(zip(kinds, addrs, sizes, pends), time=500)
     consumed, i, t, added, major, ext = ms_run.access_run(
-        1, 0, kinds, addrs, sizes, pends, 0, n, 500, n, 1 << 60)
+        1, 0, batch, n, 1 << 60)
     assert (consumed, i, major, ext) == (n, n, None, 0)
     assert (added, t) == (want_added, want_t)
     assert ms_run.cache_summary() == ms_ref.cache_summary()
     # a second, warm pass must agree too (vec path can now accept)
     want_added, want_t = _per_ref_mirror(ms_ref, kinds, addrs, sizes,
                                          pends, want_t + 1_000)
+    batch.time = t + 1_000
     consumed, i, t, added, major, ext = ms_run.access_run(
-        1, 0, kinds, addrs, sizes, pends, 0, n, t + 1_000, n, 1 << 60)
+        1, 0, batch, n, 1 << 60)
     assert (consumed, added, t) == (n, want_added, want_t)
     assert ms_run.cache_summary() == ms_ref.cache_summary()
 
@@ -192,6 +193,7 @@ def test_access_run_mixed_tapped_untapped(vec):
     ms_run, ms_ref = make(vec=vec), make(vec=vec)
     kinds, addrs, sizes, pends = _straddle_refs()
     n = len(kinds)
+    batch = make_batch(zip(kinds, addrs, sizes, pends))
 
     t = 500
     tref = 500
@@ -210,8 +212,9 @@ def test_access_run_mixed_tapped_untapped(vec):
             del ms_run.access
         want_added, want_t = _per_ref_mirror(ms_ref, kinds, addrs, sizes,
                                              pends, tref)
+        batch.time = t
         consumed, _, t2, added, major, _ = ms_run.access_run(
-            1, 0, kinds, addrs, sizes, pends, 0, n, t, n, 1 << 60)
+            1, 0, batch, n, 1 << 60)
         assert (consumed, major) == (n, None)
         assert (added, t2) == (want_added, want_t)
         if phase == "tapped":

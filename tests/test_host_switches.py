@@ -194,7 +194,7 @@ def test_no_window_for_a_frontend_about_to_miss():
     ms.ref_invisible_latency = lambda *a: probes.append(a) or \
         type(ms).ref_invisible_latency(ms, *a)
     assert eng._invisible_bound(rival, batch, 1 << 40) == batch.time
-    assert len(probes) == 1 and not ms._vec._cache
+    assert len(probes) == 1 and batch.prefix is None
     assert not any(eng.stand_downs.values())
     _warm(eng, rival, batch)
     assert eng._invisible_bound(rival, batch, 1 << 40) > batch.time

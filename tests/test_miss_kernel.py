@@ -32,6 +32,8 @@ from repro.core.stats import StatsRegistry
 from repro.mem.hierarchy import MemorySystem
 from repro.mem.pagetable import KERNEL_BASE
 
+from tests.equivalence import make_batch
+
 PID = 1
 NCPUS = 4
 USER_BASE = 0x10_0000
@@ -474,18 +476,18 @@ def test_access_run_matches_cache_method_composition(detail, coherence,
                 page_in(ref, major)
             want_added += lat
             rt += lat
-        i = 0
+        batch = make_batch(zip(kinds, addrs, sizes, pends), time=t)
         got_added = 0
         before = versions(flat)
-        while i < n:
-            consumed, i, t, added, major, ext_refs = flat.access_run(
-                PID, cpu, kinds, addrs, sizes, pends, i, n, t, n - i,
-                1 << 60)
+        while batch.cursor < n:
+            consumed, batch.cursor, batch.time, added, major, ext_refs = \
+                flat.access_run(PID, cpu, batch, n - batch.cursor, 1 << 60)
             got_added += added
             assert ext_refs == 0
             if major is not None:
                 page_in(flat, major)
-                pends[i] = 0
+                batch.pendings[batch.cursor] = 0
+        t = batch.time
         assert (t, got_added) == (rt, want_added)
         assert all(b <= a for b, a in zip(before, versions(flat)))
     assert observable(flat) == observable(ref)
@@ -503,14 +505,14 @@ def test_a_private_l2_hit_past_the_horizon_cuts_the_run():
     l1 = ms.l1s[0]
     before = pickle.dumps((l1._sets, ms.l2s[0]._sets, l1.hits, l1.misses))
     # the L1 hit issues at 100, below the horizon; the L2 hit at 106
-    got = ms.access_run(PID, 0, [0, 0], addrs, [4, 4], [0, 5], 0, 2, 100,
-                        2, 101, ext=1000)
+    got = ms.access_run(PID, 0, make_batch(
+        [(0, addrs[0], 4, 0), (0, addrs[1], 4, 5)], time=100), 2, 101, 1000)
     assert got == (1, 1, 101, 1, None, 0)
     assert pickle.dumps((l1._sets, ms.l2s[0]._sets, l1.hits - 1,
                          l1.misses)) == before
     # below the horizon the same reference retires: L1 + L2 latency
-    got = ms.access_run(PID, 0, [0], addrs[1:], [4], [5], 0, 1, 106, 1,
-                        107, ext=1000)
+    got = ms.access_run(PID, 0, make_batch([(0, addrs[1], 4, 5)], time=106),
+                        1, 107, 1000)
     assert got == (1, 1, 115, 9, None, 0)
 
 

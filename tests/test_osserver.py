@@ -201,10 +201,6 @@ def _stream(make_gen, batching, entry_pending, parked, enabled):
                 assert proc.clock.pending == 0 and 0 < e.n <= ev.BATCH_CAP
                 assert e.n == len(e.kinds) == len(e.addrs) == len(e.sizes) \
                     == len(e.pendings)
-                if e.uhint is not None:     # the claim must be true
-                    kind, stride, work = e.uhint
-                    assert set(e.kinds) == {kind} and set(e.sizes) == {stride}
-                    assert set(e.pendings[1:]) <= {work}
                 reply = sum(retire(e.kinds[i], e.addrs[i], e.sizes[i],
                                    e.pendings[i]) for i in range(e.n))
             else:

@@ -10,8 +10,9 @@ declines every run and every frontier) to the strict result — tapped and
 untapped, composed with conservative lookahead windows and with the batches
 ParallelEngine workers ship — end-of-run set lists (LRU order) and line
 states included. This module adds that the bulk path engaged where it
-should and never thrashed: a CPU classifies each reference of a hinted
-filling at most once per L1 version (and page-table versions).
+should and never thrashed: no filling is walked twice from a cursor one
+walk under the same key (the CPU's L1 and its version, pid, page-table
+versions) already covered.
 """
 
 from __future__ import annotations
@@ -24,35 +25,37 @@ from pathlib import Path
 import pytest
 
 from repro import Engine, complex_backend
+from repro.core.frontend import SimProcess
 
 from tests.equivalence import (BATCHING, DEFAULT, HOT_PROG, STRICT,
-                               WORKLOADS, Isa, check, simulate, sub)
+                               WORKLOADS, Isa, check, simulate, snapshot,
+                               sub)
 
 
 def _watch_classifications(eng, repeats):
-    """Watch the classification cache of ``eng`` (before it runs): collects
-    into ``repeats`` the key and cursor of every hinted filling a CPU
-    walked again from a cursor that an earlier walk under the same versions
-    (its L1's, and the kernel and space page tables': a kernel mapping
-    moves every key) had already covered."""
-    ms = eng.memsys
-    vec = ms._vec
+    """Watch the classifications of ``eng`` (before it runs): collects into
+    ``repeats`` the key and cursor of every walk of a filling from a cursor
+    that an earlier walk of the same filling under the same key (the CPU's
+    L1 and its version, pid, and the kernel and space page tables'
+    versions) had already covered. A filling with no classification is new
+    or was reset since its last walk: its history starts over."""
+    vec = eng.memsys._vec
     classified = vec._classified
-    covered = {}
+    history = {}
 
-    def watched(pid, cpu, l1_version, kinds, addrs, sizes, pends, i, n,
-                serial, uhint, walk=True):
+    def watched(pid, cpu, l1_version, batch, walk=True):
         before = vec.classifications
-        cd = classified(pid, cpu, l1_version, kinds, addrs, sizes, pends, i,
-                        n, serial, uhint, walk)
-        if uhint is not None and vec.classifications > before:
-            sp = ms._spaces.get(pid)
-            key = (pid, cpu, l1_version, ms.vmm._kernel.version,
-                   sp and sp.version, uhint, addrs[i] - uhint[1] * i, n)
-            spans = covered.setdefault(key, [])
-            if any(base <= i <= stop for base, stop in spans):
-                repeats.append((key, i))
-            spans.append((cd.base, cd.stop))
+        fresh = batch.prefix is None
+        cd = classified(pid, cpu, l1_version, batch, walk)
+        if vec.classifications > before:
+            walks = history.setdefault(id(batch), [])
+            if fresh:
+                walks.clear()
+            i = batch.cursor
+            if any(key == cd.key and base <= i <= stop
+                   for key, base, stop in walks):
+                repeats.append((cd.key[1:], i))
+            walks.append((cd.key, cd.base, cd.stop))
         return cd
 
     vec._classified = watched
@@ -61,7 +64,7 @@ def _watch_classifications(eng, repeats):
 def _check_watched(row):
     """``check`` of the bulk path and its scalar reference, and the default
     arm once more with the classifications watched: it lands the same
-    result without walking a reference of a hinted filling twice."""
+    result without walking a filling twice under one key."""
     on, off = check(row, [DEFAULT, sub("scalar")])
     repeats = []
     watched, _ = simulate(
@@ -93,7 +96,7 @@ def test_vec_untapped_bit_identical(name):
 def test_vec_engages_on_warm_scan():
     """Where the bulk path should pay it must engage: the warm passes retire
     through it, and classify no more fillings than one pass of the scan's
-    12 fills (every pass re-fills the same hinted streams)."""
+    12 fills (every pass re-issues the same kept fillings)."""
     c = _check_watched("warm_scan")
     assert c["vec"]["vec_refs"] > c["accesses"] // 2
     assert 0 < c["vec"]["classifications"] <= c["batch_stats"]["batches"] // 12
@@ -111,11 +114,57 @@ def test_vec_off_in_config_disables_mirror():
 
 
 def test_vec_under_lookahead_bit_identical():
-    # both mechanisms engaged in the default arm, no hinted filling
-    # classified twice
+    # both mechanisms engaged in the default arm, no filling classified
+    # twice under one key
     c = _check_watched("private_heavy")
     assert c["vec"]["vec_refs"] > 0 and c["vec"]["classifications"] > 0
     assert c["batch_stats"]["la_refs"] > 0
+
+
+def _shared_scan(fastpath, seen=None):
+    """Two processes on one CPU take turns scanning the same virtual range,
+    each in its own address space: a kept filling one leaves is handed to
+    the other. Two read passes leave every line EXCLUSIVE, so each write
+    pass's classification flips its own pid's lines. ``seen`` collects
+    ``(filling, pid, the pid its classification was walked for)`` of every
+    classification read."""
+    SimProcess.set_pid_counter(1)
+    eng = Engine(complex_backend(num_cpus=1, fastpath=fastpath))
+
+    def app(p):
+        for k in range(6):
+            yield from p.touch(0x20_0000, 2048, write=k > 1, stride=32,
+                               work_per_line=2)
+            yield from p.call("sched_yield")
+        yield from p.exit(0)
+
+    eng.spawn("a", app)
+    eng.spawn("b", app)
+    if seen is not None:
+        vec = eng.memsys._vec
+        classified = vec._classified
+
+        def watched(pid, cpu, l1_version, batch, walk=True):
+            cd = classified(pid, cpu, l1_version, batch, walk)
+            if cd is not None:
+                seen.append((id(batch), pid, cd.key[2]))
+            return cd
+
+        vec._classified = watched
+    return snapshot(eng, eng.run())
+
+
+def test_a_filling_handed_between_pids_is_walked_for_each():
+    """One filling object, two pids, equal virtual addresses and distinct
+    physical lines: each pid reads only a classification walked for it,
+    and the run lands the strict result."""
+    seen = []
+    assert _shared_scan(True, seen) == _shared_scan(False)
+    pids = {}
+    for b, pid, walked in seen:
+        assert pid == walked
+        pids.setdefault(b, set()).add(pid)
+    assert {1, 2} in pids.values()
 
 
 def test_vec_under_parallel_engine_bit_identical():

@@ -25,7 +25,7 @@ from repro.mem import vec as vecmod
 from repro.mem.cache import Cache
 from repro.mem.hierarchy import MemorySystem
 
-from tests.equivalence import decline_bulk
+from tests.equivalence import decline_bulk, make_batch
 
 LINE = 32
 #: (n_sets, assoc): mask-indexed and modulo-indexed geometries
@@ -97,7 +97,7 @@ def test_replay_equals_per_touch_move_to_front(script):
 
 INF = 1 << 60
 PID = 1
-#: the hinted filling the stamp tests sweep
+#: the filling the stamp tests sweep
 BASE = 0x20000
 
 
@@ -143,38 +143,38 @@ def _lru(both):
 
 
 def _filling(n, kind=1):
-    return [kind] * n, [BASE + j * LINE for j in range(n)], [LINE] * n, \
-        [0] * n
+    return make_batch([(kind, BASE + j * LINE, LINE, 0) for j in range(n)])
+
+
+def _enter(ms, now=1500):
+    """A one-reference run that hits: the L1 holds still from here on."""
+    return ms.access_run(PID, 0, make_batch([(0, BASE, 4, 0)], time=now), 1,
+                         INF)
 
 
 def test_stamp_skips_only_what_stood_still():
     """Through ``access_run`` on a real hierarchy: repeated sweeps of one
-    hinted filling replay LRU once and then skip it; a scalar hit in
+    filling replay LRU once and then skip it; a scalar hit in
     between (hits move, the version does not) makes the next sweep replay;
     an invalidation (the version moves) gets a new classification, whose
     first retirement replays."""
     n = 64
-    kinds, addrs, sizes, pends = _filling(n)
+    batch = _filling(n)
+    addrs = batch.addrs
     both = _Twins()
     vec = both.vec
 
     def sweep(ms):
-        return ms.access_run(PID, 0, kinds, addrs, sizes, pends, 0, n, 1000,
-                             n, INF, serial=1, uhint=(1, LINE, 0))
-
-    def enter(ms):
-        # a one-reference run that hits: the L1 holds still from here on
-        return ms.access_run(PID, 0, [0], addrs[:1], [4], [0], 0, 1, 1500,
-                             1, INF)
+        return ms.access_run(PID, 0, batch, n, INF)
 
     both(sweep)                             # cold: fills
-    both(enter)
+    both(_enter)
     both(sweep)
     assert _lru(both) == (1, 0)
     both(sweep)                             # every set already in place
     both(sweep)
     assert _lru(both) == (1, 2)
-    (cd,) = vec._cache.values()
+    cd = batch.prefix
     assert vec._stamps[0][0] is cd
     both(lambda ms: ms.access(PID, addrs[5], 4, False, 0, 2000))
     both(sweep)                             # the hit moved ``hits``
@@ -183,23 +183,22 @@ def test_stamp_skips_only_what_stood_still():
 
     gone = _line(both.pair[0], addrs[9])
     both(lambda ms: ms.l1s[0].invalidate(gone))
-    both(enter)
+    both(_enter)
     both(sweep)                             # hits up to the hole, then fills
-    new = [c for c in vec._cache.values() if c is not cd]
-    assert len(new) == 1 and new[0].stop == 9
+    assert batch.prefix is not cd and batch.prefix.stop == 9
     assert _lru(both) == (3, 2)
     assert both.pair[0].vec_refs == 4 * n + 9
 
 
 def test_stamp_version_term_catches_a_reorder_without_hits(monkeypatch):
     """A refill of a resident line (``Cache.insert``) moves it to MRU and
-    bumps the version but not ``hits``. The classification key carries the
+    bumps the version but not ``hits``. A classification's key carries the
     L1 version, so the next retirement normally reads a new prefix anyway;
     here the key leaves it out (a refill keeps every verdict), the same
     prefix comes back, and only the stamp's version term sees the move."""
     l1 = CacheConfig(size=4 * 4 * LINE, line_size=LINE, assoc=4, latency=1)
     n = 12                                  # three swept lines a set
-    kinds, addrs, sizes, pends = _filling(n)
+    batch = _filling(n)
     both = _Twins(l1)
     vec = both.vec
     classified = vec._classified
@@ -207,30 +206,51 @@ def test_stamp_version_term_catches_a_reorder_without_hits(monkeypatch):
                         classified(pid, cpu, 0, *a))
 
     def sweep(ms):
-        return ms.access_run(PID, 0, kinds, addrs, sizes, pends, 0, n, 1000,
-                             n, INF, serial=1, uhint=(1, LINE, 0))
+        return ms.access_run(PID, 0, batch, n, INF)
 
     both(sweep)                             # cold: fills
-    both(lambda ms: ms.access_run(PID, 0, [0], addrs[:1], [4], [0], 0, 1,
-                                  1500, 1, INF))
+    both(_enter)
     both(sweep)
     both(sweep)
     assert _lru(both) == (1, 1)
     # the oldest swept line of its set goes to MRU: version moves, hits not
     ms = both.pair[0]
-    line = _line(ms, addrs[0])
+    line = _line(ms, BASE)
     both(lambda ms: ms.l1s[0].insert(line, ms._l1_states[0][line]))
     # an entry that declines short (nothing retires): the L1 held still
     # from here, with the sets out of the stamped order
-    assert vec.run(PID, 0, kinds, addrs, sizes, pends, 0, 1, 1000, 1, INF,
-                   0, None) is None
+    assert vec.run(PID, 0, batch, 1, INF, 0, None) is None
     both(sweep)
     assert _lru(both) == (2, 1)
 
 
+def test_one_filling_alternating_between_memory_systems():
+    """One filling run in turn on two memory systems whose pid, CPU and
+    version numbers are equal: a peer holds one of its lines SHARED on the
+    first, a line past it on the second, so only the second may retire
+    every write in bulk. Each reads only a classification walked on it and
+    matches its own scalar-loop twin."""
+    n = 16
+    batch = _filling(n)
+    pairs = _Twins(), _Twins()
+    for both, peer in zip(pairs, (3, n + 3)):
+        for j in range(2 * n):
+            both(lambda ms: ms.access(PID, BASE + j * LINE, 4, False, 0,
+                                      100 + j))
+        both(lambda ms: ms.access(PID, BASE + peer * LINE, 4, False, 1, 500))
+        both(_enter)
+    first, second = (both.pair[0] for both in pairs)
+    assert len({(ms.l1s[0].version, ms.vmm._kernel.version,
+                 ms._spaces[PID].version) for ms in (first, second)}) == 1
+    for k in range(6):
+        batch.time = 2000 + 1000 * k
+        pairs[(k + 1) % 2](lambda ms: ms.access_run(PID, 0, batch, n, INF))
+    assert second.vec_refs == 3 * n and first.vec_refs > 0
+
+
 @st.composite
 def _stamp_scripts(draw):
-    """Sweeps of one hinted filling, whole or cut (by ``limit`` or by the
+    """Sweeps of one filling, whole or cut (by ``limit`` or by the
     horizon) and continued from where the cut left the cursor, mixed with
     per-event accesses, a peer's read (a downgrade) and write (an
     invalidation), a direct invalidation and a checkpoint restore."""
@@ -257,10 +277,9 @@ def test_stamp_equals_the_scalar_loop(script):
     A stamp that skipped a replay it owed leaves a set out of order."""
     n, kind, steps = script
     l1 = CacheConfig(size=8 * 4 * LINE, line_size=LINE, assoc=4, latency=1)
-    kinds, addrs, sizes, pends = _filling(n, kind)
+    batch = _filling(n, kind)
     both = _Twins(l1)
     clock = [1000]
-    cursor = [0]
     saved = [None, None]
 
     def tick():
@@ -268,12 +287,10 @@ def test_stamp_equals_the_scalar_loop(script):
         return clock[0]
 
     def run(limit, horizon):
-        now = tick()
-        i = cursor[0]
-        got = both(lambda ms: ms.access_run(
-            PID, 0, kinds, addrs, sizes, pends, i, n, now, limit,
-            now + horizon, serial=1, uhint=(kind, LINE, 0)))
-        cursor[0] = got[1] % n
+        batch.time = now = tick()
+        got = both(lambda ms: ms.access_run(PID, 0, batch, limit,
+                                            now + horizon))
+        batch.cursor = got[1] % n
 
     # warm: the filling and its set mates resident, then two sweeps (the
     # first enters run(), the second retires in bulk and stamps)
