@@ -2,14 +2,15 @@
 
 ``MemorySystem.access`` services one memory-reference event and
 ``MemorySystem.access_run`` a run of batched ones. Both probe the issuing
-CPU's private hierarchy first (page already translated, every line in the
-L1 with enough rights, or the one line in this CPU's L2 with them: raw dict
-probes, nothing else consulted); whatever the probe declines goes to the
-one miss kernel, ``MemorySystem._miss``, which takes the caller's
-translation (or walks the page table itself when there is none), walks the
-private cache hierarchy and lets the coherence protocol service misses and
-upgrades. The returned latency is what the backend replies to the
-frontend's event port.
+CPU's L1 first (page already translated, every line present with enough
+rights: raw dict probes, nothing else consulted); the batched loop also
+retires a one-line reference whose line is in this CPU's L2 with them
+(the private-L2 arm). Whatever the probe declines goes to the one miss
+kernel, ``MemorySystem._miss``, which takes the caller's translation (or
+walks the page table itself when there is none), walks the private cache
+hierarchy and lets the coherence protocol service misses and upgrades.
+The returned latency is what the backend replies to the frontend's event
+port.
 """
 
 from __future__ import annotations
@@ -61,33 +62,39 @@ class MemorySystem:
         self.protocol.attach(outer, inner, self.vmm.cpu_node,
                              self.vmm.line_home_fn(be.l1.line_size),
                              be.l1.line_size)
-        self._outer = outer
-        self._line_size = be.l1.line_size
         self._line_shift = be.l1.line_size.bit_length() - 1
         self.accesses = 0
 
         # --- the probe -----------------------------------------------------
         # A reference whose page is already translated and whose lines all
         # hit this CPU's L1 with sufficient rights resolves as raw dict
-        # probes, with no protocol/VMM involvement; so does a one-line
-        # reference that hits this CPU's L2 with them (a fast_fallback:
-        # the L1 probe did not retire it). The cached container
-        # references below are stable objects mutated in place by the miss
-        # kernel, so the probe always sees current state; every decline
+        # probes, with no protocol/VMM involvement; in the batched loop so
+        # does a one-line reference that hits this CPU's L2 with them (a
+        # fast_fallback: the L1 probe did not retire it). Every decline
         # goes to the miss kernel having mutated nothing.
         self.fast_hits = 0
         self.fast_fallbacks = 0
-        self._l1_latency = be.l1.latency
+        self._l1_latency = l1_lat = be.l1.latency
         self._page_shift = self.vmm._page_shift
         self._page_mask = mem.page_size - 1
         self._kernel_table = self.vmm._kernel.table
         self._spaces = self.vmm._spaces
-        self._l1_states = [c._states for c in self.l1s]
-        self._l1_sets = [c._sets for c in self.l1s]
-        self._l2_states = ([c._states for c in self.l2s]
-                           if self.l2s is not None else None)
-        self._l1_set_mask = self.l1s[0].set_mask
-        self._l1_nsets = self.l1s[0].n_sets
+        #: per CPU, one view of its caches, read with one unpack: ``(l1,
+        #: l1._states, l1._sets, l2, l2._states, l2._sets, l2.set_mask,
+        #: l2.n_sets, fill latency, L1 set mask, L1 set count, L1
+        #: latency)``; the L2 items are None on a simple hierarchy, whose
+        #: fill latency is the L1's. It holds only containers their owners
+        #: refill in place (``Cache.load_state``), never ``dirty``,
+        #: ``fault_extra``, ``dirty_sets`` or a protocol method, which are
+        #: replaced or patched after construction.
+        self._views = [
+            (l1, l1._states, l1._sets,
+             l2, l2._states, l2._sets, l2.set_mask, l2.n_sets,
+             l1_lat + l2.cfg.latency, l1.set_mask, l1.n_sets, l1_lat)
+            if l2 is not None else
+            (l1, l1._states, l1._sets, None, None, None, None, None,
+             l1_lat, l1.set_mask, l1.n_sets, l1_lat)
+            for l1, l2 in zip(self.l1s, self.l2s or [None] * n)]
 
         #: lines whose L2 state or protocol entry may have changed since
         #: the last checkpoint capture (:meth:`track_changes`); None when no
@@ -133,8 +140,8 @@ class MemorySystem:
         """
         if self.ff_active:
             return self._ff_access(pid, vaddr, size, write, cpu, atomic)
-        # the probe: page translated, all lines in L1 (or the one line in
-        # this CPU's L2) with enough rights; the miss kernel takes the rest
+        # the probe: page translated, all lines in this CPU's L1 with
+        # enough rights; the miss kernel takes the rest, L2 hits included
         paddr = -1
         if vaddr >= KERNEL_BASE:
             ppn = self._kernel_table.get(vaddr >> self._page_shift)
@@ -148,69 +155,24 @@ class MemorySystem:
             line = paddr >> shift
             last = (paddr + (size or 1) - 1) >> shift
             if line == last:
-                states = self._l1_states[cpu]
+                (l1, states, sets, _l2, l2s, _s2, _m2, _n2, _fl, mask, nsets,
+                 lat) = self._views[cpu]
                 st = states.get(line)
-                mask = self._l1_set_mask
-                s = self._l1_sets[cpu][line & mask if mask >= 0
-                                       else line % self._l1_nsets]
                 if st is not None and (not write or st >= 2):
-                    self.l1s[cpu].hits += 1
+                    l1.hits += 1
+                    s = sets[line & mask if mask >= 0 else line % nsets]
                     if s[0] != line:
                         s.remove(line)
                         s.insert(0, line)
                     if write and st == 2:   # EXCLUSIVE -> MODIFIED
                         states[line] = 3
-                        l2s = self._l2_states
-                        if l2s is not None and line in l2s[cpu]:
-                            l2s[cpu][line] = 3
+                        if l2s is not None and line in l2s:
+                            l2s[line] = 3
                             if self.dirty is not None:
                                 self.dirty.add(line)
                     self.accesses += 1
                     self.fast_hits += 1
-                    lat = self._l1_latency
                     return (lat + 4, None) if atomic else (lat, None)
-                l2 = self.l2s[cpu] if self.l2s is not None else None
-                if st is None and l2 is not None and self.fault_extra is None:
-                    # the private-L2 arm, as _access_run_scalar has it
-                    st = (l2s := l2._states).get(line)
-                    if st is not None and (not write or st >= 2):
-                        m2 = l2.set_mask
-                        i = line & m2 if m2 >= 0 else line % l2.n_sets
-                        s2 = l2._sets[i]
-                        if s2[0] != line:
-                            s2.remove(line)
-                            s2.insert(0, line)
-                            if l2.dirty_sets is not None:
-                                l2.dirty_sets[i] = 1
-                        dirty = self.dirty
-                        if write and st == 2:   # EXCLUSIVE -> MODIFIED
-                            if dirty is not None:
-                                dirty.add(line)
-                            l2s[line] = st = 3
-                            l2.version += 1
-                        l1 = self.l1s[cpu]
-                        l1.version += 1
-                        if len(s) >= l1.assoc:
-                            v = s.pop()
-                            l1.evictions += 1
-                            if states.pop(v) == 3:
-                                l1.writebacks += 1
-                                if v in l2s:   # folds into the L2
-                                    if dirty is not None and l2s[v] != 3:
-                                        dirty.add(v)
-                                    l2s[v] = 3
-                                    l2.version += 1
-                        s.insert(0, line)
-                        states[line] = st
-                        l1.misses += 1
-                        l2.hits += 1
-                        self.accesses += 1
-                        self.fast_fallbacks += 1
-                        lat = self._l1_latency + l2.cfg.latency
-                        if atomic:
-                            lat += 4
-                        self.lat_slow += lat
-                        return lat, None
             else:
                 nlines = self._hit_span(cpu, line, last, write)
                 if nlines:
@@ -224,19 +186,17 @@ class MemorySystem:
         is mutated, so a decline (returns 0) leaves the caches untouched
         for the miss kernel to service from scratch; a hit returns the
         line count (not a latency: ``CacheConfig.latency`` may be 0)."""
-        states = self._l1_states[cpu]
+        (l1, states, sets, _l2, l2s, _s2, _m2, _n2, _fl, mask, nsets,
+         _lat) = self._views[cpu]
         sts = []
         for l in range(line, last + 1):
             st = states.get(l)
             if st is None or (write and st < 2):
                 return 0
             sts.append(st)
-        self.l1s[cpu].hits += len(sts)
-        sets = self._l1_sets[cpu]
-        mask = self._l1_set_mask
-        l2s = self._l2_states[cpu] if self._l2_states is not None else None
+        l1.hits += len(sts)
         for l, st in zip(range(line, last + 1), sts):
-            s = sets[l & mask if mask >= 0 else l % self._l1_nsets]
+            s = sets[l & mask if mask >= 0 else l % nsets]
             if s[0] != l:
                 s.remove(l)
                 s.insert(0, l)
@@ -261,7 +221,13 @@ class MemorySystem:
         instance (memtrace, checkpoint record/replay) and must see the
         strict interleaving call by call. ``"fast_forward"``: a sampled ff
         window, whose synthetic timing no invisibility argument covers."""
-        if "access" in self.__dict__:
+        # not ``"access" in self.__dict__``: reading ``__dict__`` makes
+        # CPython 3.11 give this object a dict its attribute reads cannot
+        # be specialised on, and every ``self.x`` of the memory path then
+        # costs 3-4x
+        access = self.access
+        if (getattr(access, "__self__", None) is not self
+                or access.__func__ is not type(self).access):
             return "tapped"
         return "fast_forward" if self.ff_active else None
 
@@ -283,7 +249,7 @@ class MemorySystem:
         shift = self._line_shift
         first = line = paddr >> shift
         last = (paddr + (size or 1) - 1) >> shift
-        states_get = self._l1_states[cpu].get
+        states_get = self._views[cpu][1].get
         while line <= last:
             st = states_get(line)
             if st is None or (kind != 0 and st < _EXCLUSIVE):
@@ -444,10 +410,11 @@ class MemorySystem:
                            n: int, t: int, limit: int, horizon: int,
                            ext: int = 0, clock=None):
         """The scalar hot loop: locals bound once, the single-line probe
-        and its private-L2 arm (below ``horizon`` only) inlined; the rest
-        goes straight to the miss kernel with the translation this loop
-        made. Tallies and the clock are written back on return (the clock
-        before a miss too): nothing in between reads them."""
+        and the private-L2 arm (below ``horizon`` only; its one copy
+        outside the miss kernel) inlined; the rest goes straight to the
+        miss kernel with the translation this loop made. Tallies and the
+        clock are written back on return (the clock before a miss too):
+        nothing in between reads them."""
         miss = self._miss
         consumed = 0
         added = 0
@@ -466,19 +433,12 @@ class MemorySystem:
         pshift = self._page_shift
         pmask = self._page_mask
         shift = self._line_shift
-        states = self._l1_states[cpu]
+        (l1, states, sets, l2, l2s, l2sets, m2, n2, fill_lat, mask, nsets,
+         l1_lat) = self._views[cpu]
         states_get = states.get
-        sets = self._l1_sets[cpu]
-        mask = self._l1_set_mask
-        nsets = self._l1_nsets
-        l1 = self.l1s[cpu]
-        l1_lat = self._l1_latency
         dirty = self.dirty
-        l2 = self.l2s[cpu] if self.l2s is not None else None
-        l2s = l2._states if l2 is not None else None
         # the private-L2 arm stands down under a degraded-DIMM hook
         arm = l2 is not None and self.fault_extra is None
-        fill_lat = l1_lat + l2.cfg.latency if arm else 0
         fast = l2hits = l2lat = 0
         try:
             while True:
@@ -520,9 +480,8 @@ class MemorySystem:
                               and (st := l2s.get(line)) is not None
                               and (k == 0 or st >= 2)):
                             # the miss kernel's L2 hit and L1 fill, inline
-                            m2 = l2.set_mask
-                            j = line & m2 if m2 >= 0 else line % l2.n_sets
-                            s2 = l2._sets[j]
+                            j = line & m2 if m2 >= 0 else line % n2
+                            s2 = l2sets[j]
                             if s2[0] != line:
                                 s2.remove(line)
                                 s2.insert(0, line)
@@ -651,13 +610,8 @@ class MemorySystem:
         shift = self._line_shift
         line = paddr >> shift
         last = (paddr + (size or 1) - 1) >> shift
-        l1 = self.l1s[cpu]
-        states = l1._states
-        sets = l1._sets
-        mask = self._l1_set_mask
-        nsets = self._l1_nsets
-        l2 = self.l2s[cpu] if self.l2s is not None else None
-        l2states = l2._states if l2 is not None else None
+        (l1, states, sets, l2, l2states, l2sets, m2, n2, _fl, mask, nsets,
+         _lat) = self._views[cpu]
         fill = _MODIFIED if write else _SHARED
         dirty = self.dirty
         while line <= last:
@@ -676,9 +630,8 @@ class MemorySystem:
                 if st is None:
                     l2.misses += 1
                     l2.version += 1
-                    m2 = l2.set_mask
-                    i = line & m2 if m2 >= 0 else line % l2.n_sets
-                    s = l2._sets[i]
+                    i = line & m2 if m2 >= 0 else line % n2
+                    s = l2sets[i]
                     if dirty is not None:
                         l2.dirty_sets[i] = 1
                     if len(s) >= l2.assoc:
@@ -733,9 +686,10 @@ class MemorySystem:
               paddr: int) -> Tuple[int, Optional[MajorFault]]:
         """The miss kernel: service one reference the probe declined.
 
-        ``access`` and the batched run loop call it after their own probe
-        for an L2 miss, an upgrade, a multi-line or untranslated reference,
-        and any reference while ``fault_extra`` is set. ``paddr`` is the
+        ``access`` calls it for whatever its L1 probe declines, and the
+        batched run loop for what its probe and private-L2 arm decline: an
+        L2 miss, an upgrade, a multi-line or untranslated reference, and
+        any reference while ``fault_extra`` is set. ``paddr`` is the
         translation that probe made, or -1 when it found none; only then is
         the VMM walked, which may allocate (minor fault, charged here) or
         report a major fault (no timing progress; the engine traps and
@@ -765,24 +719,10 @@ class MemorySystem:
         # or LRU order change
         dirty = self.dirty
         proto = self.protocol
-        l1 = self.l1s[cpu]
-        states = l1._states
-        sets = l1._sets
-        mask = self._l1_set_mask
-        nsets = self._l1_nsets
-        l1_lat = self._l1_latency
-        if self.l2s is not None:
-            l2 = self.l2s[cpu]
-            l2states = l2._states
-            l2sets = l2._sets
-            l2mask = l2.set_mask
-            l2nsets = l2.n_sets
-            l2dirty = l2.dirty_sets
-            fill_lat = l1_lat + l2.cfg.latency
-        else:
-            # simple hierarchy: L1 is the coherence point
-            l2 = l2states = l2dirty = None
-            fill_lat = l1_lat
+        # no L2 (a simple hierarchy): the L1 is the coherence point
+        (l1, states, sets, l2, l2states, l2sets, l2mask, l2nsets, fill_lat,
+         mask, nsets, l1_lat) = self._views[cpu]
+        l2dirty = l2.dirty_sets if l2 is not None else None
         while line <= last:
             st = states.get(line)
             if st is not None:
@@ -1004,8 +944,8 @@ class MemorySystem:
 
     def load_state(self, state: dict) -> None:
         """Restore a snapshot in place; all fast-path container references
-        (``_kernel_table``, ``_spaces``, ``_l1_states`` …) stay valid
-        because every component mutates its containers rather than
+        (``_kernel_table``, ``_spaces``, every CPU's ``_views`` entry) stay
+        valid because every component mutates its containers rather than
         replacing them."""
         self.accesses = state["accesses"]
         self.fast_hits = state["fast_hits"]

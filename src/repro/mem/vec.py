@@ -90,8 +90,8 @@ class VecState:
         ms = self.ms
         self.classifications += 1
         probe = ms._invisible_span
-        states = ms._l1_states[cpu]
-        l1_lat = ms._l1_latency
+        (_l1, states, _sets, _l2, _l2s, _s2, _m2, _n2, _fl, _mask, _nsets,
+         l1_lat) = ms._views[cpu]
         kinds = batch.kinds
         addrs = batch.addrs
         sizes = batch.sizes
@@ -180,7 +180,8 @@ class VecState:
         hold still / first reference not an L1 hit) — the caller then runs
         the scalar loop unchanged."""
         ms = self.ms
-        l1 = ms.l1s[cpu]
+        (l1, states, sets, _l2, l2s, _s2, _m2, _n2, _fl, mask, nsets,
+         _lat) = ms._views[cpu]
         held = l1.version == self._entry_versions[cpu]
         self._entry_versions[cpu] = l1.version
         i = batch.cursor
@@ -233,9 +234,6 @@ class VecState:
             lo = bisect_left(flips, (o,))
             hi = bisect_left(flips, (o + c,))
             if lo < hi:
-                states = ms._l1_states[cpu]
-                l2s = (ms._l2_states[cpu]
-                       if ms._l2_states is not None else None)
                 dirty = ms.dirty
                 for _x, ln in flips[lo:hi]:
                     if states[ln] == 2:
@@ -252,8 +250,7 @@ class VecState:
         if stamps[cpu] == (cd, o, c, l1.version, hits):
             self.lru_skips += 1
         else:
-            _replay_lru(cd, o, c, ms._l1_sets[cpu], ms._l1_set_mask,
-                        ms._l1_nsets)
+            _replay_lru(cd, o, c, sets, mask, nsets)
         stamps[cpu] = (cd, o, c, l1.version, l1.hits)
 
         if clock is not None and last_issue > clock.now:

@@ -142,6 +142,13 @@ def crash_recovery_loop(specs: Iterable[JobSpec],
                 break
             if not proc.is_alive():
                 break
+        try:
+            # the child may have sent and exited after the last poll timed
+            # out: what it left in the pipe still counts
+            if msg is None and parent_conn.poll():
+                msg = parent_conn.recv()
+        except (EOFError, OSError):
+            pass
         proc.join(timeout=max(0.0, deadline - time.monotonic()))
         if proc.is_alive():
             try:

@@ -19,6 +19,7 @@ import pickle
 import shutil
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -33,7 +34,7 @@ from repro.core.framing import HEADER_SIZE, scan, sweep_stale_tmp, write_frame
 from repro.core.frontend import SimProcess
 from repro.faults import crashpoints
 from repro.service import (JobRunner, JobSpec, crash_recovery_loop,
-                           final_fingerprints, run_matrix)
+                           final_fingerprints, recovery, run_matrix)
 from repro.service.workloads import full_fingerprint
 
 SEEDS = (1, 2, 3) if os.environ.get("COMPASS_CRASH_FULL") else (1,)
@@ -847,6 +848,43 @@ class TestCrashRecoveryLoop:
         assert records["j"]["state"] == "DONE", (rounds, records["j"])
         assert (final_fingerprints(records)["j"]
                 == baseline_fingerprint), (site, seed)
+
+    def test_done_sent_after_the_last_poll_is_not_a_crash(self, tmp_path,
+                                                          monkeypatch):
+        """A round whose ``("done", ...)`` lands after a poll timed out
+        and whose process has exited by the liveness check is clean: every
+        timed poll here waits for the message, then answers that none
+        came, so only the read after the loop can find it."""
+        real = recovery._ctx
+
+        class LatePoll:
+            def __init__(self, conn):
+                self.conn = conn
+
+            def poll(self, timeout=0.0):
+                if timeout:
+                    self.conn.poll(None)
+                    return False
+                return self.conn.poll(timeout)
+
+            def __getattr__(self, name):
+                return getattr(self.conn, name)
+
+        def pipe(duplex):
+            parent, child = real.Pipe(duplex=duplex)
+            return LatePoll(parent), child
+
+        def child(*args):
+            args[-1].send(("done", {"j": {"state": "DONE"}}))
+
+        monkeypatch.setattr(recovery, "_ctx", types.SimpleNamespace(
+            Pipe=pipe, Process=real.Process))
+        monkeypatch.setattr(recovery, "_round_child", child)
+        records, rounds = crash_recovery_loop(
+            [JobSpec(name="j", **SPEC)], spool_dir=str(tmp_path / "spool"),
+            workdir=str(tmp_path / "work"), max_rounds=1)
+        assert records == {"j": {"state": "DONE"}}
+        assert rounds == [{"round": 1, "exitcode": 0, "crashed": False}]
 
     def test_clean_loop_without_plan(self, tmp_path):
         records, rounds = crash_recovery_loop(

@@ -318,15 +318,16 @@ def _ref(kind, line, size=4, cpu=0):
 
 
 def _probe_arm_cases():
-    """Every case of the probe's private-L2 arm, on CPU 0 of one page (L1
-    set = line % 4, L2 set = line % 16): a line left in CPU 0's L2 in S
-    (a second CPU read it), E (one read) or M (a write), pushed out of its
-    L1 by two reads in its L1 set, then read, written or atomically
-    updated — a write to S leaves the arm for the kernel's upgrade. Last,
-    line 5 comes back from the L2 into an L1 set whose LRU line 1 a
-    fast-forward write left MODIFIED over an E copy in the L2, so the
-    fill's victim folds into the L2. Returns the references and the
-    fast-forward flag of each."""
+    """Every case of the batched loop's private-L2 arm, on CPU 0 of one
+    page (L1 set = line % 4, L2 set = line % 16): a line left in CPU 0's
+    L2 in S (a second CPU read it), E (one read) or M (a write), pushed
+    out of its L1 by two reads in its L1 set, then read, written or
+    atomically updated — a write to S leaves the arm for the kernel's
+    upgrade. Last, line 5 comes back from the L2 into an L1 set whose LRU
+    line 1 a fast-forward write left MODIFIED over an E copy in the L2,
+    so the fill's victim folds into the L2. One ``access`` at a time the
+    same cases take the miss kernel's L2-hit branch and L1 fill. Returns
+    the references and the fast-forward flag of each."""
     refs = []
     for n, (state, kind) in enumerate([(s, k) for s in "SEM"
                                        for k in (0, 1, 2)]):
@@ -373,9 +374,9 @@ def _as_runs(refs, ff):
        fault_extra=st.sampled_from([0, 0, 7]))
 def test_access_matches_cache_method_composition(detail, coherence, refs, ff,
                                                  mean, fault_extra):
-    """``access()`` — probe, else kernel — against the composition. The
-    degraded-DIMM hook charges every reference but the L1 probe's hits
-    (the private-L2 arm stands down while it is set). Reference ``j``
+    """``access()`` — L1 probe, else kernel (L2 hits included) — against
+    the composition. The degraded-DIMM hook charges every reference but
+    the L1 probe's hits. Reference ``j``
     with ``ff[j]`` set is issued inside a fast-forward window (calibrated
     ``mean``) against :func:`reference_ff_access`, and must move every
     ``Cache.version`` exactly as the composition does."""

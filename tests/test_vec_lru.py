@@ -131,8 +131,8 @@ class _Twins:
     def __call__(self, fn):
         got = [fn(ms) for ms in self.pair]
         assert got[0] == got[1]
-        assert self.pair[0]._l1_sets == self.pair[1]._l1_sets
-        assert self.pair[0]._l1_states == self.pair[1]._l1_states
+        a, b = ([(c._sets, c._states) for c in ms.l1s] for ms in self.pair)
+        assert a == b
         return got[0]
 
 
@@ -216,7 +216,7 @@ def test_stamp_version_term_catches_a_reorder_without_hits(monkeypatch):
     # the oldest swept line of its set goes to MRU: version moves, hits not
     ms = both.pair[0]
     line = _line(ms, BASE)
-    both(lambda ms: ms.l1s[0].insert(line, ms._l1_states[0][line]))
+    both(lambda ms: ms.l1s[0].insert(line, ms.l1s[0]._states[line]))
     # an entry that declines short (nothing retires): the L1 held still
     # from here, with the sets out of the stamped order
     assert vec.run(PID, 0, batch, 1, INF, 0, None) is None
