@@ -4,8 +4,8 @@
 ``MemorySystem.access_run`` a run of batched ones. Both probe the issuing
 CPU's L1 first (page already translated, every line present with enough
 rights: raw dict probes, nothing else consulted); the batched loop also
-retires a one-line reference whose line is in this CPU's L2 with them
-(the private-L2 arm). Whatever the probe declines goes to the one miss
+serves a translated one-line L1 miss that needs no upgrade in place (the
+L1-miss arm). Whatever the probe declines goes to the one miss
 kernel, ``MemorySystem._miss``, which takes the caller's translation (or
 walks the page table itself when there is none), walks the private cache
 hierarchy and lets the coherence protocol service misses and upgrades.
@@ -68,10 +68,10 @@ class MemorySystem:
         # --- the probe -----------------------------------------------------
         # A reference whose page is already translated and whose lines all
         # hit this CPU's L1 with sufficient rights resolves as raw dict
-        # probes, with no protocol/VMM involvement; in the batched loop so
-        # does a one-line reference that hits this CPU's L2 with them (a
-        # fast_fallback: the L1 probe did not retire it). Every decline
-        # goes to the miss kernel having mutated nothing.
+        # probes, with no protocol/VMM involvement; the batched loop also
+        # serves a one-line L1 miss that needs no upgrade (a fast_fallback:
+        # the L1 probe did not retire it). Every decline goes to the miss
+        # kernel having mutated nothing.
         self.fast_hits = 0
         self.fast_fallbacks = 0
         self._l1_latency = l1_lat = be.l1.latency
@@ -103,8 +103,8 @@ class MemorySystem:
 
         #: fault injection: callable() -> extra cycles on the miss kernel
         #: (a degraded DIMM adds latency to misses/DRAM traffic; L1 probe
-        #: hits stay unaffected, and the private-L2 arm stands down while
-        #: it is set). None outside fault-plan runs.
+        #: hits stay unaffected, and the L1-miss arm stands down while it
+        #: is set). None outside fault-plan runs.
         self.fault_extra = None
 
         # --- the batch all-hit prefix, retired in bulk (see mem/vec.py) -----
@@ -123,7 +123,7 @@ class MemorySystem:
         self._ff_frac = 0.0
         self._ff_err = 0.0
         #: slow-path latency accumulator: every reference the L1 probe did
-        #: not retire (private-L2 hits and the miss kernel's) — with
+        #: not retire (the L1-miss arm's and the miss kernel's) — with
         #: fast_hits * l1_latency this yields the mean reference latency a
         #: detail window measured, which calibrates the next ff window
         self.lat_slow = 0
@@ -344,7 +344,7 @@ class MemorySystem:
         exceeds ``horizon``, references issuing in ``[horizon, ext)`` may
         also be consumed — but only while they stay *invisible* (resolve on
         the inlined L1 probe); the first reference at or past ``horizon``
-        that would not (a private L2 hit included) cuts the run unconsumed,
+        that would not (any L1 miss included) cuts the run unconsumed,
         because slow-path effects at those cycles could be observed by the
         rival whose qualified window justified the extension. ``ext_refs``
         counts references consumed beyond the strict horizon.
@@ -410,11 +410,12 @@ class MemorySystem:
                            n: int, t: int, limit: int, horizon: int,
                            ext: int = 0, clock=None):
         """The scalar hot loop: locals bound once, the single-line probe
-        and the private-L2 arm (below ``horizon`` only; its one copy
-        outside the miss kernel) inlined; the rest goes straight to the
-        miss kernel with the translation this loop made. Tallies and the
-        clock are written back on return (the clock before a miss too):
-        nothing in between reads them."""
+        and the L1-miss arm (below ``horizon`` only: an L2 hit, or a miss
+        at the coherence point, as the miss kernel serves them) inlined;
+        upgrades, multi-line and untranslated references go to the miss
+        kernel with the translation this loop made. Tallies and the clock
+        are written back on return (the clock before a kernel or protocol
+        call too): nothing in between reads them."""
         miss = self._miss
         consumed = 0
         added = 0
@@ -437,9 +438,11 @@ class MemorySystem:
          l1_lat) = self._views[cpu]
         states_get = states.get
         dirty = self.dirty
-        # the private-L2 arm stands down under a degraded-DIMM hook
+        # the L1-miss arm stands down under a degraded-DIMM hook; the
+        # protocol is bound on its first miss
         arm = l2 is not None and self.fault_extra is None
-        fast = l2hits = l2lat = 0
+        proto = None
+        fast = l1m = l2m = v1 = v2 = slow = 0
         try:
             while True:
                 vaddr = addrs[i]
@@ -477,37 +480,79 @@ class MemorySystem:
                             fast += 1
                             lat = l1_lat + 4 if k == 2 else l1_lat
                         elif (st is None and arm and t < horizon
-                              and (st := l2s.get(line)) is not None
-                              and (k == 0 or st >= 2)):
-                            # the miss kernel's L2 hit and L1 fill, inline
+                              and ((st := l2s.get(line)) is None
+                                   or k == 0 or st >= 2)):
+                            # the miss kernel's one-line L1 miss, inline:
+                            # an L2 hit with enough rights, or a miss at
+                            # the coherence point
                             j = line & m2 if m2 >= 0 else line % n2
                             s2 = l2sets[j]
-                            if s2[0] != line:
-                                s2.remove(line)
-                                s2.insert(0, line)
-                                if l2.dirty_sets is not None:
-                                    l2.dirty_sets[j] = 1
-                            if k != 0 and st == 2:   # EXCLUSIVE -> MODIFIED
+                            lat = fill_lat + 4 if k == 2 else fill_lat
+                            if st is not None:
+                                if s2[0] != line:
+                                    s2.remove(line)
+                                    s2.insert(0, line)
+                                    if dirty is not None:
+                                        l2.dirty_sets[j] = 1
+                                if k != 0 and st == 2:   # E -> M
+                                    if dirty is not None:
+                                        dirty.add(line)
+                                    l2s[line] = st = 3
+                                    v2 += 1
+                            else:
+                                if clock is not None and t > clock.now:
+                                    clock.now = t
                                 if dirty is not None:
                                     dirty.add(line)
-                                l2s[line] = st = 3
-                                l2.version += 1
-                            l1.version += 1
+                                    l2.dirty_sets[j] = 1
+                                if proto is None:
+                                    proto = self.protocol
+                                mlat, st = (
+                                    proto.write_miss(cpu, line, t + lat)
+                                    if k != 0 else
+                                    proto.read_miss(cpu, line, t + lat))
+                                lat += mlat
+                                l2m += 1
+                                s2.insert(0, line)
+                                l2s[line] = st
+                                if len(s2) > l2.assoc:
+                                    v = s2.pop()
+                                    if dirty is not None:
+                                        dirty.add(v)
+                                    vst = l2s.pop(v)
+                                    l2.evictions += 1
+                                    if vst == 3:
+                                        l2.writebacks += 1
+                                    # inclusion: the L1 copy of the victim
+                                    # goes too, merging dirtiness
+                                    l1st = states.pop(v, None)
+                                    if l1st is not None:
+                                        sets[v & mask if mask >= 0
+                                             else v % nsets].remove(v)
+                                        l1.invalidations += 1
+                                        v1 += 1
+                                        if l1st == 3:
+                                            vst = 3
+                                    if vst == 3:
+                                        proto.writeback(cpu, v, t + lat)
+                                    else:
+                                        proto.forget(cpu, v)
+                            # the L1 fill; its victim folds into the L2
+                            v1 += 1
                             if len(s) >= l1.assoc:
                                 v = s.pop()
                                 l1.evictions += 1
                                 if states.pop(v) == 3:
                                     l1.writebacks += 1
-                                    if v in l2s:   # folds into the L2
+                                    if v in l2s:
                                         if dirty is not None and l2s[v] != 3:
                                             dirty.add(v)
                                         l2s[v] = 3
-                                        l2.version += 1
+                                        v2 += 1
                             s.insert(0, line)
                             states[line] = st
-                            lat = fill_lat + 4 if k == 2 else fill_lat
-                            l2hits += 1
-                            l2lat += lat
+                            l1m += 1
+                            slow += lat
                     else:
                         nlines = self._hit_span(cpu, line, last, k != 0)
                         if nlines:
@@ -545,14 +590,17 @@ class MemorySystem:
             # t is the last issue time: the per-event loop's clock
             if clock is not None and t > clock.now:
                 clock.now = t
-            self.accesses += fast + l2hits
+            self.accesses += fast + l1m
             self.fast_hits += fast
             l1.hits += fast
-            if l2hits:
-                l1.misses += l2hits
-                l2.hits += l2hits
-                self.fast_fallbacks += l2hits
-                self.lat_slow += l2lat
+            if l1m:
+                l1.misses += l1m
+                l1.version += v1
+                l2.hits += l1m - l2m
+                l2.misses += l2m
+                l2.version += l2m + v2
+                self.fast_fallbacks += l1m
+                self.lat_slow += slow
 
     # ------------------------------------------------------------------
     # sampled-simulation fast-forward (see core/sampling.py + DESIGN.md)
@@ -687,9 +735,9 @@ class MemorySystem:
         """The miss kernel: service one reference the probe declined.
 
         ``access`` calls it for whatever its L1 probe declines, and the
-        batched run loop for what its probe and private-L2 arm decline: an
-        L2 miss, an upgrade, a multi-line or untranslated reference, and
-        any reference while ``fault_extra`` is set. ``paddr`` is the
+        batched run loop for what its probe and L1-miss arm decline: an
+        upgrade, a multi-line or untranslated reference, and any
+        reference while ``fault_extra`` is set. ``paddr`` is the
         translation that probe made, or -1 when it found none; only then is
         the VMM walked, which may allocate (minor fault, charged here) or
         report a major fault (no timing progress; the engine traps and

@@ -482,13 +482,13 @@ class TestDeltaReconstruction:
         """A seeded stream of reads, writes, atomics and line-straddling
         references from four CPUs over 96 shared lines, one at a time and
         in batches, in and out of fast-forward, with runs over each CPU's
-        own lines the bulk path retires, then the private-L2 arm's marks
+        own lines the bulk path retires, then the L1-miss arm's marks
         (:meth:`_arm_cases`), one at a time and in batches: every fourth
         step the delta folded into the previous capture is the
-        ``state_dict()``. The arm's hits are the L2 hits made outside
-        fast-forward that the miss kernel did not make; on a complex
-        hierarchy the batched loop makes some and ``access`` none (its L2
-        hits are the kernel's)."""
+        ``state_dict()``. The arm's L2 hits and L2 misses are those made
+        outside fast-forward that the miss kernel did not make; on a
+        complex hierarchy the batched loop makes some of each and
+        ``access`` none (its L1 misses are all the kernel's)."""
         cfg = SimConfig(num_cpus=4,
                         backend=_small_backend(coherence, detail)).validate()
         ms = MemorySystem(cfg, StatsRegistry(4))
@@ -506,29 +506,31 @@ class TestDeltaReconstruction:
             ms.clear_changes()
             assert have == plain(ms.state_dict()), step
 
-        def l2_hits():
-            return sum(c.hits for c in ms.l2s or ())
+        def l2_counts():
+            return (sum(c.hits for c in ms.l2s or ()),
+                    sum(c.misses for c in ms.l2s or ()))
 
         kernel = ms._miss
-        in_kernel = [0]     # L2 hits the miss kernel made
+        in_kernel = [0, 0]  # L2 hits and misses the miss kernel made
 
         def miss(*args):
-            before = l2_hits()
+            before = l2_counts()
             try:
                 return kernel(*args)
             finally:
-                in_kernel[0] += l2_hits() - before
+                for j, (a, b) in enumerate(zip(l2_counts(), before)):
+                    in_kernel[j] += a - b
 
         ms._miss = miss
-        arm = {"access": 0, "access_run": 0}
+        arm = {"access": [0, 0], "access_run": [0, 0]}
         clock = [0]
 
         def issue(cpu, refs, batched):
             """``refs`` ((kind, addr, size) each) one ``access`` at a time,
-            or as one batch; counts the arm's L2 hits per site outside
-            fast-forward (whose warming makes L2 hits of its own)."""
+            or as one batch; counts the arm's L2 hits and misses per site
+            outside fast-forward (whose warming makes its own)."""
             warming = ms.ff_active
-            hits, kernel_hits = l2_hits(), in_kernel[0]
+            counts, kernel_counts = l2_counts(), list(in_kernel)
             for kind, addr, size in ([] if batched else refs):
                 lat, major = ms.access(1, addr, size, kind != 0, cpu,
                                        clock[0], atomic=kind == 2)
@@ -542,7 +544,8 @@ class TestDeltaReconstruction:
                 clock[0] += lat + 1
             if not warming:
                 site = "access_run" if batched else "access"
-                arm[site] += l2_hits() - hits - (in_kernel[0] - kernel_hits)
+                for j, (a, b) in enumerate(zip(l2_counts(), counts)):
+                    arm[site][j] += a - b - (in_kernel[j] - kernel_counts[j])
 
         rng = random.Random(coherence + detail)
         for step in range(1, 151):
@@ -567,11 +570,12 @@ class TestDeltaReconstruction:
         for cpu, batched in ((0, False), (1, True)):
             self._arm_cases(ms, issue, cpu, 256 + 4 * cpu, batched, settle)
         if detail == "complex":
-            assert arm["access"] == 0 < arm["access_run"], arm
+            assert arm["access"] == [0, 0], arm
+            assert min(arm["access_run"]) > 0, arm
 
     @staticmethod
     def _arm_cases(ms, issue, cpu, x, batched, settle):
-        """The private-L2 arm's three marks on lines of page 2 that nothing
+        """The L1-miss arm's L2-hit marks on lines of page 2 that nothing
         else touches, through ``issue``: in batches the arm makes them,
         one at a time the miss kernel's L2-hit branch and L1 fill. Lines ``x + k * s1`` share an L1
         set (``s1`` L1 sets), ``x`` and ``x + s2`` an L2 set too. A

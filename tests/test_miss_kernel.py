@@ -438,13 +438,18 @@ def test_access_run_matches_cache_method_composition(detail, coherence,
     its ``ff`` flag set is a fast-forward window's batch: it goes through
     the per-reference loop into the warming arm, against
     :func:`reference_ff_access`. The degraded-DIMM hook is charged as in
-    :func:`test_access_matches_cache_method_composition`."""
+    :func:`test_access_matches_cache_method_composition`. A third system
+    serves the same runs one reference at a time through ``access``: every
+    ``Cache.version`` must move exactly as there, so a batch
+    classification keyed on a version cannot outlive a change the loop
+    made."""
     flat = make_system(detail, coherence, fault_extra)
     ref = make_system(detail, coherence, fault_extra)
+    each = make_system(detail, coherence, fault_extra)
     t = 0
     for k, run in enumerate(runs):
         in_ff = k < len(ff) and ff[k]
-        for ms in (flat, ref):
+        for ms in (flat, ref, each):
             if in_ff:
                 ms.ff_begin(2.5)
             else:
@@ -477,6 +482,18 @@ def test_access_run_matches_cache_method_composition(detail, coherence,
                 page_in(ref, major)
             want_added += lat
             rt += lat
+        et = t
+        for j in range(n):
+            if j:
+                et += pends[j]
+            while True:
+                lat, major = each.access(PID, addrs[j], sizes[j],
+                                         kinds[j] != 0, cpu, et,
+                                         atomic=(kinds[j] == 2))
+                if major is None:
+                    break
+                page_in(each, major)
+            et += lat
         batch = make_batch(zip(kinds, addrs, sizes, pends), time=t)
         got_added = 0
         before = versions(flat)
@@ -489,32 +506,49 @@ def test_access_run_matches_cache_method_composition(detail, coherence,
                 page_in(flat, major)
                 batch.pendings[batch.cursor] = 0
         t = batch.time
-        assert (t, got_added) == (rt, want_added)
+        assert (t, got_added) == (rt, want_added) == (et, want_added)
         assert all(b <= a for b, a in zip(before, versions(flat)))
-    assert observable(flat) == observable(ref)
+        assert versions(flat) == versions(each)
+    assert observable(flat) == observable(ref) == observable(each)
 
 
-def test_a_private_l2_hit_past_the_horizon_cuts_the_run():
-    """The batched loop retires a private L2 hit only below ``horizon``:
-    in the lookahead zone ``[horizon, ext)`` it cuts the run unconsumed,
-    as the miss kernel's references do, so a window still carries only
-    what the L1 probe retires (what ``invisible_until`` qualified)."""
+def test_an_l1_miss_past_the_horizon_cuts_the_run():
+    """The batched loop retires a one-line L1 miss — a private L2 hit or a
+    miss at the coherence point — only below ``horizon``: in the lookahead
+    zone ``[horizon, ext)`` it cuts the run unconsumed, with no protocol
+    call, as the miss kernel's references do, so a window still carries
+    only what the L1 probe retires (what ``invisible_until`` qualified).
+    Below the horizon it retires with the kernel's latency and effects."""
     ms = make_system("complex", "mesi", 0)
-    for line in (0, 4, 8):        # line 0 leaves the L1 for the L2
-        ms.access(PID, vaddr_of(_ref(0, line)), 4, False, 0, 0)
-    addrs = [vaddr_of(_ref(0, 8)), vaddr_of(_ref(0, 0))]
-    l1 = ms.l1s[0]
-    before = pickle.dumps((l1._sets, ms.l2s[0]._sets, l1.hits, l1.misses))
-    # the L1 hit issues at 100, below the horizon; the L2 hit at 106
-    got = ms.access_run(PID, 0, make_batch(
-        [(0, addrs[0], 4, 0), (0, addrs[1], 4, 5)], time=100), 2, 101, 1000)
-    assert got == (1, 1, 101, 1, None, 0)
-    assert pickle.dumps((l1._sets, ms.l2s[0]._sets, l1.hits - 1,
-                         l1.misses)) == before
-    # below the horizon the same reference retires: L1 + L2 latency
-    got = ms.access_run(PID, 0, make_batch([(0, addrs[1], 4, 5)], time=106),
-                        1, 107, 1000)
-    assert got == (1, 1, 115, 9, None, 0)
+    twin = make_system("complex", "mesi", 0)
+    for m in (ms, twin):
+        for line in (0, 4, 8):        # line 0 leaves the L1 for the L2
+            m.access(PID, vaddr_of(_ref(0, line)), 4, False, 0, 0)
+    l1, l2 = ms.l1s[0], ms.l2s[0]
+
+    def held():
+        return pickle.dumps((l1._sets, l2._sets, l1.misses, l2.hits,
+                             l2.misses, ms.protocol.state_dict(),
+                             ms.protocol.counters))
+
+    # an L2 hit, then an L2 miss, each behind an L1 hit on the MRU line
+    for mru, line in ((8, 0), (0, 12)):
+        hit, addr = vaddr_of(_ref(0, mru)), vaddr_of(_ref(0, line))
+        before = held()
+        # the L1 hit issues at 100, below the horizon; the L1 miss at 106
+        got = ms.access_run(PID, 0, make_batch(
+            [(0, hit, 4, 0), (0, addr, 4, 5)], time=100), 2, 101, 1000)
+        assert got == (1, 1, 101, 1, None, 0)
+        twin.access(PID, hit, 4, False, 0, 100)
+        assert held() == before
+        # below the horizon the same reference retires as the kernel's
+        want, _major = twin._miss(PID, addr, 4, False, False, 0, 106, -1)
+        got = ms.access_run(PID, 0, make_batch([(0, addr, 4, 5)], time=106),
+                            1, 107, 1000)
+        assert got == (1, 1, 106 + want, want, None, 0)
+        assert observable(ms) == observable(twin)
+        assert versions(ms) == versions(twin)
+    assert (l2.hits, l2.misses) == (1, 4)
 
 
 # ---------------------------------------------------------------------------
