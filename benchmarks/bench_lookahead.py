@@ -25,8 +25,9 @@ Also runs standalone for CI::
 
 Smoke mode does a single small round, hard-fails if the default and
 ``fastpath=False`` are not bit-identical, if the windows qualified from the
-cached batch classification differ from those the scalar walk alone
-qualifies (the bulk path made to decline), if any ``ParallelEngine`` shape misses the inline
+owners' batch classifications differ from those the scalar walk alone
+qualifies (the bulk path made to decline), if any ``ParallelEngine`` shape
+misses the inline
 engine's fingerprint, if the all-miss shape opened a window on either
 engine (a frontend whose next reference is about to miss asks for none),
 if a hot-loop shape with a rival extended no reference, or if a spaced row
@@ -81,9 +82,9 @@ loop:
 """
 
 def _walk_only(eng):
-    """Make ``eng``'s bulk path decline every run and every rival's
-    frontier: windows are then qualified by the scalar walk alone."""
-    eng.memsys._vec.run = eng.memsys._vec.frontier = lambda *a: None
+    """Make ``eng``'s bulk path decline every run and read no
+    classification: windows are then qualified by the scalar walk alone."""
+    eng.memsys._vec.run = eng.memsys._vec.cached = lambda *a: None
     return eng
 
 
@@ -326,8 +327,8 @@ def main(argv=None) -> int:
         on, off = _measure(rounds=1, passes=20)
         speedup, _ = _report(on, off, _parallel_shapes(passes=10),
                              _spaced_rows(passes=10, rounds=1), write=False)
-        # the two qualifiers of a window — the cached classification of
-        # each rival batch, the scalar walk — must grant the same ones
+        # rival bounds read from the owners' classifications must grant
+        # the windows the scalar walk alone grants
         _, walk_eng, walk_stats = _run_once(True, passes=20, walk=True)
         _, on_eng, on_stats = on
         assert (_fingerprint(walk_eng, walk_stats), walk_eng.batch_stats) \
@@ -337,8 +338,8 @@ def main(argv=None) -> int:
              f"  walk      : {walk_eng.batch_stats}")
         # smoke gates correctness (the identity asserts), not perf — CI
         # machines are too noisy for a hard speedup floor on a tiny run
-        print(f"smoke ok: bit-identical, same windows from either "
-              f"qualifier, every ParallelEngine shape == inline, no window "
+        print(f"smoke ok: bit-identical, same windows from the cached "
+              f"bound and the walk, every ParallelEngine shape == inline, no window "
               f"on all-miss, every spaced row == fastpath off with the same "
               f"windows either way, {speedup:.2f}x")
         return 0

@@ -298,10 +298,16 @@ class Engine:
                     # long silence is only a deadlock when nobody is waiting
                     # for a device completion: BLOCKED processes have wakers
                     # scheduled (a deep disk queue can legitimately run tens
-                    # of millions of cycles ahead of the frontends)
+                    # of millions of cycles ahead of the frontends); timer
+                    # ticks are no wakers, they only flag pre-emption
                     live = self.comm.live_processes()
                     if not any(p.state == ProcState.BLOCKED for p in live):
                         self._report_deadlock(live)
+                    if all(t.cancelled or t.fn == self.timer._tick
+                           for t in heap):
+                        self._report_deadlock(
+                            live, reason="no frontend can make progress and "
+                                         "only timer ticks are left to run")
                     self._last_progress = gsched.now
                 continue
             event = cand.port_event
@@ -533,12 +539,13 @@ class Engine:
         else:
             ms = self.memsys
             why = "delivery" if deliver else ms.strict_stream()
-            c = batch.cursor
-            if (why is None and not ms._vec.hits_cursor(pid, cpu, batch)
-                    and ms.ref_invisible_latency(
+            if why is None:
+                c = batch.cursor
+                cd = ms._vec.cached(pid, cpu, batch)
+                if (cd is None or cd.stop == c) and ms.ref_invisible_latency(
                         pid, cpu, batch.kinds[c], batch.addrs[c],
-                        batch.sizes[c]) < 0):
-                why = "miss"    # consumed anyway: it is globally first
+                        batch.sizes[c]) < 0:
+                    why = "miss"    # consumed anyway: it is globally first
             if why is None:
                 ext = self.comm.lookahead_horizon(
                     proc, horizon, bound, self._invisible_bound)

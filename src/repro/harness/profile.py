@@ -91,9 +91,10 @@ def fastpath_summary(engine) -> dict:
 
 def vec_summary(engine) -> dict:
     """Observability row for the batch all-hit prefix (``mem/vec.py``): runs
-    retired in bulk vs scalar, prefixes classified, LRU replays vs stamp
-    skips, owner verdicts from the cache, kept fillings re-issued, and
-    per-reason declines (DESIGN.md, "The batch classification cache").
+    retired in bulk vs scalar, prefixes classified (by ``run()`` only), LRU
+    replays vs stamp skips, kept fillings re-issued, per-reason declines of
+    ``run()``, and ``walks``: rival window bounds no cached classification
+    answered (DESIGN.md, "The batch classification cache").
     """
     ms = engine.memsys
     return {
@@ -103,9 +104,9 @@ def vec_summary(engine) -> dict:
         "classifications": ms._vec.classifications,
         "lru_replays": ms.vec_batches - ms._vec.lru_skips,
         "lru_skips": ms._vec.lru_skips,
-        "owner_hits": ms._vec.owner_hits,
         "reissued": engine.reissued_fillings,
         "declines": dict(ms._vec.declines),
+        "walks": ms._vec.walks,
     }
 
 

@@ -270,34 +270,19 @@ class MemorySystem:
         return lat + 4 if kind == 2 else lat
 
     def invisible_until(self, pid: int, cpu: int, batch, cap: int) -> int:
-        """Earliest cycle at which the frontend owning ``batch`` could next
-        act *non-invisibly*, walking its pending references from the cursor.
-
-        A reference is invisible when the L1 probe fully hits: it then
-        mutates only issuer-private state (own LRU order, E->M flips of
-        lines no peer holds, commutative counters), so any interleaving of
-        invisible references from different frontends is bit-identical to
-        the strict order. The walk is read-only and chains the same
-        issue-time arithmetic as :meth:`access_run`. Returns ``cap`` when
-        the whole prefix up to ``cap`` qualifies, else the issue time of
-        the first reference that might need the miss kernel — or of the
-        *last* reference when the batch ends first: the frontend's next
-        event can be no earlier than the batch's completion, but the host
-        code it runs on completion reads the global clock, which must not
-        have passed the cycle the strict schedule completes the batch at.
-
-        A classification already on the batch answers first, with no probe
-        (:meth:`VecState.frontier` not walking). Else the cursor is
-        probed: a rival about to miss is visible at its own time and costs
-        no classification. Past it :meth:`VecState.frontier` classifies
-        when ``cpu``'s L1 held still since its last run; otherwise the walk
-        over :meth:`ref_invisible_latency` continues from that probe. All
-        ask one probe and agree. The caller rules out :meth:`strict_stream`.
-        """
-        frontier = self._vec.frontier
-        bound = frontier(pid, cpu, batch, cap, False)      # cached only
-        if bound is not None:
-            return bound
+        """Earliest cycle, up to ``cap``, at which the frontend owning
+        ``batch`` could next act *non-invisibly*: the issue time of its
+        first reference the L1 probe does not fully hit, or of its last
+        (the host code run on completion reads the global clock), never
+        clamped when that is the cursor. Read from the owner's cached
+        classification (``Prefix.bound``), else walked over
+        :meth:`ref_invisible_latency`. The caller rules out
+        :meth:`strict_stream`."""
+        vec = self._vec
+        cd = vec.cached(pid, cpu, batch)
+        if cd is not None:
+            return cd.bound(batch, cap)
+        vec.walks += 1
         t = batch.time
         i = batch.cursor
         kinds = batch.kinds
@@ -307,9 +292,6 @@ class MemorySystem:
         lat = probe(pid, cpu, kinds[i], addrs[i], sizes[i])
         if lat < 0:
             return t
-        bound = frontier(pid, cpu, batch, cap)
-        if bound is not None:
-            return bound
         pends = batch.pendings
         for i in range(i + 1, batch.n):
             nt = t + lat + pends[i]

@@ -11,11 +11,11 @@ A classification is stored on its filling (``EventBatch.prefix``) with what
 it was walked under: the CPU's L1 ``Cache`` (naming memory system and CPU)
 and its ``version``, the pid, and the page-table versions. Every mutation
 that could turn a hit into a decline bumps one, so a stored prefix whose
-key matches is exact. ``run()`` classifies, and ``frontier()``
-answers, only for a CPU whose L1 held still since its previous ``run()``
-entry (a filling CPU would pay a walk per entry for a few hits). A per-CPU
-stamp skips the LRU replay of a slice the CPU's sets already hold in
-order. See DESIGN.md, "The batch classification cache".
+key matches is exact, and :meth:`VecState.cached` hands it to anyone.
+Only ``run()`` classifies, and only for a CPU whose L1 held still since its
+previous ``run()`` entry (a filling CPU would pay a walk per entry for a
+few hits). A per-CPU stamp skips the LRU replay of a slice the CPU's sets
+already hold in order. See DESIGN.md, "The batch classification cache".
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ MIN_RUN = 8
 class Prefix:
     """The classified all-hit prefix ``[base, stop)`` of one filling
     (``stop == n``: every one hits), walked under ``key`` (see
-    :meth:`VecState._classified`); per-reference lists are indexed from
+    :meth:`VecState._key`); per-reference lists are indexed from
     ``base``."""
 
     __slots__ = ("key", "base", "stop", "offs", "lat", "nlines", "lines",
@@ -40,7 +40,7 @@ class Prefix:
         self.base = base
         self.stop = stop
         #: issue time of each reference relative to ``base``'s, through the
-        #: first declined one (``offs[-1]`` is ``frontier``'s bound)
+        #: first declined one (``offs[-1]`` is :meth:`bound`'s)
         self.offs = offs
         #: cumulative latency and line count: entry x sums ``[base, base+x)``
         self.lat = lat
@@ -52,14 +52,13 @@ class Prefix:
         self.flips = flips
 
     def bound(self, batch, cap):
-        """A rival's window bound, the scalar walk's: ``batch.time`` when
-        the probe declines the cursor (unclamped, as the cursor probe
-        answers), else the issue time of the first reference it declines,
-        or of the last, clamped to ``cap``."""
-        i = batch.cursor
-        if i == self.stop:
+        """A rival's window bound, the scalar walk's: the issue time of the
+        first reference the probe declines, or of the filling's last,
+        clamped to ``cap`` unless that reference is the cursor's own."""
+        x = batch.cursor - self.base
+        if x == len(self.offs) - 1:
             return batch.time
-        t = batch.time + self.offs[-1] - self.offs[i - self.base]
+        t = batch.time + self.offs[-1] - self.offs[x]
         return t if t < cap else cap
 
 
@@ -75,18 +74,19 @@ class VecState:
         #: last LRU replay of slice ``[o, o + c)`` of prefix ``cd``
         self._stamps: list = [None] * len(ms.l1s)
         #: observability only (harness vec_summary): prefixes walked, LRU
-        #: replays skipped, hits_cursor yeses, why run() / frontier() declined
+        #: replays skipped, why run() declined, rival bounds the cache did
+        #: not answer (``MemorySystem.invisible_until`` walked them)
         self.classifications = 0
         self.lru_skips = 0
-        self.owner_hits = 0
-        self.declines = {"short": 0, "stale": 0, "first_miss": 0,
-                         "frontier_short": 0, "frontier_stale": 0}
+        self.declines = {"short": 0, "stale": 0, "first_miss": 0}
+        self.walks = 0
 
     # -- classification ----------------------------------------------------
 
-    def _classify(self, key, pid, cpu, batch):
+    def _classify(self, pid, cpu, batch):
         """Walk ``batch``'s references from its cursor up to the first one
-        the L1 probe would decline; returns their :class:`Prefix`."""
+        the L1 probe would decline; stores their :class:`Prefix` on the
+        filling and returns it."""
         ms = self.ms
         self.classifications += 1
         probe = ms._invisible_span
@@ -119,57 +119,34 @@ class VecState:
             if x == n:
                 break
             offs.append(offs[-1] + d + pends[x])
-        return Prefix(key, base, x, offs, lat, nlines, lines, flips)
+        cd = batch.prefix = Prefix(self._key(pid, cpu), base, x, offs, lat,
+                                   nlines, lines, flips)
+        return cd
 
-    def _classified(self, pid, cpu, l1_version, batch, walk=True):
-        """The classification covering ``batch``'s cursor: the filling's own
-        when it was walked under this key and covers the cursor, else walked
-        now and stored on the filling (with ``walk`` False: None instead).
-        The caller has checked that ``cpu``'s L1 held still (``l1_version``
-        is its version)."""
+    def _key(self, pid, cpu):
+        """What a classification for ``pid`` on ``cpu`` is walked under."""
         ms = self.ms
         sp = ms._spaces.get(pid)
         # the L1, not self: a kept filling must not hold a memory system
-        key = (ms.l1s[cpu], l1_version, pid, ms.vmm._kernel.version,
-               sp.version if sp is not None else -1)
+        l1 = ms.l1s[cpu]
+        return (l1, l1.version, pid, ms.vmm._kernel.version,
+                sp.version if sp is not None else -1)
+
+    def cached(self, pid, cpu, batch):
+        """The filling's classification when it covers ``batch``'s cursor
+        and was walked under the current key, else None. A matching key
+        means ``cpu``'s L1 has not moved since the walk (its version only
+        rises), so the entry is exact for anyone who reads it."""
         cd = batch.prefix
         if (cd is not None and cd.base <= batch.cursor <= cd.stop
-                and cd.key == key):
+                and cd.key == self._key(pid, cpu)):
             return cd
-        if not walk:
-            return None
-        cd = batch.prefix = self._classify(key, pid, cpu, batch)
-        return cd
+        return None
 
-    def _lookup(self, pid, cpu, batch, walk):
-        """``frontier``'s classification of the cursor, or None (see there)."""
-        short = batch.n - batch.cursor < MIN_RUN
-        l1_version = self.ms.l1s[cpu].version
-        if short or l1_version != self._entry_versions[cpu]:
-            if walk:
-                self.declines["frontier_short" if short
-                              else "frontier_stale"] += 1
-            return None
-        return self._classified(pid, cpu, l1_version, batch, walk)
-
-    def frontier(self, pid, cpu, batch, cap, walk=True):
-        """``MemorySystem.invisible_until`` past its cursor probe, answered
-        from the classification the owner's own ``run()`` will read
-        (:meth:`Prefix.bound`). None when the walk answers (the CPU's L1 did
-        not hold still, or too few references are left). With ``walk``
-        False only a classification already on the filling answers, and
-        nothing is walked or tallied: the lookup a rival's bound makes
-        before its cursor probe."""
-        cd = self._lookup(pid, cpu, batch, walk)
-        return cd.bound(batch, cap) if cd is not None else None
-
-    def hits_cursor(self, pid, cpu, batch):
-        """The filling's classification holds its cursor as a hit: the
-        owner's ``miss`` probe would hit. Nothing is walked or declined."""
-        cd = self._lookup(pid, cpu, batch, False)
-        hit = cd is not None and cd.stop > batch.cursor
-        self.owner_hits += hit
-        return hit
+    def _classified(self, pid, cpu, batch):
+        """The classification covering ``batch``'s cursor: the cached one,
+        else walked now. Only :meth:`run` asks."""
+        return self.cached(pid, cpu, batch) or self._classify(pid, cpu, batch)
 
     # -- the bulk run ------------------------------------------------------
 
@@ -195,7 +172,7 @@ class VecState:
         if not held:
             self.declines["stale"] += 1
             return None
-        cd = self._classified(pid, cpu, l1.version, batch)
+        cd = self._classified(pid, cpu, batch)
         o = i - cd.base
         h = cd.stop - i             # hits from the cursor on
         if h > m:

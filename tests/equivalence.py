@@ -84,9 +84,9 @@ def _decline(*_args, **_kwargs):
 #: For the mechanism suites: ``sub(name)``, composed by nesting
 SUBS = {
     # the scalar loop and the scalar walk: the bulk path declines every
-    # run and every rival's frontier
+    # run and no classification is ever read
     "scalar": lambda: mock.patch.multiple(VecState, run=_decline,
-                                          frontier=_decline),
+                                          cached=_decline),
     # the generic interpreter (tests/isa_reference.py) instead of block
     # translation; forked ParallelEngine workers inherit the patch
     "interpreted": lambda: mock.patch.object(Interpreter, "run",
@@ -131,8 +131,8 @@ LATTICE_IDS = ["fast{}-look{}-vect{}".format(*map(int, bits))
 
 def decline_bulk(ms) -> None:
     """The ``scalar`` substitution on one memory system: from now on its
-    bulk path declines every run and every frontier."""
-    ms._vec.run = ms._vec.frontier = _decline
+    bulk path declines every run and no classification is read."""
+    ms._vec.run = ms._vec.cached = _decline
 
 
 def make_batch(refs, cursor=0, time=1000) -> EventBatch:

@@ -2,8 +2,8 @@
 
 import pytest
 
-from repro import (DeadlockError, Engine, ProcState, complex_backend,
-                   simple_backend)
+from repro import (DeadlockError, Engine, ProcState, WaitToken,
+                   complex_backend, simple_backend)
 
 
 def test_single_process_runs_to_completion(engine1):
@@ -105,6 +105,47 @@ def test_deadlock_detected():
     eng._deadlock_window = 2_000_000   # fail fast in the test
     with pytest.raises(DeadlockError):
         eng.run()
+
+
+def test_a_wait_nobody_wakes_is_a_deadlock():
+    """A process blocked on a token no task will wake: after the window of
+    silence only timer ticks are left, and they wake no one."""
+    eng = Engine(simple_backend(num_cpus=1))
+
+    def never(sys):
+        sys.entry()
+        yield WaitToken("never")
+        return sys.result(0)
+
+    eng.os_server.register("never", 1, never)
+
+    def app(proc):
+        yield from proc.call("never")
+        yield from proc.exit(0)
+
+    eng.spawn("a", app)
+    eng._deadlock_window = 2_000_000   # fail fast in the test
+    with pytest.raises(DeadlockError, match="timer ticks") as e:
+        eng.run()
+    assert [(p["state"], p["wait"]) for p in e.value.report["processes"]] \
+        == [("BLOCKED", "never")]
+
+
+def test_a_sleep_longer_than_the_deadlock_window_completes():
+    """A ``nanosleep`` arms its own wake-up task: a sleeper is no deadlock
+    however long the silence."""
+    eng = Engine(simple_backend(num_cpus=1))
+
+    def app(proc):
+        r = yield from proc.call("nanosleep", 9_000_000)
+        assert r.ok
+        yield from proc.exit(0)
+
+    p = eng.spawn("a", app)
+    eng._deadlock_window = 2_000_000
+    eng.run()
+    assert p.state == ProcState.DONE
+    assert eng.gsched.now >= 9_000_000
 
 
 def test_run_until_bound(engine1):

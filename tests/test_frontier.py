@@ -1,14 +1,14 @@
-"""The two qualifiers of a horizon-extension window agree.
+"""A rival's window bound read from a classification equals the walk.
 
 ``MemorySystem.invisible_until`` bounds how long a rival's parked batch
-provably stays invisible. With the rival CPU's L1 held still since its
-owner's last run the bound is read from the batch's classification: one
-already cached answers before any probe (``VecState.frontier`` not
-walking), else the cursor probe runs and ``frontier`` classifies;
-otherwise the scalar reference-by-reference walk answers. The probe-first walk is the
-reference and the classification must equal it on every batch, multi-line
-references included: a larger window could reorder the rival against
-something it observes, a smaller one wastes windows.
+provably stays invisible. A classification the owner's ``run()`` left on
+the filling answers when it still covers the cursor under the current key
+(``VecState.cached``, :meth:`Prefix.bound`); otherwise the scalar
+reference-by-reference walk answers, and classifies nothing. The
+probe-first walk is the reference and the classification must equal it on
+every batch, multi-line references included: a larger window could
+reorder the rival against something it observes, a smaller one wastes
+windows.
 """
 
 from __future__ import annotations
@@ -64,14 +64,20 @@ def make_ms() -> MemorySystem:
 
 
 def scalar_bound(ms, batch, cap):
-    """The probe-first walk alone: ``invisible_until`` with the cache
-    lookup and the classification declining."""
+    """The probe-first walk alone: ``invisible_until`` with no cached
+    classification read."""
     vec = ms._vec
-    vec.frontier = lambda *_args: None
+    vec.cached = lambda *_args: None
     try:
         return ms.invisible_until(PID, CPU, batch, cap)
     finally:
-        del vec.frontier
+        del vec.cached
+
+
+def owner_classifies(ms, batch):
+    """The classification the owner's ``run()`` makes at ``batch``'s
+    cursor (or reads, when one on the filling covers it)."""
+    return ms._vec._classified(PID, CPU, batch)
 
 
 @pytest.fixture(scope="module")
@@ -142,6 +148,7 @@ def _check(ms, refs, data):
     kind, addr, size, _pend = refs[cursor]
     declines = ms.ref_invisible_latency(PID, CPU, kind, addr, size) < 0
     full = scalar_bound(ms, batch, INF)
+    assert owner_classifies(ms, batch) is ms._vec.cached(PID, CPU, batch)
     # every cap from below the cursor's issue time to past the walk's end:
     # below, at and above each issue time on the way
     for cap in list(range(batch.time - 1, min(full, batch.time + 400) + 3)) \
@@ -150,7 +157,8 @@ def _check(ms, refs, data):
         got = ms.invisible_until(PID, CPU, batch, cap)
         assert got == want, (cap, refs, cursor)
         if declines:
-            # the cursor probe answers before either qualifier, uncapped
+            # an entry stopping at the cursor answers as the cursor probe:
+            # uncapped
             assert got == batch.time, (cap, refs, cursor)
 
 
@@ -167,61 +175,63 @@ def test_classified_frontier_matches_the_scalar_walk_strided(ms, refs, data):
 
 
 def test_classification_answers_when_it_can(ms):
-    """Enough references, first one a hit, L1 held still: the bound comes
-    from ``frontier`` — a reference of three lines included, as the walk
-    probes it."""
+    """The owner's classification covering the cursor answers the bound,
+    a reference of three lines included, as the walk probes it; no walk is
+    counted."""
+    vec = ms._vec
     refs = [(0, BASE + j * 4, 4, 0) for j in range(12)]
-    batch = make_batch(refs)
-    assert ms._vec.frontier(PID, CPU, batch, INF) == \
-        scalar_bound(ms, batch, INF) == batch.time + 11
     wide = refs[:4] + [(0, BASE, 3 * LINE, 0)] + refs[5:]
-    batch = make_batch(wide)
-    assert ms._vec.frontier(PID, CPU, batch, INF) == \
-        scalar_bound(ms, batch, INF) == batch.time + 4 + 3 + 6
+    for refs, want in ((refs, 11), (wide, 4 + 3 + 6)):
+        batch = make_batch(refs)
+        owner_classifies(ms, batch)
+        walks = vec.walks
+        assert ms.invisible_until(PID, CPU, batch, INF) == \
+            scalar_bound(ms, batch, INF) == batch.time + want
+        assert vec.walks == walks + 1           # scalar_bound's alone
 
 
-def test_stale_or_short_goes_to_the_scalar_walk():
+def test_no_classification_on_the_filling_walks_and_classifies_nothing():
+    """With no classification on the filling, or one walked under a key
+    that no longer holds, the walk answers and nothing is classified."""
     ms = make_ms()
     vec = ms._vec
     refs = [(1, BASE + j * 4, 4, 1) for j in range(12)] \
         + [(0, BASE + ABSENT * LINE, 4, 0), (0, BASE, 4, 0)]
     batch = make_batch(refs)
-    want = scalar_bound(ms, batch, INF)
-    assert want == batch.time + 11 * 2 + 1      # the absent line's issue time
-    assert vec.frontier(PID, CPU, batch, INF) == want
-
+    classified, walks = vec.classifications, vec.walks
+    # the absent line's issue time
+    assert ms.invisible_until(PID, CPU, batch, INF) == batch.time + 11 * 2 + 1
+    assert batch.prefix is None and vec.walks == walks + 1
     short = make_batch(refs, cursor=len(refs) - vecmod.MIN_RUN + 1)
-    before = dict(vec.declines)
-    assert vec.frontier(PID, CPU, short, INF) is None
     assert ms.invisible_until(PID, CPU, short, INF) == \
         scalar_bound(ms, short, INF)
-    assert vec.declines["frontier_short"] == before["frontier_short"] + 2
-
-    # a fill bumps the L1 version: no classification is read or made until
-    # the owner's next run() entry finds the L1 held still
-    ms.access(PID, BASE + ABSENT * LINE, 4, False, CPU, 0)
-    classified = vec.classifications
-    assert vec.frontier(PID, CPU, batch, INF) is None
-    got = ms.invisible_until(PID, CPU, batch, INF)
-    assert got == scalar_bound(ms, batch, INF) == batch.time + 11 * 2 + 2
-    assert vec.declines["frontier_stale"] == before["frontier_stale"] + 2
+    assert short.prefix is None
     assert vec.classifications == classified
 
+    # a fill bumps the L1 version: the owner's classification is not read
+    cd = owner_classifies(ms, batch)
+    ms.access(PID, BASE + ABSENT * LINE, 4, False, CPU, 0)
+    assert vec.cached(PID, CPU, batch) is None
+    walks = vec.walks
+    got = ms.invisible_until(PID, CPU, batch, INF)
+    assert got == scalar_bound(ms, batch, INF) == batch.time + 11 * 2 + 2
+    assert batch.prefix is cd and vec.walks == walks + 2
+    assert vec.classifications == classified + 1
 
-def test_classification_is_paid_once_and_shared_with_the_owner(monkeypatch):
-    """A fresh, fully-hitting rival batch is classified by the first query,
-    which probes only the cursor reference (a rival about to miss stops
-    there — ``tests/test_host_switches.py``); later queries and the owner's
-    own ``run()`` read the cached classification — no second walk, and no
-    probe at all."""
+
+def test_the_owners_classification_answers_every_rival(monkeypatch):
+    """The owner's ``run()`` classifies a fully-hitting filling once; every
+    later bound a rival asks of it, at any cursor the owner's cuts leave,
+    and the owner's own stand-down verdict read that classification: no
+    second walk, and no probe at all."""
     ms = make_ms()
     vec = ms._vec
     classified = []
     orig = vecmod.VecState._classify
     monkeypatch.setattr(
         vecmod.VecState, "_classify",
-        lambda self, key, pid, cpu, batch: classified.append(
-            (batch.cursor, batch.n)) or orig(self, key, pid, cpu, batch))
+        lambda self, pid, cpu, batch: classified.append(
+            (batch.cursor, batch.n)) or orig(self, pid, cpu, batch))
     probes = []
     orig_probe = MemorySystem.ref_invisible_latency
     monkeypatch.setattr(
@@ -230,27 +240,29 @@ def test_classification_is_paid_once_and_shared_with_the_owner(monkeypatch):
 
     refs = [(1, BASE + (j % 5) * LINE, 4, 0) for j in range(64)]
     batch = make_batch(refs)
-    cursor = (batch.kinds[0], batch.addrs[0], batch.sizes[0])
-    first = ms.invisible_until(PID, CPU, batch, INF)
-    assert classified == [(0, 64)] and probes == [(PID, CPU, *cursor)]
-    assert ms.invisible_until(PID, CPU, batch, INF) == first
+    consumed, i, t, *_ = ms.access_run(PID, CPU, batch, 16, INF)
+    assert (consumed, i) == (16, 16) and classified == [(0, 64)]
+    batch.cursor, batch.time = i, t
+    walks = vec.walks
+    assert ms.invisible_until(PID, CPU, batch, INF) == batch.time + 47
     assert ms.invisible_until(PID, CPU, batch, batch.time + 10) == \
         batch.time + 10
-    assert classified == [(0, 64)] and probes == [(PID, CPU, *cursor)]
-    # the owner's turn: the same classification, and the whole batch retires
+    assert vec.cached(PID, CPU, batch).stop > batch.cursor   # the verdict
+    assert probes == [] and vec.walks == walks
+    # the owner's next turn: the same classification retires the rest
     consumed, i, *_ = ms.access_run(PID, CPU, batch, batch.n, INF)
-    assert (consumed, i) == (64, 64)
+    assert (consumed, i) == (48, 64)
     assert classified == [(0, 64)]
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.one_of(_mixed, _strided()), st.booleans(), st.data())
 def test_cached_bound_equals_the_probe_first_walk(refs, reissue, data):
-    """Queries at one cursor leave a classification on the filling that
-    serves later ones (as an owner's cut continuations move it, or a
-    re-issue of the kept filling): every bound, read from a stored
-    classification or not — one that stops at the cursor and caps below
-    ``batch.time`` included — equals the probe-first walk's."""
+    """An owner's classification at one cursor serves bounds at later ones
+    (as its cut continuations move the cursor, or a re-issue of the kept
+    filling): every bound, read from a stored classification or walked —
+    one that stops at the cursor and caps below ``batch.time`` included —
+    equals the probe-first walk's."""
     ms = make_ms()
     n = len(refs)
     cursors = []
@@ -268,6 +280,8 @@ def test_cached_bound_equals_the_probe_first_walk(refs, reissue, data):
             batch = make_batch(refs)
         batch.cursor = cursor
         batch.time = data.draw(st.integers(1000, 1100))
+        if data.draw(st.booleans()):
+            owner_classifies(ms, batch)
         for cap in (batch.time - 7, batch.time, batch.time + 1,
                     batch.time + data.draw(st.integers(2, 60)), INF):
             assert ms.invisible_until(PID, CPU, batch, cap) == \
@@ -285,24 +299,24 @@ def test_a_cached_entry_answers_with_no_probe(monkeypatch):
         + [(0, BASE + ABSENT * LINE, 4, 0)] \
         + [(0, BASE + j * 4, 4, 0) for j in range(10)]
     batch = make_batch(refs)
+    cd = owner_classifies(ms, batch)
     assert ms.invisible_until(PID, CPU, batch, INF) == batch.time + 23
-    cd = batch.prefix
     assert (cd.base, cd.stop) == (0, 12)
     probes = []
     orig_probe = MemorySystem.ref_invisible_latency
     monkeypatch.setattr(
         MemorySystem, "ref_invisible_latency",
         lambda self, *a: probes.append(a) or orig_probe(self, *a))
-    counts = vec.classifications, dict(vec.declines)
+    counts = vec.classifications, vec.walks
 
     batch.cursor, batch.time = 12, 2000
-    assert vec.frontier(PID, CPU, batch, 1500, False) == 2000
+    assert vec.cached(PID, CPU, batch).bound(batch, 1500) == 2000
     for cap in (1500, 2000, 2001, INF):
         assert ms.invisible_until(PID, CPU, batch, cap) == 2000
     batch.cursor = 4
     for cap in (1500, 2003, INF):
         assert ms.invisible_until(PID, CPU, batch, cap) == min(cap, 2015)
     assert probes == []
-    assert (vec.classifications, vec.declines) == counts
+    assert (vec.classifications, vec.walks) == counts
     for cap in (1500, 2003, INF):
         assert scalar_bound(ms, batch, cap) == min(cap, 2015)

@@ -6,7 +6,7 @@ LRU replay). Every ``MemorySystem`` has it; it selects itself, declining
 whatever it cannot retire to the scalar loop. Like the scalar fast path it
 is a pure host-side optimisation: :func:`tests.equivalence.check` holds it
 and the scalar reference (the ``scalar`` substitution: a bulk path that
-declines every run and every frontier) to the strict result — tapped and
+declines every run and reads no classification) to the strict result — tapped and
 untapped, composed with conservative lookahead windows and with the batches
 ParallelEngine workers ship — end-of-run set lists (LRU order) and line
 states included. This module adds that the bulk path engaged where it
@@ -20,6 +20,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -28,8 +29,8 @@ from repro import Engine, complex_backend
 from repro.core.frontend import SimProcess
 
 from tests.equivalence import (BATCHING, DEFAULT, HOT_PROG, STRICT,
-                               WORKLOADS, Isa, check, simulate, snapshot,
-                               sub)
+                               WORKLOADS, Isa, check, reference,
+                               simulate, snapshot, sub)
 
 
 def _watch_classifications(eng, repeats):
@@ -43,10 +44,10 @@ def _watch_classifications(eng, repeats):
     classified = vec._classified
     history = {}
 
-    def watched(pid, cpu, l1_version, batch, walk=True):
+    def watched(pid, cpu, batch):
         before = vec.classifications
         fresh = batch.prefix is None
-        cd = classified(pid, cpu, l1_version, batch, walk)
+        cd = classified(pid, cpu, batch)
         if vec.classifications > before:
             walks = history.setdefault(id(batch), [])
             if fresh:
@@ -121,6 +122,31 @@ def test_vec_under_lookahead_bit_identical():
     assert c["batch_stats"]["la_refs"] > 0
 
 
+@pytest.mark.parametrize("row", ["private_heavy", Isa((HOT_PROG,) * 2)],
+                         ids=str)
+def test_only_run_classifies(row):
+    """Only the owner's ``VecState.run`` classifies a filling: a rival's
+    window bound and the owner's stand-down verdict read the cached
+    classification or walk. Counted by the frame that asked
+    ``_classified`` for the walk."""
+    callers = Counter()
+
+    def spy(eng):
+        vec = eng.memsys._vec
+        classify = vec._classify
+
+        def watched(*args):
+            callers[sys._getframe(2).f_code.co_name] += 1
+            return classify(*args)
+
+        vec._classify = watched
+
+    on, _ = simulate(row, spy=spy)
+    assert on.snap == reference(row) and on.counters["batch_stats"]["la_refs"] > 0
+    assert set(callers) == {"run"}
+    assert callers["run"] == on.counters["vec"]["classifications"]
+
+
 def _shared_scan(fastpath, seen=None):
     """Two processes on one CPU take turns scanning the same virtual range,
     each in its own address space: a kept filling one leaves is handed to
@@ -144,10 +170,9 @@ def _shared_scan(fastpath, seen=None):
         vec = eng.memsys._vec
         classified = vec._classified
 
-        def watched(pid, cpu, l1_version, batch, walk=True):
-            cd = classified(pid, cpu, l1_version, batch, walk)
-            if cd is not None:
-                seen.append((id(batch), pid, cd.key[2]))
+        def watched(pid, cpu, batch):
+            cd = classified(pid, cpu, batch)
+            seen.append((id(batch), pid, cd.key[2]))
             return cd
 
         vec._classified = watched

@@ -201,9 +201,12 @@ def test_stamp_version_term_catches_a_reorder_without_hits(monkeypatch):
     batch = _filling(n)
     both = _Twins(l1)
     vec = both.vec
-    classified = vec._classified
-    monkeypatch.setattr(vec, "_classified", lambda pid, cpu, _v, *a:
-                        classified(pid, cpu, 0, *a))
+
+    def versionless(pid, cpu, key=vec._key):
+        l1, _version, *rest = key(pid, cpu)
+        return (l1, 0, *rest)
+
+    monkeypatch.setattr(vec, "_key", versionless)
 
     def sweep(ms):
         return ms.access_run(PID, 0, batch, n, INF)

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import Engine, ProcState, complex_backend
+from repro import DeadlockError, Engine, ProcState, complex_backend
 from repro.apps.splash import spawn_kernel
 from repro.apps.webserver import (TracePlayer, generate_fileset, make_trace,
                                   prefork_web_server)
@@ -114,6 +114,24 @@ class TestEndToEnd:
         eng.run()
         assert len(player.response_cycles) >= 4
         assert player.mean_response_cycles() > 0
+
+
+    def test_a_hang_with_only_timer_ticks_left_is_a_deadlock(self):
+        """A trace seed that strands its workers (two in ``accept``, one in
+        ``recv`` on a connection whose request never comes) leaves only
+        the interval timer's ticks to run: named as a deadlock, not spun
+        on forever."""
+        from repro.service import SimulatorAdapter
+        eng = SimulatorAdapter().prepare(
+            {}, "webserver", dict(nrequests=40, nworkers=3, nclients=4,
+                                  size_scale=2.0, seed=2))
+        with pytest.raises(DeadlockError, match="timer ticks") as e:
+            eng.run()
+        waits = [(p["name"], p["state"], p["wait"])
+                 for p in e.value.report["processes"]]
+        assert waits == [("httpd-w0", "BLOCKED", "accept:1"),
+                         ("httpd-w1", "BLOCKED", "accept:1"),
+                         ("httpd-w2", "BLOCKED", "recv:39")]
 
 
 class TestSplash:
